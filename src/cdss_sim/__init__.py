@@ -31,7 +31,6 @@ from .errors import (
     ConfigurationError,
     InvariantError,
     MissingDataError,
-    UndefinedSinrError,
 )
 from .metrics import CdfSeries, MetricsStore, compute_cdf, finalize
 from .scenario import (

@@ -25,20 +25,27 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigurationError(f"{what} {token.strip()!r} is not an integer") from None
+
+
 def _parse_seeds(text: str) -> List[int]:
     """Accept '3', '1,2,5', or '1..10' (inclusive range)."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i, hi_i = _parse_int(lo, "seed"), _parse_int(hi, "seed")
         if hi_i < lo_i:
             raise ConfigurationError(f"seed range {text!r} is empty")
         return list(range(lo_i, hi_i + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [_parse_int(tok, "seed") for tok in text.split(",") if tok.strip()]
 
 
 def _parse_cases(text: str) -> List[int]:
-    cases = [int(tok) for tok in text.split(",") if tok.strip()]
+    cases = [_parse_int(tok, "case") for tok in text.split(",") if tok.strip()]
     for cid in cases:
         if cid not in CASES:
             raise ConfigurationError(

@@ -17,24 +17,23 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .band import active_guard_rbs, build_band_plan, initial_allocation
-from .controller import LoadReport, SpectrumManager
+from .controller import SpectrumManager
 from .errors import ConfigurationError
 from .metrics import MetricsStore, TimelineRow, UtilizationSample, compute_cdf, finalize
 from .radio import (
-    LinkState,
-    distance_m,
     los_state,
     ntn_rx_power,
     select_serving,
     spectral_efficiency_array,
     thermal_noise_dbm,
-    tn_pathloss,
+    tn_pathloss,  # noqa: F401 - perfbench/layers.py wraps it here; tn_rx_power calls it
     tn_rx_power,
 )
 from .scenario import (
@@ -47,7 +46,9 @@ from .scenario import (
     serialize_scenario,
     validate_scenario,
 )
-from .traffic import RoundRobinState, TrafficFlow, generate_arrivals, schedule_epoch
+from .traffic import (
+    PeriodLoad, RoundRobinState, TrafficFlow, generate_arrivals, schedule_epoch,
+)
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,12 @@ class _Node:
     """One scheduling entity: a TN cell or an enabled NTN beam."""
 
     node_id: str
-    kind: str                   # "tn" | "ntn"
-    tx_index: int
-    entity_id: int
+    entity_id: int                  # cell_id or beam_id
+    load: PeriodLoad
     ue_ids: List[int] = field(default_factory=list)
+    rotation: RoundRobinState = field(default_factory=RoundRobinState)
     granted: List[int] = field(default_factory=list)
     group_avail: List[int] = field(default_factory=list)
-    bytes_per_rb: Optional[Callable[[int, int], float]] = None
 
 
 def tn_granted_rbs(plan, state, blocked: frozenset) -> Tuple[List[int], List[int]]:
@@ -135,8 +135,175 @@ def ntn_granted_rbs(plan, state, group_index: int, blocked: frozenset) -> List[i
     return [rb for rb in rbs if rb not in blocked]
 
 
+def _grant_rbs(plan, state, blocked: frozenset, tn_nodes, ntn_nodes, beams) -> None:
+    """Grant rebuild: refresh every node's usable RBs after an allocation
+    or guard-set change."""
+    tn_order, tn_avail = tn_granted_rbs(plan, state, blocked)
+    for node in tn_nodes:
+        node.granted, node.group_avail = tn_order, tn_avail
+    for node, beam in zip(ntn_nodes, beams):
+        node.granted = ntn_granted_rbs(plan, state, beam.group_index, blocked)
+        node.group_avail = [0] * len(plan.groups)
+        node.group_avail[beam.group_index] = len(node.granted)
+
+
+def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
+    """Per-RB received power in dBm: rows are cells then beams, one column
+    per UE.  LOS is drawn once per (UE, cell) pair, UE-major, from the
+    run's "los" stream."""
+    rng_los = np.random.default_rng(derive_seed(seed, "los"))
+    rx_dbm = np.full((len(cells) + len(beams), len(ues)), -np.inf)
+    for ui, ue in enumerate(ues):
+        for ti, cell in enumerate(cells):
+            draw = float(rng_los.uniform(0.0, 1.0))
+            is_los = los_state(ue, cell, draw, radio_p.los_d0_m, radio_p.los_scale_m)
+            rx_dbm[ti, ui] = tn_rx_power(ue, cell, is_los, radio_p)
+        for bi, beam in enumerate(beams):
+            rx_dbm[len(cells) + bi, ui] = ntn_rx_power(ue, beam)
+    return rx_dbm
+
+
+class ByteFactors:
+    """Bytes one RB carries this epoch, as `rows[group][ue_id]`.
+
+    A TN-attached UE has a value in every group; an NTN-attached UE only in
+    its beam's group, the only group its beam is granted.  `refresh`
+    rewrites the rows in place once per epoch, so `bytes_per_rb` serves
+    every node from the same table.
+    """
+
+    def __init__(self, plan, group_of_rb, rx_dbm, serving, beams, radio_p, epoch_s: float):
+        n_cells = rx_dbm.shape[0] - len(beams)
+        serving_tx = np.array([-1 if tx is None else tx for tx in serving], dtype=int)
+        self.rows = [[0.0] * len(serving) for _ in plan.groups]
+        self._row_of_rb = [self.rows[gi] for gi in group_of_rb]
+        self._groups = plan.groups
+        self._rx_lin = np.power(10.0, rx_dbm / 10.0)
+        # Unserved UEs read row 0; their factors are never looked up.
+        self._serving = np.clip(serving_tx, 0, None)
+        self._signal_lin = self._rx_lin[self._serving, np.arange(len(serving))]
+        self._ue_is_tn = (serving_tx >= 0) & (serving_tx < n_cells)
+        self._tn_idx = np.arange(n_cells)
+        # Per group: every beam's row, and (row, attached-UE mask) of the
+        # beams that serve at least one UE.
+        self._beam_tx: List[List[int]] = [[] for _ in plan.groups]
+        self._beam_ues: List[List[Tuple[int, np.ndarray]]] = [[] for _ in plan.groups]
+        for bi, beam in enumerate(beams):
+            btx = n_cells + bi
+            self._beam_tx[beam.group_index].append(btx)
+            if (serving_tx == btx).any():
+                self._beam_ues[beam.group_index].append((btx, serving_tx == btx))
+        noise_dbm = thermal_noise_dbm(plan.rb_bandwidth_hz, radio_p.noise_figure_db)
+        self._noise_lin = 10.0 ** (noise_dbm / 10.0)
+        self._byte_scale = plan.rb_bandwidth_hz * epoch_s / 8.0
+        self._cap, self._floor = radio_p.se_cap_bps_hz, radio_p.se_min_bps_hz
+
+    def bytes_per_rb(self, ue_id: int, rb: int) -> float:
+        return self._row_of_rb[rb][ue_id]
+
+    def _bytes(self, interf: np.ndarray) -> np.ndarray:
+        sinr = self._signal_lin / (self._noise_lin + interf)
+        return spectral_efficiency_array(sinr, self._cap, self._floor) * self._byte_scale
+
+    def refresh(self, activity: np.ndarray) -> None:
+        """Recompute every row from each transmitter's activity fraction.
+
+        A TN-attached UE hears co-channel TN interference in every group,
+        plus the group's beams where the group is uncoordinated.  An
+        NTN-attached UE hears the other beams of its group, plus the TN
+        where the group is uncoordinated.  Coordinated groups carry no
+        cross-system interference by allocation disjointness.
+        """
+        rx_lin = self._rx_lin
+        act_srv = activity[self._serving] * self._signal_lin
+        tn_sum = activity[self._tn_idx] @ rx_lin[self._tn_idx, :]
+        base_i = np.where(self._ue_is_tn, tn_sum - act_srv, 0.0)
+        for g in self._groups:
+            interf = base_i.copy()
+            if not g.coordinated:
+                for btx in self._beam_tx[g.index]:
+                    interf = interf + activity[btx] * rx_lin[btx, :]
+            vals = np.where(self._ue_is_tn, self._bytes(interf), 0.0)
+            for btx, ue_mask in self._beam_ues[g.index]:
+                interf = np.zeros(len(vals))
+                for other in self._beam_tx[g.index]:
+                    if other != btx:
+                        interf += activity[other] * rx_lin[other, :]
+                if not g.coordinated:
+                    interf += tn_sum
+                vals = np.where(ue_mask, self._bytes(interf), vals)
+            self.rows[g.index][:] = vals.tolist()
+
+
+def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[TimelineRow]:
+    """The allocation of every group at `epoch`, one row per group."""
+    rows = []
+    for g in plan.groups:
+        if g.coordinated:
+            alloc = state.allocations[g.index]
+            tn, guard, ntn = alloc.tn_rbs, alloc.guard_rbs, alloc.ntn_rbs
+        else:
+            tn, guard = g.size, 0
+            ntn = g.size if case.ntn_enabled else 0
+        rows.append(
+            TimelineRow(
+                step, epoch, epoch * clock.epoch_s, g.index, g.size,
+                g.coordinated, tn, guard, ntn, state.version,
+            )
+        )
+    return rows
+
+
+def _schedule_nodes(
+    nodes, epoch: int, flows, byte_factors, group_of_rb, store, post_warmup: bool
+) -> np.ndarray:
+    """Schedule every node for one epoch and credit post-warmup bytes.
+
+    Returns each transmitter's activity fraction (used over granted RBs),
+    which sets the interference of the next epoch.
+    """
+    activity = np.zeros(len(nodes))
+    for tx, node in enumerate(nodes):
+        sched = schedule_epoch(
+            node.node_id, epoch, node.ue_ids, flows, node.granted,
+            byte_factors.bytes_per_rb, node.rotation,
+        )
+        node.load.add(sched, group_of_rb, node.group_avail)
+        if node.granted:
+            activity[tx] = sched.used_rb / len(node.granted)
+        if post_warmup and sched.served_bytes:
+            node_sum = 0.0
+            for uid, amount in sched.served_bytes.items():
+                store.add_ue_bytes(uid, amount)
+                node_sum += amount
+            store.add_node_bytes(node.node_id, node_sum)
+    return activity
+
+
+def _record_final(store, final_rows, total_rbs: int, tn_nodes, ntn_nodes, beams) -> None:
+    """Final shares and per-node RB counts from the last allocation."""
+    store.final_allocation = final_rows
+    coord = [row for row in final_rows if row.coordinated]
+    tn_usable = sum(row.tn_rbs for row in final_rows)
+    store.tn_share = tn_usable / total_rbs
+    store.ntn_share = (
+        sum(row.ntn_rbs for row in coord) / sum(row.group_size for row in coord)
+        if coord else 0.0
+    )
+    for node in tn_nodes:
+        store.node_rb_counts[node.node_id] = tn_usable
+    for node, beam in zip(ntn_nodes, beams):
+        store.node_rb_counts[node.node_id] = final_rows[beam.group_index].ntn_rbs
+
+
 def run_simulation(spec: RunSpec) -> MetricsStore:
-    """Execute one deterministic run and return its metrics store."""
+    """Execute one deterministic run and return its metrics store.
+
+    Stages: link budget and attachment once; then per epoch the grant
+    rebuild (only when the allocation or guard set changed), arrivals,
+    the byte-factor refresh and scheduling; at each period end the load
+    reports, utilization samples and the controller step.
+    """
     if spec.case_id not in CASES:
         raise ConfigurationError(
             f"case {spec.case_id} unknown, valid cases are {sorted(CASES)}"
@@ -147,7 +314,6 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     clock = SimClock.from_config(scenario)
     band = scenario.band
     radio_p = scenario.radio
-    cdss = scenario.cdss
 
     # TN-only cases disable every beam and free the whole band for the TN,
     # which is expressed by marking all groups uncoordinated.
@@ -157,308 +323,94 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         else tuple(False for _ in range(band.num_groups))
     )
     plan = build_band_plan(band.total_rbs, band.num_groups, flags, band.rb_bandwidth_hz)
-    state = initial_allocation(plan, cdss)
-    manager = SpectrumManager(plan, cdss)
+    state = initial_allocation(plan, scenario.cdss)
+    manager = SpectrumManager(plan, scenario.cdss)
 
     topo = build_topology(scenario, case, spec.seed)
-    cells = sorted(topo.cells, key=lambda c: c.cell_id)
-    beams = sorted(topo.beams, key=lambda b: b.beam_id)
-    ues = sorted(topo.ues, key=lambda u: u.ue_id)
-    n_ue = len(ues)
-    n_tx = len(cells) + len(beams)
+    cells = sorted(topo.cells, key=attrgetter("cell_id"))
+    beams = sorted(topo.beams, key=attrgetter("beam_id"))
+    ues = sorted(topo.ues, key=attrgetter("ue_id"))
 
-    # Static link state: one LOS draw per (UE, cell), then fixed rx powers.
-    link = LinkState()
-    rng_los = np.random.default_rng(derive_seed(spec.seed, "los"))
-    for ue in ues:
-        for cell in cells:
-            draw = float(rng_los.uniform(0.0, 1.0))
-            is_los = los_state(ue, cell, draw, radio_p.los_d0_m, radio_p.los_scale_m)
-            link.los[(cell.cell_id, ue.ue_id)] = is_los
-            link.pathloss_db[(cell.cell_id, ue.ue_id)] = tn_pathloss(
-                distance_m(ue.xy, cell.site_xy), is_los, cell.freq_ghz,
-                radio_p.nlos_offset_db,
-            )
+    # Link budget and attachment, once (stationary UEs, quasi-Earth-fixed beams).
+    rx_dbm = _link_budget(cells, beams, ues, radio_p, spec.seed)
+    serving = [select_serving(column, radio_p.min_rsrp_dbm) for column in rx_dbm.T]
 
-    rx_dbm = np.full((n_tx, n_ue), -np.inf)
-    for ti, cell in enumerate(cells):
-        for ui, ue in enumerate(ues):
-            rx_dbm[ti, ui] = tn_rx_power(ue, cell, link.los[(cell.cell_id, ue.ue_id)], radio_p)
-    for bi, beam in enumerate(beams):
-        ti = len(cells) + bi
-        for ui, ue in enumerate(ues):
-            rx_dbm[ti, ui] = ntn_rx_power(ue, beam)
-    rx_lin = np.power(10.0, rx_dbm / 10.0)
-
-    noise_dbm = thermal_noise_dbm(band.rb_bandwidth_hz, radio_p.noise_figure_db)
-    noise_lin = 10.0 ** (noise_dbm / 10.0)
-
-    # Serving attachment, once (stationary UEs, quasi-Earth-fixed beams).
-    tx_of_cell = {cell.cell_id: i for i, cell in enumerate(cells)}
-    tx_of_beam = {beam.beam_id: len(cells) + i for i, beam in enumerate(beams)}
-    serving_tx = np.full(n_ue, -1, dtype=int)
-    unserved: List[int] = []
-    ue_system: Dict[int, str] = {}
-    for ui, ue in enumerate(ues):
-        ue.serving = select_serving(ue, cells, beams, link, radio_p)
-        if ue.serving is None:
-            unserved.append(ue.ue_id)
-            ue_system[ue.ue_id] = "none"
-        elif ue.serving[0] == "cell":
-            serving_tx[ui] = tx_of_cell[ue.serving[1]]
-            ue_system[ue.ue_id] = "TN"
-        else:
-            serving_tx[ui] = tx_of_beam[ue.serving[1]]
-            ue_system[ue.ue_id] = "NTN"
-
-    flows = {
-        ue.ue_id: TrafficFlow(ue.ue_id, demand_bps(scenario, case, ue)) for ue in ues
-    }
-
-    nodes: List[_Node] = [
-        _Node(f"tn-{c.cell_id}", "tn", tx_of_cell[c.cell_id], c.cell_id) for c in cells
-    ] + [
-        _Node(f"ntn-{b.beam_id}", "ntn", tx_of_beam[b.beam_id], b.beam_id) for b in beams
-    ]
-    node_by_tx = {node.tx_index: node for node in nodes}
-    for ui, ue in enumerate(ues):
-        if serving_tx[ui] >= 0:
-            node_by_tx[serving_tx[ui]].ue_ids.append(ue.ue_id)
-
-    rotations = {
-        node.node_id: RoundRobinState(
-            derive_seed(spec.seed, f"rotation:{node.node_id}")
-            % max(1, len(node.ue_ids))
-        )
-        for node in nodes
-    }
-
-    group_of_rb = [0] * band.total_rbs
-    for g in plan.groups:
-        for rb in g.rb_range:
-            group_of_rb[rb] = g.index
-    num_groups = band.num_groups
-    beam_tx_by_group: Dict[int, List[int]] = {g.index: [] for g in plan.groups}
-    for beam in beams:
-        beam_tx_by_group[beam.group_index].append(tx_of_beam[beam.beam_id])
-
-    # Per-epoch byte capacities, refreshed in place: bf_tn[group][ue_id] for
-    # TN-attached UEs, bf_ntn[ue_id] for NTN-attached ones.
-    byte_scale = band.rb_bandwidth_hz * clock.epoch_s / 8.0
-    bf_holder = {
-        "tn": [[0.0] * n_ue for _ in range(num_groups)],
-        "ntn": [0.0] * n_ue,
-    }
-    tn_idx = np.arange(len(cells))
-    serving_clipped = np.clip(serving_tx, 0, None)
-    signal_lin = rx_lin[serving_clipped, np.arange(n_ue)]
-    ue_is_tn = (serving_tx >= 0) & (serving_tx < len(cells))
-    cap, floor = radio_p.se_cap_bps_hz, radio_p.se_min_bps_hz
-
-    def _se(sinr_arr: np.ndarray) -> np.ndarray:
-        return spectral_efficiency_array(sinr_arr, cap, floor)
-
-    def refresh_byte_factors(activity: np.ndarray) -> None:
-        # TN-attached UEs: co-channel TN interference everywhere, plus any
-        # same-group beams inside uncoordinated groups.  Coordinated groups
-        # carry no cross-system interference by allocation disjointness.
-        act_srv = activity[serving_clipped] * signal_lin
-        tn_sum = activity[tn_idx] @ rx_lin[tn_idx, :]
-        base_i = np.where(ue_is_tn, tn_sum - act_srv, 0.0)
-        for g in plan.groups:
-            interf = base_i.copy()
-            if not g.coordinated:
-                for btx in beam_tx_by_group[g.index]:
-                    interf = interf + activity[btx] * rx_lin[btx, :]
-            se = _se(signal_lin / (noise_lin + interf))
-            row = bf_holder["tn"][g.index]
-            vals = (se * byte_scale).tolist()
-            for ui in range(n_ue):
-                row[ui] = vals[ui] if ue_is_tn[ui] else 0.0
-        # NTN-attached UEs: other same-group beams always interfere; the TN
-        # joins in only inside uncoordinated groups.
-        ntn_vals = [0.0] * n_ue
-        for beam in beams:
-            btx = tx_of_beam[beam.beam_id]
-            group = plan.group(beam.group_index)
-            mask = serving_tx == btx
-            if not mask.any():
-                continue
-            interf = np.zeros(n_ue)
-            for other in beam_tx_by_group[beam.group_index]:
-                if other != btx:
-                    interf += activity[other] * rx_lin[other, :]
-            if not group.coordinated:
-                interf += activity[tn_idx] @ rx_lin[tn_idx, :]
-            se = _se(signal_lin / (noise_lin + interf))
-            vals = (se * byte_scale).tolist()
-            for ui in np.nonzero(mask)[0]:
-                ntn_vals[ui] = vals[ui]
-        bf_holder["ntn"] = ntn_vals
-
-    def make_tn_bytes_fn() -> Callable[[int, int], float]:
-        tn_rows = bf_holder["tn"]
-        def fn(uid: int, rb: int) -> float:
-            return tn_rows[group_of_rb[rb]][uid]
-        return fn
-
-    def make_ntn_bytes_fn() -> Callable[[int, int], float]:
-        def fn(uid: int, rb: int) -> float:
-            return bf_holder["ntn"][uid]
-        return fn
-
-    for node in nodes:
-        node.bytes_per_rb = make_tn_bytes_fn() if node.kind == "tn" else make_ntn_bytes_fn()
-
-    def rebuild_granted(epoch: int) -> None:
-        """Refresh usable RB lists after an allocation or guard change."""
-        blocked = frozenset(active_guard_rbs(state, epoch))
-        tn_order, tn_avail = tn_granted_rbs(plan, state, blocked)
-        for node in nodes:
-            if node.kind == "tn":
-                node.granted = tn_order
-                node.group_avail = tn_avail
-            else:
-                beam = beams[node.entity_id]
-                node.granted = ntn_granted_rbs(plan, state, beam.group_index, blocked)
-                node.group_avail = [0] * num_groups
-                node.group_avail[beam.group_index] = len(node.granted)
-
+    n_groups = band.num_groups
+    tn_nodes = [_Node(f"tn-{c.cell_id}", c.cell_id, PeriodLoad(n_groups)) for c in cells]
+    ntn_nodes = [_Node(f"ntn-{b.beam_id}", b.beam_id, PeriodLoad(n_groups)) for b in beams]
+    nodes = tn_nodes + ntn_nodes            # position == transmitter row
     store = MetricsStore(
         case_id=spec.case_id,
         seed=spec.seed,
         total_s=scenario.sim.total_s,
         warmup_s=scenario.sim.warmup_s,
     )
-    for ue in ues:
+    for ue, tx in zip(ues, serving):
         store.ue_bytes[ue.ue_id] = 0.0
+        if tx is None:
+            store.unserved_ues.append(ue.ue_id)
+            store.ue_system[ue.ue_id] = "none"
+        else:
+            nodes[tx].ue_ids.append(ue.ue_id)
+            store.ue_system[ue.ue_id] = "TN" if tx < len(cells) else "NTN"
     for node in nodes:
         store.node_bytes[node.node_id] = 0.0
-    store.unserved_ues = unserved
-    store.ue_system = ue_system
+        node.rotation.offset = (
+            derive_seed(spec.seed, f"rotation:{node.node_id}") % max(1, len(node.ue_ids))
+        )
+    flows = {
+        ue.ue_id: TrafficFlow(ue.ue_id, demand_bps(scenario, case, ue)) for ue in ues
+    }
 
-    def timeline_rows(step: int, epoch: int) -> List[TimelineRow]:
-        rows = []
-        for g in plan.groups:
-            if g.coordinated:
-                alloc = state.allocations[g.index]
-                tn, guard, ntn = alloc.tn_rbs, alloc.guard_rbs, alloc.ntn_rbs
-            else:
-                tn, guard = g.size, 0
-                ntn = g.size if case.ntn_enabled else 0
-            rows.append(
-                TimelineRow(
-                    step, epoch, epoch * clock.epoch_s, g.index, g.size,
-                    g.coordinated, tn, guard, ntn, state.version,
-                )
-            )
-        return rows
+    group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
+    byte_factors = ByteFactors(
+        plan, group_of_rb, rx_dbm, serving, beams, radio_p, clock.epoch_s
+    )
 
-    store.timeline.extend(timeline_rows(0, 0))
-
-    activity = np.ones(n_tx)
+    store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0))
+    coordinated = plan.coordinated_indices()
+    activity = np.ones(len(nodes))
     granted_key: Optional[Tuple[int, Tuple[int, ...]]] = None
     period_index = 0
-    # Per-period accumulators, reset at each controller invocation.
-    used_per_group = [[0] * num_groups for _ in nodes]
-    avail_per_group = [[0] * num_groups for _ in nodes]
-    used_total = [0] * len(nodes)
-    avail_total = [0] * len(nodes)
-
     for epoch in range(clock.total_epochs):
         blocked = active_guard_rbs(state, epoch)
         key = (state.version, tuple(sorted(blocked)))
         if key != granted_key:
-            rebuild_granted(epoch)
+            _grant_rbs(plan, state, frozenset(blocked), tn_nodes, ntn_nodes, beams)
             granted_key = key
 
         for flow in flows.values():
             generate_arrivals(flow, clock.epoch_s)
-
-        refresh_byte_factors(activity)
-        post_warmup = epoch >= clock.warmup_epochs
-        next_activity = np.zeros(n_tx)
-
-        for ni, node in enumerate(nodes):
-            sched = schedule_epoch(
-                node.node_id, epoch, node.ue_ids, flows, node.granted,
-                node.bytes_per_rb, rotations[node.node_id],
-            )
-            if node.kind == "tn":
-                upg = used_per_group[ni]
-                for rbs in sched.assignments.values():
-                    for rb in rbs:
-                        upg[group_of_rb[rb]] += 1
-                apg = avail_per_group[ni]
-                for gi, count in enumerate(node.group_avail):
-                    apg[gi] += count
-            used_total[ni] += sched.used_rb
-            avail_total[ni] += len(node.granted)
-            if node.granted:
-                next_activity[node.tx_index] = sched.used_rb / len(node.granted)
-            if post_warmup and sched.served_bytes:
-                node_sum = 0.0
-                for uid, amount in sched.served_bytes.items():
-                    store.add_ue_bytes(uid, amount)
-                    node_sum += amount
-                store.add_node_bytes(node.node_id, node_sum)
-
-        activity = next_activity
+        byte_factors.refresh(activity)
+        activity = _schedule_nodes(
+            nodes, epoch, flows, byte_factors, group_of_rb, store,
+            epoch >= clock.warmup_epochs,
+        )
 
         if (epoch + 1) % clock.period_epochs == 0:
             now = epoch + 1
             period_index += 1
-            reports: List[LoadReport] = []
-            for ni, node in enumerate(nodes):
-                if node.kind != "tn":
-                    continue
-                for gi in plan.coordinated_indices():
-                    avail = avail_per_group[ni][gi]
-                    if avail > 0:
-                        reports.append(
-                            LoadReport(
-                                node.entity_id, gi,
-                                used_per_group[ni][gi], avail, now,
-                            )
-                        )
-            period_start = now - clock.period_epochs
-            if period_start >= clock.warmup_epochs:
-                for ni, node in enumerate(nodes):
-                    if node.kind == "tn":
-                        store.utilization.append(
-                            UtilizationSample(
-                                node.entity_id, period_index, now * clock.epoch_s,
-                                used_total[ni], avail_total[ni],
-                            )
-                        )
-            state, _grants = manager.sms_step(state, reports, now)
+            reports = [
+                report
+                for node in tn_nodes
+                for report in node.load.reports(node.entity_id, coordinated, now)
+            ]
+            if now - clock.period_epochs >= clock.warmup_epochs:
+                store.utilization.extend(
+                    UtilizationSample(
+                        node.entity_id, period_index, now * clock.epoch_s,
+                        node.load.used_total, node.load.avail_total,
+                    )
+                    for node in tn_nodes
+                )
+            state = manager.sms_step(state, reports, now)[0]
             store.sms_steps += 1
-            store.timeline.extend(timeline_rows(period_index, now))
-            used_per_group = [[0] * num_groups for _ in nodes]
-            avail_per_group = [[0] * num_groups for _ in nodes]
-            used_total = [0] * len(nodes)
-            avail_total = [0] * len(nodes)
+            store.timeline.extend(_timeline_rows(plan, state, case, clock, period_index, now))
+            for node in nodes:
+                node.load = PeriodLoad(n_groups)
 
-    store.final_allocation = timeline_rows(period_index, clock.total_epochs)
-    coord = plan.coordinated_indices()
-    uncoord_size = sum(g.size for g in plan.groups if not g.coordinated)
-    tn_usable = sum(state.allocations[gi].tn_rbs for gi in coord) + uncoord_size
-    store.tn_share = tn_usable / band.total_rbs
-    if coord:
-        store.ntn_share = sum(state.allocations[gi].ntn_rbs for gi in coord) / sum(
-            plan.group(gi).size for gi in coord
-        )
-    else:
-        store.ntn_share = 0.0
-    for node in nodes:
-        if node.kind == "tn":
-            store.node_rb_counts[node.node_id] = tn_usable
-        else:
-            beam = beams[node.entity_id]
-            g = plan.group(beam.group_index)
-            store.node_rb_counts[node.node_id] = (
-                state.allocations[g.index].ntn_rbs if g.coordinated else g.size
-            )
+    final_rows = _timeline_rows(plan, state, case, clock, period_index, clock.total_epochs)
+    _record_final(store, final_rows, band.total_rbs, tn_nodes, ntn_nodes, beams)
     return store
 
 

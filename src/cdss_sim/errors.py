@@ -15,7 +15,3 @@ class MissingDataError(CdssError):
 
 class InvariantError(CdssError):
     """An internal allocation invariant was violated; the run must abort."""
-
-
-class UndefinedSinrError(CdssError):
-    """SINR was requested for an empty resource-block assignment."""

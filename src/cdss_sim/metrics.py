@@ -24,15 +24,6 @@ class CdfSeries:
     values: Tuple[float, ...]
     probabilities: Tuple[float, ...]
 
-    def fraction_at_or_below(self, x: float) -> float:
-        frac = 0.0
-        for v, p in zip(self.values, self.probabilities):
-            if v <= x:
-                frac = p
-            else:
-                break
-        return frac
-
 
 def compute_cdf(samples: Sequence[float]) -> CdfSeries:
     """Empirical CDF with P(i) = (i+1)/n over ascending samples.

@@ -10,12 +10,10 @@ are per resource block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
-
-from .errors import UndefinedSinrError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -72,15 +70,6 @@ class Ue:
     kind: str                            # "tn" or "ntn" placement area
     noise_figure_db: float = 13.0
     antenna_gain_dbi: float = 0.0
-    serving: Optional[Tuple[str, int]] = None  # ("cell"|"beam", id) or None
-
-
-@dataclass
-class LinkState:
-    """LOS flag and path loss per (cell_id, ue_id), frozen after init."""
-
-    los: Dict[Tuple[int, int], bool] = field(default_factory=dict)
-    pathloss_db: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
 
 def distance_m(a: Tuple[float, float], b: Tuple[float, float]) -> float:
@@ -168,72 +157,24 @@ def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-def _db_to_lin(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
-
-
-def sinr(
-    signal_dbm: float,
-    interferers: Sequence[Tuple[float, float]],
-    noise_dbm: float,
-    assigned_rbs: int = 1,
-) -> float:
-    """Linear SINR on a per-RB basis.
-
-    `interferers` are (received power dBm, activity fraction) pairs for
-    transmitters whose RB usage overlaps the UE's assignment; the caller
-    is responsible for that overlap filtering.
-    """
-    if assigned_rbs <= 0:
-        raise UndefinedSinrError("SINR undefined for an empty RB assignment")
-    interference = sum(activity * _db_to_lin(p) for p, activity in interferers)
-    return _db_to_lin(signal_dbm) / (_db_to_lin(noise_dbm) + interference)
-
-
-def spectral_efficiency(
-    sinr_linear: float, cap_bps_hz: float = 7.4, min_bps_hz: float = 0.05
-) -> float:
-    """Capped Shannon efficiency; below the service floor the UE gets 0."""
-    if sinr_linear < 0:
-        raise ValueError(f"SINR must be non-negative, got {sinr_linear}")
-    se = math.log2(1.0 + sinr_linear)
-    if se < min_bps_hz:
-        return 0.0
-    return min(se, cap_bps_hz)
-
-
 def spectral_efficiency_array(
     sinr_linear: np.ndarray, cap_bps_hz: float = 7.4, min_bps_hz: float = 0.05
 ) -> np.ndarray:
-    """Vectorized twin of spectral_efficiency for per-epoch engine updates."""
+    """Capped Shannon efficiency, element-wise; below the service floor
+    the UE gets 0."""
     se = np.log2(1.0 + sinr_linear)
     se[se < min_bps_hz] = 0.0
     return np.minimum(se, cap_bps_hz)
 
 
-def select_serving(
-    ue: Ue,
-    cells: Sequence[TnCell],
-    beams: Sequence[NtnBeam],
-    link: LinkState,
-    params: RadioParams,
-) -> Optional[Tuple[str, int]]:
-    """Attach to the strongest per-RB transmitter, cells before beams on ties.
+def select_serving(rx_dbm: np.ndarray, min_rsrp_dbm: float) -> Optional[int]:
+    """Attach to the strongest per-RB transmitter in one UE's rx column.
 
-    Returns None when every candidate is below the out-of-service power
-    threshold (the UE is unserved; this happens in TN-only cases for UEs
-    far from the sites).
+    Returns the row index of the first maximum, so with rows ordered cells
+    then beams, each by id, ties go to cells before beams and then to the
+    lower id.  Returns None when every candidate is below the
+    out-of-service power threshold (the UE is unserved; this happens in
+    TN-only cases for UEs far from the sites).
     """
-    best: Optional[Tuple[str, int]] = None
-    best_dbm = -math.inf
-    for cell in sorted(cells, key=lambda c: c.cell_id):
-        rx = tn_rx_power(ue, cell, link.los[(cell.cell_id, ue.ue_id)], params)
-        if rx > best_dbm:
-            best, best_dbm = ("cell", cell.cell_id), rx
-    for beam in sorted(beams, key=lambda b: b.beam_id):
-        rx = ntn_rx_power(ue, beam)
-        if rx > best_dbm:
-            best, best_dbm = ("beam", beam.beam_id), rx
-    if best is None or best_dbm < params.min_rsrp_dbm:
-        return None
-    return best
+    best = int(np.argmax(rx_dbm))
+    return best if rx_dbm[best] >= min_rsrp_dbm else None

@@ -217,8 +217,12 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read scenario {path}: {exc}") from exc
+    return parse_scenario(text)
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:

@@ -1,4 +1,4 @@
-"""CBR traffic, per-epoch round-robin RB scheduling, and load reporting."""
+"""CBR traffic, per-epoch round-robin RB scheduling, and load accounting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .controller import LoadReport
-from .errors import MissingDataError
 
 
 @dataclass
@@ -101,30 +100,33 @@ def schedule_epoch(
     return schedule
 
 
-def cell_load(
-    schedules: Sequence[CellSchedule],
-    cell_id: int,
-    group_index: int,
-    group_rbs: range,
-    period_end_epoch: int,
-) -> LoadReport:
-    """Fold one period of schedules into a LoadReport for one group.
+class PeriodLoad:
+    """One node's RB usage over one controller period: used and granted
+    RB-epochs, per frequency group and in total."""
 
-    used_rb_epochs counts assigned RBs falling inside the group's range,
-    available_rb_epochs the granted ones.  An empty period or a period
-    with no granted RBs in the group raises MissingDataError.
-    """
-    if not schedules:
-        raise MissingDataError(f"no schedules for cell {cell_id} this period")
-    lo, hi = group_rbs.start, group_rbs.stop
-    used = 0
-    available = 0
-    for sched in schedules:
-        available += sum(1 for rb in sched.granted if lo <= rb < hi)
+    def __init__(self, num_groups: int) -> None:
+        self.used_per_group = [0] * num_groups
+        self.avail_per_group = [0] * num_groups
+        self.used_total = self.avail_total = 0
+
+    def add(self, sched: CellSchedule, group_of_rb: Sequence[int],
+            group_avail: Sequence[int]) -> None:
+        """Fold in one epoch; `group_avail` counts its granted RBs per group."""
+        used = self.used_per_group
         for rbs in sched.assignments.values():
-            used += sum(1 for rb in rbs if lo <= rb < hi)
-    if available == 0:
-        raise MissingDataError(
-            f"cell {cell_id} had no granted RBs in group {group_index} this period"
-        )
-    return LoadReport(cell_id, group_index, used, available, period_end_epoch)
+            for rb in rbs:
+                used[group_of_rb[rb]] += 1
+        for gi, count in enumerate(group_avail):
+            self.avail_per_group[gi] += count
+        self.used_total += sched.used_rb
+        self.avail_total += len(sched.granted)
+
+    def reports(
+        self, cell_id: int, group_indices: Sequence[int], now: int
+    ) -> List[LoadReport]:
+        """One LoadReport per listed group that had granted RBs this period."""
+        return [
+            LoadReport(cell_id, gi, self.used_per_group[gi], self.avail_per_group[gi], now)
+            for gi in group_indices
+            if self.avail_per_group[gi] > 0
+        ]

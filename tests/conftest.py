@@ -10,10 +10,15 @@ def default_cfg():
     return cs.default_scenario()
 
 
-@pytest.fixture(scope="session")
-def fast_cfg(default_cfg):
+def fast_scenario():
     """3 s run with 1 s warmup; keeps engine unit tests quick."""
-    return replace(default_cfg, sim=replace(default_cfg.sim, total_s=3.0, warmup_s=1.0))
+    cfg = cs.default_scenario()
+    return replace(cfg, sim=replace(cfg.sim, total_s=3.0, warmup_s=1.0))
+
+
+@pytest.fixture(scope="session")
+def fast_cfg():
+    return fast_scenario()
 
 
 @pytest.fixture(scope="session")

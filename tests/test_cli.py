@@ -23,14 +23,16 @@ def test_parse_seeds_forms():
     assert _parse_seeds("3") == [3]
     assert _parse_seeds("1,2,5") == [1, 2, 5]
     assert _parse_seeds("1..4") == [1, 2, 3, 4]
-    with pytest.raises(ConfigurationError):
-        _parse_seeds("5..1")
+    for bad in ("5..1", "abc", "1..x", "1,two"):
+        with pytest.raises(ConfigurationError):
+            _parse_seeds(bad)
 
 
 def test_parse_cases_validates_range():
     assert _parse_cases("1,2,3,4") == [1, 2, 3, 4]
-    with pytest.raises(ConfigurationError):
-        _parse_cases("0")
+    for bad in ("0", "two"):
+        with pytest.raises(ConfigurationError):
+            _parse_cases(bad)
 
 
 def test_validate_default_scenario_exits_zero(capsys):
@@ -40,8 +42,19 @@ def test_validate_default_scenario_exits_zero(capsys):
 def test_validate_bad_scenario_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[cdss]\nlower_threshold = 0.9\nupper_threshold = 0.8\n")
-    assert main(["validate", "--scenario", str(bad)]) == EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    # a bad value, a missing file, a directory
+    for scenario in (bad, tmp_path / "missing.ini", tmp_path):
+        assert main(["validate", "--scenario", str(scenario)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+
+
+def test_campaign_bad_grid_exits_one(tmp_path, capsys):
+    for flag, value in (("--seeds", "abc"), ("--case", "two")):
+        argv = ["campaign", flag, value, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
 
 
 def test_run_out_of_range_case_exits_one(capsys):

@@ -1,9 +1,16 @@
+import importlib.util
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import cdss_sim.engine as engine_mod
 from cdss_sim.band import active_guard_rbs, build_band_plan, initial_allocation
 from cdss_sim.controller import CdssConfig, apply_adjustment
 from cdss_sim.engine import (
+    ByteFactors,
     RunSpec,
     SimClock,
     ntn_granted_rbs,
@@ -13,6 +20,7 @@ from cdss_sim.engine import (
     tn_granted_rbs,
 )
 from cdss_sim.errors import ConfigurationError
+from cdss_sim.radio import select_serving, thermal_noise_dbm
 from cdss_sim.scenario import CASES, build_topology, serialize_scenario
 
 
@@ -230,3 +238,84 @@ def test_throughput_never_exceeds_demand(run_cache):
         store = run_cache(case_id, 1)
         top = max(store.throughputs_bps().values())
         assert top <= max_demand + 1e-6, (case_id, top)
+
+
+def naive_byte_factors(plan, rx_dbm, serving, beams, activity, radio, epoch_s):
+    """Oracle: {(group, ue_id): bytes per RB}, summing interferers one by one.
+
+    A TN-attached UE is offered every group and hears the other cells,
+    plus the group's beams where the group is uncoordinated.  An
+    NTN-attached UE is offered its beam's group and hears the group's
+    other beams, plus every cell where the group is uncoordinated.
+    """
+    n_cells = rx_dbm.shape[0] - len(beams)
+    beam_group = {n_cells + i: beam.group_index for i, beam in enumerate(beams)}
+    noise = 10.0 ** (thermal_noise_dbm(plan.rb_bandwidth_hz, radio.noise_figure_db) / 10.0)
+    scale = plan.rb_bandwidth_hz * epoch_s / 8.0
+    out = {}
+    for ue, tx in enumerate(serving):
+        if tx is None:
+            continue
+        for g in plan.groups:
+            beams_here = [b for b, gi in beam_group.items() if gi == g.index]
+            if tx < n_cells:
+                interferers = [c for c in range(n_cells) if c != tx]
+                interferers += [] if g.coordinated else beams_here
+            elif beam_group[tx] == g.index:
+                interferers = [b for b in beams_here if b != tx]
+                interferers += [] if g.coordinated else list(range(n_cells))
+            else:
+                continue
+            interference = 0.0
+            for t in interferers:
+                interference += activity[t] * 10.0 ** (rx_dbm[t, ue] / 10.0)
+            sinr = 10.0 ** (rx_dbm[tx, ue] / 10.0) / (noise + interference)
+            se = math.log2(1.0 + sinr)
+            se = 0.0 if se < radio.se_min_bps_hz else min(se, radio.se_cap_bps_hz)
+            out[(g.index, ue)] = se * scale
+    return out
+
+
+def test_byte_factors_match_naive_oracle(fast_cfg):
+    # beams 1 and 2 share coordinated group 0, so same-group beam
+    # interference is exercised too
+    shared = replace(fast_cfg, topology=replace(fast_cfg.topology, beam_groups=(0, 0, 2)))
+    rng = np.random.default_rng(11)
+    for cfg in (fast_cfg, shared):
+        band, radio = cfg.band, cfg.radio
+        epoch_s = SimClock.from_config(cfg).epoch_s
+        plan = build_band_plan(band.total_rbs, band.num_groups, band.coordinated,
+                               band.rb_bandwidth_hz)
+        topo = build_topology(cfg, CASES[2], 1)
+        beams = sorted(topo.beams, key=lambda b: b.beam_id)
+        rx_dbm = engine_mod._link_budget(
+            sorted(topo.cells, key=lambda c: c.cell_id), beams,
+            sorted(topo.ues, key=lambda u: u.ue_id), radio, 1,
+        )
+        serving = [select_serving(column, radio.min_rsrp_dbm) for column in rx_dbm.T]
+        group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
+        factors = ByteFactors(plan, group_of_rb, rx_dbm, serving, beams, radio, epoch_s)
+        n_tx = rx_dbm.shape[0]
+        for activity in (np.zeros(n_tx), np.ones(n_tx), rng.uniform(size=n_tx)):
+            factors.refresh(activity)
+            want = naive_byte_factors(plan, rx_dbm, serving, beams, activity, radio, epoch_s)
+            assert {gi for gi, _ in want} == {0, 1, 2}
+            for (gi, ue), value in want.items():
+                group = plan.group(gi)
+                for rb in (group.rb_start, group.rb_stop - 1):
+                    got = factors.bytes_per_rb(ue, rb)
+                    assert got == pytest.approx(value, rel=1e-12), (gi, ue, rb)
+
+
+def test_benchmark_tracer_names_resolve_on_engine():
+    # perfbench/layers.py traces a run by swapping these names on the
+    # engine module; a refactor that drops one breaks the traced benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = [name for names in layers.ENGINE_LAYERS.values() for name in names]
+    names += ["run_and_write", "_campaign_worker", "ProcessPoolExecutor", "SpectrumManager"]
+    missing = [name for name in names if not hasattr(engine_mod, name)]
+    assert missing == []
+    assert hasattr(engine_mod.SpectrumManager, "sms_step")

@@ -29,7 +29,8 @@ def test_compute_cdf_degenerate_single_step():
 
 def test_compute_cdf_zero_mass_visible():
     cdf = compute_cdf([0.0] * 15 + [1.0] * 85)
-    assert cdf.fraction_at_or_below(0.0) == pytest.approx(0.15)
+    at_zero = [p for v, p in zip(cdf.values, cdf.probabilities) if v <= 0.0]
+    assert at_zero[-1] == pytest.approx(0.15)
 
 
 def test_compute_cdf_empty_rejected():

@@ -1,11 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cdss_sim.errors import UndefinedSinrError
 from cdss_sim.radio import (
-    LinkState,
     NtnBeam,
     RadioParams,
     TnCell,
@@ -17,9 +16,8 @@ from cdss_sim.radio import (
     ntn_rx_power,
     sector_loss_db,
     select_serving,
-    sinr,
     slant_range_km,
-    spectral_efficiency,
+    spectral_efficiency_array,
     thermal_noise_dbm,
     tn_pathloss,
     tn_rx_power,
@@ -122,50 +120,17 @@ def test_thermal_noise_per_rb():
     assert noise == pytest.approx(-174.0 + 10.0 * math.log10(180_000.0) + 7.0)
 
 
-def test_sinr_without_interference_is_snr():
-    assert sinr(-100.0, [], -110.0) == pytest.approx(10.0)
-
-
-def test_sinr_interferer_equal_to_noise_halves_snr():
-    snr = sinr(-100.0, [], -110.0)
-    degraded = sinr(-100.0, [(-110.0, 1.0)], -110.0)
-    assert degraded == pytest.approx(snr / 2.0)
-
-
-def test_sinr_activity_scales_interference():
-    full = sinr(-100.0, [(-105.0, 1.0)], -120.0)
-    half = sinr(-100.0, [(-105.0, 0.5)], -120.0)
-    assert half > full
-
-
-def test_sinr_never_exceeds_snr():
-    rng = random.Random(5)
-    for _ in range(50):
-        s = rng.uniform(-120, -60)
-        n = rng.uniform(-125, -100)
-        interferers = [(rng.uniform(-130, -80), rng.uniform(0, 1)) for _ in range(4)]
-        assert sinr(s, interferers, n) <= sinr(s, [], n)
-
-
-def test_sinr_empty_assignment_undefined():
-    with pytest.raises(UndefinedSinrError):
-        sinr(-100.0, [], -110.0, assigned_rbs=0)
-
-
 def test_spectral_efficiency_examples():
-    assert spectral_efficiency(1.0) == pytest.approx(1.0)
-    assert spectral_efficiency(1000.0) == 7.4
-    assert spectral_efficiency(0.03) == 0.0
-    with pytest.raises(ValueError):
-        spectral_efficiency(-0.1)
+    se = spectral_efficiency_array(np.array([1.0, 1000.0, 0.03, 0.0]))
+    assert se.tolist() == pytest.approx([1.0, 7.4, 0.0, 0.0])
 
 
-def make_link(cells, ues, los=True):
-    link = LinkState()
-    for cell in cells:
-        for ue in ues:
-            link.los[(cell.cell_id, ue.ue_id)] = los
-    return link
+def rx_column(ue, cells, beams=(), los=True):
+    """Per-RB rx powers of one UE: cells then beams, as the engine orders them."""
+    return np.array(
+        [tn_rx_power(ue, cell, los, PARAMS) for cell in cells]
+        + [ntn_rx_power(ue, beam) for beam in beams]
+    )
 
 
 def test_select_serving_dominant_proximity():
@@ -174,33 +139,31 @@ def test_select_serving_dominant_proximity():
         TnCell(1, (5000.0, 0.0), 180.0, 18.0, 14.0, 2.0),
     ]
     ue = Ue(0, (200.0, 0.0), "tn")
-    link = make_link(cells, [ue])
-    assert select_serving(ue, cells, [], link, PARAMS) == ("cell", 0)
+    assert select_serving(rx_column(ue, cells), PARAMS.min_rsrp_dbm) == 0
 
 
 def test_select_serving_remote_beam_wins():
     cells = [TnCell(i, (0.0, 0.0), i * 120.0, 18.0, 14.0, 2.0) for i in range(3)]
     beam = NtnBeam(2, (70_000.0, 0.0), 2, 600.0, 75.0, 74.0, 25.0, 2.0, 160.0 / 3.0)
     ue = Ue(0, (70_000.0, 0.0), "ntn")
-    link = make_link(cells, [ue], los=False)
-    assert select_serving(ue, cells, [beam], link, PARAMS) == ("beam", 2)
+    column = rx_column(ue, cells, [beam], los=False)
+    assert select_serving(column, PARAMS.min_rsrp_dbm) == 3
 
 
 def test_select_serving_tie_breaks_to_lower_id():
-    cells = [
-        TnCell(1, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0),
-        TnCell(0, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0),
-    ]
+    cell = TnCell(0, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0)
     ue = Ue(0, (1000.0, 0.0), "tn")
-    link = make_link(cells, [ue])
-    assert select_serving(ue, cells, [], link, PARAMS) == ("cell", 0)
+    rx = tn_rx_power(ue, cell, True, PARAMS)
+    # two co-sited identical cells: the lower row wins
+    assert select_serving(rx_column(ue, [cell, cell]), PARAMS.min_rsrp_dbm) == 0
+    # rows 0-1 are cells, row 2 a beam as strong as cell 1: the cell wins
+    assert select_serving(np.array([rx - 1.0, rx, rx]), PARAMS.min_rsrp_dbm) == 1
 
 
 def test_select_serving_below_threshold_unserved():
     cells = [TnCell(0, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0)]
     ue = Ue(0, (300_000.0, 0.0), "tn")
-    link = make_link(cells, [ue], los=False)
-    assert select_serving(ue, cells, [], link, PARAMS) is None
+    assert select_serving(rx_column(ue, cells, los=False), PARAMS.min_rsrp_dbm) is None
 
 
 def test_tn_rx_power_composition():

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from cdss_sim.controller import aggregate_load
 from cdss_sim.errors import MissingDataError
 from cdss_sim.traffic import (
     CellSchedule,
+    PeriodLoad,
     RoundRobinState,
     TrafficFlow,
-    cell_load,
     generate_arrivals,
     schedule_epoch,
 )
@@ -142,29 +143,41 @@ def make_sched(granted, assigned):
 
 
 def test_cell_load_ratio():
-    scheds = [make_sched(range(20), range(15)) for _ in range(5)]
-    rep = cell_load(scheds, 0, 0, range(0, 20), 25)
+    load = PeriodLoad(1)
+    for _ in range(5):
+        load.add(make_sched(range(20), range(15)), [0] * 20, [20])
+    (rep,) = load.reports(0, [0], 25)
     assert rep.used_rb_epochs == 75
     assert rep.available_rb_epochs == 100
     assert rep.used_rb_epochs / rep.available_rb_epochs == pytest.approx(0.75)
+    assert (load.used_total, load.avail_total) == (75, 100)
 
 
 def test_cell_load_idle_period():
-    scheds = [make_sched(range(20), []) for _ in range(5)]
-    rep = cell_load(scheds, 0, 0, range(0, 20), 25)
+    load = PeriodLoad(1)
+    for _ in range(5):
+        load.add(make_sched(range(20), []), [0] * 20, [20])
+    (rep,) = load.reports(0, [0], 25)
     assert rep.used_rb_epochs == 0
+    assert PeriodLoad(1).reports(0, [0], 50) == []
 
 
 def test_cell_load_counts_only_group_span():
-    scheds = [make_sched(range(0, 30), range(0, 30))]
-    rep = cell_load(scheds, 0, 1, range(10, 20), 25)
+    load = PeriodLoad(3)
+    load.add(make_sched(range(0, 30), range(0, 30)), [0] * 10 + [1] * 10 + [2] * 10,
+             [10, 10, 10])
+    (rep,) = load.reports(0, [1], 25)
+    assert rep.group_index == 1
     assert rep.used_rb_epochs == 10
     assert rep.available_rb_epochs == 10
 
 
 def test_cell_load_errors():
+    # A group with no granted RBs yields no report, so the controller
+    # finds no usable report and skips the group.
+    load = PeriodLoad(1)
+    load.add(make_sched([], []), [0] * 20, [0])
+    reports = load.reports(0, [0], 25)
+    assert reports == []
     with pytest.raises(MissingDataError):
-        cell_load([], 0, 0, range(0, 20), 25)
-    scheds = [make_sched([], [])]
-    with pytest.raises(MissingDataError):
-        cell_load(scheds, 0, 0, range(0, 20), 25)
+        aggregate_load(reports, 0)
