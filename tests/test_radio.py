@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from cdss_sim.band import build_band_plan
+from cdss_sim.engine import ByteFactors
 from cdss_sim.radio import (
     NtnBeam,
     RadioParams,
@@ -118,6 +120,48 @@ def test_sector_loss_pattern():
 def test_thermal_noise_per_rb():
     noise = thermal_noise_dbm(180_000.0, 7.0)
     assert noise == pytest.approx(-174.0 + 10.0 * math.log10(180_000.0) + 7.0)
+
+
+NOISE_DBM = thermal_noise_dbm(180_000.0, PARAMS.noise_figure_db)
+
+
+def engine_sinr(signal_dbm, interferers):
+    """Linear SINR that the engine's byte-factor stage gives a UE served by
+    cell 0 at `signal_dbm`, with the other cells' (rx dBm, activity) pairs
+    as interferers; read back from one RB's bytes through the Shannon SE."""
+    plan = build_band_plan(1, 1, [True])
+    rx_dbm = np.array([[signal_dbm]] + [[power] for power, _ in interferers])
+    factors = ByteFactors(plan, [0], rx_dbm, [0], [], PARAMS, 1.0)
+    factors.refresh(np.array([1.0] + [activity for _, activity in interferers]))
+    se = factors.bytes_per_rb(0, 0) / (plan.rb_bandwidth_hz / 8.0)
+    assert PARAMS.se_min_bps_hz < se < PARAMS.se_cap_bps_hz  # neither floored nor capped
+    return 2.0 ** se - 1.0
+
+
+def test_sinr_without_interference_is_snr():
+    assert engine_sinr(NOISE_DBM + 10.0, []) == pytest.approx(10.0)
+    assert engine_sinr(NOISE_DBM + 10.0, [(NOISE_DBM + 5.0, 0.0)]) == pytest.approx(10.0)
+
+
+def test_sinr_interferer_equal_to_noise_halves_snr():
+    snr = engine_sinr(NOISE_DBM + 10.0, [])
+    degraded = engine_sinr(NOISE_DBM + 10.0, [(NOISE_DBM, 1.0)])
+    assert degraded == pytest.approx(snr / 2.0)
+
+
+def test_sinr_activity_scales_interference():
+    full = engine_sinr(NOISE_DBM + 10.0, [(NOISE_DBM + 5.0, 1.0)])
+    half = engine_sinr(NOISE_DBM + 10.0, [(NOISE_DBM + 5.0, 0.5)])
+    assert half > full
+    assert half == pytest.approx(10.0 / (1.0 + 0.5 * 10.0 ** 0.5))
+
+
+def test_sinr_never_exceeds_snr():
+    rng = random.Random(5)
+    for _ in range(50):
+        s = NOISE_DBM + rng.uniform(0.0, 20.0)
+        interferers = [(NOISE_DBM + rng.uniform(-20.0, 5.0), rng.uniform(0, 1)) for _ in range(4)]
+        assert engine_sinr(s, interferers) <= engine_sinr(s, [])
 
 
 def test_spectral_efficiency_examples():
