@@ -15,6 +15,7 @@ every epoch's outputs independent of the order cells are processed in.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -25,7 +26,7 @@ import numpy as np
 
 from .band import active_guard_rbs, build_band_plan, initial_allocation
 from .controller import SpectrumManager
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantError
 from .metrics import MetricsStore, TimelineRow, UtilizationSample, compute_cdf, finalize
 from .radio import (
     los_state,
@@ -47,7 +48,8 @@ from .scenario import (
     validate_scenario,
 )
 from .traffic import (
-    PeriodLoad, RoundRobinState, TrafficFlow, generate_arrivals, schedule_epoch,
+    PeriodLoad, RoundRobinState, TrafficFlow, generate_arrivals, grant_tables,
+    schedule_epoch,
 )
 
 
@@ -99,16 +101,16 @@ class _Node:
     ue_ids: List[int] = field(default_factory=list)
     rotation: RoundRobinState = field(default_factory=RoundRobinState)
     granted: List[int] = field(default_factory=list)
-    group_avail: List[int] = field(default_factory=list)
+    granted_rows: List[List[float]] = field(default_factory=list)   # see grant_tables
+    group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
 
 
-def tn_granted_rbs(plan, state, blocked: frozenset) -> Tuple[List[int], List[int]]:
+def tn_granted_rbs(plan, state, blocked: frozenset) -> List[int]:
     """TN-usable RBs minus guard-timed ones, in a dealing order that
     interleaves groups proportionally to their granted sizes.
 
     Proportional interleaving keeps per-group utilization representative of
     the cell's overall load instead of piling usage into low RB indices.
-    Returns (ordered RB list, per-group granted counts).
     """
     parts: List[List[int]] = []
     for g in plan.groups:
@@ -122,7 +124,7 @@ def tn_granted_rbs(plan, state, blocked: frozenset) -> Tuple[List[int], List[int
         size = len(part)
         keyed.extend(((i + 0.5) / size, rb) for i, rb in enumerate(part))
     keyed.sort()
-    return [rb for _, rb in keyed], [len(part) for part in parts]
+    return [rb for _, rb in keyed]
 
 
 def ntn_granted_rbs(plan, state, group_index: int, blocked: frozenset) -> List[int]:
@@ -135,16 +137,19 @@ def ntn_granted_rbs(plan, state, group_index: int, blocked: frozenset) -> List[i
     return [rb for rb in rbs if rb not in blocked]
 
 
-def _grant_rbs(plan, state, blocked: frozenset, tn_nodes, ntn_nodes, beams) -> None:
-    """Grant rebuild: refresh every node's usable RBs after an allocation
-    or guard-set change."""
-    tn_order, tn_avail = tn_granted_rbs(plan, state, blocked)
+def _grant_rbs(
+    plan, state, blocked: frozenset, tn_nodes, ntn_nodes, beams, group_of_rb, rows
+) -> None:
+    """Grant rebuild: refresh every node's usable RBs, and the scheduler's
+    byte-row and per-group prefix tables over them, after an allocation or
+    guard-set change."""
+    tn_order = tn_granted_rbs(plan, state, blocked)
+    tn_rows, tn_prefix = grant_tables(tn_order, group_of_rb, rows)
     for node in tn_nodes:
-        node.granted, node.group_avail = tn_order, tn_avail
+        node.granted, node.granted_rows, node.group_prefix = tn_order, tn_rows, tn_prefix
     for node, beam in zip(ntn_nodes, beams):
         node.granted = ntn_granted_rbs(plan, state, beam.group_index, blocked)
-        node.group_avail = [0] * len(plan.groups)
-        node.group_avail[beam.group_index] = len(node.granted)
+        node.granted_rows, node.group_prefix = grant_tables(node.granted, group_of_rb, rows)
 
 
 def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
@@ -168,15 +173,15 @@ class ByteFactors:
 
     A TN-attached UE has a value in every group; an NTN-attached UE only in
     its beam's group, the only group its beam is granted.  `refresh`
-    rewrites the rows in place once per epoch, so `bytes_per_rb` serves
-    every node from the same table.
+    rewrites the rows in place, so the per-grant row references that
+    `traffic.grant_tables` hands the scheduler stay current.
     """
 
-    def __init__(self, plan, group_of_rb, rx_dbm, serving, beams, radio_p, epoch_s: float):
+    def __init__(self, plan, rx_dbm, serving, beams, radio_p, epoch_s: float):
         n_cells = rx_dbm.shape[0] - len(beams)
         serving_tx = np.array([-1 if tx is None else tx for tx in serving], dtype=int)
         self.rows = [[0.0] * len(serving) for _ in plan.groups]
-        self._row_of_rb = [self.rows[gi] for gi in group_of_rb]
+        self._last_activity: Optional[np.ndarray] = None
         self._groups = plan.groups
         self._rx_lin = np.power(10.0, rx_dbm / 10.0)
         # Unserved UEs read row 0; their factors are never looked up.
@@ -197,9 +202,13 @@ class ByteFactors:
         self._noise_lin = 10.0 ** (noise_dbm / 10.0)
         self._byte_scale = plan.rb_bandwidth_hz * epoch_s / 8.0
         self._cap, self._floor = radio_p.se_cap_bps_hz, radio_p.se_min_bps_hz
-
-    def bytes_per_rb(self, ue_id: int, rb: int) -> float:
-        return self._row_of_rb[rb][ue_id]
+        # A NaN capacity would pass the scheduler's `cap <= 0.0` test and
+        # serve a UE its whole backlog, so non-finite inputs stop here.
+        if not (math.isfinite(self._noise_lin) and math.isfinite(self._byte_scale)
+                and np.isfinite(self._rx_lin).all()):
+            raise InvariantError(
+                "non-finite noise, RB byte scale or received power in the link budget"
+            )
 
     def _bytes(self, interf: np.ndarray) -> np.ndarray:
         sinr = self._signal_lin / (self._noise_lin + interf)
@@ -213,7 +222,13 @@ class ByteFactors:
         NTN-attached UE hears the other beams of its group, plus the TN
         where the group is uncoordinated.  Coordinated groups carry no
         cross-system interference by allocation disjointness.
+
+        The rows are a function of `activity` alone, so an activity equal
+        to the previous refresh's keeps them as they are.
         """
+        if self._last_activity is not None and np.array_equal(activity, self._last_activity):
+            return
+        self._last_activity = activity.copy()
         rx_lin = self._rx_lin
         act_srv = activity[self._serving] * self._signal_lin
         tn_sum = activity[self._tn_idx] @ rx_lin[self._tn_idx, :]
@@ -254,9 +269,7 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[Time
     return rows
 
 
-def _schedule_nodes(
-    nodes, epoch: int, flows, byte_factors, group_of_rb, store, post_warmup: bool
-) -> np.ndarray:
+def _schedule_nodes(nodes, epoch: int, flows, store, post_warmup: bool) -> np.ndarray:
     """Schedule every node for one epoch and credit post-warmup bytes.
 
     Returns each transmitter's activity fraction (used over granted RBs),
@@ -266,9 +279,9 @@ def _schedule_nodes(
     for tx, node in enumerate(nodes):
         sched = schedule_epoch(
             node.node_id, epoch, node.ue_ids, flows, node.granted,
-            byte_factors.bytes_per_rb, node.rotation,
+            node.granted_rows, node.group_prefix, node.rotation,
         )
-        node.load.add(sched, group_of_rb, node.group_avail)
+        node.load.add(sched, node.group_prefix[-1])
         if node.granted:
             activity[tx] = sched.used_rb / len(node.granted)
         if post_warmup and sched.served_bytes:
@@ -363,9 +376,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     }
 
     group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
-    byte_factors = ByteFactors(
-        plan, group_of_rb, rx_dbm, serving, beams, radio_p, clock.epoch_s
-    )
+    byte_factors = ByteFactors(plan, rx_dbm, serving, beams, radio_p, clock.epoch_s)
 
     store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0))
     coordinated = plan.coordinated_indices()
@@ -376,15 +387,15 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         blocked = active_guard_rbs(state, epoch)
         key = (state.version, tuple(sorted(blocked)))
         if key != granted_key:
-            _grant_rbs(plan, state, frozenset(blocked), tn_nodes, ntn_nodes, beams)
+            _grant_rbs(plan, state, frozenset(blocked), tn_nodes, ntn_nodes, beams,
+                       group_of_rb, byte_factors.rows)
             granted_key = key
 
         for flow in flows.values():
             generate_arrivals(flow, clock.epoch_s)
         byte_factors.refresh(activity)
         activity = _schedule_nodes(
-            nodes, epoch, flows, byte_factors, group_of_rb, store,
-            epoch >= clock.warmup_epochs,
+            nodes, epoch, flows, store, epoch >= clock.warmup_epochs
         )
 
         if (epoch + 1) % clock.period_epochs == 0:
@@ -481,12 +492,15 @@ def run_campaign(
     Runs share nothing; with jobs > 1 they execute in separate processes
     and the aggregation below is order-fixed, so results are identical for
     any parallelism degree.  Individual run failures are recorded, not
-    fatal.
+    fatal.  `jobs` must be at least 1 and is clamped to the number of runs
+    and of CPUs.
     """
     if not case_ids:
         raise ConfigurationError("campaign needs at least one case")
     if not seeds:
         raise ConfigurationError("campaign needs at least one seed")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs = {jobs}: must be at least 1")
     for cid in case_ids:
         if cid not in CASES:
             raise ConfigurationError(f"case {cid} unknown, valid cases are {sorted(CASES)}")
@@ -498,6 +512,7 @@ def run_campaign(
         for cid in sorted(set(case_ids))
         for seed in sorted(set(seeds))
     ]
+    jobs = min(jobs, len(work), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_campaign_worker, work))

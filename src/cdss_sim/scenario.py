@@ -228,6 +228,17 @@ def load_scenario(path) -> ScenarioConfig:
 def validate_scenario(cfg: ScenarioConfig) -> None:
     """Cross-field validation beyond what the dataclasses enforce."""
     band, topo, sim = cfg.band, cfg.topology, cfg.sim
+    # NaN fails every comparison, so it slips through the range checks
+    # below and into the byte factors; inf overflows the epoch counts.
+    for path, value in (
+        ("[band] rb_bandwidth_hz", band.rb_bandwidth_hz),
+        ("[sim] epoch_ms", sim.epoch_ms),
+        ("[sim] total_s", sim.total_s),
+        ("[sim] warmup_s", sim.warmup_s),
+        ("[cdss] period_s", cfg.cdss.period_s),
+    ):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{path}: must be finite, got {value!r}")
     if band.total_rbs < 1:
         raise ConfigurationError("[band] total_rbs: must be positive")
     if len(band.coordinated) != band.num_groups:

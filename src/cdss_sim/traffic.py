@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .controller import LoadReport
 
@@ -16,7 +15,6 @@ class TrafficFlow:
     ue_id: int
     demand_bps: float
     backlog_bytes: float = 0.0
-    received_bytes: float = 0.0
 
 
 def generate_arrivals(flow: TrafficFlow, epoch_duration_s: float) -> float:
@@ -38,10 +36,29 @@ class CellSchedule:
 
     node_id: str
     epoch: int
-    granted: Tuple[int, ...]
-    assignments: Dict[int, List[int]]    # ue_id -> RB indices
-    served_bytes: Dict[int, float]
+    granted: Sequence[int]
+    served_bytes: Dict[int, float]      # ue_id -> bytes, in order of first service
     used_rb: int
+    used_per_group: List[int]
+
+
+def grant_tables(
+    granted: Sequence[int], group_of_rb: Sequence[int], rows: Sequence[List[float]]
+) -> Tuple[List[List[float]], List[Tuple[int, ...]]]:
+    """Per-grant lookups for `schedule_epoch`, built once per grant.
+
+    Returns each granted RB's byte row (`rows[group][ue_id]`, by reference,
+    so a refresh that rewrites the rows in place keeps them current) and
+    the per-group RB counts of every prefix of `granted`:
+    `prefix[i][g]` counts the RBs of group g among `granted[:i]`, so
+    `prefix[-1]` is the grant's per-group size.
+    """
+    counts = [0] * len(rows)
+    prefix = [tuple(counts)]
+    for rb in granted:
+        counts[group_of_rb[rb]] += 1
+        prefix.append(tuple(counts))
+    return [rows[group_of_rb[rb]] for rb in granted], prefix
 
 
 def schedule_epoch(
@@ -50,54 +67,78 @@ def schedule_epoch(
     ue_order: Sequence[int],
     flows: Mapping[int, TrafficFlow],
     granted: Sequence[int],
-    bytes_per_rb: Callable[[int, int], float],
+    granted_rows: Sequence[Sequence[float]],
+    group_prefix: Sequence[Tuple[int, ...]],
     rotation: RoundRobinState,
 ) -> CellSchedule:
-    """Deal granted RBs one at a time to backlogged UEs in rotating order.
+    """Deal granted RBs round robin to backlogged UEs, a round at a time.
 
     The rotation starts at the persistent pointer into `ue_order` and the
     pointer advances by one position per epoch, so saturated UEs receive
-    RB counts that differ by at most one over a full rotation cycle.  A UE
-    leaves the rotation once its backlog for the epoch is drained; a UE
-    whose rate on the offered RB is zero is skipped for that RB.  Bytes
-    carried per RB come from `bytes_per_rb(ue_id, rb)`, which folds in the
-    UE's spectral efficiency and the RB bandwidth-time product.
+    RB counts that differ by at most one over a full rotation cycle.  Each
+    pass walks the backlogged UEs in rotation order and each UE takes the
+    next granted RB, carrying `granted_rows[i][ue_id]` bytes; a UE leaves
+    once its backlog for the epoch is drained.
+
+    Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
+    UE whose capacity on the offered RB is zero only moves the cursor on;
+    once every queued UE has declined an RB, that RB goes unused and the
+    next RB is offered from the same cursor.  `group_prefix` (see
+    `grant_tables`) turns the dealt prefix of `granted` into per-group
+    used counts.
     """
-    schedule = CellSchedule(node_id, epoch, tuple(granted), {}, {}, 0)
     n = len(ue_order)
-    if n == 0 or not granted:
-        return schedule
+    n_rb = len(granted)
+    if n == 0 or n_rb == 0:
+        return CellSchedule(node_id, epoch, granted, {}, 0, list(group_prefix[0]))
     start = rotation.offset % n
-    queue = deque(
+    rotation.offset = (rotation.offset + 1) % n
+    order = [
         uid
         for uid in list(ue_order[start:]) + list(ue_order[:start])
         if flows[uid].backlog_bytes > 0.0
-    )
-    for rb in granted:
-        served = False
-        for _ in range(len(queue)):
-            uid = queue[0]
-            capacity = bytes_per_rb(uid, rb)
-            if capacity <= 0.0:
-                queue.rotate(-1)  # cannot use this RB; try the next UE
+    ]
+    backlog = {uid: flows[uid].backlog_bytes for uid in order}
+    served: Dict[int, float] = {}
+    unused: List[int] = []       # granted positions every queued UE declined
+    live = len(order)            # UEs still queued
+    declined = 0                 # consecutive declines of RB `k`
+    k = 0                        # next granted position to deal
+    while live and k < n_rb:
+        left = False
+        for uid in order:
+            cap = granted_rows[k][uid]
+            if cap <= 0.0:
+                declined += 1
+                if declined == live:
+                    unused.append(k)
+                    declined = 0
+                    k += 1
+                    if k == n_rb:
+                        break
                 continue
-            flow = flows[uid]
-            take = min(flow.backlog_bytes, capacity)
-            flow.backlog_bytes -= take
-            flow.received_bytes += take
-            schedule.assignments.setdefault(uid, []).append(rb)
-            schedule.served_bytes[uid] = schedule.served_bytes.get(uid, 0.0) + take
-            schedule.used_rb += 1
-            if flow.backlog_bytes <= 0.0:
-                queue.popleft()
+            declined = 0
+            b = backlog[uid]
+            if b <= cap:            # drains to exactly 0.0 (b - b)
+                take = b
+                left = True
+                live -= 1
             else:
-                queue.rotate(-1)
-            served = True
-            break
-        if not served and not queue:
-            break
-    rotation.offset = (rotation.offset + 1) % n
-    return schedule
+                take = cap
+            backlog[uid] = b - take
+            served[uid] = served.get(uid, 0.0) + take
+            k += 1
+            if k == n_rb:
+                break
+        if left:
+            order = [uid for uid in order if backlog[uid] > 0.0]
+    for uid, b in backlog.items():
+        flows[uid].backlog_bytes = b
+    used_per_group = list(group_prefix[k])
+    for i in unused:
+        for gi, (hi, lo) in enumerate(zip(group_prefix[i + 1], group_prefix[i])):
+            used_per_group[gi] -= hi - lo
+    return CellSchedule(node_id, epoch, granted, served, k - len(unused), used_per_group)
 
 
 class PeriodLoad:
@@ -109,13 +150,10 @@ class PeriodLoad:
         self.avail_per_group = [0] * num_groups
         self.used_total = self.avail_total = 0
 
-    def add(self, sched: CellSchedule, group_of_rb: Sequence[int],
-            group_avail: Sequence[int]) -> None:
+    def add(self, sched: CellSchedule, group_avail: Sequence[int]) -> None:
         """Fold in one epoch; `group_avail` counts its granted RBs per group."""
-        used = self.used_per_group
-        for rbs in sched.assignments.values():
-            for rb in rbs:
-                used[group_of_rb[rb]] += 1
+        for gi, count in enumerate(sched.used_per_group):
+            self.used_per_group[gi] += count
         for gi, count in enumerate(group_avail):
             self.avail_per_group[gi] += count
         self.used_total += sched.used_rb

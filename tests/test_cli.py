@@ -49,8 +49,22 @@ def test_validate_bad_scenario_exits_one(tmp_path, capsys):
         assert err.startswith("configuration error") and err.count("\n") == 1
 
 
+def test_validate_non_finite_values_exit_one(tmp_path, capsys):
+    # NaN slips through range checks and inf overflows the epoch counts;
+    # each must be a configuration error, not a run or a traceback.
+    bad = tmp_path / "bad.ini"
+    for section, key in (("band", "rb_bandwidth_hz"), ("sim", "epoch_ms"),
+                         ("sim", "total_s"), ("sim", "warmup_s"), ("cdss", "period_s")):
+        for value in ("nan", "inf"):
+            bad.write_text(f"[{section}]\n{key} = {value}\n")
+            assert main(["validate", "--scenario", str(bad)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: [{section}] {key}"), err
+            assert err.count("\n") == 1
+
+
 def test_campaign_bad_grid_exits_one(tmp_path, capsys):
-    for flag, value in (("--seeds", "abc"), ("--case", "two")):
+    for flag, value in (("--seeds", "abc"), ("--case", "two"), ("--jobs", "0")):
         argv = ["campaign", flag, value, "--out", str(tmp_path)]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -19,9 +19,10 @@ from cdss_sim.engine import (
     run_simulation,
     tn_granted_rbs,
 )
-from cdss_sim.errors import ConfigurationError
-from cdss_sim.radio import select_serving, thermal_noise_dbm
+from cdss_sim.errors import ConfigurationError, InvariantError
+from cdss_sim.radio import RadioParams, select_serving, thermal_noise_dbm
 from cdss_sim.scenario import CASES, build_topology, serialize_scenario
+from cdss_sim.traffic import grant_tables
 
 
 def test_sim_clock_epoch_counts(fast_cfg):
@@ -113,10 +114,11 @@ def test_tn_granted_interleaves_groups_proportionally():
     cfg = CdssConfig()
     plan = build_band_plan(160, 3, [True, True, False])
     state = initial_allocation(plan, cfg)
-    order, avail = tn_granted_rbs(plan, state, frozenset())
+    order = tn_granted_rbs(plan, state, frozenset())
+    group_of = {rb: g.index for g in plan.groups for rb in g.rb_range}
+    avail = [sum(1 for rb in order if group_of[rb] == g.index) for g in plan.groups]
     assert avail == [25, 25, 53]
     assert len(order) == 103 and len(set(order)) == 103
-    group_of = {rb: g.index for g in plan.groups for rb in g.rb_range}
     for prefix_len in (10, 30, 60, 103):
         prefix = order[:prefix_len]
         for g, share in zip(plan.groups, avail):
@@ -133,7 +135,7 @@ def test_granted_sets_respect_guard_time_exactly():
     changed = set(state.guard_timed)
     for epoch, expect_blocked in ((25, True), (26, False)):
         blocked = frozenset(active_guard_rbs(state, epoch))
-        tn_order, _ = tn_granted_rbs(plan, state, blocked)
+        tn_order = tn_granted_rbs(plan, state, blocked)
         ntn = ntn_granted_rbs(plan, state, 0, blocked)
         overlap = (set(tn_order) | set(ntn)) & changed
         if expect_blocked:
@@ -175,6 +177,35 @@ def test_campaign_requires_cases_and_seeds(fast_cfg, tmp_path):
         run_campaign(fast_cfg, [], [1], tmp_path)
     with pytest.raises(ConfigurationError):
         run_campaign(fast_cfg, [1], [], tmp_path)
+
+
+def test_campaign_clamps_jobs(fast_cfg, tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    short = replace(fast_cfg, sim=replace(fast_cfg.sim, total_s=0.2, warmup_s=0.1))
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 8)
+    result = run_campaign(short, [1], [1, 2], tmp_path / "a", jobs=3)
+    assert pools == [2]                        # two runs need two workers
+    assert all(r.ok for r in result.records)
+    monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 1)
+    run_campaign(short, [1], [1, 2], tmp_path / "b", jobs=3)
+    assert pools == [2]                        # one CPU: no pool at all
+    with pytest.raises(ConfigurationError):
+        run_campaign(short, [1], [1], tmp_path / "c", jobs=0)
 
 
 def test_campaign_isolates_run_failures(fast_cfg, tmp_path, monkeypatch):
@@ -223,7 +254,7 @@ def test_tn_and_ntn_granted_disjoint_in_coordinated_groups():
         hi = state.allocations[gi].ntn_rbs - cfg.ntn_min
         state = apply_adjustment(state, plan, gi, max(lo, min(hi, delta)), step, cfg)
         blocked = frozenset(active_guard_rbs(state, step))
-        tn_order, _ = tn_granted_rbs(plan, state, blocked)
+        tn_order = tn_granted_rbs(plan, state, blocked)
         tn_set = set(tn_order)
         for g in plan.groups:
             ntn = set(ntn_granted_rbs(plan, state, g.index, blocked))
@@ -276,11 +307,15 @@ def naive_byte_factors(plan, rx_dbm, serving, beams, activity, radio, epoch_s):
     return out
 
 
-def test_byte_factors_match_naive_oracle(fast_cfg):
+def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
     # beams 1 and 2 share coordinated group 0, so same-group beam
     # interference is exercised too
     shared = replace(fast_cfg, topology=replace(fast_cfg.topology, beam_groups=(0, 0, 2)))
     rng = np.random.default_rng(11)
+    se_calls = []
+    se = engine_mod.spectral_efficiency_array
+    monkeypatch.setattr(engine_mod, "spectral_efficiency_array",
+                        lambda *args: se_calls.append(1) or se(*args))
     for cfg in (fast_cfg, shared):
         band, radio = cfg.band, cfg.radio
         epoch_s = SimClock.from_config(cfg).epoch_s
@@ -294,17 +329,45 @@ def test_byte_factors_match_naive_oracle(fast_cfg):
         )
         serving = [select_serving(column, radio.min_rsrp_dbm) for column in rx_dbm.T]
         group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
-        factors = ByteFactors(plan, group_of_rb, rx_dbm, serving, beams, radio, epoch_s)
+        factors = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
+        # first and last RB of every group, read through the scheduler's
+        # per-grant row references
+        edges = [rb for g in plan.groups for rb in (g.rb_start, g.rb_stop - 1)]
+        edge_rows, _ = grant_tables(edges, group_of_rb, factors.rows)
         n_tx = rx_dbm.shape[0]
-        for activity in (np.zeros(n_tx), np.ones(n_tx), rng.uniform(size=n_tx)):
+        a, b = rng.uniform(size=n_tx), rng.uniform(size=n_tx)
+        # a repeated activity must not serve stale rows from the refresh
+        # skip; only an activity equal to the previous one is skipped
+        sequence = [(np.zeros(n_tx), False), (np.ones(n_tx), False), (a, False),
+                    (b, False), (a, False), (a.copy(), True)]
+        for activity, skipped in sequence:
+            before = len(se_calls)
             factors.refresh(activity)
+            assert (len(se_calls) == before) == skipped
+            fresh = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
+            fresh.refresh(activity)
+            assert factors.rows == fresh.rows
             want = naive_byte_factors(plan, rx_dbm, serving, beams, activity, radio, epoch_s)
             assert {gi for gi, _ in want} == {0, 1, 2}
             for (gi, ue), value in want.items():
-                group = plan.group(gi)
-                for rb in (group.rb_start, group.rb_stop - 1):
-                    got = factors.bytes_per_rb(ue, rb)
-                    assert got == pytest.approx(value, rel=1e-12), (gi, ue, rb)
+                for rb, row in zip(edges, edge_rows):
+                    if group_of_rb[rb] == gi:
+                        assert row[ue] == pytest.approx(value, rel=1e-12), (gi, ue, rb)
+
+
+def test_byte_factors_reject_non_finite_inputs():
+    # a NaN byte factor would pass the scheduler's zero-capacity test
+    plan = build_band_plan(1, 1, [True])
+    radio = RadioParams()
+    ByteFactors(plan, np.array([[-80.0]]), [0], [], radio, 0.01)
+    for rx, params, epoch_s in (
+        (np.array([[np.inf]]), radio, 0.01),
+        (np.array([[np.nan]]), radio, 0.01),
+        (np.array([[-80.0]]), replace(radio, noise_figure_db=np.nan), 0.01),
+        (np.array([[-80.0]]), radio, np.inf),
+    ):
+        with pytest.raises(InvariantError):
+            ByteFactors(plan, rx, [0], [], params, epoch_s)
 
 
 def test_benchmark_tracer_names_resolve_on_engine():

@@ -131,9 +131,9 @@ def engine_sinr(signal_dbm, interferers):
     as interferers; read back from one RB's bytes through the Shannon SE."""
     plan = build_band_plan(1, 1, [True])
     rx_dbm = np.array([[signal_dbm]] + [[power] for power, _ in interferers])
-    factors = ByteFactors(plan, [0], rx_dbm, [0], [], PARAMS, 1.0)
+    factors = ByteFactors(plan, rx_dbm, [0], [], PARAMS, 1.0)
     factors.refresh(np.array([1.0] + [activity for _, activity in interferers]))
-    se = factors.bytes_per_rb(0, 0) / (plan.rb_bandwidth_hz / 8.0)
+    se = factors.rows[0][0] / (plan.rb_bandwidth_hz / 8.0)
     assert PARAMS.se_min_bps_hz < se < PARAMS.se_cap_bps_hz  # neither floored nor capped
     return 2.0 ** se - 1.0
 

@@ -10,16 +10,34 @@ from cdss_sim.traffic import (
     RoundRobinState,
     TrafficFlow,
     generate_arrivals,
+    grant_tables,
     schedule_epoch,
 )
+
+import reference_scheduler
 
 
 def flows_for(ue_ids, backlog):
     return {uid: TrafficFlow(uid, 0.0, backlog_bytes=backlog) for uid in ue_ids}
 
 
-def flat_rate(rate):
-    return lambda uid, rb: rate
+def flat_rate(rate, n_ue=8):
+    """A byte row in which UEs 0..n_ue-1 all carry `rate` bytes per RB."""
+    return [rate] * n_ue
+
+
+def deal(node_id, epoch, ue_order, flows, granted, row, rotation):
+    """schedule_epoch over RBs of one group whose byte row is `row`."""
+    granted = list(granted)
+    group_of_rb = [0] * (max(granted, default=-1) + 1)
+    granted_rows, prefix = grant_tables(granted, group_of_rb, [row])
+    return schedule_epoch(node_id, epoch, ue_order, flows, granted, granted_rows,
+                          prefix, rotation)
+
+
+def rb_count(sched, uid, rate):
+    """RBs a UE received, for UEs whose every RB carried a full `rate`."""
+    return sched.served_bytes[uid] / rate
 
 
 def test_arrivals_rate_times_time():
@@ -39,11 +57,10 @@ def test_arrivals_high_rate():
 
 def test_schedule_even_split_two_ues():
     flows = flows_for([1, 2], backlog=1e9)
-    sched = schedule_epoch("tn-0", 0, [1, 2], flows, list(range(10)),
-                           flat_rate(225.0), RoundRobinState())
-    assert len(sched.assignments[1]) == 5
-    assert len(sched.assignments[2]) == 5
-    assert sched.used_rb == 10
+    sched = deal("tn-0", 0, [1, 2], flows, range(10), flat_rate(225.0), RoundRobinState())
+    assert rb_count(sched, 1, 225.0) == 5
+    assert rb_count(sched, 2, 225.0) == 5
+    assert sched.used_rb == 10 and sched.used_per_group == [10]
 
 
 def test_schedule_three_ues_rotation_cycles():
@@ -51,9 +68,8 @@ def test_schedule_three_ues_rotation_cycles():
     rotation = RoundRobinState()
     counts = []
     for epoch in range(3):
-        sched = schedule_epoch("tn-0", epoch, [1, 2, 3], flows, list(range(10)),
-                               flat_rate(225.0), rotation)
-        counts.append({uid: len(rbs) for uid, rbs in sched.assignments.items()})
+        sched = deal("tn-0", epoch, [1, 2, 3], flows, range(10), flat_rate(225.0), rotation)
+        counts.append({uid: rb_count(sched, uid, 225.0) for uid in sched.served_bytes})
     assert counts[0] == {1: 4, 2: 3, 3: 3}
     assert counts[1] == {2: 4, 3: 3, 1: 3}
     assert counts[2] == {3: 4, 1: 3, 2: 3}
@@ -63,30 +79,28 @@ def test_schedule_three_ues_rotation_cycles():
 
 def test_schedule_no_backlog_uses_nothing():
     flows = flows_for([1, 2], backlog=0.0)
-    sched = schedule_epoch("tn-0", 0, [1, 2], flows, list(range(10)),
-                           flat_rate(225.0), RoundRobinState())
-    assert sched.used_rb == 0 and sched.assignments == {}
+    sched = deal("tn-0", 0, [1, 2], flows, range(10), flat_rate(225.0), RoundRobinState())
+    assert sched.used_rb == 0 and sched.served_bytes == {}
+    assert sched.used_per_group == [0]
 
 
 def test_schedule_satisfied_ue_leaves_rotation():
     flows = {1: TrafficFlow(1, 0.0, backlog_bytes=100.0),
              2: TrafficFlow(2, 0.0, backlog_bytes=1e9)}
-    sched = schedule_epoch("tn-0", 0, [1, 2], flows, list(range(10)),
-                           flat_rate(225.0), RoundRobinState())
-    assert len(sched.assignments[1]) == 1
+    sched = deal("tn-0", 0, [1, 2], flows, range(10), flat_rate(225.0), RoundRobinState())
+    assert sched.used_rb - rb_count(sched, 2, 225.0) == 1    # UE 1's single RB
     assert sched.served_bytes[1] == pytest.approx(100.0)
-    assert len(sched.assignments[2]) == 9
+    assert rb_count(sched, 2, 225.0) == 9
     assert flows[1].backlog_bytes == 0.0
 
 
 def test_schedule_zero_rate_ue_skipped():
     flows = {1: TrafficFlow(1, 0.0, backlog_bytes=1e9),
              2: TrafficFlow(2, 0.0, backlog_bytes=1e9)}
-    rate = lambda uid, rb: 0.0 if uid == 1 else 225.0
-    sched = schedule_epoch("tn-0", 0, [1, 2], flows, list(range(10)), rate,
-                           RoundRobinState())
-    assert 1 not in sched.assignments
-    assert len(sched.assignments[2]) == 10
+    rate = [0.0, 0.0, 225.0]    # UE 1 carries nothing, UE 2 225 bytes
+    sched = deal("tn-0", 0, [1, 2], flows, range(10), rate, RoundRobinState())
+    assert 1 not in sched.served_bytes
+    assert rb_count(sched, 2, 225.0) == 10
 
 
 def test_schedule_work_conservation():
@@ -96,8 +110,8 @@ def test_schedule_work_conservation():
         flows = {u: TrafficFlow(u, 0.0, backlog_bytes=rng.uniform(10, 5e4))
                  for u in range(n_ue)}
         granted = list(range(rng.randint(1, 40)))
-        sched = schedule_epoch("tn-0", 0, list(range(n_ue)), flows, granted,
-                               flat_rate(225.0), RoundRobinState())
+        sched = deal("tn-0", 0, list(range(n_ue)), flows, granted,
+                     flat_rate(225.0), RoundRobinState())
         if any(f.backlog_bytes > 0 for f in flows.values()):
             assert sched.used_rb == len(granted)
         assert sched.used_rb <= len(granted)
@@ -105,10 +119,9 @@ def test_schedule_work_conservation():
 
 def test_schedule_served_never_exceeds_start_backlog():
     flows = {1: TrafficFlow(1, 0.0, backlog_bytes=500.0)}
-    sched = schedule_epoch("tn-0", 0, [1], flows, list(range(50)),
-                           flat_rate(225.0), RoundRobinState())
+    sched = deal("tn-0", 0, [1], flows, range(50), flat_rate(225.0), RoundRobinState())
     assert sched.served_bytes[1] == pytest.approx(500.0)
-    assert flows[1].received_bytes == pytest.approx(500.0)
+    assert 500.0 - flows[1].backlog_bytes == pytest.approx(500.0)
 
 
 def test_long_run_throughput_never_exceeds_demand():
@@ -116,11 +129,12 @@ def test_long_run_throughput_never_exceeds_demand():
     flows = {7: flow}
     rotation = RoundRobinState()
     epochs = 200
+    received = 0.0
     for epoch in range(epochs):
         generate_arrivals(flow, 0.01)
-        schedule_epoch("ntn-0", epoch, [7], flows, list(range(40)),
-                       flat_rate(450.0), rotation)
-    assert flow.received_bytes <= 1.2e6 * epochs * 0.01 / 8.0 + 1e-9
+        sched = deal("ntn-0", epoch, [7], flows, range(40), flat_rate(450.0), rotation)
+        received += sched.served_bytes.get(7, 0.0)
+    assert received <= 1.2e6 * epochs * 0.01 / 8.0 + 1e-9
 
 
 def test_schedule_fairness_equal_se_saturated():
@@ -128,24 +142,69 @@ def test_schedule_fairness_equal_se_saturated():
     rotation = RoundRobinState()
     totals = {u: 0 for u in range(5)}
     for epoch in range(10):
-        sched = schedule_epoch("tn-0", epoch, list(range(5)), flows,
-                               list(range(17)), flat_rate(1.0), rotation)
-        for uid, rbs in sched.assignments.items():
-            totals[uid] += len(rbs)
-        counts = [len(rbs) for rbs in sched.assignments.values()]
+        sched = deal("tn-0", epoch, list(range(5)), flows, range(17), flat_rate(1.0), rotation)
+        for uid in sched.served_bytes:
+            totals[uid] += rb_count(sched, uid, 1.0)
+        counts = [rb_count(sched, uid, 1.0) for uid in sched.served_bytes]
         assert max(counts) - min(counts) <= 1
     assert max(totals.values()) - min(totals.values()) <= 1
 
 
-def make_sched(granted, assigned):
-    return CellSchedule("tn-0", 0, tuple(granted),
-                        {0: list(assigned)}, {0: 0.0}, len(assigned))
+def test_schedule_matches_per_rb_reference():
+    # Round dealing must reproduce the per-RB deque exactly: the same
+    # bytes in the same order, the same skips of zero-capacity UEs and
+    # unused RBs, and the same rotation pointer.
+    rng = random.Random(31)
+    n_ids = 16
+    unused_seen = drained_seen = 0
+    for _ in range(400):
+        n_groups = rng.randint(1, 3)
+        group_of_rb = sorted(rng.randrange(n_groups) for _ in range(200))
+        rows = [[rng.choice([0.0, 0.0, 37.5, 225.0, rng.uniform(1.0, 500.0)])
+                 for _ in range(n_ids)] for _ in range(n_groups)]
+        ue_order = rng.sample(range(n_ids), rng.randint(0, 12))
+        granted = rng.sample(range(200), rng.randint(0, 200))
+        granted_rows, prefix = grant_tables(granted, group_of_rb, rows)
+        flows = {uid: TrafficFlow(uid, 0.0) for uid in ue_order}
+        ref_flows = {uid: TrafficFlow(uid, 0.0) for uid in ue_order}
+        start = rng.randrange(20)
+        rotation, ref_rotation = RoundRobinState(start), RoundRobinState(start)
+        for epoch in range(3):
+            for uid in ue_order:
+                extra = rng.choice([0.0, 225.0 * rng.randint(1, 6),
+                                    rng.uniform(1.0, 3000.0), 1e12])
+                flows[uid].backlog_bytes += extra
+                ref_flows[uid].backlog_bytes += extra
+            got = schedule_epoch("tn-0", epoch, ue_order, flows, granted,
+                                 granted_rows, prefix, rotation)
+            want = reference_scheduler.schedule_epoch(
+                "tn-0", epoch, ue_order, ref_flows, granted,
+                lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
+            )
+            assert list(got.served_bytes.items()) == list(want.served_bytes.items())
+            assert {u: f.backlog_bytes for u, f in flows.items()} == {
+                u: f.backlog_bytes for u, f in ref_flows.items()}
+            assert got.used_rb == want.used_rb
+            assert got.used_per_group == reference_scheduler.used_per_group(
+                want, group_of_rb, n_groups)
+            assert rotation.offset == ref_rotation.offset
+            dealt = [rb for rbs in want.assignments.values() for rb in rbs]
+            last = max((granted.index(rb) for rb in dealt), default=-1)
+            unused_seen += last + 1 - len(dealt)
+            drained_seen += sum(1 for f in ref_flows.values() if f.backlog_bytes == 0.0)
+    # the inputs exercise the skip rule's unused RBs and drained UEs
+    assert unused_seen > 0 and drained_seen > 0
+
+
+def make_sched(granted, used_per_group):
+    return CellSchedule("tn-0", 0, tuple(granted), {0: 0.0}, sum(used_per_group),
+                        list(used_per_group))
 
 
 def test_cell_load_ratio():
     load = PeriodLoad(1)
     for _ in range(5):
-        load.add(make_sched(range(20), range(15)), [0] * 20, [20])
+        load.add(make_sched(range(20), [15]), [20])
     (rep,) = load.reports(0, [0], 25)
     assert rep.used_rb_epochs == 75
     assert rep.available_rb_epochs == 100
@@ -156,7 +215,7 @@ def test_cell_load_ratio():
 def test_cell_load_idle_period():
     load = PeriodLoad(1)
     for _ in range(5):
-        load.add(make_sched(range(20), []), [0] * 20, [20])
+        load.add(make_sched(range(20), [0]), [20])
     (rep,) = load.reports(0, [0], 25)
     assert rep.used_rb_epochs == 0
     assert PeriodLoad(1).reports(0, [0], 50) == []
@@ -164,8 +223,7 @@ def test_cell_load_idle_period():
 
 def test_cell_load_counts_only_group_span():
     load = PeriodLoad(3)
-    load.add(make_sched(range(0, 30), range(0, 30)), [0] * 10 + [1] * 10 + [2] * 10,
-             [10, 10, 10])
+    load.add(make_sched(range(0, 30), [10, 10, 10]), [10, 10, 10])
     (rep,) = load.reports(0, [1], 25)
     assert rep.group_index == 1
     assert rep.used_rb_epochs == 10
@@ -176,7 +234,7 @@ def test_cell_load_errors():
     # A group with no granted RBs yields no report, so the controller
     # finds no usable report and skips the group.
     load = PeriodLoad(1)
-    load.add(make_sched([], []), [0] * 20, [0])
+    load.add(make_sched([], [0]), [0])
     reports = load.reports(0, [0], 25)
     assert reports == []
     with pytest.raises(MissingDataError):
