@@ -48,8 +48,8 @@ from .scenario import (
     validate_scenario,
 )
 from .traffic import (
-    PeriodLoad, RoundRobinState, TrafficFlow, generate_arrivals, grant_tables,
-    schedule_epoch,
+    PeriodLoad, RoundRobinState, ScheduleMemo, TrafficFlow, generate_arrivals,
+    grant_tables, schedule_epoch,
 )
 
 
@@ -100,6 +100,7 @@ class _Node:
     load: PeriodLoad
     ue_ids: List[int] = field(default_factory=list)
     rotation: RoundRobinState = field(default_factory=RoundRobinState)
+    memo: ScheduleMemo = field(default_factory=ScheduleMemo)
     granted: List[int] = field(default_factory=list)
     granted_rows: List[List[float]] = field(default_factory=list)   # see grant_tables
     group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
@@ -142,7 +143,7 @@ def _grant_rbs(
 ) -> None:
     """Grant rebuild: refresh every node's usable RBs, and the scheduler's
     byte-row and per-group prefix tables over them, after an allocation or
-    guard-set change."""
+    guard-set change.  The new tables discard every node's replay memo."""
     tn_order = tn_granted_rbs(plan, state, blocked)
     tn_rows, tn_prefix = grant_tables(tn_order, group_of_rb, rows)
     for node in tn_nodes:
@@ -174,13 +175,16 @@ class ByteFactors:
     A TN-attached UE has a value in every group; an NTN-attached UE only in
     its beam's group, the only group its beam is granted.  `refresh`
     rewrites the rows in place, so the per-grant row references that
-    `traffic.grant_tables` hands the scheduler stay current.
+    `traffic.grant_tables` hands the scheduler stay current, and counts
+    each rewrite in `version`, which tells the scheduler's replay memo
+    that its slots are stale.
     """
 
     def __init__(self, plan, rx_dbm, serving, beams, radio_p, epoch_s: float):
         n_cells = rx_dbm.shape[0] - len(beams)
         serving_tx = np.array([-1 if tx is None else tx for tx in serving], dtype=int)
         self.rows = [[0.0] * len(serving) for _ in plan.groups]
+        self.version = 0
         self._last_activity: Optional[np.ndarray] = None
         self._groups = plan.groups
         self._rx_lin = np.power(10.0, rx_dbm / 10.0)
@@ -229,6 +233,7 @@ class ByteFactors:
         if self._last_activity is not None and np.array_equal(activity, self._last_activity):
             return
         self._last_activity = activity.copy()
+        self.version += 1
         rx_lin = self._rx_lin
         act_srv = activity[self._serving] * self._signal_lin
         tn_sum = activity[self._tn_idx] @ rx_lin[self._tn_idx, :]
@@ -269,7 +274,9 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[Time
     return rows
 
 
-def _schedule_nodes(nodes, epoch: int, flows, store, post_warmup: bool) -> np.ndarray:
+def _schedule_nodes(
+    nodes, epoch: int, flows, rows_version: int, store, post_warmup: bool
+) -> np.ndarray:
     """Schedule every node for one epoch and credit post-warmup bytes.
 
     Returns each transmitter's activity fraction (used over granted RBs),
@@ -279,7 +286,8 @@ def _schedule_nodes(nodes, epoch: int, flows, store, post_warmup: bool) -> np.nd
     for tx, node in enumerate(nodes):
         sched = schedule_epoch(
             node.node_id, epoch, node.ue_ids, flows, node.granted,
-            node.granted_rows, node.group_prefix, node.rotation,
+            node.granted_rows, node.group_prefix, rows_version, node.rotation,
+            node.memo,
         )
         node.load.add(sched, node.group_prefix[-1])
         if node.granted:
@@ -391,11 +399,11 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
                        group_of_rb, byte_factors.rows)
             granted_key = key
 
-        for flow in flows.values():
-            generate_arrivals(flow, clock.epoch_s)
+        generate_arrivals(flows.values(), clock.epoch_s)
         byte_factors.refresh(activity)
         activity = _schedule_nodes(
-            nodes, epoch, flows, store, epoch >= clock.warmup_epochs
+            nodes, epoch, flows, byte_factors.version, store,
+            epoch >= clock.warmup_epochs,
         )
 
         if (epoch + 1) % clock.period_epochs == 0:

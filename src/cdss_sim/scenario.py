@@ -274,8 +274,21 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
                 f"valid range is 0..{band.num_groups - 1}"
             )
     for name in ("ld_tn_kbps", "ld_ntn_kbps", "hd_tn_kbps", "hd_ntn_kbps"):
-        if getattr(cfg.traffic, name) < 0:
-            raise ConfigurationError(f"[traffic] {name}: must be non-negative")
+        rate = getattr(cfg.traffic, name)
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ConfigurationError(
+                f"[traffic] {name}: must be finite and non-negative, got {rate!r}"
+            )
+    # The link budget takes log10(freq) and 1 / sin(elevation).
+    radio = cfg.radio
+    if not (math.isfinite(radio.freq_ghz) and radio.freq_ghz > 0):
+        raise ConfigurationError(
+            f"[radio] freq_ghz: must be finite and positive, got {radio.freq_ghz!r}"
+        )
+    if not (0 < radio.elevation_deg <= 90):
+        raise ConfigurationError(
+            f"[radio] elevation_deg: must be in (0, 90], got {radio.elevation_deg!r}"
+        )
 
     if sim.epoch_ms <= 0:
         raise ConfigurationError("[sim] epoch_ms: must be positive")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .controller import LoadReport
 
@@ -17,10 +17,10 @@ class TrafficFlow:
     backlog_bytes: float = 0.0
 
 
-def generate_arrivals(flow: TrafficFlow, epoch_duration_s: float) -> float:
-    """Accumulate one epoch of CBR demand; returns the new backlog."""
-    flow.backlog_bytes += flow.demand_bps * epoch_duration_s / 8.0
-    return flow.backlog_bytes
+def generate_arrivals(flows: Iterable[TrafficFlow], epoch_duration_s: float) -> None:
+    """Accumulate one epoch of CBR demand into every flow's backlog."""
+    for flow in flows:
+        flow.backlog_bytes += flow.demand_bps * epoch_duration_s / 8.0
 
 
 @dataclass
@@ -28,6 +28,28 @@ class RoundRobinState:
     """Persistent rotation pointer for one cell; advances one UE per epoch."""
 
     offset: int = 0
+
+
+class ScheduleMemo:
+    """One node's replay memo for `schedule_epoch`, one slot per rotation start.
+
+    A slot holds the exact starting backlog of every UE in the node's
+    `ue_order` and the outcome the dealing loop computed from it: the final
+    backlogs it wrote, the served bytes in order of first service, the used
+    RB count and the per-group used counts.  Slots are valid for one grant
+    (`granted_rows`, held by reference so its identity cannot be reused)
+    and one version of the byte rows; a call with either changed discards
+    them all.  At most one slot per UE, so the memory is bounded by the
+    node's UE count.
+    """
+
+    __slots__ = ("tables", "rows_version", "slots", "hits")
+
+    def __init__(self) -> None:
+        self.tables: Optional[Sequence[Sequence[float]]] = None
+        self.rows_version = -1
+        self.slots: Dict[int, tuple] = {}
+        self.hits = 0
 
 
 @dataclass
@@ -69,7 +91,9 @@ def schedule_epoch(
     granted: Sequence[int],
     granted_rows: Sequence[Sequence[float]],
     group_prefix: Sequence[Tuple[int, ...]],
+    rows_version: int,
     rotation: RoundRobinState,
+    memo: ScheduleMemo,
 ) -> CellSchedule:
     """Deal granted RBs round robin to backlogged UEs, a round at a time.
 
@@ -79,6 +103,15 @@ def schedule_epoch(
     pass walks the backlogged UEs in rotation order and each UE takes the
     next granted RB, carrying `granted_rows[i][ue_id]` bytes; a UE leaves
     once its backlog for the epoch is drained.
+
+    Replay: the outcome depends only on the rotation start, the starting
+    backlogs, the grant and the byte rows (`rows_version` counts their
+    rewrites), so `memo` (see `ScheduleMemo`) replays exact repeats.  A
+    hit writes the stored backlogs back and returns copies of the stored
+    outcome; a miss runs the loop below and fills the slot.  Keys equal
+    under `==` hold the same bits, because no backlog is ever -0.0: it
+    starts at 0.0, drains to `b - b` (+0.0) and grows by non-negative
+    increments.
 
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
@@ -93,6 +126,18 @@ def schedule_epoch(
         return CellSchedule(node_id, epoch, granted, {}, 0, list(group_prefix[0]))
     start = rotation.offset % n
     rotation.offset = (rotation.offset + 1) % n
+    key = tuple([flows[uid].backlog_bytes for uid in ue_order])
+    if memo.tables is not granted_rows or memo.rows_version != rows_version:
+        memo.tables, memo.rows_version = granted_rows, rows_version
+        memo.slots.clear()
+    slot = memo.slots.get(start)
+    if slot is not None and slot[0] == key:
+        memo.hits += 1
+        _, finals, served_items, used_rb, used_counts = slot
+        for uid, b in finals:
+            flows[uid].backlog_bytes = b
+        return CellSchedule(node_id, epoch, granted, dict(served_items), used_rb,
+                            list(used_counts))
     order = [
         uid
         for uid in list(ue_order[start:]) + list(ue_order[:start])
@@ -132,13 +177,16 @@ def schedule_epoch(
                 break
         if left:
             order = [uid for uid in order if backlog[uid] > 0.0]
-    for uid, b in backlog.items():
+    finals = tuple(backlog.items())
+    for uid, b in finals:
         flows[uid].backlog_bytes = b
     used_per_group = list(group_prefix[k])
     for i in unused:
         for gi, (hi, lo) in enumerate(zip(group_prefix[i + 1], group_prefix[i])):
             used_per_group[gi] -= hi - lo
-    return CellSchedule(node_id, epoch, granted, served, k - len(unused), used_per_group)
+    used_rb = k - len(unused)
+    memo.slots[start] = (key, finals, tuple(served.items()), used_rb, tuple(used_per_group))
+    return CellSchedule(node_id, epoch, granted, served, used_rb, used_per_group)
 
 
 class PeriodLoad:

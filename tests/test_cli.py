@@ -63,6 +63,27 @@ def test_validate_non_finite_values_exit_one(tmp_path, capsys):
             assert err.count("\n") == 1
 
 
+def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
+    # Each passed validation once and then crashed the link budget with a
+    # raw ValueError (or, for NaN rates, ran); `validate` and `run` must
+    # both reject it with one line.
+    bad = tmp_path / "bad.ini"
+    cases = [("radio", "freq_ghz", value) for value in ("-2", "0", "nan", "inf")]
+    cases += [("radio", "elevation_deg", value) for value in ("0", "-10", "90.5", "nan")]
+    cases += [("traffic", key, value)
+              for key in ("ld_tn_kbps", "ld_ntn_kbps", "hd_tn_kbps", "hd_ntn_kbps")
+              for value in ("nan", "inf", "-1")]
+    for section, key, value in cases:
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        for argv in (["validate"],
+                     ["run", "--case", "2", "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--scenario", str(bad)]) == EXIT_CONFIG, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: [{section}] {key}"), err
+            assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_campaign_bad_grid_exits_one(tmp_path, capsys):
     for flag, value in (("--seeds", "abc"), ("--case", "two"), ("--jobs", "0")):
         argv = ["campaign", flag, value, "--out", str(tmp_path)]

@@ -337,13 +337,15 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
         n_tx = rx_dbm.shape[0]
         a, b = rng.uniform(size=n_tx), rng.uniform(size=n_tx)
         # a repeated activity must not serve stale rows from the refresh
-        # skip; only an activity equal to the previous one is skipped
+        # skip; only an activity equal to the previous one is skipped, and
+        # only a rewrite moves the version the scheduler's memo checks
         sequence = [(np.zeros(n_tx), False), (np.ones(n_tx), False), (a, False),
                     (b, False), (a, False), (a.copy(), True)]
         for activity, skipped in sequence:
-            before = len(se_calls)
+            before, version = len(se_calls), factors.version
             factors.refresh(activity)
             assert (len(se_calls) == before) == skipped
+            assert (factors.version == version) == skipped
             fresh = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
             fresh.refresh(activity)
             assert factors.rows == fresh.rows

@@ -1,8 +1,9 @@
 """Golden output digests: every report file of a small fixed grid.
 
 The grid is `fast_cfg` x cases 1-4 x seeds {1, 2}, written one run at a
-time, plus the same grid as one `jobs=1` campaign.  The SHA-256 of each
-file is committed in `golden/digests.json`.  A refactor must keep them;
+time, plus the same grid as one campaign, run with `jobs=1` and with
+`jobs=2` against the same digests.  The SHA-256 of each file is
+committed in `golden/digests.json`.  A refactor must keep them;
 a change meant to alter outputs regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,10 +13,13 @@ and explains the changed bytes in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 from cdss_sim.engine import RunSpec, run_and_write, run_campaign
+from cdss_sim.scenario import serialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 CASES = (1, 2, 3, 4)
@@ -36,8 +40,8 @@ def single_run_digests(cfg, out_dir: Path) -> dict:
     return _digests(out_dir)
 
 
-def campaign_digests(cfg, out_dir: Path) -> dict:
-    result = run_campaign(cfg, CASES, SEEDS, out_dir, jobs=1)
+def campaign_digests(cfg, out_dir: Path, jobs: int = 1) -> dict:
+    result = run_campaign(cfg, CASES, SEEDS, out_dir, jobs=jobs)
     assert all(r.ok for r in result.records)
     return _digests(out_dir)
 
@@ -51,6 +55,41 @@ def test_campaign_matches_golden(fast_cfg, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     # The campaign's per-run files must equal the single runs' files.
     assert campaign_digests(fast_cfg, tmp_path) == {**golden["runs"], **golden["campaign"]}
+
+
+def test_campaign_jobs_two_matches_golden(fast_cfg, tmp_path):
+    # Worker processes must not change a byte: the same digests as jobs=1.
+    golden = json.loads(GOLDEN.read_text())
+    assert campaign_digests(fast_cfg, tmp_path, jobs=2) == {
+        **golden["runs"], **golden["campaign"]}
+
+
+FRESH_RUN = """
+import sys
+from pathlib import Path
+from cdss_sim.engine import RunSpec, run_and_write
+from cdss_sim.scenario import load_scenario
+run_and_write(RunSpec(load_scenario(sys.argv[1]), 2, 1), Path(sys.argv[2]))
+"""
+
+
+def test_run_after_other_case_matches_fresh_process(fast_cfg, tmp_path):
+    # No state a run leaves in the process (such as the scheduler's replay
+    # memos) may reach the next run: case 2 run after case 3 must equal
+    # case 2 run in a new interpreter, and the golden digests.
+    scenario = tmp_path / "fast.ini"
+    scenario.write_text(serialize_scenario(fast_cfg))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", FRESH_RUN, str(scenario), str(tmp_path / "fresh")],
+                   env=env, check=True)
+    run_and_write(RunSpec(fast_cfg, 3, 1), tmp_path / "other")
+    run_and_write(RunSpec(fast_cfg, 2, 1), tmp_path / "after")
+    after = _digests(tmp_path / "after")
+    golden = json.loads(GOLDEN.read_text())["runs"]
+    assert after == _digests(tmp_path / "fresh")
+    assert after == {name: d for name, d in golden.items() if name.startswith("2_1_")}
 
 
 if __name__ == "__main__":

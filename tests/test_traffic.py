@@ -8,6 +8,7 @@ from cdss_sim.traffic import (
     CellSchedule,
     PeriodLoad,
     RoundRobinState,
+    ScheduleMemo,
     TrafficFlow,
     generate_arrivals,
     grant_tables,
@@ -27,12 +28,13 @@ def flat_rate(rate, n_ue=8):
 
 
 def deal(node_id, epoch, ue_order, flows, granted, row, rotation):
-    """schedule_epoch over RBs of one group whose byte row is `row`."""
+    """schedule_epoch over RBs of one group whose byte row is `row`, with
+    an empty replay memo."""
     granted = list(granted)
     group_of_rb = [0] * (max(granted, default=-1) + 1)
     granted_rows, prefix = grant_tables(granted, group_of_rb, [row])
     return schedule_epoch(node_id, epoch, ue_order, flows, granted, granted_rows,
-                          prefix, rotation)
+                          prefix, 0, rotation, ScheduleMemo())
 
 
 def rb_count(sched, uid, rate):
@@ -42,17 +44,20 @@ def rb_count(sched, uid, rate):
 
 def test_arrivals_rate_times_time():
     flow = TrafficFlow(0, 400e3)
-    assert generate_arrivals(flow, 0.01) == pytest.approx(500.0)
+    generate_arrivals([flow], 0.01)
+    assert flow.backlog_bytes == pytest.approx(500.0)
 
 
 def test_arrivals_zero_rate():
     flow = TrafficFlow(0, 0.0, backlog_bytes=123.0)
-    assert generate_arrivals(flow, 0.01) == 123.0
+    generate_arrivals([flow], 0.01)
+    assert flow.backlog_bytes == 123.0
 
 
 def test_arrivals_high_rate():
     flow = TrafficFlow(0, 4e6)
-    assert generate_arrivals(flow, 0.01) == pytest.approx(5000.0)
+    generate_arrivals([flow], 0.01)
+    assert flow.backlog_bytes == pytest.approx(5000.0)
 
 
 def test_schedule_even_split_two_ues():
@@ -131,7 +136,7 @@ def test_long_run_throughput_never_exceeds_demand():
     epochs = 200
     received = 0.0
     for epoch in range(epochs):
-        generate_arrivals(flow, 0.01)
+        generate_arrivals([flow], 0.01)
         sched = deal("ntn-0", epoch, [7], flows, range(40), flat_rate(450.0), rotation)
         received += sched.served_bytes.get(7, 0.0)
     assert received <= 1.2e6 * epochs * 0.01 / 8.0 + 1e-9
@@ -169,6 +174,7 @@ def test_schedule_matches_per_rb_reference():
         ref_flows = {uid: TrafficFlow(uid, 0.0) for uid in ue_order}
         start = rng.randrange(20)
         rotation, ref_rotation = RoundRobinState(start), RoundRobinState(start)
+        memo = ScheduleMemo()
         for epoch in range(3):
             for uid in ue_order:
                 extra = rng.choice([0.0, 225.0 * rng.randint(1, 6),
@@ -176,7 +182,7 @@ def test_schedule_matches_per_rb_reference():
                 flows[uid].backlog_bytes += extra
                 ref_flows[uid].backlog_bytes += extra
             got = schedule_epoch("tn-0", epoch, ue_order, flows, granted,
-                                 granted_rows, prefix, rotation)
+                                 granted_rows, prefix, 0, rotation, memo)
             want = reference_scheduler.schedule_epoch(
                 "tn-0", epoch, ue_order, ref_flows, granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
@@ -194,6 +200,87 @@ def test_schedule_matches_per_rb_reference():
             drained_seen += sum(1 for f in ref_flows.values() if f.backlog_bytes == 0.0)
     # the inputs exercise the skip rule's unused RBs and drained UEs
     assert unused_seen > 0 and drained_seen > 0
+
+
+def test_schedule_memo_replay_matches_per_rb_reference():
+    # CBR nodes repeat their starting backlogs, so the memo replays most
+    # epochs.  In-place row rewrites (with a new rows version, as
+    # ByteFactors.refresh does) and grant rebuilds (new tables, as
+    # engine._grant_rbs does) are interleaved; every epoch must still
+    # equal the per-RB reference exactly.
+    rng = random.Random(47)
+    n_ids, n_rbs, epoch_s, n_nodes, n_epochs = 12, 90, 0.01, 60, 50
+    hits = rewrites = rebuilds = 0
+    for _ in range(n_nodes):
+        n_groups = rng.randint(1, 3)
+        group_of_rb = sorted(rng.randrange(n_groups) for _ in range(n_rbs))
+        levels = [0.0, 37.5, 225.0, rng.uniform(1.0, 500.0)]
+
+        def new_row():
+            return [rng.choice(levels) for _ in range(n_ids)]
+
+        def new_grant():
+            granted = rng.sample(range(n_rbs), rng.randint(1, 60))
+            return (granted,) + grant_tables(granted, group_of_rb, rows)
+
+        rows = [new_row() for _ in range(n_groups)]
+        ue_order = rng.sample(range(n_ids), rng.randint(1, 10))
+        # bytes per epoch: idle, whole RBs, arbitrary, saturating
+        demand = {uid: 800.0 * rng.choice([0.0, 225.0 * rng.randint(1, 4),
+                                           rng.uniform(1.0, 2000.0), 1e5])
+                  for uid in ue_order}
+        flows = {uid: TrafficFlow(uid, demand[uid]) for uid in ue_order}
+        ref_flows = {uid: TrafficFlow(uid, demand[uid]) for uid in ue_order}
+        start = rng.randrange(20)
+        rotation, ref_rotation = RoundRobinState(start), RoundRobinState(start)
+        memo, version = ScheduleMemo(), 0
+        granted, granted_rows, prefix = new_grant()
+        for epoch in range(n_epochs):
+            if rng.random() < 0.1:
+                rows[rng.randrange(n_groups)][:] = new_row()
+                version += 1
+                rewrites += 1
+            if rng.random() < 0.1:
+                granted, granted_rows, prefix = new_grant()
+                rebuilds += 1
+            generate_arrivals(flows.values(), epoch_s)
+            generate_arrivals(ref_flows.values(), epoch_s)
+            got = schedule_epoch("tn-0", epoch, ue_order, flows, granted,
+                                 granted_rows, prefix, version, rotation, memo)
+            want = reference_scheduler.schedule_epoch(
+                "tn-0", epoch, ue_order, ref_flows, granted,
+                lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
+            )
+            assert list(got.served_bytes.items()) == list(want.served_bytes.items())
+            assert {u: f.backlog_bytes for u, f in flows.items()} == {
+                u: f.backlog_bytes for u, f in ref_flows.items()}
+            assert got.used_rb == want.used_rb
+            assert got.used_per_group == reference_scheduler.used_per_group(
+                want, group_of_rb, n_groups)
+            assert rotation.offset == ref_rotation.offset
+        hits += memo.hits
+    assert rewrites > 0 and rebuilds > 0
+    assert 0 < hits < n_nodes * n_epochs
+
+
+def test_schedule_memo_replays_fresh_copies():
+    # Changing a returned schedule must not change what a later hit replays.
+    granted = list(range(10))
+    granted_rows, prefix = grant_tables(granted, [0] * 10, [flat_rate(225.0)])
+    flows = flows_for([1, 2], backlog=0.0)
+    rotation, memo = RoundRobinState(), ScheduleMemo()
+    for epoch in range(6):
+        for flow in flows.values():
+            flow.backlog_bytes = 450.0
+        sched = schedule_epoch("tn-0", epoch, [1, 2], flows, granted,
+                               granted_rows, prefix, 0, rotation, memo)
+        first, second = (1, 2) if epoch % 2 == 0 else (2, 1)
+        assert list(sched.served_bytes.items()) == [(first, 450.0), (second, 450.0)]
+        assert sched.used_rb == 4 and sched.used_per_group == [4]
+        assert all(f.backlog_bytes == 0.0 for f in flows.values())
+        sched.served_bytes[first] = -1.0
+        sched.used_per_group[0] = -1
+    assert memo.hits == 4
 
 
 def make_sched(granted, used_per_group):
