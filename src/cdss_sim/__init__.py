@@ -25,7 +25,7 @@ from .controller import (
     apply_adjustment,
     decide_adjustment,
 )
-from .engine import RunSpec, SimClock, run_and_write, run_campaign, run_simulation
+from .engine import RunSpec, run_and_write, run_campaign, run_simulation
 from .errors import (
     CdssError,
     ConfigurationError,
@@ -37,6 +37,7 @@ from .scenario import (
     CASES,
     ScenarioConfig,
     SimCase,
+    SimClock,
     default_scenario,
     parse_scenario,
     serialize_scenario,

@@ -37,7 +37,7 @@ class CdssConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.lower_threshold < self.upper_threshold <= 1.0):
             raise ConfigurationError(
-                f"thresholds must satisfy 0 <= lower < upper <= 1, got "
+                f"thresholds must satisfy 0 <= lower_threshold < upper_threshold <= 1, got "
                 f"({self.lower_threshold}, {self.upper_threshold})"
             )
         if self.step_rbs < 1:

@@ -27,7 +27,10 @@ import numpy as np
 from .band import active_guard_rbs, build_band_plan, initial_allocation
 from .controller import SpectrumManager
 from .errors import ConfigurationError, InvariantError
-from .metrics import MetricsStore, TimelineRow, UtilizationSample, compute_cdf, finalize
+from .metrics import (
+    MetricsStore, TimelineRow, UtilizationSample, compute_cdf, finalize, output_dir,
+    write_table,
+)
 from .radio import (
     los_state,
     ntn_rx_power,
@@ -40,6 +43,7 @@ from .radio import (
 from .scenario import (
     CASES,
     ScenarioConfig,
+    SimClock,
     build_topology,
     demand_bps,
     derive_seed,
@@ -48,38 +52,8 @@ from .scenario import (
     validate_scenario,
 )
 from .traffic import (
-    PeriodLoad, RoundRobinState, ScheduleMemo, TrafficFlow, generate_arrivals,
-    grant_tables, schedule_epoch,
+    Node, PeriodLoad, TrafficFlow, generate_arrivals, grant_tables, schedule_epoch,
 )
-
-
-@dataclass(frozen=True)
-class SimClock:
-    """Epoch bookkeeping: integer epoch counts avoid float-drift boundaries."""
-
-    epoch_s: float
-    warmup_epochs: int
-    total_epochs: int
-    period_epochs: int
-
-    @classmethod
-    def from_config(cls, cfg: ScenarioConfig) -> "SimClock":
-        epoch_s = cfg.sim.epoch_ms / 1e3
-        total = _whole_epochs(cfg.sim.total_s, epoch_s, "total_s")
-        warmup = _whole_epochs(cfg.sim.warmup_s, epoch_s, "warmup_s")
-        period = _whole_epochs(cfg.cdss.period_s, epoch_s, "period_s")
-        if warmup >= total:
-            raise ConfigurationError("warmup must be shorter than the simulation")
-        if period < 1:
-            raise ConfigurationError("optimization period shorter than one epoch")
-        return cls(epoch_s, warmup, total, period)
-
-
-def _whole_epochs(seconds: float, epoch_s: float, name: str) -> int:
-    n = round(seconds / epoch_s)
-    if not math.isclose(n * epoch_s, seconds, rel_tol=1e-9, abs_tol=1e-12):
-        raise ConfigurationError(f"{name} = {seconds} is not a whole number of epochs")
-    return n
 
 
 @dataclass(frozen=True)
@@ -89,21 +63,6 @@ class RunSpec:
     scenario: ScenarioConfig
     case_id: int
     seed: int
-
-
-@dataclass
-class _Node:
-    """One scheduling entity: a TN cell or an enabled NTN beam."""
-
-    node_id: str
-    entity_id: int                  # cell_id or beam_id
-    load: PeriodLoad
-    ue_ids: List[int] = field(default_factory=list)
-    rotation: RoundRobinState = field(default_factory=RoundRobinState)
-    memo: ScheduleMemo = field(default_factory=ScheduleMemo)
-    granted: List[int] = field(default_factory=list)
-    granted_rows: List[List[float]] = field(default_factory=list)   # see grant_tables
-    group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
 
 
 def tn_granted_rbs(plan, state, blocked: frozenset) -> List[int]:
@@ -141,16 +100,16 @@ def ntn_granted_rbs(plan, state, group_index: int, blocked: frozenset) -> List[i
 def _grant_rbs(
     plan, state, blocked: frozenset, tn_nodes, ntn_nodes, beams, group_of_rb, rows
 ) -> None:
-    """Grant rebuild: refresh every node's usable RBs, and the scheduler's
+    """Grant rebuild: give every node its usable RBs, and the scheduler's
     byte-row and per-group prefix tables over them, after an allocation or
-    guard-set change.  The new tables discard every node's replay memo."""
+    guard-set change.  `Node.set_grant` discards the node's replay memo."""
     tn_order = tn_granted_rbs(plan, state, blocked)
-    tn_rows, tn_prefix = grant_tables(tn_order, group_of_rb, rows)
+    tn_tables = grant_tables(tn_order, group_of_rb, rows)
     for node in tn_nodes:
-        node.granted, node.granted_rows, node.group_prefix = tn_order, tn_rows, tn_prefix
+        node.set_grant(tn_order, *tn_tables)
     for node, beam in zip(ntn_nodes, beams):
-        node.granted = ntn_granted_rbs(plan, state, beam.group_index, blocked)
-        node.granted_rows, node.group_prefix = grant_tables(node.granted, group_of_rb, rows)
+        granted = ntn_granted_rbs(plan, state, beam.group_index, blocked)
+        node.set_grant(granted, *grant_tables(granted, group_of_rb, rows))
 
 
 def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
@@ -175,16 +134,13 @@ class ByteFactors:
     A TN-attached UE has a value in every group; an NTN-attached UE only in
     its beam's group, the only group its beam is granted.  `refresh`
     rewrites the rows in place, so the per-grant row references that
-    `traffic.grant_tables` hands the scheduler stay current, and counts
-    each rewrite in `version`, which tells the scheduler's replay memo
-    that its slots are stale.
+    `traffic.grant_tables` hands the scheduler stay current.
     """
 
     def __init__(self, plan, rx_dbm, serving, beams, radio_p, epoch_s: float):
         n_cells = rx_dbm.shape[0] - len(beams)
         serving_tx = np.array([-1 if tx is None else tx for tx in serving], dtype=int)
         self.rows = [[0.0] * len(serving) for _ in plan.groups]
-        self.version = 0
         self._last_activity: Optional[np.ndarray] = None
         self._groups = plan.groups
         self._rx_lin = np.power(10.0, rx_dbm / 10.0)
@@ -218,7 +174,7 @@ class ByteFactors:
         sinr = self._signal_lin / (self._noise_lin + interf)
         return spectral_efficiency_array(sinr, self._cap, self._floor) * self._byte_scale
 
-    def refresh(self, activity: np.ndarray) -> None:
+    def refresh(self, activity: np.ndarray) -> bool:
         """Recompute every row from each transmitter's activity fraction.
 
         A TN-attached UE hears co-channel TN interference in every group,
@@ -228,12 +184,12 @@ class ByteFactors:
         cross-system interference by allocation disjointness.
 
         The rows are a function of `activity` alone, so an activity equal
-        to the previous refresh's keeps them as they are.
+        to the previous refresh's keeps them as they are.  Returns whether
+        the rows were rewritten.
         """
         if self._last_activity is not None and np.array_equal(activity, self._last_activity):
-            return
+            return False
         self._last_activity = activity.copy()
-        self.version += 1
         rx_lin = self._rx_lin
         act_srv = activity[self._serving] * self._signal_lin
         tn_sum = activity[self._tn_idx] @ rx_lin[self._tn_idx, :]
@@ -253,6 +209,7 @@ class ByteFactors:
                     interf += tn_sum
                 vals = np.where(ue_mask, self._bytes(interf), vals)
             self.rows[g.index][:] = vals.tolist()
+        return True
 
 
 def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[TimelineRow]:
@@ -274,9 +231,7 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[Time
     return rows
 
 
-def _schedule_nodes(
-    nodes, epoch: int, flows, rows_version: int, store, post_warmup: bool
-) -> np.ndarray:
+def _schedule_nodes(nodes, flows, store, post_warmup: bool) -> np.ndarray:
     """Schedule every node for one epoch and credit post-warmup bytes.
 
     Returns each transmitter's activity fraction (used over granted RBs),
@@ -284,11 +239,7 @@ def _schedule_nodes(
     """
     activity = np.zeros(len(nodes))
     for tx, node in enumerate(nodes):
-        sched = schedule_epoch(
-            node.node_id, epoch, node.ue_ids, flows, node.granted,
-            node.granted_rows, node.group_prefix, rows_version, node.rotation,
-            node.memo,
-        )
+        sched = schedule_epoch(node, flows)
         node.load.add(sched, node.group_prefix[-1])
         if node.granted:
             activity[tx] = sched.used_rb / len(node.granted)
@@ -357,8 +308,8 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     serving = [select_serving(column, radio_p.min_rsrp_dbm) for column in rx_dbm.T]
 
     n_groups = band.num_groups
-    tn_nodes = [_Node(f"tn-{c.cell_id}", c.cell_id, PeriodLoad(n_groups)) for c in cells]
-    ntn_nodes = [_Node(f"ntn-{b.beam_id}", b.beam_id, PeriodLoad(n_groups)) for b in beams]
+    tn_nodes = [Node(f"tn-{c.cell_id}", c.cell_id, PeriodLoad(n_groups)) for c in cells]
+    ntn_nodes = [Node(f"ntn-{b.beam_id}", b.beam_id, PeriodLoad(n_groups)) for b in beams]
     nodes = tn_nodes + ntn_nodes            # position == transmitter row
     store = MetricsStore(
         case_id=spec.case_id,
@@ -376,7 +327,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             store.ue_system[ue.ue_id] = "TN" if tx < len(cells) else "NTN"
     for node in nodes:
         store.node_bytes[node.node_id] = 0.0
-        node.rotation.offset = (
+        node.offset = (
             derive_seed(spec.seed, f"rotation:{node.node_id}") % max(1, len(node.ue_ids))
         )
     flows = {
@@ -400,11 +351,10 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             granted_key = key
 
         generate_arrivals(flows.values(), clock.epoch_s)
-        byte_factors.refresh(activity)
-        activity = _schedule_nodes(
-            nodes, epoch, flows, byte_factors.version, store,
-            epoch >= clock.warmup_epochs,
-        )
+        if byte_factors.refresh(activity):      # new rows: every replay slot is stale
+            for node in nodes:
+                node.slots.clear()
+        activity = _schedule_nodes(nodes, flows, store, epoch >= clock.warmup_epochs)
 
         if (epoch + 1) % clock.period_epochs == 0:
             now = epoch + 1
@@ -512,8 +462,7 @@ def run_campaign(
     for cid in case_ids:
         if cid not in CASES:
             raise ConfigurationError(f"case {cid} unknown, valid cases are {sorted(CASES)}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir)
     scenario_text = serialize_scenario(scenario)
     work = [
         (scenario_text, cid, seed, str(out_dir))
@@ -555,30 +504,29 @@ def run_campaign(
             ),
         }
         cdf = compute_cdf(pooled)
-        path = out_dir / f"{cid}_pooled_throughput_cdf.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("throughput_bps,probability\n")
-            for v, p in zip(cdf.values, cdf.probabilities):
-                fh.write(f"{v!r},{p!r}\n")
-        files[f"cdf_case_{cid}"] = path
-
-    totals_path = out_dir / "campaign_totals.csv"
-    with open(totals_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "case,runs,mean_total_rx_bytes,std_total_rx_bytes,stderr_total_rx_bytes,"
-            "ci95_lo,ci95_hi,mean_tn_share,mean_ntn_share,zero_throughput_fraction\n"
+        files[f"cdf_case_{cid}"] = write_table(
+            out_dir / f"{cid}_pooled_throughput_cdf.csv",
+            "throughput_bps,probability",
+            [f"{v!r},{p!r}" for v, p in zip(cdf.values, cdf.probabilities)],
         )
-        for cid in sorted(aggregates):
-            a = aggregates[cid]
-            if a.get("runs", 0) == 0:
-                fh.write(f"{cid},0,,,,,,,,\n")
-                continue
-            fh.write(
-                f"{cid},{int(a['runs'])},{a['mean_total_rx_bytes']!r},"
-                f"{a['std_total_rx_bytes']!r},{a['stderr_total_rx_bytes']!r},"
-                f"{a['ci95_lo_total_rx_bytes']!r},{a['ci95_hi_total_rx_bytes']!r},"
-                f"{a['mean_tn_share']!r},{a['mean_ntn_share']!r},"
-                f"{a['zero_throughput_fraction']!r}\n"
-            )
-    files["campaign_totals"] = totals_path
+
+    total_rows = []
+    for cid in sorted(aggregates):
+        a = aggregates[cid]
+        if a.get("runs", 0) == 0:
+            total_rows.append(f"{cid},0,,,,,,,,")
+            continue
+        total_rows.append(
+            f"{cid},{int(a['runs'])},{a['mean_total_rx_bytes']!r},"
+            f"{a['std_total_rx_bytes']!r},{a['stderr_total_rx_bytes']!r},"
+            f"{a['ci95_lo_total_rx_bytes']!r},{a['ci95_hi_total_rx_bytes']!r},"
+            f"{a['mean_tn_share']!r},{a['mean_ntn_share']!r},"
+            f"{a['zero_throughput_fraction']!r}"
+        )
+    files["campaign_totals"] = write_table(
+        out_dir / "campaign_totals.csv",
+        "case,runs,mean_total_rx_bytes,std_total_rx_bytes,stderr_total_rx_bytes,"
+        "ci95_lo,ci95_hi,mean_tn_share,mean_ntn_share,zero_throughput_fraction",
+        total_rows,
+    )
     return CampaignResult(records, aggregates, files)

@@ -121,7 +121,18 @@ def _check_store(store: MetricsStore) -> None:
             raise InvariantError(f"utilization out of range: {sample}")
 
 
-def _write(path: Path, header: str, rows: Sequence[str]) -> Path:
+def output_dir(out_dir) -> Path:
+    """Create the report directory (and parents) if it is missing."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvariantError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
+def write_table(path: Path, header: str, rows: Sequence[str]) -> Path:
+    """Write one delimited table: the header line, then one line per row."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
@@ -135,12 +146,11 @@ def _write(path: Path, header: str, rows: Sequence[str]) -> Path:
 def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
     """Write all report files for one run and return their paths."""
     _check_store(store)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir)
     prefix = f"{store.case_id}_{store.seed}"
     files: Dict[str, Path] = {}
 
-    files["allocation_timeline"] = _write(
+    files["allocation_timeline"] = write_table(
         out_dir / f"{prefix}_allocation_timeline.csv",
         "step,epoch,time_s,group,group_size,coordinated,tn_rbs,guard_rbs,ntn_rbs,version",
         [
@@ -150,7 +160,7 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
         ],
     )
 
-    files["final_allocation"] = _write(
+    files["final_allocation"] = write_table(
         out_dir / f"{prefix}_final_allocation.csv",
         "group,group_size,coordinated,tn_rbs,guard_rbs,ntn_rbs",
         [
@@ -160,14 +170,14 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
         ],
     )
 
-    files["rb_counts"] = _write(
+    files["rb_counts"] = write_table(
         out_dir / f"{prefix}_rb_counts.csv",
         "node_id,rb_count",
         [f"{node},{count}" for node, count in sorted(store.node_rb_counts.items())],
     )
 
     throughputs = store.throughputs_bps()
-    files["throughput"] = _write(
+    files["throughput"] = write_table(
         out_dir / f"{prefix}_throughput.csv",
         "ue_id,system,rx_bytes,throughput_bps",
         [
@@ -177,7 +187,7 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
         ],
     )
 
-    files["utilization"] = _write(
+    files["utilization"] = write_table(
         out_dir / f"{prefix}_utilization.csv",
         "cell_id,period,time_s,used_rb_epochs,available_rb_epochs,utilization",
         [

@@ -68,7 +68,6 @@ class Ue:
     ue_id: int
     xy: Tuple[float, float]
     kind: str                            # "tn" or "ntn" placement area
-    noise_figure_db: float = 13.0
     antenna_gain_dbi: float = 0.0
 
 

@@ -186,14 +186,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         except ConfigurationError as exc:
             raise ConfigurationError(f"[{section}]: {exc}") from exc
 
-    cfg = ScenarioConfig(
-        band=sections.get("band", BandParams()),
-        cdss=sections.get("cdss", CdssConfig()),
-        radio=sections.get("radio", RadioParams()),
-        topology=sections.get("topology", TopologyParams()),
-        traffic=sections.get("traffic", TrafficParams()),
-        sim=sections.get("sim", SimParams()),
-    )
+    cfg = ScenarioConfig(**sections)
     validate_scenario(cfg)
     return cfg
 
@@ -201,14 +194,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
 def serialize_scenario(cfg: ScenarioConfig) -> str:
     """Render a config back to scenario-file text (parse round-trips)."""
     lines: List[str] = []
-    for section, value in (
-        ("band", cfg.band),
-        ("cdss", cfg.cdss),
-        ("radio", cfg.radio),
-        ("topology", cfg.topology),
-        ("traffic", cfg.traffic),
-        ("sim", cfg.sim),
-    ):
+    for section in _SECTION_TYPES:
+        value = getattr(cfg, section)
         lines.append(f"[{section}]")
         for f in dataclass_fields(value):
             lines.append(f"{f.name} = {_format_value(getattr(value, f.name))}")
@@ -227,18 +214,23 @@ def load_scenario(path) -> ScenarioConfig:
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
     """Cross-field validation beyond what the dataclasses enforce."""
-    band, topo, sim = cfg.band, cfg.topology, cfg.sim
+    band, topo = cfg.band, cfg.topology
     # NaN fails every comparison, so it slips through the range checks
     # below and into the byte factors; inf overflows the epoch counts.
-    for path, value in (
-        ("[band] rb_bandwidth_hz", band.rb_bandwidth_hz),
-        ("[sim] epoch_ms", sim.epoch_ms),
-        ("[sim] total_s", sim.total_s),
-        ("[sim] warmup_s", sim.warmup_s),
-        ("[cdss] period_s", cfg.cdss.period_s),
-    ):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{path}: must be finite, got {value!r}")
+    for section in _SECTION_TYPES:
+        params = getattr(cfg, section)
+        for f in dataclass_fields(params):
+            value = getattr(params, f.name)
+            if f.type == "float":
+                finite = math.isfinite(value)
+            elif f.type == "Tuple[Tuple[float, float], ...]":
+                finite = all(math.isfinite(v) for pair in value for v in pair)
+            else:
+                continue
+            if not finite:
+                raise ConfigurationError(
+                    f"[{section}] {f.name}: must be finite, got {_format_value(value)}"
+                )
     if band.total_rbs < 1:
         raise ConfigurationError("[band] total_rbs: must be positive")
     if len(band.coordinated) != band.num_groups:
@@ -275,42 +267,61 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             )
     for name in ("ld_tn_kbps", "ld_ntn_kbps", "hd_tn_kbps", "hd_ntn_kbps"):
         rate = getattr(cfg.traffic, name)
-        if not (math.isfinite(rate) and rate >= 0):
-            raise ConfigurationError(
-                f"[traffic] {name}: must be finite and non-negative, got {rate!r}"
-            )
-    # The link budget takes log10(freq) and 1 / sin(elevation).
+        if rate < 0:
+            raise ConfigurationError(f"[traffic] {name}: must be non-negative, got {rate!r}")
+    # The link budget takes log10 of the frequency and of the slant range,
+    # 1 / sin(elevation), and divides by the LOS scale, the beam radius
+    # and the sector width.
     radio = cfg.radio
-    if not (math.isfinite(radio.freq_ghz) and radio.freq_ghz > 0):
-        raise ConfigurationError(
-            f"[radio] freq_ghz: must be finite and positive, got {radio.freq_ghz!r}"
-        )
+    for name in ("freq_ghz", "sat_altitude_km", "los_scale_m", "beam_3db_radius_km",
+                 "tn_sector_width_deg"):
+        value = getattr(radio, name)
+        if value <= 0:
+            raise ConfigurationError(f"[radio] {name}: must be positive, got {value!r}")
     if not (0 < radio.elevation_deg <= 90):
         raise ConfigurationError(
             f"[radio] elevation_deg: must be in (0, 90], got {radio.elevation_deg!r}"
         )
-
-    if sim.epoch_ms <= 0:
-        raise ConfigurationError("[sim] epoch_ms: must be positive")
-    if not (0 <= sim.warmup_s < sim.total_s):
-        raise ConfigurationError(
-            f"[sim] warmup_s {sim.warmup_s} must be in [0, total_s {sim.total_s})"
-        )
-    epoch_s = sim.epoch_ms / 1e3
-    if not _is_multiple(cfg.cdss.period_s, epoch_s):
-        raise ConfigurationError(
-            f"[cdss] period_s {cfg.cdss.period_s} is not a whole number of "
-            f"{sim.epoch_ms} ms epochs"
-        )
-    if not _is_multiple(sim.total_s, epoch_s) or not _is_multiple(sim.warmup_s, epoch_s):
-        raise ConfigurationError(
-            "[sim] total_s and warmup_s must be whole numbers of epochs"
-        )
+    SimClock.from_config(cfg)
 
 
-def _is_multiple(value: float, unit: float) -> bool:
-    n = round(value / unit)
-    return n >= 0 and math.isclose(n * unit, value, rel_tol=1e-9, abs_tol=1e-12)
+@dataclass(frozen=True)
+class SimClock:
+    """Epoch bookkeeping: integer epoch counts avoid float-drift boundaries."""
+
+    epoch_s: float
+    warmup_epochs: int
+    total_epochs: int
+    period_epochs: int
+
+    @classmethod
+    def from_config(cls, cfg: ScenarioConfig) -> "SimClock":
+        """The run's epoch counts; `validate_scenario` rejects exactly the
+        configs this rejects."""
+        sim = cfg.sim
+        if sim.epoch_ms <= 0:
+            raise ConfigurationError("[sim] epoch_ms: must be positive")
+        period = _whole_epochs("[cdss] period_s", cfg.cdss.period_s, sim.epoch_ms, 1)
+        total = _whole_epochs("[sim] total_s", sim.total_s, sim.epoch_ms, 1)
+        warmup = _whole_epochs("[sim] warmup_s", sim.warmup_s, sim.epoch_ms, 0)
+        if warmup >= total:
+            raise ConfigurationError(
+                f"[sim] warmup_s {sim.warmup_s} must be shorter than total_s {sim.total_s}"
+            )
+        return cls(sim.epoch_ms / 1e3, warmup, total, period)
+
+
+def _whole_epochs(path: str, seconds: float, epoch_ms: float, minimum: int) -> int:
+    epoch_s = epoch_ms / 1e3
+    n = round(seconds / epoch_s)
+    if seconds < 0 or n < minimum or not math.isclose(
+        n * epoch_s, seconds, rel_tol=1e-9, abs_tol=1e-12
+    ):
+        raise ConfigurationError(
+            f"{path} {seconds} must be a whole number (at least {minimum}) of "
+            f"{epoch_ms} ms epochs"
+        )
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +440,12 @@ def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
     for cell in cells:
         for _ in range(topo.ues_per_tn_cell):
             xy = _sample_in_sector(rng, cell.site_xy, cell.azimuth_deg, hex_radius, wedge)
-            ues.append(Ue(ue_id, xy, "tn", radio.noise_figure_db))
+            ues.append(Ue(ue_id, xy, "tn"))
             ue_id += 1
     for bi, center in enumerate(topo.beam_centers_m):
         for _ in range(topo.ues_per_beam):
             xy = _sample_in_disc(rng, center, radio.beam_3db_radius_km * 1e3)
-            ues.append(Ue(ue_id, xy, "ntn", radio.noise_figure_db))
+            ues.append(Ue(ue_id, xy, "ntn"))
             ue_id += 1
     return Topology(cells, beams, ues)
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .controller import LoadReport
 
@@ -24,40 +24,43 @@ def generate_arrivals(flows: Iterable[TrafficFlow], epoch_duration_s: float) -> 
 
 
 @dataclass
-class RoundRobinState:
-    """Persistent rotation pointer for one cell; advances one UE per epoch."""
+class Node:
+    """One scheduling entity: a TN cell or an enabled NTN beam.
 
-    offset: int = 0
-
-
-class ScheduleMemo:
-    """One node's replay memo for `schedule_epoch`, one slot per rotation start.
-
-    A slot holds the exact starting backlog of every UE in the node's
-    `ue_order` and the outcome the dealing loop computed from it: the final
-    backlogs it wrote, the served bytes in order of first service, the used
-    RB count and the per-group used counts.  Slots are valid for one grant
-    (`granted_rows`, held by reference so its identity cannot be reused)
-    and one version of the byte rows; a call with either changed discards
-    them all.  At most one slot per UE, so the memory is bounded by the
-    node's UE count.
+    Holds the node's UEs in rotation order, its persistent rotation
+    offset, its grant (`granted` with the `grant_tables` over it), its
+    `PeriodLoad` and its replay memo for `schedule_epoch`.  The memo has
+    one slot per rotation start: the exact starting backlog of every UE
+    in `ue_ids` and the outcome the dealing loop computed from it (the
+    final backlogs it wrote, the served bytes in order of first service,
+    the used RB count and the per-group used counts).  A slot is valid
+    for one grant and one content of the byte rows: `set_grant` clears
+    the slots, and whoever rewrites the rows must clear them too.  At
+    most one slot per UE, so the memory is bounded by the UE count.
     """
 
-    __slots__ = ("tables", "rows_version", "slots", "hits")
+    node_id: str
+    entity_id: int                  # cell_id or beam_id
+    load: PeriodLoad
+    ue_ids: List[int] = field(default_factory=list)
+    offset: int = 0                 # rotation start, advanced once per epoch
+    granted: List[int] = field(default_factory=list)
+    granted_rows: List[List[float]] = field(default_factory=list)
+    group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
+    slots: Dict[int, tuple] = field(default_factory=dict)
+    hits: int = 0
 
-    def __init__(self) -> None:
-        self.tables: Optional[Sequence[Sequence[float]]] = None
-        self.rows_version = -1
-        self.slots: Dict[int, tuple] = {}
-        self.hits = 0
+    def set_grant(self, granted: List[int], granted_rows: List[List[float]],
+                  group_prefix: List[Tuple[int, ...]]) -> None:
+        """Install a new grant and its tables; the memo's slots go stale."""
+        self.granted, self.granted_rows, self.group_prefix = granted, granted_rows, group_prefix
+        self.slots.clear()
 
 
 @dataclass
 class CellSchedule:
     """Outcome of one epoch of scheduling in one cell or beam."""
 
-    node_id: str
-    epoch: int
     granted: Sequence[int]
     served_bytes: Dict[int, float]      # ue_id -> bytes, in order of first service
     used_rb: int
@@ -83,35 +86,23 @@ def grant_tables(
     return [rows[group_of_rb[rb]] for rb in granted], prefix
 
 
-def schedule_epoch(
-    node_id: str,
-    epoch: int,
-    ue_order: Sequence[int],
-    flows: Mapping[int, TrafficFlow],
-    granted: Sequence[int],
-    granted_rows: Sequence[Sequence[float]],
-    group_prefix: Sequence[Tuple[int, ...]],
-    rows_version: int,
-    rotation: RoundRobinState,
-    memo: ScheduleMemo,
-) -> CellSchedule:
+def schedule_epoch(node: Node, flows: Mapping[int, TrafficFlow]) -> CellSchedule:
     """Deal granted RBs round robin to backlogged UEs, a round at a time.
 
-    The rotation starts at the persistent pointer into `ue_order` and the
-    pointer advances by one position per epoch, so saturated UEs receive
-    RB counts that differ by at most one over a full rotation cycle.  Each
-    pass walks the backlogged UEs in rotation order and each UE takes the
-    next granted RB, carrying `granted_rows[i][ue_id]` bytes; a UE leaves
-    once its backlog for the epoch is drained.
+    The rotation starts at `node.offset` into `node.ue_ids` and the offset
+    advances by one position per epoch, so saturated UEs receive RB counts
+    that differ by at most one over a full rotation cycle.  Each pass
+    walks the backlogged UEs in rotation order and each UE takes the next
+    granted RB, carrying `granted_rows[i][ue_id]` bytes; a UE leaves once
+    its backlog for the epoch is drained.
 
     Replay: the outcome depends only on the rotation start, the starting
-    backlogs, the grant and the byte rows (`rows_version` counts their
-    rewrites), so `memo` (see `ScheduleMemo`) replays exact repeats.  A
-    hit writes the stored backlogs back and returns copies of the stored
-    outcome; a miss runs the loop below and fills the slot.  Keys equal
-    under `==` hold the same bits, because no backlog is ever -0.0: it
-    starts at 0.0, drains to `b - b` (+0.0) and grows by non-negative
-    increments.
+    backlogs, the grant and the byte rows, so the node's memo (see
+    `Node`) replays exact repeats.  A hit writes the stored backlogs back
+    and returns copies of the stored outcome; a miss runs the loop below
+    and fills the slot.  Keys equal under `==` hold the same bits,
+    because no backlog is ever -0.0: it starts at 0.0, drains to `b - b`
+    (+0.0) and grows by non-negative increments.
 
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
@@ -120,24 +111,22 @@ def schedule_epoch(
     `grant_tables`) turns the dealt prefix of `granted` into per-group
     used counts.
     """
+    ue_order, granted = node.ue_ids, node.granted
+    granted_rows, group_prefix = node.granted_rows, node.group_prefix
     n = len(ue_order)
     n_rb = len(granted)
     if n == 0 or n_rb == 0:
-        return CellSchedule(node_id, epoch, granted, {}, 0, list(group_prefix[0]))
-    start = rotation.offset % n
-    rotation.offset = (rotation.offset + 1) % n
+        return CellSchedule(granted, {}, 0, list(group_prefix[0]))
+    start = node.offset % n
+    node.offset = (node.offset + 1) % n
     key = tuple([flows[uid].backlog_bytes for uid in ue_order])
-    if memo.tables is not granted_rows or memo.rows_version != rows_version:
-        memo.tables, memo.rows_version = granted_rows, rows_version
-        memo.slots.clear()
-    slot = memo.slots.get(start)
+    slot = node.slots.get(start)
     if slot is not None and slot[0] == key:
-        memo.hits += 1
+        node.hits += 1
         _, finals, served_items, used_rb, used_counts = slot
         for uid, b in finals:
             flows[uid].backlog_bytes = b
-        return CellSchedule(node_id, epoch, granted, dict(served_items), used_rb,
-                            list(used_counts))
+        return CellSchedule(granted, dict(served_items), used_rb, list(used_counts))
     order = [
         uid
         for uid in list(ue_order[start:]) + list(ue_order[:start])
@@ -185,8 +174,8 @@ def schedule_epoch(
         for gi, (hi, lo) in enumerate(zip(group_prefix[i + 1], group_prefix[i])):
             used_per_group[gi] -= hi - lo
     used_rb = k - len(unused)
-    memo.slots[start] = (key, finals, tuple(served.items()), used_rb, tuple(used_per_group))
-    return CellSchedule(node_id, epoch, granted, served, used_rb, used_per_group)
+    node.slots[start] = (key, finals, tuple(served.items()), used_rb, tuple(used_per_group))
+    return CellSchedule(granted, served, used_rb, used_per_group)
 
 
 class PeriodLoad:

@@ -13,7 +13,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from cdss_sim.traffic import RoundRobinState, TrafficFlow
+from cdss_sim.traffic import TrafficFlow
+
+
+@dataclass
+class Rotation:
+    """Persistent rotation pointer for one node; advances one UE per epoch."""
+
+    offset: int = 0
 
 
 @dataclass
@@ -33,7 +40,7 @@ def schedule_epoch(
     flows: Mapping[int, TrafficFlow],
     granted: Sequence[int],
     bytes_per_rb: Callable[[int, int], float],
-    rotation: RoundRobinState,
+    rotation: Rotation,
 ) -> ReferenceSchedule:
     """Deal granted RBs one at a time to backlogged UEs in rotating order."""
     schedule = ReferenceSchedule(node_id, epoch, tuple(granted), {}, {}, 0)

@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from cdss_sim.cli import EXIT_CONFIG, EXIT_OK, _parse_cases, _parse_seeds, main
+from cdss_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_cases, _parse_seeds, main
 from cdss_sim.errors import ConfigurationError
+from cdss_sim.scenario import default_scenario
 
 FAST_SCENARIO = """\
 [sim]
@@ -49,18 +51,60 @@ def test_validate_bad_scenario_exits_one(tmp_path, capsys):
         assert err.startswith("configuration error") and err.count("\n") == 1
 
 
+def non_finite_lines():
+    """(section, key, scenario line) for every float field of the default
+    scenario, once each with nan, inf and -inf; the beam centres get the
+    value in the first beam's x."""
+    cfg = default_scenario()
+    for section in fields(cfg):
+        params = getattr(cfg, section.name)
+        for f in fields(params):
+            default = getattr(params, f.name)
+            for value in ("nan", "inf", "-inf"):
+                if isinstance(default, float):
+                    yield section.name, f.name, f"{f.name} = {value}"
+                elif f.name == "beam_centers_m":
+                    pairs = [f"{value}, {default[0][1]}"]
+                    pairs += [f"{x}, {y}" for x, y in default[1:]]
+                    yield section.name, f.name, f"{f.name} = {'; '.join(pairs)}"
+
+
 def test_validate_non_finite_values_exit_one(tmp_path, capsys):
     # NaN slips through range checks and inf overflows the epoch counts;
     # each must be a configuration error, not a run or a traceback.
     bad = tmp_path / "bad.ini"
-    for section, key in (("band", "rb_bandwidth_hz"), ("sim", "epoch_ms"),
-                         ("sim", "total_s"), ("sim", "warmup_s"), ("cdss", "period_s")):
-        for value in ("nan", "inf"):
-            bad.write_text(f"[{section}]\n{key} = {value}\n")
-            assert main(["validate", "--scenario", str(bad)]) == EXIT_CONFIG
+    keys = set()
+    for section, key, line in non_finite_lines():
+        keys.add((section, key))
+        bad.write_text(f"[{section}]\n{line}\n")
+        for argv in (["validate"],
+                     ["run", "--case", "2", "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--scenario", str(bad)]) == EXIT_CONFIG, line
             err = capsys.readouterr().err
-            assert err.startswith(f"configuration error: [{section}] {key}"), err
+            assert err.startswith(f"configuration error: [{section}]"), err
+            assert key in err and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+    assert {("band", "rb_bandwidth_hz"), ("sim", "epoch_ms"), ("sim", "total_s"),
+            ("sim", "warmup_s"), ("cdss", "period_s"), ("radio", "se_cap_bps_hz"),
+            ("topology", "isd_m"), ("topology", "beam_centers_m")} <= keys
+
+
+def test_validate_and_run_agree_on_epoch_counts(tmp_path, capsys):
+    # The first two passed `validate` once and then failed `run` on their
+    # epoch counts; a negative warmup must fail both, however small.
+    bad = tmp_path / "bad.ini"
+    for text, path in (("[cdss]\nperiod_s = 1e-13\n", "[cdss] period_s"),
+                       ("[sim]\nwarmup_s = 0\ntotal_s = 1e-13\n", "[sim] total_s"),
+                       ("[sim]\nwarmup_s = -0.01\n", "[sim] warmup_s"),
+                       ("[sim]\nwarmup_s = -1e-13\n", "[sim] warmup_s")):
+        bad.write_text(text)
+        for argv in (["validate"],
+                     ["run", "--case", "1", "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--scenario", str(bad)]) == EXIT_CONFIG, text
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {path}"), err
             assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
@@ -73,6 +117,11 @@ def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
     cases += [("traffic", key, value)
               for key in ("ld_tn_kbps", "ld_ntn_kbps", "hd_tn_kbps", "hd_ntn_kbps")
               for value in ("nan", "inf", "-1")]
+    # these divide or take a log in the link budget or the placement
+    cases += [("radio", key, value)
+              for key in ("sat_altitude_km", "los_scale_m", "beam_3db_radius_km",
+                          "tn_sector_width_deg")
+              for value in ("0", "-1")]
     for section, key, value in cases:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         for argv in (["validate"],
@@ -90,6 +139,18 @@ def test_campaign_bad_grid_exits_one(tmp_path, capsys):
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and err.count("\n") == 1
+
+
+def test_unwritable_out_exits_two(fast_scenario_file, tmp_path, capsys):
+    # A directory that cannot be created is one runtime error line.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["run", "--case", "1"], ["campaign", "--case", "1", "--seeds", "1"]):
+        argv += ["--scenario", str(fast_scenario_file), "--out", str(blocker / "x")]
+        assert main(argv + ["--quiet"]) == EXIT_RUNTIME, argv
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: cannot create output directory"), err
+        assert err.count("\n") == 1
 
 
 def test_run_out_of_range_case_exits_one(capsys):

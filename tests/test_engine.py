@@ -338,14 +338,15 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
         a, b = rng.uniform(size=n_tx), rng.uniform(size=n_tx)
         # a repeated activity must not serve stale rows from the refresh
         # skip; only an activity equal to the previous one is skipped, and
-        # only a rewrite moves the version the scheduler's memo checks
+        # refresh reports a rewrite (which clears the scheduler's memos)
+        # exactly when it recomputed the rows
         sequence = [(np.zeros(n_tx), False), (np.ones(n_tx), False), (a, False),
                     (b, False), (a, False), (a.copy(), True)]
         for activity, skipped in sequence:
-            before, version = len(se_calls), factors.version
-            factors.refresh(activity)
+            before = len(se_calls)
+            rewritten = factors.refresh(activity)
             assert (len(se_calls) == before) == skipped
-            assert (factors.version == version) == skipped
+            assert rewritten is not skipped
             fresh = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
             fresh.refresh(activity)
             assert factors.rows == fresh.rows

@@ -6,9 +6,8 @@ from cdss_sim.controller import aggregate_load
 from cdss_sim.errors import MissingDataError
 from cdss_sim.traffic import (
     CellSchedule,
+    Node,
     PeriodLoad,
-    RoundRobinState,
-    ScheduleMemo,
     TrafficFlow,
     generate_arrivals,
     grant_tables,
@@ -27,14 +26,18 @@ def flat_rate(rate, n_ue=8):
     return [rate] * n_ue
 
 
-def deal(node_id, epoch, ue_order, flows, granted, row, rotation):
-    """schedule_epoch over RBs of one group whose byte row is `row`, with
-    an empty replay memo."""
+def node_for(ue_order, offset=0, num_groups=1):
+    """A node serving `ue_order`, starting its rotation at `offset`."""
+    return Node("tn-0", 0, PeriodLoad(num_groups), list(ue_order), offset)
+
+
+def deal(node, flows, granted, row):
+    """schedule_epoch over RBs of one group whose byte row is `row`; the
+    new grant leaves the node's replay memo empty."""
     granted = list(granted)
     group_of_rb = [0] * (max(granted, default=-1) + 1)
-    granted_rows, prefix = grant_tables(granted, group_of_rb, [row])
-    return schedule_epoch(node_id, epoch, ue_order, flows, granted, granted_rows,
-                          prefix, 0, rotation, ScheduleMemo())
+    node.set_grant(granted, *grant_tables(granted, group_of_rb, [row]))
+    return schedule_epoch(node, flows)
 
 
 def rb_count(sched, uid, rate):
@@ -62,7 +65,7 @@ def test_arrivals_high_rate():
 
 def test_schedule_even_split_two_ues():
     flows = flows_for([1, 2], backlog=1e9)
-    sched = deal("tn-0", 0, [1, 2], flows, range(10), flat_rate(225.0), RoundRobinState())
+    sched = deal(node_for([1, 2]), flows, range(10), flat_rate(225.0))
     assert rb_count(sched, 1, 225.0) == 5
     assert rb_count(sched, 2, 225.0) == 5
     assert sched.used_rb == 10 and sched.used_per_group == [10]
@@ -70,10 +73,10 @@ def test_schedule_even_split_two_ues():
 
 def test_schedule_three_ues_rotation_cycles():
     flows = flows_for([1, 2, 3], backlog=1e9)
-    rotation = RoundRobinState()
+    node = node_for([1, 2, 3])
     counts = []
-    for epoch in range(3):
-        sched = deal("tn-0", epoch, [1, 2, 3], flows, range(10), flat_rate(225.0), rotation)
+    for _ in range(3):
+        sched = deal(node, flows, range(10), flat_rate(225.0))
         counts.append({uid: rb_count(sched, uid, 225.0) for uid in sched.served_bytes})
     assert counts[0] == {1: 4, 2: 3, 3: 3}
     assert counts[1] == {2: 4, 3: 3, 1: 3}
@@ -84,7 +87,7 @@ def test_schedule_three_ues_rotation_cycles():
 
 def test_schedule_no_backlog_uses_nothing():
     flows = flows_for([1, 2], backlog=0.0)
-    sched = deal("tn-0", 0, [1, 2], flows, range(10), flat_rate(225.0), RoundRobinState())
+    sched = deal(node_for([1, 2]), flows, range(10), flat_rate(225.0))
     assert sched.used_rb == 0 and sched.served_bytes == {}
     assert sched.used_per_group == [0]
 
@@ -92,7 +95,7 @@ def test_schedule_no_backlog_uses_nothing():
 def test_schedule_satisfied_ue_leaves_rotation():
     flows = {1: TrafficFlow(1, 0.0, backlog_bytes=100.0),
              2: TrafficFlow(2, 0.0, backlog_bytes=1e9)}
-    sched = deal("tn-0", 0, [1, 2], flows, range(10), flat_rate(225.0), RoundRobinState())
+    sched = deal(node_for([1, 2]), flows, range(10), flat_rate(225.0))
     assert sched.used_rb - rb_count(sched, 2, 225.0) == 1    # UE 1's single RB
     assert sched.served_bytes[1] == pytest.approx(100.0)
     assert rb_count(sched, 2, 225.0) == 9
@@ -103,7 +106,7 @@ def test_schedule_zero_rate_ue_skipped():
     flows = {1: TrafficFlow(1, 0.0, backlog_bytes=1e9),
              2: TrafficFlow(2, 0.0, backlog_bytes=1e9)}
     rate = [0.0, 0.0, 225.0]    # UE 1 carries nothing, UE 2 225 bytes
-    sched = deal("tn-0", 0, [1, 2], flows, range(10), rate, RoundRobinState())
+    sched = deal(node_for([1, 2]), flows, range(10), rate)
     assert 1 not in sched.served_bytes
     assert rb_count(sched, 2, 225.0) == 10
 
@@ -115,8 +118,7 @@ def test_schedule_work_conservation():
         flows = {u: TrafficFlow(u, 0.0, backlog_bytes=rng.uniform(10, 5e4))
                  for u in range(n_ue)}
         granted = list(range(rng.randint(1, 40)))
-        sched = deal("tn-0", 0, list(range(n_ue)), flows, granted,
-                     flat_rate(225.0), RoundRobinState())
+        sched = deal(node_for(range(n_ue)), flows, granted, flat_rate(225.0))
         if any(f.backlog_bytes > 0 for f in flows.values()):
             assert sched.used_rb == len(granted)
         assert sched.used_rb <= len(granted)
@@ -124,7 +126,7 @@ def test_schedule_work_conservation():
 
 def test_schedule_served_never_exceeds_start_backlog():
     flows = {1: TrafficFlow(1, 0.0, backlog_bytes=500.0)}
-    sched = deal("tn-0", 0, [1], flows, range(50), flat_rate(225.0), RoundRobinState())
+    sched = deal(node_for([1]), flows, range(50), flat_rate(225.0))
     assert sched.served_bytes[1] == pytest.approx(500.0)
     assert 500.0 - flows[1].backlog_bytes == pytest.approx(500.0)
 
@@ -132,22 +134,22 @@ def test_schedule_served_never_exceeds_start_backlog():
 def test_long_run_throughput_never_exceeds_demand():
     flow = TrafficFlow(7, 1.2e6)
     flows = {7: flow}
-    rotation = RoundRobinState()
+    node = node_for([7])
     epochs = 200
     received = 0.0
-    for epoch in range(epochs):
+    for _ in range(epochs):
         generate_arrivals([flow], 0.01)
-        sched = deal("ntn-0", epoch, [7], flows, range(40), flat_rate(450.0), rotation)
+        sched = deal(node, flows, range(40), flat_rate(450.0))
         received += sched.served_bytes.get(7, 0.0)
     assert received <= 1.2e6 * epochs * 0.01 / 8.0 + 1e-9
 
 
 def test_schedule_fairness_equal_se_saturated():
     flows = flows_for(list(range(5)), backlog=1e12)
-    rotation = RoundRobinState()
+    node = node_for(range(5))
     totals = {u: 0 for u in range(5)}
-    for epoch in range(10):
-        sched = deal("tn-0", epoch, list(range(5)), flows, range(17), flat_rate(1.0), rotation)
+    for _ in range(10):
+        sched = deal(node, flows, range(17), flat_rate(1.0))
         for uid in sched.served_bytes:
             totals[uid] += rb_count(sched, uid, 1.0)
         counts = [rb_count(sched, uid, 1.0) for uid in sched.served_bytes]
@@ -173,16 +175,16 @@ def test_schedule_matches_per_rb_reference():
         flows = {uid: TrafficFlow(uid, 0.0) for uid in ue_order}
         ref_flows = {uid: TrafficFlow(uid, 0.0) for uid in ue_order}
         start = rng.randrange(20)
-        rotation, ref_rotation = RoundRobinState(start), RoundRobinState(start)
-        memo = ScheduleMemo()
+        node = node_for(ue_order, start, n_groups)
+        node.set_grant(granted, granted_rows, prefix)
+        ref_rotation = reference_scheduler.Rotation(start)
         for epoch in range(3):
             for uid in ue_order:
                 extra = rng.choice([0.0, 225.0 * rng.randint(1, 6),
                                     rng.uniform(1.0, 3000.0), 1e12])
                 flows[uid].backlog_bytes += extra
                 ref_flows[uid].backlog_bytes += extra
-            got = schedule_epoch("tn-0", epoch, ue_order, flows, granted,
-                                 granted_rows, prefix, 0, rotation, memo)
+            got = schedule_epoch(node, flows)
             want = reference_scheduler.schedule_epoch(
                 "tn-0", epoch, ue_order, ref_flows, granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
@@ -193,7 +195,7 @@ def test_schedule_matches_per_rb_reference():
             assert got.used_rb == want.used_rb
             assert got.used_per_group == reference_scheduler.used_per_group(
                 want, group_of_rb, n_groups)
-            assert rotation.offset == ref_rotation.offset
+            assert node.offset == ref_rotation.offset
             dealt = [rb for rbs in want.assignments.values() for rb in rbs]
             last = max((granted.index(rb) for rb in dealt), default=-1)
             unused_seen += last + 1 - len(dealt)
@@ -204,10 +206,10 @@ def test_schedule_matches_per_rb_reference():
 
 def test_schedule_memo_replay_matches_per_rb_reference():
     # CBR nodes repeat their starting backlogs, so the memo replays most
-    # epochs.  In-place row rewrites (with a new rows version, as
-    # ByteFactors.refresh does) and grant rebuilds (new tables, as
-    # engine._grant_rbs does) are interleaved; every epoch must still
-    # equal the per-RB reference exactly.
+    # epochs.  In-place row rewrites (followed by the memo clear the engine
+    # makes after a rewriting ByteFactors.refresh) and grant rebuilds
+    # (set_grant, as engine._grant_rbs does) are interleaved; every epoch
+    # must still equal the per-RB reference exactly.
     rng = random.Random(47)
     n_ids, n_rbs, epoch_s, n_nodes, n_epochs = 12, 90, 0.01, 60, 50
     hits = rewrites = rebuilds = 0
@@ -221,7 +223,7 @@ def test_schedule_memo_replay_matches_per_rb_reference():
 
         def new_grant():
             granted = rng.sample(range(n_rbs), rng.randint(1, 60))
-            return (granted,) + grant_tables(granted, group_of_rb, rows)
+            node.set_grant(granted, *grant_tables(granted, group_of_rb, rows))
 
         rows = [new_row() for _ in range(n_groups)]
         ue_order = rng.sample(range(n_ids), rng.randint(1, 10))
@@ -232,23 +234,22 @@ def test_schedule_memo_replay_matches_per_rb_reference():
         flows = {uid: TrafficFlow(uid, demand[uid]) for uid in ue_order}
         ref_flows = {uid: TrafficFlow(uid, demand[uid]) for uid in ue_order}
         start = rng.randrange(20)
-        rotation, ref_rotation = RoundRobinState(start), RoundRobinState(start)
-        memo, version = ScheduleMemo(), 0
-        granted, granted_rows, prefix = new_grant()
+        node = node_for(ue_order, start, n_groups)
+        ref_rotation = reference_scheduler.Rotation(start)
+        new_grant()
         for epoch in range(n_epochs):
             if rng.random() < 0.1:
                 rows[rng.randrange(n_groups)][:] = new_row()
-                version += 1
+                node.slots.clear()
                 rewrites += 1
             if rng.random() < 0.1:
-                granted, granted_rows, prefix = new_grant()
+                new_grant()
                 rebuilds += 1
             generate_arrivals(flows.values(), epoch_s)
             generate_arrivals(ref_flows.values(), epoch_s)
-            got = schedule_epoch("tn-0", epoch, ue_order, flows, granted,
-                                 granted_rows, prefix, version, rotation, memo)
+            got = schedule_epoch(node, flows)
             want = reference_scheduler.schedule_epoch(
-                "tn-0", epoch, ue_order, ref_flows, granted,
+                "tn-0", epoch, ue_order, ref_flows, node.granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
             assert list(got.served_bytes.items()) == list(want.served_bytes.items())
@@ -257,8 +258,8 @@ def test_schedule_memo_replay_matches_per_rb_reference():
             assert got.used_rb == want.used_rb
             assert got.used_per_group == reference_scheduler.used_per_group(
                 want, group_of_rb, n_groups)
-            assert rotation.offset == ref_rotation.offset
-        hits += memo.hits
+            assert node.offset == ref_rotation.offset
+        hits += node.hits
     assert rewrites > 0 and rebuilds > 0
     assert 0 < hits < n_nodes * n_epochs
 
@@ -266,26 +267,24 @@ def test_schedule_memo_replay_matches_per_rb_reference():
 def test_schedule_memo_replays_fresh_copies():
     # Changing a returned schedule must not change what a later hit replays.
     granted = list(range(10))
-    granted_rows, prefix = grant_tables(granted, [0] * 10, [flat_rate(225.0)])
+    node = node_for([1, 2])
+    node.set_grant(granted, *grant_tables(granted, [0] * 10, [flat_rate(225.0)]))
     flows = flows_for([1, 2], backlog=0.0)
-    rotation, memo = RoundRobinState(), ScheduleMemo()
     for epoch in range(6):
         for flow in flows.values():
             flow.backlog_bytes = 450.0
-        sched = schedule_epoch("tn-0", epoch, [1, 2], flows, granted,
-                               granted_rows, prefix, 0, rotation, memo)
+        sched = schedule_epoch(node, flows)
         first, second = (1, 2) if epoch % 2 == 0 else (2, 1)
         assert list(sched.served_bytes.items()) == [(first, 450.0), (second, 450.0)]
         assert sched.used_rb == 4 and sched.used_per_group == [4]
         assert all(f.backlog_bytes == 0.0 for f in flows.values())
         sched.served_bytes[first] = -1.0
         sched.used_per_group[0] = -1
-    assert memo.hits == 4
+    assert node.hits == 4
 
 
 def make_sched(granted, used_per_group):
-    return CellSchedule("tn-0", 0, tuple(granted), {0: 0.0}, sum(used_per_group),
-                        list(used_per_group))
+    return CellSchedule(tuple(granted), {0: 0.0}, sum(used_per_group), list(used_per_group))
 
 
 def test_cell_load_ratio():
