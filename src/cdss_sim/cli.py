@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .engine import RunSpec, run_and_write, run_campaign
-from .errors import CdssError, ConfigurationError, InvariantError
+from .errors import CdssError, ConfigurationError
 from .scenario import (
     CASES,
     ScenarioConfig,
@@ -167,8 +167,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantError, CdssError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 - the CLI never prints a raw traceback
+        what = exc if isinstance(exc, CdssError) else f"{type(exc).__name__}: {exc}"
+        print(f"runtime error: {what}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -51,9 +51,7 @@ from .scenario import (
     serialize_scenario,
     validate_scenario,
 )
-from .traffic import (
-    Node, PeriodLoad, TrafficFlow, generate_arrivals, grant_tables, schedule_epoch,
-)
+from .traffic import Node, PeriodLoad, generate_arrivals, grant_tables, schedule_epoch
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,7 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[Time
     return rows
 
 
-def _schedule_nodes(nodes, flows, store, post_warmup: bool) -> np.ndarray:
+def _schedule_nodes(nodes, backlog, ue_bytes, node_bytes, post_warmup: bool) -> np.ndarray:
     """Schedule every node for one epoch and credit post-warmup bytes.
 
     Returns each transmitter's activity fraction (used over granted RBs),
@@ -239,16 +237,14 @@ def _schedule_nodes(nodes, flows, store, post_warmup: bool) -> np.ndarray:
     """
     activity = np.zeros(len(nodes))
     for tx, node in enumerate(nodes):
-        sched = schedule_epoch(node, flows)
+        sched = schedule_epoch(node, backlog)
         node.load.add(sched, node.group_prefix[-1])
         if node.granted:
             activity[tx] = sched.used_rb / len(node.granted)
         if post_warmup and sched.served_bytes:
-            node_sum = 0.0
-            for uid, amount in sched.served_bytes.items():
-                store.add_ue_bytes(uid, amount)
-                node_sum += amount
-            store.add_node_bytes(node.node_id, node_sum)
+            for uid, amount in sched.served_bytes:
+                ue_bytes[uid] += amount
+            node_bytes[tx] += sched.node_bytes
     return activity
 
 
@@ -318,7 +314,6 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         warmup_s=scenario.sim.warmup_s,
     )
     for ue, tx in zip(ues, serving):
-        store.ue_bytes[ue.ue_id] = 0.0
         if tx is None:
             store.unserved_ues.append(ue.ue_id)
             store.ue_system[ue.ue_id] = "none"
@@ -326,13 +321,14 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             nodes[tx].ue_ids.append(ue.ue_id)
             store.ue_system[ue.ue_id] = "TN" if tx < len(cells) else "NTN"
     for node in nodes:
-        store.node_bytes[node.node_id] = 0.0
         node.offset = (
             derive_seed(spec.seed, f"rotation:{node.node_id}") % max(1, len(node.ue_ids))
         )
-    flows = {
-        ue.ue_id: TrafficFlow(ue.ue_id, demand_bps(scenario, case, ue)) for ue in ues
-    }
+    # Per-UE state, indexed by ue_id (build_topology numbers UEs 0..n-1).
+    increments = [demand_bps(scenario, case, ue) * clock.epoch_s / 8.0 for ue in ues]
+    backlog = [0.0] * len(ues)
+    ue_bytes = [0.0] * len(ues)
+    node_bytes = [0.0] * len(nodes)
 
     group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
     byte_factors = ByteFactors(plan, rx_dbm, serving, beams, radio_p, clock.epoch_s)
@@ -350,11 +346,12 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
                        group_of_rb, byte_factors.rows)
             granted_key = key
 
-        generate_arrivals(flows.values(), clock.epoch_s)
+        generate_arrivals(backlog, increments)
         if byte_factors.refresh(activity):      # new rows: every replay slot is stale
             for node in nodes:
                 node.slots.clear()
-        activity = _schedule_nodes(nodes, flows, store, epoch >= clock.warmup_epochs)
+        activity = _schedule_nodes(nodes, backlog, ue_bytes, node_bytes,
+                                   epoch >= clock.warmup_epochs)
 
         if (epoch + 1) % clock.period_epochs == 0:
             now = epoch + 1
@@ -378,6 +375,8 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             for node in nodes:
                 node.load = PeriodLoad(n_groups)
 
+    store.ue_bytes = dict(enumerate(ue_bytes))
+    store.node_bytes = {node.node_id: b for node, b in zip(nodes, node_bytes)}
     final_rows = _timeline_rows(plan, state, case, clock, period_index, clock.total_epochs)
     _record_final(store, final_rows, band.total_rbs, tn_nodes, ntn_nodes, beams)
     return store
@@ -410,10 +409,11 @@ class CampaignResult:
 
 
 def run_and_write(spec: RunSpec, out_dir: Path) -> Tuple[MetricsStore, Dict[str, Path]]:
-    """Run one spec and write its report files."""
+    """Run one spec and write its report files; an output directory that
+    cannot be created fails before the run."""
+    out_dir = output_dir(out_dir)
     store = run_simulation(spec)
-    files = finalize(store, Path(out_dir))
-    return store, files
+    return store, finalize(store, out_dir)
 
 
 def _campaign_worker(args: Tuple[str, int, int, str]) -> RunRecord:

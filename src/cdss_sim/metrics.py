@@ -88,12 +88,6 @@ class MetricsStore:
     ntn_share: float = 0.0
     sms_steps: int = 0
 
-    def add_ue_bytes(self, ue_id: int, amount: float) -> None:
-        self.ue_bytes[ue_id] = self.ue_bytes.get(ue_id, 0.0) + amount
-
-    def add_node_bytes(self, node_id: str, amount: float) -> None:
-        self.node_bytes[node_id] = self.node_bytes.get(node_id, 0.0) + amount
-
     def throughputs_bps(self) -> Dict[int, float]:
         """Post-warmup application throughput per UE (zero for unserved)."""
         horizon = self.total_s - self.warmup_s

@@ -92,6 +92,14 @@ CASES: Dict[int, SimCase] = {
 }
 
 
+# The largest run `validate_scenario` accepts.  Dealing RBs, grant tables
+# and the byte-factor refresh cost about epochs x (transmitters x RBs x
+# groups + UEs x (transmitters + groups)) work units; 7.3e6 for the defaults.
+MAX_RUN_WORK = 10**9
+# At this ISD over 3/4 of each cell's hexagon lies outside the 1 m mast exclusion.
+MIN_ISD_M = 4.0
+
+
 def default_scenario() -> ScenarioConfig:
     return ScenarioConfig()
 
@@ -251,8 +259,8 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ConfigurationError("[topology] num_sites: supported range is 1..3")
     if topo.sectors_per_site < 1:
         raise ConfigurationError("[topology] sectors_per_site: must be positive")
-    if topo.isd_m <= 0:
-        raise ConfigurationError("[topology] isd_m: must be positive")
+    if topo.isd_m < MIN_ISD_M:
+        raise ConfigurationError(f"[topology] isd_m: must be at least {MIN_ISD_M} m")
     if min(topo.ues_per_tn_cell, topo.ues_per_beam) < 0:
         raise ConfigurationError("[topology] UE counts must be non-negative")
     if len(topo.beam_centers_m) != len(topo.beam_groups):
@@ -282,7 +290,14 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ConfigurationError(
             f"[radio] elevation_deg: must be in (0, 90], got {radio.elevation_deg!r}"
         )
-    SimClock.from_config(cfg)
+    epochs = SimClock.from_config(cfg).total_epochs
+    cells, beams = topo.num_sites * topo.sectors_per_site, len(topo.beam_centers_m)
+    n_tx, n_ues = cells + beams, cells * topo.ues_per_tn_cell + beams * topo.ues_per_beam
+    per_epoch = n_tx * band.total_rbs * band.num_groups + n_ues * (n_tx + band.num_groups)
+    if epochs * per_epoch > MAX_RUN_WORK:
+        raise ConfigurationError(
+            f"[sim] total_s: {epochs} epochs x {per_epoch} work units exceed MAX_RUN_WORK "
+            f"= {MAX_RUN_WORK}; shorten the run or shrink the band or the topology")
 
 
 @dataclass(frozen=True)
@@ -395,7 +410,7 @@ def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
 
     UE placement is identical across cases for a given seed: beam areas
     are populated even in TN-only cases, where those UEs must try their
-    luck with the terrestrial sites.
+    luck with the terrestrial sites.  UEs are numbered 0..n-1.
     """
     topo = cfg.topology
     radio = cfg.radio

@@ -1,26 +1,17 @@
-"""CBR traffic, per-epoch round-robin RB scheduling, and load accounting."""
+"""Per-epoch round-robin RB scheduling, CBR arrivals, and load accounting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .controller import LoadReport
 
 
-@dataclass
-class TrafficFlow:
-    """Downlink constant-bitrate flow toward one UE."""
-
-    ue_id: int
-    demand_bps: float
-    backlog_bytes: float = 0.0
-
-
-def generate_arrivals(flows: Iterable[TrafficFlow], epoch_duration_s: float) -> None:
-    """Accumulate one epoch of CBR demand into every flow's backlog."""
-    for flow in flows:
-        flow.backlog_bytes += flow.demand_bps * epoch_duration_s / 8.0
+def generate_arrivals(backlog: List[float], increments: Sequence[float]) -> None:
+    """Add one epoch of CBR demand, `increments[ue_id]` bytes, to every
+    UE's backlog, in place."""
+    backlog[:] = [b + inc for b, inc in zip(backlog, increments)]
 
 
 @dataclass
@@ -31,12 +22,11 @@ class Node:
     offset, its grant (`granted` with the `grant_tables` over it), its
     `PeriodLoad` and its replay memo for `schedule_epoch`.  The memo has
     one slot per rotation start: the exact starting backlog of every UE
-    in `ue_ids` and the outcome the dealing loop computed from it (the
-    final backlogs it wrote, the served bytes in order of first service,
-    the used RB count and the per-group used counts).  A slot is valid
-    for one grant and one content of the byte rows: `set_grant` clears
-    the slots, and whoever rewrites the rows must clear them too.  At
-    most one slot per UE, so the memory is bounded by the UE count.
+    in `ue_ids`, the final backlogs the dealing loop wrote and the
+    `CellSchedule` it returned.  A slot is valid for one grant and one
+    content of the byte rows: `set_grant` clears the slots, and whoever
+    rewrites the rows must clear them too.  At most one slot per UE, so
+    the memory is bounded by the UE count.
     """
 
     node_id: str
@@ -48,7 +38,6 @@ class Node:
     granted_rows: List[List[float]] = field(default_factory=list)
     group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
     slots: Dict[int, tuple] = field(default_factory=dict)
-    hits: int = 0
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
                   group_prefix: List[Tuple[int, ...]]) -> None:
@@ -57,14 +46,15 @@ class Node:
         self.slots.clear()
 
 
-@dataclass
+@dataclass(frozen=True)        # a replay hit returns the stored instance itself
 class CellSchedule:
     """Outcome of one epoch of scheduling in one cell or beam."""
 
     granted: Sequence[int]
-    served_bytes: Dict[int, float]      # ue_id -> bytes, in order of first service
+    served_bytes: Tuple[Tuple[int, float], ...]   # (ue_id, bytes), in order of first service
+    node_bytes: float                   # 0.0 + the served bytes, in that order
     used_rb: int
-    used_per_group: List[int]
+    used_per_group: Tuple[int, ...]
 
 
 def grant_tables(
@@ -86,23 +76,25 @@ def grant_tables(
     return [rows[group_of_rb[rb]] for rb in granted], prefix
 
 
-def schedule_epoch(node: Node, flows: Mapping[int, TrafficFlow]) -> CellSchedule:
+def schedule_epoch(node: Node, backlog: List[float]) -> CellSchedule:
     """Deal granted RBs round robin to backlogged UEs, a round at a time.
 
-    The rotation starts at `node.offset` into `node.ue_ids` and the offset
-    advances by one position per epoch, so saturated UEs receive RB counts
-    that differ by at most one over a full rotation cycle.  Each pass
-    walks the backlogged UEs in rotation order and each UE takes the next
-    granted RB, carrying `granted_rows[i][ue_id]` bytes; a UE leaves once
-    its backlog for the epoch is drained.
+    `backlog[ue_id]` holds each UE's queued bytes; the UEs served are
+    drained in place.  The rotation starts at `node.offset` into
+    `node.ue_ids` and the offset advances by one position per epoch, so
+    saturated UEs receive RB counts that differ by at most one over a
+    full rotation cycle.  Each pass walks the backlogged UEs in rotation
+    order and each UE takes the next granted RB, carrying
+    `granted_rows[i][ue_id]` bytes; a UE leaves once its backlog for the
+    epoch is drained.
 
     Replay: the outcome depends only on the rotation start, the starting
     backlogs, the grant and the byte rows, so the node's memo (see
     `Node`) replays exact repeats.  A hit writes the stored backlogs back
-    and returns copies of the stored outcome; a miss runs the loop below
-    and fills the slot.  Keys equal under `==` hold the same bits,
-    because no backlog is ever -0.0: it starts at 0.0, drains to `b - b`
-    (+0.0) and grows by non-negative increments.
+    and returns the stored schedule; a miss runs the loop below and fills
+    the slot.  Keys equal under `==` hold the same bits, because no
+    backlog is ever -0.0: it starts at 0.0, drains to `b - b` (+0.0) and
+    grows by non-negative increments.
 
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
@@ -116,23 +108,17 @@ def schedule_epoch(node: Node, flows: Mapping[int, TrafficFlow]) -> CellSchedule
     n = len(ue_order)
     n_rb = len(granted)
     if n == 0 or n_rb == 0:
-        return CellSchedule(granted, {}, 0, list(group_prefix[0]))
+        return CellSchedule(granted, (), 0.0, 0, group_prefix[0])
     start = node.offset % n
     node.offset = (node.offset + 1) % n
-    key = tuple([flows[uid].backlog_bytes for uid in ue_order])
+    key = tuple([backlog[uid] for uid in ue_order])
     slot = node.slots.get(start)
     if slot is not None and slot[0] == key:
-        node.hits += 1
-        _, finals, served_items, used_rb, used_counts = slot
-        for uid, b in finals:
-            flows[uid].backlog_bytes = b
-        return CellSchedule(granted, dict(served_items), used_rb, list(used_counts))
-    order = [
-        uid
-        for uid in list(ue_order[start:]) + list(ue_order[:start])
-        if flows[uid].backlog_bytes > 0.0
-    ]
-    backlog = {uid: flows[uid].backlog_bytes for uid in order}
+        for uid, b in slot[1]:
+            backlog[uid] = b
+        return slot[2]
+    order = queued = [uid for uid in ue_order[start:] + ue_order[:start]
+                      if backlog[uid] > 0.0]
     served: Dict[int, float] = {}
     unused: List[int] = []       # granted positions every queued UE declined
     live = len(order)            # UEs still queued
@@ -166,16 +152,17 @@ def schedule_epoch(node: Node, flows: Mapping[int, TrafficFlow]) -> CellSchedule
                 break
         if left:
             order = [uid for uid in order if backlog[uid] > 0.0]
-    finals = tuple(backlog.items())
-    for uid, b in finals:
-        flows[uid].backlog_bytes = b
     used_per_group = list(group_prefix[k])
     for i in unused:
         for gi, (hi, lo) in enumerate(zip(group_prefix[i + 1], group_prefix[i])):
             used_per_group[gi] -= hi - lo
-    used_rb = k - len(unused)
-    node.slots[start] = (key, finals, tuple(served.items()), used_rb, tuple(used_per_group))
-    return CellSchedule(granted, served, used_rb, used_per_group)
+    node_bytes = 0.0
+    for amount in served.values():
+        node_bytes += amount
+    sched = CellSchedule(granted, tuple(served.items()), node_bytes, k - len(unused),
+                         tuple(used_per_group))
+    node.slots[start] = (key, tuple([(uid, backlog[uid]) for uid in queued]), sched)
+    return sched
 
 
 class PeriodLoad:

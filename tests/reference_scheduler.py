@@ -13,7 +13,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from cdss_sim.traffic import TrafficFlow
+
+@dataclass
+class Backlog:
+    """One UE's queued bytes."""
+
+    backlog_bytes: float = 0.0
 
 
 @dataclass
@@ -37,7 +42,7 @@ def schedule_epoch(
     node_id: str,
     epoch: int,
     ue_order: Sequence[int],
-    flows: Mapping[int, TrafficFlow],
+    flows: Mapping[int, Backlog],
     granted: Sequence[int],
     bytes_per_rb: Callable[[int, int], float],
     rotation: Rotation,

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+import cdss_sim.engine as engine_mod
 from cdss_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_cases, _parse_seeds, main
 from cdss_sim.errors import ConfigurationError
 from cdss_sim.scenario import default_scenario
@@ -133,6 +134,40 @@ def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unbounded_work_and_tiny_isd_exit_one(tmp_path, capsys):
+    # Each passed validation once, and `run` then never finished: 10^10
+    # epochs, a million UEs or cells, or (isd_m) a cell that lies wholly
+    # inside the mast exclusion, so UE placement rejects every draw.
+    bad = tmp_path / "bad.ini"
+    probes = [("sim", "epoch_ms", "1e-6"), ("sim", "total_s", "1e9"),
+              ("topology", "ues_per_tn_cell", "1000000"),
+              ("topology", "ues_per_beam", "1000000"),
+              ("topology", "sectors_per_site", "1000000"),
+              ("topology", "isd_m", "1e-9"), ("topology", "isd_m", "3.9"),
+              ("band", "total_rbs", "1000000000")]
+    for section, key, value in probes:
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        for argv in (["validate"],
+                     ["run", "--case", "2", "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--scenario", str(bad)]) == EXIT_CONFIG, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ["), err
+            assert err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unexpected_error_is_one_line_exit_two(tmp_path, capsys):
+    # This noise figure passes validation and overflows the noise power in
+    # the byte factors; the CLI reports it in one line, not a traceback.
+    bad = tmp_path / "bad.ini"
+    bad.write_text(FAST_SCENARIO + "[radio]\nnoise_figure_db = 1e9\n")
+    argv = ["run", "--case", "1", "--scenario", str(bad), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: OverflowError: "), err
+    assert err.count("\n") == 1, err
+
+
 def test_campaign_bad_grid_exits_one(tmp_path, capsys):
     for flag, value in (("--seeds", "abc"), ("--case", "two"), ("--jobs", "0")):
         argv = ["campaign", flag, value, "--out", str(tmp_path)]
@@ -141,8 +176,13 @@ def test_campaign_bad_grid_exits_one(tmp_path, capsys):
         assert err.startswith("configuration error") and err.count("\n") == 1
 
 
-def test_unwritable_out_exits_two(fast_scenario_file, tmp_path, capsys):
-    # A directory that cannot be created is one runtime error line.
+def test_unwritable_out_exits_two(fast_scenario_file, tmp_path, capsys, monkeypatch):
+    # A directory that cannot be created is one runtime error line, found
+    # before anything is simulated.
+    def simulate(spec):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(engine_mod, "run_simulation", simulate)
     blocker = tmp_path / "file"
     blocker.write_text("")
     for argv in (["run", "--case", "1"], ["campaign", "--case", "1", "--seeds", "1"]):

@@ -6,6 +6,8 @@ from cdss_sim.band import build_band_plan
 from cdss_sim.errors import ConfigurationError
 from cdss_sim.scenario import (
     CASES,
+    MAX_RUN_WORK,
+    MIN_ISD_M,
     build_topology,
     default_scenario,
     demand_bps,
@@ -94,6 +96,24 @@ def test_beam_group_out_of_range():
 def test_beam_lists_length_mismatch():
     with pytest.raises(ConfigurationError, match="beam_groups"):
         parse_scenario("[topology]\nbeam_groups = 0, 1\n")
+
+
+def test_work_bound_counts_epochs_band_and_topology():
+    # 12 transmitters x 160 RBs x 3 groups + 105 UEs x (12 + 3) = 7335
+    # work units per default epoch
+    epochs = MAX_RUN_WORK // 7335
+    parse_scenario(f"[sim]\ntotal_s = {epochs / 100}\n")
+    with pytest.raises(ConfigurationError, match=r"\[sim\] total_s"):
+        parse_scenario(f"[sim]\ntotal_s = {(epochs + 1) / 100}\n")
+
+
+def test_smallest_isd_places_ues_outside_the_mast_exclusion():
+    cfg = parse_scenario(f"[topology]\nisd_m = {MIN_ISD_M}\n")
+    topo = build_topology(cfg, CASES[1], seed=1)
+    cells = [c for c in topo.cells for _ in range(10)]
+    assert all(math.dist(ue.xy, cell.site_xy) >= 1.0 for ue, cell in zip(topo.ues, cells))
+    with pytest.raises(ConfigurationError, match=r"\[topology\] isd_m"):
+        parse_scenario(f"[topology]\nisd_m = {MIN_ISD_M * 0.99}\n")
 
 
 def test_case_table_semantics():

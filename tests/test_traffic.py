@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -8,7 +9,6 @@ from cdss_sim.traffic import (
     CellSchedule,
     Node,
     PeriodLoad,
-    TrafficFlow,
     generate_arrivals,
     grant_tables,
     schedule_epoch,
@@ -17,8 +17,12 @@ from cdss_sim.traffic import (
 import reference_scheduler
 
 
-def flows_for(ue_ids, backlog):
-    return {uid: TrafficFlow(uid, 0.0, backlog_bytes=backlog) for uid in ue_ids}
+def backlog_for(ue_ids, backlog):
+    """A backlog list indexed by ue_id: `backlog` bytes for each of `ue_ids`."""
+    out = [0.0] * (max(ue_ids, default=-1) + 1)
+    for uid in ue_ids:
+        out[uid] = backlog
+    return out
 
 
 def flat_rate(rate, n_ue=8):
@@ -31,53 +35,71 @@ def node_for(ue_order, offset=0, num_groups=1):
     return Node("tn-0", 0, PeriodLoad(num_groups), list(ue_order), offset)
 
 
-def deal(node, flows, granted, row):
+def deal(node, backlog, granted, row):
     """schedule_epoch over RBs of one group whose byte row is `row`; the
     new grant leaves the node's replay memo empty."""
     granted = list(granted)
     group_of_rb = [0] * (max(granted, default=-1) + 1)
     node.set_grant(granted, *grant_tables(granted, group_of_rb, [row]))
-    return schedule_epoch(node, flows)
+    return schedule_epoch(node, backlog)
+
+
+def served(sched):
+    """The schedule's served bytes as {ue_id: bytes}, in first-service order."""
+    return dict(sched.served_bytes)
 
 
 def rb_count(sched, uid, rate):
     """RBs a UE received, for UEs whose every RB carried a full `rate`."""
-    return sched.served_bytes[uid] / rate
+    return served(sched)[uid] / rate
+
+
+def replayed(sched, returned):
+    """Whether `sched` is a replay hit, that is the very object an earlier
+    call returned (a miss builds a new one); then records it."""
+    hit = any(sched is earlier for earlier in returned)
+    returned.append(sched)
+    return hit
+
+
+def cbr_increment(demand_bps, epoch_s):
+    """Bytes one epoch of CBR demand adds, as the engine computes them."""
+    return demand_bps * epoch_s / 8.0
 
 
 def test_arrivals_rate_times_time():
-    flow = TrafficFlow(0, 400e3)
-    generate_arrivals([flow], 0.01)
-    assert flow.backlog_bytes == pytest.approx(500.0)
+    backlog = [0.0]
+    generate_arrivals(backlog, [cbr_increment(400e3, 0.01)])
+    assert backlog[0] == pytest.approx(500.0)
 
 
 def test_arrivals_zero_rate():
-    flow = TrafficFlow(0, 0.0, backlog_bytes=123.0)
-    generate_arrivals([flow], 0.01)
-    assert flow.backlog_bytes == 123.0
+    backlog = [123.0]
+    generate_arrivals(backlog, [cbr_increment(0.0, 0.01)])
+    assert backlog[0] == 123.0
 
 
 def test_arrivals_high_rate():
-    flow = TrafficFlow(0, 4e6)
-    generate_arrivals([flow], 0.01)
-    assert flow.backlog_bytes == pytest.approx(5000.0)
+    backlog = [0.0]
+    generate_arrivals(backlog, [cbr_increment(4e6, 0.01)])
+    assert backlog[0] == pytest.approx(5000.0)
 
 
 def test_schedule_even_split_two_ues():
-    flows = flows_for([1, 2], backlog=1e9)
-    sched = deal(node_for([1, 2]), flows, range(10), flat_rate(225.0))
+    backlog = backlog_for([1, 2], backlog=1e9)
+    sched = deal(node_for([1, 2]), backlog, range(10), flat_rate(225.0))
     assert rb_count(sched, 1, 225.0) == 5
     assert rb_count(sched, 2, 225.0) == 5
-    assert sched.used_rb == 10 and sched.used_per_group == [10]
+    assert sched.used_rb == 10 and sched.used_per_group == (10,)
 
 
 def test_schedule_three_ues_rotation_cycles():
-    flows = flows_for([1, 2, 3], backlog=1e9)
+    backlog = backlog_for([1, 2, 3], backlog=1e9)
     node = node_for([1, 2, 3])
     counts = []
     for _ in range(3):
-        sched = deal(node, flows, range(10), flat_rate(225.0))
-        counts.append({uid: rb_count(sched, uid, 225.0) for uid in sched.served_bytes})
+        sched = deal(node, backlog, range(10), flat_rate(225.0))
+        counts.append({uid: rb_count(sched, uid, 225.0) for uid in served(sched)})
     assert counts[0] == {1: 4, 2: 3, 3: 3}
     assert counts[1] == {2: 4, 3: 3, 1: 3}
     assert counts[2] == {3: 4, 1: 3, 2: 3}
@@ -86,28 +108,26 @@ def test_schedule_three_ues_rotation_cycles():
 
 
 def test_schedule_no_backlog_uses_nothing():
-    flows = flows_for([1, 2], backlog=0.0)
-    sched = deal(node_for([1, 2]), flows, range(10), flat_rate(225.0))
-    assert sched.used_rb == 0 and sched.served_bytes == {}
-    assert sched.used_per_group == [0]
+    backlog = backlog_for([1, 2], backlog=0.0)
+    sched = deal(node_for([1, 2]), backlog, range(10), flat_rate(225.0))
+    assert sched.used_rb == 0 and served(sched) == {}
+    assert sched.used_per_group == (0,)
 
 
 def test_schedule_satisfied_ue_leaves_rotation():
-    flows = {1: TrafficFlow(1, 0.0, backlog_bytes=100.0),
-             2: TrafficFlow(2, 0.0, backlog_bytes=1e9)}
-    sched = deal(node_for([1, 2]), flows, range(10), flat_rate(225.0))
+    backlog = [0.0, 100.0, 1e9]
+    sched = deal(node_for([1, 2]), backlog, range(10), flat_rate(225.0))
     assert sched.used_rb - rb_count(sched, 2, 225.0) == 1    # UE 1's single RB
-    assert sched.served_bytes[1] == pytest.approx(100.0)
+    assert served(sched)[1] == pytest.approx(100.0)
     assert rb_count(sched, 2, 225.0) == 9
-    assert flows[1].backlog_bytes == 0.0
+    assert backlog[1] == 0.0
 
 
 def test_schedule_zero_rate_ue_skipped():
-    flows = {1: TrafficFlow(1, 0.0, backlog_bytes=1e9),
-             2: TrafficFlow(2, 0.0, backlog_bytes=1e9)}
+    backlog = [0.0, 1e9, 1e9]
     rate = [0.0, 0.0, 225.0]    # UE 1 carries nothing, UE 2 225 bytes
-    sched = deal(node_for([1, 2]), flows, range(10), rate)
-    assert 1 not in sched.served_bytes
+    sched = deal(node_for([1, 2]), backlog, range(10), rate)
+    assert 1 not in served(sched)
     assert rb_count(sched, 2, 225.0) == 10
 
 
@@ -115,44 +135,43 @@ def test_schedule_work_conservation():
     rng = random.Random(9)
     for _ in range(50):
         n_ue = rng.randint(1, 6)
-        flows = {u: TrafficFlow(u, 0.0, backlog_bytes=rng.uniform(10, 5e4))
-                 for u in range(n_ue)}
+        backlog = [rng.uniform(10, 5e4) for _ in range(n_ue)]
         granted = list(range(rng.randint(1, 40)))
-        sched = deal(node_for(range(n_ue)), flows, granted, flat_rate(225.0))
-        if any(f.backlog_bytes > 0 for f in flows.values()):
+        sched = deal(node_for(range(n_ue)), backlog, granted, flat_rate(225.0))
+        if any(b > 0 for b in backlog):
             assert sched.used_rb == len(granted)
         assert sched.used_rb <= len(granted)
 
 
 def test_schedule_served_never_exceeds_start_backlog():
-    flows = {1: TrafficFlow(1, 0.0, backlog_bytes=500.0)}
-    sched = deal(node_for([1]), flows, range(50), flat_rate(225.0))
-    assert sched.served_bytes[1] == pytest.approx(500.0)
-    assert 500.0 - flows[1].backlog_bytes == pytest.approx(500.0)
+    backlog = backlog_for([1], backlog=500.0)
+    sched = deal(node_for([1]), backlog, range(50), flat_rate(225.0))
+    assert served(sched)[1] == pytest.approx(500.0)
+    assert 500.0 - backlog[1] == pytest.approx(500.0)
 
 
 def test_long_run_throughput_never_exceeds_demand():
-    flow = TrafficFlow(7, 1.2e6)
-    flows = {7: flow}
+    backlog = backlog_for([7], backlog=0.0)
+    increments = backlog_for([7], backlog=cbr_increment(1.2e6, 0.01))
     node = node_for([7])
     epochs = 200
     received = 0.0
     for _ in range(epochs):
-        generate_arrivals([flow], 0.01)
-        sched = deal(node, flows, range(40), flat_rate(450.0))
-        received += sched.served_bytes.get(7, 0.0)
+        generate_arrivals(backlog, increments)
+        sched = deal(node, backlog, range(40), flat_rate(450.0))
+        received += served(sched).get(7, 0.0)
     assert received <= 1.2e6 * epochs * 0.01 / 8.0 + 1e-9
 
 
 def test_schedule_fairness_equal_se_saturated():
-    flows = flows_for(list(range(5)), backlog=1e12)
+    backlog = backlog_for(list(range(5)), backlog=1e12)
     node = node_for(range(5))
     totals = {u: 0 for u in range(5)}
     for _ in range(10):
-        sched = deal(node, flows, range(17), flat_rate(1.0))
-        for uid in sched.served_bytes:
+        sched = deal(node, backlog, range(17), flat_rate(1.0))
+        for uid in served(sched):
             totals[uid] += rb_count(sched, uid, 1.0)
-        counts = [rb_count(sched, uid, 1.0) for uid in sched.served_bytes]
+        counts = [rb_count(sched, uid, 1.0) for uid in served(sched)]
         assert max(counts) - min(counts) <= 1
     assert max(totals.values()) - min(totals.values()) <= 1
 
@@ -172,8 +191,8 @@ def test_schedule_matches_per_rb_reference():
         ue_order = rng.sample(range(n_ids), rng.randint(0, 12))
         granted = rng.sample(range(200), rng.randint(0, 200))
         granted_rows, prefix = grant_tables(granted, group_of_rb, rows)
-        flows = {uid: TrafficFlow(uid, 0.0) for uid in ue_order}
-        ref_flows = {uid: TrafficFlow(uid, 0.0) for uid in ue_order}
+        backlog = [0.0] * n_ids
+        ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
         start = rng.randrange(20)
         node = node_for(ue_order, start, n_groups)
         node.set_grant(granted, granted_rows, prefix)
@@ -182,24 +201,24 @@ def test_schedule_matches_per_rb_reference():
             for uid in ue_order:
                 extra = rng.choice([0.0, 225.0 * rng.randint(1, 6),
                                     rng.uniform(1.0, 3000.0), 1e12])
-                flows[uid].backlog_bytes += extra
-                ref_flows[uid].backlog_bytes += extra
-            got = schedule_epoch(node, flows)
+                backlog[uid] += extra
+                ref_backlog[uid].backlog_bytes += extra
+            got = schedule_epoch(node, backlog)
             want = reference_scheduler.schedule_epoch(
-                "tn-0", epoch, ue_order, ref_flows, granted,
+                "tn-0", epoch, ue_order, ref_backlog, granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
-            assert list(got.served_bytes.items()) == list(want.served_bytes.items())
-            assert {u: f.backlog_bytes for u, f in flows.items()} == {
-                u: f.backlog_bytes for u, f in ref_flows.items()}
+            assert list(got.served_bytes) == list(want.served_bytes.items())
+            assert {u: backlog[u] for u in ue_order} == {
+                u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
-            assert got.used_per_group == reference_scheduler.used_per_group(
+            assert list(got.used_per_group) == reference_scheduler.used_per_group(
                 want, group_of_rb, n_groups)
             assert node.offset == ref_rotation.offset
             dealt = [rb for rbs in want.assignments.values() for rb in rbs]
             last = max((granted.index(rb) for rb in dealt), default=-1)
             unused_seen += last + 1 - len(dealt)
-            drained_seen += sum(1 for f in ref_flows.values() if f.backlog_bytes == 0.0)
+            drained_seen += sum(1 for f in ref_backlog.values() if f.backlog_bytes == 0.0)
     # the inputs exercise the skip rule's unused RBs and drained UEs
     assert unused_seen > 0 and drained_seen > 0
 
@@ -231,11 +250,15 @@ def test_schedule_memo_replay_matches_per_rb_reference():
         demand = {uid: 800.0 * rng.choice([0.0, 225.0 * rng.randint(1, 4),
                                            rng.uniform(1.0, 2000.0), 1e5])
                   for uid in ue_order}
-        flows = {uid: TrafficFlow(uid, demand[uid]) for uid in ue_order}
-        ref_flows = {uid: TrafficFlow(uid, demand[uid]) for uid in ue_order}
+        increments = [0.0] * n_ids
+        for uid in ue_order:
+            increments[uid] = cbr_increment(demand[uid], epoch_s)
+        backlog = [0.0] * n_ids
+        ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
         start = rng.randrange(20)
         node = node_for(ue_order, start, n_groups)
         ref_rotation = reference_scheduler.Rotation(start)
+        returned = []
         new_grant()
         for epoch in range(n_epochs):
             if rng.random() < 0.1:
@@ -245,46 +268,55 @@ def test_schedule_memo_replay_matches_per_rb_reference():
             if rng.random() < 0.1:
                 new_grant()
                 rebuilds += 1
-            generate_arrivals(flows.values(), epoch_s)
-            generate_arrivals(ref_flows.values(), epoch_s)
-            got = schedule_epoch(node, flows)
+            generate_arrivals(backlog, increments)
+            for uid, held in ref_backlog.items():
+                held.backlog_bytes += increments[uid]
+            got = schedule_epoch(node, backlog)
             want = reference_scheduler.schedule_epoch(
-                "tn-0", epoch, ue_order, ref_flows, node.granted,
+                "tn-0", epoch, ue_order, ref_backlog, node.granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
-            assert list(got.served_bytes.items()) == list(want.served_bytes.items())
-            assert {u: f.backlog_bytes for u, f in flows.items()} == {
-                u: f.backlog_bytes for u, f in ref_flows.items()}
+            assert list(got.served_bytes) == list(want.served_bytes.items())
+            assert {u: backlog[u] for u in ue_order} == {
+                u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
-            assert got.used_per_group == reference_scheduler.used_per_group(
+            assert list(got.used_per_group) == reference_scheduler.used_per_group(
                 want, group_of_rb, n_groups)
             assert node.offset == ref_rotation.offset
-        hits += node.hits
+            hits += replayed(got, returned)
     assert rewrites > 0 and rebuilds > 0
     assert 0 < hits < n_nodes * n_epochs
 
 
 def test_schedule_memo_replays_fresh_copies():
-    # Changing a returned schedule must not change what a later hit replays.
+    # A hit returns the stored schedule itself, so no caller may change
+    # it: every assignment raises, and later hits replay the same values.
     granted = list(range(10))
     node = node_for([1, 2])
     node.set_grant(granted, *grant_tables(granted, [0] * 10, [flat_rate(225.0)]))
-    flows = flows_for([1, 2], backlog=0.0)
+    backlog = backlog_for([1, 2], backlog=0.0)
+    returned, hits = [], 0
     for epoch in range(6):
-        for flow in flows.values():
-            flow.backlog_bytes = 450.0
-        sched = schedule_epoch(node, flows)
+        backlog[1] = backlog[2] = 450.0
+        sched = schedule_epoch(node, backlog)
+        hits += replayed(sched, returned)
         first, second = (1, 2) if epoch % 2 == 0 else (2, 1)
-        assert list(sched.served_bytes.items()) == [(first, 450.0), (second, 450.0)]
-        assert sched.used_rb == 4 and sched.used_per_group == [4]
-        assert all(f.backlog_bytes == 0.0 for f in flows.values())
-        sched.served_bytes[first] = -1.0
-        sched.used_per_group[0] = -1
-    assert node.hits == 4
+        assert list(sched.served_bytes) == [(first, 450.0), (second, 450.0)]
+        assert sched.node_bytes == 900.0
+        assert sched.used_rb == 4 and sched.used_per_group == (4,)
+        assert backlog[1] == backlog[2] == 0.0
+        with pytest.raises(TypeError):
+            sched.served_bytes[0] = (first, -1.0)
+        with pytest.raises(TypeError):
+            sched.used_per_group[0] = -1
+        with pytest.raises(FrozenInstanceError):
+            sched.used_rb = -1
+    assert hits == 4
 
 
 def make_sched(granted, used_per_group):
-    return CellSchedule(tuple(granted), {0: 0.0}, sum(used_per_group), list(used_per_group))
+    return CellSchedule(tuple(granted), ((0, 0.0),), 0.0, sum(used_per_group),
+                        tuple(used_per_group))
 
 
 def test_cell_load_ratio():
