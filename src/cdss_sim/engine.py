@@ -4,8 +4,9 @@ One run is single-threaded and fully determined by its RunSpec: topology
 placement, LOS draws, and scheduler rotation offsets all come from child
 seeds derived by labelled hashing of the master seed, so adding a stream
 never perturbs the others.  The controller is invoked in-process once per
-optimization period; the epoch pipeline is fixed as arrivals, scheduling,
-metrics, then the optional controller step.
+optimization period; the epoch pipeline is fixed as the byte-factor
+refresh, arrivals and scheduling per node, metrics, then the controller
+step at each period end.
 
 Interference coupling: a transmitter's activity fraction for SINR purposes
 is its RB utilization in the previous epoch (1.0 at epoch 0), which keeps
@@ -51,7 +52,13 @@ from .scenario import (
     serialize_scenario,
     validate_scenario,
 )
-from .traffic import Node, PeriodLoad, generate_arrivals, grant_tables, schedule_epoch
+from .traffic import (
+    Node,
+    PeriodLoad,
+    generate_arrivals,  # noqa: F401 - perfbench/layers.py wraps it here
+    grant_tables,
+    schedule_epoch,
+)
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,7 @@ class ByteFactors:
         n_cells = rx_dbm.shape[0] - len(beams)
         serving_tx = np.array([-1 if tx is None else tx for tx in serving], dtype=int)
         self.rows = [[0.0] * len(serving) for _ in plan.groups]
-        self._last_activity: Optional[np.ndarray] = None
+        self._last_activity: Optional[List[float]] = None
         self._groups = plan.groups
         self._rx_lin = np.power(10.0, rx_dbm / 10.0)
         # Unserved UEs read row 0; their factors are never looked up.
@@ -172,7 +179,7 @@ class ByteFactors:
         sinr = self._signal_lin / (self._noise_lin + interf)
         return spectral_efficiency_array(sinr, self._cap, self._floor) * self._byte_scale
 
-    def refresh(self, activity: np.ndarray) -> bool:
+    def refresh(self, activity: List[float]) -> bool:
         """Recompute every row from each transmitter's activity fraction.
 
         A TN-attached UE hears co-channel TN interference in every group,
@@ -185,9 +192,10 @@ class ByteFactors:
         to the previous refresh's keeps them as they are.  Returns whether
         the rows were rewritten.
         """
-        if self._last_activity is not None and np.array_equal(activity, self._last_activity):
+        if activity == self._last_activity:
             return False
-        self._last_activity = activity.copy()
+        self._last_activity = list(activity)
+        activity = np.array(activity)
         rx_lin = self._rx_lin
         act_srv = activity[self._serving] * self._signal_lin
         tn_sum = activity[self._tn_idx] @ rx_lin[self._tn_idx, :]
@@ -229,18 +237,18 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[Time
     return rows
 
 
-def _schedule_nodes(nodes, backlog, ue_bytes, node_bytes, post_warmup: bool) -> np.ndarray:
-    """Schedule every node for one epoch and credit post-warmup bytes.
+def _schedule_nodes(nodes, ue_bytes, node_bytes, post_warmup: bool) -> List[float]:
+    """Schedule every node for one epoch, keep its schedule for the period's
+    load and credit post-warmup bytes.
 
     Returns each transmitter's activity fraction (used over granted RBs),
     which sets the interference of the next epoch.
     """
-    activity = np.zeros(len(nodes))
+    activity = []
     for tx, node in enumerate(nodes):
-        sched = schedule_epoch(node, backlog)
-        node.load.add(sched, node.group_prefix[-1])
-        if node.granted:
-            activity[tx] = sched.used_rb / len(node.granted)
+        sched = schedule_epoch(node)
+        node.period.append(sched)
+        activity.append(sched.used_rb / len(node.granted) if node.granted else 0.0)
         if post_warmup and sched.served_bytes:
             for uid, amount in sched.served_bytes:
                 ue_bytes[uid] += amount
@@ -268,9 +276,10 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     """Execute one deterministic run and return its metrics store.
 
     Stages: link budget and attachment once; then per epoch the grant
-    rebuild (only when the allocation or guard set changed), arrivals,
-    the byte-factor refresh and scheduling; at each period end the load
-    reports, utilization samples and the controller step.
+    rebuild (only when the allocation or guard set changed), the
+    byte-factor refresh, and each node's arrivals and scheduling; at each
+    period end the folded loads, utilization samples and the controller
+    step.
     """
     if spec.case_id not in CASES:
         raise ConfigurationError(
@@ -303,9 +312,8 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     rx_dbm = _link_budget(cells, beams, ues, radio_p, spec.seed)
     serving = [select_serving(column, radio_p.min_rsrp_dbm) for column in rx_dbm.T]
 
-    n_groups = band.num_groups
-    tn_nodes = [Node(f"tn-{c.cell_id}", c.cell_id, PeriodLoad(n_groups)) for c in cells]
-    ntn_nodes = [Node(f"ntn-{b.beam_id}", b.beam_id, PeriodLoad(n_groups)) for b in beams]
+    tn_nodes = [Node(f"tn-{c.cell_id}", c.cell_id) for c in cells]
+    ntn_nodes = [Node(f"ntn-{b.beam_id}", b.beam_id) for b in beams]
     nodes = tn_nodes + ntn_nodes            # position == transmitter row
     store = MetricsStore(
         case_id=spec.case_id,
@@ -324,10 +332,11 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         node.offset = (
             derive_seed(spec.seed, f"rotation:{node.node_id}") % max(1, len(node.ue_ids))
         )
-    # Per-UE state, indexed by ue_id (build_topology numbers UEs 0..n-1).
-    increments = [demand_bps(scenario, case, ue) * clock.epoch_s / 8.0 for ue in ues]
-    backlog = [0.0] * len(ues)
-    ue_bytes = [0.0] * len(ues)
+        node.backlog = [0.0] * len(node.ue_ids)
+        # build_topology numbers UEs 0..n-1, so ues[uid] is UE uid
+        node.increments = [demand_bps(scenario, case, ues[uid]) * clock.epoch_s / 8.0
+                           for uid in node.ue_ids]
+    ue_bytes = [0.0] * len(ues)             # indexed by ue_id
     node_bytes = [0.0] * len(nodes)
 
     group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
@@ -335,7 +344,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
 
     store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0))
     coordinated = plan.coordinated_indices()
-    activity = np.ones(len(nodes))
+    activity = [1.0] * len(nodes)
     granted_key: Optional[Tuple[int, Tuple[int, ...]]] = None
     period_index = 0
     for epoch in range(clock.total_epochs):
@@ -346,34 +355,33 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
                        group_of_rb, byte_factors.rows)
             granted_key = key
 
-        generate_arrivals(backlog, increments)
         if byte_factors.refresh(activity):      # new rows: every replay slot is stale
             for node in nodes:
                 node.slots.clear()
-        activity = _schedule_nodes(nodes, backlog, ue_bytes, node_bytes,
-                                   epoch >= clock.warmup_epochs)
+        activity = _schedule_nodes(nodes, ue_bytes, node_bytes, epoch >= clock.warmup_epochs)
 
         if (epoch + 1) % clock.period_epochs == 0:
             now = epoch + 1
             period_index += 1
+            loads = [PeriodLoad(node.period) for node in tn_nodes]   # NTN loads go unread
             reports = [
                 report
-                for node in tn_nodes
-                for report in node.load.reports(node.entity_id, coordinated, now)
+                for node, load in zip(tn_nodes, loads)
+                for report in load.reports(node.entity_id, coordinated, now)
             ]
             if now - clock.period_epochs >= clock.warmup_epochs:
                 store.utilization.extend(
                     UtilizationSample(
                         node.entity_id, period_index, now * clock.epoch_s,
-                        node.load.used_total, node.load.avail_total,
+                        load.used_total, load.avail_total,
                     )
-                    for node in tn_nodes
+                    for node, load in zip(tn_nodes, loads)
                 )
             state = manager.sms_step(state, reports, now)[0]
             store.sms_steps += 1
             store.timeline.extend(_timeline_rows(plan, state, case, clock, period_index, now))
             for node in nodes:
-                node.load = PeriodLoad(n_groups)
+                node.period = []
 
     store.ue_bytes = dict(enumerate(ue_bytes))
     store.node_bytes = {node.node_id: b for node, b in zip(nodes, node_bytes)}

@@ -98,6 +98,12 @@ CASES: Dict[int, SimCase] = {
 MAX_RUN_WORK = 10**9
 # At this ISD over 3/4 of each cell's hexagon lies outside the 1 m mast exclusion.
 MIN_ISD_M = 4.0
+# The [radio] powers, gains and losses enter the link budget as 10^(x/10).
+# Within +-MAX_ABS_DB each, they cannot push a linear power, an interference
+# sum or an SINR out of float range.
+MAX_ABS_DB = 300.0
+RADIO_DB_FIELDS = ("tn_tx_power_dbm", "tn_antenna_gain_dbi", "tn_front_to_back_db",
+                    "nlos_offset_db", "noise_figure_db", "min_rsrp_dbm", "ntn_eirp_dbm")
 
 
 def default_scenario() -> ScenarioConfig:
@@ -290,10 +296,23 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ConfigurationError(
             f"[radio] elevation_deg: must be in (0, 90], got {radio.elevation_deg!r}"
         )
+    for name in RADIO_DB_FIELDS:
+        value = getattr(radio, name)
+        if abs(value) > MAX_ABS_DB:
+            raise ConfigurationError(
+                f"[radio] {name}: must be in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}] dB, got {value!r}")
     epochs = SimClock.from_config(cfg).total_epochs
     cells, beams = topo.num_sites * topo.sectors_per_site, len(topo.beam_centers_m)
     n_tx, n_ues = cells + beams, cells * topo.ues_per_tn_cell + beams * topo.ues_per_beam
-    per_epoch = n_tx * band.total_rbs * band.num_groups + n_ues * (n_tx + band.num_groups)
+    band_size = band.total_rbs * band.num_groups
+    per_epoch = n_tx * band_size + n_ues * (n_tx + band.num_groups)
+    if per_epoch > MAX_RUN_WORK:        # too large for even one epoch: name the largest factor
+        too_large = (f"[band] total_rbs: {band.total_rbs} RBs in {band.num_groups} groups"
+                     if band_size >= max(n_tx, n_ues)
+                     else f"[topology] size: {n_tx} transmitters and {n_ues} UEs")
+        raise ConfigurationError(
+            f"{too_large} make one epoch {per_epoch} work units, over MAX_RUN_WORK "
+            f"= {MAX_RUN_WORK}")
     if epochs * per_epoch > MAX_RUN_WORK:
         raise ConfigurationError(
             f"[sim] total_s: {epochs} epochs x {per_epoch} work units exceed MAX_RUN_WORK "

@@ -8,35 +8,41 @@ from typing import Dict, List, Sequence, Tuple
 from .controller import LoadReport
 
 
-def generate_arrivals(backlog: List[float], increments: Sequence[float]) -> None:
-    """Add one epoch of CBR demand, `increments[ue_id]` bytes, to every
-    UE's backlog, in place."""
-    backlog[:] = [b + inc for b, inc in zip(backlog, increments)]
+def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> List[float]:
+    """The backlogs after one epoch of CBR demand: a new list with
+    `increments[i]` bytes added to `backlog[i]`."""
+    return [b + inc for b, inc in zip(backlog, increments)]
 
 
 @dataclass
 class Node:
     """One scheduling entity: a TN cell or an enabled NTN beam.
 
-    Holds the node's UEs in rotation order, its persistent rotation
-    offset, its grant (`granted` with the `grant_tables` over it), its
-    `PeriodLoad` and its replay memo for `schedule_epoch`.  The memo has
-    one slot per rotation start: the exact starting backlog of every UE
-    in `ue_ids`, the final backlogs the dealing loop wrote and the
-    `CellSchedule` it returned.  A slot is valid for one grant and one
-    content of the byte rows: `set_grant` clears the slots, and whoever
-    rewrites the rows must clear them too.  At most one slot per UE, so
-    the memory is bounded by the UE count.
+    Holds the node's UEs in rotation order with their backlogs and
+    per-epoch CBR increments (both in `ue_ids` order), its persistent
+    rotation offset, its grant (`granted` with the `grant_tables` over it),
+    the schedules of the current controller period and its replay memo
+    for `schedule_epoch`.
+
+    `backlog` is rebound, never mutated in place, because the memo keeps
+    backlog lists by reference.  It has one slot per rotation start: the
+    backlogs before the epoch's arrivals (the key), the backlogs the
+    dealing loop left and the `CellSchedule` it returned.  A slot is valid
+    for one grant and one content of the byte rows: `set_grant` clears the
+    slots, and whoever rewrites the rows must clear them too.  At most one
+    slot per UE, so the memory is bounded by the UE count.
     """
 
     node_id: str
     entity_id: int                  # cell_id or beam_id
-    load: PeriodLoad
     ue_ids: List[int] = field(default_factory=list)
     offset: int = 0                 # rotation start, advanced once per epoch
+    backlog: List[float] = field(default_factory=list)
+    increments: List[float] = field(default_factory=list)
     granted: List[int] = field(default_factory=list)
     granted_rows: List[List[float]] = field(default_factory=list)
     group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
+    period: List[CellSchedule] = field(default_factory=list)
     slots: Dict[int, tuple] = field(default_factory=dict)
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
@@ -55,6 +61,7 @@ class CellSchedule:
     node_bytes: float                   # 0.0 + the served bytes, in that order
     used_rb: int
     used_per_group: Tuple[int, ...]
+    granted_per_group: Tuple[int, ...]  # the grant's size per group
 
 
 def grant_tables(
@@ -76,25 +83,28 @@ def grant_tables(
     return [rows[group_of_rb[rb]] for rb in granted], prefix
 
 
-def schedule_epoch(node: Node, backlog: List[float]) -> CellSchedule:
-    """Deal granted RBs round robin to backlogged UEs, a round at a time.
+def schedule_epoch(node: Node) -> CellSchedule:
+    """Add one epoch of arrivals to the node's backlogs, then deal granted
+    RBs round robin to the backlogged UEs, a round at a time.
 
-    `backlog[ue_id]` holds each UE's queued bytes; the UEs served are
-    drained in place.  The rotation starts at `node.offset` into
-    `node.ue_ids` and the offset advances by one position per epoch, so
-    saturated UEs receive RB counts that differ by at most one over a
-    full rotation cycle.  Each pass walks the backlogged UEs in rotation
-    order and each UE takes the next granted RB, carrying
-    `granted_rows[i][ue_id]` bytes; a UE leaves once its backlog for the
-    epoch is drained.
+    `node.backlog` is rebound to the backlogs after the epoch.  The
+    rotation starts at `node.offset` into `node.ue_ids` and the offset
+    advances by one position per granted epoch, so saturated UEs receive
+    RB counts that differ by at most one over a full rotation cycle.  Each
+    pass walks the backlogged UEs in rotation order and each UE takes the
+    next granted RB, carrying `granted_rows[i][ue_id]` bytes; a UE leaves
+    once its backlog for the epoch is drained.  A node with no granted RB
+    only adds its arrivals.
 
-    Replay: the outcome depends only on the rotation start, the starting
-    backlogs, the grant and the byte rows, so the node's memo (see
-    `Node`) replays exact repeats.  A hit writes the stored backlogs back
-    and returns the stored schedule; a miss runs the loop below and fills
-    the slot.  Keys equal under `==` hold the same bits, because no
-    backlog is ever -0.0: it starts at 0.0, drains to `b - b` (+0.0) and
-    grows by non-negative increments.
+    Replay: the increments are fixed for the run, so the outcome depends
+    only on the rotation start, the backlogs before arrivals, the grant
+    and the byte rows, and the node's memo (see `Node`) is keyed on the
+    pre-arrival backlog list itself.  A hit rebinds `node.backlog` to the
+    stored final list and returns the stored schedule; a miss adds the
+    arrivals, runs the loop below on a fresh list and fills the slot.
+    Backlogs equal under `==` hold the same bits, because none is ever
+    -0.0: it starts at 0.0, drains to `b - b` (+0.0) and grows by
+    non-negative increments.  Neither list is mutated after it is stored.
 
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
@@ -104,21 +114,22 @@ def schedule_epoch(node: Node, backlog: List[float]) -> CellSchedule:
     used counts.
     """
     ue_order, granted = node.ue_ids, node.granted
-    granted_rows, group_prefix = node.granted_rows, node.group_prefix
     n = len(ue_order)
-    n_rb = len(granted)
-    if n == 0 or n_rb == 0:
-        return CellSchedule(granted, (), 0.0, 0, group_prefix[0])
+    if n == 0 or not granted:
+        node.backlog = generate_arrivals(node.backlog, node.increments)
+        return CellSchedule(granted, (), 0.0, 0, node.group_prefix[0], node.group_prefix[-1])
     start = node.offset % n
-    node.offset = (node.offset + 1) % n
-    key = tuple([backlog[uid] for uid in ue_order])
+    node.offset = (start + 1) % n
+    key = node.backlog
     slot = node.slots.get(start)
     if slot is not None and slot[0] == key:
-        for uid, b in slot[1]:
-            backlog[uid] = b
+        node.backlog = slot[1]
         return slot[2]
-    order = queued = [uid for uid in ue_order[start:] + ue_order[:start]
-                      if backlog[uid] > 0.0]
+    granted_rows, group_prefix = node.granted_rows, node.group_prefix
+    n_rb = len(granted)
+    backlog = generate_arrivals(key, node.increments)
+    order = [(p, ue_order[p]) for p in [*range(start, n), *range(start)]
+             if backlog[p] > 0.0]
     served: Dict[int, float] = {}
     unused: List[int] = []       # granted positions every queued UE declined
     live = len(order)            # UEs still queued
@@ -126,7 +137,7 @@ def schedule_epoch(node: Node, backlog: List[float]) -> CellSchedule:
     k = 0                        # next granted position to deal
     while live and k < n_rb:
         left = False
-        for uid in order:
+        for p, uid in order:
             cap = granted_rows[k][uid]
             if cap <= 0.0:
                 declined += 1
@@ -138,20 +149,20 @@ def schedule_epoch(node: Node, backlog: List[float]) -> CellSchedule:
                         break
                 continue
             declined = 0
-            b = backlog[uid]
+            b = backlog[p]
             if b <= cap:            # drains to exactly 0.0 (b - b)
                 take = b
                 left = True
                 live -= 1
             else:
                 take = cap
-            backlog[uid] = b - take
+            backlog[p] = b - take
             served[uid] = served.get(uid, 0.0) + take
             k += 1
             if k == n_rb:
                 break
         if left:
-            order = [uid for uid in order if backlog[uid] > 0.0]
+            order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
     used_per_group = list(group_prefix[k])
     for i in unused:
         for gi, (hi, lo) in enumerate(zip(group_prefix[i + 1], group_prefix[i])):
@@ -160,28 +171,23 @@ def schedule_epoch(node: Node, backlog: List[float]) -> CellSchedule:
     for amount in served.values():
         node_bytes += amount
     sched = CellSchedule(granted, tuple(served.items()), node_bytes, k - len(unused),
-                         tuple(used_per_group))
-    node.slots[start] = (key, tuple([(uid, backlog[uid]) for uid in queued]), sched)
+                         tuple(used_per_group), group_prefix[-1])
+    node.backlog = backlog
+    node.slots[start] = (key, backlog, sched)
     return sched
 
 
 class PeriodLoad:
     """One node's RB usage over one controller period: used and granted
-    RB-epochs, per frequency group and in total."""
+    RB-epochs, per frequency group and in total, folded from the period's
+    schedules (at least one)."""
 
-    def __init__(self, num_groups: int) -> None:
-        self.used_per_group = [0] * num_groups
-        self.avail_per_group = [0] * num_groups
-        self.used_total = self.avail_total = 0
-
-    def add(self, sched: CellSchedule, group_avail: Sequence[int]) -> None:
-        """Fold in one epoch; `group_avail` counts its granted RBs per group."""
-        for gi, count in enumerate(sched.used_per_group):
-            self.used_per_group[gi] += count
-        for gi, count in enumerate(group_avail):
-            self.avail_per_group[gi] += count
-        self.used_total += sched.used_rb
-        self.avail_total += len(sched.granted)
+    def __init__(self, schedules: Sequence[CellSchedule]) -> None:
+        self.used_per_group = [sum(c) for c in zip(*[s.used_per_group for s in schedules])]
+        self.avail_per_group = [sum(c) for c in zip(*[s.granted_per_group for s in schedules])]
+        # every used or granted RB lies in exactly one group
+        self.used_total = sum(self.used_per_group)
+        self.avail_total = sum(self.avail_per_group)
 
     def reports(
         self, cell_id: int, group_indices: Sequence[int], now: int

@@ -25,8 +25,6 @@ which are compared byte for byte.
 from fractions import Fraction
 from typing import List
 
-import numpy as np
-
 from cdss_sim.band import build_band_plan
 from cdss_sim.engine import ByteFactors, RunSpec, _link_budget
 from cdss_sim.metrics import MetricsStore, TimelineRow, UtilizationSample
@@ -122,7 +120,7 @@ def run_reference(spec: RunSpec) -> MetricsStore:
         return [[0] * band.num_groups for _ in cells]
 
     used, avail = empty_counts(), empty_counts()
-    activity = np.ones(len(node_ids))
+    activity = [1.0] * len(node_ids)
     period = 0
     for epoch in range(clock.total_epochs):
         blocked = {rb for rb, expiry in ctrl.guard_timed.items() if epoch < expiry}
@@ -132,7 +130,7 @@ def run_reference(spec: RunSpec) -> MetricsStore:
             held.backlog_bytes += demand[ue_id] * clock.epoch_s / 8.0
         factors = ByteFactors(plan, rx_dbm, serving, beams, radio, clock.epoch_s)
         factors.refresh(activity)
-        activity = np.zeros(len(node_ids))
+        activity = [0.0] * len(node_ids)
         for row, node_id in enumerate(node_ids):
             sched = reference_scheduler.schedule_epoch(
                 node_id, epoch, members[row], backlog, grants[row],

@@ -6,7 +6,7 @@ import pytest
 import cdss_sim.engine as engine_mod
 from cdss_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_cases, _parse_seeds, main
 from cdss_sim.errors import ConfigurationError
-from cdss_sim.scenario import default_scenario
+from cdss_sim.scenario import MAX_ABS_DB, RADIO_DB_FIELDS, default_scenario
 
 FAST_SCENARIO = """\
 [sim]
@@ -123,6 +123,10 @@ def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
               for key in ("sat_altitude_km", "los_scale_m", "beam_3db_radius_km",
                           "tn_sector_width_deg")
               for value in ("0", "-1")]
+    # powers, gains and losses: 1e9 dB passed validation and overflowed the
+    # noise power in `run`; just outside +-MAX_ABS_DB each is rejected
+    outside = (f"{MAX_ABS_DB + 1e-9!r}", f"{-MAX_ABS_DB - 1e-9!r}", "1e9")
+    cases += [("radio", key, value) for key in RADIO_DB_FIELDS for value in outside]
     for section, key, value in cases:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         for argv in (["validate"],
@@ -156,12 +160,16 @@ def test_unbounded_work_and_tiny_isd_exit_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_unexpected_error_is_one_line_exit_two(tmp_path, capsys):
-    # This noise figure passes validation and overflows the noise power in
-    # the byte factors; the CLI reports it in one line, not a traceback.
-    bad = tmp_path / "bad.ini"
-    bad.write_text(FAST_SCENARIO + "[radio]\nnoise_figure_db = 1e9\n")
-    argv = ["run", "--case", "1", "--scenario", str(bad), "--out", str(tmp_path / "out")]
+def test_unexpected_error_is_one_line_exit_two(fast_scenario_file, tmp_path, capsys,
+                                              monkeypatch):
+    # An error the program does not expect is reported in one line, not a
+    # traceback.
+    def simulate(spec):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(engine_mod, "run_simulation", simulate)
+    argv = ["run", "--case", "1", "--scenario", str(fast_scenario_file),
+            "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("runtime error: OverflowError: "), err

@@ -21,7 +21,16 @@ from cdss_sim.engine import (
 )
 from cdss_sim.errors import ConfigurationError, InvariantError
 from cdss_sim.radio import RadioParams, select_serving, thermal_noise_dbm
-from cdss_sim.scenario import CASES, build_topology, serialize_scenario
+from cdss_sim.scenario import (
+    CASES,
+    MAX_ABS_DB,
+    RADIO_DB_FIELDS,
+    SimParams,
+    build_topology,
+    default_scenario,
+    serialize_scenario,
+    validate_scenario,
+)
 from cdss_sim.traffic import grant_tables
 
 
@@ -335,13 +344,13 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
         edges = [rb for g in plan.groups for rb in (g.rb_start, g.rb_stop - 1)]
         edge_rows, _ = grant_tables(edges, group_of_rb, factors.rows)
         n_tx = rx_dbm.shape[0]
-        a, b = rng.uniform(size=n_tx), rng.uniform(size=n_tx)
+        a, b = rng.uniform(size=n_tx).tolist(), rng.uniform(size=n_tx).tolist()
         # a repeated activity must not serve stale rows from the refresh
         # skip; only an activity equal to the previous one is skipped, and
         # refresh reports a rewrite (which clears the scheduler's memos)
         # exactly when it recomputed the rows
-        sequence = [(np.zeros(n_tx), False), (np.ones(n_tx), False), (a, False),
-                    (b, False), (a, False), (a.copy(), True)]
+        sequence = [([0.0] * n_tx, False), ([1.0] * n_tx, False), (a, False),
+                    (b, False), (a, False), (list(a), True)]
         for activity, skipped in sequence:
             before = len(se_calls)
             rewritten = factors.refresh(activity)
@@ -371,6 +380,36 @@ def test_byte_factors_reject_non_finite_inputs():
     ):
         with pytest.raises(InvariantError):
             ByteFactors(plan, rx, [0], [], params, epoch_s)
+
+
+def test_byte_factors_refresh_skips_an_equal_list():
+    plan = build_band_plan(1, 1, [True])
+    factors = ByteFactors(plan, np.array([[-80.0], [-90.0]]), [0], [], RadioParams(), 0.01)
+    assert factors.refresh([1.0, 0.5]) is True
+    rows = [list(row) for row in factors.rows]
+    assert factors.refresh([1.0, 0.5]) is False        # a new, equal list
+    assert factors.rows == rows
+    assert factors.refresh([1.0, 0.25]) is True
+    assert factors.rows != rows
+
+
+def test_radio_db_domain_edges_run_to_finite_outputs(tmp_path):
+    # each power, gain and loss at either end of its domain, alone and all
+    # at once in the direction that maximizes or minimizes received power
+    short = replace(default_scenario(), sim=SimParams(total_s=0.1, warmup_s=0.05))
+    louder = {"tn_front_to_back_db": -1, "nlos_offset_db": -1, "noise_figure_db": -1}
+    probes = [{key: sign * MAX_ABS_DB} for key in RADIO_DB_FIELDS for sign in (-1, 1)]
+    probes += [{key: sign * louder.get(key, 1) * MAX_ABS_DB for key in RADIO_DB_FIELDS}
+               for sign in (-1, 1)]
+    for i, radio in enumerate(probes):
+        cfg = replace(short, radio=replace(short.radio, **radio))
+        validate_scenario(cfg)
+        for case_id in (2, 3):
+            store, files = run_and_write(RunSpec(cfg, case_id, 1), tmp_path / f"{i}-{case_id}")
+            assert math.isfinite(store.total_rx_bytes()), radio
+            for path in files.values():
+                text = path.read_text().lower()
+                assert "nan" not in text and "inf" not in text, (radio, path.name)
 
 
 def test_benchmark_tracer_names_resolve_on_engine():

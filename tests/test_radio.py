@@ -132,7 +132,7 @@ def engine_sinr(signal_dbm, interferers):
     plan = build_band_plan(1, 1, [True])
     rx_dbm = np.array([[signal_dbm]] + [[power] for power, _ in interferers])
     factors = ByteFactors(plan, rx_dbm, [0], [], PARAMS, 1.0)
-    factors.refresh(np.array([1.0] + [activity for _, activity in interferers]))
+    factors.refresh([1.0] + [activity for _, activity in interferers])
     se = factors.rows[0][0] / (plan.rb_bandwidth_hz / 8.0)
     assert PARAMS.se_min_bps_hz < se < PARAMS.se_cap_bps_hz  # neither floored nor capped
     return 2.0 ** se - 1.0

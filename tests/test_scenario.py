@@ -107,6 +107,17 @@ def test_work_bound_counts_epochs_band_and_topology():
         parse_scenario(f"[sim]\ntotal_s = {(epochs + 1) / 100}\n")
 
 
+def test_work_bound_names_band_or_topology_when_one_epoch_is_too_large():
+    # one epoch alone over the bound: the run length is not the cause, so
+    # the message names the largest factor, the band or the topology
+    with pytest.raises(ConfigurationError, match=r"^\[band\] total_rbs: .* one epoch"):
+        parse_scenario("[band]\ntotal_rbs = 1000000000\n")
+    with pytest.raises(ConfigurationError, match=r"^\[topology\] size: .* one epoch"):
+        parse_scenario("[topology]\nsectors_per_site = 1000000\n")
+    with pytest.raises(ConfigurationError, match=r"^\[topology\] size: .* one epoch"):
+        parse_scenario("[topology]\nues_per_tn_cell = 100000000\n")
+
+
 def test_smallest_isd_places_ues_outside_the_mast_exclusion():
     cfg = parse_scenario(f"[topology]\nisd_m = {MIN_ISD_M}\n")
     topo = build_topology(cfg, CASES[1], seed=1)

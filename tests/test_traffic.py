@@ -17,31 +17,34 @@ from cdss_sim.traffic import (
 import reference_scheduler
 
 
-def backlog_for(ue_ids, backlog):
-    """A backlog list indexed by ue_id: `backlog` bytes for each of `ue_ids`."""
-    out = [0.0] * (max(ue_ids, default=-1) + 1)
-    for uid in ue_ids:
-        out[uid] = backlog
-    return out
-
-
 def flat_rate(rate, n_ue=8):
     """A byte row in which UEs 0..n_ue-1 all carry `rate` bytes per RB."""
     return [rate] * n_ue
 
 
-def node_for(ue_order, offset=0, num_groups=1):
-    """A node serving `ue_order`, starting its rotation at `offset`."""
-    return Node("tn-0", 0, PeriodLoad(num_groups), list(ue_order), offset)
+def node_for(ue_order, offset=0, backlog=0.0, increments=None):
+    """A node serving `ue_order`, starting its rotation at `offset`, with
+    `backlog` bytes queued per UE (a number, or a list in `ue_order` order)
+    and per-epoch arrivals `increments` (none by default)."""
+    n = len(ue_order)
+    if not isinstance(backlog, list):
+        backlog = [backlog] * n
+    return Node("tn-0", 0, list(ue_order), offset, backlog,
+                [0.0] * n if increments is None else increments)
 
 
-def deal(node, backlog, granted, row):
+def deal(node, granted, row):
     """schedule_epoch over RBs of one group whose byte row is `row`; the
     new grant leaves the node's replay memo empty."""
     granted = list(granted)
     group_of_rb = [0] * (max(granted, default=-1) + 1)
     node.set_grant(granted, *grant_tables(granted, group_of_rb, [row]))
-    return schedule_epoch(node, backlog)
+    return schedule_epoch(node)
+
+
+def backlogs(node):
+    """The node's backlogs as {ue_id: bytes}."""
+    return dict(zip(node.ue_ids, node.backlog))
 
 
 def served(sched):
@@ -67,38 +70,47 @@ def cbr_increment(demand_bps, epoch_s):
     return demand_bps * epoch_s / 8.0
 
 
+def arrive(backlog, increment):
+    """One epoch of a UE's node with no granted RB: only its arrivals."""
+    node = node_for([0], backlog=backlog, increments=[increment])
+    deal(node, [], flat_rate(225.0))
+    return node.backlog
+
+
 def test_arrivals_rate_times_time():
-    backlog = [0.0]
-    generate_arrivals(backlog, [cbr_increment(400e3, 0.01)])
+    backlog = arrive(0.0, cbr_increment(400e3, 0.01))
     assert backlog[0] == pytest.approx(500.0)
 
 
 def test_arrivals_zero_rate():
-    backlog = [123.0]
-    generate_arrivals(backlog, [cbr_increment(0.0, 0.01)])
+    backlog = arrive(123.0, cbr_increment(0.0, 0.01))
     assert backlog[0] == 123.0
 
 
 def test_arrivals_high_rate():
-    backlog = [0.0]
-    generate_arrivals(backlog, [cbr_increment(4e6, 0.01)])
+    backlog = arrive(0.0, cbr_increment(4e6, 0.01))
     assert backlog[0] == pytest.approx(5000.0)
 
 
+def test_arrivals_return_a_new_list():
+    # the memo keeps backlog lists, so arrivals never write into one
+    backlog = [1.0, 2.0]
+    assert generate_arrivals(backlog, [0.5, 0.0]) == [1.5, 2.0]
+    assert backlog == [1.0, 2.0]
+
+
 def test_schedule_even_split_two_ues():
-    backlog = backlog_for([1, 2], backlog=1e9)
-    sched = deal(node_for([1, 2]), backlog, range(10), flat_rate(225.0))
+    sched = deal(node_for([1, 2], backlog=1e9), range(10), flat_rate(225.0))
     assert rb_count(sched, 1, 225.0) == 5
     assert rb_count(sched, 2, 225.0) == 5
     assert sched.used_rb == 10 and sched.used_per_group == (10,)
 
 
 def test_schedule_three_ues_rotation_cycles():
-    backlog = backlog_for([1, 2, 3], backlog=1e9)
-    node = node_for([1, 2, 3])
+    node = node_for([1, 2, 3], backlog=1e9)
     counts = []
     for _ in range(3):
-        sched = deal(node, backlog, range(10), flat_rate(225.0))
+        sched = deal(node, range(10), flat_rate(225.0))
         counts.append({uid: rb_count(sched, uid, 225.0) for uid in served(sched)})
     assert counts[0] == {1: 4, 2: 3, 3: 3}
     assert counts[1] == {2: 4, 3: 3, 1: 3}
@@ -108,25 +120,23 @@ def test_schedule_three_ues_rotation_cycles():
 
 
 def test_schedule_no_backlog_uses_nothing():
-    backlog = backlog_for([1, 2], backlog=0.0)
-    sched = deal(node_for([1, 2]), backlog, range(10), flat_rate(225.0))
+    sched = deal(node_for([1, 2], backlog=0.0), range(10), flat_rate(225.0))
     assert sched.used_rb == 0 and served(sched) == {}
     assert sched.used_per_group == (0,)
 
 
 def test_schedule_satisfied_ue_leaves_rotation():
-    backlog = [0.0, 100.0, 1e9]
-    sched = deal(node_for([1, 2]), backlog, range(10), flat_rate(225.0))
+    node = node_for([1, 2], backlog=[100.0, 1e9])
+    sched = deal(node, range(10), flat_rate(225.0))
     assert sched.used_rb - rb_count(sched, 2, 225.0) == 1    # UE 1's single RB
     assert served(sched)[1] == pytest.approx(100.0)
     assert rb_count(sched, 2, 225.0) == 9
-    assert backlog[1] == 0.0
+    assert backlogs(node)[1] == 0.0
 
 
 def test_schedule_zero_rate_ue_skipped():
-    backlog = [0.0, 1e9, 1e9]
     rate = [0.0, 0.0, 225.0]    # UE 1 carries nothing, UE 2 225 bytes
-    sched = deal(node_for([1, 2]), backlog, range(10), rate)
+    sched = deal(node_for([1, 2], backlog=1e9), range(10), rate)
     assert 1 not in served(sched)
     assert rb_count(sched, 2, 225.0) == 10
 
@@ -135,40 +145,36 @@ def test_schedule_work_conservation():
     rng = random.Random(9)
     for _ in range(50):
         n_ue = rng.randint(1, 6)
-        backlog = [rng.uniform(10, 5e4) for _ in range(n_ue)]
+        node = node_for(range(n_ue), backlog=[rng.uniform(10, 5e4) for _ in range(n_ue)])
         granted = list(range(rng.randint(1, 40)))
-        sched = deal(node_for(range(n_ue)), backlog, granted, flat_rate(225.0))
-        if any(b > 0 for b in backlog):
+        sched = deal(node, granted, flat_rate(225.0))
+        if any(b > 0 for b in node.backlog):
             assert sched.used_rb == len(granted)
         assert sched.used_rb <= len(granted)
 
 
 def test_schedule_served_never_exceeds_start_backlog():
-    backlog = backlog_for([1], backlog=500.0)
-    sched = deal(node_for([1]), backlog, range(50), flat_rate(225.0))
+    node = node_for([1], backlog=500.0)
+    sched = deal(node, range(50), flat_rate(225.0))
     assert served(sched)[1] == pytest.approx(500.0)
-    assert 500.0 - backlog[1] == pytest.approx(500.0)
+    assert 500.0 - node.backlog[0] == pytest.approx(500.0)
 
 
 def test_long_run_throughput_never_exceeds_demand():
-    backlog = backlog_for([7], backlog=0.0)
-    increments = backlog_for([7], backlog=cbr_increment(1.2e6, 0.01))
-    node = node_for([7])
+    node = node_for([7], increments=[cbr_increment(1.2e6, 0.01)])
     epochs = 200
     received = 0.0
     for _ in range(epochs):
-        generate_arrivals(backlog, increments)
-        sched = deal(node, backlog, range(40), flat_rate(450.0))
+        sched = deal(node, range(40), flat_rate(450.0))
         received += served(sched).get(7, 0.0)
     assert received <= 1.2e6 * epochs * 0.01 / 8.0 + 1e-9
 
 
 def test_schedule_fairness_equal_se_saturated():
-    backlog = backlog_for(list(range(5)), backlog=1e12)
-    node = node_for(range(5))
+    node = node_for(range(5), backlog=1e12)
     totals = {u: 0 for u in range(5)}
     for _ in range(10):
-        sched = deal(node, backlog, range(17), flat_rate(1.0))
+        sched = deal(node, range(17), flat_rate(1.0))
         for uid in served(sched):
             totals[uid] += rb_count(sched, uid, 1.0)
         counts = [rb_count(sched, uid, 1.0) for uid in served(sched)]
@@ -191,26 +197,26 @@ def test_schedule_matches_per_rb_reference():
         ue_order = rng.sample(range(n_ids), rng.randint(0, 12))
         granted = rng.sample(range(200), rng.randint(0, 200))
         granted_rows, prefix = grant_tables(granted, group_of_rb, rows)
-        backlog = [0.0] * n_ids
         ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
         start = rng.randrange(20)
-        node = node_for(ue_order, start, n_groups)
+        node = node_for(ue_order, start)
         node.set_grant(granted, granted_rows, prefix)
         ref_rotation = reference_scheduler.Rotation(start)
         for epoch in range(3):
-            for uid in ue_order:
-                extra = rng.choice([0.0, 225.0 * rng.randint(1, 6),
-                                    rng.uniform(1.0, 3000.0), 1e12])
-                backlog[uid] += extra
+            # varying arrivals: rebind the backlogs (never mutate them in
+            # place) and leave the node's own increments at zero
+            extras = [rng.choice([0.0, 225.0 * rng.randint(1, 6),
+                                  rng.uniform(1.0, 3000.0), 1e12]) for _ in ue_order]
+            node.backlog = [b + extra for b, extra in zip(node.backlog, extras)]
+            for uid, extra in zip(ue_order, extras):
                 ref_backlog[uid].backlog_bytes += extra
-            got = schedule_epoch(node, backlog)
+            got = schedule_epoch(node)
             want = reference_scheduler.schedule_epoch(
                 "tn-0", epoch, ue_order, ref_backlog, granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
             assert list(got.served_bytes) == list(want.served_bytes.items())
-            assert {u: backlog[u] for u in ue_order} == {
-                u: f.backlog_bytes for u, f in ref_backlog.items()}
+            assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert list(got.used_per_group) == reference_scheduler.used_per_group(
                 want, group_of_rb, n_groups)
@@ -250,13 +256,10 @@ def test_schedule_memo_replay_matches_per_rb_reference():
         demand = {uid: 800.0 * rng.choice([0.0, 225.0 * rng.randint(1, 4),
                                            rng.uniform(1.0, 2000.0), 1e5])
                   for uid in ue_order}
-        increments = [0.0] * n_ids
-        for uid in ue_order:
-            increments[uid] = cbr_increment(demand[uid], epoch_s)
-        backlog = [0.0] * n_ids
+        increments = [cbr_increment(demand[uid], epoch_s) for uid in ue_order]
         ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
         start = rng.randrange(20)
-        node = node_for(ue_order, start, n_groups)
+        node = node_for(ue_order, start, increments=increments)
         ref_rotation = reference_scheduler.Rotation(start)
         returned = []
         new_grant()
@@ -268,17 +271,15 @@ def test_schedule_memo_replay_matches_per_rb_reference():
             if rng.random() < 0.1:
                 new_grant()
                 rebuilds += 1
-            generate_arrivals(backlog, increments)
-            for uid, held in ref_backlog.items():
-                held.backlog_bytes += increments[uid]
-            got = schedule_epoch(node, backlog)
+            for uid, inc in zip(ue_order, increments):
+                ref_backlog[uid].backlog_bytes += inc
+            got = schedule_epoch(node)
             want = reference_scheduler.schedule_epoch(
                 "tn-0", epoch, ue_order, ref_backlog, node.granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
             assert list(got.served_bytes) == list(want.served_bytes.items())
-            assert {u: backlog[u] for u in ue_order} == {
-                u: f.backlog_bytes for u, f in ref_backlog.items()}
+            assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert list(got.used_per_group) == reference_scheduler.used_per_group(
                 want, group_of_rb, n_groups)
@@ -294,17 +295,16 @@ def test_schedule_memo_replays_fresh_copies():
     granted = list(range(10))
     node = node_for([1, 2])
     node.set_grant(granted, *grant_tables(granted, [0] * 10, [flat_rate(225.0)]))
-    backlog = backlog_for([1, 2], backlog=0.0)
     returned, hits = [], 0
     for epoch in range(6):
-        backlog[1] = backlog[2] = 450.0
-        sched = schedule_epoch(node, backlog)
+        node.backlog = [450.0, 450.0]
+        sched = schedule_epoch(node)
         hits += replayed(sched, returned)
         first, second = (1, 2) if epoch % 2 == 0 else (2, 1)
         assert list(sched.served_bytes) == [(first, 450.0), (second, 450.0)]
         assert sched.node_bytes == 900.0
         assert sched.used_rb == 4 and sched.used_per_group == (4,)
-        assert backlog[1] == backlog[2] == 0.0
+        assert node.backlog == [0.0, 0.0]
         with pytest.raises(TypeError):
             sched.served_bytes[0] = (first, -1.0)
         with pytest.raises(TypeError):
@@ -314,15 +314,86 @@ def test_schedule_memo_replays_fresh_copies():
     assert hits == 4
 
 
-def make_sched(granted, used_per_group):
+def test_node_without_grant_adds_arrivals_then_resumes():
+    # A node with UEs and no granted RB adds its arrivals and keeps its
+    # rotation; when the grant returns, it deals as the per-RB reference
+    # does from the grown backlogs.
+    ue_order = [3, 1, 4]
+    increments = [cbr_increment(rate, 0.01) for rate in (400e3, 4e6, 1.2e6)]
+    row = [225.0, 450.0, 0.0, 225.0, 37.5]
+    full = list(range(12))
+    node = node_for(ue_order, 2, increments=increments)
+    ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
+    ref_rotation = reference_scheduler.Rotation(2)
+    grants = [full] * 3 + [[]] * 3 + [full] * 4 + [[]] * 2 + [full] * 3
+    for epoch, granted in enumerate(grants):
+        if granted != node.granted:
+            node.set_grant(granted, *grant_tables(granted, [0] * 12, [row]))
+        for uid, inc in zip(ue_order, increments):
+            ref_backlog[uid].backlog_bytes += inc
+        got = schedule_epoch(node)
+        want = reference_scheduler.schedule_epoch(
+            "tn-0", epoch, ue_order, ref_backlog, granted, lambda uid, rb: row[uid],
+            ref_rotation,
+        )
+        assert list(got.served_bytes) == list(want.served_bytes.items())
+        assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
+        assert got.used_rb == want.used_rb
+        assert node.offset == ref_rotation.offset
+        assert got.granted_per_group == (len(granted),)
+    assert node.backlog[1] > 0.0          # UE 1's 4 Mbit/s outgrows the grant
+
+
+def test_period_load_fold_matches_per_epoch_oracle():
+    # The engine folds a period's schedules once, at its end.  A naive
+    # oracle adds every epoch's granted and dealt RBs one by one from the
+    # per-RB reference.  The grant is rebuilt mid-period, and a node with
+    # no UEs still counts its granted RBs.
+    rng = random.Random(53)
+    n_groups, n_rbs = 3, 60
+    group_of_rb = sorted(rng.randrange(n_groups) for _ in range(n_rbs))
+    rows = [[rng.choice([0.0, 37.5, 225.0, 450.0]) for _ in range(8)]
+            for _ in range(n_groups)]
+    ue_order = [5, 0, 2, 7, 3]
+    increments = [cbr_increment(rng.choice([40e3, 400e3, 1.2e6]), 0.01) for _ in ue_order]
+    busy, empty = node_for(ue_order, 1, increments=increments), node_for([])
+    ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
+    ref_rotation = reference_scheduler.Rotation(1)
+    used, avail = [0] * n_groups, [0] * n_groups
+    for epoch in range(25):
+        if epoch in (0, 12):
+            granted = rng.sample(range(n_rbs), rng.randint(10, 50))
+            for node in (busy, empty):
+                node.set_grant(granted, *grant_tables(granted, group_of_rb, rows))
+        for uid, inc in zip(ue_order, increments):
+            ref_backlog[uid].backlog_bytes += inc
+        want = reference_scheduler.schedule_epoch(
+            "tn-0", epoch, ue_order, ref_backlog, granted,
+            lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
+        )
+        for node in (busy, empty):
+            node.period.append(schedule_epoch(node))
+        for rb in granted:
+            avail[group_of_rb[rb]] += 1
+        for rbs in want.assignments.values():
+            for rb in rbs:
+                used[group_of_rb[rb]] += 1
+    busy_load, empty_load = PeriodLoad(busy.period), PeriodLoad(empty.period)
+    assert busy_load.used_per_group == used and busy_load.avail_per_group == avail
+    assert (busy_load.used_total, busy_load.avail_total) == (sum(used), sum(avail))
+    assert empty_load.used_per_group == [0] * n_groups
+    assert empty_load.avail_per_group == avail
+    assert (empty_load.used_total, empty_load.avail_total) == (0, sum(avail))
+    assert 0 < sum(used) < sum(avail)
+
+
+def make_sched(granted, used_per_group, granted_per_group):
     return CellSchedule(tuple(granted), ((0, 0.0),), 0.0, sum(used_per_group),
-                        tuple(used_per_group))
+                        tuple(used_per_group), tuple(granted_per_group))
 
 
 def test_cell_load_ratio():
-    load = PeriodLoad(1)
-    for _ in range(5):
-        load.add(make_sched(range(20), [15]), [20])
+    load = PeriodLoad([make_sched(range(20), [15], [20])] * 5)
     (rep,) = load.reports(0, [0], 25)
     assert rep.used_rb_epochs == 75
     assert rep.available_rb_epochs == 100
@@ -331,17 +402,14 @@ def test_cell_load_ratio():
 
 
 def test_cell_load_idle_period():
-    load = PeriodLoad(1)
-    for _ in range(5):
-        load.add(make_sched(range(20), [0]), [20])
+    load = PeriodLoad([make_sched(range(20), [0], [20])] * 5)
     (rep,) = load.reports(0, [0], 25)
     assert rep.used_rb_epochs == 0
-    assert PeriodLoad(1).reports(0, [0], 50) == []
+    assert PeriodLoad([make_sched([], [0], [0])] * 5).reports(0, [0], 50) == []
 
 
 def test_cell_load_counts_only_group_span():
-    load = PeriodLoad(3)
-    load.add(make_sched(range(0, 30), [10, 10, 10]), [10, 10, 10])
+    load = PeriodLoad([make_sched(range(0, 30), [10, 10, 10], [10, 10, 10])])
     (rep,) = load.reports(0, [1], 25)
     assert rep.group_index == 1
     assert rep.used_rb_epochs == 10
@@ -351,8 +419,7 @@ def test_cell_load_counts_only_group_span():
 def test_cell_load_errors():
     # A group with no granted RBs yields no report, so the controller
     # finds no usable report and skips the group.
-    load = PeriodLoad(1)
-    load.add(make_sched([], [0]), [0])
+    load = PeriodLoad([make_sched([], [0], [0])])
     reports = load.reports(0, [0], 25)
     assert reports == []
     with pytest.raises(MissingDataError):
