@@ -120,12 +120,12 @@ def _grant_rbs(
 def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
     """Per-RB received power in dBm: rows are cells then beams, one column
     per UE.  LOS is drawn once per (UE, cell) pair, UE-major, from the
-    run's "los" stream."""
-    rng_los = np.random.default_rng(derive_seed(seed, "los"))
+    run's "los" stream, as one block of those draws."""
+    draws = np.random.default_rng(derive_seed(seed, "los")).uniform(
+        0.0, 1.0, size=(len(ues), len(cells))).tolist()
     rx_dbm = np.full((len(cells) + len(beams), len(ues)), -np.inf)
     for ui, ue in enumerate(ues):
-        for ti, cell in enumerate(cells):
-            draw = float(rng_los.uniform(0.0, 1.0))
+        for ti, (cell, draw) in enumerate(zip(cells, draws[ui])):
             is_los = los_state(ue, cell, draw, radio_p.los_d0_m, radio_p.los_scale_m)
             rx_dbm[ti, ui] = tn_rx_power(ue, cell, is_los, radio_p)
         for bi, beam in enumerate(beams):
@@ -248,7 +248,7 @@ def _schedule_nodes(nodes, ue_bytes, node_bytes, post_warmup: bool) -> List[floa
     for tx, node in enumerate(nodes):
         sched = schedule_epoch(node)
         node.period.append(sched)
-        activity.append(sched.used_rb / len(node.granted) if node.granted else 0.0)
+        activity.append(sched.activity)
         if post_warmup and sched.served_bytes:
             for uid, amount in sched.served_bytes:
                 ue_bytes[uid] += amount
@@ -275,10 +275,11 @@ def _record_final(store, final_rows, total_rbs: int, tn_nodes, ntn_nodes, beams)
 def run_simulation(spec: RunSpec) -> MetricsStore:
     """Execute one deterministic run and return its metrics store.
 
-    Stages: link budget and attachment once; then per epoch the grant
-    rebuild (only when the allocation or guard set changed), the
+    Stages: link budget and attachment once; then per epoch the guard
+    check (only on a new allocation state or a guard expiry) and the
+    grant rebuild (only when the allocation or guard set changed), the
     byte-factor refresh, and each node's arrivals and scheduling; at each
-    period end the folded loads, utilization samples and the controller
+    period end the load reports, utilization samples and the controller
     step.
     """
     if spec.case_id not in CASES:
@@ -346,14 +347,18 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     coordinated = plan.coordinated_indices()
     activity = [1.0] * len(nodes)
     granted_key: Optional[Tuple[int, Tuple[int, ...]]] = None
+    guard_state, guard_due = None, 0        # the guard set holds until either changes
     period_index = 0
     for epoch in range(clock.total_epochs):
-        blocked = active_guard_rbs(state, epoch)
-        key = (state.version, tuple(sorted(blocked)))
-        if key != granted_key:
-            _grant_rbs(plan, state, frozenset(blocked), tn_nodes, ntn_nodes, beams,
-                       group_of_rb, byte_factors.rows)
-            granted_key = key
+        if state is not guard_state or epoch == guard_due:
+            blocked = active_guard_rbs(state, epoch)
+            key = (state.version, tuple(sorted(blocked)))
+            if key != granted_key:
+                _grant_rbs(plan, state, frozenset(blocked), tn_nodes, ntn_nodes, beams,
+                           group_of_rb, byte_factors.rows)
+                granted_key = key
+            guard_state = state
+            guard_due = min((e for e in state.guard_timed.values() if e > epoch), default=-1)
 
         if byte_factors.refresh(activity):      # new rows: every replay slot is stale
             for node in nodes:
@@ -372,9 +377,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             if now - clock.period_epochs >= clock.warmup_epochs:
                 store.utilization.extend(
                     UtilizationSample(
-                        node.entity_id, period_index, now * clock.epoch_s,
-                        load.used_total, load.avail_total,
-                    )
+                        node.entity_id, period_index, now * clock.epoch_s, *load.totals())
                     for node, load in zip(tn_nodes, loads)
                 )
             state = manager.sms_step(state, reports, now)[0]

@@ -14,7 +14,7 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -96,14 +96,34 @@ CASES: Dict[int, SimCase] = {
 # and the byte-factor refresh cost about epochs x (transmitters x RBs x
 # groups + UEs x (transmitters + groups)) work units; 7.3e6 for the defaults.
 MAX_RUN_WORK = 10**9
-# At this ISD over 3/4 of each cell's hexagon lies outside the 1 m mast exclusion.
+# At this ISD over 3/4 of each cell's hexagon lies outside the 1 m mast
+# exclusion; MAX_ISD_M is wider than any terrestrial layout, and far below
+# the ISD whose placement range overflows a float.
 MIN_ISD_M = 4.0
+MAX_ISD_M = 1e6
+# Beam centres lie within this distance of the first site along each axis
+# (a quarter of the Earth's circumference).
+MAX_BEAM_OFFSET_M = 1e7
 # The [radio] powers, gains and losses enter the link budget as 10^(x/10).
 # Within +-MAX_ABS_DB each, they cannot push a linear power, an interference
 # sum or an SINR out of float range.
 MAX_ABS_DB = 300.0
 RADIO_DB_FIELDS = ("tn_tx_power_dbm", "tn_antenna_gain_dbi", "tn_front_to_back_db",
                     "nlos_offset_db", "noise_figure_db", "min_rsrp_dbm", "ntn_eirp_dbm")
+# Closed domains of the other [radio] fields that enter a log, a division or
+# a square in the link budget.  Physical ranges, each of which keeps the
+# free-space loss and the pattern losses within a few hundred dB.
+RADIO_RANGES = {
+    "freq_ghz": (0.1, 100.0),                   # carriers from 100 MHz to 100 GHz
+    "sat_altitude_km": (100.0, 40_000.0),       # from the Karman line to beyond GEO
+    "beam_3db_radius_km": (1.0, 5_000.0),
+    "tn_sector_width_deg": (1.0, 360.0),
+    **{name: (-MAX_ABS_DB, MAX_ABS_DB) for name in RADIO_DB_FIELDS},
+}
+# The SE cap lies in (0, MAX_SE_BPS_HZ] and the floor in [0, cap].  A
+# receiver's own impairments keep the SINR below about 40 dB (13.3 bps/Hz),
+# so a larger cap never binds; a larger floor only starves UEs.
+MAX_SE_BPS_HZ = 30.0
 
 
 def default_scenario() -> ScenarioConfig:
@@ -265,8 +285,13 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ConfigurationError("[topology] num_sites: supported range is 1..3")
     if topo.sectors_per_site < 1:
         raise ConfigurationError("[topology] sectors_per_site: must be positive")
-    if topo.isd_m < MIN_ISD_M:
-        raise ConfigurationError(f"[topology] isd_m: must be at least {MIN_ISD_M} m")
+    if not MIN_ISD_M <= topo.isd_m <= MAX_ISD_M:
+        raise ConfigurationError(
+            f"[topology] isd_m: must be in [{MIN_ISD_M:g}, {MAX_ISD_M:g}] m, got {topo.isd_m!r}")
+    if any(abs(v) > MAX_BEAM_OFFSET_M for pair in topo.beam_centers_m for v in pair):
+        raise ConfigurationError(
+            f"[topology] beam_centers_m: each coordinate must be within "
+            f"+-{MAX_BEAM_OFFSET_M:g} m")
     if min(topo.ues_per_tn_cell, topo.ues_per_beam) < 0:
         raise ConfigurationError("[topology] UE counts must be non-negative")
     if len(topo.beam_centers_m) != len(topo.beam_groups):
@@ -284,23 +309,27 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         if rate < 0:
             raise ConfigurationError(f"[traffic] {name}: must be non-negative, got {rate!r}")
     # The link budget takes log10 of the frequency and of the slant range,
-    # 1 / sin(elevation), and divides by the LOS scale, the beam radius
-    # and the sector width.
+    # 1 / sin(elevation), divides by the LOS scale, and squares offsets over
+    # the beam radius and the sector width.
     radio = cfg.radio
-    for name in ("freq_ghz", "sat_altitude_km", "los_scale_m", "beam_3db_radius_km",
-                 "tn_sector_width_deg"):
-        value = getattr(radio, name)
-        if value <= 0:
-            raise ConfigurationError(f"[radio] {name}: must be positive, got {value!r}")
+    if radio.los_scale_m <= 0:
+        raise ConfigurationError(f"[radio] los_scale_m: must be positive, got {radio.los_scale_m!r}")
     if not (0 < radio.elevation_deg <= 90):
         raise ConfigurationError(
             f"[radio] elevation_deg: must be in (0, 90], got {radio.elevation_deg!r}"
         )
-    for name in RADIO_DB_FIELDS:
+    for name, (lo, hi) in RADIO_RANGES.items():
         value = getattr(radio, name)
-        if abs(value) > MAX_ABS_DB:
-            raise ConfigurationError(
-                f"[radio] {name}: must be in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}] dB, got {value!r}")
+        if not lo <= value <= hi:
+            raise ConfigurationError(f"[radio] {name}: must be in [{lo:g}, {hi:g}], got {value!r}")
+    if not 0 < radio.se_cap_bps_hz <= MAX_SE_BPS_HZ:
+        raise ConfigurationError(
+            f"[radio] se_cap_bps_hz: must be in (0, {MAX_SE_BPS_HZ:g}], "
+            f"got {radio.se_cap_bps_hz!r}")
+    if not 0 <= radio.se_min_bps_hz <= radio.se_cap_bps_hz:
+        raise ConfigurationError(
+            f"[radio] se_min_bps_hz: must be in [0, se_cap_bps_hz = {radio.se_cap_bps_hz!r}], "
+            f"got {radio.se_min_bps_hz!r}")
     epochs = SimClock.from_config(cfg).total_epochs
     cells, beams = topo.num_sites * topo.sectors_per_site, len(topo.beam_centers_m)
     n_tx, n_ues = cells + beams, cells * topo.ues_per_tn_cell + beams * topo.ues_per_beam
@@ -382,13 +411,16 @@ def site_positions(topo: TopologyParams) -> List[Tuple[float, float]]:
     return candidates[: topo.num_sites]
 
 
-def _in_hexagon(dx: float, dy: float, circumradius: float) -> bool:
-    # Flat-top hexagon with a vertex on the +x axis; edge normals at
-    # 30/90/150 degrees, apothem sqrt(3)/2 * R.
-    apothem = math.sqrt(3.0) / 2.0 * circumradius
-    for ang in (30.0, 90.0, 150.0):
-        r = math.radians(ang)
-        if abs(dx * math.cos(r) + dy * math.sin(r)) > apothem:
+# Flat-top hexagon with a vertex on the +x axis: its edge normals lie at
+# 30/90/150 degrees, and its apothem is sqrt(3)/2 times the circumradius.
+_HEX_NORMALS = tuple((math.cos(math.radians(a)), math.sin(math.radians(a)))
+                     for a in (30.0, 90.0, 150.0))
+_HALF_SQRT3 = math.sqrt(3.0) / 2.0
+
+
+def _in_hexagon(dx: float, dy: float, apothem: float) -> bool:
+    for cos_a, sin_a in _HEX_NORMALS:
+        if abs(dx * cos_a + dy * sin_a) > apothem:
             return False
     return True
 
@@ -397,17 +429,39 @@ def _wrap_deg(a: float) -> float:
     return (a + 180.0) % 360.0 - 180.0
 
 
+def _doubles(rng: np.random.Generator) -> Iterator[float]:
+    """The generator's uniform doubles in [0, 1), drawn 256 at a time.
+
+    Scalar `rng.uniform` calls take one double each from this same stream,
+    so the n-th value here is the one the n-th scalar call would use.
+    Every draw of the generator must come from one such iterator: a direct
+    call after a block would skip the block's unused values.
+    """
+    while True:
+        yield from rng.random(256).tolist()
+
+
+def _uniform(doubles: Iterator[float], lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)` on the next double: numpy's formula and its
+    range check, which stops a placement loop that could never accept."""
+    span = hi - lo
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    return lo + span * next(doubles)
+
+
 def _sample_in_sector(
-    rng: np.random.Generator,
+    doubles: Iterator[float],
     site: Tuple[float, float],
     azimuth_deg: float,
     hex_radius_m: float,
     wedge_deg: float,
 ) -> Tuple[float, float]:
+    apothem = _HALF_SQRT3 * hex_radius_m
     while True:
-        dx = rng.uniform(-hex_radius_m, hex_radius_m)
-        dy = rng.uniform(-hex_radius_m, hex_radius_m)
-        if not _in_hexagon(dx, dy, hex_radius_m):
+        dx = _uniform(doubles, -hex_radius_m, hex_radius_m)
+        dy = _uniform(doubles, -hex_radius_m, hex_radius_m)
+        if not _in_hexagon(dx, dy, apothem):
             continue
         if math.hypot(dx, dy) < 1.0:  # avoid the singular point at the mast
             continue
@@ -417,10 +471,10 @@ def _sample_in_sector(
 
 
 def _sample_in_disc(
-    rng: np.random.Generator, center: Tuple[float, float], radius_m: float
+    doubles: Iterator[float], center: Tuple[float, float], radius_m: float
 ) -> Tuple[float, float]:
-    r = radius_m * math.sqrt(rng.uniform(0.0, 1.0))
-    theta = rng.uniform(0.0, 2.0 * math.pi)
+    r = radius_m * math.sqrt(_uniform(doubles, 0.0, 1.0))
+    theta = _uniform(doubles, 0.0, 2.0 * math.pi)
     return (center[0] + r * math.cos(theta), center[1] + r * math.sin(theta))
 
 
@@ -466,19 +520,19 @@ def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
                 )
             )
 
-    rng = np.random.default_rng(derive_seed(seed, "ue-placement"))
+    doubles = _doubles(np.random.default_rng(derive_seed(seed, "ue-placement")))
     hex_radius = topo.isd_m / math.sqrt(3.0)
     wedge = 360.0 / topo.sectors_per_site
     ues: List[Ue] = []
     ue_id = 0
     for cell in cells:
         for _ in range(topo.ues_per_tn_cell):
-            xy = _sample_in_sector(rng, cell.site_xy, cell.azimuth_deg, hex_radius, wedge)
+            xy = _sample_in_sector(doubles, cell.site_xy, cell.azimuth_deg, hex_radius, wedge)
             ues.append(Ue(ue_id, xy, "tn"))
             ue_id += 1
     for bi, center in enumerate(topo.beam_centers_m):
         for _ in range(topo.ues_per_beam):
-            xy = _sample_in_disc(rng, center, radio.beam_3db_radius_km * 1e3)
+            xy = _sample_in_disc(doubles, center, radio.beam_3db_radius_km * 1e3)
             ues.append(Ue(ue_id, xy, "ntn"))
             ue_id += 1
     return Topology(cells, beams, ues)

@@ -62,6 +62,7 @@ class CellSchedule:
     used_rb: int
     used_per_group: Tuple[int, ...]
     granted_per_group: Tuple[int, ...]  # the grant's size per group
+    activity: float                     # used_rb over the granted RBs, 0.0 with none
 
 
 def grant_tables(
@@ -117,7 +118,8 @@ def schedule_epoch(node: Node) -> CellSchedule:
     n = len(ue_order)
     if n == 0 or not granted:
         node.backlog = generate_arrivals(node.backlog, node.increments)
-        return CellSchedule(granted, (), 0.0, 0, node.group_prefix[0], node.group_prefix[-1])
+        return CellSchedule(granted, (), 0.0, 0, node.group_prefix[0], node.group_prefix[-1],
+                            0.0)
     start = node.offset % n
     node.offset = (start + 1) % n
     key = node.backlog
@@ -170,31 +172,40 @@ def schedule_epoch(node: Node) -> CellSchedule:
     node_bytes = 0.0
     for amount in served.values():
         node_bytes += amount
-    sched = CellSchedule(granted, tuple(served.items()), node_bytes, k - len(unused),
-                         tuple(used_per_group), group_prefix[-1])
+    used_rb = k - len(unused)
+    sched = CellSchedule(granted, tuple(served.items()), node_bytes, used_rb,
+                         tuple(used_per_group), group_prefix[-1], used_rb / n_rb)
     node.backlog = backlog
     node.slots[start] = (key, backlog, sched)
     return sched
 
 
 class PeriodLoad:
-    """One node's RB usage over one controller period: used and granted
-    RB-epochs, per frequency group and in total, folded from the period's
-    schedules (at least one)."""
+    """One node's RB usage over one controller period, summed from the
+    period's schedules (at least one) only when read: per group for the
+    groups that are reported, in total for the periods that are sampled."""
 
     def __init__(self, schedules: Sequence[CellSchedule]) -> None:
-        self.used_per_group = [sum(c) for c in zip(*[s.used_per_group for s in schedules])]
-        self.avail_per_group = [sum(c) for c in zip(*[s.granted_per_group for s in schedules])]
-        # every used or granted RB lies in exactly one group
-        self.used_total = sum(self.used_per_group)
-        self.avail_total = sum(self.avail_per_group)
+        self.schedules = schedules
+
+    def group(self, gi: int) -> Tuple[int, int]:
+        """Used and granted RB-epochs of group `gi`."""
+        return (sum(s.used_per_group[gi] for s in self.schedules),
+                sum(s.granted_per_group[gi] for s in self.schedules))
+
+    def totals(self) -> Tuple[int, int]:
+        """Used and granted RB-epochs over all groups; every used or granted
+        RB lies in exactly one group, so these are the per-group sums."""
+        return (sum(s.used_rb for s in self.schedules),
+                sum(len(s.granted) for s in self.schedules))
 
     def reports(
         self, cell_id: int, group_indices: Sequence[int], now: int
     ) -> List[LoadReport]:
         """One LoadReport per listed group that had granted RBs this period."""
-        return [
-            LoadReport(cell_id, gi, self.used_per_group[gi], self.avail_per_group[gi], now)
-            for gi in group_indices
-            if self.avail_per_group[gi] > 0
-        ]
+        reports = []
+        for gi in group_indices:
+            used, avail = self.group(gi)
+            if avail > 0:
+                reports.append(LoadReport(cell_id, gi, used, avail, now))
+        return reports

@@ -1,11 +1,13 @@
 """Naive reference engine: one run, epoch by epoch, with nothing cached.
 
-Composes the three naive oracles into a whole run so that the production
-engine's caches can be checked end to end.  It reuses the production link
-budget, attachment and byte factors (`engine._link_budget`,
-`radio.select_serving`, `engine.ByteFactors`, each checked against its own
-oracle), but builds a fresh `ByteFactors` every epoch, so no refresh is
-ever skipped.  Everything after that is naive:
+Composes the naive oracles into a whole run so that the production
+engine's caches can be checked end to end.  The UEs and their received
+powers come from `reference_placement`, one scalar draw at a time.  It
+reuses the production cells and beams, attachment and byte factors
+(`scenario.build_topology`, `radio.select_serving`, `engine.ByteFactors`,
+each checked against its own oracle), but builds a fresh `ByteFactors`
+every epoch, so no refresh is ever skipped.  Everything after that is
+naive:
 
 - grants are recomputed every epoch from the reference controller's role
   labels and guard-timed set, so a missed grant rebuild shows;
@@ -26,11 +28,12 @@ from fractions import Fraction
 from typing import List
 
 from cdss_sim.band import build_band_plan
-from cdss_sim.engine import ByteFactors, RunSpec, _link_budget
+from cdss_sim.engine import ByteFactors, RunSpec
 from cdss_sim.metrics import MetricsStore, TimelineRow, UtilizationSample
 from cdss_sim.radio import select_serving
 from cdss_sim.scenario import CASES, SimClock, build_topology, demand_bps, derive_seed
 
+import reference_placement
 import reference_scheduler
 from reference_controller import ReferenceController
 
@@ -91,8 +94,8 @@ def run_reference(spec: RunSpec) -> MetricsStore:
     topo = build_topology(scenario, case, spec.seed)
     cells = sorted(topo.cells, key=lambda c: c.cell_id)
     beams = sorted(topo.beams, key=lambda b: b.beam_id)
-    ues = sorted(topo.ues, key=lambda u: u.ue_id)
-    rx_dbm = _link_budget(cells, beams, ues, radio, spec.seed)
+    ues = reference_placement.place_ues(scenario, cells, spec.seed)
+    rx_dbm = reference_placement.link_budget(cells, beams, ues, radio, spec.seed)
     serving = [select_serving(column, radio.min_rsrp_dbm) for column in rx_dbm.T]
 
     node_ids = [f"tn-{c.cell_id}" for c in cells] + [f"ntn-{b.beam_id}" for b in beams]

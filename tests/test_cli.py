@@ -6,7 +6,10 @@ import pytest
 import cdss_sim.engine as engine_mod
 from cdss_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_cases, _parse_seeds, main
 from cdss_sim.errors import ConfigurationError
-from cdss_sim.scenario import MAX_ABS_DB, RADIO_DB_FIELDS, default_scenario
+from cdss_sim.scenario import (
+    MAX_ABS_DB, MAX_BEAM_OFFSET_M, MAX_ISD_M, MAX_SE_BPS_HZ, RADIO_DB_FIELDS, RADIO_RANGES,
+    default_scenario,
+)
 
 FAST_SCENARIO = """\
 [sim]
@@ -127,6 +130,19 @@ def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
     # noise power in `run`; just outside +-MAX_ABS_DB each is rejected
     outside = (f"{MAX_ABS_DB + 1e-9!r}", f"{-MAX_ABS_DB - 1e-9!r}", "1e9")
     cases += [("radio", key, value) for key in RADIO_DB_FIELDS for value in outside]
+    # these passed validation once: at 1e-300 the link budget overflowed
+    # (exit 2), and a negative SE cap or a 1e300 floor ran to meaningless
+    # outputs; just outside each domain is rejected too
+    cases += [("radio", key, value)
+              for key, (lo, hi) in RADIO_RANGES.items() if key not in RADIO_DB_FIELDS
+              for value in ("1e-300", repr(lo * (1 - 1e-9)), repr(hi * (1 + 1e-9)))]
+    cases += [("radio", "se_cap_bps_hz", value)
+              for value in ("-1", "0", repr(MAX_SE_BPS_HZ * (1 + 1e-9)))]
+    cases += [("radio", "se_min_bps_hz", value) for value in ("1e300", "-1e-9", "7.4000001")]
+    # a placement range that overflows raised OverflowError (exit 2)
+    cases += [("topology", "isd_m", value) for value in ("1.7e308", repr(MAX_ISD_M * (1 + 1e-9)))]
+    cases += [("topology", "beam_centers_m", f"{x}, 0; 6000.0, 4000.0; 70000.0, 0.0")
+              for x in ("1e200", repr(-MAX_BEAM_OFFSET_M * (1 + 1e-9)))]
     for section, key, value in cases:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         for argv in (["validate"],

@@ -8,7 +8,7 @@ import pytest
 
 import cdss_sim.engine as engine_mod
 from cdss_sim.band import active_guard_rbs, build_band_plan, initial_allocation
-from cdss_sim.controller import CdssConfig, apply_adjustment
+from cdss_sim.controller import CdssConfig, SpectrumManager, apply_adjustment
 from cdss_sim.engine import (
     ByteFactors,
     RunSpec,
@@ -24,7 +24,12 @@ from cdss_sim.radio import RadioParams, select_serving, thermal_noise_dbm
 from cdss_sim.scenario import (
     CASES,
     MAX_ABS_DB,
+    MAX_BEAM_OFFSET_M,
+    MAX_ISD_M,
+    MAX_SE_BPS_HZ,
+    MIN_ISD_M,
     RADIO_DB_FIELDS,
+    RADIO_RANGES,
     SimParams,
     build_topology,
     default_scenario,
@@ -393,23 +398,98 @@ def test_byte_factors_refresh_skips_an_equal_list():
     assert factors.rows != rows
 
 
-def test_radio_db_domain_edges_run_to_finite_outputs(tmp_path):
-    # each power, gain and loss at either end of its domain, alone and all
-    # at once in the direction that maximizes or minimizes received power
-    short = replace(default_scenario(), sim=SimParams(total_s=0.1, warmup_s=0.05))
-    louder = {"tn_front_to_back_db": -1, "nlos_offset_db": -1, "noise_figure_db": -1}
-    probes = [{key: sign * MAX_ABS_DB} for key in RADIO_DB_FIELDS for sign in (-1, 1)]
-    probes += [{key: sign * louder.get(key, 1) * MAX_ABS_DB for key in RADIO_DB_FIELDS}
-               for sign in (-1, 1)]
-    for i, radio in enumerate(probes):
-        cfg = replace(short, radio=replace(short.radio, **radio))
+SHORT = replace(default_scenario(), sim=SimParams(total_s=0.1, warmup_s=0.05))
+# the sign that raises received power, per dB field (+1 unless listed)
+LOUDER = {"tn_front_to_back_db": -1, "nlos_offset_db": -1, "noise_figure_db": -1}
+
+
+def assert_valid_and_finite(configs, tmp_path):
+    """Each config passes validation, and cases 2 and 3 run on it to finite
+    report files."""
+    for i, cfg in enumerate(configs):
         validate_scenario(cfg)
         for case_id in (2, 3):
             store, files = run_and_write(RunSpec(cfg, case_id, 1), tmp_path / f"{i}-{case_id}")
-            assert math.isfinite(store.total_rx_bytes()), radio
+            assert math.isfinite(store.total_rx_bytes()), (cfg.radio, cfg.topology)
             for path in files.values():
                 text = path.read_text().lower()
-                assert "nan" not in text and "inf" not in text, (radio, path.name)
+                assert "nan" not in text and "inf" not in text, (i, path.name)
+
+
+def with_radio(**radio):
+    return replace(SHORT, radio=replace(SHORT.radio, **radio))
+
+
+def test_radio_db_domain_edges_run_to_finite_outputs(tmp_path):
+    # each power, gain and loss at either end of its domain, alone and all
+    # at once in the direction that maximizes or minimizes received power
+    probes = [{key: sign * MAX_ABS_DB} for key in RADIO_DB_FIELDS for sign in (-1, 1)]
+    probes += [{key: sign * LOUDER.get(key, 1) * MAX_ABS_DB for key in RADIO_DB_FIELDS}
+               for sign in (-1, 1)]
+    assert_valid_and_finite([with_radio(**radio) for radio in probes], tmp_path)
+
+
+def test_link_model_domain_edges_run_to_finite_outputs(tmp_path):
+    # every edge of the other [radio] link-model domains and of the
+    # placement extent, alone, then at the corners that make received
+    # power loudest and quietest
+    se_max = MAX_SE_BPS_HZ
+    probes = [{name: edge} for name, (lo, hi) in RADIO_RANGES.items()
+              if name not in RADIO_DB_FIELDS for edge in (lo, hi)]
+    probes += [{"se_cap_bps_hz": 5e-324, "se_min_bps_hz": 0.0}, {"se_cap_bps_hz": se_max},
+               {"se_min_bps_hz": 0.0}, {"se_min_bps_hz": SHORT.radio.se_cap_bps_hz},
+               {"se_cap_bps_hz": se_max, "se_min_bps_hz": se_max}]
+    loud = {key: LOUDER.get(key, 1) * MAX_ABS_DB for key in RADIO_DB_FIELDS}
+    probes += [dict(loud, freq_ghz=0.1, sat_altitude_km=100.0, beam_3db_radius_km=5000.0,
+                    tn_sector_width_deg=360.0, se_cap_bps_hz=se_max),
+               {**{key: -value for key, value in loud.items()}, "freq_ghz": 100.0,
+                "sat_altitude_km": 40_000.0, "beam_3db_radius_km": 1.0,
+                "tn_sector_width_deg": 1.0}]
+    far = MAX_BEAM_OFFSET_M
+    layouts = [{"isd_m": MIN_ISD_M}, {"isd_m": MAX_ISD_M},
+               {"beam_centers_m": ((far, far), (-far, -far), (far, -far))}]
+    configs = [with_radio(**radio) for radio in probes]
+    configs += [replace(SHORT, topology=replace(SHORT.topology, **topo)) for topo in layouts]
+    assert_valid_and_finite(configs, tmp_path)
+
+
+def test_grant_rebuilds_exactly_when_the_guard_key_changes(fast_cfg, monkeypatch):
+    # The engine looks at the guard set only when the allocation state
+    # changes or a guard time expires.  It must still rebuild the grants in
+    # exactly the epochs where the naive per-epoch key, the version and the
+    # sorted guard-timed RBs, changes.
+    rebuilds, steps = [], []
+    granted, step = engine_mod.tn_granted_rbs, SpectrumManager.sms_step
+    monkeypatch.setattr(engine_mod, "tn_granted_rbs",
+                        lambda *args: rebuilds.append(1) or granted(*args))
+
+    def recording_step(self, state, reports, now):
+        result = step(self, state, reports, now)
+        steps.append((now, result[0]))
+        return result
+
+    monkeypatch.setattr(SpectrumManager, "sms_step", recording_step)
+    expiry_rebuilds = 0
+    for case_id, guard_time in ((2, 0), (2, 1), (2, 2), (2, 3), (4, 2)):
+        cfg = replace(fast_cfg, cdss=replace(fast_cfg.cdss, guard_time_epochs=guard_time))
+        rebuilds.clear()
+        steps.clear()
+        run_simulation(RunSpec(cfg, case_id, 3))
+        band = cfg.band                 # cases 2 and 4 keep the coordination flags
+        plan = build_band_plan(band.total_rbs, band.num_groups, band.coordinated)
+        state = initial_allocation(plan, cfg.cdss)
+        changes, key, later = 0, None, list(steps)
+        for epoch in range(SimClock.from_config(cfg).total_epochs):
+            while later and later[0][0] <= epoch:
+                state = later.pop(0)[1]
+            new_key = (state.version, tuple(sorted(active_guard_rbs(state, epoch))))
+            changes += new_key != key
+            key = new_key
+        moves = state.version
+        assert moves > 0, (case_id, guard_time)
+        assert len(rebuilds) == changes, (case_id, guard_time)
+        expiry_rebuilds += changes - 1 - moves
+    assert expiry_rebuilds > 0          # guard expiries alone rebuilt some grants
 
 
 def test_benchmark_tracer_names_resolve_on_engine():

@@ -218,6 +218,7 @@ def test_schedule_matches_per_rb_reference():
             assert list(got.served_bytes) == list(want.served_bytes.items())
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
+            assert got.activity == (want.used_rb / len(granted) if granted else 0.0)
             assert list(got.used_per_group) == reference_scheduler.used_per_group(
                 want, group_of_rb, n_groups)
             assert node.offset == ref_rotation.offset
@@ -281,6 +282,7 @@ def test_schedule_memo_replay_matches_per_rb_reference():
             assert list(got.served_bytes) == list(want.served_bytes.items())
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
+            assert got.activity == want.used_rb / len(node.granted)   # a hit's too
             assert list(got.used_per_group) == reference_scheduler.used_per_group(
                 want, group_of_rb, n_groups)
             assert node.offset == ref_rotation.offset
@@ -379,17 +381,17 @@ def test_period_load_fold_matches_per_epoch_oracle():
             for rb in rbs:
                 used[group_of_rb[rb]] += 1
     busy_load, empty_load = PeriodLoad(busy.period), PeriodLoad(empty.period)
-    assert busy_load.used_per_group == used and busy_load.avail_per_group == avail
-    assert (busy_load.used_total, busy_load.avail_total) == (sum(used), sum(avail))
-    assert empty_load.used_per_group == [0] * n_groups
-    assert empty_load.avail_per_group == avail
-    assert (empty_load.used_total, empty_load.avail_total) == (0, sum(avail))
+    assert [busy_load.group(g) for g in range(n_groups)] == list(zip(used, avail))
+    assert busy_load.totals() == (sum(used), sum(avail))
+    assert [empty_load.group(g) for g in range(n_groups)] == [(0, a) for a in avail]
+    assert empty_load.totals() == (0, sum(avail))
     assert 0 < sum(used) < sum(avail)
 
 
 def make_sched(granted, used_per_group, granted_per_group):
-    return CellSchedule(tuple(granted), ((0, 0.0),), 0.0, sum(used_per_group),
-                        tuple(used_per_group), tuple(granted_per_group))
+    used = sum(used_per_group)
+    return CellSchedule(tuple(granted), ((0, 0.0),), 0.0, used, tuple(used_per_group),
+                        tuple(granted_per_group), used / len(granted) if granted else 0.0)
 
 
 def test_cell_load_ratio():
@@ -398,7 +400,7 @@ def test_cell_load_ratio():
     assert rep.used_rb_epochs == 75
     assert rep.available_rb_epochs == 100
     assert rep.used_rb_epochs / rep.available_rb_epochs == pytest.approx(0.75)
-    assert (load.used_total, load.avail_total) == (75, 100)
+    assert load.totals() == (75, 100)
 
 
 def test_cell_load_idle_period():
