@@ -19,6 +19,7 @@ from .band import (
     validate_allocation,
 )
 from .errors import ConfigurationError, InvariantError, MissingDataError
+from .sums import fold_sum
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def aggregate_load(reports: Sequence[LoadReport], group_index: int) -> float:
     ]
     if not ratios:
         raise MissingDataError(f"no usable load reports for group {group_index}")
-    return sum(ratios) / len(ratios)
+    return fold_sum(ratios) / len(ratios)
 
 
 def decide_adjustment(avg_load: float, alloc: GroupAllocation, cfg: CdssConfig) -> int:

@@ -6,7 +6,9 @@ seeds derived by labelled hashing of the master seed, so adding a stream
 never perturbs the others.  The controller is invoked in-process once per
 optimization period; the epoch pipeline is fixed as the byte-factor
 refresh, arrivals and scheduling per node, metrics, then the controller
-step at each period end.
+step at each period end.  Once every node's replay memo has closed into a
+cycle, the engine replays all nodes up to the next period end or guard
+expiry in one step (`traffic.Node.fast_forward`), with the same outputs.
 
 Interference coupling: a transmitter's activity fraction for SINR purposes
 is its RB utilization in the previous epoch (1.0 at epoch 0), which keeps
@@ -52,6 +54,7 @@ from .scenario import (
     serialize_scenario,
     validate_scenario,
 )
+from .sums import fold_sum
 from .traffic import (
     Node,
     PeriodLoad,
@@ -256,6 +259,12 @@ def _schedule_nodes(nodes, ue_bytes, node_bytes, post_warmup: bool) -> List[floa
     return activity
 
 
+def _settle(nodes, ue_bytes, node_bytes) -> None:
+    """Credit every node's fast-forwarded epochs (`traffic.Node.settle`)."""
+    for tx, node in enumerate(nodes):
+        node_bytes[tx] = node.settle(ue_bytes, node_bytes[tx])
+
+
 def _record_final(store, final_rows, total_rbs: int, tn_nodes, ntn_nodes, beams) -> None:
     """Final shares and per-node RB counts from the last allocation."""
     store.final_allocation = final_rows
@@ -280,7 +289,10 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     grant rebuild (only when the allocation or guard set changed), the
     byte-factor refresh, and each node's arrivals and scheduling; at each
     period end the load reports, utilization samples and the controller
-    step.
+    step.  When every node is steady (`traffic.Node.steady`) after the
+    refresh, the refreshes since the slots were filled all kept the rows,
+    so the activity, the rows and the grants stay fixed up to the next
+    period end or guard expiry, and every node is fast-forwarded there.
     """
     if spec.case_id not in CASES:
         raise ConfigurationError(
@@ -348,8 +360,15 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     activity = [1.0] * len(nodes)
     granted_key: Optional[Tuple[int, Tuple[int, ...]]] = None
     guard_state, guard_due = None, 0        # the guard set holds until either changes
+    # A node is steady at the earliest a whole rotation after a slot clear, so
+    # steadiness is checked from `check_at` on: a longest rotation (at least
+    # one epoch) after a row rewrite, then once per rotation while it fails.
+    cycle = max([1] + [len(node.ue_ids) for node in nodes])
+    check_at = 0
+    owed = False                            # some node holds fast-forwarded credit
     period_index = 0
-    for epoch in range(clock.total_epochs):
+    epoch = 0
+    while epoch < clock.total_epochs:
         if state is not guard_state or epoch == guard_due:
             blocked = active_guard_rbs(state, epoch)
             key = (state.version, tuple(sorted(blocked)))
@@ -363,10 +382,28 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         if byte_factors.refresh(activity):      # new rows: every replay slot is stale
             for node in nodes:
                 node.slots.clear()
-        activity = _schedule_nodes(nodes, ue_bytes, node_bytes, epoch >= clock.warmup_epochs)
+            check_at = epoch + cycle
+        if epoch >= check_at and all(node.steady() for node in nodes):
+            stop = min(epoch - epoch % clock.period_epochs + clock.period_epochs,
+                       guard_due if guard_due > epoch else clock.total_epochs,
+                       clock.total_epochs)
+            credited = max(0, stop - max(epoch, clock.warmup_epochs))
+            for node in nodes:
+                node.fast_forward(stop - epoch, credited)
+            owed = owed or credited > 0
+            epoch = stop
+        else:
+            if epoch >= check_at:               # the check failed
+                check_at = epoch + cycle
+            if owed:                            # earlier epochs are credited first
+                _settle(nodes, ue_bytes, node_bytes)
+                owed = False
+            activity = _schedule_nodes(nodes, ue_bytes, node_bytes,
+                                       epoch >= clock.warmup_epochs)
+            epoch += 1
 
-        if (epoch + 1) % clock.period_epochs == 0:
-            now = epoch + 1
+        if epoch % clock.period_epochs == 0:
+            now = epoch
             period_index += 1
             loads = [PeriodLoad(node.period) for node in tn_nodes]   # NTN loads go unread
             reports = [
@@ -386,6 +423,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             for node in nodes:
                 node.period = []
 
+    _settle(nodes, ue_bytes, node_bytes)
     store.ue_bytes = dict(enumerate(ue_bytes))
     store.node_bytes = {node.node_id: b for node, b in zip(nodes, node_bytes)}
     final_rows = _timeline_rows(plan, state, case, clock, period_index, clock.total_epochs)
@@ -496,8 +534,8 @@ def run_campaign(
             continue
         totals = [r.total_rx_bytes for r in good]
         n = len(totals)
-        mean = sum(totals) / n
-        var = sum((t - mean) ** 2 for t in totals) / (n - 1) if n > 1 else 0.0
+        mean = fold_sum(totals) / n
+        var = fold_sum((t - mean) ** 2 for t in totals) / (n - 1) if n > 1 else 0.0
         std = math.sqrt(var)
         stderr = std / math.sqrt(n) if n else 0.0
         pooled = sorted(t for r in good for t in r.throughputs_bps)
@@ -508,8 +546,8 @@ def run_campaign(
             "stderr_total_rx_bytes": stderr,
             "ci95_lo_total_rx_bytes": mean - 1.96 * stderr,
             "ci95_hi_total_rx_bytes": mean + 1.96 * stderr,
-            "mean_tn_share": sum(r.tn_share for r in good) / n,
-            "mean_ntn_share": sum(r.ntn_share for r in good) / n,
+            "mean_tn_share": fold_sum(r.tn_share for r in good) / n,
+            "mean_ntn_share": fold_sum(r.ntn_share for r in good) / n,
             "zero_throughput_fraction": (
                 sum(1 for t in pooled if t == 0.0) / len(pooled) if pooled else 0.0
             ),

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvariantError
+from .sums import fold_sum
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,12 @@ class MetricsStore:
         return {uid: b * 8.0 / horizon for uid, b in sorted(self.ue_bytes.items())}
 
     def total_rx_bytes(self) -> float:
-        return sum(self.ue_bytes.values())
+        return fold_sum(self.ue_bytes.values())
 
 
 def _check_store(store: MetricsStore) -> None:
-    ue_total = sum(store.ue_bytes.values())
-    node_total = sum(store.node_bytes.values())
+    ue_total = fold_sum(store.ue_bytes.values())
+    node_total = fold_sum(store.node_bytes.values())
     if not math.isclose(ue_total, node_total, rel_tol=1e-9, abs_tol=1e-6):
         raise InvariantError(
             f"byte accounting mismatch: UEs {ue_total} vs nodes {node_total}"
@@ -206,7 +207,7 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
         "zero_throughput_ues": zero_tput,
         "zero_throughput_fraction": zero_tput / max(1, len(throughputs)),
         "mean_tn_utilization": (
-            sum(s.utilization for s in store.utilization) / len(store.utilization)
+            fold_sum(s.utilization for s in store.utilization) / len(store.utilization)
             if store.utilization
             else 0.0
         ),

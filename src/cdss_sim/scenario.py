@@ -96,6 +96,10 @@ CASES: Dict[int, SimCase] = {
 # and the byte-factor refresh cost about epochs x (transmitters x RBs x
 # groups + UEs x (transmitters + groups)) work units; 7.3e6 for the defaults.
 MAX_RUN_WORK = 10**9
+# An RB from a 1 kHz narrowband channel to a whole 100 MHz carrier.  At
+# 1e-300 Hz the noise power underflows, the SINR overflows and an RB
+# carries about 1e-303 bytes.
+RB_BANDWIDTH_RANGE_HZ = (1e3, 1e8)
 # At this ISD over 3/4 of each cell's hexagon lies outside the 1 m mast
 # exclusion; MAX_ISD_M is wider than any terrestrial layout, and far below
 # the ISD whose placement range overflows a float.
@@ -272,8 +276,10 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             f"[band] coordinated: {len(band.coordinated)} flags for "
             f"{band.num_groups} groups"
         )
-    if band.rb_bandwidth_hz <= 0:
-        raise ConfigurationError("[band] rb_bandwidth_hz: must be positive")
+    lo, hi = RB_BANDWIDTH_RANGE_HZ
+    if not lo <= band.rb_bandwidth_hz <= hi:
+        raise ConfigurationError(
+            f"[band] rb_bandwidth_hz: must be in [{lo:g}, {hi:g}] Hz, got {band.rb_bandwidth_hz!r}")
 
     # The coordinated split must be feasible; reuse the real constructors.
     plan = build_band_plan(

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .controller import LoadReport
+from .sums import fold_sum
 
 
 def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> List[float]:
@@ -31,6 +32,9 @@ class Node:
     for one grant and one content of the byte rows: `set_grant` clears the
     slots, and whoever rewrites the rows must clear them too.  At most one
     slot per UE, so the memory is bounded by the UE count.
+
+    Once the node is `steady`, `fast_forward` replays the memo's cycle for
+    many epochs at once and leaves their bytes owing until `settle`.
     """
 
     node_id: str
@@ -44,12 +48,60 @@ class Node:
     group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
     period: List[CellSchedule] = field(default_factory=list)
     slots: Dict[int, tuple] = field(default_factory=dict)
+    credit: List[CellSchedule] = field(default_factory=list)  # the cycle from the first
+    owed: int = 0                   # of the `owed` epochs `settle` must credit
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
                   group_prefix: List[Tuple[int, ...]]) -> None:
         """Install a new grant and its tables; the memo's slots go stale."""
         self.granted, self.granted_rows, self.group_prefix = granted, granted_rows, group_prefix
         self.slots.clear()
+
+    def idle_schedule(self) -> CellSchedule:
+        """The epoch of a node that deals nothing: no UE, or no granted RB."""
+        return CellSchedule(self.granted, (), 0.0, 0, self.group_prefix[0],
+                            self.group_prefix[-1], 0.0)
+
+    def steady(self) -> bool:
+        """Whether the node has no UEs, or a grant, a slot for each of its n
+        rotation starts (its last n epochs) and the backlogs those began
+        from; then it repeats them while the grant and the rows hold."""
+        n = len(self.ue_ids)
+        return n == 0 or (bool(self.granted) and len(self.slots) == n
+                          and self.backlog == self.slots[self.offset % n][0])
+
+    def fast_forward(self, epochs: int, credited: int) -> None:
+        """Advance a steady node `epochs` epochs as `schedule_epoch` would;
+        the last `credited` of them are owed.  The caller settles before
+        any scheduled epoch, so owed epochs are always one run of a cycle."""
+        n = len(self.ue_ids)
+        if n == 0:
+            self.period.extend([self.idle_schedule()] * epochs)
+            return
+        start = self.offset % n
+        cycle = [self.slots[(start + j) % n][2] for j in range(n)]
+        self.period.extend(cycle * (epochs // n) + cycle[:epochs % n])
+        self.offset = (start + epochs) % n
+        self.backlog = self.slots[(start + epochs - 1) % n][1]
+        if credited and not self.owed:
+            first = (epochs - credited) % n
+            self.credit = cycle[first:] + cycle[:first]
+        self.owed += credited
+
+    def settle(self, ue_bytes: List[float], node_bytes: float) -> float:
+        """Fold the owed epochs' bytes into `ue_bytes` and the returned
+        `node_bytes`, epoch by epoch as `schedule_epoch` results are
+        credited; an unserved UE adds 0.0, a no-op as no total is -0.0."""
+        if not self.owed:
+            return node_bytes
+        reps, rest = divmod(self.owed, len(self.credit))
+        served = [dict(s.served_bytes) for s in self.credit]
+        for uid in self.ue_ids:
+            amounts = [d.get(uid, 0.0) for d in served]
+            ue_bytes[uid] = fold_sum(amounts * reps + amounts[:rest], ue_bytes[uid])
+        amounts = [s.node_bytes for s in self.credit]
+        self.owed = 0
+        return fold_sum(amounts * reps + amounts[:rest], node_bytes)
 
 
 @dataclass(frozen=True)        # a replay hit returns the stored instance itself
@@ -118,8 +170,7 @@ def schedule_epoch(node: Node) -> CellSchedule:
     n = len(ue_order)
     if n == 0 or not granted:
         node.backlog = generate_arrivals(node.backlog, node.increments)
-        return CellSchedule(granted, (), 0.0, 0, node.group_prefix[0], node.group_prefix[-1],
-                            0.0)
+        return node.idle_schedule()
     start = node.offset % n
     node.offset = (start + 1) % n
     key = node.backlog

@@ -162,7 +162,10 @@ def run_reference(spec: RunSpec) -> MetricsStore:
                 gi = ctrl.coordinated[ctrl.cursor % len(ctrl.coordinated)]
                 ratios = [used[c][gi] / avail[c][gi] for c in range(len(cells))
                           if avail[c][gi] > 0]
-                load = sum(ratios) / len(ratios) if ratios else None
+                total = 0               # added left to right in every Python version
+                for ratio in ratios:
+                    total += ratio
+                load = total / len(ratios) if ratios else None
             if now - clock.period_epochs >= clock.warmup_epochs:
                 store.utilization.extend(
                     UtilizationSample(cell.cell_id, period, now * clock.epoch_s,

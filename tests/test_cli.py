@@ -8,7 +8,7 @@ from cdss_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_cases, _pars
 from cdss_sim.errors import ConfigurationError
 from cdss_sim.scenario import (
     MAX_ABS_DB, MAX_BEAM_OFFSET_M, MAX_ISD_M, MAX_SE_BPS_HZ, RADIO_DB_FIELDS, RADIO_RANGES,
-    default_scenario,
+    RB_BANDWIDTH_RANGE_HZ, default_scenario,
 )
 
 FAST_SCENARIO = """\
@@ -139,6 +139,10 @@ def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
     cases += [("radio", "se_cap_bps_hz", value)
               for value in ("-1", "0", repr(MAX_SE_BPS_HZ * (1 + 1e-9)))]
     cases += [("radio", "se_min_bps_hz", value) for value in ("1e300", "-1e-9", "7.4000001")]
+    # at 1e-300 Hz a run exited 0 with meaningless outputs
+    lo, hi = RB_BANDWIDTH_RANGE_HZ
+    cases += [("band", "rb_bandwidth_hz", value)
+              for value in ("1e-300", "0", "-1", repr(lo * (1 - 1e-9)), repr(hi * (1 + 1e-9)))]
     # a placement range that overflows raised OverflowError (exit 2)
     cases += [("topology", "isd_m", value) for value in ("1.7e308", repr(MAX_ISD_M * (1 + 1e-9)))]
     cases += [("topology", "beam_centers_m", f"{x}, 0; 6000.0, 4000.0; 70000.0, 0.0")

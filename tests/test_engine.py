@@ -30,13 +30,14 @@ from cdss_sim.scenario import (
     MIN_ISD_M,
     RADIO_DB_FIELDS,
     RADIO_RANGES,
+    RB_BANDWIDTH_RANGE_HZ,
     SimParams,
     build_topology,
     default_scenario,
     serialize_scenario,
     validate_scenario,
 )
-from cdss_sim.traffic import grant_tables
+from cdss_sim.traffic import Node, grant_tables
 
 
 def test_sim_clock_epoch_counts(fast_cfg):
@@ -430,9 +431,9 @@ def test_radio_db_domain_edges_run_to_finite_outputs(tmp_path):
 
 
 def test_link_model_domain_edges_run_to_finite_outputs(tmp_path):
-    # every edge of the other [radio] link-model domains and of the
-    # placement extent, alone, then at the corners that make received
-    # power loudest and quietest
+    # every edge of the other [radio] link-model domains, of the placement
+    # extent and of the RB bandwidth, alone, then at the corners that make
+    # received power loudest and quietest
     se_max = MAX_SE_BPS_HZ
     probes = [{name: edge} for name, (lo, hi) in RADIO_RANGES.items()
               if name not in RADIO_DB_FIELDS for edge in (lo, hi)]
@@ -450,6 +451,8 @@ def test_link_model_domain_edges_run_to_finite_outputs(tmp_path):
                {"beam_centers_m": ((far, far), (-far, -far), (far, -far))}]
     configs = [with_radio(**radio) for radio in probes]
     configs += [replace(SHORT, topology=replace(SHORT.topology, **topo)) for topo in layouts]
+    configs += [replace(SHORT, band=replace(SHORT.band, rb_bandwidth_hz=edge))
+                for edge in RB_BANDWIDTH_RANGE_HZ]
     assert_valid_and_finite(configs, tmp_path)
 
 
@@ -490,6 +493,59 @@ def test_grant_rebuilds_exactly_when_the_guard_key_changes(fast_cfg, monkeypatch
         assert len(rebuilds) == changes, (case_id, guard_time)
         expiry_rebuilds += changes - 1 - moves
     assert expiry_rebuilds > 0          # guard expiries alone rebuilt some grants
+
+
+def test_settled_run_fast_forwards_most_node_epochs(fast_cfg, monkeypatch):
+    # Case 3 settles within a few epochs of each grant, so nearly every
+    # node-epoch is replayed by the fast-forward, not by `schedule_epoch`
+    # (162 of 2,700 calls remain for seed 1).  A change that turns the
+    # fast-forward off gives one call per node per epoch.
+    calls = []
+    schedule = engine_mod.schedule_epoch
+    monkeypatch.setattr(engine_mod, "schedule_epoch",
+                        lambda node: calls.append(1) or schedule(node))
+    store = run_simulation(RunSpec(fast_cfg, 3, 1))
+    node_epochs = len(store.node_bytes) * SimClock.from_config(fast_cfg).total_epochs
+    assert node_epochs == 2700
+    assert 0 < len(calls) < node_epochs / 10, len(calls)
+
+
+def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, monkeypatch):
+    # Bytes are added to each total in epoch order, so the credit a
+    # fast-forward leaves owing must be settled before a scheduled epoch
+    # credits its own bytes, and before the store is filled.
+    events = []
+    fast_forward, settle, schedule = Node.fast_forward, engine_mod._settle, engine_mod._schedule_nodes
+
+    def recording_fast_forward(node, epochs, credited):
+        events.append(("owe", credited > 0))
+        return fast_forward(node, epochs, credited)
+
+    def recording_settle(*args):
+        events.append(("settle", True))
+        return settle(*args)
+
+    def recording_schedule(nodes, ue_bytes, node_bytes, post_warmup):
+        events.append(("credit", post_warmup))
+        return schedule(nodes, ue_bytes, node_bytes, post_warmup)
+
+    monkeypatch.setattr(Node, "fast_forward", recording_fast_forward)
+    monkeypatch.setattr(engine_mod, "_settle", recording_settle)
+    monkeypatch.setattr(engine_mod, "_schedule_nodes", recording_schedule)
+    run_simulation(RunSpec(fast_cfg, 2, 1))
+    owed = paid = False
+    paid_then_credited = 0
+    for kind, flag in events:
+        if kind == "owe":
+            owed = owed or flag
+        elif kind == "settle":
+            owed, paid = False, owed
+        elif flag:                              # a post-warmup epoch credits
+            assert not owed
+            paid_then_credited += paid
+            paid = False
+    assert not owed and events[-1] == ("settle", True)
+    assert paid_then_credited >= 3, paid_then_credited   # 4 for this seed
 
 
 def test_benchmark_tracer_names_resolve_on_engine():

@@ -11,6 +11,7 @@ from cdss_sim.metrics import (
     compute_cdf,
     finalize,
 )
+from cdss_sim.sums import fold_sum
 
 
 def test_compute_cdf_simple():
@@ -116,3 +117,15 @@ def test_utilization_sample_ratio():
     s = UtilizationSample(0, 1, 0.25, 25, 100)
     assert s.utilization == 0.25
     assert UtilizationSample(0, 1, 0.25, 0, 0).utilization == 0.0
+
+
+def test_float_totals_add_left_to_right():
+    # A compensated sum (Python 3.12's sum() of floats) gives 1.0 here; the
+    # report files print the sequential fold, 0.0, in every version.
+    values = [1e16, 1.0, -1e16]
+    assert fold_sum(values) == 0.0
+    assert fold_sum(values[1:], 1e16) == 0.0
+    assert fold_sum([]) == 0 and isinstance(fold_sum([]), int)   # as sum([]) is
+    store = MetricsStore(case_id=1, seed=1, total_s=1.0, warmup_s=0.0)
+    store.ue_bytes = dict(enumerate(values))
+    assert store.total_rx_bytes() == 0.0

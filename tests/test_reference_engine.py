@@ -7,18 +7,26 @@ the byte-factor refresh skip and the scheduler's replay memo): the group
 count and coordination flags, beams sharing a group, guard time, step
 size, thresholds, minimums, UE counts and demands from idle to
 saturating.
+
+A second set of draws runs long enough for every node to settle, so that
+the engine fast-forwards whole stretches of epochs from the replay memo:
+few UEs, periods of 20-30 epochs, guard times that expire inside a
+period, and warmups that end inside one.
 """
 
 import random
+from dataclasses import replace
 
 from cdss_sim.controller import CdssConfig
 from cdss_sim.engine import RunSpec, run_simulation
 from cdss_sim.metrics import finalize
 from cdss_sim.scenario import BandParams, ScenarioConfig, SimParams, TopologyParams, TrafficParams
+from cdss_sim.traffic import Node
 
 from reference_engine import run_reference
 
 DRAWS = 60
+STEADY_DRAWS = 80
 RATES_KBPS = (0.0, 40.0, 400.0, 4000.0, 40000.0)   # idle to saturating
 
 
@@ -61,6 +69,38 @@ def draw_scenario(rng: random.Random) -> ScenarioConfig:
     return ScenarioConfig(band=band, cdss=cdss, topology=topology, traffic=traffic, sim=sim)
 
 
+def draw_steady_scenario(rng: random.Random) -> ScenarioConfig:
+    scenario = draw_scenario(rng)
+    # Low thresholds grow the TN, and a TN grant that waits for guard-timed
+    # RBs changes the cells' load reports when the guard time expires.  High
+    # ones shrink it until its UEs no longer drain, so the amounts credited
+    # right after a fast-forward differ from those fast-forwarded.
+    lower, upper = rng.choice([(0.0, 0.1), (0.05, 0.2), (0.0, 0.4), (0.9, 1.0)])
+    cdss = replace(scenario.cdss, lower_threshold=lower, upper_threshold=upper,
+                   period_s=rng.randint(20, 30) / 100, guard_time_epochs=rng.randint(5, 24))
+    topology = replace(scenario.topology, ues_per_tn_cell=rng.randint(1, 3),
+                       ues_per_beam=rng.randint(1, 3))
+    # rates whose per-epoch bytes are not whole numbers, so that the order
+    # in which a UE's amounts are added shows in its total
+    traffic = TrafficParams(*(rng.choice(RATES_KBPS + (123.456789, 1234.56789))
+                              for _ in range(4)))
+    warmup = rng.randint(0, 60)
+    sim = SimParams(total_s=(warmup + rng.randint(40, 200)) / 100, warmup_s=warmup / 100)
+    return replace(scenario, cdss=cdss, topology=topology, traffic=traffic, sim=sim)
+
+
+def assert_same_run(spec, store, tmp_path, draw):
+    """Every report file byte for byte, and the per-node byte totals,
+    which no file prints, exactly."""
+    reference = run_reference(spec)
+    assert store.node_bytes == reference.node_bytes, (draw, spec)
+    got = finalize(store, tmp_path / str(draw) / "engine")
+    want = finalize(reference, tmp_path / str(draw) / "reference")
+    assert set(got) == set(want)
+    for name in sorted(got):
+        assert got[name].read_bytes() == want[name].read_bytes(), (draw, name, spec)
+
+
 def test_engine_matches_reference_engine(tmp_path):
     rng = random.Random(6)
     moved = shared_beam_groups = 0
@@ -68,13 +108,31 @@ def test_engine_matches_reference_engine(tmp_path):
         scenario = draw_scenario(rng)
         spec = RunSpec(scenario, 1 + draw % 4, rng.randint(1, 10**6))
         store = run_simulation(spec)
-        got = finalize(store, tmp_path / str(draw) / "engine")
-        want = finalize(run_reference(spec), tmp_path / str(draw) / "reference")
-        assert set(got) == set(want)
-        for name in sorted(got):
-            assert got[name].read_bytes() == want[name].read_bytes(), (draw, name, spec)
+        assert_same_run(spec, store, tmp_path, draw)
         moved += store.timeline[-1].version > 0
         groups = scenario.topology.beam_groups
         shared_beam_groups += spec.case_id in (2, 4) and len(set(groups)) < len(groups)
     # the draws move boundaries and put two beams in one group
     assert moved >= 10 and shared_beam_groups >= 3, (moved, shared_beam_groups)
+
+
+def test_engine_matches_reference_engine_in_steady_states(tmp_path, monkeypatch):
+    forwards = []
+    fast_forward = Node.fast_forward
+
+    def counting(node, epochs, *args):
+        forwards.append(epochs)
+        return fast_forward(node, epochs, *args)
+
+    monkeypatch.setattr(Node, "fast_forward", counting)
+    rng = random.Random(9)
+    forwarded = 0
+    for draw in range(STEADY_DRAWS):
+        scenario = draw_steady_scenario(rng)
+        spec = RunSpec(scenario, rng.choice([2, 4]), rng.randint(1, 10**6))
+        forwards.clear()
+        store = run_simulation(spec)
+        assert_same_run(spec, store, tmp_path, draw)
+        forwarded += bool(forwards)
+    # 34 of the 80 draws settle; the rest keep a saturated or changing node
+    assert forwarded >= 30, forwarded
