@@ -18,6 +18,7 @@ from .band import (
     GroupAllocation,
     validate_allocation,
 )
+from .domains import check_domains
 from .errors import ConfigurationError, InvariantError, MissingDataError
 from .sums import fold_sum
 
@@ -36,19 +37,12 @@ class CdssConfig:
     guard_time_epochs: int = 1
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.lower_threshold < self.upper_threshold <= 1.0):
+        check_domains("cdss", self)
+        if self.lower_threshold >= self.upper_threshold:
             raise ConfigurationError(
-                f"thresholds must satisfy 0 <= lower_threshold < upper_threshold <= 1, got "
-                f"({self.lower_threshold}, {self.upper_threshold})"
+                f"[cdss] lower_threshold: thresholds must satisfy lower_threshold < "
+                f"upper_threshold, got ({self.lower_threshold}, {self.upper_threshold})"
             )
-        if self.step_rbs < 1:
-            raise ConfigurationError(f"step_rbs must be >= 1, got {self.step_rbs}")
-        if self.period_s <= 0:
-            raise ConfigurationError(f"period_s must be > 0, got {self.period_s}")
-        if min(self.tn_min, self.ntn_min) < 0 or self.guard_rbs < 0:
-            raise ConfigurationError("minimums and guard width must be non-negative")
-        if self.guard_time_epochs < 0:
-            raise ConfigurationError("guard_time_epochs must be >= 0")
 
 
 @dataclass(frozen=True)

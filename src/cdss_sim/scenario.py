@@ -20,6 +20,7 @@ import numpy as np
 
 from .band import build_band_plan, initial_allocation
 from .controller import CdssConfig
+from .domains import check_domains
 from .errors import ConfigurationError
 from .radio import NtnBeam, RadioParams, TnCell, Ue
 
@@ -96,38 +97,6 @@ CASES: Dict[int, SimCase] = {
 # and the byte-factor refresh cost about epochs x (transmitters x RBs x
 # groups + UEs x (transmitters + groups)) work units; 7.3e6 for the defaults.
 MAX_RUN_WORK = 10**9
-# An RB from a 1 kHz narrowband channel to a whole 100 MHz carrier.  At
-# 1e-300 Hz the noise power underflows, the SINR overflows and an RB
-# carries about 1e-303 bytes.
-RB_BANDWIDTH_RANGE_HZ = (1e3, 1e8)
-# At this ISD over 3/4 of each cell's hexagon lies outside the 1 m mast
-# exclusion; MAX_ISD_M is wider than any terrestrial layout, and far below
-# the ISD whose placement range overflows a float.
-MIN_ISD_M = 4.0
-MAX_ISD_M = 1e6
-# Beam centres lie within this distance of the first site along each axis
-# (a quarter of the Earth's circumference).
-MAX_BEAM_OFFSET_M = 1e7
-# The [radio] powers, gains and losses enter the link budget as 10^(x/10).
-# Within +-MAX_ABS_DB each, they cannot push a linear power, an interference
-# sum or an SINR out of float range.
-MAX_ABS_DB = 300.0
-RADIO_DB_FIELDS = ("tn_tx_power_dbm", "tn_antenna_gain_dbi", "tn_front_to_back_db",
-                    "nlos_offset_db", "noise_figure_db", "min_rsrp_dbm", "ntn_eirp_dbm")
-# Closed domains of the other [radio] fields that enter a log, a division or
-# a square in the link budget.  Physical ranges, each of which keeps the
-# free-space loss and the pattern losses within a few hundred dB.
-RADIO_RANGES = {
-    "freq_ghz": (0.1, 100.0),                   # carriers from 100 MHz to 100 GHz
-    "sat_altitude_km": (100.0, 40_000.0),       # from the Karman line to beyond GEO
-    "beam_3db_radius_km": (1.0, 5_000.0),
-    "tn_sector_width_deg": (1.0, 360.0),
-    **{name: (-MAX_ABS_DB, MAX_ABS_DB) for name in RADIO_DB_FIELDS},
-}
-# The SE cap lies in (0, MAX_SE_BPS_HZ] and the floor in [0, cap].  A
-# receiver's own impairments keep the SINR below about 40 dB (13.3 bps/Hz),
-# so a larger cap never binds; a larger floor only starves UEs.
-MAX_SE_BPS_HZ = 30.0
 
 
 def default_scenario() -> ScenarioConfig:
@@ -219,10 +188,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 raise ConfigurationError(f"[{section}] {key}: unknown key")
             ftype = known[key].type
             overrides[key] = _parse_value(ftype, raw, f"[{section}] {key}")
-        try:
-            sections[section] = replace(cls(), **overrides)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[{section}]: {exc}") from exc
+        sections[section] = replace(cls(), **overrides)
 
     cfg = ScenarioConfig(**sections)
     validate_scenario(cfg)
@@ -251,55 +217,21 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
-    """Cross-field validation beyond what the dataclasses enforce."""
-    band, topo = cfg.band, cfg.topology
-    # NaN fails every comparison, so it slips through the range checks
-    # below and into the byte factors; inf overflows the epoch counts.
+    """Every field's domain (`domains.DOMAINS`), then the cross-field rules."""
     for section in _SECTION_TYPES:
-        params = getattr(cfg, section)
-        for f in dataclass_fields(params):
-            value = getattr(params, f.name)
-            if f.type == "float":
-                finite = math.isfinite(value)
-            elif f.type == "Tuple[Tuple[float, float], ...]":
-                finite = all(math.isfinite(v) for pair in value for v in pair)
-            else:
-                continue
-            if not finite:
-                raise ConfigurationError(
-                    f"[{section}] {f.name}: must be finite, got {_format_value(value)}"
-                )
-    if band.total_rbs < 1:
-        raise ConfigurationError("[band] total_rbs: must be positive")
+        check_domains(section, getattr(cfg, section))
+    band, topo = cfg.band, cfg.topology
     if len(band.coordinated) != band.num_groups:
         raise ConfigurationError(
             f"[band] coordinated: {len(band.coordinated)} flags for "
             f"{band.num_groups} groups"
         )
-    lo, hi = RB_BANDWIDTH_RANGE_HZ
-    if not lo <= band.rb_bandwidth_hz <= hi:
-        raise ConfigurationError(
-            f"[band] rb_bandwidth_hz: must be in [{lo:g}, {hi:g}] Hz, got {band.rb_bandwidth_hz!r}")
-
     # The coordinated split must be feasible; reuse the real constructors.
     plan = build_band_plan(
         band.total_rbs, band.num_groups, band.coordinated, band.rb_bandwidth_hz
     )
     initial_allocation(plan, cfg.cdss)
 
-    if not (1 <= topo.num_sites <= 3):
-        raise ConfigurationError("[topology] num_sites: supported range is 1..3")
-    if topo.sectors_per_site < 1:
-        raise ConfigurationError("[topology] sectors_per_site: must be positive")
-    if not MIN_ISD_M <= topo.isd_m <= MAX_ISD_M:
-        raise ConfigurationError(
-            f"[topology] isd_m: must be in [{MIN_ISD_M:g}, {MAX_ISD_M:g}] m, got {topo.isd_m!r}")
-    if any(abs(v) > MAX_BEAM_OFFSET_M for pair in topo.beam_centers_m for v in pair):
-        raise ConfigurationError(
-            f"[topology] beam_centers_m: each coordinate must be within "
-            f"+-{MAX_BEAM_OFFSET_M:g} m")
-    if min(topo.ues_per_tn_cell, topo.ues_per_beam) < 0:
-        raise ConfigurationError("[topology] UE counts must be non-negative")
     if len(topo.beam_centers_m) != len(topo.beam_groups):
         raise ConfigurationError(
             "[topology] beam_groups: one group index per beam center required"
@@ -310,29 +242,8 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
                 f"[topology] beam_groups: beam {i} references group {gi}, "
                 f"valid range is 0..{band.num_groups - 1}"
             )
-    for name in ("ld_tn_kbps", "ld_ntn_kbps", "hd_tn_kbps", "hd_ntn_kbps"):
-        rate = getattr(cfg.traffic, name)
-        if rate < 0:
-            raise ConfigurationError(f"[traffic] {name}: must be non-negative, got {rate!r}")
-    # The link budget takes log10 of the frequency and of the slant range,
-    # 1 / sin(elevation), divides by the LOS scale, and squares offsets over
-    # the beam radius and the sector width.
     radio = cfg.radio
-    if radio.los_scale_m <= 0:
-        raise ConfigurationError(f"[radio] los_scale_m: must be positive, got {radio.los_scale_m!r}")
-    if not (0 < radio.elevation_deg <= 90):
-        raise ConfigurationError(
-            f"[radio] elevation_deg: must be in (0, 90], got {radio.elevation_deg!r}"
-        )
-    for name, (lo, hi) in RADIO_RANGES.items():
-        value = getattr(radio, name)
-        if not lo <= value <= hi:
-            raise ConfigurationError(f"[radio] {name}: must be in [{lo:g}, {hi:g}], got {value!r}")
-    if not 0 < radio.se_cap_bps_hz <= MAX_SE_BPS_HZ:
-        raise ConfigurationError(
-            f"[radio] se_cap_bps_hz: must be in (0, {MAX_SE_BPS_HZ:g}], "
-            f"got {radio.se_cap_bps_hz!r}")
-    if not 0 <= radio.se_min_bps_hz <= radio.se_cap_bps_hz:
+    if radio.se_min_bps_hz > radio.se_cap_bps_hz:
         raise ConfigurationError(
             f"[radio] se_min_bps_hz: must be in [0, se_cap_bps_hz = {radio.se_cap_bps_hz!r}], "
             f"got {radio.se_min_bps_hz!r}")
@@ -365,11 +276,10 @@ class SimClock:
 
     @classmethod
     def from_config(cls, cfg: ScenarioConfig) -> "SimClock":
-        """The run's epoch counts; `validate_scenario` rejects exactly the
-        configs this rejects."""
+        """The run's epoch counts, for a config whose fields lie in their
+        domains; `validate_scenario` derives them here too, so `validate` and
+        `run` reject the same configs."""
         sim = cfg.sim
-        if sim.epoch_ms <= 0:
-            raise ConfigurationError("[sim] epoch_ms: must be positive")
         period = _whole_epochs("[cdss] period_s", cfg.cdss.period_s, sim.epoch_ms, 1)
         total = _whole_epochs("[sim] total_s", sim.total_s, sim.epoch_ms, 1)
         warmup = _whole_epochs("[sim] warmup_s", sim.warmup_s, sim.epoch_ms, 0)
@@ -382,15 +292,15 @@ class SimClock:
 
 def _whole_epochs(path: str, seconds: float, epoch_ms: float, minimum: int) -> int:
     epoch_s = epoch_ms / 1e3
-    n = round(seconds / epoch_s)
-    if seconds < 0 or n < minimum or not math.isclose(
-        n * epoch_s, seconds, rel_tol=1e-9, abs_tol=1e-12
-    ):
-        raise ConfigurationError(
-            f"{path} {seconds} must be a whole number (at least {minimum}) of "
-            f"{epoch_ms} ms epochs"
-        )
-    return n
+    count = seconds / epoch_s           # inf once seconds is near the float limit
+    if math.isfinite(count) and seconds >= 0:
+        n = round(count)
+        if n >= minimum and math.isclose(n * epoch_s, seconds, rel_tol=1e-9, abs_tol=1e-12):
+            return n
+    raise ConfigurationError(
+        f"{path} {seconds} must be a whole number (at least {minimum}) of "
+        f"{epoch_ms} ms epochs"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from cdss_sim.domains import DOMAINS
 from cdss_sim.engine import _link_budget
-from cdss_sim.scenario import CASES, MIN_ISD_M, build_topology, default_scenario
+from cdss_sim.scenario import CASES, build_topology, default_scenario
 
 import reference_placement
 
@@ -28,7 +29,7 @@ def shapes():
     topo = cfg.topology
     for change in ({}, {"ues_per_tn_cell": 0}, {"ues_per_beam": 0},
                    {"ues_per_tn_cell": 0, "ues_per_beam": 0}, {"num_sites": 1},
-                   {"sectors_per_site": 1}, {"isd_m": MIN_ISD_M},
+                   {"sectors_per_site": 1}, {"isd_m": DOMAINS[("topology", "isd_m")][0]},
                    {"num_sites": 1, "sectors_per_site": 4, "ues_per_tn_cell": 25}):
         yield replace(cfg, topology=replace(topo, **change))
 

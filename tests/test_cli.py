@@ -5,11 +5,9 @@ import pytest
 
 import cdss_sim.engine as engine_mod
 from cdss_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _parse_cases, _parse_seeds, main
+from cdss_sim.domains import DOMAINS, RADIO_DB_FIELDS
 from cdss_sim.errors import ConfigurationError
-from cdss_sim.scenario import (
-    MAX_ABS_DB, MAX_BEAM_OFFSET_M, MAX_ISD_M, MAX_SE_BPS_HZ, RADIO_DB_FIELDS, RADIO_RANGES,
-    RB_BANDWIDTH_RANGE_HZ, default_scenario,
-)
+from cdss_sim.scenario import default_scenario
 
 FAST_SCENARIO = """\
 [sim]
@@ -95,12 +93,20 @@ def test_validate_non_finite_values_exit_one(tmp_path, capsys):
 
 def test_validate_and_run_agree_on_epoch_counts(tmp_path, capsys):
     # The first two passed `validate` once and then failed `run` on their
-    # epoch counts; a negative warmup must fail both, however small.
+    # epoch counts; a negative warmup must fail both, however small.  An
+    # epoch so short that it underflows, or a duration whose epoch count
+    # overflows, raised OverflowError or ZeroDivisionError (exit 2).
     bad = tmp_path / "bad.ini"
-    for text, path in (("[cdss]\nperiod_s = 1e-13\n", "[cdss] period_s"),
-                       ("[sim]\nwarmup_s = 0\ntotal_s = 1e-13\n", "[sim] total_s"),
-                       ("[sim]\nwarmup_s = -0.01\n", "[sim] warmup_s"),
-                       ("[sim]\nwarmup_s = -1e-13\n", "[sim] warmup_s")):
+    probes = [("[cdss]\nperiod_s = 1e-13\n", "[cdss] period_s"),
+              ("[sim]\nwarmup_s = 0\ntotal_s = 1e-13\n", "[sim] total_s"),
+              ("[sim]\nwarmup_s = -0.01\n", "[sim] warmup_s"),
+              ("[sim]\nwarmup_s = -1e-13\n", "[sim] warmup_s")]
+    probes += [(f"[sim]\nepoch_ms = {value}\n", "[sim] epoch_ms")
+               for value in ("1e-310", "1e-320", "5e-324")]
+    probes += [(f"[{section}]\n{key} = 1.7e308\n", f"[{section}] {key}")
+               for section, key in (("cdss", "period_s"), ("sim", "total_s"),
+                                    ("sim", "warmup_s"))]
+    for text, path in probes:
         bad.write_text(text)
         for argv in (["validate"],
                      ["run", "--case", "1", "--out", str(tmp_path / "out")]):
@@ -118,6 +124,9 @@ def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     cases = [("radio", "freq_ghz", value) for value in ("-2", "0", "nan", "inf")]
     cases += [("radio", "elevation_deg", value) for value in ("0", "-10", "90.5", "nan")]
+    # 5e-324 passed validation, and the slant range then divided by a zero
+    # sine; the domain's lower edge is 10 degrees
+    cases += [("radio", "elevation_deg", value) for value in ("5e-324", "9.999")]
     cases += [("traffic", key, value)
               for key in ("ld_tn_kbps", "ld_ntn_kbps", "hd_tn_kbps", "hd_ntn_kbps")
               for value in ("nan", "inf", "-1")]
@@ -127,26 +136,32 @@ def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
                           "tn_sector_width_deg")
               for value in ("0", "-1")]
     # powers, gains and losses: 1e9 dB passed validation and overflowed the
-    # noise power in `run`; just outside +-MAX_ABS_DB each is rejected
-    outside = (f"{MAX_ABS_DB + 1e-9!r}", f"{-MAX_ABS_DB - 1e-9!r}", "1e9")
-    cases += [("radio", key, value) for key in RADIO_DB_FIELDS for value in outside]
+    # noise power in `run`; just outside either edge is rejected
+    cases += [("radio", key, value) for key in RADIO_DB_FIELDS
+              for lo, hi in [DOMAINS[("radio", key)]]
+              for value in (repr(hi + 1e-9), repr(lo - 1e-9), "1e9")]
     # these passed validation once: at 1e-300 the link budget overflowed
     # (exit 2), and a negative SE cap or a 1e300 floor ran to meaningless
     # outputs; just outside each domain is rejected too
     cases += [("radio", key, value)
-              for key, (lo, hi) in RADIO_RANGES.items() if key not in RADIO_DB_FIELDS
+              for key in ("freq_ghz", "sat_altitude_km", "beam_3db_radius_km",
+                          "tn_sector_width_deg")
+              for lo, hi in [DOMAINS[("radio", key)]]
               for value in ("1e-300", repr(lo * (1 - 1e-9)), repr(hi * (1 + 1e-9)))]
+    se_max = DOMAINS[("radio", "se_cap_bps_hz")][1]
     cases += [("radio", "se_cap_bps_hz", value)
-              for value in ("-1", "0", repr(MAX_SE_BPS_HZ * (1 + 1e-9)))]
+              for value in ("-1", "0", repr(se_max * (1 + 1e-9)))]
     cases += [("radio", "se_min_bps_hz", value) for value in ("1e300", "-1e-9", "7.4000001")]
     # at 1e-300 Hz a run exited 0 with meaningless outputs
-    lo, hi = RB_BANDWIDTH_RANGE_HZ
+    lo, hi = DOMAINS[("band", "rb_bandwidth_hz")]
     cases += [("band", "rb_bandwidth_hz", value)
               for value in ("1e-300", "0", "-1", repr(lo * (1 - 1e-9)), repr(hi * (1 + 1e-9)))]
     # a placement range that overflows raised OverflowError (exit 2)
-    cases += [("topology", "isd_m", value) for value in ("1.7e308", repr(MAX_ISD_M * (1 + 1e-9)))]
+    isd_max = DOMAINS[("topology", "isd_m")][1]
+    cases += [("topology", "isd_m", value) for value in ("1.7e308", repr(isd_max * (1 + 1e-9)))]
+    far = DOMAINS[("topology", "beam_centers_m")][0]
     cases += [("topology", "beam_centers_m", f"{x}, 0; 6000.0, 4000.0; 70000.0, 0.0")
-              for x in ("1e200", repr(-MAX_BEAM_OFFSET_M * (1 + 1e-9)))]
+              for x in ("1e200", repr(far * (1 + 1e-9)))]
     for section, key, value in cases:
         bad.write_text(f"[{section}]\n{key} = {value}\n")
         for argv in (["validate"],
@@ -254,9 +269,12 @@ def test_campaign_grid_and_aggregate_table(fast_scenario_file, tmp_path, capsys)
     assert "4 runs" in captured
 
 
-def test_epoch_ms_override_validated(fast_scenario_file, tmp_path):
-    rc = main([
-        "run", "--case", "1", "--scenario", str(fast_scenario_file),
-        "--out", str(tmp_path / "x"), "--epoch-ms", "7.0", "--quiet",
-    ])
-    assert rc == EXIT_CONFIG
+def test_epoch_ms_override_validated(fast_scenario_file, tmp_path, capsys):
+    for value, path in (("7.0", "[cdss] period_s"), ("5e-324", "[sim] epoch_ms")):
+        rc = main([
+            "run", "--case", "1", "--scenario", str(fast_scenario_file),
+            "--out", str(tmp_path / "x"), "--epoch-ms", value, "--quiet",
+        ])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}") and err.count("\n") == 1, err

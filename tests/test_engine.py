@@ -9,6 +9,7 @@ import pytest
 import cdss_sim.engine as engine_mod
 from cdss_sim.band import active_guard_rbs, build_band_plan, initial_allocation
 from cdss_sim.controller import CdssConfig, SpectrumManager, apply_adjustment
+from cdss_sim.domains import DOMAINS, RADIO_DB_FIELDS
 from cdss_sim.engine import (
     ByteFactors,
     RunSpec,
@@ -23,14 +24,6 @@ from cdss_sim.errors import ConfigurationError, InvariantError
 from cdss_sim.radio import RadioParams, select_serving, thermal_noise_dbm
 from cdss_sim.scenario import (
     CASES,
-    MAX_ABS_DB,
-    MAX_BEAM_OFFSET_M,
-    MAX_ISD_M,
-    MAX_SE_BPS_HZ,
-    MIN_ISD_M,
-    RADIO_DB_FIELDS,
-    RADIO_RANGES,
-    RB_BANDWIDTH_RANGE_HZ,
     SimParams,
     build_topology,
     default_scenario,
@@ -424,9 +417,9 @@ def with_radio(**radio):
 def test_radio_db_domain_edges_run_to_finite_outputs(tmp_path):
     # each power, gain and loss at either end of its domain, alone and all
     # at once in the direction that maximizes or minimizes received power
-    probes = [{key: sign * MAX_ABS_DB} for key in RADIO_DB_FIELDS for sign in (-1, 1)]
-    probes += [{key: sign * LOUDER.get(key, 1) * MAX_ABS_DB for key in RADIO_DB_FIELDS}
-               for sign in (-1, 1)]
+    probes = [{key: edge} for key in RADIO_DB_FIELDS for edge in DOMAINS[("radio", key)]]
+    probes += [{key: sign * LOUDER.get(key, 1) * DOMAINS[("radio", key)][1]
+                for key in RADIO_DB_FIELDS} for sign in (-1, 1)]
     assert_valid_and_finite([with_radio(**radio) for radio in probes], tmp_path)
 
 
@@ -434,25 +427,26 @@ def test_link_model_domain_edges_run_to_finite_outputs(tmp_path):
     # every edge of the other [radio] link-model domains, of the placement
     # extent and of the RB bandwidth, alone, then at the corners that make
     # received power loudest and quietest
-    se_max = MAX_SE_BPS_HZ
-    probes = [{name: edge} for name, (lo, hi) in RADIO_RANGES.items()
-              if name not in RADIO_DB_FIELDS for edge in (lo, hi)]
+    se_max = DOMAINS[("radio", "se_cap_bps_hz")][1]
+    probes = [{name: edge} for name in ("freq_ghz", "sat_altitude_km", "beam_3db_radius_km",
+                                        "tn_sector_width_deg", "elevation_deg")
+              for edge in DOMAINS[("radio", name)]]
     probes += [{"se_cap_bps_hz": 5e-324, "se_min_bps_hz": 0.0}, {"se_cap_bps_hz": se_max},
                {"se_min_bps_hz": 0.0}, {"se_min_bps_hz": SHORT.radio.se_cap_bps_hz},
                {"se_cap_bps_hz": se_max, "se_min_bps_hz": se_max}]
-    loud = {key: LOUDER.get(key, 1) * MAX_ABS_DB for key in RADIO_DB_FIELDS}
+    loud = {key: LOUDER.get(key, 1) * DOMAINS[("radio", key)][1] for key in RADIO_DB_FIELDS}
     probes += [dict(loud, freq_ghz=0.1, sat_altitude_km=100.0, beam_3db_radius_km=5000.0,
                     tn_sector_width_deg=360.0, se_cap_bps_hz=se_max),
                {**{key: -value for key, value in loud.items()}, "freq_ghz": 100.0,
                 "sat_altitude_km": 40_000.0, "beam_3db_radius_km": 1.0,
                 "tn_sector_width_deg": 1.0}]
-    far = MAX_BEAM_OFFSET_M
-    layouts = [{"isd_m": MIN_ISD_M}, {"isd_m": MAX_ISD_M},
-               {"beam_centers_m": ((far, far), (-far, -far), (far, -far))}]
+    far = DOMAINS[("topology", "beam_centers_m")][1]
+    layouts = [{"isd_m": edge} for edge in DOMAINS[("topology", "isd_m")]]
+    layouts.append({"beam_centers_m": ((far, far), (-far, -far), (far, -far))})
     configs = [with_radio(**radio) for radio in probes]
     configs += [replace(SHORT, topology=replace(SHORT.topology, **topo)) for topo in layouts]
     configs += [replace(SHORT, band=replace(SHORT.band, rb_bandwidth_hz=edge))
-                for edge in RB_BANDWIDTH_RANGE_HZ]
+                for edge in DOMAINS[("band", "rb_bandwidth_hz")]]
     assert_valid_and_finite(configs, tmp_path)
 
 

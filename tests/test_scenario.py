@@ -3,11 +3,11 @@ import math
 import pytest
 
 from cdss_sim.band import build_band_plan
+from cdss_sim.domains import DOMAINS
 from cdss_sim.errors import ConfigurationError
 from cdss_sim.scenario import (
     CASES,
     MAX_RUN_WORK,
-    MIN_ISD_M,
     build_topology,
     default_scenario,
     demand_bps,
@@ -119,12 +119,13 @@ def test_work_bound_names_band_or_topology_when_one_epoch_is_too_large():
 
 
 def test_smallest_isd_places_ues_outside_the_mast_exclusion():
-    cfg = parse_scenario(f"[topology]\nisd_m = {MIN_ISD_M}\n")
+    min_isd = DOMAINS[("topology", "isd_m")][0]
+    cfg = parse_scenario(f"[topology]\nisd_m = {min_isd}\n")
     topo = build_topology(cfg, CASES[1], seed=1)
     cells = [c for c in topo.cells for _ in range(10)]
     assert all(math.dist(ue.xy, cell.site_xy) >= 1.0 for ue, cell in zip(topo.ues, cells))
     with pytest.raises(ConfigurationError, match=r"\[topology\] isd_m"):
-        parse_scenario(f"[topology]\nisd_m = {MIN_ISD_M * 0.99}\n")
+        parse_scenario(f"[topology]\nisd_m = {min_isd * 0.99}\n")
 
 
 def test_case_table_semantics():
