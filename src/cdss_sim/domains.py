@@ -66,14 +66,19 @@ DOMAINS = {
     # each coordinate, from the first site: a quarter of the Earth's
     # circumference
     ("topology", "beam_centers_m"): (-1e7, 1e7),
-    **{("traffic", name): (0.0, INF)
+    # 1e8 kbps (100 Gbps) is far above any NR UE's peak rate (IMT-2020 asks
+    # for 20 Gbps).  At 1.7e308 kbps the rate in bps overflows to inf, and
+    # so would every backlog the scheduler sees.
+    **{("traffic", name): (0.0, 1e8)
        for name in ("ld_tn_kbps", "ld_ntn_kbps", "hd_tn_kbps", "hd_ntn_kbps")},
     ("sim", "total_s"): (-INF, INF),
     ("sim", "warmup_s"): (-INF, INF),
-    # 1 ns, far below any NR slot (15.6 us at the widest subcarrier
-    # spacing).  A shorter epoch underflows epoch_ms / 1e3 to a subnormal or
-    # to 0, and the epoch counts overflow or divide by zero.
-    ("sim", "epoch_ms"): (1e-6, INF),
+    # From 1 ns, far below any NR slot (15.6 us at the widest subcarrier
+    # spacing), to 1 s, a hundred 10 ms NR frames.  A shorter epoch
+    # underflows epoch_ms / 1e3 to a subnormal or to 0, and the epoch counts
+    # overflow or divide by zero.  At 1e306 ms the bytes an RB carries in
+    # one epoch, rb_bandwidth_hz * epoch_s / 8, overflow.
+    ("sim", "epoch_ms"): (1e-6, 1e3),
 }
 
 

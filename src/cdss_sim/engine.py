@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -381,7 +382,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
 
         if byte_factors.refresh(activity):      # new rows: every replay slot is stale
             for node in nodes:
-                node.slots.clear()
+                node.clear_memo()
             check_at = epoch + cycle
         if epoch >= check_at and all(node.steady() for node in nodes):
             stop = min(epoch - epoch % clock.period_epochs + clock.period_epochs,
@@ -441,7 +442,8 @@ class RunRecord:
     case_id: int
     seed: int
     ok: bool
-    error: Optional[str] = None
+    error: Optional[str] = None     # `Type: message` of a failed run
+    traceback: Optional[str] = None  # and its formatted traceback
     total_rx_bytes: float = 0.0
     tn_share: float = 0.0
     ntn_share: float = 0.0
@@ -471,7 +473,8 @@ def _campaign_worker(args: Tuple[str, int, int, str]) -> RunRecord:
         scenario = parse_scenario(scenario_text)
         store, files = run_and_write(RunSpec(scenario, case_id, seed), Path(out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the campaign
-        return RunRecord(case_id, seed, ok=False, error=f"{type(exc).__name__}: {exc}")
+        return RunRecord(case_id, seed, ok=False, error=f"{type(exc).__name__}: {exc}",
+                         traceback=traceback.format_exc())
     tputs = list(store.throughputs_bps().values())
     zero = sum(1 for t in tputs if t == 0.0)
     return RunRecord(

@@ -1,10 +1,16 @@
-"""Float sums in one fixed order, whatever the Python version."""
+"""Float sums in one fixed order, whatever the Python or numpy version."""
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import add
 from typing import Iterable
+
+import numpy as np
+
+# Columns per block of `fold_cycle`, so its memory does not grow with the
+# number of columns folded.
+FOLD_BLOCK = 1024
 
 
 def fold_sum(values: Iterable[float], start: float = 0) -> float:
@@ -16,3 +22,26 @@ def fold_sum(values: Iterable[float], start: float = 0) -> float:
     can differ, and so would every report file that prints a sum.
     """
     return reduce(add, values, start)
+
+
+def fold_cycle(start: np.ndarray, cycle: np.ndarray, first: int, count: int) -> np.ndarray:
+    """`fold_sum` of every row of a rows-by-n `cycle` at once: row i of the
+    result is `fold_sum([cycle[i, (first + j) % n] for j in range(count)],
+    start[i])`, the row's columns from `first` on, repeated.
+
+    `np.add.accumulate` rounds each step left to right, as `fold_sum` does
+    (a pairwise `np.sum` does not).  The tiled columns are folded a block
+    of whole cycles, at most about FOLD_BLOCK columns, at a time, each
+    block starting from the running value the last one left.
+    """
+    rows, n = cycle.shape
+    width = n * max(1, min(-(-count // n), FOLD_BLOCK // n))
+    block = np.empty((rows, width + 1))
+    block[:, 1:] = cycle[:, (first + np.arange(width)) % n]
+    total = np.asarray(start, dtype=float)
+    while count > 0:
+        take = min(width, count)
+        block[:, 0] = total
+        total = np.add.accumulate(block[:, :take + 1], axis=1)[:, -1]
+        count -= take
+    return total

@@ -3,16 +3,77 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .controller import LoadReport
-from .sums import fold_sum
+from .sums import fold_cycle
 
 
 def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> List[float]:
     """The backlogs after one epoch of CBR demand: a new list with
     `increments[i]` bytes added to `backlog[i]`."""
     return [b + inc for b, inc in zip(backlog, increments)]
+
+
+class Cycle:
+    """The epochs a steady node repeats: the `CellSchedule` of each rotation
+    start, in start order, built once while the node's slots hold.
+
+    The integer prefix sums of their loads (for `PeriodLoad`) and the
+    matrix of their credited bytes (for `Node.settle`) are built on first
+    use, once per cycle.
+    """
+
+    __slots__ = ("schedules", "_prefix", "_amounts")
+
+    def __init__(self, schedules: List[CellSchedule]) -> None:
+        self.schedules = schedules
+        self._prefix: Optional[List[List[int]]] = None
+        self._amounts: Optional[np.ndarray] = None
+
+    def load(self, column: int, start: int, count: int) -> Tuple[int, int]:
+        """Load columns `column` and `column + 1` summed over `count` epochs
+        from position `start`: whole cycles, then a window that may wrap
+        past the cycle's end.  Columns 0 and 1 are the used and granted RBs,
+        2 + 2g and 3 + 2g those of group g."""
+        if self._prefix is None:
+            cols = [[s.used_rb for s in self.schedules], [len(s.granted) for s in self.schedules]]
+            for gi in range(len(self.schedules[0].used_per_group)):
+                cols += [[s.used_per_group[gi] for s in self.schedules],
+                         [s.granted_per_group[gi] for s in self.schedules]]
+            self._prefix = [[0, *accumulate(col)] for col in cols]
+        n = len(self.schedules)
+        reps, rest = divmod(count, n)
+        end = start + rest
+        if end > n:
+            reps, end = reps + 1, end - n
+        used, granted = self._prefix[column], self._prefix[column + 1]
+        return (reps * used[n] + used[end] - used[start],
+                reps * granted[n] + granted[end] - granted[start])
+
+    def amounts(self, ue_ids: Sequence[int]) -> np.ndarray:
+        """The bytes each epoch credits: one row per UE of `ue_ids` (0.0
+        where it was not served), then the node total, one column per epoch."""
+        if self._amounts is None:
+            row = {uid: i for i, uid in enumerate(ue_ids)}
+            amounts = [[0.0] * len(self.schedules) for _ in range(len(ue_ids) + 1)]
+            for j, s in enumerate(self.schedules):
+                for uid, amount in s.served_bytes:
+                    amounts[row[uid]][j] = amount
+                amounts[-1][j] = s.node_bytes
+            self._amounts = np.array(amounts)
+        return self._amounts
+
+
+class Run(NamedTuple):
+    """`count` epochs of a node replaying `cycle` from position `start`."""
+
+    cycle: Cycle
+    start: int
+    count: int
 
 
 @dataclass
@@ -22,19 +83,25 @@ class Node:
     Holds the node's UEs in rotation order with their backlogs and
     per-epoch CBR increments (both in `ue_ids` order), its persistent
     rotation offset, its grant (`granted` with the `grant_tables` over it),
-    the schedules of the current controller period and its replay memo
-    for `schedule_epoch`.
+    the epochs of the current controller period and its replay memo for
+    `schedule_epoch`.
 
     `backlog` is rebound, never mutated in place, because the memo keeps
     backlog lists by reference.  It has one slot per rotation start: the
     backlogs before the epoch's arrivals (the key), the backlogs the
     dealing loop left and the `CellSchedule` it returned.  A slot is valid
     for one grant and one content of the byte rows: `set_grant` clears the
-    slots, and whoever rewrites the rows must clear them too.  At most one
-    slot per UE, so the memory is bounded by the UE count.
+    slots, and whoever rewrites the rows must call `clear_memo` too.  At
+    most one slot per UE, so the memory is bounded by the UE count.
 
     Once the node is `steady`, `fast_forward` replays the memo's cycle for
-    many epochs at once and leaves their bytes owing until `settle`.
+    many epochs at once.  The cycle is built once while the slots hold
+    (`replay_cycle`), and every slot change drops it.  A scheduled epoch
+    adds its `CellSchedule` to `period`, a fast-forward one `Run` record
+    (the cycle, the start position and the epoch count), so its cost does
+    not grow with the epochs it covers.  The bytes of its post-warmup
+    epochs are owed, as one more `Run` in `credit`, until `settle` folds
+    them in blocks of columns (`sums.fold_cycle`).
     """
 
     node_id: str
@@ -46,16 +113,21 @@ class Node:
     granted: List[int] = field(default_factory=list)
     granted_rows: List[List[float]] = field(default_factory=list)
     group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
-    period: List[CellSchedule] = field(default_factory=list)
+    period: List[Union[CellSchedule, Run]] = field(default_factory=list)
     slots: Dict[int, tuple] = field(default_factory=dict)
-    credit: List[CellSchedule] = field(default_factory=list)  # the cycle from the first
-    owed: int = 0                   # of the `owed` epochs `settle` must credit
+    cycle: Optional[Cycle] = None   # the slots' cycle, while they hold
+    credit: Optional[Run] = None    # the owed epochs `settle` must credit
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
                   group_prefix: List[Tuple[int, ...]]) -> None:
         """Install a new grant and its tables; the memo's slots go stale."""
         self.granted, self.granted_rows, self.group_prefix = granted, granted_rows, group_prefix
+        self.clear_memo()
+
+    def clear_memo(self) -> None:
+        """Drop every slot, and the cycle built from them."""
         self.slots.clear()
+        self.cycle = None
 
     def idle_schedule(self) -> CellSchedule:
         """The epoch of a node that deals nothing: no UE, or no granted RB."""
@@ -70,38 +142,50 @@ class Node:
         return n == 0 or (bool(self.granted) and len(self.slots) == n
                           and self.backlog == self.slots[self.offset % n][0])
 
+    def replay_cycle(self) -> Cycle:
+        """The cycle a steady node repeats, one idle epoch with no UEs."""
+        if self.cycle is None:
+            n = len(self.ue_ids)
+            # A list: CPython keeps freed tuples on one free list per length,
+            # and tuples of every rotation length filled them, which raised
+            # the peak memory of a process that runs many simulations.
+            self.cycle = Cycle([self.slots[j][2] for j in range(n)] if n
+                               else [self.idle_schedule()])
+        return self.cycle
+
     def fast_forward(self, epochs: int, credited: int) -> None:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would;
         the last `credited` of them are owed.  The caller settles before
         any scheduled epoch, so owed epochs are always one run of a cycle."""
         n = len(self.ue_ids)
+        cycle = self.replay_cycle()
         if n == 0:
-            self.period.extend([self.idle_schedule()] * epochs)
+            self.period.append(Run(cycle, 0, epochs))
             return
         start = self.offset % n
-        cycle = [self.slots[(start + j) % n][2] for j in range(n)]
-        self.period.extend(cycle * (epochs // n) + cycle[:epochs % n])
+        self.period.append(Run(cycle, start, epochs))
         self.offset = (start + epochs) % n
         self.backlog = self.slots[(start + epochs - 1) % n][1]
-        if credited and not self.owed:
-            first = (epochs - credited) % n
-            self.credit = cycle[first:] + cycle[:first]
-        self.owed += credited
+        if not credited:
+            return
+        if self.credit is None:
+            self.credit = Run(cycle, (start + epochs - credited) % n, credited)
+        else:
+            self.credit = Run(cycle, self.credit.start, self.credit.count + credited)
 
     def settle(self, ue_bytes: List[float], node_bytes: float) -> float:
         """Fold the owed epochs' bytes into `ue_bytes` and the returned
         `node_bytes`, epoch by epoch as `schedule_epoch` results are
         credited; an unserved UE adds 0.0, a no-op as no total is -0.0."""
-        if not self.owed:
+        if self.credit is None:
             return node_bytes
-        reps, rest = divmod(self.owed, len(self.credit))
-        served = [dict(s.served_bytes) for s in self.credit]
-        for uid in self.ue_ids:
-            amounts = [d.get(uid, 0.0) for d in served]
-            ue_bytes[uid] = fold_sum(amounts * reps + amounts[:rest], ue_bytes[uid])
-        amounts = [s.node_bytes for s in self.credit]
-        self.owed = 0
-        return fold_sum(amounts * reps + amounts[:rest], node_bytes)
+        cycle, first, owed = self.credit
+        start = np.array([ue_bytes[uid] for uid in self.ue_ids] + [node_bytes])
+        totals = fold_cycle(start, cycle.amounts(self.ue_ids), first, owed).tolist()
+        for uid, total in zip(self.ue_ids, totals):
+            ue_bytes[uid] = total
+        self.credit = None
+        return totals[-1]
 
 
 @dataclass(frozen=True)        # a replay hit returns the stored instance itself
@@ -228,27 +312,45 @@ def schedule_epoch(node: Node) -> CellSchedule:
                          tuple(used_per_group), group_prefix[-1], used_rb / n_rb)
     node.backlog = backlog
     node.slots[start] = (key, backlog, sched)
+    node.cycle = None
     return sched
 
 
 class PeriodLoad:
     """One node's RB usage over one controller period, summed from the
-    period's schedules (at least one) only when read: per group for the
-    groups that are reported, in total for the periods that are sampled."""
+    period's epochs (at least one) only when read: per group for the
+    groups that are reported, in total for the periods that are sampled.
 
-    def __init__(self, schedules: Sequence[CellSchedule]) -> None:
-        self.schedules = schedules
+    A scheduled epoch's `CellSchedule` is added as it is; a fast-forward's
+    `Run` adds whole cycles and a wrapped window from its cycle's prefix
+    sums, at a cost that does not grow with its epoch count.
+    """
+
+    def __init__(self, period: Sequence[Union[CellSchedule, Run]]) -> None:
+        self.period = period
 
     def group(self, gi: int) -> Tuple[int, int]:
         """Used and granted RB-epochs of group `gi`."""
-        return (sum(s.used_per_group[gi] for s in self.schedules),
-                sum(s.granted_per_group[gi] for s in self.schedules))
+        used = granted = 0
+        for s in self.period:
+            if s.__class__ is Run:
+                u, g = s.cycle.load(2 + 2 * gi, s.start, s.count)
+            else:
+                u, g = s.used_per_group[gi], s.granted_per_group[gi]
+            used, granted = used + u, granted + g
+        return used, granted
 
     def totals(self) -> Tuple[int, int]:
         """Used and granted RB-epochs over all groups; every used or granted
         RB lies in exactly one group, so these are the per-group sums."""
-        return (sum(s.used_rb for s in self.schedules),
-                sum(len(s.granted) for s in self.schedules))
+        used = granted = 0
+        for s in self.period:
+            if s.__class__ is Run:
+                u, g = s.cycle.load(0, s.start, s.count)
+            else:
+                u, g = s.used_rb, len(s.granted)
+            used, granted = used + u, granted + g
+        return used, granted
 
     def reports(
         self, cell_id: int, group_indices: Sequence[int], now: int

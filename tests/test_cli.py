@@ -103,6 +103,9 @@ def test_validate_and_run_agree_on_epoch_counts(tmp_path, capsys):
               ("[sim]\nwarmup_s = -1e-13\n", "[sim] warmup_s")]
     probes += [(f"[sim]\nepoch_ms = {value}\n", "[sim] epoch_ms")
                for value in ("1e-310", "1e-320", "5e-324")]
+    # passed `validate` and then overflowed the RB byte scale in `run` (exit 2)
+    probes.append(("[sim]\nepoch_ms = 1e306\ntotal_s = 3e304\nwarmup_s = 1e304\n"
+                   "[cdss]\nperiod_s = 1e304\n", "[sim] epoch_ms"))
     probes += [(f"[{section}]\n{key} = 1.7e308\n", f"[{section}] {key}")
                for section, key in (("cdss", "period_s"), ("sim", "total_s"),
                                     ("sim", "warmup_s"))]
@@ -127,9 +130,12 @@ def test_validate_radio_and_traffic_domain_exit_one(tmp_path, capsys):
     # 5e-324 passed validation, and the slant range then divided by a zero
     # sine; the domain's lower edge is 10 degrees
     cases += [("radio", "elevation_deg", value) for value in ("5e-324", "9.999")]
+    # 1.7e308 kbps ran to exit 0 with infinite backlogs; the upper edge is
+    # 1e8 kbps
+    rate_max = DOMAINS[("traffic", "ld_tn_kbps")][1]
     cases += [("traffic", key, value)
               for key in ("ld_tn_kbps", "ld_ntn_kbps", "hd_tn_kbps", "hd_ntn_kbps")
-              for value in ("nan", "inf", "-1")]
+              for value in ("nan", "inf", "-1", "1.7e308", repr(rate_max * (1 + 1e-9)))]
     # these divide or take a log in the link budget or the placement
     cases += [("radio", key, value)
               for key in ("sat_altitude_km", "los_scale_m", "beam_3db_radius_km",

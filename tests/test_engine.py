@@ -228,7 +228,13 @@ def test_campaign_isolates_run_failures(fast_cfg, tmp_path, monkeypatch):
     result = run_campaign(fast_cfg, [1], [1, 2], tmp_path, jobs=1)
     by_seed = {r.seed: r for r in result.records}
     assert by_seed[1].ok
-    assert not by_seed[2].ok and "boom" in by_seed[2].error
+    failed = by_seed[2]
+    assert not failed.ok and failed.error == "RuntimeError: boom"
+    # the formatted traceback names the function that raised; `error`
+    # stays the one line the CLI prints
+    assert ", in flaky\n" in failed.traceback
+    assert failed.traceback.endswith("RuntimeError: boom\n")
+    assert by_seed[1].traceback is None
     assert result.aggregates[1]["runs"] == 1
 
 

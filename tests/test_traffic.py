@@ -5,10 +5,13 @@ import pytest
 
 from cdss_sim.controller import aggregate_load
 from cdss_sim.errors import MissingDataError
+from cdss_sim.sums import fold_sum
 from cdss_sim.traffic import (
     CellSchedule,
+    Cycle,
     Node,
     PeriodLoad,
+    Run,
     generate_arrivals,
     grant_tables,
     schedule_epoch,
@@ -267,7 +270,7 @@ def test_schedule_memo_replay_matches_per_rb_reference():
         for epoch in range(n_epochs):
             if rng.random() < 0.1:
                 rows[rng.randrange(n_groups)][:] = new_row()
-                node.slots.clear()
+                node.clear_memo()
                 rewrites += 1
             if rng.random() < 0.1:
                 new_grant()
@@ -392,6 +395,173 @@ def make_sched(granted, used_per_group, granted_per_group):
     used = sum(used_per_group)
     return CellSchedule(tuple(granted), ((0, 0.0),), 0.0, used, tuple(used_per_group),
                         tuple(granted_per_group), used / len(granted) if granted else 0.0)
+
+
+def test_period_load_of_runs_equals_expanded_epochs():
+    # A run record adds whole cycles and a window that may wrap past the
+    # cycle's end; it must read as the epochs it stands for, listed one by
+    # one, for every start position and for epoch counts below, at and
+    # above a multiple of the cycle, alone and between scheduled epochs.
+    rng = random.Random(61)
+    checked = 0
+    for n in (1, 2, 3, 7):
+        n_groups = rng.randint(1, 3)
+        schedules = []
+        for _ in range(n):
+            granted = [rng.randint(0, 12) for _ in range(n_groups)]
+            used = [rng.randint(0, g) for g in granted]
+            schedules.append(make_sched(range(sum(granted)), used, granted))
+        cycle = Cycle(schedules)
+        extra = make_sched(range(5), [1] * n_groups, [2] * n_groups)
+        for start in range(n):
+            for count in {1, max(1, n - 1), n, n + 1, 3 * n - 1, 3 * n, 3 * n + 1}:
+                epochs = [schedules[(start + j) % n] for j in range(count)]
+                for period, expanded in (([Run(cycle, start, count)], epochs),
+                                         ([extra, Run(cycle, start, count), extra],
+                                          [extra, *epochs, extra])):
+                    got, want = PeriodLoad(period), PeriodLoad(expanded)
+                    assert [got.group(g) for g in range(n_groups)] == \
+                        [want.group(g) for g in range(n_groups)], (n, start, count)
+                    assert got.totals() == want.totals(), (n, start, count)
+                    checked += 1
+    assert checked > 100
+
+
+def test_fast_forward_matches_epoch_by_epoch_scheduling():
+    # A node fast-forwarded K epochs must end where its twin that schedules
+    # those K epochs one at a time ends: the same rotation, backlogs and
+    # period load and, once settled, the same byte totals bit for bit.
+    # Grant rebuilds and row rewrites come between the fast-forwards; as in
+    # the engine, the epochs from `warmup` on are credited and the owed
+    # credit is settled before each scheduled epoch.
+    rng = random.Random(53)
+    n_ids, n_rbs, epoch_s = 12, 60, 0.01
+    forwards = 0
+    for _ in range(40):
+        n_groups = rng.randint(1, 3)
+        group_of_rb = sorted(rng.randrange(n_groups) for _ in range(n_rbs))
+        levels = [0.0, 37.5, 225.0, rng.uniform(1.0, 500.0)]
+        rows = [[rng.choice(levels) for _ in range(n_ids)] for _ in range(n_groups)]
+        ue_order = rng.sample(range(n_ids), rng.randint(0, 6))
+        increments = [cbr_increment(800.0 * rng.choice([225.0 * rng.randint(1, 4),
+                                                        rng.uniform(1.0, 2000.0)]), epoch_s)
+                      for _ in ue_order]
+        offset = rng.randrange(20)
+        fwd, twin = (node_for(ue_order, offset, increments=list(increments)) for _ in range(2))
+        # per-UE totals, then the node total; 1e16 so that additions round
+        fwd_bytes = [rng.uniform(0.0, 1e6) for _ in range(n_ids)] + [1e16]
+        twin_bytes = list(fwd_bytes)
+
+        def credit(sched, totals):
+            for uid, amount in sched.served_bytes:
+                totals[uid] += amount
+            totals[-1] += sched.node_bytes
+
+        granted = rng.sample(range(n_rbs), rng.randint(1, 40))
+        tables = grant_tables(granted, group_of_rb, rows)
+        for node in (fwd, twin):
+            node.set_grant(granted, *tables)
+        epoch, warmup = 0, rng.randint(0, 100)
+        while epoch < 150:
+            draw = rng.random()
+            if draw < 0.03:
+                granted = rng.sample(range(n_rbs), rng.randint(1, 40))
+                tables = grant_tables(granted, group_of_rb, rows)
+                for node in (fwd, twin):
+                    node.set_grant(granted, *tables)
+            elif draw < 0.06:
+                rows[rng.randrange(n_groups)][:] = [rng.choice(levels) for _ in range(n_ids)]
+                for node in (fwd, twin):
+                    node.clear_memo()
+            if fwd.steady() and rng.random() < 0.5:
+                epochs = rng.randint(1, 3 * len(ue_order) + 2)
+                credited = max(0, epoch + epochs - max(epoch, warmup))
+                fwd.fast_forward(epochs, credited)
+                for j in range(epochs):
+                    sched = schedule_epoch(twin)
+                    twin.period.append(sched)
+                    if j >= epochs - credited:
+                        credit(sched, twin_bytes)
+                forwards += 1
+                epoch += epochs
+            else:
+                fwd_bytes[-1] = fwd.settle(fwd_bytes, fwd_bytes[-1])
+                for node, totals in ((fwd, fwd_bytes), (twin, twin_bytes)):
+                    sched = schedule_epoch(node)
+                    node.period.append(sched)
+                    if epoch >= warmup:
+                        credit(sched, totals)
+                epoch += 1
+            assert (fwd.offset, fwd.backlog) == (twin.offset, twin.backlog)
+        fwd_bytes[-1] = fwd.settle(fwd_bytes, fwd_bytes[-1])
+        assert fwd_bytes == twin_bytes
+        got, want = PeriodLoad(fwd.period), PeriodLoad(twin.period)
+        assert [got.group(g) for g in range(n_groups)] == [want.group(g) for g in range(n_groups)]
+        assert got.totals() == want.totals()
+    assert forwards > 200, forwards
+
+
+def test_settle_pays_owed_epochs_from_their_cycle_position():
+    # Each position of this cycle serves other amounts, so the owed credit
+    # must start at the cycle position of the first owed epoch.  One or two
+    # fast-forwards (the second wholly owed, as after the warmup) from every
+    # rotation start, then a settle, must give the epoch-by-epoch credits
+    # bit for bit.
+    n = 3
+    keys = [[float(j)] * n for j in range(n)]
+    cycle = [CellSchedule((0,), ((4, 1e16), (6, 1.0 + j)), 1e16 + 1.0 + j, 1, (1,), (1,), 1.0)
+             for j in range(n)]
+    cycle[1] = CellSchedule((0,), ((5, 3.0),), 3.0, 1, (1,), (1,), 1.0)
+    checked = 0
+    for offset in range(n):
+        for epochs in range(1, 2 * n + 2):
+            for credited in range(epochs + 1):
+                for more in (0, n + 1):
+                    node = node_for([4, 5, 6], offset)
+                    node.granted = [0]
+                    node.slots = {j: (keys[j], keys[(j + 1) % n], cycle[j]) for j in range(n)}
+                    node.backlog = keys[offset]
+                    node.fast_forward(epochs, credited)
+                    owed = [cycle[(offset + j) % n] for j in range(epochs - credited, epochs)]
+                    if more and credited:
+                        node.fast_forward(more, more)
+                        owed += [cycle[(offset + epochs + j) % n] for j in range(more)]
+                    ue_bytes = [0.0] * 7
+                    node_bytes = node.settle(ue_bytes, 0.5)
+                    assert node_bytes == fold_sum((s.node_bytes for s in owed), 0.5)
+                    for uid in (4, 5, 6):
+                        assert ue_bytes[uid] == fold_sum(
+                            (dict(s.served_bytes).get(uid, 0.0) for s in owed), 0.0)
+                    assert node.credit is None
+                    checked += 1
+    assert checked > 100
+
+
+def test_replay_cycle_follows_every_slot_change():
+    # The cycle is built once and kept while the slots hold.  A slot fill
+    # on a miss (here forced by a backlog the memo has not seen), a memo
+    # clear and a new grant each drop it, so it always lists the slots'
+    # current schedules.
+    granted = list(range(7))
+    node = node_for([1, 2, 3], increments=[300.0, 500.0, 700.0])
+    node.set_grant(granted, *grant_tables(granted, [0] * 7, [flat_rate(225.0)]))
+    for _ in range(3):
+        schedule_epoch(node)
+    cycle = node.replay_cycle()
+    assert node.replay_cycle() is cycle
+    assert cycle.schedules == [node.slots[j][2] for j in range(3)]
+    node.backlog = [b + 1000.0 for b in node.backlog]
+    schedule_epoch(node)                # a miss that refills one slot
+    refilled = node.replay_cycle()
+    assert refilled.schedules == [node.slots[j][2] for j in range(3)]
+    assert refilled.schedules != cycle.schedules
+    node.clear_memo()
+    assert node.cycle is None
+    for _ in range(3):
+        schedule_epoch(node)
+    node.replay_cycle()
+    node.set_grant(granted, *grant_tables(granted, [0] * 7, [flat_rate(225.0)]))
+    assert node.cycle is None
 
 
 def test_cell_load_ratio():
