@@ -14,10 +14,10 @@ from .band import (
     GroupAllocation,
     build_band_plan,
     initial_allocation,
+    rb_ranges,
     validate_allocation,
 )
 from .controller import (
-    AllocationGrant,
     CdssConfig,
     LoadReport,
     SpectrumManager,

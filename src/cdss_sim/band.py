@@ -11,7 +11,7 @@ split.  All objects here have value semantics; updates go through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
 
@@ -71,15 +71,23 @@ class GroupAllocation:
     def size(self) -> int:
         return self.tn_rbs + self.guard_rbs + self.ntn_rbs
 
-    def tn_range(self, group: FrequencyGroup) -> range:
-        return range(group.rb_start, group.rb_start + self.tn_rbs)
 
-    def guard_range(self, group: FrequencyGroup) -> range:
-        lo = group.rb_start + self.tn_rbs
-        return range(lo, lo + self.guard_rbs)
+def rb_ranges(
+    group: FrequencyGroup, alloc: Optional[GroupAllocation]
+) -> Tuple[range, range, range]:
+    """The (TN, guard, NTN) RB ranges of one group: the only map from the
+    widths to RB indices.
 
-    def ntn_range(self, group: FrequencyGroup) -> range:
-        return range(group.rb_start + self.tn_rbs + self.guard_rbs, group.rb_stop)
+    A coordinated group is split low to high from `rb_start`, with NTN
+    running to `rb_stop`.  An uncoordinated group (`alloc` None) goes whole
+    to both systems and has no guard band.
+    """
+    if alloc is None:
+        return group.rb_range, range(0), group.rb_range
+    tn_stop = group.rb_start + alloc.tn_rbs
+    guard_stop = tn_stop + alloc.guard_rbs
+    return (range(group.rb_start, tn_stop), range(tn_stop, guard_stop),
+            range(guard_stop, group.rb_stop))
 
 
 @dataclass(frozen=True)
@@ -197,13 +205,9 @@ def validate_allocation(
             violations.append(
                 f"group {gi}: guard width {alloc.guard_rbs} != configured {cfg.guard_rbs}"
             )
-        tn, guard, ntn = (
-            alloc.tn_range(group),
-            alloc.guard_range(group),
-            alloc.ntn_range(group),
-        )
-        covered = set(tn) | set(guard) | set(ntn)
-        disjoint = len(covered) == len(tn) + len(guard) + len(ntn)
-        if not disjoint or covered != set(group.rb_range):
+        # Non-negative widths lay the ranges end to end from rb_start, so
+        # they are disjoint and tile the group unless the guard band ends
+        # past it.
+        if alloc.tn_rbs + alloc.guard_rbs > group.size:
             violations.append(f"group {gi}: TN/guard/NTN ranges do not tile the group")
     return violations

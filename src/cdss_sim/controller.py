@@ -10,12 +10,13 @@ decision, and whatever TN does not need is handed to the NTN side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .band import (
     AllocationState,
     BandPlan,
     GroupAllocation,
+    rb_ranges,
     validate_allocation,
 )
 from .domains import check_domains
@@ -65,22 +66,6 @@ class LoadReport:
                 f"need 0 <= used <= available, got "
                 f"{self.used_rb_epochs}/{self.available_rb_epochs}"
             )
-
-
-@dataclass(frozen=True)
-class AllocationGrant:
-    """Spectrum limit signalled to one system for one group."""
-
-    recipient: str  # "TN" or "NTN"
-    group_index: int
-    rb_start: int
-    rb_stop: int
-    effective_epoch: int
-    version: int
-
-    @property
-    def rb_range(self) -> range:
-        return range(self.rb_start, self.rb_stop)
 
 
 def aggregate_load(reports: Sequence[LoadReport], group_index: int) -> float:
@@ -141,8 +126,10 @@ def apply_adjustment(
 
     # Role changes are confined to the swept boundary region: from the
     # lower of the two TN edges up to the upper guard edge.
-    lo = group.rb_start + min(old.tn_rbs, new_alloc.tn_rbs)
-    hi = group.rb_start + max(old.tn_rbs, new_alloc.tn_rbs) + old.guard_rbs
+    old_tn, old_guard, _ = rb_ranges(group, old)
+    new_tn, new_guard, _ = rb_ranges(group, new_alloc)
+    lo = min(old_tn.stop, new_tn.stop)
+    hi = max(old_guard.stop, new_guard.stop)
     expiry = now + cfg.guard_time_epochs
     guard_timed = {rb: exp for rb, exp in state.guard_timed.items() if exp > now}
     for rb in range(lo, hi):
@@ -176,29 +163,21 @@ class SpectrumManager:
 
     def sms_step(
         self, state: AllocationState, reports: Sequence[LoadReport], now: int
-    ) -> Tuple[AllocationState, List[AllocationGrant]]:
-        """Run one optimization period: aggregate, decide, apply, grant."""
+    ) -> Tuple[AllocationState, int]:
+        """Run one optimization period: aggregate, decide, apply.
+
+        Returns the new state and the TN delta applied to the selected
+        group, 0 when the step was skipped or held.  The RBs each system
+        may use follow from the state through `band.rb_ranges`.
+        """
         coordinated = self.plan.coordinated_indices()
         if not coordinated:
-            return state, []
+            return state, 0
         gi = coordinated[self._cursor % len(coordinated)]
         self._cursor += 1
         try:
             avg = aggregate_load(reports, gi)
         except MissingDataError:
-            return state, []
+            return state, 0
         delta = decide_adjustment(avg, state.allocations[gi], self.cfg)
-        new_state = apply_adjustment(state, self.plan, gi, delta, now, self.cfg)
-        alloc = new_state.allocations[gi]
-        group = self.plan.group(gi)
-        grants = [
-            AllocationGrant(
-                "TN", gi, group.rb_start, group.rb_start + alloc.tn_rbs,
-                now, new_state.version,
-            ),
-            AllocationGrant(
-                "NTN", gi, group.rb_start + alloc.tn_rbs + alloc.guard_rbs,
-                group.rb_stop, now, new_state.version,
-            ),
-        ]
-        return new_state, grants
+        return apply_adjustment(state, self.plan, gi, delta, now, self.cfg), delta

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .band import active_guard_rbs, build_band_plan, initial_allocation
+from .band import active_guard_rbs, build_band_plan, initial_allocation, rb_ranges
 from .controller import SpectrumManager
 from .errors import ConfigurationError, InvariantError
 from .metrics import (
@@ -41,7 +41,7 @@ from .radio import (
     select_serving,
     spectral_efficiency_array,
     thermal_noise_dbm,
-    tn_pathloss,  # noqa: F401 - perfbench/layers.py wraps it here; tn_rx_power calls it
+    tn_pathloss,  # noqa: F401 - unused here; lets a tracer's getattr(engine, name) find it
     tn_rx_power,
 )
 from .scenario import (
@@ -59,7 +59,7 @@ from .sums import fold_sum
 from .traffic import (
     Node,
     PeriodLoad,
-    generate_arrivals,  # noqa: F401 - perfbench/layers.py wraps it here
+    generate_arrivals,  # noqa: F401 - unused here; lets a tracer's getattr find it
     grant_tables,
     schedule_epoch,
 )
@@ -81,13 +81,10 @@ def tn_granted_rbs(plan, state, blocked: frozenset) -> List[int]:
     Proportional interleaving keeps per-group utilization representative of
     the cell's overall load instead of piling usage into low RB indices.
     """
-    parts: List[List[int]] = []
-    for g in plan.groups:
-        if g.coordinated:
-            rbs = list(state.allocations[g.index].tn_range(g))
-        else:
-            rbs = list(g.rb_range)
-        parts.append([rb for rb in rbs if rb not in blocked])
+    parts = [
+        [rb for rb in rb_ranges(g, state.allocations.get(g.index))[0] if rb not in blocked]
+        for g in plan.groups
+    ]
     keyed: List[Tuple[float, int]] = []
     for part in parts:
         size = len(part)
@@ -98,12 +95,8 @@ def tn_granted_rbs(plan, state, blocked: frozenset) -> List[int]:
 
 def ntn_granted_rbs(plan, state, group_index: int, blocked: frozenset) -> List[int]:
     """NTN-usable RBs of one beam's group, minus guard-timed ones."""
-    g = plan.group(group_index)
-    if g.coordinated:
-        rbs = state.allocations[g.index].ntn_range(g)
-    else:
-        rbs = g.rb_range
-    return [rb for rb in rbs if rb not in blocked]
+    ntn = rb_ranges(plan.group(group_index), state.allocations.get(group_index))[2]
+    return [rb for rb in ntn if rb not in blocked]
 
 
 def _grant_rbs(

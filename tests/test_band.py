@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -103,6 +104,82 @@ def test_validate_allocation_flags_guard_change():
     state = AllocationState({0: GroupAllocation(25, 4, 24)}, {}, 0)
     report = validate_allocation(state, plan, cfg)
     assert any("guard" in v for v in report)
+
+
+def set_built_validate(state, plan, cfg):
+    """`validate_allocation` as it was when it built sets to check the tiling."""
+    violations = []
+    coordinated = set(plan.coordinated_indices())
+    for gi in sorted(state.allocations):
+        if gi not in coordinated:
+            violations.append(f"group {gi}: allocation present for uncoordinated group")
+    for gi in sorted(coordinated):
+        alloc = state.allocations.get(gi)
+        if alloc is None:
+            violations.append(f"group {gi}: coordinated group has no allocation")
+            continue
+        group = plan.group(gi)
+        if min(alloc.tn_rbs, alloc.guard_rbs, alloc.ntn_rbs) < 0:
+            violations.append(f"group {gi}: negative range width in {alloc}")
+            continue
+        if alloc.size != group.size:
+            violations.append(
+                f"group {gi}: conservation broken, "
+                f"{alloc.tn_rbs}+{alloc.guard_rbs}+{alloc.ntn_rbs} != {group.size}"
+            )
+        if alloc.tn_rbs < cfg.tn_min:
+            violations.append(f"group {gi}: tn_rbs {alloc.tn_rbs} < tn_min {cfg.tn_min}")
+        if alloc.ntn_rbs < cfg.ntn_min:
+            violations.append(
+                f"group {gi}: ntn_rbs {alloc.ntn_rbs} < ntn_min {cfg.ntn_min}"
+            )
+        if alloc.guard_rbs != cfg.guard_rbs:
+            violations.append(
+                f"group {gi}: guard width {alloc.guard_rbs} != configured {cfg.guard_rbs}"
+            )
+        lo = group.rb_start
+        tn = range(lo, lo + alloc.tn_rbs)
+        guard = range(tn.stop, tn.stop + alloc.guard_rbs)
+        ntn = range(guard.stop, group.rb_stop)
+        covered = set(tn) | set(guard) | set(ntn)
+        disjoint = len(covered) == len(tn) + len(guard) + len(ntn)
+        if not disjoint or covered != set(group.rb_range):
+            violations.append(f"group {gi}: TN/guard/NTN ranges do not tile the group")
+    return violations
+
+
+def test_validate_allocation_matches_set_built_oracle():
+    cfg = CdssConfig(tn_min=2, ntn_min=1, guard_rbs=1)
+    widths = range(-1, 14)
+    every = [GroupAllocation(t, g, n) for t in widths for g in widths for n in widths]
+    sample = random.Random(12).sample(every, 24)
+    kinds = ("uncoordinated", "no allocation", "negative", "conservation", "tn_min",
+             "ntn_min", "guard width", "do not tile")
+    seen = dict.fromkeys(kinds, 0)
+    together = 0
+    compared = 0
+    for total in range(1, 13):
+        layouts = [(1, [True]), (1, [False])]
+        if total >= 2:
+            layouts += [(2, flags) for flags in ([True, True], [True, False],
+                                                  [False, True], [False, False])]
+        for groups, flags in layouts:
+            plan = build_band_plan(total, groups, flags)
+            # every width triple for a lone coordinated group, else a sample
+            choices = [None] + (every if flags == [True] else sample)
+            for allocs in itertools.product(choices, repeat=groups):
+                present = {gi: a for gi, a in enumerate(allocs) if a is not None}
+                state = AllocationState(present, {}, 0)
+                got = validate_allocation(state, plan, cfg)
+                assert got == set_built_validate(state, plan, cfg), (plan, allocs)
+                for kind in kinds:
+                    seen[kind] += any(kind in v for v in got)
+                together += any("conservation" in v for v in got) and any(
+                    "do not tile" in v for v in got)
+                compared += 1
+    assert all(seen.values()), seen
+    assert together > 0
+    assert compared > 50_000
 
 
 def test_active_guard_rbs_expiry_window():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cdss_sim.band import GroupAllocation, build_band_plan, initial_allocation
+from cdss_sim.band import GroupAllocation, build_band_plan, initial_allocation, rb_ranges
 from cdss_sim.controller import (
     CdssConfig,
     LoadReport,
@@ -97,6 +97,28 @@ def brute_force_roles(group, alloc):
     return roles
 
 
+def test_rb_ranges_match_role_map_for_every_split():
+    for total, flags in ((9, [True]), (17, [True, True]), (19, [False, True, True])):
+        plan = build_band_plan(total, len(flags), flags)
+        for group in plan.groups:
+            if not group.coordinated:
+                continue
+            for tn in range(group.size + 1):
+                for guard in range(group.size - tn + 1):
+                    alloc = GroupAllocation(tn, guard, group.size - tn - guard)
+                    ranges = rb_ranges(group, alloc)
+                    roles = {rb: role for role, rbs in zip(("tn", "guard", "ntn"), ranges)
+                             for rb in rbs}
+                    assert sum(map(len, ranges)) == group.size
+                    assert roles == brute_force_roles(group, alloc)
+
+
+def test_rb_ranges_uncoordinated_group_goes_whole_to_both_systems():
+    plan = build_band_plan(160, 3, [True, True, False])
+    group = plan.group(2)
+    assert rb_ranges(group, None) == (range(107, 160), range(0), range(107, 160))
+
+
 def test_apply_positive_delta_roles_and_guard_timing():
     cfg = CdssConfig()
     plan = build_band_plan(53, 1, [True])
@@ -176,8 +198,8 @@ def test_sms_step_fixed_point_inside_band():
     state = initial_allocation(plan, cfg)
     reports = saturating_reports(plan, 0.7)
     for now in range(25, 400, 25):
-        state, grants = manager.sms_step(state, reports, now)
-        assert len(grants) == 2
+        state, delta = manager.sms_step(state, reports, now)
+        assert delta == 0
     assert state.version == 0
     assert state.allocations == initial_allocation(plan, cfg).allocations
 
@@ -213,8 +235,8 @@ def test_sms_step_missing_data_skips_but_advances():
     plan = build_band_plan(160, 3, [True, True, False])
     manager = SpectrumManager(plan, cfg)
     state = initial_allocation(plan, cfg)
-    state2, grants = manager.sms_step(state, [], 25)
-    assert state2 is state and grants == []
+    state2, delta = manager.sms_step(state, [], 25)
+    assert state2 is state and delta == 0
     # group 0 was skipped; the next call must touch group 1
     reports = saturating_reports(plan, 0.0)
     state3, _ = manager.sms_step(state2, reports, 50)
@@ -227,14 +249,13 @@ def test_sms_step_grants_disjoint_with_exact_guard_gap():
     plan = build_band_plan(160, 3, [True, True, False])
     manager = SpectrumManager(plan, cfg)
     state = initial_allocation(plan, cfg)
-    state, grants = manager.sms_step(state, saturating_reports(plan, 1.0), 25)
-    tn = next(g for g in grants if g.recipient == "TN")
-    ntn = next(g for g in grants if g.recipient == "NTN")
-    assert tn.group_index == ntn.group_index
-    assert tn.version == ntn.version == state.version
-    assert set(tn.rb_range).isdisjoint(ntn.rb_range)
-    assert ntn.rb_start - tn.rb_stop == cfg.guard_rbs
-    assert grants[0].effective_epoch == 25
+    before = state
+    state, delta = manager.sms_step(state, saturating_reports(plan, 1.0), 25)
+    assert delta == cfg.step_rbs and state.version == before.version + 1
+    assert state.allocations[0].tn_rbs == before.allocations[0].tn_rbs + delta
+    tn, _, ntn = rb_ranges(plan.group(0), state.allocations[0])
+    assert set(tn).isdisjoint(ntn)
+    assert ntn.start - tn.stop == cfg.guard_rbs
 
 
 def test_sms_step_no_coordinated_groups_is_a_noop():
@@ -242,8 +263,8 @@ def test_sms_step_no_coordinated_groups_is_a_noop():
     plan = build_band_plan(160, 3, [False, False, False])
     manager = SpectrumManager(plan, cfg)
     state = initial_allocation(plan, cfg)
-    new, grants = manager.sms_step(state, [], 25)
-    assert new is state and grants == []
+    new, delta = manager.sms_step(state, [], 25)
+    assert new is state and delta == 0
 
 
 def test_cdss_config_validation():

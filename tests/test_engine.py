@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cdss_sim.engine as engine_mod
-from cdss_sim.band import active_guard_rbs, build_band_plan, initial_allocation
+from cdss_sim.band import active_guard_rbs, build_band_plan, initial_allocation, rb_ranges
 from cdss_sim.controller import CdssConfig, SpectrumManager, apply_adjustment
 from cdss_sim.domains import DOMAINS, RADIO_DB_FIELDS
 from cdss_sim.engine import (
@@ -152,9 +152,9 @@ def test_granted_sets_respect_guard_time_exactly():
         else:
             assert blocked == frozenset()
             # all surviving role-changed RBs are usable again
-            alloc = state.allocations[0]
-            assert set(tn_order) == set(alloc.tn_range(plan.group(0)))
-            assert set(ntn) == set(alloc.ntn_range(plan.group(0)))
+            tn_rbs, _, ntn_rbs = rb_ranges(plan.group(0), state.allocations[0])
+            assert set(tn_order) == set(tn_rbs)
+            assert set(ntn) == set(ntn_rbs)
 
 
 def test_ntn_granted_uncoordinated_group_is_full():
