@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class RunSpec:
     seed: int
 
 
-def tn_granted_rbs(plan, state, blocked: frozenset) -> List[int]:
+def tn_granted_rbs(plan, state, blocked: AbstractSet[int]) -> List[int]:
     """TN-usable RBs minus guard-timed ones, in a dealing order that
     interleaves groups proportionally to their granted sizes.
 
@@ -93,14 +93,14 @@ def tn_granted_rbs(plan, state, blocked: frozenset) -> List[int]:
     return [rb for _, rb in keyed]
 
 
-def ntn_granted_rbs(plan, state, group_index: int, blocked: frozenset) -> List[int]:
+def ntn_granted_rbs(plan, state, group_index: int, blocked: AbstractSet[int]) -> List[int]:
     """NTN-usable RBs of one beam's group, minus guard-timed ones."""
     ntn = rb_ranges(plan.group(group_index), state.allocations.get(group_index))[2]
     return [rb for rb in ntn if rb not in blocked]
 
 
 def _grant_rbs(
-    plan, state, blocked: frozenset, tn_nodes, ntn_nodes, beams, group_of_rb, rows
+    plan, state, blocked: AbstractSet[int], tn_nodes, ntn_nodes, beams, group_of_rb, rows
 ) -> None:
     """Grant rebuild: give every node its usable RBs, and the scheduler's
     byte-row and per-group prefix tables over them, after an allocation or
@@ -126,7 +126,7 @@ def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
             is_los = los_state(ue, cell, draw, radio_p.los_d0_m, radio_p.los_scale_m)
             rx_dbm[ti, ui] = tn_rx_power(ue, cell, is_los, radio_p)
         for bi, beam in enumerate(beams):
-            rx_dbm[len(cells) + bi, ui] = ntn_rx_power(ue, beam)
+            rx_dbm[len(cells) + bi, ui] = ntn_rx_power(ue, beam, radio_p)
     return rx_dbm
 
 
@@ -236,11 +236,14 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[Time
 
 def _schedule_nodes(nodes, ue_bytes, node_bytes, post_warmup: bool) -> List[float]:
     """Schedule every node for one epoch, keep its schedule for the period's
-    load and credit post-warmup bytes.
+    load and credit post-warmup bytes.  Every node that owes fast-forwarded
+    bytes settles them first (`_settle`), so each total adds its epochs in
+    order.
 
     Returns each transmitter's activity fraction (used over granted RBs),
     which sets the interference of the next epoch.
     """
+    _settle(nodes, ue_bytes, node_bytes)
     activity = []
     for tx, node in enumerate(nodes):
         sched = schedule_epoch(node)
@@ -254,9 +257,10 @@ def _schedule_nodes(nodes, ue_bytes, node_bytes, post_warmup: bool) -> List[floa
 
 
 def _settle(nodes, ue_bytes, node_bytes) -> None:
-    """Credit every node's fast-forwarded epochs (`traffic.Node.settle`)."""
+    """Credit the fast-forwarded epochs each node owes (`traffic.Node.settle`)."""
     for tx, node in enumerate(nodes):
-        node_bytes[tx] = node.settle(ue_bytes, node_bytes[tx])
+        if node.credit is not None:
+            node_bytes[tx] = node.settle(ue_bytes, node_bytes[tx])
 
 
 def _record_final(store, final_rows, total_rbs: int, tn_nodes, ntn_nodes, beams) -> None:
@@ -279,14 +283,14 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     """Execute one deterministic run and return its metrics store.
 
     Stages: link budget and attachment once; then per epoch the guard
-    check (only on a new allocation state or a guard expiry) and the
-    grant rebuild (only when the allocation or guard set changed), the
-    byte-factor refresh, and each node's arrivals and scheduling; at each
-    period end the load reports, utilization samples and the controller
-    step.  When every node is steady (`traffic.Node.steady`) after the
-    refresh, the refreshes since the slots were filled all kept the rows,
-    so the activity, the rows and the grants stay fixed up to the next
-    period end or guard expiry, and every node is fast-forwarded there.
+    check and grant rebuild (only on a new allocation state or a guard
+    expiry), the byte-factor refresh, and each node's arrivals and
+    scheduling; at each period end the load reports, utilization samples
+    and the controller step.  When every node is steady
+    (`traffic.Node.steady`) after the refresh, the refreshes since the
+    slots were filled all kept the rows, so the activity, the rows and the
+    grants stay fixed up to the next period end or guard expiry, and every
+    node is fast-forwarded there.
     """
     if spec.case_id not in CASES:
         raise ConfigurationError(
@@ -352,24 +356,19 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0))
     coordinated = plan.coordinated_indices()
     activity = [1.0] * len(nodes)
-    granted_key: Optional[Tuple[int, Tuple[int, ...]]] = None
     guard_state, guard_due = None, 0        # the guard set holds until either changes
     # A node is steady at the earliest a whole rotation after a slot clear, so
     # steadiness is checked from `check_at` on: a longest rotation (at least
     # one epoch) after a row rewrite, then once per rotation while it fails.
     cycle = max([1] + [len(node.ue_ids) for node in nodes])
     check_at = 0
-    owed = False                            # some node holds fast-forwarded credit
-    period_index = 0
     epoch = 0
     while epoch < clock.total_epochs:
+        # A new state has a new version, and an expiry drops RBs from the
+        # guard-timed set, so the grants change at every guard check.
         if state is not guard_state or epoch == guard_due:
-            blocked = active_guard_rbs(state, epoch)
-            key = (state.version, tuple(sorted(blocked)))
-            if key != granted_key:
-                _grant_rbs(plan, state, frozenset(blocked), tn_nodes, ntn_nodes, beams,
-                           group_of_rb, byte_factors.rows)
-                granted_key = key
+            _grant_rbs(plan, state, active_guard_rbs(state, epoch), tn_nodes, ntn_nodes, beams,
+                       group_of_rb, byte_factors.rows)
             guard_state = state
             guard_due = min((e for e in state.guard_timed.values() if e > epoch), default=-1)
 
@@ -384,43 +383,38 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             credited = max(0, stop - max(epoch, clock.warmup_epochs))
             for node in nodes:
                 node.fast_forward(stop - epoch, credited)
-            owed = owed or credited > 0
             epoch = stop
         else:
             if epoch >= check_at:               # the check failed
                 check_at = epoch + cycle
-            if owed:                            # earlier epochs are credited first
-                _settle(nodes, ue_bytes, node_bytes)
-                owed = False
             activity = _schedule_nodes(nodes, ue_bytes, node_bytes,
                                        epoch >= clock.warmup_epochs)
             epoch += 1
 
         if epoch % clock.period_epochs == 0:
-            now = epoch
-            period_index += 1
+            step = epoch // clock.period_epochs
             loads = [PeriodLoad(node.period) for node in tn_nodes]   # NTN loads go unread
             reports = [
                 report
                 for node, load in zip(tn_nodes, loads)
-                for report in load.reports(node.entity_id, coordinated, now)
+                for report in load.reports(node.entity_id, coordinated, epoch)
             ]
-            if now - clock.period_epochs >= clock.warmup_epochs:
+            if epoch - clock.period_epochs >= clock.warmup_epochs:
                 store.utilization.extend(
-                    UtilizationSample(
-                        node.entity_id, period_index, now * clock.epoch_s, *load.totals())
+                    UtilizationSample(node.entity_id, step, epoch * clock.epoch_s, *load.totals())
                     for node, load in zip(tn_nodes, loads)
                 )
-            state = manager.sms_step(state, reports, now)[0]
+            state = manager.sms_step(state, reports, epoch)[0]
             store.sms_steps += 1
-            store.timeline.extend(_timeline_rows(plan, state, case, clock, period_index, now))
+            store.timeline.extend(_timeline_rows(plan, state, case, clock, step, epoch))
             for node in nodes:
                 node.period = []
 
     _settle(nodes, ue_bytes, node_bytes)
     store.ue_bytes = dict(enumerate(ue_bytes))
     store.node_bytes = {node.node_id: b for node, b in zip(nodes, node_bytes)}
-    final_rows = _timeline_rows(plan, state, case, clock, period_index, clock.total_epochs)
+    final_rows = _timeline_rows(plan, state, case, clock,
+                                clock.total_epochs // clock.period_epochs, clock.total_epochs)
     _record_final(store, final_rows, band.total_rbs, tn_nodes, ntn_nodes, beams)
     return store
 
@@ -548,11 +542,12 @@ def run_campaign(
                 sum(1 for t in pooled if t == 0.0) / len(pooled) if pooled else 0.0
             ),
         }
-        cdf = compute_cdf(pooled)
+        cdf_rows: List[str] = []       # runs with no UE pool nothing: the header alone
+        if pooled:
+            cdf = compute_cdf(pooled)
+            cdf_rows = [f"{v!r},{p!r}" for v, p in zip(cdf.values, cdf.probabilities)]
         files[f"cdf_case_{cid}"] = write_table(
-            out_dir / f"{cid}_pooled_throughput_cdf.csv",
-            "throughput_bps,probability",
-            [f"{v!r},{p!r}" for v, p in zip(cdf.values, cdf.probabilities)],
+            out_dir / f"{cid}_pooled_throughput_cdf.csv", "throughput_bps,probability", cdf_rows
         )
 
     total_rows = []

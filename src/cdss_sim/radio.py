@@ -20,7 +20,8 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Link-model constants; every value is scenario-overridable."""
+    """Link-model constants; every value is scenario-overridable, and this
+    is their only home: the link budget reads them from here."""
 
     freq_ghz: float = 2.0
     tn_tx_power_dbm: float = 18.0        # per RB at the sector input
@@ -45,9 +46,6 @@ class TnCell:
     cell_id: int
     site_xy: Tuple[float, float]         # metres, planar
     azimuth_deg: float
-    tx_power_dbm: float                  # per RB
-    antenna_gain_dbi: float
-    freq_ghz: float
 
 
 @dataclass(frozen=True)
@@ -55,11 +53,6 @@ class NtnBeam:
     beam_id: int
     center_xy: Tuple[float, float]       # metres, planar
     group_index: int
-    altitude_km: float
-    elevation_deg: float
-    eirp_dbm: float                      # over the nominal beam bandwidth
-    beam_3db_radius_km: float
-    freq_ghz: float
     nominal_rbs: float                   # RBs spanned by the EIRP reference
 
 
@@ -68,7 +61,6 @@ class Ue:
     ue_id: int
     xy: Tuple[float, float]
     kind: str                            # "tn" or "ntn" placement area
-    antenna_gain_dbi: float = 0.0
 
 
 def distance_m(a: Tuple[float, float], b: Tuple[float, float]) -> float:
@@ -82,9 +74,7 @@ def fspl_db(distance_km: float, freq_ghz: float) -> float:
     return 32.45 + 20.0 * math.log10(freq_ghz * 1e3) + 20.0 * math.log10(distance_km)
 
 
-def tn_pathloss(
-    distance_m_: float, los: bool, freq_ghz: float, nlos_offset_db: float = 20.0
-) -> float:
+def tn_pathloss(distance_m_: float, los: bool, freq_ghz: float, nlos_offset_db: float) -> float:
     """Terrestrial path loss: free space when LOS, plus a flat NLOS penalty."""
     if distance_m_ <= 0:
         raise ValueError(f"distance must be positive, got {distance_m_} m")
@@ -92,26 +82,19 @@ def tn_pathloss(
     return loss if los else loss + nlos_offset_db
 
 
-def los_probability(
-    distance_m_: float, d0_m: float = 700.0, scale_m: float = 2500.0
-) -> float:
+def los_probability(distance_m_: float, d0_m: float, scale_m: float) -> float:
     """P(LOS) = 1 inside d0, exp(-(d - d0)/scale) beyond it."""
     if distance_m_ <= d0_m:
         return 1.0
     return min(1.0, math.exp(-(distance_m_ - d0_m) / scale_m))
 
 
-def los_state(
-    ue: Ue, cell: TnCell, rng_draw: float,
-    d0_m: float = 700.0, scale_m: float = 2500.0,
-) -> bool:
+def los_state(ue: Ue, cell: TnCell, rng_draw: float, d0_m: float, scale_m: float) -> bool:
     """One-shot LOS decision for a stationary (UE, cell) pair."""
     return rng_draw < los_probability(distance_m(ue.xy, cell.site_xy), d0_m, scale_m)
 
 
-def sector_loss_db(
-    azimuth_offset_deg: float, width_deg: float = 70.0, front_to_back_db: float = 25.0
-) -> float:
+def sector_loss_db(azimuth_offset_deg: float, width_deg: float, front_to_back_db: float) -> float:
     """Parabolic azimuth pattern, capped at the front-to-back ratio."""
     a = (azimuth_offset_deg + 180.0) % 360.0 - 180.0
     return min(12.0 * (a / width_deg) ** 2, front_to_back_db)
@@ -124,8 +107,8 @@ def tn_rx_power(ue: Ue, cell: TnCell, los: bool, params: RadioParams) -> float:
     pattern = sector_loss_db(
         bearing - cell.azimuth_deg, params.tn_sector_width_deg, params.tn_front_to_back_db
     )
-    loss = tn_pathloss(d, los, cell.freq_ghz, params.nlos_offset_db)
-    return cell.tx_power_dbm + cell.antenna_gain_dbi - pattern - loss + ue.antenna_gain_dbi
+    loss = tn_pathloss(d, los, params.freq_ghz, params.nlos_offset_db)
+    return params.tn_tx_power_dbm + params.tn_antenna_gain_dbi - pattern - loss
 
 
 def slant_range_km(altitude_km: float, elevation_deg: float) -> float:
@@ -139,16 +122,15 @@ def beam_offbore_loss_db(ground_offset_km: float, radius_3db_km: float) -> float
     return min(3.0 * (ground_offset_km / radius_3db_km) ** 2, 30.0)
 
 
-def ntn_rx_power(ue: Ue, beam: NtnBeam) -> float:
+def ntn_rx_power(ue: Ue, beam: NtnBeam, params: RadioParams) -> float:
     """Per-RB received power from one satellite beam, dBm."""
     r_km = distance_m(ue.xy, beam.center_xy) / 1e3
-    slant = slant_range_km(beam.altitude_km, beam.elevation_deg)
-    eirp_per_rb = beam.eirp_dbm - 10.0 * math.log10(beam.nominal_rbs)
+    slant = slant_range_km(params.sat_altitude_km, params.elevation_deg)
+    eirp_per_rb = params.ntn_eirp_dbm - 10.0 * math.log10(beam.nominal_rbs)
     return (
         eirp_per_rb
-        - fspl_db(slant, beam.freq_ghz)
-        - beam_offbore_loss_db(r_km, beam.beam_3db_radius_km)
-        + ue.antenna_gain_dbi
+        - fspl_db(slant, params.freq_ghz)
+        - beam_offbore_loss_db(r_km, params.beam_3db_radius_km)
     )
 
 
@@ -157,7 +139,7 @@ def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
 
 
 def spectral_efficiency_array(
-    sinr_linear: np.ndarray, cap_bps_hz: float = 7.4, min_bps_hz: float = 0.05
+    sinr_linear: np.ndarray, cap_bps_hz: float, min_bps_hz: float
 ) -> np.ndarray:
     """Capped Shannon efficiency, element-wise; below the service floor
     the UE gets 0."""

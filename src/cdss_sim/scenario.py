@@ -402,7 +402,6 @@ def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
     luck with the terrestrial sites.  UEs are numbered 0..n-1.
     """
     topo = cfg.topology
-    radio = cfg.radio
     cells: List[TnCell] = []
     sector_step = 360.0 / topo.sectors_per_site
     for si, site in enumerate(site_positions(topo)):
@@ -412,9 +411,6 @@ def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
                     cell_id=si * topo.sectors_per_site + k,
                     site_xy=site,
                     azimuth_deg=k * sector_step,
-                    tx_power_dbm=radio.tn_tx_power_dbm,
-                    antenna_gain_dbi=radio.tn_antenna_gain_dbi,
-                    freq_ghz=radio.freq_ghz,
                 )
             )
 
@@ -427,11 +423,6 @@ def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
                     beam_id=bi,
                     center_xy=center,
                     group_index=topo.beam_groups[bi],
-                    altitude_km=radio.sat_altitude_km,
-                    elevation_deg=radio.elevation_deg,
-                    eirp_dbm=radio.ntn_eirp_dbm,
-                    beam_3db_radius_km=radio.beam_3db_radius_km,
-                    freq_ghz=radio.freq_ghz,
                     nominal_rbs=nominal_rbs,
                 )
             )
@@ -448,7 +439,7 @@ def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
             ue_id += 1
     for bi, center in enumerate(topo.beam_centers_m):
         for _ in range(topo.ues_per_beam):
-            xy = _sample_in_disc(doubles, center, radio.beam_3db_radius_km * 1e3)
+            xy = _sample_in_disc(doubles, center, cfg.radio.beam_3db_radius_km * 1e3)
             ues.append(Ue(ue_id, xy, "ntn"))
             ue_id += 1
     return Topology(cells, beams, ues)

@@ -155,8 +155,8 @@ class Node:
 
     def fast_forward(self, epochs: int, credited: int) -> None:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would;
-        the last `credited` of them are owed.  The caller settles before
-        any scheduled epoch, so owed epochs are always one run of a cycle."""
+        the last `credited` of them are owed.  The node is settled before
+        its next scheduled epoch, so owed epochs are always one run of a cycle."""
         n = len(self.ue_ids)
         cycle = self.replay_cycle()
         if n == 0:

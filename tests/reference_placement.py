@@ -82,5 +82,5 @@ def link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
             is_los = los_state(ue, cell, draw, radio_p.los_d0_m, radio_p.los_scale_m)
             rx_dbm[ti, ui] = tn_rx_power(ue, cell, is_los, radio_p)
         for bi, beam in enumerate(beams):
-            rx_dbm[len(cells) + bi, ui] = ntn_rx_power(ue, beam)
+            rx_dbm[len(cells) + bi, ui] = ntn_rx_power(ue, beam, radio_p)
     return rx_dbm

@@ -284,3 +284,20 @@ def test_epoch_ms_override_validated(fast_scenario_file, tmp_path, capsys):
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}") and err.count("\n") == 1, err
+
+
+def test_campaign_with_no_ue_writes_header_only_cdfs(tmp_path, capsys):
+    # validate and run accept a scenario with no UE, so a campaign on it
+    # runs too: every run succeeds, and each case's pooled CDF has no sample.
+    scenario = tmp_path / "empty.ini"
+    scenario.write_text("[topology]\nues_per_tn_cell = 0\nues_per_beam = 0\n"
+                        "[sim]\ntotal_s = 0.5\nwarmup_s = 0.25\n")
+    out = tmp_path / "camp"
+    argv = ["campaign", "--case", "1,2", "--seeds", "1..2", "--scenario", str(scenario),
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    totals = (out / "campaign_totals.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in totals[1:]] == [["1", "2"], ["2", "2"]]
+    for case in (1, 2):
+        cdf = (out / f"{case}_pooled_throughput_cdf.csv").read_text()
+        assert cdf == "throughput_bps,probability\n"

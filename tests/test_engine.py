@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -456,6 +457,47 @@ def test_link_model_domain_edges_run_to_finite_outputs(tmp_path):
     assert_valid_and_finite(configs, tmp_path)
 
 
+# Each [radio] constant the link budget reads: a changed value, the rows
+# it feeds (TN cells, beams or both) and, for a power or a gain, the dB it
+# adds to each of them.
+WIRING = {
+    "tn_tx_power_dbm": (21.5, "tn", 3.5),
+    "tn_antenna_gain_dbi": (11.0, "tn", -3.0),
+    "ntn_eirp_dbm": (78.25, "ntn", 4.25),
+    "sat_altitude_km": (1200.0, "ntn", None),
+    "elevation_deg": (40.0, "ntn", None),
+    "beam_3db_radius_km": (60.0, "ntn", None),
+    "freq_ghz": (3.5, "both", None),
+}
+
+
+def test_link_budget_reads_each_radio_constant_from_the_scenario():
+    # One [radio] field changed at a time moves only the rows it feeds, and
+    # a power or a gain moves them by exactly the dB added.  Cells and beams
+    # hold no radio constant, so the topology is the default one; only the
+    # beam radius, the NTN placement disc, moves UEs, and the default UEs
+    # are kept for it too.
+    base_cfg = default_scenario()
+    topo = build_topology(base_cfg, CASES[2], 1)
+    n_cells = len(topo.cells)
+    base = engine_mod._link_budget(topo.cells, topo.beams, topo.ues, base_cfg.radio, 1)
+    for name, (value, fed, shift) in WIRING.items():
+        cfg = replace(base_cfg, radio=replace(base_cfg.radio, **{name: value}))
+        validate_scenario(cfg)
+        built = build_topology(cfg, CASES[2], 1)
+        assert (built.cells, built.beams) == (topo.cells, topo.beams), name
+        assert (built.ues == topo.ues) == (name != "beam_3db_radius_km"), name
+        rx = engine_mod._link_budget(topo.cells, topo.beams, topo.ues, cfg.radio, 1)
+        for side, rows in (("tn", slice(0, n_cells)), ("ntn", slice(n_cells, None))):
+            if fed not in (side, "both"):
+                assert np.array_equal(rx[rows], base[rows]), (name, side)
+            elif shift is None:
+                assert (rx[rows] != base[rows]).any(), (name, side)
+            else:
+                assert rx[rows] - base[rows] == pytest.approx(
+                    np.full_like(base[rows], shift), abs=1e-9), (name, side)
+
+
 def test_grant_rebuilds_exactly_when_the_guard_key_changes(fast_cfg, monkeypatch):
     # The engine looks at the guard set only when the allocation state
     # changes or a guard time expires.  It must still rebuild the grants in
@@ -512,40 +554,44 @@ def test_settled_run_fast_forwards_most_node_epochs(fast_cfg, monkeypatch):
 
 def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, monkeypatch):
     # Bytes are added to each total in epoch order, so the credit a
-    # fast-forward leaves owing must be settled before a scheduled epoch
-    # credits its own bytes, and before the store is filled.
-    events = []
-    fast_forward, settle, schedule = Node.fast_forward, engine_mod._settle, engine_mod._schedule_nodes
+    # fast-forward leaves a node owing must be settled before that node's
+    # next scheduled epoch, and before the store is filled.  Each node's
+    # totals are its own, so the order is checked node by node.
+    events = defaultdict(list)                  # node_id -> "owe", "settle" or "schedule"
+    fast_forward, settle, schedule = Node.fast_forward, Node.settle, engine_mod.schedule_epoch
 
     def recording_fast_forward(node, epochs, credited):
-        events.append(("owe", credited > 0))
+        if credited:
+            events[node.node_id].append("owe")
         return fast_forward(node, epochs, credited)
 
-    def recording_settle(*args):
-        events.append(("settle", True))
-        return settle(*args)
+    def recording_settle(node, *args):
+        events[node.node_id].append("settle")
+        return settle(node, *args)
 
-    def recording_schedule(nodes, ue_bytes, node_bytes, post_warmup):
-        events.append(("credit", post_warmup))
-        return schedule(nodes, ue_bytes, node_bytes, post_warmup)
+    def recording_schedule(node):
+        events[node.node_id].append("schedule")
+        return schedule(node)
 
     monkeypatch.setattr(Node, "fast_forward", recording_fast_forward)
-    monkeypatch.setattr(engine_mod, "_settle", recording_settle)
-    monkeypatch.setattr(engine_mod, "_schedule_nodes", recording_schedule)
+    monkeypatch.setattr(Node, "settle", recording_settle)
+    monkeypatch.setattr(engine_mod, "schedule_epoch", recording_schedule)
     run_simulation(RunSpec(fast_cfg, 2, 1))
-    owed = paid = False
-    paid_then_credited = 0
-    for kind, flag in events:
-        if kind == "owe":
-            owed = owed or flag
-        elif kind == "settle":
-            owed, paid = False, owed
-        elif flag:                              # a post-warmup epoch credits
-            assert not owed
-            paid_then_credited += paid
-            paid = False
-    assert not owed and events[-1] == ("settle", True)
-    assert paid_then_credited >= 3, paid_then_credited   # 4 for this seed
+    paid_then_scheduled = 0
+    for node_id, log in events.items():
+        owed = paid = False
+        for kind in log:
+            if kind == "owe":
+                owed = True
+            elif kind == "settle":
+                owed, paid = False, owed
+            else:                               # a scheduled epoch
+                assert not owed, node_id
+                paid_then_scheduled += paid
+                paid = False
+        assert not owed and log[-1] == "settle", node_id
+    assert len(events) == 12                   # 9 cells and 3 beams
+    assert paid_then_scheduled >= 12, paid_then_scheduled   # 48 for this seed
 
 
 def test_benchmark_tracer_names_resolve_on_engine():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,64 +27,69 @@ from cdss_sim.radio import (
 )
 
 PARAMS = RadioParams()
+ZENITH = replace(PARAMS, elevation_deg=90.0)
+NLOS_DB = PARAMS.nlos_offset_db
+LOS_MODEL = (PARAMS.los_d0_m, PARAMS.los_scale_m)
+SECTOR = (PARAMS.tn_sector_width_deg, PARAMS.tn_front_to_back_db)
+SE_LIMITS = (PARAMS.se_cap_bps_hz, PARAMS.se_min_bps_hz)
 
 
-def make_beam(center=(0.0, 0.0), elevation=90.0, eirp=74.0, nominal_rbs=1.0):
-    return NtnBeam(0, center, 0, 600.0, elevation, eirp, 25.0, 2.0, nominal_rbs)
+def make_beam(center=(0.0, 0.0), nominal_rbs=1.0):
+    return NtnBeam(0, center, 0, nominal_rbs)
 
 
 def test_tn_pathloss_free_space_reference():
-    assert tn_pathloss(1000.0, True, 2.0) == pytest.approx(98.47, abs=0.01)
+    assert tn_pathloss(1000.0, True, 2.0, NLOS_DB) == pytest.approx(98.47, abs=0.01)
 
 
 def test_tn_pathloss_doubling_distance_adds_6db():
-    d1 = tn_pathloss(1000.0, True, 2.0)
-    d2 = tn_pathloss(2000.0, True, 2.0)
+    d1 = tn_pathloss(1000.0, True, 2.0, NLOS_DB)
+    d2 = tn_pathloss(2000.0, True, 2.0, NLOS_DB)
     assert d2 - d1 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
 
 def test_tn_pathloss_nlos_offset():
-    assert tn_pathloss(1000.0, False, 2.0) == pytest.approx(118.47, abs=0.01)
+    assert tn_pathloss(1000.0, False, 2.0, NLOS_DB) == pytest.approx(118.47, abs=0.01)
 
 
 def test_tn_pathloss_rejects_zero_distance():
     with pytest.raises(ValueError):
-        tn_pathloss(0.0, True, 2.0)
+        tn_pathloss(0.0, True, 2.0, NLOS_DB)
 
 
 def test_tn_pathloss_strictly_increasing_in_distance():
     rng = random.Random(3)
     for _ in range(50):
         d = rng.uniform(1.0, 50_000.0)
-        assert tn_pathloss(d * 1.01, False, 2.0) > tn_pathloss(d, False, 2.0)
+        assert tn_pathloss(d * 1.01, False, 2.0, NLOS_DB) > tn_pathloss(d, False, 2.0, NLOS_DB)
 
 
 def test_los_probability_thresholds():
-    assert los_probability(500.0) == 1.0
-    assert los_probability(700.0) == 1.0
-    assert los_probability(3200.0) == pytest.approx(math.exp(-1.0))
+    assert los_probability(500.0, *LOS_MODEL) == 1.0
+    assert los_probability(700.0, *LOS_MODEL) == 1.0
+    assert los_probability(3200.0, *LOS_MODEL) == pytest.approx(math.exp(-1.0))
 
 
 def test_los_state_uses_draw_against_probability():
-    cell = TnCell(0, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0)
+    cell = TnCell(0, (0.0, 0.0), 0.0)
     near = Ue(0, (300.0, 0.0), "tn")
     far = Ue(1, (3200.0, 0.0), "tn")
-    assert los_state(near, cell, 0.999999)          # P(LOS) = 1 inside d0
-    assert los_state(far, cell, 0.3)                # 0.3 < exp(-1)
-    assert not los_state(far, cell, 0.5)            # 0.5 > exp(-1)
+    assert los_state(near, cell, 0.999999, *LOS_MODEL)          # P(LOS) = 1 inside d0
+    assert los_state(far, cell, 0.3, *LOS_MODEL)                # 0.3 < exp(-1)
+    assert not los_state(far, cell, 0.5, *LOS_MODEL)            # 0.5 > exp(-1)
 
 
 def test_ntn_fspl_reference_at_zenith():
     assert fspl_db(600.0, 2.0) == pytest.approx(154.03, abs=0.01)
     beam = make_beam()
     ue = Ue(0, (0.0, 0.0), "ntn")
-    assert ntn_rx_power(ue, beam) == pytest.approx(74.0 - 154.03, abs=0.01)
+    assert ntn_rx_power(ue, beam, ZENITH) == pytest.approx(74.0 - 154.03, abs=0.01)
 
 
 def test_ntn_offbore_exactly_3db_at_beam_radius():
     beam = make_beam()
-    center = ntn_rx_power(Ue(0, (0.0, 0.0), "ntn"), beam)
-    edge = ntn_rx_power(Ue(1, (25_000.0, 0.0), "ntn"), beam)
+    center = ntn_rx_power(Ue(0, (0.0, 0.0), "ntn"), beam, ZENITH)
+    edge = ntn_rx_power(Ue(1, (25_000.0, 0.0), "ntn"), beam, ZENITH)
     assert center - edge == pytest.approx(3.0, abs=1e-9)
 
 
@@ -98,8 +104,8 @@ def test_ntn_eirp_normalized_per_rb():
     ue = Ue(0, (0.0, 0.0), "ntn")
     wide = make_beam(nominal_rbs=100.0)
     narrow = make_beam(nominal_rbs=1.0)
-    assert narrow.eirp_dbm == wide.eirp_dbm
-    assert ntn_rx_power(ue, narrow) - ntn_rx_power(ue, wide) == pytest.approx(20.0)
+    gain = ntn_rx_power(ue, narrow, ZENITH) - ntn_rx_power(ue, wide, ZENITH)
+    assert gain == pytest.approx(20.0)
 
 
 def test_slant_range():
@@ -110,11 +116,11 @@ def test_slant_range():
 
 
 def test_sector_loss_pattern():
-    assert sector_loss_db(0.0) == 0.0
-    assert sector_loss_db(35.0) == pytest.approx(3.0)
-    assert sector_loss_db(180.0) == 25.0
-    assert sector_loss_db(-35.0) == sector_loss_db(35.0)
-    assert sector_loss_db(360.0 + 35.0) == pytest.approx(3.0)
+    assert sector_loss_db(0.0, *SECTOR) == 0.0
+    assert sector_loss_db(35.0, *SECTOR) == pytest.approx(3.0)
+    assert sector_loss_db(180.0, *SECTOR) == 25.0
+    assert sector_loss_db(-35.0, *SECTOR) == sector_loss_db(35.0, *SECTOR)
+    assert sector_loss_db(360.0 + 35.0, *SECTOR) == pytest.approx(3.0)
 
 
 def test_thermal_noise_per_rb():
@@ -165,7 +171,7 @@ def test_sinr_never_exceeds_snr():
 
 
 def test_spectral_efficiency_examples():
-    se = spectral_efficiency_array(np.array([1.0, 1000.0, 0.03, 0.0]))
+    se = spectral_efficiency_array(np.array([1.0, 1000.0, 0.03, 0.0]), *SE_LIMITS)
     assert se.tolist() == pytest.approx([1.0, 7.4, 0.0, 0.0])
 
 
@@ -173,29 +179,29 @@ def rx_column(ue, cells, beams=(), los=True):
     """Per-RB rx powers of one UE: cells then beams, as the engine orders them."""
     return np.array(
         [tn_rx_power(ue, cell, los, PARAMS) for cell in cells]
-        + [ntn_rx_power(ue, beam) for beam in beams]
+        + [ntn_rx_power(ue, beam, PARAMS) for beam in beams]
     )
 
 
 def test_select_serving_dominant_proximity():
     cells = [
-        TnCell(0, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0),
-        TnCell(1, (5000.0, 0.0), 180.0, 18.0, 14.0, 2.0),
+        TnCell(0, (0.0, 0.0), 0.0),
+        TnCell(1, (5000.0, 0.0), 180.0),
     ]
     ue = Ue(0, (200.0, 0.0), "tn")
     assert select_serving(rx_column(ue, cells), PARAMS.min_rsrp_dbm) == 0
 
 
 def test_select_serving_remote_beam_wins():
-    cells = [TnCell(i, (0.0, 0.0), i * 120.0, 18.0, 14.0, 2.0) for i in range(3)]
-    beam = NtnBeam(2, (70_000.0, 0.0), 2, 600.0, 75.0, 74.0, 25.0, 2.0, 160.0 / 3.0)
+    cells = [TnCell(i, (0.0, 0.0), i * 120.0) for i in range(3)]
+    beam = NtnBeam(2, (70_000.0, 0.0), 2, 160.0 / 3.0)
     ue = Ue(0, (70_000.0, 0.0), "ntn")
     column = rx_column(ue, cells, [beam], los=False)
     assert select_serving(column, PARAMS.min_rsrp_dbm) == 3
 
 
 def test_select_serving_tie_breaks_to_lower_id():
-    cell = TnCell(0, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0)
+    cell = TnCell(0, (0.0, 0.0), 0.0)
     ue = Ue(0, (1000.0, 0.0), "tn")
     rx = tn_rx_power(ue, cell, True, PARAMS)
     # two co-sited identical cells: the lower row wins
@@ -205,13 +211,13 @@ def test_select_serving_tie_breaks_to_lower_id():
 
 
 def test_select_serving_below_threshold_unserved():
-    cells = [TnCell(0, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0)]
+    cells = [TnCell(0, (0.0, 0.0), 0.0)]
     ue = Ue(0, (300_000.0, 0.0), "tn")
     assert select_serving(rx_column(ue, cells, los=False), PARAMS.min_rsrp_dbm) is None
 
 
 def test_tn_rx_power_composition():
-    cell = TnCell(0, (0.0, 0.0), 0.0, 18.0, 14.0, 2.0)
-    ue = Ue(0, (1000.0, 0.0), "tn", antenna_gain_dbi=0.0)
+    cell = TnCell(0, (0.0, 0.0), 0.0)
+    ue = Ue(0, (1000.0, 0.0), "tn")
     rx = tn_rx_power(ue, cell, True, PARAMS)
-    assert rx == pytest.approx(18.0 + 14.0 - tn_pathloss(1000.0, True, 2.0))
+    assert rx == pytest.approx(18.0 + 14.0 - tn_pathloss(1000.0, True, 2.0, NLOS_DB))
