@@ -117,17 +117,14 @@ def _grant_rbs(
 def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
     """Per-RB received power in dBm: rows are cells then beams, one column
     per UE.  LOS is drawn once per (UE, cell) pair, UE-major, from the
-    run's "los" stream, as one block of those draws."""
+    run's "los" stream, as one block of those draws.  Each radio call is
+    one whole-array pass over the run's pairs."""
     draws = np.random.default_rng(derive_seed(seed, "los")).uniform(
-        0.0, 1.0, size=(len(ues), len(cells))).tolist()
-    rx_dbm = np.full((len(cells) + len(beams), len(ues)), -np.inf)
-    for ui, ue in enumerate(ues):
-        for ti, (cell, draw) in enumerate(zip(cells, draws[ui])):
-            is_los = los_state(ue, cell, draw, radio_p.los_d0_m, radio_p.los_scale_m)
-            rx_dbm[ti, ui] = tn_rx_power(ue, cell, is_los, radio_p)
-        for bi, beam in enumerate(beams):
-            rx_dbm[len(cells) + bi, ui] = ntn_rx_power(ue, beam, radio_p)
-    return rx_dbm
+        0.0, 1.0, size=(len(ues), len(cells)))
+    ue_xy = np.array([ue.xy for ue in ues], dtype=float).reshape(-1, 2)
+    los = los_state(ue_xy, cells, draws.T, radio_p.los_d0_m, radio_p.los_scale_m)
+    return np.vstack((tn_rx_power(ue_xy, cells, los, radio_p),
+                      ntn_rx_power(ue_xy, beams, radio_p)))
 
 
 class ByteFactors:
@@ -321,7 +318,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
 
     # Link budget and attachment, once (stationary UEs, quasi-Earth-fixed beams).
     rx_dbm = _link_budget(cells, beams, ues, radio_p, spec.seed)
-    serving = [select_serving(column, radio_p.min_rsrp_dbm) for column in rx_dbm.T]
+    serving = select_serving(rx_dbm, radio_p.min_rsrp_dbm)
 
     tn_nodes = [Node(f"tn-{c.cell_id}", c.cell_id) for c in cells]
     ntn_nodes = [Node(f"ntn-{b.beam_id}", b.beam_id) for b in beams]

@@ -5,13 +5,17 @@ models; LOS is a distance-dependent coin flipped once per (UE, cell) pair
 since everything is stationary.  Beams use a quadratic off-boresight roll
 with a 30 dB floor, TN sectors a parabolic azimuth pattern.  All powers
 are per resource block.
+
+The link budget is columnar (a row per transmitter, a column per UE) with
+the bits of the scalar per-pair oracle in `tests/reference_placement.py`:
+transcendentals and squares go through `math`, numpy does the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -63,51 +67,72 @@ class Ue:
     kind: str                            # "tn" or "ntn" placement area
 
 
-def distance_m(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+def _each(f, *arrays: np.ndarray) -> np.ndarray:
+    """The `math` function `f` applied element by element over arrays of
+    one shape.  numpy's own hypot, arctan2, exp and log10 differ from
+    `math`'s in the last bit on some inputs; `f` keeps every bit of the
+    scalar model."""
+    values = map(f, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
 
 
-def fspl_db(distance_km: float, freq_ghz: float) -> float:
-    """Free-space loss, 32.45 + 20 log10(f_MHz) + 20 log10(d_km)."""
-    if distance_km <= 0:
-        raise ValueError(f"distance must be positive, got {distance_km} km")
-    return 32.45 + 20.0 * math.log10(freq_ghz * 1e3) + 20.0 * math.log10(distance_km)
+def _squared(x: np.ndarray) -> np.ndarray:
+    """x ** 2 element by element; numpy's x * x differs in the last bit."""
+    return _each(math.pow, x, np.full_like(x, 2.0))
 
 
-def tn_pathloss(distance_m_: float, los: bool, freq_ghz: float, nlos_offset_db: float) -> float:
+def _offsets(ue_xy, origins) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y offsets from each origin (rows) to each UE (columns), metres."""
+    ue = np.asarray(ue_xy, dtype=float).reshape(-1, 2)
+    at = np.asarray(origins, dtype=float).reshape(-1, 2)
+    return ue[:, 0] - at[:, :1], ue[:, 1] - at[:, 1:]
+
+
+def distance_m(ue_xy, origins) -> np.ndarray:
+    """Planar distance from each origin (rows) to each UE (columns), metres."""
+    return _each(math.hypot, *_offsets(ue_xy, origins))
+
+
+def fspl_db(distance_km, freq_ghz: float) -> np.ndarray:
+    """Free-space loss, 32.45 + 20 log10(f_MHz) + 20 log10(d_km), element-wise."""
+    distance_km = np.asarray(distance_km, dtype=float)
+    bad = distance_km[distance_km <= 0]
+    if bad.size:
+        raise ValueError(f"distance must be positive, got {bad[0]} km")
+    return 32.45 + 20.0 * math.log10(freq_ghz * 1e3) + 20.0 * _each(math.log10, distance_km)
+
+
+def tn_pathloss(distance_m_: np.ndarray, los: np.ndarray, freq_ghz: float,
+                nlos_offset_db: float) -> np.ndarray:
     """Terrestrial path loss: free space when LOS, plus a flat NLOS penalty."""
-    if distance_m_ <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m_} m")
     loss = fspl_db(distance_m_ / 1e3, freq_ghz)
-    return loss if los else loss + nlos_offset_db
+    return np.where(los, loss, loss + nlos_offset_db)
 
 
-def los_probability(distance_m_: float, d0_m: float, scale_m: float) -> float:
-    """P(LOS) = 1 inside d0, exp(-(d - d0)/scale) beyond it."""
-    if distance_m_ <= d0_m:
-        return 1.0
-    return min(1.0, math.exp(-(distance_m_ - d0_m) / scale_m))
+def los_state(ue_xy, cells, draws: np.ndarray, d0_m: float, scale_m: float) -> np.ndarray:
+    """One-shot LOS decisions for the stationary (cell, UE) pairs, rows cells
+    and columns UEs as in `draws`: a pair is LOS when its draw is below
+    P(LOS) = 1 inside d0, exp(-(d - d0)/scale) beyond it."""
+    d = distance_m(ue_xy, [cell.site_xy for cell in cells])
+    p = np.ones_like(d)
+    beyond = d > d0_m           # exp only here: inside d0 it can overflow
+    with np.errstate(over="ignore"):        # as silent as float division
+        p[beyond] = np.minimum(1.0, _each(math.exp, -(d[beyond] - d0_m) / scale_m))
+    return draws < p
 
 
-def los_state(ue: Ue, cell: TnCell, rng_draw: float, d0_m: float, scale_m: float) -> bool:
-    """One-shot LOS decision for a stationary (UE, cell) pair."""
-    return rng_draw < los_probability(distance_m(ue.xy, cell.site_xy), d0_m, scale_m)
-
-
-def sector_loss_db(azimuth_offset_deg: float, width_deg: float, front_to_back_db: float) -> float:
-    """Parabolic azimuth pattern, capped at the front-to-back ratio."""
-    a = (azimuth_offset_deg + 180.0) % 360.0 - 180.0
-    return min(12.0 * (a / width_deg) ** 2, front_to_back_db)
-
-
-def tn_rx_power(ue: Ue, cell: TnCell, los: bool, params: RadioParams) -> float:
-    """Per-RB received power from one TN sector, dBm."""
-    d = distance_m(ue.xy, cell.site_xy)
-    bearing = math.degrees(math.atan2(ue.xy[1] - cell.site_xy[1], ue.xy[0] - cell.site_xy[0]))
-    pattern = sector_loss_db(
-        bearing - cell.azimuth_deg, params.tn_sector_width_deg, params.tn_front_to_back_db
-    )
-    loss = tn_pathloss(d, los, params.freq_ghz, params.nlos_offset_db)
+def tn_rx_power(ue_xy, cells, los: np.ndarray, params: RadioParams) -> np.ndarray:
+    """Per-RB received power from each TN sector (rows) at each UE
+    (columns), dBm.  The sector pattern is parabolic in azimuth, capped at
+    the front-to-back ratio."""
+    dx, dy = _offsets(ue_xy, [cell.site_xy for cell in cells])
+    bearing = _each(math.degrees, _each(math.atan2, dy, dx))
+    azimuth = np.array([cell.azimuth_deg for cell in cells], dtype=float)[:, None]
+    a = (bearing - azimuth + 180.0) % 360.0 - 180.0
+    pattern = 12.0 * _squared(a / params.tn_sector_width_deg)
+    cap = params.tn_front_to_back_db
+    pattern = np.where(cap < pattern, cap, pattern)
+    loss = tn_pathloss(_each(math.hypot, dx, dy), los, params.freq_ghz, params.nlos_offset_db)
     return params.tn_tx_power_dbm + params.tn_antenna_gain_dbi - pattern - loss
 
 
@@ -117,21 +142,17 @@ def slant_range_km(altitude_km: float, elevation_deg: float) -> float:
     return altitude_km / math.sin(math.radians(elevation_deg))
 
 
-def beam_offbore_loss_db(ground_offset_km: float, radius_3db_km: float) -> float:
-    """Quadratic beam roll-off: exactly 3 dB at the 3 dB radius, 30 dB floor."""
-    return min(3.0 * (ground_offset_km / radius_3db_km) ** 2, 30.0)
-
-
-def ntn_rx_power(ue: Ue, beam: NtnBeam, params: RadioParams) -> float:
-    """Per-RB received power from one satellite beam, dBm."""
-    r_km = distance_m(ue.xy, beam.center_xy) / 1e3
+def ntn_rx_power(ue_xy, beams, params: RadioParams) -> np.ndarray:
+    """Per-RB received power from each satellite beam (rows) at each UE
+    (columns), dBm.  The beam rolls off quadratically off boresight:
+    exactly 3 dB at the 3 dB radius, with a 30 dB floor."""
+    r_km = distance_m(ue_xy, [beam.center_xy for beam in beams]) / 1e3
     slant = slant_range_km(params.sat_altitude_km, params.elevation_deg)
-    eirp_per_rb = params.ntn_eirp_dbm - 10.0 * math.log10(beam.nominal_rbs)
-    return (
-        eirp_per_rb
-        - fspl_db(slant, params.freq_ghz)
-        - beam_offbore_loss_db(r_km, params.beam_3db_radius_km)
-    )
+    eirp_per_rb = np.array([params.ntn_eirp_dbm - 10.0 * math.log10(beam.nominal_rbs)
+                            for beam in beams], dtype=float)[:, None]
+    offbore = 3.0 * _squared(r_km / params.beam_3db_radius_km)
+    offbore = np.where(30.0 < offbore, 30.0, offbore)
+    return eirp_per_rb - fspl_db(slant, params.freq_ghz) - offbore
 
 
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
@@ -148,14 +169,15 @@ def spectral_efficiency_array(
     return np.minimum(se, cap_bps_hz)
 
 
-def select_serving(rx_dbm: np.ndarray, min_rsrp_dbm: float) -> Optional[int]:
-    """Attach to the strongest per-RB transmitter in one UE's rx column.
+def select_serving(rx_dbm: np.ndarray, min_rsrp_dbm: float) -> List[Optional[int]]:
+    """Attach each UE (column of `rx_dbm`) to its strongest per-RB
+    transmitter (row).
 
-    Returns the row index of the first maximum, so with rows ordered cells
-    then beams, each by id, ties go to cells before beams and then to the
-    lower id.  Returns None when every candidate is below the
-    out-of-service power threshold (the UE is unserved; this happens in
-    TN-only cases for UEs far from the sites).
+    Gives the row index of the column's first maximum, so with rows
+    ordered cells then beams, each by id, ties go to cells before beams
+    and then to the lower id.  Gives None when every candidate is below
+    the out-of-service power threshold (the UE is unserved; this happens
+    in TN-only cases for UEs far from the sites).
     """
-    best = int(np.argmax(rx_dbm))
-    return best if rx_dbm[best] >= min_rsrp_dbm else None
+    served = (rx_dbm.max(axis=0) >= min_rsrp_dbm).tolist()
+    return [row if ok else None for row, ok in zip(rx_dbm.argmax(axis=0).tolist(), served)]

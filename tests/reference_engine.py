@@ -2,12 +2,12 @@
 
 Composes the naive oracles into a whole run so that the production
 engine's caches can be checked end to end.  The UEs and their received
-powers come from `reference_placement`, one scalar draw at a time.  It
-reuses the production cells and beams, attachment and byte factors
-(`scenario.build_topology`, `radio.select_serving`, `engine.ByteFactors`,
-each checked against its own oracle), but builds a fresh `ByteFactors`
-every epoch, so no refresh is ever skipped.  Everything after that is
-naive:
+powers come from `reference_placement`, one scalar draw at a time, and
+each UE attaches by `attach`, a loop over its column.  It reuses the
+production cells and beams and byte factors (`scenario.build_topology`,
+`engine.ByteFactors`, each checked against its own oracle), but builds a
+fresh `ByteFactors` every epoch, so no refresh is ever skipped.
+Everything after that is naive:
 
 - grants are recomputed every epoch from the reference controller's role
   labels and guard-timed set, so a missed grant rebuild shows;
@@ -25,17 +25,31 @@ which are compared byte for byte.
 """
 
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 from cdss_sim.band import build_band_plan
 from cdss_sim.engine import ByteFactors, RunSpec
 from cdss_sim.metrics import MetricsStore, TimelineRow, UtilizationSample
-from cdss_sim.radio import select_serving
 from cdss_sim.scenario import CASES, SimClock, build_topology, demand_bps, derive_seed
 
 import reference_placement
 import reference_scheduler
 from reference_controller import ReferenceController
+
+
+def attach(rx_dbm, min_rsrp_dbm: float) -> List[Optional[int]]:
+    """Each UE's serving row: walking its column top down, a row takes over
+    only when strictly stronger, so ties stay with the earlier row (cells
+    before beams, then the lower id).  None when that power is below
+    `min_rsrp_dbm`."""
+    serving = []
+    for column in rx_dbm.T.tolist():
+        best = 0
+        for row, power in enumerate(column):
+            if power > column[best]:
+                best = row
+        serving.append(best if column[best] >= min_rsrp_dbm else None)
+    return serving
 
 
 def _role(plan, ctrl, rb: int) -> str:
@@ -96,7 +110,7 @@ def run_reference(spec: RunSpec) -> MetricsStore:
     beams = sorted(topo.beams, key=lambda b: b.beam_id)
     ues = reference_placement.place_ues(scenario, cells, spec.seed)
     rx_dbm = reference_placement.link_budget(cells, beams, ues, radio, spec.seed)
-    serving = [select_serving(column, radio.min_rsrp_dbm) for column in rx_dbm.T]
+    serving = attach(rx_dbm, radio.min_rsrp_dbm)
 
     node_ids = [f"tn-{c.cell_id}" for c in cells] + [f"ntn-{b.beam_id}" for b in beams]
     members = [[ue.ue_id for ue, tx in zip(ues, serving) if tx == row]

@@ -342,7 +342,7 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
             sorted(topo.cells, key=lambda c: c.cell_id), beams,
             sorted(topo.ues, key=lambda u: u.ue_id), radio, 1,
         )
-        serving = [select_serving(column, radio.min_rsrp_dbm) for column in rx_dbm.T]
+        serving = select_serving(rx_dbm, radio.min_rsrp_dbm)
         group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
         factors = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
         # first and last RB of every group, read through the scheduler's

@@ -11,13 +11,9 @@ from cdss_sim.radio import (
     NtnBeam,
     RadioParams,
     TnCell,
-    Ue,
-    beam_offbore_loss_db,
     fspl_db,
-    los_probability,
     los_state,
     ntn_rx_power,
-    sector_loss_db,
     select_serving,
     slant_range_km,
     spectral_efficiency_array,
@@ -30,82 +26,85 @@ PARAMS = RadioParams()
 ZENITH = replace(PARAMS, elevation_deg=90.0)
 NLOS_DB = PARAMS.nlos_offset_db
 LOS_MODEL = (PARAMS.los_d0_m, PARAMS.los_scale_m)
-SECTOR = (PARAMS.tn_sector_width_deg, PARAMS.tn_front_to_back_db)
 SE_LIMITS = (PARAMS.se_cap_bps_hz, PARAMS.se_min_bps_hz)
+ORIGIN = TnCell(0, (0.0, 0.0), 0.0)
 
 
 def make_beam(center=(0.0, 0.0), nominal_rbs=1.0):
     return NtnBeam(0, center, 0, nominal_rbs)
 
 
+def tn_rx(ue_xy, cells, los=True, params=PARAMS):
+    """Rows of per-RB rx powers, one per cell, every pair LOS or every NLOS."""
+    return tn_rx_power(ue_xy, cells, np.full((len(cells), len(ue_xy)), los), params)
+
+
 def test_tn_pathloss_free_space_reference():
-    assert tn_pathloss(1000.0, True, 2.0, NLOS_DB) == pytest.approx(98.47, abs=0.01)
+    assert tn_pathloss(np.array([1000.0]), True, 2.0, NLOS_DB)[0] == pytest.approx(98.47, abs=0.01)
 
 
 def test_tn_pathloss_doubling_distance_adds_6db():
-    d1 = tn_pathloss(1000.0, True, 2.0, NLOS_DB)
-    d2 = tn_pathloss(2000.0, True, 2.0, NLOS_DB)
+    d1, d2 = tn_pathloss(np.array([1000.0, 2000.0]), True, 2.0, NLOS_DB)
     assert d2 - d1 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
 
 def test_tn_pathloss_nlos_offset():
-    assert tn_pathloss(1000.0, False, 2.0, NLOS_DB) == pytest.approx(118.47, abs=0.01)
+    los, nlos = tn_pathloss(np.array([1000.0, 1000.0]), np.array([True, False]), 2.0, NLOS_DB)
+    assert nlos == pytest.approx(118.47, abs=0.01)
+    assert nlos == los + NLOS_DB
 
 
 def test_tn_pathloss_rejects_zero_distance():
     with pytest.raises(ValueError):
-        tn_pathloss(0.0, True, 2.0, NLOS_DB)
+        tn_pathloss(np.array([500.0, 0.0]), True, 2.0, NLOS_DB)
 
 
 def test_tn_pathloss_strictly_increasing_in_distance():
-    rng = random.Random(3)
-    for _ in range(50):
-        d = rng.uniform(1.0, 50_000.0)
-        assert tn_pathloss(d * 1.01, False, 2.0, NLOS_DB) > tn_pathloss(d, False, 2.0, NLOS_DB)
+    d = np.random.default_rng(3).uniform(1.0, 50_000.0, size=50)
+    assert (tn_pathloss(d * 1.01, False, 2.0, NLOS_DB) > tn_pathloss(d, False, 2.0, NLOS_DB)).all()
 
 
 def test_los_probability_thresholds():
-    assert los_probability(500.0, *LOS_MODEL) == 1.0
-    assert los_probability(700.0, *LOS_MODEL) == 1.0
-    assert los_probability(3200.0, *LOS_MODEL) == pytest.approx(math.exp(-1.0))
+    # P(LOS) = 1 inside d0 and at d0 itself, and exactly exp(-1) one scale
+    # beyond: a pair is LOS for the float just below P(LOS), NLOS at it
+    p = [1.0, 1.0, math.exp(-1.0)]
+    ue_xy = [(500.0, 0.0), (700.0, 0.0), (3200.0, 0.0)]
+    below = np.array([[math.nextafter(x, 0.0) for x in p]])
+    assert los_state(ue_xy, [ORIGIN], below, *LOS_MODEL).tolist() == [[True] * 3]
+    assert los_state(ue_xy, [ORIGIN], np.array([p]), *LOS_MODEL).tolist() == [[False] * 3]
 
 
 def test_los_state_uses_draw_against_probability():
-    cell = TnCell(0, (0.0, 0.0), 0.0)
-    near = Ue(0, (300.0, 0.0), "tn")
-    far = Ue(1, (3200.0, 0.0), "tn")
-    assert los_state(near, cell, 0.999999, *LOS_MODEL)          # P(LOS) = 1 inside d0
-    assert los_state(far, cell, 0.3, *LOS_MODEL)                # 0.3 < exp(-1)
-    assert not los_state(far, cell, 0.5, *LOS_MODEL)            # 0.5 > exp(-1)
+    ue_xy = [(300.0, 0.0), (3200.0, 0.0), (3200.0, 0.0)]
+    draws = np.array([[0.999999, 0.3, 0.5]])           # 0.3 < exp(-1) < 0.5
+    assert los_state(ue_xy, [ORIGIN], draws, *LOS_MODEL).tolist() == [[True, True, False]]
 
 
 def test_ntn_fspl_reference_at_zenith():
     assert fspl_db(600.0, 2.0) == pytest.approx(154.03, abs=0.01)
-    beam = make_beam()
-    ue = Ue(0, (0.0, 0.0), "ntn")
-    assert ntn_rx_power(ue, beam, ZENITH) == pytest.approx(74.0 - 154.03, abs=0.01)
+    rx = ntn_rx_power([(0.0, 0.0)], [make_beam()], ZENITH)
+    assert rx.shape == (1, 1)
+    assert rx[0, 0] == pytest.approx(74.0 - 154.03, abs=0.01)
 
 
 def test_ntn_offbore_exactly_3db_at_beam_radius():
-    beam = make_beam()
-    center = ntn_rx_power(Ue(0, (0.0, 0.0), "ntn"), beam, ZENITH)
-    edge = ntn_rx_power(Ue(1, (25_000.0, 0.0), "ntn"), beam, ZENITH)
+    (center, edge), = ntn_rx_power([(0.0, 0.0), (25_000.0, 0.0)], [make_beam()], ZENITH)
     assert center - edge == pytest.approx(3.0, abs=1e-9)
 
 
 def test_ntn_offbore_monotone_down_to_30db_cap():
-    losses = [beam_offbore_loss_db(r, 25.0) for r in range(0, 100, 5)]
+    ue_xy = [(r * 1e3, 0.0) for r in range(0, 100, 5)] + [(500_000.0, 0.0)]
+    row = ntn_rx_power(ue_xy, [make_beam()], ZENITH)[0]
+    losses = (row[0] - row).tolist()
+    assert losses[0] == 0.0
     assert losses == sorted(losses)
-    assert beam_offbore_loss_db(500.0, 25.0) == 30.0
-    assert beam_offbore_loss_db(0.0, 25.0) == 0.0
+    assert losses[-1] == pytest.approx(30.0, abs=1e-9)
 
 
 def test_ntn_eirp_normalized_per_rb():
-    ue = Ue(0, (0.0, 0.0), "ntn")
-    wide = make_beam(nominal_rbs=100.0)
-    narrow = make_beam(nominal_rbs=1.0)
-    gain = ntn_rx_power(ue, narrow, ZENITH) - ntn_rx_power(ue, wide, ZENITH)
-    assert gain == pytest.approx(20.0)
+    narrow, wide = ntn_rx_power([(0.0, 0.0)], [make_beam(nominal_rbs=1.0),
+                                               make_beam(nominal_rbs=100.0)], ZENITH)
+    assert narrow[0] - wide[0] == pytest.approx(20.0)
 
 
 def test_slant_range():
@@ -116,11 +115,18 @@ def test_slant_range():
 
 
 def test_sector_loss_pattern():
-    assert sector_loss_db(0.0, *SECTOR) == 0.0
-    assert sector_loss_db(35.0, *SECTOR) == pytest.approx(3.0)
-    assert sector_loss_db(180.0, *SECTOR) == 25.0
-    assert sector_loss_db(-35.0, *SECTOR) == sector_loss_db(35.0, *SECTOR)
-    assert sector_loss_db(360.0 + 35.0, *SECTOR) == pytest.approx(3.0)
+    # UEs 1 km from the site at bearings 0, 35, 180 and -35 degrees; the
+    # second cell's azimuth is a turn back, so every offset is 360 more
+    bearings = [0.0, 35.0, 180.0, -35.0]
+    ue_xy = [(1000.0 * math.cos(math.radians(b)), 1000.0 * math.sin(math.radians(b)))
+             for b in bearings]
+    ahead, turned = tn_rx(ue_xy, [ORIGIN, TnCell(1, (0.0, 0.0), -360.0)])
+    loss = (ahead[0] - ahead).tolist()
+    assert loss[0] == 0.0
+    assert loss[1] == pytest.approx(3.0)
+    assert loss[2] == pytest.approx(PARAMS.tn_front_to_back_db)     # the front-to-back cap
+    assert loss[3] == pytest.approx(loss[1])
+    assert turned.tolist() == pytest.approx(ahead.tolist())
 
 
 def test_thermal_noise_per_rb():
@@ -175,49 +181,48 @@ def test_spectral_efficiency_examples():
     assert se.tolist() == pytest.approx([1.0, 7.4, 0.0, 0.0])
 
 
-def rx_column(ue, cells, beams=(), los=True):
-    """Per-RB rx powers of one UE: cells then beams, as the engine orders them."""
-    return np.array(
-        [tn_rx_power(ue, cell, los, PARAMS) for cell in cells]
-        + [ntn_rx_power(ue, beam, PARAMS) for beam in beams]
-    )
-
-
 def test_select_serving_dominant_proximity():
     cells = [
         TnCell(0, (0.0, 0.0), 0.0),
         TnCell(1, (5000.0, 0.0), 180.0),
     ]
-    ue = Ue(0, (200.0, 0.0), "tn")
-    assert select_serving(rx_column(ue, cells), PARAMS.min_rsrp_dbm) == 0
+    assert select_serving(tn_rx([(200.0, 0.0), (4800.0, 0.0)], cells),
+                          PARAMS.min_rsrp_dbm) == [0, 1]
 
 
 def test_select_serving_remote_beam_wins():
     cells = [TnCell(i, (0.0, 0.0), i * 120.0) for i in range(3)]
     beam = NtnBeam(2, (70_000.0, 0.0), 2, 160.0 / 3.0)
-    ue = Ue(0, (70_000.0, 0.0), "ntn")
-    column = rx_column(ue, cells, [beam], los=False)
-    assert select_serving(column, PARAMS.min_rsrp_dbm) == 3
+    ue_xy = [(70_000.0, 0.0)]
+    rx = np.vstack((tn_rx(ue_xy, cells, los=False), ntn_rx_power(ue_xy, [beam], PARAMS)))
+    assert select_serving(rx, PARAMS.min_rsrp_dbm) == [3]
 
 
 def test_select_serving_tie_breaks_to_lower_id():
-    cell = TnCell(0, (0.0, 0.0), 0.0)
-    ue = Ue(0, (1000.0, 0.0), "tn")
-    rx = tn_rx_power(ue, cell, True, PARAMS)
     # two co-sited identical cells: the lower row wins
-    assert select_serving(rx_column(ue, [cell, cell]), PARAMS.min_rsrp_dbm) == 0
-    # rows 0-1 are cells, row 2 a beam as strong as cell 1: the cell wins
-    assert select_serving(np.array([rx - 1.0, rx, rx]), PARAMS.min_rsrp_dbm) == 1
+    rx = tn_rx([(1000.0, 0.0)], [ORIGIN, ORIGIN])
+    assert rx[0, 0] == rx[1, 0]
+    assert select_serving(rx, PARAMS.min_rsrp_dbm) == [0]
+    # per column: rows 0-1 are cells, row 2 a beam as strong as cell 1 (the
+    # cell wins) or as cell 0 (cell 0 wins); the last column is unserved
+    p = rx[0, 0]
+    rx = np.array([[p - 1.0, p, p - 1.0, PARAMS.min_rsrp_dbm - 1.0],
+                   [p, p - 1.0, p - 2.0, -np.inf],
+                   [p, p, p - 3.0, PARAMS.min_rsrp_dbm - 1.0]])
+    assert select_serving(rx, PARAMS.min_rsrp_dbm) == [1, 0, 0, None]
 
 
 def test_select_serving_below_threshold_unserved():
-    cells = [TnCell(0, (0.0, 0.0), 0.0)]
-    ue = Ue(0, (300_000.0, 0.0), "tn")
-    assert select_serving(rx_column(ue, cells, los=False), PARAMS.min_rsrp_dbm) is None
+    served_and_not = tn_rx([(1000.0, 0.0), (300_000.0, 0.0)], [ORIGIN], los=False)
+    assert select_serving(served_and_not, PARAMS.min_rsrp_dbm) == [0, None]
+
+
+def test_select_serving_no_ues():
+    assert select_serving(np.zeros((3, 0)), PARAMS.min_rsrp_dbm) == []
 
 
 def test_tn_rx_power_composition():
-    cell = TnCell(0, (0.0, 0.0), 0.0)
-    ue = Ue(0, (1000.0, 0.0), "tn")
-    rx = tn_rx_power(ue, cell, True, PARAMS)
-    assert rx == pytest.approx(18.0 + 14.0 - tn_pathloss(1000.0, True, 2.0, NLOS_DB))
+    rx = tn_rx([(1000.0, 0.0)], [ORIGIN])
+    loss = tn_pathloss(np.array([1000.0]), True, 2.0, NLOS_DB)
+    assert rx.shape == (1, 1)
+    assert rx[0, 0] == pytest.approx(18.0 + 14.0 - loss[0])
