@@ -41,8 +41,8 @@ def assert_bit_exact(cells, beams, ues, radio_p, seed=1) -> np.ndarray:
     return got
 
 
-def ues_at(points, kind="tn"):
-    return [Ue(i, (float(x), float(y)), kind) for i, (x, y) in enumerate(points)]
+def ues_at(points):
+    return [Ue(i, (float(x), float(y)), "tn") for i, (x, y) in enumerate(points)]
 
 
 # Ranges for the [radio] fields of the random draws.
