@@ -36,6 +36,7 @@ from .metrics import (
     write_table,
 )
 from .radio import (
+    distance_m,
     los_state,
     ntn_rx_power,
     select_serving,
@@ -51,8 +52,7 @@ from .scenario import (
     build_topology,
     demand_bps,
     derive_seed,
-    parse_scenario,
-    serialize_scenario,
+    parse_scenario,  # noqa: F401 - unused here; lets a tracer's getattr find it
     validate_scenario,
 )
 from .sums import fold_sum
@@ -99,31 +99,32 @@ def ntn_granted_rbs(plan, state, group_index: int, blocked: AbstractSet[int]) ->
     return [rb for rb in ntn if rb not in blocked]
 
 
-def _grant_rbs(
-    plan, state, blocked: AbstractSet[int], tn_nodes, ntn_nodes, beams, group_of_rb, rows
-) -> None:
+def _grant_rbs(plan, state, blocked: AbstractSet[int], nodes, group_of_rb, rows) -> None:
     """Grant rebuild: give every node its usable RBs, and the scheduler's
     byte-row and per-group prefix tables over them, after an allocation or
     guard-set change.  `Node.set_grant` discards the node's replay memo."""
     tn_order = tn_granted_rbs(plan, state, blocked)
     tn_tables = grant_tables(tn_order, group_of_rb, rows)
-    for node in tn_nodes:
-        node.set_grant(tn_order, *tn_tables)
-    for node, beam in zip(ntn_nodes, beams):
-        granted = ntn_granted_rbs(plan, state, beam.group_index, blocked)
-        node.set_grant(granted, *grant_tables(granted, group_of_rb, rows))
+    for node in nodes:
+        if node.group_index is None:
+            node.set_grant(tn_order, *tn_tables)
+        else:
+            granted = ntn_granted_rbs(plan, state, node.group_index, blocked)
+            node.set_grant(granted, *grant_tables(granted, group_of_rb, rows))
 
 
 def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
     """Per-RB received power in dBm: rows are cells then beams, one column
     per UE.  LOS is drawn once per (UE, cell) pair, UE-major, from the
     run's "los" stream, as one block of those draws.  Each radio call is
-    one whole-array pass over the run's pairs."""
+    one whole-array pass over the run's pairs, and the (cell, UE)
+    distances are computed once for LOS and path loss."""
     draws = np.random.default_rng(derive_seed(seed, "los")).uniform(
         0.0, 1.0, size=(len(ues), len(cells)))
     ue_xy = np.array([ue.xy for ue in ues], dtype=float).reshape(-1, 2)
-    los = los_state(ue_xy, cells, draws.T, radio_p.los_d0_m, radio_p.los_scale_m)
-    return np.vstack((tn_rx_power(ue_xy, cells, los, radio_p),
+    d_m = distance_m(ue_xy, [cell.site_xy for cell in cells])
+    los = los_state(d_m, draws.T, radio_p.los_d0_m, radio_p.los_scale_m)
+    return np.vstack((tn_rx_power(ue_xy, cells, d_m, los, radio_p),
                       ntn_rx_power(ue_xy, beams, radio_p)))
 
 
@@ -231,36 +232,23 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[Time
     return rows
 
 
-def _schedule_nodes(nodes, ue_bytes, node_bytes, post_warmup: bool) -> List[float]:
-    """Schedule every node for one epoch, keep its schedule for the period's
-    load and credit post-warmup bytes.  Every node that owes fast-forwarded
-    bytes settles them first (`_settle`), so each total adds its epochs in
-    order.
+def _schedule_nodes(nodes, credit: bool) -> List[float]:
+    """Schedule every node for one epoch and record it on the node
+    (`traffic.Node.record`), which keeps it for the period's load and,
+    with `credit`, adds its bytes to the node's books.
 
     Returns each transmitter's activity fraction (used over granted RBs),
     which sets the interference of the next epoch.
     """
-    _settle(nodes, ue_bytes, node_bytes)
     activity = []
-    for tx, node in enumerate(nodes):
+    for node in nodes:
         sched = schedule_epoch(node)
-        node.period.append(sched)
+        node.record(sched, credit)
         activity.append(sched.activity)
-        if post_warmup and sched.served_bytes:
-            for uid, amount in sched.served_bytes:
-                ue_bytes[uid] += amount
-            node_bytes[tx] += sched.node_bytes
     return activity
 
 
-def _settle(nodes, ue_bytes, node_bytes) -> None:
-    """Credit the fast-forwarded epochs each node owes (`traffic.Node.settle`)."""
-    for tx, node in enumerate(nodes):
-        if node.credit is not None:
-            node_bytes[tx] = node.settle(ue_bytes, node_bytes[tx])
-
-
-def _record_final(store, final_rows, total_rbs: int, tn_nodes, ntn_nodes, beams) -> None:
+def _record_final(store, final_rows, total_rbs: int, nodes) -> None:
     """Final shares and per-node RB counts from the last allocation."""
     store.final_allocation = final_rows
     coord = [row for row in final_rows if row.coordinated]
@@ -270,10 +258,9 @@ def _record_final(store, final_rows, total_rbs: int, tn_nodes, ntn_nodes, beams)
         sum(row.ntn_rbs for row in coord) / sum(row.group_size for row in coord)
         if coord else 0.0
     )
-    for node in tn_nodes:
-        store.node_rb_counts[node.node_id] = tn_usable
-    for node, beam in zip(ntn_nodes, beams):
-        store.node_rb_counts[node.node_id] = final_rows[beam.group_index].ntn_rbs
+    for node in nodes:
+        store.node_rb_counts[node.node_id] = (tn_usable if node.group_index is None
+                                              else final_rows[node.group_index].ntn_rbs)
 
 
 def run_simulation(spec: RunSpec) -> MetricsStore:
@@ -321,7 +308,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     serving = select_serving(rx_dbm, radio_p.min_rsrp_dbm)
 
     tn_nodes = [Node(f"tn-{c.cell_id}", c.cell_id) for c in cells]
-    ntn_nodes = [Node(f"ntn-{b.beam_id}", b.beam_id) for b in beams]
+    ntn_nodes = [Node(f"ntn-{b.beam_id}", b.beam_id, group_index=b.group_index) for b in beams]
     nodes = tn_nodes + ntn_nodes            # position == transmitter row
     store = MetricsStore(
         case_id=spec.case_id,
@@ -335,17 +322,16 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             store.ue_system[ue.ue_id] = "none"
         else:
             nodes[tx].ue_ids.append(ue.ue_id)
-            store.ue_system[ue.ue_id] = "TN" if tx < len(cells) else "NTN"
+            store.ue_system[ue.ue_id] = "TN" if nodes[tx].group_index is None else "NTN"
     for node in nodes:
         node.offset = (
             derive_seed(spec.seed, f"rotation:{node.node_id}") % max(1, len(node.ue_ids))
         )
         node.backlog = [0.0] * len(node.ue_ids)
+        node.books = [0.0] * (len(node.ue_ids) + 1)
         # build_topology numbers UEs 0..n-1, so ues[uid] is UE uid
         node.increments = [demand_bps(scenario, case, ues[uid]) * clock.epoch_s / 8.0
                            for uid in node.ue_ids]
-    ue_bytes = [0.0] * len(ues)             # indexed by ue_id
-    node_bytes = [0.0] * len(nodes)
 
     group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
     byte_factors = ByteFactors(plan, rx_dbm, serving, beams, radio_p, clock.epoch_s)
@@ -364,8 +350,8 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         # A new state has a new version, and an expiry drops RBs from the
         # guard-timed set, so the grants change at every guard check.
         if state is not guard_state or epoch == guard_due:
-            _grant_rbs(plan, state, active_guard_rbs(state, epoch), tn_nodes, ntn_nodes, beams,
-                       group_of_rb, byte_factors.rows)
+            _grant_rbs(plan, state, active_guard_rbs(state, epoch), nodes, group_of_rb,
+                       byte_factors.rows)
             guard_state = state
             guard_due = min((e for e in state.guard_timed.values() if e > epoch), default=-1)
 
@@ -384,8 +370,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         else:
             if epoch >= check_at:               # the check failed
                 check_at = epoch + cycle
-            activity = _schedule_nodes(nodes, ue_bytes, node_bytes,
-                                       epoch >= clock.warmup_epochs)
+            activity = _schedule_nodes(nodes, epoch >= clock.warmup_epochs)
             epoch += 1
 
         if epoch % clock.period_epochs == 0:
@@ -407,12 +392,14 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             for node in nodes:
                 node.period = []
 
-    _settle(nodes, ue_bytes, node_bytes)
-    store.ue_bytes = dict(enumerate(ue_bytes))
-    store.node_bytes = {node.node_id: b for node, b in zip(nodes, node_bytes)}
-    final_rows = _timeline_rows(plan, state, case, clock,
-                                clock.total_epochs // clock.period_epochs, clock.total_epochs)
-    _record_final(store, final_rows, band.total_rbs, tn_nodes, ntn_nodes, beams)
+    # from the books, by UE position, to the store, by ue_id in ue_id order
+    store.ue_bytes = dict.fromkeys(range(len(ues)), 0.0)
+    for node in nodes:
+        node.settle()
+        store.ue_bytes.update(zip(node.ue_ids, node.books))
+        store.node_bytes[node.node_id] = node.books[-1]
+    # the last period end's rows hold the final state; no step or epoch is read
+    _record_final(store, store.timeline[-len(plan.groups):], band.total_rbs, nodes)
     return store
 
 
@@ -451,10 +438,9 @@ def run_and_write(spec: RunSpec, out_dir: Path) -> Tuple[MetricsStore, Dict[str,
     return store, finalize(store, out_dir)
 
 
-def _campaign_worker(args: Tuple[str, int, int, str]) -> RunRecord:
-    scenario_text, case_id, seed, out_dir = args
+def _campaign_worker(args: Tuple[ScenarioConfig, int, int, str]) -> RunRecord:
+    scenario, case_id, seed, out_dir = args
     try:
-        scenario = parse_scenario(scenario_text)
         store, files = run_and_write(RunSpec(scenario, case_id, seed), Path(out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the campaign
         return RunRecord(case_id, seed, ok=False, error=f"{type(exc).__name__}: {exc}",
@@ -499,9 +485,8 @@ def run_campaign(
         if cid not in CASES:
             raise ConfigurationError(f"case {cid} unknown, valid cases are {sorted(CASES)}")
     out_dir = output_dir(out_dir)
-    scenario_text = serialize_scenario(scenario)
-    work = [
-        (scenario_text, cid, seed, str(out_dir))
+    work = [                # the frozen config pickles to a worker process
+        (scenario, cid, seed, str(out_dir))
         for cid in sorted(set(case_ids))
         for seed in sorted(set(seeds))
     ]
@@ -524,7 +509,7 @@ def run_campaign(
         mean = fold_sum(totals) / n
         var = fold_sum((t - mean) ** 2 for t in totals) / (n - 1) if n > 1 else 0.0
         std = math.sqrt(var)
-        stderr = std / math.sqrt(n) if n else 0.0
+        stderr = std / math.sqrt(n)
         pooled = sorted(t for r in good for t in r.throughputs_bps)
         aggregates[cid] = {
             "runs": float(n),

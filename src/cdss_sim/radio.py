@@ -109,22 +109,21 @@ def tn_pathloss(distance_m_: np.ndarray, los: np.ndarray, freq_ghz: float,
     return np.where(los, loss, loss + nlos_offset_db)
 
 
-def los_state(ue_xy, cells, draws: np.ndarray, d0_m: float, scale_m: float) -> np.ndarray:
-    """One-shot LOS decisions for the stationary (cell, UE) pairs, rows cells
-    and columns UEs as in `draws`: a pair is LOS when its draw is below
-    P(LOS) = 1 inside d0, exp(-(d - d0)/scale) beyond it."""
-    d = distance_m(ue_xy, [cell.site_xy for cell in cells])
-    p = np.ones_like(d)
-    beyond = d > d0_m           # exp only here: inside d0 it can overflow
+def los_state(d_m: np.ndarray, draws: np.ndarray, d0_m: float, scale_m: float) -> np.ndarray:
+    """One-shot LOS decisions for the stationary (cell, UE) pairs at
+    distances `d_m`, rows cells and columns UEs as in `draws`: a pair is LOS
+    when its draw is below P(LOS) = 1 inside d0, exp(-(d - d0)/scale) beyond it."""
+    p = np.ones_like(d_m)
+    beyond = d_m > d0_m         # exp only here: inside d0 it can overflow
     with np.errstate(over="ignore"):        # as silent as float division
-        p[beyond] = np.minimum(1.0, _each(math.exp, -(d[beyond] - d0_m) / scale_m))
+        p[beyond] = np.minimum(1.0, _each(math.exp, -(d_m[beyond] - d0_m) / scale_m))
     return draws < p
 
 
-def tn_rx_power(ue_xy, cells, los: np.ndarray, params: RadioParams) -> np.ndarray:
+def tn_rx_power(ue_xy, cells, d_m, los: np.ndarray, params: RadioParams) -> np.ndarray:
     """Per-RB received power from each TN sector (rows) at each UE
-    (columns), dBm.  The sector pattern is parabolic in azimuth, capped at
-    the front-to-back ratio."""
+    (columns) at distances `d_m`, dBm.  The sector pattern is parabolic in
+    azimuth, capped at the front-to-back ratio."""
     dx, dy = _offsets(ue_xy, [cell.site_xy for cell in cells])
     bearing = _each(math.degrees, _each(math.atan2, dy, dx))
     azimuth = np.array([cell.azimuth_deg for cell in cells], dtype=float)[:, None]
@@ -132,7 +131,7 @@ def tn_rx_power(ue_xy, cells, los: np.ndarray, params: RadioParams) -> np.ndarra
     pattern = 12.0 * _squared(a / params.tn_sector_width_deg)
     cap = params.tn_front_to_back_db
     pattern = np.where(cap < pattern, cap, pattern)
-    loss = tn_pathloss(_each(math.hypot, dx, dy), los, params.freq_ghz, params.nlos_offset_db)
+    loss = tn_pathloss(d_m, los, params.freq_ghz, params.nlos_offset_db)
     return params.tn_tx_power_dbm + params.tn_antenna_gain_dbi - pattern - loss
 
 

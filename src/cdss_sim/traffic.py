@@ -54,15 +54,15 @@ class Cycle:
         return (reps * used[n] + used[end] - used[start],
                 reps * granted[n] + granted[end] - granted[start])
 
-    def amounts(self, ue_ids: Sequence[int]) -> np.ndarray:
-        """The bytes each epoch credits: one row per UE of `ue_ids` (0.0
-        where it was not served), then the node total, one column per epoch."""
+    def amounts(self, n_ues: int) -> np.ndarray:
+        """The bytes each epoch credits, in the row layout of `Node.books`:
+        one row per UE position (0.0 where it was not served), then the
+        node total, one column per epoch."""
         if self._amounts is None:
-            row = {uid: i for i, uid in enumerate(ue_ids)}
-            amounts = [[0.0] * len(self.schedules) for _ in range(len(ue_ids) + 1)]
+            amounts = [[0.0] * len(self.schedules) for _ in range(n_ues + 1)]
             for j, s in enumerate(self.schedules):
-                for uid, amount in s.served_bytes:
-                    amounts[row[uid]][j] = amount
+                for p, amount in s.served_bytes:
+                    amounts[p][j] = amount
                 amounts[-1][j] = s.node_bytes
             self._amounts = np.array(amounts)
         return self._amounts
@@ -78,13 +78,15 @@ class Run(NamedTuple):
 
 @dataclass
 class Node:
-    """One scheduling entity: a TN cell or an enabled NTN beam.
+    """One scheduling entity: a TN cell or an enabled NTN beam, the only
+    owner of its per-run state.
 
     Holds the node's UEs in rotation order with their backlogs and
     per-epoch CBR increments (both in `ue_ids` order), its persistent
     rotation offset, its grant (`granted` with the `grant_tables` over it),
-    the epochs of the current controller period and its replay memo for
-    `schedule_epoch`.
+    the epochs of the current controller period, its replay memo for
+    `schedule_epoch`, its post-warmup byte books (each UE's total in
+    `ue_ids` order, then the node total) and, for a beam, its group.
 
     `backlog` is rebound, never mutated in place, because the memo keeps
     backlog lists by reference.  It has one slot per rotation start: the
@@ -101,7 +103,9 @@ class Node:
     (the cycle, the start position and the epoch count), so its cost does
     not grow with the epochs it covers.  The bytes of its post-warmup
     epochs are owed, as one more `Run` in `credit`, until `settle` folds
-    them in blocks of columns (`sums.fold_cycle`).
+    them into the books in blocks of columns (`sums.fold_cycle`).
+    `record` settles before it credits a scheduled epoch, so every total
+    adds its epochs in order.
     """
 
     node_id: str
@@ -117,6 +121,8 @@ class Node:
     slots: Dict[int, tuple] = field(default_factory=dict)
     cycle: Optional[Cycle] = None   # the slots' cycle, while they hold
     credit: Optional[Run] = None    # the owed epochs `settle` must credit
+    books: List[float] = field(default_factory=list)   # set with the UEs
+    group_index: Optional[int] = None   # a beam's group; None for a TN cell
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
                   group_prefix: List[Tuple[int, ...]]) -> None:
@@ -155,8 +161,8 @@ class Node:
 
     def fast_forward(self, epochs: int, credited: int) -> None:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would;
-        the last `credited` of them are owed.  The node is settled before
-        its next scheduled epoch, so owed epochs are always one run of a cycle."""
+        the last `credited` of them are owed.  `record` settles them with
+        the next scheduled epoch, so owed epochs are always one run of a cycle."""
         n = len(self.ue_ids)
         cycle = self.replay_cycle()
         if n == 0:
@@ -173,19 +179,26 @@ class Node:
         else:
             self.credit = Run(cycle, self.credit.start, self.credit.count + credited)
 
-    def settle(self, ue_bytes: List[float], node_bytes: float) -> float:
-        """Fold the owed epochs' bytes into `ue_bytes` and the returned
-        `node_bytes`, epoch by epoch as `schedule_epoch` results are
-        credited; an unserved UE adds 0.0, a no-op as no total is -0.0."""
+    def record(self, sched: CellSchedule, credit: bool) -> None:
+        """Add a scheduled epoch to the period; with `credit`, add its bytes
+        to the books, after the owed epochs that came before it."""
+        self.period.append(sched)
+        self.settle()
+        if credit and sched.served_bytes:
+            for p, amount in sched.served_bytes:
+                self.books[p] += amount
+            self.books[-1] += sched.node_bytes
+
+    def settle(self) -> None:
+        """Fold the owed epochs' bytes into the books, epoch by epoch as
+        `record` credits them; an unserved UE adds 0.0, a no-op as no total
+        is -0.0."""
         if self.credit is None:
-            return node_bytes
+            return
         cycle, first, owed = self.credit
-        start = np.array([ue_bytes[uid] for uid in self.ue_ids] + [node_bytes])
-        totals = fold_cycle(start, cycle.amounts(self.ue_ids), first, owed).tolist()
-        for uid, total in zip(self.ue_ids, totals):
-            ue_bytes[uid] = total
+        self.books[:] = fold_cycle(np.array(self.books), cycle.amounts(len(self.ue_ids)),
+                                   first, owed).tolist()
         self.credit = None
-        return totals[-1]
 
 
 @dataclass(frozen=True)        # a replay hit returns the stored instance itself
@@ -193,7 +206,7 @@ class CellSchedule:
     """Outcome of one epoch of scheduling in one cell or beam."""
 
     granted: Sequence[int]
-    served_bytes: Tuple[Tuple[int, float], ...]   # (ue_id, bytes), in order of first service
+    served_bytes: Tuple[Tuple[int, float], ...]   # (UE position, bytes), in order of first service
     node_bytes: float                   # 0.0 + the served bytes, in that order
     used_rb: int
     used_per_group: Tuple[int, ...]
@@ -267,7 +280,7 @@ def schedule_epoch(node: Node) -> CellSchedule:
     backlog = generate_arrivals(key, node.increments)
     order = [(p, ue_order[p]) for p in [*range(start, n), *range(start)]
              if backlog[p] > 0.0]
-    served: Dict[int, float] = {}
+    served: Dict[int, float] = {}    # by UE position
     unused: List[int] = []       # granted positions every queued UE declined
     live = len(order)            # UEs still queued
     declined = 0                 # consecutive declines of RB `k`
@@ -294,7 +307,7 @@ def schedule_epoch(node: Node) -> CellSchedule:
             else:
                 take = cap
             backlog[p] = b - take
-            served[uid] = served.get(uid, 0.0) + take
+            served[p] = served.get(p, 0.0) + take
             k += 1
             if k == n_rb:
                 break

@@ -240,7 +240,8 @@ def test_campaign_isolates_run_failures(fast_cfg, tmp_path, monkeypatch):
 
 
 def test_scenario_survives_campaign_round_trip(fast_cfg):
-    # the campaign worker re-parses the serialized scenario
+    # `cdss-sim validate` prints the serialized scenario, which must read
+    # back as the same config
     from cdss_sim.scenario import parse_scenario
 
     assert parse_scenario(serialize_scenario(fast_cfg)) == fast_cfg
@@ -554,44 +555,52 @@ def test_settled_run_fast_forwards_most_node_epochs(fast_cfg, monkeypatch):
 
 def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, monkeypatch):
     # Bytes are added to each total in epoch order, so the credit a
-    # fast-forward leaves a node owing must be settled before that node's
-    # next scheduled epoch, and before the store is filled.  Each node's
-    # totals are its own, so the order is checked node by node.
-    events = defaultdict(list)                  # node_id -> "owe", "settle" or "schedule"
-    fast_forward, settle, schedule = Node.fast_forward, Node.settle, engine_mod.schedule_epoch
+    # fast-forward leaves a node owing must be folded into its books before
+    # the node's next scheduled epoch is credited, and before the store is
+    # filled.  Each node's books are its own, so the order is checked node
+    # by node, on the writes to the books themselves: a fold writes them
+    # whole, a credited epoch one entry at a time.
+    events = defaultdict(list)                  # node_id -> "owe", "fold" or "credit"
+
+    class Books(list):
+        def __init__(self, node_id, values):
+            super().__init__(values)
+            self.node_id = node_id
+
+        def __setitem__(self, key, value):
+            events[self.node_id].append("fold" if isinstance(key, slice) else "credit")
+            super().__setitem__(key, value)
+
+    fast_forward, record = Node.fast_forward, Node.record
 
     def recording_fast_forward(node, epochs, credited):
         if credited:
             events[node.node_id].append("owe")
         return fast_forward(node, epochs, credited)
 
-    def recording_settle(node, *args):
-        events[node.node_id].append("settle")
-        return settle(node, *args)
-
-    def recording_schedule(node):
-        events[node.node_id].append("schedule")
-        return schedule(node)
+    def recording_record(node, sched, credit):
+        if not isinstance(node.books, Books):
+            node.books = Books(node.node_id, node.books)
+        return record(node, sched, credit)
 
     monkeypatch.setattr(Node, "fast_forward", recording_fast_forward)
-    monkeypatch.setattr(Node, "settle", recording_settle)
-    monkeypatch.setattr(engine_mod, "schedule_epoch", recording_schedule)
+    monkeypatch.setattr(Node, "record", recording_record)
     run_simulation(RunSpec(fast_cfg, 2, 1))
-    paid_then_scheduled = 0
+    paid_then_credited = 0
     for node_id, log in events.items():
         owed = paid = False
         for kind in log:
             if kind == "owe":
                 owed = True
-            elif kind == "settle":
+            elif kind == "fold":
                 owed, paid = False, owed
-            else:                               # a scheduled epoch
+            else:                               # a credited epoch
                 assert not owed, node_id
-                paid_then_scheduled += paid
+                paid_then_credited += paid
                 paid = False
-        assert not owed and log[-1] == "settle", node_id
+        assert not owed, node_id
     assert len(events) == 12                   # 9 cells and 3 beams
-    assert paid_then_scheduled >= 12, paid_then_scheduled   # 48 for this seed
+    assert paid_then_credited >= 12, paid_then_credited   # 48 for this seed
 
 
 def test_benchmark_tracer_names_resolve_on_engine():

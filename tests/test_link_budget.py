@@ -20,7 +20,9 @@ import numpy as np
 from cdss_sim.band import build_band_plan
 from cdss_sim.domains import DOMAINS
 from cdss_sim.engine import ByteFactors, _link_budget
-from cdss_sim.radio import NtnBeam, RadioParams, TnCell, Ue, los_state, select_serving
+from cdss_sim.radio import (
+    NtnBeam, RadioParams, TnCell, Ue, distance_m, los_state, select_serving,
+)
 from cdss_sim.scenario import CASES, SimClock, build_topology, default_scenario, validate_scenario
 
 import reference_placement
@@ -135,12 +137,13 @@ def test_los_state_pins_the_oracles_los_probability():
     rng = np.random.default_rng(7)
     cells = [TnCell(i, tuple(rng.uniform(-5e3, 5e3, 2).tolist()), 0.0) for i in range(6)]
     ue_xy = rng.uniform(-20e3, 20e3, (300, 2)).tolist()
+    d_m = distance_m(ue_xy, [cell.site_xy for cell in cells])
     for d0_m, scale_m in ((700.0, 2500.0), (3000.0, 50.0), (-1e308, 5e-324), (1e6, 1.0)):
         p = np.array([[reference_placement.los_probability(
             reference_placement.distance_m(xy, cell.site_xy), d0_m, scale_m) for xy in ue_xy]
             for cell in cells])
-        assert not los_state(ue_xy, cells, p, d0_m, scale_m).any()
-        assert los_state(ue_xy, cells, np.nextafter(p, -1.0), d0_m, scale_m).all()
+        assert not los_state(d_m, p, d0_m, scale_m).any()
+        assert los_state(d_m, np.nextafter(p, -1.0), d0_m, scale_m).all()
 
 
 # The [radio] fields `engine._link_budget` reads; the rest (noise figure,

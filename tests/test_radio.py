@@ -11,6 +11,7 @@ from cdss_sim.radio import (
     NtnBeam,
     RadioParams,
     TnCell,
+    distance_m,
     fspl_db,
     los_state,
     ntn_rx_power,
@@ -36,7 +37,8 @@ def make_beam(center=(0.0, 0.0), nominal_rbs=1.0):
 
 def tn_rx(ue_xy, cells, los=True, params=PARAMS):
     """Rows of per-RB rx powers, one per cell, every pair LOS or every NLOS."""
-    return tn_rx_power(ue_xy, cells, np.full((len(cells), len(ue_xy)), los), params)
+    d_m = distance_m(ue_xy, [cell.site_xy for cell in cells])
+    return tn_rx_power(ue_xy, cells, d_m, np.full(d_m.shape, los), params)
 
 
 def test_tn_pathloss_free_space_reference():
@@ -69,15 +71,17 @@ def test_los_probability_thresholds():
     # beyond: a pair is LOS for the float just below P(LOS), NLOS at it
     p = [1.0, 1.0, math.exp(-1.0)]
     ue_xy = [(500.0, 0.0), (700.0, 0.0), (3200.0, 0.0)]
+    d_m = distance_m(ue_xy, [ORIGIN.site_xy])
     below = np.array([[math.nextafter(x, 0.0) for x in p]])
-    assert los_state(ue_xy, [ORIGIN], below, *LOS_MODEL).tolist() == [[True] * 3]
-    assert los_state(ue_xy, [ORIGIN], np.array([p]), *LOS_MODEL).tolist() == [[False] * 3]
+    assert los_state(d_m, below, *LOS_MODEL).tolist() == [[True] * 3]
+    assert los_state(d_m, np.array([p]), *LOS_MODEL).tolist() == [[False] * 3]
 
 
 def test_los_state_uses_draw_against_probability():
     ue_xy = [(300.0, 0.0), (3200.0, 0.0), (3200.0, 0.0)]
     draws = np.array([[0.999999, 0.3, 0.5]])           # 0.3 < exp(-1) < 0.5
-    assert los_state(ue_xy, [ORIGIN], draws, *LOS_MODEL).tolist() == [[True, True, False]]
+    d_m = distance_m(ue_xy, [ORIGIN.site_xy])
+    assert los_state(d_m, draws, *LOS_MODEL).tolist() == [[True, True, False]]
 
 
 def test_ntn_fspl_reference_at_zenith():

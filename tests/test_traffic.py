@@ -33,7 +33,7 @@ def node_for(ue_order, offset=0, backlog=0.0, increments=None):
     if not isinstance(backlog, list):
         backlog = [backlog] * n
     return Node("tn-0", 0, list(ue_order), offset, backlog,
-                [0.0] * n if increments is None else increments)
+                [0.0] * n if increments is None else increments, books=[0.0] * (n + 1))
 
 
 def deal(node, granted, row):
@@ -50,14 +50,20 @@ def backlogs(node):
     return dict(zip(node.ue_ids, node.backlog))
 
 
-def served(sched):
+def by_uid(node, sched):
+    """The schedule's served bytes, kept by UE position, as (ue_id, bytes)
+    pairs in first-service order."""
+    return [(node.ue_ids[p], amount) for p, amount in sched.served_bytes]
+
+
+def served(node, sched):
     """The schedule's served bytes as {ue_id: bytes}, in first-service order."""
-    return dict(sched.served_bytes)
+    return dict(by_uid(node, sched))
 
 
-def rb_count(sched, uid, rate):
+def rb_count(node, sched, uid, rate):
     """RBs a UE received, for UEs whose every RB carried a full `rate`."""
-    return served(sched)[uid] / rate
+    return served(node, sched)[uid] / rate
 
 
 def replayed(sched, returned):
@@ -103,9 +109,10 @@ def test_arrivals_return_a_new_list():
 
 
 def test_schedule_even_split_two_ues():
-    sched = deal(node_for([1, 2], backlog=1e9), range(10), flat_rate(225.0))
-    assert rb_count(sched, 1, 225.0) == 5
-    assert rb_count(sched, 2, 225.0) == 5
+    node = node_for([1, 2], backlog=1e9)
+    sched = deal(node, range(10), flat_rate(225.0))
+    assert rb_count(node, sched, 1, 225.0) == 5
+    assert rb_count(node, sched, 2, 225.0) == 5
     assert sched.used_rb == 10 and sched.used_per_group == (10,)
 
 
@@ -114,7 +121,7 @@ def test_schedule_three_ues_rotation_cycles():
     counts = []
     for _ in range(3):
         sched = deal(node, range(10), flat_rate(225.0))
-        counts.append({uid: rb_count(sched, uid, 225.0) for uid in served(sched)})
+        counts.append({uid: rb_count(node, sched, uid, 225.0) for uid in served(node, sched)})
     assert counts[0] == {1: 4, 2: 3, 3: 3}
     assert counts[1] == {2: 4, 3: 3, 1: 3}
     assert counts[2] == {3: 4, 1: 3, 2: 3}
@@ -123,25 +130,27 @@ def test_schedule_three_ues_rotation_cycles():
 
 
 def test_schedule_no_backlog_uses_nothing():
-    sched = deal(node_for([1, 2], backlog=0.0), range(10), flat_rate(225.0))
-    assert sched.used_rb == 0 and served(sched) == {}
+    node = node_for([1, 2], backlog=0.0)
+    sched = deal(node, range(10), flat_rate(225.0))
+    assert sched.used_rb == 0 and served(node, sched) == {}
     assert sched.used_per_group == (0,)
 
 
 def test_schedule_satisfied_ue_leaves_rotation():
     node = node_for([1, 2], backlog=[100.0, 1e9])
     sched = deal(node, range(10), flat_rate(225.0))
-    assert sched.used_rb - rb_count(sched, 2, 225.0) == 1    # UE 1's single RB
-    assert served(sched)[1] == pytest.approx(100.0)
-    assert rb_count(sched, 2, 225.0) == 9
+    assert sched.used_rb - rb_count(node, sched, 2, 225.0) == 1    # UE 1's single RB
+    assert served(node, sched)[1] == pytest.approx(100.0)
+    assert rb_count(node, sched, 2, 225.0) == 9
     assert backlogs(node)[1] == 0.0
 
 
 def test_schedule_zero_rate_ue_skipped():
     rate = [0.0, 0.0, 225.0]    # UE 1 carries nothing, UE 2 225 bytes
-    sched = deal(node_for([1, 2], backlog=1e9), range(10), rate)
-    assert 1 not in served(sched)
-    assert rb_count(sched, 2, 225.0) == 10
+    node = node_for([1, 2], backlog=1e9)
+    sched = deal(node, range(10), rate)
+    assert 1 not in served(node, sched)
+    assert rb_count(node, sched, 2, 225.0) == 10
 
 
 def test_schedule_work_conservation():
@@ -159,7 +168,7 @@ def test_schedule_work_conservation():
 def test_schedule_served_never_exceeds_start_backlog():
     node = node_for([1], backlog=500.0)
     sched = deal(node, range(50), flat_rate(225.0))
-    assert served(sched)[1] == pytest.approx(500.0)
+    assert served(node, sched)[1] == pytest.approx(500.0)
     assert 500.0 - node.backlog[0] == pytest.approx(500.0)
 
 
@@ -169,7 +178,7 @@ def test_long_run_throughput_never_exceeds_demand():
     received = 0.0
     for _ in range(epochs):
         sched = deal(node, range(40), flat_rate(450.0))
-        received += served(sched).get(7, 0.0)
+        received += served(node, sched).get(7, 0.0)
     assert received <= 1.2e6 * epochs * 0.01 / 8.0 + 1e-9
 
 
@@ -178,9 +187,9 @@ def test_schedule_fairness_equal_se_saturated():
     totals = {u: 0 for u in range(5)}
     for _ in range(10):
         sched = deal(node, range(17), flat_rate(1.0))
-        for uid in served(sched):
-            totals[uid] += rb_count(sched, uid, 1.0)
-        counts = [rb_count(sched, uid, 1.0) for uid in served(sched)]
+        for uid in served(node, sched):
+            totals[uid] += rb_count(node, sched, uid, 1.0)
+        counts = [rb_count(node, sched, uid, 1.0) for uid in served(node, sched)]
         assert max(counts) - min(counts) <= 1
     assert max(totals.values()) - min(totals.values()) <= 1
 
@@ -218,7 +227,7 @@ def test_schedule_matches_per_rb_reference():
                 "tn-0", epoch, ue_order, ref_backlog, granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
-            assert list(got.served_bytes) == list(want.served_bytes.items())
+            assert by_uid(node, got) == list(want.served_bytes.items())
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert got.activity == (want.used_rb / len(granted) if granted else 0.0)
@@ -282,7 +291,7 @@ def test_schedule_memo_replay_matches_per_rb_reference():
                 "tn-0", epoch, ue_order, ref_backlog, node.granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
-            assert list(got.served_bytes) == list(want.served_bytes.items())
+            assert by_uid(node, got) == list(want.served_bytes.items())
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert got.activity == want.used_rb / len(node.granted)   # a hit's too
@@ -306,7 +315,8 @@ def test_schedule_memo_replays_fresh_copies():
         sched = schedule_epoch(node)
         hits += replayed(sched, returned)
         first, second = (1, 2) if epoch % 2 == 0 else (2, 1)
-        assert list(sched.served_bytes) == [(first, 450.0), (second, 450.0)]
+        assert by_uid(node, sched) == [(first, 450.0), (second, 450.0)]
+        assert [p for p, _ in sched.served_bytes] == [first - 1, second - 1]   # by position
         assert sched.node_bytes == 900.0
         assert sched.used_rb == 4 and sched.used_per_group == (4,)
         assert node.backlog == [0.0, 0.0]
@@ -341,7 +351,7 @@ def test_node_without_grant_adds_arrivals_then_resumes():
             "tn-0", epoch, ue_order, ref_backlog, granted, lambda uid, rb: row[uid],
             ref_rotation,
         )
-        assert list(got.served_bytes) == list(want.served_bytes.items())
+        assert by_uid(node, got) == list(want.served_bytes.items())
         assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
         assert got.used_rb == want.used_rb
         assert node.offset == ref_rotation.offset
@@ -432,8 +442,10 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
     # those K epochs one at a time ends: the same rotation, backlogs and
     # period load and, once settled, the same byte totals bit for bit.
     # Grant rebuilds and row rewrites come between the fast-forwards; as in
-    # the engine, the epochs from `warmup` on are credited and the owed
-    # credit is settled before each scheduled epoch.
+    # the engine, the epochs from `warmup` on are credited, and the node
+    # records each scheduled epoch (`Node.record`), which must pay the owed
+    # credit before it credits the epoch.  The twin's books are added up
+    # here, one epoch at a time.
     rng = random.Random(53)
     n_ids, n_rbs, epoch_s = 12, 60, 0.01
     forwards = 0
@@ -448,14 +460,15 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
                       for _ in ue_order]
         offset = rng.randrange(20)
         fwd, twin = (node_for(ue_order, offset, increments=list(increments)) for _ in range(2))
-        # per-UE totals, then the node total; 1e16 so that additions round
-        fwd_bytes = [rng.uniform(0.0, 1e6) for _ in range(n_ids)] + [1e16]
-        twin_bytes = list(fwd_bytes)
+        # per-UE totals by position, then the node total; 1e16 so that
+        # additions round
+        fwd.books = [rng.uniform(0.0, 1e6) for _ in ue_order] + [1e16]
+        twin_bytes = list(fwd.books)
 
-        def credit(sched, totals):
-            for uid, amount in sched.served_bytes:
-                totals[uid] += amount
-            totals[-1] += sched.node_bytes
+        def credit(sched):
+            for p, amount in sched.served_bytes:
+                twin_bytes[p] += amount
+            twin_bytes[-1] += sched.node_bytes
 
         granted = rng.sample(range(n_rbs), rng.randint(1, 40))
         tables = grant_tables(granted, group_of_rb, rows)
@@ -481,20 +494,20 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
                     sched = schedule_epoch(twin)
                     twin.period.append(sched)
                     if j >= epochs - credited:
-                        credit(sched, twin_bytes)
+                        credit(sched)
                 forwards += 1
                 epoch += epochs
             else:
-                fwd_bytes[-1] = fwd.settle(fwd_bytes, fwd_bytes[-1])
-                for node, totals in ((fwd, fwd_bytes), (twin, twin_bytes)):
-                    sched = schedule_epoch(node)
-                    node.period.append(sched)
-                    if epoch >= warmup:
-                        credit(sched, totals)
+                fwd.record(schedule_epoch(fwd), epoch >= warmup)
+                assert fwd.credit is None
+                sched = schedule_epoch(twin)
+                twin.period.append(sched)
+                if epoch >= warmup:
+                    credit(sched)
                 epoch += 1
             assert (fwd.offset, fwd.backlog) == (twin.offset, twin.backlog)
-        fwd_bytes[-1] = fwd.settle(fwd_bytes, fwd_bytes[-1])
-        assert fwd_bytes == twin_bytes
+        fwd.settle()
+        assert fwd.books == twin_bytes
         got, want = PeriodLoad(fwd.period), PeriodLoad(twin.period)
         assert [got.group(g) for g in range(n_groups)] == [want.group(g) for g in range(n_groups)]
         assert got.totals() == want.totals()
@@ -506,35 +519,49 @@ def test_settle_pays_owed_epochs_from_their_cycle_position():
     # must start at the cycle position of the first owed epoch.  One or two
     # fast-forwards (the second wholly owed, as after the warmup) from every
     # rotation start, then a settle, must give the epoch-by-epoch credits
-    # bit for bit.
+    # bit for bit.  So must a scheduled epoch recorded after them
+    # (`Node.record`), which pays them whether or not it is credited itself,
+    # and adds its own bytes after theirs: the amounts mix 1e16 with 0.5 and
+    # 1.0, so the other order rounds differently (a start of 0.5 is lost in
+    # 1e16, but 0.5 + 1.0 first is not).
     n = 3
     keys = [[float(j)] * n for j in range(n)]
-    cycle = [CellSchedule((0,), ((4, 1e16), (6, 1.0 + j)), 1e16 + 1.0 + j, 1, (1,), (1,), 1.0)
+    # UEs 4, 5 and 6 at positions 0, 1 and 2
+    cycle = [CellSchedule((0,), ((0, 1e16), (2, 1.0 + j)), 1e16 + 1.0 + j, 1, (1,), (1,), 1.0)
              for j in range(n)]
-    cycle[1] = CellSchedule((0,), ((5, 3.0),), 3.0, 1, (1,), (1,), 1.0)
+    cycle[1] = CellSchedule((0,), ((1, 3.0),), 3.0, 1, (1,), (1,), 1.0)
+    last = CellSchedule((0,), ((0, 1.0),), 1.0, 1, (1,), (1,), 1.0)
     checked = 0
     for offset in range(n):
         for epochs in range(1, 2 * n + 2):
             for credited in range(epochs + 1):
                 for more in (0, n + 1):
-                    node = node_for([4, 5, 6], offset)
-                    node.granted = [0]
-                    node.slots = {j: (keys[j], keys[(j + 1) % n], cycle[j]) for j in range(n)}
-                    node.backlog = keys[offset]
-                    node.fast_forward(epochs, credited)
-                    owed = [cycle[(offset + j) % n] for j in range(epochs - credited, epochs)]
-                    if more and credited:
-                        node.fast_forward(more, more)
-                        owed += [cycle[(offset + epochs + j) % n] for j in range(more)]
-                    ue_bytes = [0.0] * 7
-                    node_bytes = node.settle(ue_bytes, 0.5)
-                    assert node_bytes == fold_sum((s.node_bytes for s in owed), 0.5)
-                    for uid in (4, 5, 6):
-                        assert ue_bytes[uid] == fold_sum(
-                            (dict(s.served_bytes).get(uid, 0.0) for s in owed), 0.0)
-                    assert node.credit is None
-                    checked += 1
-    assert checked > 100
+                    for pay in ("settle", "record", "record and credit"):
+                        node = node_for([4, 5, 6], offset)
+                        node.granted = [0]
+                        node.slots = {j: (keys[j], keys[(j + 1) % n], cycle[j])
+                                      for j in range(n)}
+                        node.backlog = keys[offset]
+                        node.fast_forward(epochs, credited)
+                        owed = [cycle[(offset + j) % n]
+                                for j in range(epochs - credited, epochs)]
+                        if more and credited:
+                            node.fast_forward(more, more)
+                            owed += [cycle[(offset + epochs + j) % n] for j in range(more)]
+                        node.books = [0.5] * (n + 1)
+                        if pay == "settle":
+                            node.settle()
+                        else:
+                            node.record(last, pay == "record and credit")
+                            assert node.period[-1] is last
+                            owed += [last] if pay == "record and credit" else []
+                        assert node.books[-1] == fold_sum((s.node_bytes for s in owed), 0.5)
+                        for p in range(n):
+                            assert node.books[p] == fold_sum(
+                                (dict(s.served_bytes).get(p, 0.0) for s in owed), 0.5)
+                        assert node.credit is None
+                        checked += 1
+    assert checked > 300
 
 
 def test_replay_cycle_follows_every_slot_change():
