@@ -1,9 +1,13 @@
-"""Golden output digests: every report file of a small fixed grid.
+"""Golden output digests: every report file of two fixed grids.
 
-The grid is `fast_cfg` x cases 1-4 x seeds {1, 2}, written one run at a
-time, plus the same grid as one campaign, run with `jobs=1` and with
-`jobs=2` against the same digests.  The SHA-256 of each file is
-committed in `golden/digests.json`.  A refactor must keep them;
+The small grid is `fast_cfg` x cases 1-4 x seeds {1, 2}, written one run
+at a time, plus the same grid as one campaign, run with `jobs=1` and with
+`jobs=2` against the same digests.  The full-scale set is five runs of
+the default scenario in the regimes where replay misses deal several
+rounds to UEs that do not drain: case 3 seeds 5 and 6 (one saturated
+cell each) and case 4 seeds 1, 7 and 9 (saturated beams; 7 and 9 also
+oscillate).  The SHA-256 of each file is committed in
+`golden/digests.json`.  A refactor must keep them;
 a change meant to alter outputs regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,8 +26,10 @@ from cdss_sim.engine import RunSpec, run_and_write, run_campaign
 from cdss_sim.scenario import serialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 CASES = (1, 2, 3, 4)
 SEEDS = (1, 2)
+FULL_SCALE = ((3, 5), (3, 6), (4, 1), (4, 7), (4, 9))   # (case, seed)
 
 
 def _digests(out_dir: Path) -> dict:
@@ -37,6 +43,12 @@ def single_run_digests(cfg, out_dir: Path) -> dict:
     for case_id in CASES:
         for seed in SEEDS:
             run_and_write(RunSpec(cfg, case_id, seed), out_dir)
+    return _digests(out_dir)
+
+
+def full_scale_digests(cfg, out_dir: Path) -> dict:
+    for case_id, seed in FULL_SCALE:
+        run_and_write(RunSpec(cfg, case_id, seed), out_dir)
     return _digests(out_dir)
 
 
@@ -62,6 +74,24 @@ def test_campaign_jobs_two_matches_golden(fast_cfg, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert campaign_digests(fast_cfg, tmp_path, jobs=2) == {
         **golden["runs"], **golden["campaign"]}
+
+
+def test_full_scale_runs_match_golden(default_cfg, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert full_scale_digests(default_cfg, tmp_path) == golden["full_scale"]
+
+
+def test_full_scale_golden_agrees_with_benchmark_reference():
+    # The benchmark's reference records the same runs' file digests (keyed
+    # "<case>/<seed>", then by file stem); the two oracles must agree.
+    golden = json.loads(GOLDEN.read_text())["full_scale"]
+    runs = json.loads(BENCH_REFERENCE.read_text())["runs"]
+    reference = {
+        f"{case_id}_{seed}_{stem}{'.json' if stem == 'summary' else '.csv'}": digest
+        for case_id, seed in FULL_SCALE
+        for stem, digest in runs[f"{case_id}/{seed}"]["files"].items()
+    }
+    assert golden == reference
 
 
 FRESH_RUN = """
@@ -95,15 +125,18 @@ def test_run_after_other_case_matches_fresh_process(fast_cfg, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    import cdss_sim as cs
     from conftest import fast_scenario
 
     cfg = fast_scenario()
     with tempfile.TemporaryDirectory() as tmp:
         runs = single_run_digests(cfg, Path(tmp) / "runs")
         campaign = campaign_digests(cfg, Path(tmp) / "campaign")
+        full_scale = full_scale_digests(cs.default_scenario(), Path(tmp) / "full_scale")
     extra = {name: d for name, d in campaign.items() if name not in runs}
     if {name: d for name, d in campaign.items() if name in runs} != runs:
         sys.exit("campaign per-run files differ from the single runs; not writing")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({"runs": runs, "campaign": extra}, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(runs) + len(extra)} digests to {GOLDEN}")
+    GOLDEN.write_text(json.dumps({"runs": runs, "campaign": extra, "full_scale": full_scale},
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(runs) + len(extra) + len(full_scale)} digests to {GOLDEN}")
