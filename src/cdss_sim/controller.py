@@ -10,7 +10,7 @@ decision, and whatever TN does not need is handed to the NTN side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .band import (
     AllocationState,
@@ -46,26 +46,33 @@ class CdssConfig:
             )
 
 
-@dataclass(frozen=True)
-class LoadReport:
-    """One cell's RB usage within one group over one optimization period.
-
-    Carries the ratio inputs rather than the ratio so the aggregator can
-    weight or filter degenerate reports.
-    """
-
+class _LoadReportFields(NamedTuple):
     cell_id: int
     group_index: int
     used_rb_epochs: int
     available_rb_epochs: int
     period_end_epoch: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.used_rb_epochs <= self.available_rb_epochs):
+
+class LoadReport(_LoadReportFields):
+    """One cell's RB usage within one group over one optimization period.
+
+    Carries the ratio inputs rather than the ratio so the aggregator can
+    weight or filter degenerate reports.  Immutable, and checked when it
+    is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, cell_id: int, group_index: int, used_rb_epochs: int,
+                available_rb_epochs: int, period_end_epoch: int) -> LoadReport:
+        if not (0 <= used_rb_epochs <= available_rb_epochs):
             raise ValueError(
                 f"need 0 <= used <= available, got "
-                f"{self.used_rb_epochs}/{self.available_rb_epochs}"
+                f"{used_rb_epochs}/{available_rb_epochs}"
             )
+        return tuple.__new__(cls, (cell_id, group_index, used_rb_epochs,
+                                   available_rb_epochs, period_end_epoch))
 
 
 def aggregate_load(reports: Sequence[LoadReport], group_index: int) -> float:

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import InvariantError
 from .sums import fold_sum
@@ -38,8 +38,7 @@ def compute_cdf(samples: Sequence[float]) -> CdfSeries:
     return CdfSeries(tuple(ordered), tuple((i + 1) / n for i in range(n)))
 
 
-@dataclass(frozen=True)
-class TimelineRow:
+class TimelineRow(NamedTuple):
     """Snapshot of one group's allocation after one controller step."""
 
     step: int
@@ -54,8 +53,9 @@ class TimelineRow:
     version: int
 
 
-@dataclass(frozen=True)
-class UtilizationSample:
+class UtilizationSample(NamedTuple):
+    """One cell's RB usage over one sampled controller period."""
+
     cell_id: int
     period_index: int
     time_s: float

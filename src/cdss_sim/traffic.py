@@ -201,9 +201,9 @@ class Node:
         self.credit = None
 
 
-@dataclass(frozen=True)        # a replay hit returns the stored instance itself
-class CellSchedule:
-    """Outcome of one epoch of scheduling in one cell or beam."""
+class CellSchedule(NamedTuple):
+    """Outcome of one epoch of scheduling in one cell or beam; immutable,
+    as a replay hit returns the stored instance itself."""
 
     granted: Sequence[int]
     served_bytes: Tuple[Tuple[int, float], ...]   # (UE position, bytes), in order of first service
@@ -280,7 +280,8 @@ def schedule_epoch(node: Node) -> CellSchedule:
     backlog = generate_arrivals(key, node.increments)
     order = [(p, ue_order[p]) for p in [*range(start, n), *range(start)]
              if backlog[p] > 0.0]
-    served: Dict[int, float] = {}    # by UE position
+    served = [0.0] * n           # by UE position; every take is positive
+    first: List[int] = []        # served positions, in order of first service
     unused: List[int] = []       # granted positions every queued UE declined
     live = len(order)            # UEs still queued
     declined = 0                 # consecutive declines of RB `k`
@@ -307,22 +308,31 @@ def schedule_epoch(node: Node) -> CellSchedule:
             else:
                 take = cap
             backlog[p] = b - take
-            served[p] = served.get(p, 0.0) + take
+            had = served[p]
+            if not had:
+                first.append(p)
+            served[p] = had + take
             k += 1
             if k == n_rb:
                 break
-        if left:
+        if left and live:
             order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
-    used_per_group = list(group_prefix[k])
-    for i in unused:
-        for gi, (hi, lo) in enumerate(zip(group_prefix[i + 1], group_prefix[i])):
-            used_per_group[gi] -= hi - lo
+    used_per_group = group_prefix[k]
+    if unused:
+        counts = list(used_per_group)
+        for i in unused:
+            for gi, (hi, lo) in enumerate(zip(group_prefix[i + 1], group_prefix[i])):
+                counts[gi] -= hi - lo
+        used_per_group = tuple(counts)
+    served_bytes = []
     node_bytes = 0.0
-    for amount in served.values():
+    for p in first:
+        amount = served[p]
+        served_bytes.append((p, amount))
         node_bytes += amount
     used_rb = k - len(unused)
-    sched = CellSchedule(granted, tuple(served.items()), node_bytes, used_rb,
-                         tuple(used_per_group), group_prefix[-1], used_rb / n_rb)
+    sched = CellSchedule(granted, tuple(served_bytes), node_bytes, used_rb,
+                         used_per_group, group_prefix[-1], used_rb / n_rb)
     node.backlog = backlog
     node.slots[start] = (key, backlog, sched)
     node.cycle = None

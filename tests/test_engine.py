@@ -31,7 +31,7 @@ from cdss_sim.scenario import (
     serialize_scenario,
     validate_scenario,
 )
-from cdss_sim.traffic import Node, grant_tables
+from cdss_sim.traffic import Node, grant_tables, schedule_epoch
 
 
 def test_sim_clock_epoch_counts(fast_cfg):
@@ -603,15 +603,45 @@ def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, m
     assert paid_then_credited >= 12, paid_then_credited   # 48 for this seed
 
 
-def test_benchmark_tracer_names_resolve_on_engine():
-    # perfbench/layers.py traces a run by swapping these names on the
-    # engine module; a refactor that drops one breaks the traced benchmark.
+def benchmark_layers():
+    """perfbench/layers.py, loaded by path (it is not a package)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_benchmark_tracer_names_resolve_on_engine():
+    # perfbench/layers.py traces a run by swapping these names on the
+    # engine module; a refactor that drops one breaks the traced benchmark.
+    layers = benchmark_layers()
     names = [name for names in layers.ENGINE_LAYERS.values() for name in names]
     names += ["run_and_write", "_campaign_worker", "ProcessPoolExecutor", "SpectrumManager"]
     missing = [name for name in names if not hasattr(engine_mod, name)]
     assert missing == []
     assert hasattr(engine_mod.SpectrumManager, "sms_step")
+
+
+def test_benchmark_tracer_counts_dealt_and_offered_rbs():
+    # The traced benchmark wraps schedule_epoch with an observer that reads
+    # the returned record's `used_rb` and `granted`; a change to the record
+    # must keep its counts.  Two UEs with 450 bytes each take 4 of 10 RBs
+    # of 225 bytes, on a miss and on a replay hit alike; a node with UEs
+    # and no grant deals and offers none.
+    layers = benchmark_layers()
+    tracer = layers.Tracer()
+    traced = tracer.wrap("traffic.schedule", schedule_epoch, layers.OBSERVERS["schedule_epoch"])
+    granted = list(range(10))
+    node = Node("tn-0", 0, [0, 1], 0, [], [0.0, 0.0], books=[0.0] * 3)
+    node.set_grant(granted, *grant_tables(granted, [0] * 10, [[225.0, 225.0]]))
+    returned = []
+    for _ in range(3):                  # rotation starts 0, 1, then 0 again
+        node.backlog = [450.0, 450.0]
+        returned.append(traced(node))
+    assert returned[2] is returned[0]   # the hit
+    idle = Node("tn-1", 1, [2], 0, [0.0], [1.0], books=[0.0] * 2)
+    idle.set_grant([], [], [(0,)])
+    traced(idle)
+    assert tracer.calls["traffic.schedule"] == 4
+    assert tracer.counts == {"rbs_dealt": 12, "rbs_offered": 30}
