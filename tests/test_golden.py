@@ -39,15 +39,9 @@ def _digests(out_dir: Path) -> dict:
     }
 
 
-def single_run_digests(cfg, out_dir: Path) -> dict:
-    for case_id in CASES:
-        for seed in SEEDS:
-            run_and_write(RunSpec(cfg, case_id, seed), out_dir)
-    return _digests(out_dir)
-
-
-def full_scale_digests(cfg, out_dir: Path) -> dict:
-    for case_id, seed in FULL_SCALE:
+def single_run_digests(cfg, out_dir: Path, grid=None) -> dict:
+    """Digests of one run per (case, seed) of `grid`, the small grid by default."""
+    for case_id, seed in grid or [(c, s) for c in CASES for s in SEEDS]:
         run_and_write(RunSpec(cfg, case_id, seed), out_dir)
     return _digests(out_dir)
 
@@ -78,7 +72,7 @@ def test_campaign_jobs_two_matches_golden(fast_cfg, tmp_path):
 
 def test_full_scale_runs_match_golden(default_cfg, tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    assert full_scale_digests(default_cfg, tmp_path) == golden["full_scale"]
+    assert single_run_digests(default_cfg, tmp_path, FULL_SCALE) == golden["full_scale"]
 
 
 def test_full_scale_golden_agrees_with_benchmark_reference():
@@ -132,7 +126,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         runs = single_run_digests(cfg, Path(tmp) / "runs")
         campaign = campaign_digests(cfg, Path(tmp) / "campaign")
-        full_scale = full_scale_digests(cs.default_scenario(), Path(tmp) / "full_scale")
+        full_scale = single_run_digests(cs.default_scenario(), Path(tmp) / "full_scale",
+                                        FULL_SCALE)
     extra = {name: d for name, d in campaign.items() if name not in runs}
     if {name: d for name, d in campaign.items() if name in runs} != runs:
         sys.exit("campaign per-run files differ from the single runs; not writing")
