@@ -29,7 +29,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .band import active_guard_rbs, build_band_plan, initial_allocation, rb_ranges
-from .controller import SpectrumManager
+from .controller import LoadReport, SpectrumManager
 from .errors import ConfigurationError, InvariantError
 from .metrics import (
     MetricsStore, TimelineRow, UtilizationSample, compute_cdf, finalize, output_dir,
@@ -58,9 +58,9 @@ from .scenario import (
 from .sums import fold_sum
 from .traffic import (
     Node,
-    PeriodLoad,
     generate_arrivals,  # noqa: F401 - unused here; lets a tracer's getattr find it
     grant_tables,
+    period_load,
     schedule_epoch,
 )
 
@@ -99,18 +99,18 @@ def ntn_granted_rbs(plan, state, group_index: int, blocked: AbstractSet[int]) ->
     return [rb for rb in ntn if rb not in blocked]
 
 
-def _grant_rbs(plan, state, blocked: AbstractSet[int], nodes, group_of_rb, rows) -> None:
+def _grant_rbs(plan, state, blocked: AbstractSet[int], nodes, row_of_rb, column_of_rb) -> None:
     """Grant rebuild: give every node its usable RBs, and the scheduler's
-    byte-row and per-group prefix tables over them, after an allocation or
+    byte-row and load-prefix tables over them, after an allocation or
     guard-set change.  `Node.set_grant` discards the node's replay memo."""
     tn_order = tn_granted_rbs(plan, state, blocked)
-    tn_tables = grant_tables(tn_order, group_of_rb, rows)
+    tn_tables = grant_tables(tn_order, row_of_rb, column_of_rb)
     for node in nodes:
         if node.group_index is None:
             node.set_grant(tn_order, *tn_tables)
         else:
             granted = ntn_granted_rbs(plan, state, node.group_index, blocked)
-            node.set_grant(granted, *grant_tables(granted, group_of_rb, rows))
+            node.set_grant(granted, *grant_tables(granted, row_of_rb, column_of_rb))
 
 
 def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
@@ -214,21 +214,14 @@ class ByteFactors:
 
 
 def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[TimelineRow]:
-    """The allocation of every group at `epoch`, one row per group."""
+    """The allocation of every group at `epoch`, one row per group, with
+    the widths of `band.rb_ranges`; a case without the NTN has no NTN RBs."""
     rows = []
     for g in plan.groups:
-        if g.coordinated:
-            alloc = state.allocations[g.index]
-            tn, guard, ntn = alloc.tn_rbs, alloc.guard_rbs, alloc.ntn_rbs
-        else:
-            tn, guard = g.size, 0
-            ntn = g.size if case.ntn_enabled else 0
-        rows.append(
-            TimelineRow(
-                step, epoch, epoch * clock.epoch_s, g.index, g.size,
-                g.coordinated, tn, guard, ntn, state.version,
-            )
-        )
+        tn, guard, ntn = map(len, rb_ranges(g, state.allocations.get(g.index)))
+        rows.append(TimelineRow(step, epoch, epoch * clock.epoch_s, g.index, g.size,
+                                g.coordinated, tn, guard, ntn if case.ntn_enabled else 0,
+                                state.version))
     return rows
 
 
@@ -246,6 +239,14 @@ def _schedule_nodes(nodes, credit: bool) -> List[float]:
         node.record(sched, credit)
         activity.append(sched.activity)
     return activity
+
+
+def _load_reports(tn_nodes, loads, coordinated: Sequence[int], epoch: int) -> List[LoadReport]:
+    """Each TN cell's report for each coordinated group j, from its period
+    load's column 1 + j.  A report with no granted RB is kept, and
+    `controller.aggregate_load` skips it."""
+    return [LoadReport(node.entity_id, gi, load[1 + j], load[len(load) // 2 + 1 + j], epoch)
+            for node, load in zip(tn_nodes, loads) for j, gi in enumerate(coordinated)]
 
 
 def _record_final(store, final_rows, total_rbs: int, nodes) -> None:
@@ -333,33 +334,31 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         node.increments = [demand_bps(scenario, case, ues[uid]) * clock.epoch_s / 8.0
                            for uid in node.ue_ids]
 
-    group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
     byte_factors = ByteFactors(plan, rx_dbm, serving, beams, radio_p, clock.epoch_s)
+    coordinated = plan.coordinated_indices()
+    # Per RB: its group's byte row, and its load column, 1 + j in coordinated
+    # group j and 0 in any other group, whose load no report reads.
+    column = {gi: 1 + j for j, gi in enumerate(coordinated)}
+    row_of_rb = [byte_factors.rows[g.index] for g in plan.groups for _ in g.rb_range]
+    column_of_rb = [column.get(g.index, 0) for g in plan.groups for _ in g.rb_range]
 
     store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0))
-    coordinated = plan.coordinated_indices()
     activity = [1.0] * len(nodes)
     guard_state, guard_due = None, 0        # the guard set holds until either changes
-    # A node is steady at the earliest a whole rotation after a slot clear, so
-    # steadiness is checked from `check_at` on: a longest rotation (at least
-    # one epoch) after a row rewrite, then once per rotation while it fails.
-    cycle = max([1] + [len(node.ue_ids) for node in nodes])
-    check_at = 0
     epoch = 0
     while epoch < clock.total_epochs:
         # A new state has a new version, and an expiry drops RBs from the
         # guard-timed set, so the grants change at every guard check.
         if state is not guard_state or epoch == guard_due:
-            _grant_rbs(plan, state, active_guard_rbs(state, epoch), nodes, group_of_rb,
-                       byte_factors.rows)
+            _grant_rbs(plan, state, active_guard_rbs(state, epoch), nodes, row_of_rb,
+                       column_of_rb)
             guard_state = state
             guard_due = min((e for e in state.guard_timed.values() if e > epoch), default=-1)
 
         if byte_factors.refresh(activity):      # new rows: every replay slot is stale
             for node in nodes:
                 node.clear_memo()
-            check_at = epoch + cycle
-        if epoch >= check_at and all(node.steady() for node in nodes):
+        if all(node.steady() for node in nodes):
             stop = min(epoch - epoch % clock.period_epochs + clock.period_epochs,
                        guard_due if guard_due > epoch else clock.total_epochs,
                        clock.total_epochs)
@@ -368,24 +367,23 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
                 node.fast_forward(stop - epoch, credited)
             epoch = stop
         else:
-            if epoch >= check_at:               # the check failed
-                check_at = epoch + cycle
             activity = _schedule_nodes(nodes, epoch >= clock.warmup_epochs)
             epoch += 1
 
         if epoch % clock.period_epochs == 0:
             step = epoch // clock.period_epochs
-            loads = [PeriodLoad(node.period) for node in tn_nodes]   # NTN loads go unread
-            reports = [
-                report
-                for node, load in zip(tn_nodes, loads)
-                for report in load.reports(node.entity_id, coordinated, epoch)
-            ]
-            if epoch - clock.period_epochs >= clock.warmup_epochs:
+            sampled = epoch - clock.period_epochs >= clock.warmup_epochs
+            # Only TN loads are read: by the reports, if a group is
+            # coordinated, and by the samples after the warmup.
+            loads = ([period_load(node.period) for node in tn_nodes]
+                     if coordinated or sampled else [])
+            if sampled:
                 store.utilization.extend(
-                    UtilizationSample(node.entity_id, step, epoch * clock.epoch_s, *load.totals())
+                    UtilizationSample(node.entity_id, step, epoch * clock.epoch_s,
+                                      sum(load[:len(load) // 2]), sum(load[len(load) // 2:]))
                     for node, load in zip(tn_nodes, loads)
                 )
+            reports = _load_reports(tn_nodes, loads, coordinated, epoch)
             state = manager.sms_step(state, reports, epoch)[0]
             store.sms_steps += 1
             store.timeline.extend(_timeline_rows(plan, state, case, clock, step, epoch))

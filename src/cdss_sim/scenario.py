@@ -170,7 +170,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     Unspecified keys take the defaults; unknown sections or keys and any
     validation failure raise ConfigurationError with the key path.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section header is empty, so `[DEFAULT]` is an unknown section here,
+    # not defaults spread over every other section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .controller import LoadReport
 from .sums import fold_cycle
 
 
@@ -22,37 +22,32 @@ class Cycle:
     """The epochs a steady node repeats: the `CellSchedule` of each rotation
     start, in start order, built once while the node's slots hold.
 
-    The integer prefix sums of their loads (for `PeriodLoad`) and the
-    matrix of their credited bytes (for `Node.settle`) are built on first
-    use, once per cycle.
+    The prefix sums of their load rows (for `period_load`) and the matrix
+    of their credited bytes (for `Node.settle`) are built on first use,
+    once per cycle.
     """
 
     __slots__ = ("schedules", "_prefix", "_amounts")
 
     def __init__(self, schedules: List[CellSchedule]) -> None:
         self.schedules = schedules
-        self._prefix: Optional[List[List[int]]] = None
+        self._prefix: Optional[List[Tuple[int, ...]]] = None
         self._amounts: Optional[np.ndarray] = None
 
-    def load(self, column: int, start: int, count: int) -> Tuple[int, int]:
-        """Load columns `column` and `column + 1` summed over `count` epochs
-        from position `start`: whole cycles, then a window that may wrap
-        past the cycle's end.  Columns 0 and 1 are the used and granted RBs,
-        2 + 2g and 3 + 2g those of group g."""
+    def load(self, start: int, count: int) -> List[int]:
+        """The load row summed over `count` epochs from position `start`:
+        whole cycles, then a window that may wrap past the cycle's end."""
         if self._prefix is None:
-            cols = [[s.used_rb for s in self.schedules], [len(s.granted) for s in self.schedules]]
-            for gi in range(len(self.schedules[0].used_per_group)):
-                cols += [[s.used_per_group[gi] for s in self.schedules],
-                         [s.granted_per_group[gi] for s in self.schedules]]
-            self._prefix = [[0, *accumulate(col)] for col in cols]
+            rows = [s.load for s in self.schedules]
+            self._prefix = [(0,) * len(rows[0]),
+                            *accumulate(rows, lambda a, b: tuple(map(add, a, b)))]
         n = len(self.schedules)
         reps, rest = divmod(count, n)
         end = start + rest
         if end > n:
             reps, end = reps + 1, end - n
-        used, granted = self._prefix[column], self._prefix[column + 1]
-        return (reps * used[n] + used[end] - used[start],
-                reps * granted[n] + granted[end] - granted[start])
+        return [reps * whole + hi - lo for whole, hi, lo
+                in zip(self._prefix[n], self._prefix[end], self._prefix[start])]
 
     def amounts(self, n_ues: int) -> np.ndarray:
         """The bytes each epoch credits, in the row layout of `Node.books`:
@@ -116,7 +111,7 @@ class Node:
     increments: List[float] = field(default_factory=list)
     granted: List[int] = field(default_factory=list)
     granted_rows: List[List[float]] = field(default_factory=list)
-    group_prefix: List[Tuple[int, ...]] = field(default_factory=list)
+    load_prefix: List[Tuple[int, ...]] = field(default_factory=list)
     period: List[Union[CellSchedule, Run]] = field(default_factory=list)
     slots: Dict[int, tuple] = field(default_factory=dict)
     cycle: Optional[Cycle] = None   # the slots' cycle, while they hold
@@ -125,9 +120,9 @@ class Node:
     group_index: Optional[int] = None   # a beam's group; None for a TN cell
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
-                  group_prefix: List[Tuple[int, ...]]) -> None:
+                  load_prefix: List[Tuple[int, ...]]) -> None:
         """Install a new grant and its tables; the memo's slots go stale."""
-        self.granted, self.granted_rows, self.group_prefix = granted, granted_rows, group_prefix
+        self.granted, self.granted_rows, self.load_prefix = granted, granted_rows, load_prefix
         self.clear_memo()
 
     def clear_memo(self) -> None:
@@ -137,8 +132,7 @@ class Node:
 
     def idle_schedule(self) -> CellSchedule:
         """The epoch of a node that deals nothing: no UE, or no granted RB."""
-        return CellSchedule(self.granted, (), 0.0, 0, self.group_prefix[0],
-                            self.group_prefix[-1], 0.0)
+        return CellSchedule(self.granted, (), 0.0, 0, self.load_prefix[0], 0.0)
 
     def steady(self) -> bool:
         """Whether the node has no UEs, or a grant, a slot for each of its n
@@ -209,28 +203,29 @@ class CellSchedule(NamedTuple):
     served_bytes: Tuple[Tuple[int, float], ...]   # (UE position, bytes), in order of first service
     node_bytes: float                   # 0.0 + the served bytes, in that order
     used_rb: int
-    used_per_group: Tuple[int, ...]
-    granted_per_group: Tuple[int, ...]  # the grant's size per group
+    load: Tuple[int, ...]               # used RBs per load column, then the grant's size per column
     activity: float                     # used_rb over the granted RBs, 0.0 with none
 
 
 def grant_tables(
-    granted: Sequence[int], group_of_rb: Sequence[int], rows: Sequence[List[float]]
+    granted: Sequence[int], row_of_rb: Sequence[List[float]], column_of_rb: Sequence[int]
 ) -> Tuple[List[List[float]], List[Tuple[int, ...]]]:
-    """Per-grant lookups for `schedule_epoch`, built once per grant.
+    """Per-grant lookups for `schedule_epoch`, built once per grant from
+    two per-run maps: each RB's byte row (`row_of_rb[rb][ue_id]`) and its
+    load column.
 
-    Returns each granted RB's byte row (`rows[group][ue_id]`, by reference,
-    so a refresh that rewrites the rows in place keeps them current) and
-    the per-group RB counts of every prefix of `granted`:
-    `prefix[i][g]` counts the RBs of group g among `granted[:i]`, so
-    `prefix[-1]` is the grant's per-group size.
+    Returns each granted RB's byte row (by reference, so a refresh that
+    rewrites the rows in place keeps them current) and the load row of
+    every prefix of `granted`: `prefix[i]` counts the RBs of each column
+    among `granted[:i]`, then among all of `granted`, so it is the load of
+    an epoch that deals `granted[:i]`.
     """
-    counts = [0] * len(rows)
-    prefix = [tuple(counts)]
+    counts = [0] * (max(column_of_rb, default=-1) + 1)
+    used = [tuple(counts)]
     for rb in granted:
-        counts[group_of_rb[rb]] += 1
-        prefix.append(tuple(counts))
-    return [rows[group_of_rb[rb]] for rb in granted], prefix
+        counts[column_of_rb[rb]] += 1
+        used.append(tuple(counts))
+    return [row_of_rb[rb] for rb in granted], [u + used[-1] for u in used]
 
 
 def schedule_epoch(node: Node) -> CellSchedule:
@@ -259,9 +254,9 @@ def schedule_epoch(node: Node) -> CellSchedule:
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
     once every queued UE has declined an RB, that RB goes unused and the
-    next RB is offered from the same cursor.  `group_prefix` (see
-    `grant_tables`) turns the dealt prefix of `granted` into per-group
-    used counts.
+    next RB is offered from the same cursor.  `load_prefix` (see
+    `grant_tables`) turns the dealt prefix of `granted` into the epoch's
+    load row.
     """
     ue_order, granted = node.ue_ids, node.granted
     n = len(ue_order)
@@ -275,7 +270,7 @@ def schedule_epoch(node: Node) -> CellSchedule:
     if slot is not None and slot[0] == key:
         node.backlog = slot[1]
         return slot[2]
-    granted_rows, group_prefix = node.granted_rows, node.group_prefix
+    granted_rows, load_prefix = node.granted_rows, node.load_prefix
     n_rb = len(granted)
     backlog = generate_arrivals(key, node.increments)
     order = [(p, ue_order[p]) for p in [*range(start, n), *range(start)]
@@ -317,13 +312,13 @@ def schedule_epoch(node: Node) -> CellSchedule:
                 break
         if left and live:
             order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
-    used_per_group = group_prefix[k]
+    load = load_prefix[k]
     if unused:
-        counts = list(used_per_group)
+        counts = list(load)
         for i in unused:
-            for gi, (hi, lo) in enumerate(zip(group_prefix[i + 1], group_prefix[i])):
-                counts[gi] -= hi - lo
-        used_per_group = tuple(counts)
+            for c, (hi, lo) in enumerate(zip(load_prefix[i + 1], load_prefix[i])):
+                counts[c] -= hi - lo
+        load = tuple(counts)
     served_bytes = []
     node_bytes = 0.0
     for p in first:
@@ -331,57 +326,21 @@ def schedule_epoch(node: Node) -> CellSchedule:
         served_bytes.append((p, amount))
         node_bytes += amount
     used_rb = k - len(unused)
-    sched = CellSchedule(granted, tuple(served_bytes), node_bytes, used_rb,
-                         used_per_group, group_prefix[-1], used_rb / n_rb)
+    sched = CellSchedule(granted, tuple(served_bytes), node_bytes, used_rb, load,
+                         used_rb / n_rb)
     node.backlog = backlog
     node.slots[start] = (key, backlog, sched)
     node.cycle = None
     return sched
 
 
-class PeriodLoad:
-    """One node's RB usage over one controller period, summed from the
-    period's epochs (at least one) only when read: per group for the
-    groups that are reported, in total for the periods that are sampled.
-
-    A scheduled epoch's `CellSchedule` is added as it is; a fast-forward's
-    `Run` adds whole cycles and a wrapped window from its cycle's prefix
-    sums, at a cost that does not grow with its epoch count.
-    """
-
-    def __init__(self, period: Sequence[Union[CellSchedule, Run]]) -> None:
-        self.period = period
-
-    def group(self, gi: int) -> Tuple[int, int]:
-        """Used and granted RB-epochs of group `gi`."""
-        used = granted = 0
-        for s in self.period:
-            if s.__class__ is Run:
-                u, g = s.cycle.load(2 + 2 * gi, s.start, s.count)
-            else:
-                u, g = s.used_per_group[gi], s.granted_per_group[gi]
-            used, granted = used + u, granted + g
-        return used, granted
-
-    def totals(self) -> Tuple[int, int]:
-        """Used and granted RB-epochs over all groups; every used or granted
-        RB lies in exactly one group, so these are the per-group sums."""
-        used = granted = 0
-        for s in self.period:
-            if s.__class__ is Run:
-                u, g = s.cycle.load(0, s.start, s.count)
-            else:
-                u, g = s.used_rb, len(s.granted)
-            used, granted = used + u, granted + g
-        return used, granted
-
-    def reports(
-        self, cell_id: int, group_indices: Sequence[int], now: int
-    ) -> List[LoadReport]:
-        """One LoadReport per listed group that had granted RBs this period."""
-        reports = []
-        for gi in group_indices:
-            used, avail = self.group(gi)
-            if avail > 0:
-                reports.append(LoadReport(cell_id, gi, used, avail, now))
-        return reports
+def period_load(period: Sequence[Union[CellSchedule, Run]]) -> List[int]:
+    """One node's load row summed over one controller period (at least one
+    epoch).  A scheduled epoch adds its `CellSchedule.load`; a
+    fast-forward's `Run` adds the row its cycle's prefix sums give, at a
+    cost that does not grow with its epoch count."""
+    if len(period) == 1 and period[0].__class__ is Run:     # a whole period fast-forwarded
+        cycle, start, count = period[0]
+        return cycle.load(start, count)
+    rows = [s.cycle.load(s.start, s.count) if s.__class__ is Run else s.load for s in period]
+    return [sum(column) for column in zip(*rows)]

@@ -84,11 +84,14 @@ def schedule_epoch(
     return schedule
 
 
-def used_per_group(schedule: ReferenceSchedule, group_of_rb: Sequence[int],
-                   num_groups: int) -> List[int]:
-    """Per-group used RB counts, tallied RB by RB from the assignments."""
-    used = [0] * num_groups
+def load_row(schedule: ReferenceSchedule, granted: Sequence[int],
+             column_of_rb: Sequence[int], columns: int) -> List[int]:
+    """The used RBs per load column, tallied RB by RB from the assignments,
+    then the granted RBs per column."""
+    used, size = [0] * columns, [0] * columns
     for rbs in schedule.assignments.values():
         for rb in rbs:
-            used[group_of_rb[rb]] += 1
-    return used
+            used[column_of_rb[rb]] += 1
+    for rb in granted:
+        size[column_of_rb[rb]] += 1
+    return used + size

@@ -53,6 +53,14 @@ def test_validate_bad_scenario_exits_one(tmp_path, capsys):
         assert err.startswith("configuration error") and err.count("\n") == 1
 
 
+def test_validate_default_section_exits_one(tmp_path, capsys):
+    scenario = tmp_path / "default.ini"
+    scenario.write_text("[DEFAULT]\ntotal_rbs = 100\n[band]\n")
+    assert main(["validate", "--scenario", str(scenario)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[DEFAULT]: unknown section" in err and err.count("\n") == 1
+
+
 def non_finite_lines():
     """(section, key, scenario line) for every float field of the default
     scenario, once each with nan, inf and -inf; the beam centres get the

@@ -349,7 +349,8 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
         # first and last RB of every group, read through the scheduler's
         # per-grant row references
         edges = [rb for g in plan.groups for rb in (g.rb_start, g.rb_stop - 1)]
-        edge_rows, _ = grant_tables(edges, group_of_rb, factors.rows)
+        edge_rows, _ = grant_tables(edges, [factors.rows[g] for g in group_of_rb],
+                                    group_of_rb)
         n_tx = rx_dbm.shape[0]
         a, b = rng.uniform(size=n_tx).tolist(), rng.uniform(size=n_tx).tolist()
         # a repeated activity must not serve stale rows from the refresh
@@ -634,14 +635,14 @@ def test_benchmark_tracer_counts_dealt_and_offered_rbs():
     traced = tracer.wrap("traffic.schedule", schedule_epoch, layers.OBSERVERS["schedule_epoch"])
     granted = list(range(10))
     node = Node("tn-0", 0, [0, 1], 0, [], [0.0, 0.0], books=[0.0] * 3)
-    node.set_grant(granted, *grant_tables(granted, [0] * 10, [[225.0, 225.0]]))
+    node.set_grant(granted, *grant_tables(granted, [[225.0, 225.0]] * 10, [0] * 10))
     returned = []
     for _ in range(3):                  # rotation starts 0, 1, then 0 again
         node.backlog = [450.0, 450.0]
         returned.append(traced(node))
     assert returned[2] is returned[0]   # the hit
     idle = Node("tn-1", 1, [2], 0, [0.0], [1.0], books=[0.0] * 2)
-    idle.set_grant([], [], [(0,)])
+    idle.set_grant([], [], [(0, 0)])
     traced(idle)
     assert tracer.calls["traffic.schedule"] == 4
     assert tracer.counts == {"rbs_dealt": 12, "rbs_offered": 30}

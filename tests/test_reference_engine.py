@@ -12,22 +12,39 @@ A second set of draws runs long enough for every node to settle, so that
 the engine fast-forwards whole stretches of epochs from the replay memo:
 few UEs, periods of 20-30 epochs, guard times that expire inside a
 period, and warmups that end inside one.
+
+A third set saturates: cases 3 and 4 with 1-3 UEs per cell or beam and
+high-demand rates from the defaults to far above what a grant carries,
+so that in most draws some node's backlog grows every epoch; such a
+node's memo never replays, and no epoch of its run is fast-forwarded.
+
+In cases 2 and 4, the first two sets also place an uncoordinated group
+below a coordinated one, so the load column of each coordinated group
+differs from its group index.
 """
 
 import random
 from dataclasses import replace
 
+from cdss_sim import engine
 from cdss_sim.controller import CdssConfig
 from cdss_sim.engine import RunSpec, run_simulation
 from cdss_sim.metrics import finalize
-from cdss_sim.scenario import BandParams, ScenarioConfig, SimParams, TopologyParams, TrafficParams
+from cdss_sim.scenario import (
+    BandParams, ScenarioConfig, SimClock, SimParams, TopologyParams, TrafficParams,
+)
 from cdss_sim.traffic import Node
 
 from reference_engine import run_reference
 
 DRAWS = 60
 STEADY_DRAWS = 80
+SATURATING_DRAWS = 16
 RATES_KBPS = (0.0, 40.0, 400.0, 4000.0, 40000.0)   # idle to saturating
+# The default high-demand rates, then per-UE rates near and above the
+# about 140 Mbit/s a node carries at most (some 100 RBs of 180 kHz at the
+# 7.4 bit/s/Hz SE cap).
+SATURATING_KBPS = (1200.0, 4000.0, 4e4, 2e5, 1e6)
 
 
 def draw_scenario(rng: random.Random) -> ScenarioConfig:
@@ -89,6 +106,23 @@ def draw_steady_scenario(rng: random.Random) -> ScenarioConfig:
     return replace(scenario, cdss=cdss, topology=topology, traffic=traffic, sim=sim)
 
 
+def draw_saturating_scenario(rng: random.Random) -> ScenarioConfig:
+    # long enough for the nodes that keep up to settle next to those that
+    # saturate; cases 3 and 4 read the high-demand rates
+    scenario = draw_steady_scenario(rng)
+    traffic = replace(scenario.traffic, hd_tn_kbps=rng.choice(SATURATING_KBPS),
+                      hd_ntn_kbps=rng.choice(SATURATING_KBPS))
+    warmup = rng.randint(0, 30)
+    sim = SimParams(total_s=(warmup + rng.randint(40, 100)) / 100, warmup_s=warmup / 100)
+    return replace(scenario, traffic=traffic, sim=sim)
+
+
+def uncoordinated_below_coordinated(spec) -> bool:
+    flags = spec.scenario.band.coordinated
+    return spec.case_id in (2, 4) and any(
+        not flag and any(flags[i + 1:]) for i, flag in enumerate(flags))
+
+
 def assert_same_run(spec, store, tmp_path, draw):
     """Every report file byte for byte, and the per-node byte totals,
     which no file prints, exactly."""
@@ -103,7 +137,7 @@ def assert_same_run(spec, store, tmp_path, draw):
 
 def test_engine_matches_reference_engine(tmp_path):
     rng = random.Random(6)
-    moved = shared_beam_groups = 0
+    moved = shared_beam_groups = below = 0
     for draw in range(DRAWS):
         scenario = draw_scenario(rng)
         spec = RunSpec(scenario, 1 + draw % 4, rng.randint(1, 10**6))
@@ -112,8 +146,11 @@ def test_engine_matches_reference_engine(tmp_path):
         moved += store.timeline[-1].version > 0
         groups = scenario.topology.beam_groups
         shared_beam_groups += spec.case_id in (2, 4) and len(set(groups)) < len(groups)
-    # the draws move boundaries and put two beams in one group
-    assert moved >= 10 and shared_beam_groups >= 3, (moved, shared_beam_groups)
+        below += uncoordinated_below_coordinated(spec)
+    # the draws move boundaries, put two beams in one group and, in 12
+    # draws, an uncoordinated group below a coordinated one
+    assert moved >= 10 and shared_beam_groups >= 3 and below >= 10, \
+        (moved, shared_beam_groups, below)
 
 
 def test_engine_matches_reference_engine_in_steady_states(tmp_path, monkeypatch):
@@ -126,7 +163,7 @@ def test_engine_matches_reference_engine_in_steady_states(tmp_path, monkeypatch)
 
     monkeypatch.setattr(Node, "fast_forward", counting)
     rng = random.Random(9)
-    forwarded = 0
+    forwarded = below = 0
     for draw in range(STEADY_DRAWS):
         scenario = draw_steady_scenario(rng)
         spec = RunSpec(scenario, rng.choice([2, 4]), rng.randint(1, 10**6))
@@ -134,5 +171,34 @@ def test_engine_matches_reference_engine_in_steady_states(tmp_path, monkeypatch)
         store = run_simulation(spec)
         assert_same_run(spec, store, tmp_path, draw)
         forwarded += bool(forwards)
-    # 34 of the 80 draws settle; the rest keep a saturated or changing node
-    assert forwarded >= 30, forwarded
+        below += uncoordinated_below_coordinated(spec)
+    # 34 of the 80 draws settle; the rest keep a saturated or changing node.
+    # 25 place an uncoordinated group below a coordinated one.
+    assert forwarded >= 30 and below >= 10, (forwarded, below)
+
+
+def test_engine_matches_reference_engine_when_cells_saturate(tmp_path, monkeypatch):
+    backlogs = {}                   # node id -> its total backlog after each epoch
+    schedule_epoch = engine.schedule_epoch
+
+    def watching(node):
+        sched = schedule_epoch(node)
+        backlogs.setdefault(node.node_id, []).append(sum(node.backlog))
+        return sched
+
+    monkeypatch.setattr(engine, "schedule_epoch", watching)
+    rng = random.Random(12)
+    growing = 0
+    for draw in range(SATURATING_DRAWS):
+        scenario = draw_saturating_scenario(rng)
+        spec = RunSpec(scenario, rng.choice([3, 4]), rng.randint(1, 10**6))
+        backlogs.clear()
+        store = run_simulation(spec)
+        assert_same_run(spec, store, tmp_path, draw)
+        # some node is scheduled every epoch and ends each with more bytes
+        # queued than the epoch before
+        epochs = SimClock.from_config(scenario).total_epochs
+        growing += any(len(totals) == epochs and all(a < b for a, b in zip(totals, totals[1:]))
+                       for totals in backlogs.values())
+    # 14 of the 16 draws saturate a node
+    assert growing >= 10, growing

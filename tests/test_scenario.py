@@ -44,6 +44,17 @@ def test_unknown_section_rejected():
         parse_scenario("[nonsense]\nx = 1\n")
 
 
+def test_default_section_rejected():
+    # configparser's DEFAULT section would be ignored on its own and copied
+    # into every other section, where its keys pass as that section's
+    for text in ("[DEFAULT]\nbogus = 1\n",
+                 "[DEFAULT]\ntotal_rbs = 100\n[band]\n",
+                 "[DEFAULT]\ntotal_rbs = 100\n[band]\n[sim]\n",
+                 "[DEFAULT]\n"):
+        with pytest.raises(ConfigurationError, match=r"^\[DEFAULT\]: unknown section"):
+            parse_scenario(text)
+
+
 def test_malformed_syntax_rejected():
     with pytest.raises(ConfigurationError, match="malformed"):
         parse_scenario("not an ini file at all\n= =")

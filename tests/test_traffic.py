@@ -2,6 +2,7 @@ import random
 import pytest
 
 from cdss_sim.controller import LoadReport, aggregate_load
+from cdss_sim.engine import _load_reports
 from cdss_sim.errors import MissingDataError
 from cdss_sim.metrics import TimelineRow, UtilizationSample
 from cdss_sim.sums import fold_sum
@@ -9,10 +10,10 @@ from cdss_sim.traffic import (
     CellSchedule,
     Cycle,
     Node,
-    PeriodLoad,
     Run,
     generate_arrivals,
     grant_tables,
+    period_load,
     schedule_epoch,
 )
 
@@ -36,11 +37,11 @@ def node_for(ue_order, offset=0, backlog=0.0, increments=None):
 
 
 def deal(node, granted, row):
-    """schedule_epoch over RBs of one group whose byte row is `row`; the
-    new grant leaves the node's replay memo empty."""
+    """schedule_epoch over RBs of one load column whose byte row is `row`;
+    the new grant leaves the node's replay memo empty."""
     granted = list(granted)
-    group_of_rb = [0] * (max(granted, default=-1) + 1)
-    node.set_grant(granted, *grant_tables(granted, group_of_rb, [row]))
+    n_rbs = max(granted, default=-1) + 1
+    node.set_grant(granted, *grant_tables(granted, [row] * n_rbs, [0] * n_rbs))
     return schedule_epoch(node)
 
 
@@ -112,7 +113,7 @@ def test_schedule_even_split_two_ues():
     sched = deal(node, range(10), flat_rate(225.0))
     assert rb_count(node, sched, 1, 225.0) == 5
     assert rb_count(node, sched, 2, 225.0) == 5
-    assert sched.used_rb == 10 and sched.used_per_group == (10,)
+    assert sched.used_rb == 10 and sched.load == (10, 10)
 
 
 def test_schedule_three_ues_rotation_cycles():
@@ -132,7 +133,7 @@ def test_schedule_no_backlog_uses_nothing():
     node = node_for([1, 2], backlog=0.0)
     sched = deal(node, range(10), flat_rate(225.0))
     assert sched.used_rb == 0 and served(node, sched) == {}
-    assert sched.used_per_group == (0,)
+    assert sched.load == (0, 10)
 
 
 def test_schedule_satisfied_ue_leaves_rotation():
@@ -207,7 +208,9 @@ def test_schedule_matches_per_rb_reference():
                  for _ in range(n_ids)] for _ in range(n_groups)]
         ue_order = rng.sample(range(n_ids), rng.randint(0, 12))
         granted = rng.sample(range(200), rng.randint(0, 200))
-        granted_rows, prefix = grant_tables(granted, group_of_rb, rows)
+        # each group its own load column
+        granted_rows, prefix = grant_tables(granted, [rows[g] for g in group_of_rb],
+                                            group_of_rb)
         ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
         start = rng.randrange(20)
         node = node_for(ue_order, start)
@@ -231,8 +234,8 @@ def test_schedule_matches_per_rb_reference():
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert got.activity == (want.used_rb / len(granted) if granted else 0.0)
-            assert list(got.used_per_group) == reference_scheduler.used_per_group(
-                want, group_of_rb, n_groups)
+            assert list(got.load) == reference_scheduler.load_row(
+                want, granted, group_of_rb, n_groups)
             assert node.offset == ref_rotation.offset
             dealt = [rb for rbs in want.assignments.values() for rb in rbs]
             last = max((granted.index(rb) for rb in dealt), default=-1)
@@ -261,7 +264,9 @@ def test_schedule_memo_replay_matches_per_rb_reference():
 
         def new_grant():
             granted = rng.sample(range(n_rbs), rng.randint(1, 60))
-            node.set_grant(granted, *grant_tables(granted, group_of_rb, rows))
+            # each group its own load column
+            node.set_grant(granted, *grant_tables(granted, [rows[g] for g in group_of_rb],
+                                                  group_of_rb))
 
         rows = [new_row() for _ in range(n_groups)]
         ue_order = rng.sample(range(n_ids), rng.randint(1, 10))
@@ -295,8 +300,8 @@ def test_schedule_memo_replay_matches_per_rb_reference():
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert got.activity == want.used_rb / len(node.granted)   # a hit's too
-            assert list(got.used_per_group) == reference_scheduler.used_per_group(
-                want, group_of_rb, n_groups)
+            assert list(got.load) == reference_scheduler.load_row(
+                want, node.granted, group_of_rb, n_groups)
             assert node.offset == ref_rotation.offset
             hits += replayed(got, returned)
     assert rewrites > 0 and rebuilds > 0
@@ -309,7 +314,7 @@ def test_schedule_memo_replays_fresh_copies():
     # The other records built on the epoch path are immutable too.
     granted = list(range(10))
     node = node_for([1, 2])
-    node.set_grant(granted, *grant_tables(granted, [0] * 10, [flat_rate(225.0)]))
+    node.set_grant(granted, *grant_tables(granted, [flat_rate(225.0)] * 10, [0] * 10))
     returned, hits = [], 0
     for epoch in range(6):
         node.backlog = [450.0, 450.0]
@@ -319,12 +324,12 @@ def test_schedule_memo_replays_fresh_copies():
         assert by_uid(node, sched) == [(first, 450.0), (second, 450.0)]
         assert [p for p, _ in sched.served_bytes] == [first - 1, second - 1]   # by position
         assert sched.node_bytes == 900.0
-        assert sched.used_rb == 4 and sched.used_per_group == (4,)
+        assert sched.used_rb == 4 and sched.load == (4, 10)
         assert node.backlog == [0.0, 0.0]
         with pytest.raises(TypeError):
             sched.served_bytes[0] = (first, -1.0)
         with pytest.raises(TypeError):
-            sched.used_per_group[0] = -1
+            sched.load[0] = -1
         with pytest.raises(AttributeError):
             sched.used_rb = -1
     assert hits == 4
@@ -351,7 +356,7 @@ def test_node_without_grant_adds_arrivals_then_resumes():
     grants = [full] * 3 + [[]] * 3 + [full] * 4 + [[]] * 2 + [full] * 3
     for epoch, granted in enumerate(grants):
         if granted != node.granted:
-            node.set_grant(granted, *grant_tables(granted, [0] * 12, [row]))
+            node.set_grant(granted, *grant_tables(granted, [row] * 12, [0] * 12))
         for uid, inc in zip(ue_order, increments):
             ref_backlog[uid].backlog_bytes += inc
         got = schedule_epoch(node)
@@ -363,15 +368,16 @@ def test_node_without_grant_adds_arrivals_then_resumes():
         assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
         assert got.used_rb == want.used_rb
         assert node.offset == ref_rotation.offset
-        assert got.granted_per_group == (len(granted),)
+        assert got.load == (want.used_rb, len(granted))
     assert node.backlog[1] > 0.0          # UE 1's 4 Mbit/s outgrows the grant
 
 
 def test_period_load_fold_matches_per_epoch_oracle():
-    # The engine folds a period's schedules once, at its end.  A naive
+    # The engine sums a period's load rows once, at its end.  A naive
     # oracle adds every epoch's granted and dealt RBs one by one from the
-    # per-RB reference.  The grant is rebuilt mid-period, and a node with
-    # no UEs still counts its granted RBs.
+    # per-RB reference, each group in its own load column.  The grant is
+    # rebuilt mid-period, and a node with no UEs still counts its granted
+    # RBs.
     rng = random.Random(53)
     n_groups, n_rbs = 3, 60
     group_of_rb = sorted(rng.randrange(n_groups) for _ in range(n_rbs))
@@ -387,7 +393,8 @@ def test_period_load_fold_matches_per_epoch_oracle():
         if epoch in (0, 12):
             granted = rng.sample(range(n_rbs), rng.randint(10, 50))
             for node in (busy, empty):
-                node.set_grant(granted, *grant_tables(granted, group_of_rb, rows))
+                node.set_grant(granted, *grant_tables(
+                    granted, [rows[g] for g in group_of_rb], group_of_rb))
         for uid, inc in zip(ue_order, increments):
             ref_backlog[uid].backlog_bytes += inc
         want = reference_scheduler.schedule_epoch(
@@ -401,46 +408,46 @@ def test_period_load_fold_matches_per_epoch_oracle():
         for rbs in want.assignments.values():
             for rb in rbs:
                 used[group_of_rb[rb]] += 1
-    busy_load, empty_load = PeriodLoad(busy.period), PeriodLoad(empty.period)
-    assert [busy_load.group(g) for g in range(n_groups)] == list(zip(used, avail))
-    assert busy_load.totals() == (sum(used), sum(avail))
-    assert [empty_load.group(g) for g in range(n_groups)] == [(0, a) for a in avail]
-    assert empty_load.totals() == (0, sum(avail))
+    assert period_load(busy.period) == used + avail
+    assert period_load(empty.period) == [0] * n_groups + avail
     assert 0 < sum(used) < sum(avail)
 
 
-def make_sched(granted, used_per_group, granted_per_group):
-    used = sum(used_per_group)
-    return CellSchedule(tuple(granted), ((0, 0.0),), 0.0, used, tuple(used_per_group),
-                        tuple(granted_per_group), used / len(granted) if granted else 0.0)
+def make_sched(granted, used_per_column, granted_per_column):
+    used = sum(used_per_column)
+    return CellSchedule(tuple(granted), ((0, 0.0),), 0.0, used,
+                        (*used_per_column, *granted_per_column),
+                        used / len(granted) if granted else 0.0)
 
 
 def test_period_load_of_runs_equals_expanded_epochs():
     # A run record adds whole cycles and a window that may wrap past the
-    # cycle's end; it must read as the epochs it stands for, listed one by
+    # cycle's end; it must read as the epochs it stands for, added one by
     # one, for every start position and for epoch counts below, at and
-    # above a multiple of the cycle, alone and between scheduled epochs.
+    # above a multiple of the cycle, alone (a whole period fast-forwarded)
+    # and between scheduled epochs.
     rng = random.Random(61)
     checked = 0
     for n in (1, 2, 3, 7):
-        n_groups = rng.randint(1, 3)
+        n_columns = rng.randint(1, 3)
         schedules = []
         for _ in range(n):
-            granted = [rng.randint(0, 12) for _ in range(n_groups)]
+            granted = [rng.randint(0, 12) for _ in range(n_columns)]
             used = [rng.randint(0, g) for g in granted]
             schedules.append(make_sched(range(sum(granted)), used, granted))
         cycle = Cycle(schedules)
-        extra = make_sched(range(5), [1] * n_groups, [2] * n_groups)
+        extra = make_sched(range(5), [1] * n_columns, [2] * n_columns)
         for start in range(n):
             for count in {1, max(1, n - 1), n, n + 1, 3 * n - 1, 3 * n, 3 * n + 1}:
                 epochs = [schedules[(start + j) % n] for j in range(count)]
                 for period, expanded in (([Run(cycle, start, count)], epochs),
                                          ([extra, Run(cycle, start, count), extra],
                                           [extra, *epochs, extra])):
-                    got, want = PeriodLoad(period), PeriodLoad(expanded)
-                    assert [got.group(g) for g in range(n_groups)] == \
-                        [want.group(g) for g in range(n_groups)], (n, start, count)
-                    assert got.totals() == want.totals(), (n, start, count)
+                    want = [0] * (2 * n_columns)
+                    for sched in expanded:
+                        for c, value in enumerate(sched.load):
+                            want[c] += value
+                    assert period_load(period) == want, (n, start, count)
                     checked += 1
     assert checked > 100
 
@@ -489,8 +496,9 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
                 twin_bytes[p] += amount
             twin_bytes[-1] += sched.node_bytes
 
+        row_of_rb = [rows[g] for g in group_of_rb]
         granted = rng.sample(range(n_rbs), rng.randint(1, 40))
-        tables = grant_tables(granted, group_of_rb, rows)
+        tables = grant_tables(granted, row_of_rb, group_of_rb)
         for node in (fwd, twin):
             node.set_grant(granted, *tables)
         epoch, warmup = 0, rng.randint(0, 100)
@@ -499,7 +507,7 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
             draw = rng.random()
             if draw < changes / 2:
                 granted = rng.sample(range(n_rbs), rng.randint(1, 40))
-                tables = grant_tables(granted, group_of_rb, rows)
+                tables = grant_tables(granted, row_of_rb, group_of_rb)
                 for node in (fwd, twin):
                     node.set_grant(granted, *tables)
             elif draw < changes:
@@ -532,9 +540,7 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
             assert (fwd.offset, fwd.backlog) == (twin.offset, twin.backlog)
         fwd.settle()
         assert fwd.books == twin_bytes
-        got, want = PeriodLoad(fwd.period), PeriodLoad(twin.period)
-        assert [got.group(g) for g in range(n_groups)] == [want.group(g) for g in range(n_groups)]
-        assert got.totals() == want.totals()
+        assert period_load(fwd.period) == period_load(twin.period)
     assert forwards > 200, forwards
 
 
@@ -551,10 +557,10 @@ def test_settle_pays_owed_epochs_from_their_cycle_position():
     n = 3
     keys = [[float(j)] * n for j in range(n)]
     # UEs 4, 5 and 6 at positions 0, 1 and 2
-    cycle = [CellSchedule((0,), ((0, 1e16), (2, 1.0 + j)), 1e16 + 1.0 + j, 1, (1,), (1,), 1.0)
+    cycle = [CellSchedule((0,), ((0, 1e16), (2, 1.0 + j)), 1e16 + 1.0 + j, 1, (1, 1), 1.0)
              for j in range(n)]
-    cycle[1] = CellSchedule((0,), ((1, 3.0),), 3.0, 1, (1,), (1,), 1.0)
-    last = CellSchedule((0,), ((0, 1.0),), 1.0, 1, (1,), (1,), 1.0)
+    cycle[1] = CellSchedule((0,), ((1, 3.0),), 3.0, 1, (1, 1), 1.0)
+    last = CellSchedule((0,), ((0, 1.0),), 1.0, 1, (1, 1), 1.0)
     checked = 0
     for offset in range(n):
         for epochs in range(1, 2 * n + 2):
@@ -595,7 +601,7 @@ def test_replay_cycle_follows_every_slot_change():
     # current schedules.
     granted = list(range(7))
     node = node_for([1, 2, 3], increments=[300.0, 500.0, 700.0])
-    node.set_grant(granted, *grant_tables(granted, [0] * 7, [flat_rate(225.0)]))
+    node.set_grant(granted, *grant_tables(granted, [flat_rate(225.0)] * 7, [0] * 7))
     for _ in range(3):
         schedule_epoch(node)
     cycle = node.replay_cycle()
@@ -611,39 +617,46 @@ def test_replay_cycle_follows_every_slot_change():
     for _ in range(3):
         schedule_epoch(node)
     node.replay_cycle()
-    node.set_grant(granted, *grant_tables(granted, [0] * 7, [flat_rate(225.0)]))
+    node.set_grant(granted, *grant_tables(granted, [flat_rate(225.0)] * 7, [0] * 7))
     assert node.cycle is None
 
 
+def reports(load, coordinated, now):
+    """The engine's reports of one TN cell (cell 0) from its period load."""
+    return _load_reports([node_for([])], [load], coordinated, now)
+
+
 def test_cell_load_ratio():
-    load = PeriodLoad([make_sched(range(20), [15], [20])] * 5)
-    (rep,) = load.reports(0, [0], 25)
-    assert rep.used_rb_epochs == 75
-    assert rep.available_rb_epochs == 100
+    # column 0 holds the uncoordinated RBs, column 1 coordinated group 0
+    load = period_load([make_sched(range(25), [3, 15], [5, 20])] * 5)
+    assert load == [15, 75, 25, 100]
+    (rep,) = reports(load, [0], 25)
+    assert rep == (0, 0, 75, 100, 25)
     assert rep.used_rb_epochs / rep.available_rb_epochs == pytest.approx(0.75)
-    assert load.totals() == (75, 100)
 
 
 def test_cell_load_idle_period():
-    load = PeriodLoad([make_sched(range(20), [0], [20])] * 5)
-    (rep,) = load.reports(0, [0], 25)
-    assert rep.used_rb_epochs == 0
-    assert PeriodLoad([make_sched([], [0], [0])] * 5).reports(0, [0], 50) == []
+    load = period_load([make_sched(range(20), [0, 0], [0, 20])] * 5)
+    (rep,) = reports(load, [0], 25)
+    assert rep.used_rb_epochs == 0 and rep.available_rb_epochs == 100
+    (rep,) = reports(period_load([make_sched([], [0, 0], [0, 0])] * 5), [0], 50)
+    assert (rep.used_rb_epochs, rep.available_rb_epochs) == (0, 0)
 
 
 def test_cell_load_counts_only_group_span():
-    load = PeriodLoad([make_sched(range(0, 30), [10, 10, 10], [10, 10, 10])])
-    (rep,) = load.reports(0, [1], 25)
-    assert rep.group_index == 1
-    assert rep.used_rb_epochs == 10
-    assert rep.available_rb_epochs == 10
+    # groups 0, 2 and 3 are coordinated, in columns 1, 2 and 3; group 1's
+    # RBs are in column 0, whose load no report reads
+    load = period_load([make_sched(range(40), [4, 7, 8, 9], [10, 10, 10, 10])])
+    got = reports(load, [0, 2, 3], 25)
+    assert [(r.group_index, r.used_rb_epochs, r.available_rb_epochs) for r in got] == \
+        [(0, 7, 10), (2, 8, 10), (3, 9, 10)]
 
 
 def test_cell_load_errors():
-    # A group with no granted RBs yields no report, so the controller
-    # finds no usable report and skips the group.
-    load = PeriodLoad([make_sched([], [0], [0])])
-    reports = load.reports(0, [0], 25)
-    assert reports == []
+    # A group with no granted RBs yields a report with none available,
+    # which the controller cannot use, so it skips the group.
+    load = period_load([make_sched([], [0, 0], [0, 0])])
+    got = reports(load, [0], 25)
+    assert [(r.used_rb_epochs, r.available_rb_epochs) for r in got] == [(0, 0)]
     with pytest.raises(MissingDataError):
-        aggregate_load(reports, 0)
+        aggregate_load(got, 0)
