@@ -10,7 +10,7 @@ split.  All objects here have value semantics; updates go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
@@ -44,19 +44,13 @@ class BandPlan:
     total_rbs: int
     groups: Tuple[FrequencyGroup, ...]
     rb_bandwidth_hz: float = 180_000.0
-    _coordinated: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # read once per controller step and per load report
-        object.__setattr__(
-            self, "_coordinated", tuple(g.index for g in self.groups if g.coordinated))
 
     def group(self, index: int) -> FrequencyGroup:
         return self.groups[index]
 
     def coordinated_indices(self) -> Tuple[int, ...]:
-        """Indices of the coordinated groups, ascending; computed once."""
-        return self._coordinated
+        """Indices of the coordinated groups, ascending."""
+        return tuple(g.index for g in self.groups if g.coordinated)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,11 @@ class RunSpec:
     case_id: int
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.case_id not in CASES:
+            raise ConfigurationError(
+                f"case {self.case_id} unknown, valid cases are {sorted(CASES)}")
+
 
 def tn_granted_rbs(plan, state, blocked: AbstractSet[int]) -> List[int]:
     """TN-usable RBs minus guard-timed ones, in a dealing order that
@@ -277,10 +282,6 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     grants stay fixed up to the next period end or guard expiry, and every
     node is fast-forwarded there.
     """
-    if spec.case_id not in CASES:
-        raise ConfigurationError(
-            f"case {spec.case_id} unknown, valid cases are {sorted(CASES)}"
-        )
     case = CASES[spec.case_id]
     scenario = spec.scenario
     validate_scenario(scenario)
@@ -436,18 +437,19 @@ def run_and_write(spec: RunSpec, out_dir: Path) -> Tuple[MetricsStore, Dict[str,
     return store, finalize(store, out_dir)
 
 
-def _campaign_worker(args: Tuple[ScenarioConfig, int, int, str]) -> RunRecord:
-    scenario, case_id, seed, out_dir = args
+def _campaign_worker(args: Tuple[RunSpec, str]) -> RunRecord:
+    spec, out_dir = args
     try:
-        store, files = run_and_write(RunSpec(scenario, case_id, seed), Path(out_dir))
+        store, files = run_and_write(spec, Path(out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the campaign
-        return RunRecord(case_id, seed, ok=False, error=f"{type(exc).__name__}: {exc}",
+        return RunRecord(spec.case_id, spec.seed, ok=False,
+                         error=f"{type(exc).__name__}: {exc}",
                          traceback=traceback.format_exc())
     tputs = list(store.throughputs_bps().values())
     zero = sum(1 for t in tputs if t == 0.0)
     return RunRecord(
-        case_id,
-        seed,
+        spec.case_id,
+        spec.seed,
         ok=True,
         total_rx_bytes=store.total_rx_bytes(),
         tn_share=store.tn_share,
@@ -479,15 +481,10 @@ def run_campaign(
         raise ConfigurationError("campaign needs at least one seed")
     if jobs < 1:
         raise ConfigurationError(f"jobs = {jobs}: must be at least 1")
-    for cid in case_ids:
-        if cid not in CASES:
-            raise ConfigurationError(f"case {cid} unknown, valid cases are {sorted(CASES)}")
+    specs = [RunSpec(scenario, cid, seed)      # a frozen spec pickles to a worker process
+             for cid in sorted(set(case_ids)) for seed in sorted(set(seeds))]
     out_dir = output_dir(out_dir)
-    work = [                # the frozen config pickles to a worker process
-        (scenario, cid, seed, str(out_dir))
-        for cid in sorted(set(case_ids))
-        for seed in sorted(set(seeds))
-    ]
+    work = [(spec, str(out_dir)) for spec in specs]
     jobs = min(jobs, len(work), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -223,12 +223,6 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
         },
         "node_rb_counts": dict(sorted(store.node_rb_counts.items())),
     }
-    path = out_dir / f"{prefix}_summary.json"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise InvariantError(f"failed to write report {path}: {exc}") from exc
-    files["summary"] = path
+    files["summary"] = write_table(out_dir / f"{prefix}_summary.json",
+                                   json.dumps(summary, indent=2, sort_keys=True), [])
     return files

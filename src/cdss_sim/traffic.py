@@ -84,23 +84,25 @@ class Node:
     `ue_ids` order, then the node total) and, for a beam, its group.
 
     `backlog` is rebound, never mutated in place, because the memo keeps
-    backlog lists by reference.  It has one slot per rotation start: the
-    backlogs before the epoch's arrivals (the key), the backlogs the
-    dealing loop left and the `CellSchedule` it returned.  A slot is valid
-    for one grant and one content of the byte rows: `set_grant` clears the
-    slots, and whoever rewrites the rows must call `clear_memo` too.  At
-    most one slot per UE, so the memory is bounded by the UE count.
+    backlog lists by reference.  It has one slot per rotation start (a node
+    with no UE has one start, and its key is the empty list): the backlogs
+    before the epoch's arrivals (the key), the backlogs the dealing loop
+    left and the `CellSchedule` it returned.  A slot is valid for one grant
+    and one content of the byte rows: `set_grant` clears the slots, and
+    whoever rewrites the rows must call `clear_memo` too.  At most one slot
+    per rotation start, so the memory is bounded by the UE count.
 
-    Once the node is `steady`, `fast_forward` replays the memo's cycle for
-    many epochs at once.  The cycle is built once while the slots hold
-    (`replay_cycle`), and every slot change drops it.  A scheduled epoch
-    adds its `CellSchedule` to `period`, a fast-forward one `Run` record
-    (the cycle, the start position and the epoch count), so its cost does
-    not grow with the epochs it covers.  The bytes of its post-warmup
-    epochs are owed, as one more `Run` in `credit`, until `settle` folds
-    them into the books in blocks of columns (`sums.fold_cycle`).
-    `record` settles before it credits a scheduled epoch, so every total
-    adds its epochs in order.
+    The node is `steady` when every rotation start has a slot and the
+    backlog equals the current start's key; then `fast_forward` replays
+    the memo's cycle for many epochs at once.  The cycle is built once
+    while the slots hold (`replay_cycle`), and every slot change drops it.
+    A scheduled epoch adds its `CellSchedule` to `period`, a fast-forward
+    one `Run` record (the cycle, the start position and the epoch count),
+    so its cost does not grow with the epochs it covers.  The bytes of its
+    post-warmup epochs are owed, as one more `Run` in `credit`, until
+    `settle` folds them into the books in blocks of columns
+    (`sums.fold_cycle`).  `record` settles before it credits a scheduled
+    epoch, so every total adds its epochs in order.
     """
 
     node_id: str
@@ -130,38 +132,28 @@ class Node:
         self.slots.clear()
         self.cycle = None
 
-    def idle_schedule(self) -> CellSchedule:
-        """The epoch of a node that deals nothing: no UE, or no granted RB."""
-        return CellSchedule(self.granted, (), 0.0, 0, self.load_prefix[0], 0.0)
-
     def steady(self) -> bool:
-        """Whether the node has no UEs, or a grant, a slot for each of its n
-        rotation starts (its last n epochs) and the backlogs those began
-        from; then it repeats them while the grant and the rows hold."""
-        n = len(self.ue_ids)
-        return n == 0 or (bool(self.granted) and len(self.slots) == n
-                          and self.backlog == self.slots[self.offset % n][0])
+        """Whether the node has a slot for each of its rotation starts and
+        the backlogs the current start's slot began from; then it repeats
+        its slots while the grant and the rows hold."""
+        n = len(self.ue_ids) or 1
+        return len(self.slots) == n and self.backlog == self.slots[self.offset % n][0]
 
     def replay_cycle(self) -> Cycle:
-        """The cycle a steady node repeats, one idle epoch with no UEs."""
+        """The cycle a steady node repeats."""
         if self.cycle is None:
-            n = len(self.ue_ids)
             # A list: CPython keeps freed tuples on one free list per length,
             # and tuples of every rotation length filled them, which raised
             # the peak memory of a process that runs many simulations.
-            self.cycle = Cycle([self.slots[j][2] for j in range(n)] if n
-                               else [self.idle_schedule()])
+            self.cycle = Cycle([self.slots[j][2] for j in range(len(self.ue_ids) or 1)])
         return self.cycle
 
     def fast_forward(self, epochs: int, credited: int) -> None:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would;
         the last `credited` of them are owed.  `record` settles them with
         the next scheduled epoch, so owed epochs are always one run of a cycle."""
-        n = len(self.ue_ids)
+        n = len(self.ue_ids) or 1
         cycle = self.replay_cycle()
-        if n == 0:
-            self.period.append(Run(cycle, 0, epochs))
-            return
         start = self.offset % n
         self.period.append(Run(cycle, start, epochs))
         self.offset = (start + epochs) % n
@@ -238,8 +230,10 @@ def schedule_epoch(node: Node) -> CellSchedule:
     RB counts that differ by at most one over a full rotation cycle.  Each
     pass walks the backlogged UEs in rotation order and each UE takes the
     next granted RB, carrying `granted_rows[i][ue_id]` bytes; a UE leaves
-    once its backlog for the epoch is drained.  A node with no granted RB
-    only adds its arrivals.
+    once its backlog for the epoch is drained.  Every node takes this one
+    path: a node with no UE has a rotation of length one and an empty
+    backlog list, and a node with no granted RB deals none, so both only
+    add their arrivals and report an activity of 0.0.
 
     Replay: the increments are fixed for the run, so the outcome depends
     only on the rotation start, the backlogs before arrivals, the grant
@@ -260,11 +254,10 @@ def schedule_epoch(node: Node) -> CellSchedule:
     """
     ue_order, granted = node.ue_ids, node.granted
     n = len(ue_order)
-    if n == 0 or not granted:
-        node.backlog = generate_arrivals(node.backlog, node.increments)
-        return node.idle_schedule()
-    start = node.offset % n
-    node.offset = (start + 1) % n
+    rotation = n or 1                   # a node with no UE has one start
+    start = node.offset % rotation
+    if granted:
+        node.offset = (start + 1) % rotation
     key = node.backlog
     slot = node.slots.get(start)
     if slot is not None and slot[0] == key:
@@ -327,7 +320,7 @@ def schedule_epoch(node: Node) -> CellSchedule:
         node_bytes += amount
     used_rb = k - len(unused)
     sched = CellSchedule(granted, tuple(served_bytes), node_bytes, used_rb, load,
-                         used_rb / n_rb)
+                         used_rb / n_rb if used_rb else 0.0)
     node.backlog = backlog
     node.slots[start] = (key, backlog, sched)
     node.cycle = None

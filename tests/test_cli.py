@@ -32,11 +32,12 @@ def test_parse_seeds_forms():
             _parse_seeds(bad)
 
 
-def test_parse_cases_validates_range():
+def test_parse_cases_forms():
+    # only the integers are parsed here; RunSpec checks the case ids
     assert _parse_cases("1,2,3,4") == [1, 2, 3, 4]
-    for bad in ("0", "two"):
-        with pytest.raises(ConfigurationError):
-            _parse_cases(bad)
+    assert _parse_cases("0,9") == [0, 9]
+    with pytest.raises(ConfigurationError):
+        _parse_cases("two")
 
 
 def test_validate_default_scenario_exits_zero(capsys):
@@ -250,8 +251,24 @@ def test_unwritable_out_exits_two(fast_scenario_file, tmp_path, capsys, monkeypa
         assert err.count("\n") == 1
 
 
-def test_run_out_of_range_case_exits_one(capsys):
-    assert main(["run", "--case", "5", "--out", "/tmp/unused"]) == EXIT_CONFIG
+def test_run_out_of_range_case_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--case", "5", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: case 5 unknown") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_campaign_out_of_range_case_exits_one(tmp_path, capsys):
+    # Every case id is checked before the output directory is made or
+    # any run starts.
+    out = tmp_path / "out"
+    for cases in ("0", "1,0", "4,5"):
+        argv = ["campaign", "--case", cases, "--seeds", "1", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG, cases
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: case ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_run_writes_reports_and_prints_summary(fast_scenario_file, tmp_path, capsys):

@@ -1,4 +1,6 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every top-level function, class and method is read somewhere in the
+package: no source code exists only for its own tests."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,25 @@ def names_read(tree):
             if isinstance(node, ast.Name)}
 
 
+def definitions(tree):
+    """(name, line) of each top-level function and class and of each
+    method of a top-level class; dunder methods are left out, as Python
+    calls them."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for item in (node, *members):
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))):
+                yield item.name, item.lineno
+
+
+def names_and_attributes_read(tree):
+    """`names_read`, and every attribute name the module reads or calls."""
+    return names_read(tree) | {node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)
+                               and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_unused_module_imports():
     checked = 0
     unused = []
@@ -71,3 +92,24 @@ def test_unused_import_check_sees_a_leftover():
                      "def f(plan: 'List[BandPlan]') -> None: ...\n")
     read = names_read(tree)
     assert [name for name, _ in module_imports(tree) if name not in read] == ["LoadReport"]
+
+
+def test_every_definition_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(names_and_attributes_read, trees.values()))
+    defined = [(name, f"{module}:{line} {name}") for module, tree in trees.items()
+               for name, line in definitions(tree)]
+    assert len(defined) > 100
+    assert [where for name, where in defined if name not in read] == []
+
+
+def test_unused_definition_check_sees_a_leftover():
+    tree = ast.parse("class Node:\n    def __init__(self): self.steady()\n"
+                     "    def steady(self): return helper()\n"
+                     "    def idle(self): ...\n"
+                     "    @property\n    def size(self): return 0\n"
+                     "def helper(): return Node().size\n"
+                     "def leftover(): ...\n")
+    read = names_and_attributes_read(tree)
+    assert [name for name, _ in definitions(tree) if name not in read] == ["idle", "leftover"]
