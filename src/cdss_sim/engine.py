@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -107,15 +107,21 @@ def ntn_granted_rbs(plan, state, group_index: int, blocked: AbstractSet[int]) ->
 def _grant_rbs(plan, state, blocked: AbstractSet[int], nodes, row_of_rb, column_of_rb) -> None:
     """Grant rebuild: give every node its usable RBs, and the scheduler's
     byte-row and load-prefix tables over them, after an allocation or
-    guard-set change.  `Node.set_grant` discards the node's replay memo."""
+    guard-set change.  A node whose usable RBs are those it holds keeps its
+    grant, its tables (a function of the RBs and the per-run maps alone)
+    and its replay memo; any other gets `Node.set_grant`, which discards
+    the memo.  The cells, which come first, share one TN grant, and its
+    tables are built once, if a cell needs them."""
     tn_order = tn_granted_rbs(plan, state, blocked)
-    tn_tables = grant_tables(tn_order, row_of_rb, column_of_rb)
+    last = None         # the last grant installed, with its tables
     for node in nodes:
-        if node.group_index is None:
-            node.set_grant(tn_order, *tn_tables)
-        else:
-            granted = ntn_granted_rbs(plan, state, node.group_index, blocked)
-            node.set_grant(granted, *grant_tables(granted, row_of_rb, column_of_rb))
+        granted = (tn_order if node.group_index is None
+                   else ntn_granted_rbs(plan, state, node.group_index, blocked))
+        if node.load_prefix and granted == node.granted:   # tables built for an equal grant
+            continue
+        if last is None or last[0] is not granted:
+            last = (granted, *grant_tables(granted, row_of_rb, column_of_rb))
+        node.set_grant(*last)
 
 
 def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
@@ -139,13 +145,15 @@ class ByteFactors:
     A TN-attached UE has a value in every group; an NTN-attached UE only in
     its beam's group, the only group its beam is granted.  `refresh`
     rewrites the rows in place, so the per-grant row references that
-    `traffic.grant_tables` hands the scheduler stay current.
+    `traffic.grant_tables` hands the scheduler stay current, and keeps each
+    group's last values as an array to tell which entries changed.
     """
 
     def __init__(self, plan, rx_dbm, serving, beams, radio_p, epoch_s: float):
         n_cells = rx_dbm.shape[0] - len(beams)
         serving_tx = np.array([-1 if tx is None else tx for tx in serving], dtype=int)
         self.rows = [[0.0] * len(serving) for _ in plan.groups]
+        self._values = [np.zeros(len(serving)) for _ in plan.groups]
         self._last_activity: Optional[List[float]] = None
         self._groups = plan.groups
         self._rx_lin = np.power(10.0, rx_dbm / 10.0)
@@ -179,7 +187,7 @@ class ByteFactors:
         sinr = self._signal_lin / (self._noise_lin + interf)
         return spectral_efficiency_array(sinr, self._cap, self._floor) * self._byte_scale
 
-    def refresh(self, activity: List[float]) -> bool:
+    def refresh(self, activity: List[float]) -> Set[int]:
         """Recompute every row from each transmitter's activity fraction.
 
         A TN-attached UE hears co-channel TN interference in every group,
@@ -189,17 +197,22 @@ class ByteFactors:
         cross-system interference by allocation disjointness.
 
         The rows are a function of `activity` alone, so an activity equal
-        to the previous refresh's keeps them as they are.  Returns whether
-        the rows were rewritten.
+        to the previous refresh's keeps them as they are.  Returns the ids
+        of the UEs whose entry changed in some group, compared with `!=`
+        against the previous values, and rewrites only the groups that
+        changed.  An entry equal under `==` deals the same RBs: no entry is
+        NaN (see `__init__`), and the scheduler reads one only through
+        `cap <= 0.0` and `b <= cap`.
         """
         if activity == self._last_activity:
-            return False
+            return set()
         self._last_activity = list(activity)
         activity = np.array(activity)
         rx_lin = self._rx_lin
         act_srv = activity[self._serving] * self._signal_lin
         tn_sum = activity[self._tn_idx] @ rx_lin[self._tn_idx, :]
         base_i = np.where(self._ue_is_tn, tn_sum - act_srv, 0.0)
+        changed: Set[int] = set()
         for g in self._groups:
             interf = base_i.copy()
             if not g.coordinated:
@@ -214,8 +227,12 @@ class ByteFactors:
                 if not g.coordinated:
                     interf += tn_sum
                 vals = np.where(ue_mask, self._bytes(interf), vals)
-            self.rows[g.index][:] = vals.tolist()
-        return True
+            diff = vals != self._values[g.index]
+            if diff.any():
+                changed.update(np.flatnonzero(diff).tolist())
+                self.rows[g.index][:] = vals.tolist()
+                self._values[g.index] = vals
+        return changed
 
 
 def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[TimelineRow]:
@@ -276,9 +293,11 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     check and grant rebuild (only on a new allocation state or a guard
     expiry), the byte-factor refresh, and each node's arrivals and
     scheduling; at each period end the load reports, utilization samples
-    and the controller step.  When every node is steady
-    (`traffic.Node.steady`) after the refresh, the refreshes since the
-    slots were filled all kept the rows, so the activity, the rows and the
+    and the controller step.  A grant rebuild clears the replay memo of a
+    node whose grant changed, and a refresh that of a node whose UEs'
+    entries changed.  When every node is steady (`traffic.Node.steady`)
+    after the refresh, each repeats the one activity of its slots, its
+    entry in the list the refresh used, so the activity, the rows and the
     grants stay fixed up to the next period end or guard expiry, and every
     node is fast-forwarded there.
     """
@@ -356,9 +375,11 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             guard_state = state
             guard_due = min((e for e in state.guard_timed.values() if e > epoch), default=-1)
 
-        if byte_factors.refresh(activity):      # new rows: every replay slot is stale
+        changed = byte_factors.refresh(activity)
+        if changed:         # a node whose UEs' entries changed has stale slots
             for node in nodes:
-                node.clear_memo()
+                if not changed.isdisjoint(node.ue_ids):
+                    node.clear_memo()
         if all(node.steady() for node in nodes):
             stop = min(epoch - epoch % clock.period_epochs + clock.period_epochs,
                        guard_due if guard_due > epoch else clock.total_epochs,

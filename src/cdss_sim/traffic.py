@@ -22,15 +22,17 @@ class Cycle:
     """The epochs a steady node repeats: the `CellSchedule` of each rotation
     start, in start order, built once while the node's slots hold.
 
-    The prefix sums of their load rows (for `period_load`) and the matrix
-    of their credited bytes (for `Node.settle`) are built on first use,
-    once per cycle.
+    `one_activity` says whether every epoch has the same activity.  The
+    prefix sums of their load rows (for `period_load`) and the matrix of
+    their credited bytes (for `Node.settle`) are built on first use, once
+    per cycle.
     """
 
-    __slots__ = ("schedules", "_prefix", "_amounts")
+    __slots__ = ("schedules", "one_activity", "_prefix", "_amounts")
 
     def __init__(self, schedules: List[CellSchedule]) -> None:
         self.schedules = schedules
+        self.one_activity = len({s.activity for s in schedules}) == 1
         self._prefix: Optional[List[Tuple[int, ...]]] = None
         self._amounts: Optional[np.ndarray] = None
 
@@ -87,15 +89,19 @@ class Node:
     backlog lists by reference.  It has one slot per rotation start (a node
     with no UE has one start, and its key is the empty list): the backlogs
     before the epoch's arrivals (the key), the backlogs the dealing loop
-    left and the `CellSchedule` it returned.  A slot is valid for one grant
-    and one content of the byte rows: `set_grant` clears the slots, and
-    whoever rewrites the rows must call `clear_memo` too.  At most one slot
-    per rotation start, so the memory is bounded by the UE count.
+    left and the `CellSchedule` it returned.  A slot reads only the grant
+    and the byte-row entries of the node's own UEs, so it is valid while
+    both hold: `set_grant` clears the slots, and whoever changes one of
+    those entries must call `clear_memo` too; a grant rebuild that leaves
+    the grant equal, or a rewrite of other UEs' entries, keeps them.  At
+    most one slot per rotation start, so the memory is bounded by the UE
+    count.
 
-    The node is `steady` when every rotation start has a slot and the
-    backlog equals the current start's key; then `fast_forward` replays
-    the memo's cycle for many epochs at once.  The cycle is built once
-    while the slots hold (`replay_cycle`), and every slot change drops it.
+    The node is `steady` when every rotation start has a slot, the backlog
+    equals the current start's key and all slots carry one activity; then
+    `fast_forward` replays the memo's cycle for many epochs at once.  The
+    cycle is built once while the slots hold (`replay_cycle`), and every
+    slot change drops it.
     A scheduled epoch adds its `CellSchedule` to `period`, a fast-forward
     one `Run` record (the cycle, the start position and the epoch count),
     so its cost does not grow with the epochs it covers.  The bytes of its
@@ -133,11 +139,14 @@ class Node:
         self.cycle = None
 
     def steady(self) -> bool:
-        """Whether the node has a slot for each of its rotation starts and
-        the backlogs the current start's slot began from; then it repeats
-        its slots while the grant and the rows hold."""
+        """Whether the node has a slot for each of its rotation starts, the
+        backlogs the current start's slot began from, and one activity in
+        every slot.  Then it repeats its slots while the grant and its UEs'
+        entries hold, and its activity, the one the last epoch gave, stays
+        the same, so nodes that are all steady keep the rows as they are."""
         n = len(self.ue_ids) or 1
-        return len(self.slots) == n and self.backlog == self.slots[self.offset % n][0]
+        return (len(self.slots) == n and self.backlog == self.slots[self.offset % n][0]
+                and self.replay_cycle().one_activity)
 
     def replay_cycle(self) -> Cycle:
         """The cycle a steady node repeats."""

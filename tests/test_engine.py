@@ -323,6 +323,21 @@ def naive_byte_factors(plan, rx_dbm, serving, beams, activity, radio, epoch_s):
     return out
 
 
+def byte_factor_inputs(cfg):
+    """The band plan, beams, link budget and attachment of a case-2 run of
+    `cfg`, seed 1, as `ByteFactors` takes them."""
+    band = cfg.band
+    plan = build_band_plan(band.total_rbs, band.num_groups, band.coordinated,
+                           band.rb_bandwidth_hz)
+    topo = build_topology(cfg, CASES[2], 1)
+    beams = sorted(topo.beams, key=lambda b: b.beam_id)
+    rx_dbm = engine_mod._link_budget(
+        sorted(topo.cells, key=lambda c: c.cell_id), beams,
+        sorted(topo.ues, key=lambda u: u.ue_id), cfg.radio, 1,
+    )
+    return plan, beams, rx_dbm, select_serving(rx_dbm, cfg.radio.min_rsrp_dbm)
+
+
 def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
     # beams 1 and 2 share coordinated group 0, so same-group beam
     # interference is exercised too
@@ -333,17 +348,8 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
     monkeypatch.setattr(engine_mod, "spectral_efficiency_array",
                         lambda *args: se_calls.append(1) or se(*args))
     for cfg in (fast_cfg, shared):
-        band, radio = cfg.band, cfg.radio
-        epoch_s = SimClock.from_config(cfg).epoch_s
-        plan = build_band_plan(band.total_rbs, band.num_groups, band.coordinated,
-                               band.rb_bandwidth_hz)
-        topo = build_topology(cfg, CASES[2], 1)
-        beams = sorted(topo.beams, key=lambda b: b.beam_id)
-        rx_dbm = engine_mod._link_budget(
-            sorted(topo.cells, key=lambda c: c.cell_id), beams,
-            sorted(topo.ues, key=lambda u: u.ue_id), radio, 1,
-        )
-        serving = select_serving(rx_dbm, radio.min_rsrp_dbm)
+        radio, epoch_s = cfg.radio, SimClock.from_config(cfg).epoch_s
+        plan, beams, rx_dbm, serving = byte_factor_inputs(cfg)
         group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
         factors = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
         # first and last RB of every group, read through the scheduler's
@@ -355,15 +361,16 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
         a, b = rng.uniform(size=n_tx).tolist(), rng.uniform(size=n_tx).tolist()
         # a repeated activity must not serve stale rows from the refresh
         # skip; only an activity equal to the previous one is skipped, and
-        # refresh reports a rewrite (which clears the scheduler's memos)
-        # exactly when it recomputed the rows
+        # refresh reports changed entries (which clear the memos of the
+        # nodes serving them) exactly when it recomputed the rows: each of
+        # these activities changes some UE's entry
         sequence = [([0.0] * n_tx, False), ([1.0] * n_tx, False), (a, False),
                     (b, False), (a, False), (list(a), True)]
         for activity, skipped in sequence:
             before = len(se_calls)
-            rewritten = factors.refresh(activity)
+            changed = factors.refresh(activity)
             assert (len(se_calls) == before) == skipped
-            assert rewritten is not skipped
+            assert bool(changed) is not skipped
             fresh = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
             fresh.refresh(activity)
             assert factors.rows == fresh.rows
@@ -393,12 +400,59 @@ def test_byte_factors_reject_non_finite_inputs():
 def test_byte_factors_refresh_skips_an_equal_list():
     plan = build_band_plan(1, 1, [True])
     factors = ByteFactors(plan, np.array([[-80.0], [-90.0]]), [0], [], RadioParams(), 0.01)
-    assert factors.refresh([1.0, 0.5]) is True
+    assert factors.refresh([1.0, 0.5]) == {0}
     rows = [list(row) for row in factors.rows]
-    assert factors.refresh([1.0, 0.5]) is False        # a new, equal list
+    assert factors.refresh([1.0, 0.5]) == set()        # a new, equal list
     assert factors.rows == rows
-    assert factors.refresh([1.0, 0.25]) is True
+    assert factors.refresh([1.0, 0.25]) == {0}
     assert factors.rows != rows
+
+
+def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monkeypatch):
+    # The engine clears only the memos of nodes that serve a reported UE,
+    # so the report must name every UE whose entry changed in any group,
+    # and may name no other.  Random activity sequences on the default
+    # layout, and on one where two beams share a coordinated group, change
+    # every transmitter, a few of them or only the beams, or repeat the
+    # last activity in a new list, which must make no SE call and report
+    # nothing.  A naive oracle compares the rows before and after.
+    rng = np.random.default_rng(19)
+    se_calls = []
+    se = engine_mod.spectral_efficiency_array
+    monkeypatch.setattr(engine_mod, "spectral_efficiency_array",
+                        lambda *args: se_calls.append(1) or se(*args))
+    shared = replace(fast_cfg, topology=replace(fast_cfg.topology, beam_groups=(0, 0, 2)))
+    kinds = {"some": 0, "none": 0, "repeat": 0}
+    for cfg in (fast_cfg, shared):
+        plan, beams, rx_dbm, serving = byte_factor_inputs(cfg)
+        factors = ByteFactors(plan, rx_dbm, serving, beams, cfg.radio,
+                              SimClock.from_config(cfg).epoch_s)
+        n_tx, n_cells = rx_dbm.shape[0], rx_dbm.shape[0] - len(beams)
+        activity = [1.0] * n_tx
+        for _ in range(60):
+            move = rng.choice(["every", "few", "beams", "repeat"])
+            activity = list(activity)
+            if move == "every":
+                activity = rng.choice([0.25, 0.5, 1.0], size=n_tx).tolist()
+            elif move == "few":
+                for tx in rng.choice(n_tx, size=rng.integers(1, 4), replace=False):
+                    activity[tx] = float(rng.choice([0.0, 0.5, 1.0]))
+            elif move == "beams":
+                activity[n_cells:] = rng.choice([0.0, 0.5, 1.0], size=len(beams)).tolist()
+            old = [list(row) for row in factors.rows]
+            before = len(se_calls)
+            changed = factors.refresh(activity)
+            want = {ue for row, old_row in zip(factors.rows, old)
+                    for ue, (new, was) in enumerate(zip(row, old_row)) if new != was}
+            assert changed == want, move
+            if move == "repeat":
+                assert len(se_calls) == before and changed == set()
+                kinds["repeat"] += 1
+            elif len(se_calls) > before:
+                kinds["some" if changed else "none"] += 1
+    # rewrites that change some entries and rewrites that change none
+    # (74 and 9 with this seed)
+    assert min(kinds.values()) >= 5, kinds
 
 
 SHORT = replace(default_scenario(), sim=SimParams(total_s=0.1, warmup_s=0.05))
@@ -552,6 +606,27 @@ def test_settled_run_fast_forwards_most_node_epochs(fast_cfg, monkeypatch):
     node_epochs = len(store.node_bytes) * SimClock.from_config(fast_cfg).total_epochs
     assert node_epochs == 2700
     assert 0 < len(calls) < node_epochs / 10, len(calls)
+
+
+def test_grant_and_row_changes_keep_unchanged_memos(default_cfg, monkeypatch):
+    # A grant rebuild keeps the memo of a node whose grant is equal, and a
+    # row rewrite that of a node whose UEs' entries are, so the nodes that
+    # keep theirs need not run the dealing loop again before the run can
+    # fast-forward.  In case 2, seed 1, the dealing loop runs 937 times
+    # (a replay miss on a node with UEs and a grant); clearing every memo
+    # at each rebuild and rewrite makes it 1,161.
+    misses = []
+    schedule = engine_mod.schedule_epoch
+
+    def counting(node):
+        slot = node.slots.get(node.offset % (len(node.ue_ids) or 1))
+        if node.ue_ids and node.granted and (slot is None or slot[0] != node.backlog):
+            misses.append(node.node_id)
+        return schedule(node)
+
+    monkeypatch.setattr(engine_mod, "schedule_epoch", counting)
+    run_simulation(RunSpec(default_cfg, 2, 1))
+    assert 0 < len(misses) <= 940, len(misses)
 
 
 def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, monkeypatch):

@@ -24,12 +24,14 @@ share and a group they do not.  The RBs of those groups carry different
 bytes, so a cell's RB count depends on the UE its rotation starts with,
 its activity cycles with its rotation, and the interference carries the
 cycle to the other cells.  Each new activity vector rewrites the byte
-rows and clears every replay memo, so the memo replays no epoch of a
-cycle.
+rows and clears the memo of every node whose UEs' entries it changes, so
+the cycling cells' memos replay no epoch of a cycle.
 
 In cases 2 and 4, the first two sets also place an uncoordinated group
 below a coordinated one, so the load column of each coordinated group
-differs from its group index.
+differs from its group index.  In both, a node keeps its memo through a
+row rewrite that leaves its UEs' entries as they were, and through a
+grant rebuild that leaves its grant equal.
 """
 
 import random
@@ -178,6 +180,44 @@ def uncoordinated_below_coordinated(spec) -> bool:
         not flag and any(flags[i + 1:]) for i, flag in enumerate(flags))
 
 
+class KeptMemos:
+    """Whether a run has a row rewrite (a refresh with a new activity), and
+    a grant rebuild, through which a node with UEs keeps a filled replay
+    memo: the rewrite changed only other UEs' entries, or none, and the
+    rebuild left its grant equal.  `reset` before each run: the reference
+    engine refreshes byte factors too."""
+
+    def __init__(self, monkeypatch):
+        grant_rbs, refresh, steady = engine._grant_rbs, engine.ByteFactors.refresh, Node.steady
+
+        def granting(plan, state, blocked, nodes, *maps):
+            self.nodes = nodes
+            held = [node for node in nodes if node.ue_ids and node.slots]
+            grant_rbs(plan, state, blocked, nodes, *maps)
+            self.rebuild = self.rebuild or any(node.slots for node in held)
+
+        def refreshing(factors, activity):
+            if activity != self.activity:
+                self.held = [node for node in self.nodes if node.ue_ids and node.slots]
+                self.activity = list(activity)
+            return refresh(factors, activity)
+
+        def checking(node):
+            # the run's first steadiness test after a rewrite follows its clears
+            self.rewrite = self.rewrite or any(held.slots for held in self.held)
+            self.held = []
+            return steady(node)
+
+        monkeypatch.setattr(engine, "_grant_rbs", granting)
+        monkeypatch.setattr(engine.ByteFactors, "refresh", refreshing)
+        monkeypatch.setattr(Node, "steady", checking)
+        self.reset()
+
+    def reset(self):
+        self.nodes, self.held, self.activity = [], [], None
+        self.rewrite = self.rebuild = False
+
+
 def assert_same_run(spec, store, tmp_path, draw):
     """Every report file byte for byte, and the per-node byte totals,
     which no file prints, exactly."""
@@ -190,22 +230,28 @@ def assert_same_run(spec, store, tmp_path, draw):
         assert got[name].read_bytes() == want[name].read_bytes(), (draw, name, spec)
 
 
-def test_engine_matches_reference_engine(tmp_path):
+def test_engine_matches_reference_engine(tmp_path, monkeypatch):
+    kept = KeptMemos(monkeypatch)
     rng = random.Random(6)
-    moved = shared_beam_groups = below = 0
+    moved = shared_beam_groups = below = kept_rewrite = kept_rebuild = 0
     for draw in range(DRAWS):
         scenario = draw_scenario(rng)
         spec = RunSpec(scenario, 1 + draw % 4, rng.randint(1, 10**6))
+        kept.reset()
         store = run_simulation(spec)
+        kept_rewrite += kept.rewrite
+        kept_rebuild += kept.rebuild
         assert_same_run(spec, store, tmp_path, draw)
         moved += store.timeline[-1].version > 0
         groups = scenario.topology.beam_groups
         shared_beam_groups += spec.case_id in (2, 4) and len(set(groups)) < len(groups)
         below += uncoordinated_below_coordinated(spec)
     # the draws move boundaries, put two beams in one group and, in 12
-    # draws, an uncoordinated group below a coordinated one
+    # draws, an uncoordinated group below a coordinated one; in 32 a node
+    # keeps its memo through a row rewrite, in 14 through a grant rebuild
     assert moved >= 10 and shared_beam_groups >= 3 and below >= 10, \
         (moved, shared_beam_groups, below)
+    assert kept_rewrite >= 25 and kept_rebuild >= 10, (kept_rewrite, kept_rebuild)
 
 
 def test_engine_matches_reference_engine_in_steady_states(tmp_path, monkeypatch):
@@ -217,19 +263,25 @@ def test_engine_matches_reference_engine_in_steady_states(tmp_path, monkeypatch)
         return fast_forward(node, epochs, *args)
 
     monkeypatch.setattr(Node, "fast_forward", counting)
+    kept = KeptMemos(monkeypatch)
     rng = random.Random(9)
-    forwarded = below = 0
+    forwarded = below = kept_rewrite = kept_rebuild = 0
     for draw in range(STEADY_DRAWS):
         scenario = draw_steady_scenario(rng)
         spec = RunSpec(scenario, rng.choice([2, 4]), rng.randint(1, 10**6))
         forwards.clear()
+        kept.reset()
         store = run_simulation(spec)
+        kept_rewrite += kept.rewrite
+        kept_rebuild += kept.rebuild
         assert_same_run(spec, store, tmp_path, draw)
         forwarded += bool(forwards)
         below += uncoordinated_below_coordinated(spec)
     # 34 of the 80 draws settle; the rest keep a saturated or changing node.
-    # 25 place an uncoordinated group below a coordinated one.
+    # 25 place an uncoordinated group below a coordinated one.  In 62 a node
+    # keeps its memo through a row rewrite, in 36 through a grant rebuild.
     assert forwarded >= 30 and below >= 10, (forwarded, below)
+    assert kept_rewrite >= 50 and kept_rebuild >= 25, (kept_rewrite, kept_rebuild)
 
 
 def test_engine_matches_reference_engine_when_cells_saturate(tmp_path, monkeypatch):
