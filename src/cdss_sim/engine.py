@@ -7,8 +7,9 @@ never perturbs the others.  The controller is invoked in-process once per
 optimization period; the epoch pipeline is fixed as the byte-factor
 refresh, arrivals and scheduling per node, metrics, then the controller
 step at each period end.  Once every node's replay memo has closed into a
-cycle, the engine replays all nodes up to the next period end or guard
-expiry in one step (`traffic.Node.fast_forward`), with the same outputs.
+cycle, the engine runs the period ends ahead from the cycles, up to a
+controller move, a guard expiry or the run end, and then advances every
+node once (`traffic.Node.fast_forward`), with the same outputs.
 
 Interference coupling: a transmitter's activity fraction for SINR purposes
 is its RB utilization in the previous epoch (1.0 at epoch 0), which keeps
@@ -58,6 +59,7 @@ from .scenario import (
 from .sums import fold_sum
 from .traffic import (
     Node,
+    Run,
     generate_arrivals,  # noqa: F401 - unused here; lets a tracer's getattr find it
     grant_tables,
     period_load,
@@ -286,6 +288,57 @@ def _record_final(store, final_rows, total_rbs: int, nodes) -> None:
                                               else final_rows[node.group_index].ntn_rbs)
 
 
+def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
+    """The period end at `epoch`, from each TN cell's records of the period
+    (`periods`): the utilization samples after the warmup, the load
+    reports, the controller step and the timeline rows.  Returns the state
+    the step returns, the same object when it moved no boundary."""
+    plan, coordinated = manager.plan, manager.plan.coordinated_indices()
+    step = epoch // clock.period_epochs
+    sampled = epoch - clock.period_epochs >= clock.warmup_epochs
+    # Only TN loads are read: by the reports, if a group is coordinated,
+    # and by the samples after the warmup.
+    loads = [period_load(period) for period in periods] if coordinated or sampled else []
+    if sampled:
+        store.utilization.extend(
+            UtilizationSample(node.entity_id, step, epoch * clock.epoch_s,
+                              sum(load[:len(load) // 2]), sum(load[len(load) // 2:]))
+            for node, load in zip(tn_nodes, loads)
+        )
+    state = manager.sms_step(state, _load_reports(tn_nodes, loads, coordinated, epoch), epoch)[0]
+    store.sms_steps += 1
+    store.timeline.extend(_timeline_rows(plan, state, CASES[store.case_id], clock, step, epoch))
+    return state
+
+
+def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
+    """Advance every node, all steady, from `epoch`; return the state and
+    the epoch reached.  Before `limit` (the next guard expiry or the run
+    end) only a controller move changes a grant, so the period ends run in
+    turn from the cycles: the first over each cell's records and one run
+    record up to it, each later one over one run record of a whole period
+    from the start the cell reaches then.  The plan stops after a move or
+    where a whole period would pass `limit`; then each node advances once."""
+    first, length = epoch, clock.period_epochs
+    tn_nodes = [node for node in nodes if node.group_index is None]
+    cells = [(node.replay_cycle(), node.offset, len(node.ue_ids) or 1) for node in tn_nodes]
+    periods = [node.period for node in tn_nodes]
+    begin, epoch = first, min(epoch - epoch % length + length, limit)
+    while epoch % length == 0:
+        held = state
+        state = _period_end(store, manager, clock, tn_nodes, state, epoch, [
+            [*records, Run(cycle, (offset + begin - first) % n, epoch - begin)]
+            for records, (cycle, offset, n) in zip(periods, cells)])
+        if state is not held or epoch + length > limit:
+            break
+        periods = [[] for _ in cells]
+        begin, epoch = epoch, epoch + length
+    credited = max(0, epoch - max(first, clock.warmup_epochs))
+    for node in nodes:
+        node.fast_forward(epoch - first, credited)
+    return state, epoch
+
+
 def run_simulation(spec: RunSpec) -> MetricsStore:
     """Execute one deterministic run and return its metrics store.
 
@@ -293,13 +346,13 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     check and grant rebuild (only on a new allocation state or a guard
     expiry), the byte-factor refresh, and each node's arrivals and
     scheduling; at each period end the load reports, utilization samples
-    and the controller step.  A grant rebuild clears the replay memo of a
-    node whose grant changed, and a refresh that of a node whose UEs'
-    entries changed.  When every node is steady (`traffic.Node.steady`)
-    after the refresh, each repeats the one activity of its slots, its
-    entry in the list the refresh used, so the activity, the rows and the
-    grants stay fixed up to the next period end or guard expiry, and every
-    node is fast-forwarded there.
+    and the controller step (`_period_end`).  A grant rebuild clears the
+    replay memo of a node whose grant changed, and a refresh that of a node
+    whose UEs' entries changed.  When every node is steady
+    (`traffic.Node.steady`) after the refresh, each repeats the one activity
+    of its slots, so the activity, the rows and the grants stay fixed up to
+    the next controller move or guard expiry, and `_fast_forward` plans the
+    period ends up to there from the cycles and advances every node once.
     """
     case = CASES[spec.case_id]
     scenario = spec.scenario
@@ -381,34 +434,15 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
                 if not changed.isdisjoint(node.ue_ids):
                     node.clear_memo()
         if all(node.steady() for node in nodes):
-            stop = min(epoch - epoch % clock.period_epochs + clock.period_epochs,
-                       guard_due if guard_due > epoch else clock.total_epochs,
-                       clock.total_epochs)
-            credited = max(0, stop - max(epoch, clock.warmup_epochs))
-            for node in nodes:
-                node.fast_forward(stop - epoch, credited)
-            epoch = stop
+            state, epoch = _fast_forward(store, manager, clock, nodes, state, epoch, min(
+                guard_due if guard_due > epoch else clock.total_epochs, clock.total_epochs))
         else:
             activity = _schedule_nodes(nodes, epoch >= clock.warmup_epochs)
             epoch += 1
-
+            if epoch % clock.period_epochs == 0:
+                state = _period_end(store, manager, clock, tn_nodes, state, epoch,
+                                    [node.period for node in tn_nodes])
         if epoch % clock.period_epochs == 0:
-            step = epoch // clock.period_epochs
-            sampled = epoch - clock.period_epochs >= clock.warmup_epochs
-            # Only TN loads are read: by the reports, if a group is
-            # coordinated, and by the samples after the warmup.
-            loads = ([period_load(node.period) for node in tn_nodes]
-                     if coordinated or sampled else [])
-            if sampled:
-                store.utilization.extend(
-                    UtilizationSample(node.entity_id, step, epoch * clock.epoch_s,
-                                      sum(load[:len(load) // 2]), sum(load[len(load) // 2:]))
-                    for node, load in zip(tn_nodes, loads)
-                )
-            reports = _load_reports(tn_nodes, loads, coordinated, epoch)
-            state = manager.sms_step(state, reports, epoch)[0]
-            store.sms_steps += 1
-            store.timeline.extend(_timeline_rows(plan, state, case, clock, step, epoch))
             for node in nodes:
                 node.period = []
 

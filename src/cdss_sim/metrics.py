@@ -127,8 +127,12 @@ def output_dir(out_dir) -> Path:
 
 
 def write_table(path: Path, header: str, rows: Sequence[str]) -> Path:
-    """Write one delimited table: the header line, then one line per row."""
+    """Write one delimited table: the header line, then one line per row.
+    An existing report is unlinked first: ext4 closes a new file far faster
+    than a truncated, rewritten one (its `auto_da_alloc` flush), and a
+    symlinked report is replaced by a plain file, its target left as is."""
     try:
+        path.unlink(missing_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
             for row in rows:

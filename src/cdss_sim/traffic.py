@@ -158,9 +158,10 @@ class Node:
         return self.cycle
 
     def fast_forward(self, epochs: int, credited: int) -> None:
-        """Advance a steady node `epochs` epochs as `schedule_epoch` would;
-        the last `credited` of them are owed.  `record` settles them with
-        the next scheduled epoch, so owed epochs are always one run of a cycle."""
+        """Advance a steady node `epochs` epochs as `schedule_epoch` would,
+        as one run record in `period`; the engine has run from the cycle any
+        period end they pass.  The last `credited` are owed, and `record`
+        settles them with the next scheduled epoch, so they are one run."""
         n = len(self.ue_ids) or 1
         cycle = self.replay_cycle()
         start = self.offset % n

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import math
 from collections import defaultdict
@@ -31,7 +32,7 @@ from cdss_sim.scenario import (
     serialize_scenario,
     validate_scenario,
 )
-from cdss_sim.traffic import Node, grant_tables, schedule_epoch
+from cdss_sim.traffic import Node, Run, grant_tables, period_load, schedule_epoch
 
 
 def test_sim_clock_epoch_counts(fast_cfg):
@@ -607,6 +608,96 @@ def test_settled_run_fast_forwards_most_node_epochs(fast_cfg, monkeypatch):
     assert node_epochs == 2700
     assert 0 < len(calls) < node_epochs / 10, len(calls)
 
+
+def test_settled_runs_advance_each_node_once_per_stretch(default_cfg, monkeypatch):
+    # Once a run settles, the period ends ahead are run from the cycles and
+    # each node is advanced once per stretch, not once per period end.  In
+    # case 3, seed 1, the nine cells settle for the whole run: 9 calls (360
+    # when every period end stopped the fast-forward).  Case 2, seed 1:
+    # 108 calls (480).
+    calls = []
+    fast_forward = Node.fast_forward
+    monkeypatch.setattr(Node, "fast_forward",
+                        lambda node, *args: calls.append(1) or fast_forward(node, *args))
+    for case_id, most in ((3, 18), (2, 120)):
+        calls.clear()
+        run_simulation(RunSpec(default_cfg, case_id, 1))
+        assert 0 < len(calls) <= most, (case_id, len(calls))
+
+
+def planning_cells():
+    """Two steady cells whose load rows differ by rotation start with the
+    same activity.  The grant alternates RBs of load columns 1 and 2, and
+    some UEs decline every column-2 RB (a zero byte entry), so the UE the
+    rotation starts with decides how many column-2 RBs go unused and which
+    column-1 RBs replace them.  Each UE wants one RB per epoch.  Cell 0
+    (UEs 0 and 1, UE 0 declining) deals columns (1, 1) from start 0 and
+    (2, 0) from start 1; cell 1 (UEs 2-4, UEs 2 and 3 declining) deals
+    (2, 1), (2, 1) and (3, 0)."""
+    column_of_rb = [1, 2] * 3
+    row_of_rb = [[100.0] * 5 if column == 1 else [0.0, 100.0, 0.0, 0.0, 100.0]
+                 for column in column_of_rb]
+    cells = []
+    for cell_id, ue_ids in enumerate(([0, 1], [2, 3, 4])):
+        cell = Node(f"tn-{cell_id}", cell_id, ue_ids, 1, [0.0] * len(ue_ids),
+                    [100.0] * len(ue_ids), books=[0.0] * (len(ue_ids) + 1))
+        granted = list(range(2 * len(ue_ids)))
+        cell.set_grant(granted, *grant_tables(granted, row_of_rb, column_of_rb))
+        cells.append(cell)
+    return cells
+
+
+def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
+    # `_fast_forward` runs each period end ahead from the cells' cycles.  Its
+    # loads must be those an epoch-by-epoch walk of a twin gives, and each
+    # whole period's must be `period_load` of one run record from the start
+    # the twin reaches there.  The plan stops after the period end whose
+    # step moves a boundary, and where the next whole period would pass the
+    # limit (a guard expiry inside a period, one on a period end, the run
+    # end); then each cell is advanced once, to where its twin is.
+    clock = SimClock(0.001, 0, 48, 5)
+    for limit, move_at, end in ((48, 30, 30), (37, None, 35), (40, None, 40), (48, None, 45)):
+        cells = planning_cells()
+        for epoch in range(5, 8):               # periods end at 5, 10, ...
+            for cell in cells:
+                cell.record(schedule_epoch(cell), True)
+        assert all(cell.steady() for cell in cells)
+        twins = copy.deepcopy(cells)
+        held, moved, planned = object(), object(), []
+
+        def period_end(store, manager, clock, tn_nodes, state, epoch, periods):
+            planned.append((epoch, [period_load(period) for period in periods]))
+            return moved if epoch == move_at else state
+
+        advanced = []
+        fast_forward = Node.fast_forward
+        monkeypatch.setattr(engine_mod, "_period_end", period_end)
+        monkeypatch.setattr(Node, "fast_forward",
+                            lambda node, *args: advanced.append(1) or fast_forward(node, *args))
+        state, reached = engine_mod._fast_forward(None, None, clock, cells, held, 8, limit)
+        monkeypatch.undo()
+        assert (state, reached) == ((moved if move_at else held), end)
+        assert len(advanced) == len(cells)
+        walked, starts = [], [twin.offset for twin in twins]
+        for epoch in range(8, end):
+            for twin in twins:
+                twin.record(schedule_epoch(twin), True)
+            if (epoch + 1) % clock.period_epochs == 0:
+                walked.append((epoch + 1, [period_load(twin.period) for twin in twins]))
+                if epoch + 1 > 10:      # a whole period, from `starts`
+                    assert walked[-1][1] == [
+                        period_load([Run(cell.cycle, start, clock.period_epochs)])
+                        for cell, start in zip(cells, starts)]
+                for twin in twins:
+                    twin.period = []
+                starts = [twin.offset for twin in twins]
+        assert planned == walked, limit
+        for cell, twin in zip(cells, twins):
+            cell.settle()
+            assert (cell.offset, cell.backlog, cell.books) == (twin.offset, twin.backlog,
+                                                               twin.books)
+    # the two columns' split differs between the planned periods
+    assert len({tuple(loads[0]) for _, loads in planned[1:]}) == 2
 
 def test_grant_and_row_changes_keep_unchanged_memos(default_cfg, monkeypatch):
     # A grant rebuild keeps the memo of a node whose grant is equal, and a

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, and
 every top-level function, class and method is read somewhere in the
-package: no source code exists only for its own tests."""
+package: no source code exists only for its own tests.  The engine's
+stages are named module-level functions, not closures."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,31 @@ def test_unused_definition_check_sees_a_leftover():
                      "def leftover(): ...\n")
     read = names_and_attributes_read(tree)
     assert [name for name, _ in definitions(tree) if name not in read] == ["idle", "leftover"]
+
+
+def closures(tree):
+    """(name, line) of each lambda, and of each function defined inside
+    another function, anywhere in the module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda):
+            found.add(("lambda", node.lineno))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((inner.name, inner.lineno) for inner in ast.walk(node)
+                         if inner is not node
+                         and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_engine_defines_no_closure():
+    tree = ast.parse((PACKAGE / "engine.py").read_text(), filename="engine.py")
+    assert sum(isinstance(node, ast.FunctionDef) for node in tree.body) > 10
+    assert closures(tree) == []
+
+
+def test_closure_check_sees_a_nested_function_and_a_lambda():
+    tree = ast.parse("def stage(nodes):\n    def inner(): ...\n"
+                     "    return sorted(nodes, key=lambda n: n.id)\n"
+                     "class Node:\n    def steady(self): return [x for x in ()]\n"
+                     "def outer():\n    class Local:\n        def method(self): ...\n")
+    assert closures(tree) == [("inner", 2), ("lambda", 3), ("method", 8)]

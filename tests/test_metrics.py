@@ -10,6 +10,7 @@ from cdss_sim.metrics import (
     UtilizationSample,
     compute_cdf,
     finalize,
+    write_table,
 )
 from cdss_sim.sums import fold_sum
 
@@ -129,3 +130,27 @@ def test_float_totals_add_left_to_right():
     store = MetricsStore(case_id=1, seed=1, total_s=1.0, warmup_s=0.0)
     store.ue_bytes = dict(enumerate(values))
     assert store.total_rx_bytes() == 0.0
+
+
+def test_write_table_replaces_an_existing_report(tmp_path):
+    # A report is unlinked and written anew: a longer earlier file leaves
+    # nothing behind, and a symlinked report becomes a plain file.
+    path = tmp_path / "table.csv"
+    write_table(path, "a,b", ["1,2", "3,4", "5,6"])
+    assert write_table(path, "a", ["7"]) == path
+    assert path.read_bytes() == b"a\n7\n"
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_table(link, "b", [])
+    assert not link.is_symlink() and link.read_text() == "b\n"
+    assert target.read_text() == "kept\n"
+
+
+def test_write_table_failure_is_an_invariant_error(tmp_path):
+    (tmp_path / "table.csv").mkdir()
+    with pytest.raises(InvariantError, match="failed to write report"):
+        write_table(tmp_path / "table.csv", "a", ["1"])
+    with pytest.raises(InvariantError):
+        write_table(tmp_path / "missing" / "table.csv", "a", ["1"])

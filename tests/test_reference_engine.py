@@ -11,7 +11,8 @@ saturating.
 A second set of draws runs long enough for every node to settle, so that
 the engine fast-forwards whole stretches of epochs from the replay memo:
 few UEs, periods of 20-30 epochs, guard times that expire inside a
-period, and warmups that end inside one.
+period, and warmups that end inside one.  Their plans of the period ends
+ahead stop at controller moves and at guard expiries.
 
 A third set saturates: cases 3 and 4 with 1-3 UEs per cell or beam and
 high-demand rates from the defaults to far above what a grant carries,
@@ -262,26 +263,48 @@ def test_engine_matches_reference_engine_in_steady_states(tmp_path, monkeypatch)
         forwards.append(epochs)
         return fast_forward(node, epochs, *args)
 
+    stops = set()       # why the run's plans stopped, where they had to
+    plan = engine._fast_forward
+
+    def planning(store, manager, clock, nodes, state, epoch, limit):
+        moved, end = plan(store, manager, clock, nodes, state, epoch, limit)
+        length = clock.period_epochs
+        if moved is not state and end + length <= limit:
+            stops.add("move")           # the plan could have gone on
+        elif (moved is state and end % length == 0 and end + length > limit
+              and limit < clock.total_epochs):
+            stops.add("guard")          # the next period passes a guard expiry
+        return moved, end
+
     monkeypatch.setattr(Node, "fast_forward", counting)
+    monkeypatch.setattr(engine, "_fast_forward", planning)
     kept = KeptMemos(monkeypatch)
     rng = random.Random(9)
-    forwarded = below = kept_rewrite = kept_rebuild = 0
+    forwarded = below = kept_rewrite = kept_rebuild = at_move = at_guard = 0
     for draw in range(STEADY_DRAWS):
         scenario = draw_steady_scenario(rng)
         spec = RunSpec(scenario, rng.choice([2, 4]), rng.randint(1, 10**6))
         forwards.clear()
+        stops.clear()
         kept.reset()
         store = run_simulation(spec)
         kept_rewrite += kept.rewrite
         kept_rebuild += kept.rebuild
         assert_same_run(spec, store, tmp_path, draw)
         forwarded += bool(forwards)
+        at_move += "move" in stops
+        at_guard += "guard" in stops
         below += uncoordinated_below_coordinated(spec)
     # 34 of the 80 draws settle; the rest keep a saturated or changing node.
     # 25 place an uncoordinated group below a coordinated one.  In 62 a node
     # keeps its memo through a row rewrite, in 36 through a grant rebuild.
+    # In 16 a plan stops at a controller move with periods left before the
+    # limit, and in 2 at a period end because the next period passes a guard
+    # expiry: a guard time under the 20-30 epoch period mostly ends before
+    # the run settles again.
     assert forwarded >= 30 and below >= 10, (forwarded, below)
     assert kept_rewrite >= 50 and kept_rebuild >= 25, (kept_rewrite, kept_rebuild)
+    assert at_move >= 12 and at_guard >= 2, (at_move, at_guard)
 
 
 def test_engine_matches_reference_engine_when_cells_saturate(tmp_path, monkeypatch):
