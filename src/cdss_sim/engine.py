@@ -6,10 +6,10 @@ seeds derived by labelled hashing of the master seed, so adding a stream
 never perturbs the others.  The controller is invoked in-process once per
 optimization period; the epoch pipeline is fixed as the byte-factor
 refresh, arrivals and scheduling per node, metrics, then the controller
-step at each period end.  Once every node's replay memo has closed into a
-cycle, the engine runs the period ends ahead from the cycles, up to a
-controller move, a guard expiry or the run end, and then advances every
-node once (`traffic.Node.fast_forward`), with the same outputs.
+step at each period end.  Once every replay memo has closed into a cycle,
+dealt ahead from a fixed point where it can, the engine runs the period
+ends ahead from the cycles, up to a controller move, a guard expiry or the
+run end, and advances every node once (`traffic.Node.fast_forward`).
 
 Interference coupling: a transmitter's activity fraction for SINR purposes
 is its RB utilization in the previous epoch (1.0 at epoch 0), which keeps
@@ -173,6 +173,11 @@ class ByteFactors:
             self._beam_tx[beam.group_index].append(btx)
             if (serving_tx == btx).any():
                 self._beam_ues[beam.group_index].append((btx, serving_tx == btx))
+        # The transmitters some entry hears: the cells, the beams of an uncoordinated
+        # group, and a beam that shares a coordinated group with a serving beam.
+        self._audible = [*range(n_cells), *(
+            btx for g in plan.groups for btx in self._beam_tx[g.index]
+            if not g.coordinated or any(other != btx for other, _ in self._beam_ues[g.index]))]
         noise_dbm = thermal_noise_dbm(plan.rb_bandwidth_hz, radio_p.noise_figure_db)
         self._noise_lin = 10.0 ** (noise_dbm / 10.0)
         self._byte_scale = plan.rb_bandwidth_hz * epoch_s / 8.0
@@ -184,6 +189,7 @@ class ByteFactors:
             raise InvariantError(
                 "non-finite noise, RB byte scale or received power in the link budget"
             )
+        self._alone = self._bytes(np.zeros(len(serving)))   # under no interference
 
     def _bytes(self, interf: np.ndarray) -> np.ndarray:
         sinr = self._signal_lin / (self._noise_lin + interf)
@@ -198,29 +204,32 @@ class ByteFactors:
         where the group is uncoordinated.  Coordinated groups carry no
         cross-system interference by allocation disjointness.
 
-        The rows are a function of `activity` alone, so an activity equal
-        to the previous refresh's keeps them as they are.  Returns the ids
-        of the UEs whose entry changed in some group, compared with `!=`
-        against the previous values, and rewrites only the groups that
+        The rows are a function of the audible transmitters' activity, so
+        an activity equal there to the last refresh's keeps them.  Returns
+        the ids of the UEs whose entry changed in some group, compared with
+        `!=` against the previous values, and rewrites only the groups that
         changed.  An entry equal under `==` deals the same RBs: no entry is
         NaN (see `__init__`), and the scheduler reads one only through
-        `cap <= 0.0` and `b <= cap`.
+        `cap <= 0.0` and `b <= cap`.  `_bytes` takes whole rows only.
         """
-        if activity == self._last_activity:
+        audible = [activity[tx] for tx in self._audible]
+        if audible == self._last_activity:
             return set()
-        self._last_activity = list(activity)
+        self._last_activity = audible
         activity = np.array(activity)
         rx_lin = self._rx_lin
         act_srv = activity[self._serving] * self._signal_lin
         tn_sum = activity[self._tn_idx] @ rx_lin[self._tn_idx, :]
         base_i = np.where(self._ue_is_tn, tn_sum - act_srv, 0.0)
+        base = np.where(self._ue_is_tn, self._bytes(base_i), 0.0)
         changed: Set[int] = set()
         for g in self._groups:
-            interf = base_i.copy()
-            if not g.coordinated:
+            vals = base
+            if not g.coordinated and self._beam_tx[g.index]:
+                interf = base_i
                 for btx in self._beam_tx[g.index]:
                     interf = interf + activity[btx] * rx_lin[btx, :]
-            vals = np.where(self._ue_is_tn, self._bytes(interf), 0.0)
+                vals = np.where(self._ue_is_tn, self._bytes(interf), 0.0)
             for btx, ue_mask in self._beam_ues[g.index]:
                 interf = np.zeros(len(vals))
                 for other in self._beam_tx[g.index]:
@@ -228,7 +237,8 @@ class ByteFactors:
                         interf += activity[other] * rx_lin[other, :]
                 if not g.coordinated:
                     interf += tn_sum
-                vals = np.where(ue_mask, self._bytes(interf), vals)
+                vals = np.where(ue_mask, self._bytes(interf) if interf.any() else self._alone,
+                                vals)
             diff = vals != self._values[g.index]
             if diff.any():
                 changed.update(np.flatnonzero(diff).tolist())
@@ -311,6 +321,32 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
     return state
 
 
+def _at_fixed_point(node) -> bool:
+    """Whether the node's last epoch, its kept slot of the previous rotation
+    start, left its backlogs as it found them: key == final == backlog."""
+    slot = node.slots.get((node.offset - 1) % (len(node.ue_ids) or 1))
+    return slot is not None and slot[0] == node.backlog == slot[1]
+
+
+def _complete_cycle(node) -> bool:
+    """Deal a fixed-point node's other rotation starts ahead as the next epochs
+    would, kept only if they close the chain on the current backlog; put its
+    offset and backlog back.  Returns whether the node is steady."""
+    n = len(node.ue_ids) or 1
+    offset, backlog = node.offset, node.backlog
+    held = [node.slots.get((offset + i) % n) for i in range(n - 1)]
+    for _ in held:
+        schedule_epoch(node)
+    if node.backlog != backlog:         # no closed chain: put back what was there
+        for i, slot in enumerate(held):
+            if slot is None:
+                del node.slots[(offset + i) % n]
+            else:
+                node.slots[(offset + i) % n] = slot
+    node.offset, node.backlog = offset, backlog
+    return node.steady()
+
+
 def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
     """Advance every node, all steady, from `epoch`; return the state and
     the epoch reached.  Before `limit` (the next guard expiry or the run
@@ -349,10 +385,12 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     and the controller step (`_period_end`).  A grant rebuild clears the
     replay memo of a node whose grant changed, and a refresh that of a node
     whose UEs' entries changed.  When every node is steady
-    (`traffic.Node.steady`) after the refresh, each repeats the one activity
-    of its slots, so the activity, the rows and the grants stay fixed up to
-    the next controller move or guard expiry, and `_fast_forward` plans the
-    period ends up to there from the cycles and advances every node once.
+    (`traffic.Node.steady`) or at a fixed point after the refresh, the
+    others' cycles are completed (`_complete_cycle`); when all are then
+    steady, each repeats the one activity of its slots, so the activity,
+    the rows and the grants stay fixed up to the next controller move or
+    guard expiry, and `_fast_forward` plans the period ends up to there
+    from the cycles and advances every node once.
     """
     case = CASES[spec.case_id]
     scenario = spec.scenario
@@ -433,7 +471,8 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             for node in nodes:
                 if not changed.isdisjoint(node.ue_ids):
                     node.clear_memo()
-        if all(node.steady() for node in nodes):
+        if all(node.steady() or _at_fixed_point(node) for node in nodes) and all(
+                [node.steady() or _complete_cycle(node) for node in nodes]):
             state, epoch = _fast_forward(store, manager, clock, nodes, state, epoch, min(
                 guard_due if guard_due > epoch else clock.total_epochs, clock.total_epochs))
         else:

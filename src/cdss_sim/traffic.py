@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,8 +40,7 @@ class Cycle:
         whole cycles, then a window that may wrap past the cycle's end."""
         if self._prefix is None:
             rows = [s.load for s in self.schedules]
-            self._prefix = [(0,) * len(rows[0]),
-                            *accumulate(rows, lambda a, b: tuple(map(add, a, b)))]
+            self._prefix = list(zip(*[accumulate(column, initial=0) for column in zip(*rows)]))
         n = len(self.schedules)
         reps, rest = divmod(count, n)
         end = start + rest
@@ -99,9 +97,11 @@ class Node:
 
     The node is `steady` when every rotation start has a slot, the backlog
     equals the current start's key and all slots carry one activity; then
-    `fast_forward` replays the memo's cycle for many epochs at once.  The
-    cycle is built once while the slots hold (`replay_cycle`), and every
-    slot change drops it.
+    `fast_forward` replays the memo's cycle for many epochs at once.  Each
+    slot's final backlog is the next start's key: epochs fill them in a
+    row, and the engine keeps slots dealt ahead only if they close that
+    chain.  The cycle is built once while the slots hold (`replay_cycle`),
+    and every slot change drops it.
     A scheduled epoch adds its `CellSchedule` to `period`, a fast-forward
     one `Run` record (the cycle, the start position and the epoch count),
     so its cost does not grow with the epochs it covers.  The bytes of its

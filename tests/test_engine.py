@@ -361,7 +361,8 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
         n_tx = rx_dbm.shape[0]
         a, b = rng.uniform(size=n_tx).tolist(), rng.uniform(size=n_tx).tolist()
         # a repeated activity must not serve stale rows from the refresh
-        # skip; only an activity equal to the previous one is skipped, and
+        # skip; only an activity equal to the previous one at every audible
+        # transmitter is skipped (these change every transmitter), and
         # refresh reports changed entries (which clear the memos of the
         # nodes serving them) exactly when it recomputed the rows: each of
         # these activities changes some UE's entry
@@ -415,23 +416,31 @@ def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monk
     # and may name no other.  Random activity sequences on the default
     # layout, and on one where two beams share a coordinated group, change
     # every transmitter, a few of them or only the beams, or repeat the
-    # last activity in a new list, which must make no SE call and report
-    # nothing.  A naive oracle compares the rows before and after.
+    # last activity in a new list.  On the default layout they also change
+    # only the beams alone in a coordinated group, whose activity enters no
+    # entry.  A repeat and such an inaudible change must make no SE call
+    # and report nothing.  A naive oracle compares the rows before and
+    # after, and a fresh instance's rows check that no skip kept stale ones.
     rng = np.random.default_rng(19)
     se_calls = []
     se = engine_mod.spectral_efficiency_array
     monkeypatch.setattr(engine_mod, "spectral_efficiency_array",
                         lambda *args: se_calls.append(1) or se(*args))
     shared = replace(fast_cfg, topology=replace(fast_cfg.topology, beam_groups=(0, 0, 2)))
-    kinds = {"some": 0, "none": 0, "repeat": 0}
+    kinds = {"some": 0, "inaudible": 0, "repeat": 0}
     for cfg in (fast_cfg, shared):
         plan, beams, rx_dbm, serving = byte_factor_inputs(cfg)
-        factors = ByteFactors(plan, rx_dbm, serving, beams, cfg.radio,
-                              SimClock.from_config(cfg).epoch_s)
+        epoch_s = SimClock.from_config(cfg).epoch_s
+        factors = ByteFactors(plan, rx_dbm, serving, beams, cfg.radio, epoch_s)
         n_tx, n_cells = rx_dbm.shape[0], rx_dbm.shape[0] - len(beams)
+        groups = [beam.group_index for beam in beams]
+        alone = [n_cells + i for i, gi in enumerate(groups)
+                 if plan.groups[gi].coordinated and groups.count(gi) == 1]
+        moves = ["every", "few", "beams", "repeat"] + (["inaudible"] if alone else [])
         activity = [1.0] * n_tx
+        factors.refresh(activity)
         for _ in range(60):
-            move = rng.choice(["every", "few", "beams", "repeat"])
+            move = rng.choice(moves)
             activity = list(activity)
             if move == "every":
                 activity = rng.choice([0.25, 0.5, 1.0], size=n_tx).tolist()
@@ -440,19 +449,25 @@ def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monk
                     activity[tx] = float(rng.choice([0.0, 0.5, 1.0]))
             elif move == "beams":
                 activity[n_cells:] = rng.choice([0.0, 0.5, 1.0], size=len(beams)).tolist()
+            elif move == "inaudible":
+                for tx in alone:
+                    activity[tx] = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
             old = [list(row) for row in factors.rows]
             before = len(se_calls)
             changed = factors.refresh(activity)
             want = {ue for row, old_row in zip(factors.rows, old)
                     for ue, (new, was) in enumerate(zip(row, old_row)) if new != was}
             assert changed == want, move
-            if move == "repeat":
-                assert len(se_calls) == before and changed == set()
-                kinds["repeat"] += 1
-            elif len(se_calls) > before:
-                kinds["some" if changed else "none"] += 1
-    # rewrites that change some entries and rewrites that change none
-    # (74 and 9 with this seed)
+            if move in ("repeat", "inaudible"):
+                assert len(se_calls) == before and changed == set(), move
+                kinds[move] += 1
+            elif len(se_calls) > before and changed:
+                kinds["some"] += 1
+            fresh = ByteFactors(plan, rx_dbm, serving, beams, cfg.radio, epoch_s)
+            fresh.refresh(activity)
+            assert factors.rows == fresh.rows, move
+    # rewrites that change some entries, repeats and inaudible changes
+    # (65, 27 and 17 with this seed)
     assert min(kinds.values()) >= 5, kinds
 
 
@@ -718,6 +733,119 @@ def test_grant_and_row_changes_keep_unchanged_memos(default_cfg, monkeypatch):
     monkeypatch.setattr(engine_mod, "schedule_epoch", counting)
     run_simulation(RunSpec(default_cfg, 2, 1))
     assert 0 < len(misses) <= 940, len(misses)
+
+
+def test_fixed_points_complete_their_cycles_without_more_dealing(default_cfg, monkeypatch):
+    # Once every node is steady or at a fixed point, each incomplete node's
+    # other rotation starts are dealt ahead, so the run fast-forwards
+    # right after a controller move instead of scheduling about one epoch
+    # per rotation start.  The dealing loop runs what the next epochs would
+    # have run: in case 2, seed 1, the same 937 times, in 19 scheduled
+    # epochs (132 when each epoch filled one slot per node).  In case 3,
+    # seed 2, it keeps its 173 runs; completing a node while another is
+    # neither steady nor at a fixed point deals 236.
+    misses, epochs = [], []
+    schedule, schedule_nodes = engine_mod.schedule_epoch, engine_mod._schedule_nodes
+
+    def counting(node):
+        slot = node.slots.get(node.offset % (len(node.ue_ids) or 1))
+        if node.ue_ids and node.granted and (slot is None or slot[0] != node.backlog):
+            misses.append(node.node_id)
+        return schedule(node)
+
+    monkeypatch.setattr(engine_mod, "schedule_epoch", counting)
+    monkeypatch.setattr(engine_mod, "_schedule_nodes",
+                        lambda *args: epochs.append(1) or schedule_nodes(*args))
+    for case_id, seed, dealt, most in ((2, 1, 937, 25), (3, 2, 173, 30)):
+        misses.clear()
+        epochs.clear()
+        run_simulation(RunSpec(default_cfg, case_id, seed))
+        assert len(misses) == dealt and len(epochs) <= most, (case_id, len(misses), len(epochs))
+
+
+def two_column_node(increments):
+    """A node of two UEs over RBs of load columns 1, 2, 1, 2.  UE 0 carries
+    100 bytes on a column-1 RB and declines every column-2 RB; UE 1
+    carries 50 and 100."""
+    column_of_rb = [1, 2, 1, 2]
+    row_of_rb = [[100.0, 50.0] if column == 1 else [0.0, 100.0] for column in column_of_rb]
+    node = Node("tn-0", 0, [0, 1], 0, [0.0, 0.0], increments, books=[0.0] * 3)
+    node.set_grant([0, 1, 2, 3], *grant_tables([0, 1, 2, 3], row_of_rb, column_of_rb))
+    return node
+
+
+def test_cycle_completion_keeps_no_slot_of_a_chain_that_does_not_close():
+    # With 150 and 100 bytes per epoch, an epoch from rotation start 0
+    # drains both UEs in three RBs, a fixed point.  From start 1, UE 1
+    # takes the first column-1 RB, UE 0 declines both column-2 RBs, and
+    # 50 bytes stay queued, also with three RBs used.  So completion deals
+    # start 1 from the drained backlogs and the chain does not close: it
+    # must keep none of it and leave the node as an epoch-by-epoch run
+    # leaves it, not steady, though both slots carry one activity.
+    node = two_column_node([150.0, 100.0])
+    schedule_epoch(node)
+    assert engine_mod._at_fixed_point(node) and not node.steady()
+    twin = copy.deepcopy(node)
+    assert engine_mod._complete_cycle(node) is False
+    assert not node.steady()
+    assert (node.offset, node.backlog, node.slots) == (twin.offset, twin.backlog, twin.slots)
+    for _ in range(6):                  # and the next epochs stay the twin's
+        assert schedule_epoch(node) == schedule_epoch(twin)
+        assert (node.offset, node.backlog) == (twin.offset, twin.backlog)
+    assert twin.slots[1][:2] == ([0.0, 0.0], [50.0, 0.0])
+    assert twin.slots[0][2].activity == twin.slots[1][2].activity == 0.75
+
+
+def test_cycle_completion_matches_a_twin_that_schedules_the_cycle():
+    # Naive oracle: a node at a fixed point, completed, against a deep copy
+    # that schedules one epoch per rotation start.  If the copy's walk comes
+    # back to the fixed point's slot, completion must leave every slot the
+    # copy's, key for key, and be steady exactly when the copy is; else it
+    # must leave the slots as it found them.  Random nodes of 1-4 UEs over
+    # RBs of two columns with different bytes start from random backlogs
+    # and are scheduled until they reach a fixed point, so the walk meets
+    # stale slots of other keys in the memo.
+    rng = np.random.default_rng(23)
+    closed = unclosed = stale = restored = 0
+    for _ in range(400):
+        n, n_rb = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        column_of_rb = [1 + i % 2 for i in range(n_rb)]
+        rows = {c: rng.choice([0.0, 50.0, 100.0], size=n).tolist() for c in (1, 2)}
+        granted = list(range(n_rb))
+        node = Node("tn-0", 0, list(range(n)), int(rng.integers(n)),
+                    rng.choice([0.0, 0.0, 80.0, 300.0], size=n).tolist(),
+                    rng.choice([25.0, 50.0, 100.0, 150.0], size=n).tolist(), books=[0.0] * (n + 1))
+        node.set_grant(granted, *grant_tables(granted, [rows[c] for c in column_of_rb],
+                                              column_of_rb))
+        for _ in range(8):
+            schedule_epoch(node)
+            if engine_mod._at_fixed_point(node):
+                break
+        else:
+            continue
+        twin = copy.deepcopy(node)
+        found, at = copy.deepcopy(node.slots), (node.offset, node.backlog)
+        stale += any(slot[0] != node.backlog for slot in found.values())
+        previous = (node.offset - 1) % n
+        held = twin.slots[previous]
+        for _ in range(n):
+            schedule_epoch(twin)
+        steady = engine_mod._complete_cycle(node)
+        assert (node.offset, node.backlog) == at and steady is node.steady()
+        if twin.slots[previous] is held:        # the walk came back to the fixed point
+            closed += 1
+            assert (twin.offset, twin.backlog) == at
+            assert node.slots == twin.slots
+            assert steady is twin.steady()
+        else:
+            unclosed += 1
+            restored += len(found) > 1
+            assert node.slots == found and not steady
+    # 138 walks close and 22 do not; 51 nodes hold a stale slot, and in 16
+    # of the walks that do not close the memo held more than the fixed
+    # point's slot, which must come back as it was
+    assert closed >= 100 and unclosed >= 15 and stale >= 30 and restored >= 10, \
+        (closed, unclosed, stale, restored)
 
 
 def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, monkeypatch):
