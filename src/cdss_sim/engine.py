@@ -321,28 +321,14 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
     return state
 
 
-def _at_fixed_point(node) -> bool:
-    """Whether the node's last epoch, its kept slot of the previous rotation
-    start, left its backlogs as it found them: key == final == backlog."""
-    slot = node.slots.get((node.offset - 1) % (len(node.ue_ids) or 1))
-    return slot is not None and slot[0] == node.backlog == slot[1]
-
-
 def _complete_cycle(node) -> bool:
-    """Deal a fixed-point node's other rotation starts ahead as the next epochs
-    would, kept only if they close the chain on the current backlog; put its
-    offset and backlog back.  Returns whether the node is steady."""
-    n = len(node.ue_ids) or 1
+    """Deal a fixed-point node's other rotation starts ahead as the next
+    epochs would, then put its offset and backlog back.  Every slot dealt is
+    exact for its key, so all are kept, and the node is steady only if they
+    close its cycle (`traffic.Cycle.closed`).  Returns whether it is."""
     offset, backlog = node.offset, node.backlog
-    held = [node.slots.get((offset + i) % n) for i in range(n - 1)]
-    for _ in held:
+    for _ in range((len(node.ue_ids) or 1) - 1):
         schedule_epoch(node)
-    if node.backlog != backlog:         # no closed chain: put back what was there
-        for i, slot in enumerate(held):
-            if slot is None:
-                del node.slots[(offset + i) % n]
-            else:
-                node.slots[(offset + i) % n] = slot
     node.offset, node.backlog = offset, backlog
     return node.steady()
 
@@ -385,12 +371,13 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     and the controller step (`_period_end`).  A grant rebuild clears the
     replay memo of a node whose grant changed, and a refresh that of a node
     whose UEs' entries changed.  When every node is steady
-    (`traffic.Node.steady`) or at a fixed point after the refresh, the
-    others' cycles are completed (`_complete_cycle`); when all are then
-    steady, each repeats the one activity of its slots, so the activity,
-    the rows and the grants stay fixed up to the next controller move or
-    guard expiry, and `_fast_forward` plans the period ends up to there
-    from the cycles and advances every node once.
+    (`traffic.Node.steady`) or at a fixed point (`Node.at_fixed_point`)
+    after the refresh, the others' cycles are completed
+    (`_complete_cycle`); when all are then steady, each repeats the one
+    activity of its slots, so the activity, the rows and the grants stay
+    fixed up to the next controller move or guard expiry, and
+    `_fast_forward` plans the period ends up to there from the cycles and
+    advances every node once.
     """
     case = CASES[spec.case_id]
     scenario = spec.scenario
@@ -471,7 +458,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             for node in nodes:
                 if not changed.isdisjoint(node.ue_ids):
                     node.clear_memo()
-        if all(node.steady() or _at_fixed_point(node) for node in nodes) and all(
+        if all(node.steady() or node.at_fixed_point() for node in nodes) and all(
                 [node.steady() or _complete_cycle(node) for node in nodes]):
             state, epoch = _fast_forward(store, manager, clock, nodes, state, epoch, min(
                 guard_due if guard_due > epoch else clock.total_epochs, clock.total_epochs))

@@ -18,20 +18,23 @@ def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> 
 
 
 class Cycle:
-    """The epochs a steady node repeats: the `CellSchedule` of each rotation
-    start, in start order, built once while the node's slots hold.
+    """The epochs a node's slots hold: the `CellSchedule` of each rotation
+    start, in start order, built once while the slots hold.
 
-    `one_activity` says whether every epoch has the same activity.  The
-    prefix sums of their load rows (for `period_load`) and the matrix of
-    their credited bytes (for `Node.settle`) are built on first use, once
-    per cycle.
+    `closed` says whether the node repeats them: each slot's final backlog
+    is the next start's key, the last slot's the first's, and every epoch
+    has the same activity.  The prefix sums of their load rows (for
+    `period_load`) and the matrix of their credited bytes (for
+    `Node.settle`) are built on first use, once per cycle.
     """
 
-    __slots__ = ("schedules", "one_activity", "_prefix", "_amounts")
+    __slots__ = ("schedules", "closed", "_prefix", "_amounts")
 
-    def __init__(self, schedules: List[CellSchedule]) -> None:
-        self.schedules = schedules
-        self.one_activity = len({s.activity for s in schedules}) == 1
+    def __init__(self, slots: List[tuple]) -> None:
+        keys = [key for key, _, _ in slots]
+        self.schedules = [sched for _, _, sched in slots]
+        self.closed = ([final for _, final, _ in slots] == keys[1:] + keys[:1]
+                       and len({s.activity for s in self.schedules}) == 1)
         self._prefix: Optional[List[Tuple[int, ...]]] = None
         self._amounts: Optional[np.ndarray] = None
 
@@ -96,19 +99,20 @@ class Node:
     count.
 
     The node is `steady` when every rotation start has a slot, the backlog
-    equals the current start's key and all slots carry one activity; then
-    `fast_forward` replays the memo's cycle for many epochs at once.  Each
-    slot's final backlog is the next start's key: epochs fill them in a
-    row, and the engine keeps slots dealt ahead only if they close that
-    chain.  The cycle is built once while the slots hold (`replay_cycle`),
-    and every slot change drops it.
+    equals the current start's key and the slots' cycle is `closed`: each
+    slot's final backlog is the next start's key, round to the first, and
+    all carry one activity.  Then `fast_forward` replays the cycle for many
+    epochs at once.  The chain is checked, not trusted, so any writer may
+    fill a slot from any key: a slot is exact for its own key.  The cycle
+    is built once while the slots hold (`replay_cycle`), and every slot
+    change drops it.
     A scheduled epoch adds its `CellSchedule` to `period`, a fast-forward
     one `Run` record (the cycle, the start position and the epoch count),
     so its cost does not grow with the epochs it covers.  The bytes of its
-    post-warmup epochs are owed, as one more `Run` in `credit`, until
-    `settle` folds them into the books in blocks of columns
-    (`sums.fold_cycle`).  `record` settles before it credits a scheduled
-    epoch, so every total adds its epochs in order.
+    post-warmup epochs are owed, as the `Run` in `credit`, until `settle`
+    folds them into the books in blocks of columns (`sums.fold_cycle`).
+    `record` and `fast_forward` settle first, so every total adds its
+    epochs in order.
     """
 
     node_id: str
@@ -140,40 +144,44 @@ class Node:
 
     def steady(self) -> bool:
         """Whether the node has a slot for each of its rotation starts, the
-        backlogs the current start's slot began from, and one activity in
-        every slot.  Then it repeats its slots while the grant and its UEs'
-        entries hold, and its activity, the one the last epoch gave, stays
-        the same, so nodes that are all steady keep the rows as they are."""
+        backlogs the current start's slot began from, and a closed cycle.
+        Then it repeats its slots while the grant and its UEs' entries
+        hold, and its activity, the one the last epoch gave, stays the
+        same, so nodes that are all steady keep the rows as they are."""
         n = len(self.ue_ids) or 1
         return (len(self.slots) == n and self.backlog == self.slots[self.offset % n][0]
-                and self.replay_cycle().one_activity)
+                and self.replay_cycle().closed)
+
+    def at_fixed_point(self) -> bool:
+        """Whether the node's last epoch, its slot of the previous rotation
+        start, left its backlogs as it found them: key == final == backlog."""
+        slot = self.slots.get((self.offset - 1) % (len(self.ue_ids) or 1))
+        return slot is not None and slot[0] == self.backlog == slot[1]
 
     def replay_cycle(self) -> Cycle:
-        """The cycle a steady node repeats."""
+        """The cycle of a node with a slot for each rotation start."""
         if self.cycle is None:
             # A list: CPython keeps freed tuples on one free list per length,
             # and tuples of every rotation length filled them, which raised
             # the peak memory of a process that runs many simulations.
-            self.cycle = Cycle([self.slots[j][2] for j in range(len(self.ue_ids) or 1)])
+            self.cycle = Cycle([self.slots[j] for j in range(len(self.ue_ids) or 1)])
         return self.cycle
 
     def fast_forward(self, epochs: int, credited: int) -> None:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would,
         as one run record in `period`; the engine has run from the cycle any
-        period end they pass.  The last `credited` are owed, and `record`
-        settles them with the next scheduled epoch, so they are one run."""
+        period end they pass.  Any credit still owed is settled first; the
+        last `credited` epochs are then owed, and the next `record` or
+        `settle` pays them."""
         n = len(self.ue_ids) or 1
         cycle = self.replay_cycle()
         start = self.offset % n
         self.period.append(Run(cycle, start, epochs))
         self.offset = (start + epochs) % n
         self.backlog = self.slots[(start + epochs - 1) % n][1]
-        if not credited:
-            return
-        if self.credit is None:
+        self.settle()
+        if credited:
             self.credit = Run(cycle, (start + epochs - credited) % n, credited)
-        else:
-            self.credit = Run(cycle, self.credit.start, self.credit.count + credited)
 
     def record(self, sched: CellSchedule, credit: bool) -> None:
         """Add a scheduled epoch to the period; with `credit`, add its bytes

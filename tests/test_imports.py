@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, and
 every top-level function, class and method is read somewhere in the
 package: no source code exists only for its own tests.  The engine's
-stages are named module-level functions, not closures."""
+stages are named module-level functions, not closures, and they leave a
+node's replay slots to `traffic`, the one module that knows their layout."""
 
 import ast
 from pathlib import Path
@@ -142,3 +143,22 @@ def test_closure_check_sees_a_nested_function_and_a_lambda():
                      "class Node:\n    def steady(self): return [x for x in ()]\n"
                      "def outer():\n    class Local:\n        def method(self): ...\n")
     assert closures(tree) == [("inner", 2), ("lambda", 3), ("method", 8)]
+
+
+def slot_accesses(tree):
+    """Line of each access to a `slots` attribute, read, written or
+    deleted through."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "slots")
+
+
+def test_engine_reads_no_replay_slot():
+    tree = ast.parse((PACKAGE / "engine.py").read_text(), filename="engine.py")
+    assert slot_accesses(tree) == []
+
+
+def test_slot_check_sees_a_leftover():
+    tree = ast.parse("def complete(node):\n    held = [node.slots.get(0)]\n"
+                     "    del node.slots[0]\n    node.slots[1] = held[0]\n"
+                     "    return node.steady(), slots\n")
+    assert slot_accesses(tree) == [2, 3, 4]

@@ -445,7 +445,7 @@ def test_period_load_of_runs_equals_expanded_epochs():
             granted = [rng.randint(0, 12) for _ in range(n_columns)]
             used = [rng.randint(0, g) for g in granted]
             schedules.append(make_sched(range(sum(granted)), used, granted))
-        cycle = Cycle(schedules)
+        cycle = Cycle([([], [], sched) for sched in schedules])
         extra = make_sched(range(5), [1] * n_columns, [2] * n_columns)
         for start in range(n):
             for count in {1, max(1, n - 1), n, n + 1, 3 * n - 1, 3 * n, 3 * n + 1}:
@@ -570,18 +570,27 @@ def test_settle_pays_owed_epochs_from_their_cycle_position():
     # must start at the cycle position of the first owed epoch.  One or two
     # fast-forwards (the second wholly owed, as after the warmup) from every
     # rotation start, then a settle, must give the epoch-by-epoch credits
-    # bit for bit.  So must a scheduled epoch recorded after them
-    # (`Node.record`), which pays them whether or not it is credited itself,
-    # and adds its own bytes after theirs: the amounts mix 1e16 with 0.5 and
-    # 1.0, so the other order rounds differently (a start of 0.5 is lost in
-    # 1e16, but 0.5 + 1.0 first is not).
+    # bit for bit.  The second replays another cycle, as after a change
+    # between them, so it must pay the first's credit before it owes its
+    # own.  So must a scheduled epoch recorded after them (`Node.record`),
+    # which pays them whether or not it is credited itself, and adds its
+    # own bytes after theirs: the amounts mix 1e16 with 0.5 and 1.0, so the
+    # other order rounds differently (a start of 0.5 is lost in 1e16, but
+    # 0.5 + 1.0 first is not).
     n = 3
     keys = [[float(j)] * n for j in range(n)]
     # UEs 4, 5 and 6 at positions 0, 1 and 2
     cycle = [CellSchedule((0,), ((0, 1e16), (2, 1.0 + j)), 1e16 + 1.0 + j, 1, (1, 1), 1.0)
              for j in range(n)]
     cycle[1] = CellSchedule((0,), ((1, 3.0),), 3.0, 1, (1, 1), 1.0)
+    other = [CellSchedule((0,), ((2, 0.5), (1, 1e16 + 2.0 * j)), 1e16 + 2.0 * j + 0.5, 1,
+                          (1, 1), 1.0) for j in range(n)]
     last = CellSchedule((0,), ((0, 1.0),), 1.0, 1, (1, 1), 1.0)
+
+    def replaying(node, schedules):
+        node.clear_memo()
+        node.slots.update({j: (keys[j], keys[(j + 1) % n], schedules[j]) for j in range(n)})
+
     checked = 0
     for offset in range(n):
         for epochs in range(1, 2 * n + 2):
@@ -590,16 +599,16 @@ def test_settle_pays_owed_epochs_from_their_cycle_position():
                     for pay in ("settle", "record", "record and credit"):
                         node = node_for([4, 5, 6], offset)
                         node.granted = [0]
-                        node.slots = {j: (keys[j], keys[(j + 1) % n], cycle[j])
-                                      for j in range(n)}
+                        node.books = [0.5] * (n + 1)
+                        replaying(node, cycle)
                         node.backlog = keys[offset]
                         node.fast_forward(epochs, credited)
                         owed = [cycle[(offset + j) % n]
                                 for j in range(epochs - credited, epochs)]
-                        if more and credited:
+                        if more:
+                            replaying(node, other)
                             node.fast_forward(more, more)
-                            owed += [cycle[(offset + epochs + j) % n] for j in range(more)]
-                        node.books = [0.5] * (n + 1)
+                            owed += [other[(offset + epochs + j) % n] for j in range(more)]
                         if pay == "settle":
                             node.settle()
                         else:
@@ -634,6 +643,50 @@ def test_steady_needs_one_activity_in_every_slot():
         assert node.steady() is steady, activities
         node.backlog = keys[2]          # another start's key
         assert not node.steady()
+
+
+def test_steady_checks_that_the_slots_close_a_chain():
+    # Each UE wants 100 bytes per epoch and an RB carries 1,000, so two
+    # epochs fill both slots from the drained backlogs, a closed chain.  A
+    # backlog rebound from outside (500 more bytes for UE 0) makes the next
+    # epoch miss, serve 600 + 100 bytes on the same two RBs and drain again;
+    # its slot's final is the other start's key, but the other slot's final
+    # is not its key.  So the node repeats no cycle: were it steady, a
+    # fast-forward would replay the 700-byte epoch once per cycle.  A node
+    # fast-forwarded wherever it is steady must credit the bytes of its
+    # twin that schedules every epoch.
+    granted = [0, 1, 2, 3]
+    nodes = [node_for([0, 1], increments=[100.0, 100.0]) for _ in range(2)]
+    for node in nodes:
+        node.set_grant(granted, *grant_tables(granted, [flat_rate(1000.0)] * 4, [0] * 4))
+        for _ in range(2):
+            node.record(schedule_epoch(node), True)
+        assert node.steady()
+        node.backlog = [500.0, 0.0]
+        sched = schedule_epoch(node)
+        node.record(sched, True)
+        assert (sched.node_bytes, sched.used_rb, node.backlog) == (700.0, 2, [0.0, 0.0])
+        assert node.slots[0][1] == node.slots[1][0] and node.slots[1][1] != node.slots[0][0]
+        assert not node.steady()
+    node, twin = nodes
+    epoch = forwards = 0
+    while epoch < 12:
+        if node.steady():
+            node.fast_forward(3, 3)
+            for _ in range(3):
+                twin.record(schedule_epoch(twin), True)
+            forwards += 1
+            epoch += 3
+        else:
+            for each in nodes:
+                each.record(schedule_epoch(each), True)
+            epoch += 1
+        assert (node.offset, node.backlog) == (twin.offset, twin.backlog)
+    node.settle()
+    epochs = 3 + epoch
+    assert forwards > 0
+    assert node.books == twin.books == [100.0 * epochs + 500.0, 100.0 * epochs,
+                                        200.0 * epochs + 500.0]
 
 
 def test_replay_cycle_follows_every_slot_change():
