@@ -247,9 +247,15 @@ class ByteFactors:
         return changed
 
 
-def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[TimelineRow]:
+def _timeline_rows(plan, state, case, clock, step: int, epoch: int,
+                   last: Sequence[TimelineRow]) -> List[TimelineRow]:
     """The allocation of every group at `epoch`, one row per group, with
-    the widths of `band.rb_ranges`; a case without the NTN has no NTN RBs."""
+    the widths of `band.rb_ranges`; a case without the NTN has no NTN RBs.
+    The widths are a function of the state, and a new state has a new
+    version, so rows of the state's version (`last`, the previous rows, if
+    any) lend theirs."""
+    if last and last[0].version == state.version:
+        return [TimelineRow(step, epoch, epoch * clock.epoch_s, *row[3:]) for row in last]
     rows = []
     for g in plan.groups:
         tn, guard, ntn = map(len, rb_ranges(g, state.allocations.get(g.index)))
@@ -317,7 +323,8 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
         )
     state = manager.sms_step(state, _load_reports(tn_nodes, loads, coordinated, epoch), epoch)[0]
     store.sms_steps += 1
-    store.timeline.extend(_timeline_rows(plan, state, CASES[store.case_id], clock, step, epoch))
+    store.timeline.extend(_timeline_rows(plan, state, CASES[store.case_id], clock, step, epoch,
+                                         store.timeline[-len(plan.groups):]))
     return state
 
 
@@ -440,7 +447,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     row_of_rb = [byte_factors.rows[g.index] for g in plan.groups for _ in g.rb_range]
     column_of_rb = [column.get(g.index, 0) for g in plan.groups for _ in g.rb_range]
 
-    store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0))
+    store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0, ()))
     activity = [1.0] * len(nodes)
     guard_state, guard_due = None, 0        # the guard set holds until either changes
     epoch = 0

@@ -113,6 +113,11 @@ class Node:
     folds them into the books in blocks of columns (`sums.fold_cycle`).
     `record` and `fast_forward` settle first, so every total adds its
     epochs in order.
+
+    The first miss builds, from the UEs and increments fixed for the run,
+    the rotation `table` of `(position, ue_id)` pairs and the `drained`
+    arrivals onto all-zero backlogs (see `schedule_epoch`): lists, for the
+    reason `replay_cycle` gives, never mutated.
     """
 
     node_id: str
@@ -130,6 +135,8 @@ class Node:
     credit: Optional[Run] = None    # the owed epochs `settle` must credit
     books: List[float] = field(default_factory=list)   # set with the UEs
     group_index: Optional[int] = None   # a beam's group; None for a TN cell
+    table: Optional[List[Tuple[int, int]]] = None    # (position, ue_id), set on a miss
+    drained: List[float] = field(default_factory=list)  # arrivals onto zero backlogs, with `table`
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
                   load_prefix: List[Tuple[int, ...]]) -> None:
@@ -263,6 +270,15 @@ def schedule_epoch(node: Node) -> CellSchedule:
     -0.0: it starts at 0.0, drains to `b - b` (+0.0) and grows by
     non-negative increments.  Neither list is mutated after it is stored.
 
+    A miss from a drained key (every backlog 0.0, as in each epoch of a
+    node whose UEs all drain) takes a fresh list of `node.drained`, the
+    same `0.0 + increment` sums `generate_arrivals` would add; any other
+    key adds them.  The rotation order is the node's `table` rotated to
+    the start.  The UEs with no backlog leave it only when some backlog is
+    0.0: no backlog is negative or NaN, so otherwise every UE is queued.
+    So a miss deals from the same list in the same order as one that
+    builds both UE by UE.
+
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
     once every queued UE has declined an RB, that RB goes unused and the
@@ -283,9 +299,14 @@ def schedule_epoch(node: Node) -> CellSchedule:
         return slot[2]
     granted_rows, load_prefix = node.granted_rows, node.load_prefix
     n_rb = len(granted)
-    backlog = generate_arrivals(key, node.increments)
-    order = [(p, ue_order[p]) for p in [*range(start, n), *range(start)]
-             if backlog[p] > 0.0]
+    table = node.table
+    if table is None:           # the UEs and increments are final by the first epoch
+        table = node.table = list(enumerate(ue_order))
+        node.drained = generate_arrivals([0.0] * n, node.increments)
+    backlog = generate_arrivals(key, node.increments) if any(key) else list(node.drained)
+    order = table[start:] + table[:start]
+    if not all(backlog):
+        order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
     served = [0.0] * n           # by UE position; every take is positive
     first: List[int] = []        # served positions, in order of first service
     unused: List[int] = []       # granted positions every queued UE declined

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""The mutant register: one-edit faults in the program that Tier-1 must catch.
+
+    python3 tests/mutants.py           # each mutant against the tests it names
+    python3 tests/mutants.py --full    # each mutant against all of Tier-1
+
+Each entry replaces `old`, which occurs exactly once in `file`, with `new`
+in a temporary copy of the checkout, then runs pytest there.  A mutant is
+killed when a test fails; the runner lists every mutant with its outcome
+and exits 1 if any survived or if pytest could not run.  The named tests
+run once on the unmutated copy first, and must pass there.
+
+A change that tries a mutant adds it here rather than describing it only
+in prose.  `tests/test_mutants.py` checks that every entry still applies,
+so a refactor that moves the code an entry breaks must move the entry too.
+Pytest does not collect this file: its name does not start with `test_`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "_work")
+
+MEMO_ORACLE = "tests/test_traffic.py::test_schedule_memo_replay_matches_per_rb_reference"
+ORACLE = "tests/test_traffic.py::test_schedule_matches_per_rb_reference"
+
+
+class Mutant(NamedTuple):
+    file: str                   # relative to the checkout root
+    old: str                    # the exact text replaced; occurs once in `file`
+    new: str
+    reason: str                 # the rule the mutant breaks
+    tests: Tuple[str, ...]      # pytest node ids expected to kill it
+
+
+MUTANTS = (
+    Mutant("src/cdss_sim/traffic.py", "else list(node.drained)", "else node.drained",
+           "a miss from a drained key deals on a fresh list: the node's `drained` "
+           "arrivals are read again by its next such miss",
+           (MEMO_ORACLE, "tests/test_golden.py::test_single_runs_match_golden")),
+    Mutant("src/cdss_sim/traffic.py", "    if not all(backlog):",
+           "    if any(key) and not all(backlog):",
+           "a drained key's arrivals hold a 0.0 for a UE with no demand, and that "
+           "UE must leave the order before the loop offers it an RB",
+           (MEMO_ORACLE, ORACLE)),
+    Mutant("src/cdss_sim/traffic.py", "order = table[start:] + table[:start]",
+           "order = table",
+           "the rotation table lists the UEs from position 0; each epoch deals from "
+           "its own rotation start",
+           (MEMO_ORACLE, ORACLE)),
+    Mutant("src/cdss_sim/engine.py", "if last and last[0].version == state.version:",
+           "if last:",
+           "timeline widths are borrowed only from rows of the same state version; "
+           "a boundary move changes them",
+           ("tests/test_engine.py::test_cdss_run_converges_monotonically",
+            "tests/test_golden.py::test_single_runs_match_golden")),
+)
+
+
+def pytest(copy: Path, args) -> int:
+    """pytest's exit status for `args`, run in `copy` on its own sources."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", *args],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--full", action="store_true",
+                        help="run all of Tier-1 against each mutant, not only its named tests")
+    args = parser.parse_args()
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
+        named = sorted({test for m in MUTANTS for test in m.tests})
+        code = pytest(copy, [] if args.full else named)
+        if code != 0:
+            print(f"the tests fail without a mutant (pytest exit {code})")
+            return 1
+        for i, m in enumerate(MUTANTS):
+            path = copy / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"{i:2d} error: the old text occurs {text.count(m.old)} times in {m.file}")
+                failed += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            begin = time.perf_counter()
+            code = pytest(copy, [] if args.full else m.tests)
+            path.write_text(text)
+            outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            failed += code != 1
+            print(f"{i:2d} {outcome:8s} {time.perf_counter() - begin:6.1f} s  "
+                  f"{m.file}: {m.old.strip()!r} -> {m.new.strip()!r}")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

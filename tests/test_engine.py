@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cdss_sim.engine as engine_mod
+import cdss_sim.traffic as traffic_mod
 from cdss_sim.band import active_guard_rbs, build_band_plan, initial_allocation, rb_ranges
 from cdss_sim.controller import CdssConfig, SpectrumManager, apply_adjustment
 from cdss_sim.domains import DOMAINS, RADIO_DB_FIELDS
@@ -743,9 +744,14 @@ def test_fixed_points_complete_their_cycles_without_more_dealing(default_cfg, mo
     # have run: in case 2, seed 1, the same 937 times, in 19 scheduled
     # epochs (132 when each epoch filled one slot per node).  In case 3,
     # seed 2, it keeps its 173 runs; completing a node while another is
-    # neither steady nor at a fixed point deals 236.
-    misses, epochs = [], []
+    # neither steady nor at a fixed point deals 236.  A miss from a drained
+    # key copies its node's `drained` arrivals, so `generate_arrivals` runs
+    # once per node for them and once per miss from any other key: in case
+    # 2, where every UE drains every epoch, 12 times for 12 nodes (937 when
+    # every miss added its arrivals), and in case 3, seed 2, 16 times.
+    misses, epochs, arrivals = [], [], []
     schedule, schedule_nodes = engine_mod.schedule_epoch, engine_mod._schedule_nodes
+    generate_arrivals = traffic_mod.generate_arrivals
 
     def counting(node):
         slot = node.slots.get(node.offset % (len(node.ue_ids) or 1))
@@ -756,11 +762,15 @@ def test_fixed_points_complete_their_cycles_without_more_dealing(default_cfg, mo
     monkeypatch.setattr(engine_mod, "schedule_epoch", counting)
     monkeypatch.setattr(engine_mod, "_schedule_nodes",
                         lambda *args: epochs.append(1) or schedule_nodes(*args))
-    for case_id, seed, dealt, most in ((2, 1, 937, 25), (3, 2, 173, 30)):
+    monkeypatch.setattr(traffic_mod, "generate_arrivals",
+                        lambda *args: arrivals.append(1) or generate_arrivals(*args))
+    for case_id, seed, dealt, most, added in ((2, 1, 937, 25, 12), (3, 2, 173, 30, 16)):
         misses.clear()
         epochs.clear()
+        arrivals.clear()
         run_simulation(RunSpec(default_cfg, case_id, seed))
         assert len(misses) == dealt and len(epochs) <= most, (case_id, len(misses), len(epochs))
+        assert len(arrivals) == added, (case_id, len(arrivals))
 
 
 def two_column_node(increments):

@@ -74,6 +74,16 @@ def replayed(sched, returned):
     return hit
 
 
+def miss_from(node):
+    """What the node's next `schedule_epoch` deals from: None for a replay
+    hit, else "drained" for a key of all-zero backlogs, which copies the
+    node's `drained` arrivals, or "queued" for any other key."""
+    slot = node.slots.get(node.offset % (len(node.ue_ids) or 1))
+    if slot is not None and slot[0] == node.backlog:
+        return None
+    return "queued" if any(node.backlog) else "drained"
+
+
 def cbr_increment(demand_bps, epoch_s):
     """Bytes one epoch of CBR demand adds, as the engine computes them."""
     return demand_bps * epoch_s / 8.0
@@ -201,6 +211,7 @@ def test_schedule_matches_per_rb_reference():
     rng = random.Random(31)
     n_ids = 16
     unused_seen = drained_seen = 0
+    misses = {"drained": 0, "queued": 0}
     for _ in range(400):
         n_groups = rng.randint(1, 3)
         group_of_rb = sorted(rng.randrange(n_groups) for _ in range(200))
@@ -224,6 +235,9 @@ def test_schedule_matches_per_rb_reference():
             node.backlog = [b + extra for b, extra in zip(node.backlog, extras)]
             for uid, extra in zip(ue_order, extras):
                 ref_backlog[uid].backlog_bytes += extra
+            kind = miss_from(node)
+            if kind and ue_order:
+                misses[kind] += 1
             got = schedule_epoch(node)
             want = reference_scheduler.schedule_epoch(
                 "tn-0", epoch, ue_order, ref_backlog, granted,
@@ -242,8 +256,12 @@ def test_schedule_matches_per_rb_reference():
             last = max((granted.index(rb) for rb in dealt), default=-1)
             unused_seen += last + 1 - len(dealt)
             drained_seen += sum(1 for f in ref_backlog.values() if f.backlog_bytes == 0.0)
-    # the inputs exercise the skip rule's unused RBs and drained UEs
+    # the inputs exercise the skip rule's unused RBs and drained UEs, and
+    # misses from both kinds of key (the increments are all 0.0, so a
+    # drained key's arrivals are all 0.0 and every UE is filtered out)
     assert unused_seen > 0 and drained_seen > 0
+    # 12 and 1,096 in these draws
+    assert misses["drained"] >= 6 and misses["queued"] >= 500, misses
 
 
 def test_schedule_memo_replay_matches_per_rb_reference():
@@ -257,6 +275,7 @@ def test_schedule_memo_replay_matches_per_rb_reference():
     rng = random.Random(47)
     n_ids, n_rbs, epoch_s, n_nodes, n_epochs = 12, 90, 0.01, 60, 50
     hits = rewrites = kept = rebuilds = 0
+    misses = {"drained": 0, "queued": 0, "drained with an idle UE": 0, "drained twice": 0}
     for _ in range(n_nodes):
         n_groups = rng.randint(1, 3)
         group_of_rb = sorted(rng.randrange(n_groups) for _ in range(n_rbs))
@@ -283,6 +302,7 @@ def test_schedule_memo_replay_matches_per_rb_reference():
         node = node_for(ue_order, start, increments=increments)
         ref_rotation = reference_scheduler.Rotation(start)
         returned = []
+        previous = None
         new_grant()
         for epoch in range(n_epochs):
             if rng.random() < 0.1:
@@ -300,6 +320,13 @@ def test_schedule_memo_replay_matches_per_rb_reference():
                 rebuilds += 1
             for uid, inc in zip(ue_order, increments):
                 ref_backlog[uid].backlog_bytes += inc
+            kind = miss_from(node)
+            if kind:
+                misses[kind] += 1
+            if kind == "drained":
+                misses["drained with an idle UE"] += 0.0 in increments
+                misses["drained twice"] += previous == "drained"
+            previous = kind
             got = schedule_epoch(node)
             want = reference_scheduler.schedule_epoch(
                 "tn-0", epoch, ue_order, ref_backlog, node.granted,
@@ -316,6 +343,12 @@ def test_schedule_memo_replay_matches_per_rb_reference():
     # the memo outlives 43 of the 321 rewrites with slots held
     assert rewrites > 0 and kept >= 20 and rebuilds > 0, (rewrites, kept, rebuilds)
     assert 0 < hits < n_nodes * n_epochs
+    # misses from both kinds of key; drained keys whose arrivals hold a
+    # 0.0, so the zero-backlog filter runs; and a drained miss right after
+    # another on one node, which deals from `drained` again: 203, 2,690,
+    # 178 and 117
+    assert misses["drained"] >= 100 and misses["queued"] >= 1000, misses
+    assert misses["drained with an idle UE"] >= 80 and misses["drained twice"] >= 50, misses
 
 
 def test_schedule_memo_replays_fresh_copies():
