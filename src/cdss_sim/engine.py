@@ -328,11 +328,24 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
     return state
 
 
+def _blocker(nodes, last: int) -> int:
+    """The position of a node neither steady nor at a fixed point, or -1.
+    The polls start at the one found last time, which most often still
+    blocks, and go round; both tests are pure, so the order is free."""
+    n = len(nodes)
+    for i in range(last, last + n):
+        node = nodes[i % n]
+        if not (node.steady() or node.at_fixed_point()):
+            return i % n
+    return -1
+
+
 def _complete_cycle(node) -> bool:
     """Deal a fixed-point node's other rotation starts ahead as the next
     epochs would, then put its offset and backlog back.  Every slot dealt is
     exact for its key, so all are kept, and the node is steady only if they
-    close its cycle (`traffic.Cycle.closed`).  Returns whether it is."""
+    close its cycle (`traffic.Cycle.closed`).  Returns whether it is.  A
+    drained fixed point that is a twin (`traffic.schedule_epoch`) is copied."""
     offset, backlog = node.offset, node.backlog
     for _ in range((len(node.ue_ids) or 1) - 1):
         schedule_epoch(node)
@@ -450,6 +463,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0, ()))
     activity = [1.0] * len(nodes)
     guard_state, guard_due = None, 0        # the guard set holds until either changes
+    blocker = 0             # the node polled first for steadiness
     epoch = 0
     while epoch < clock.total_epochs:
         # A new state has a new version, and an expiry drops RBs from the
@@ -465,8 +479,8 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             for node in nodes:
                 if not changed.isdisjoint(node.ue_ids):
                     node.clear_memo()
-        if all(node.steady() or node.at_fixed_point() for node in nodes) and all(
-                [node.steady() or _complete_cycle(node) for node in nodes]):
+        blocker = _blocker(nodes, blocker)
+        if blocker < 0 and all([node.steady() or _complete_cycle(node) for node in nodes]):
             state, epoch = _fast_forward(store, manager, clock, nodes, state, epoch, min(
                 guard_due if guard_due > epoch else clock.total_epochs, clock.total_epochs))
         else:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .sums import fold_cycle
+from .sums import fold_cycle, fold_sum
 
 
 def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> List[float]:
@@ -118,6 +119,9 @@ class Node:
     the rotation `table` of `(position, ue_id)` pairs and the `drained`
     arrivals onto all-zero backlogs (see `schedule_epoch`): lists, for the
     reason `replay_cycle` gives, never mutated.
+    `twin` is the drained key's slot that a miss from that key copies (see
+    `schedule_epoch`), () if its deal depends on the start, None until
+    verified; it reads what the slots read, so `clear_memo` drops it.
     """
 
     node_id: str
@@ -137,6 +141,7 @@ class Node:
     group_index: Optional[int] = None   # a beam's group; None for a TN cell
     table: Optional[List[Tuple[int, int]]] = None    # (position, ue_id), set on a miss
     drained: List[float] = field(default_factory=list)  # arrivals onto zero backlogs, with `table`
+    twin: Optional[tuple] = None    # (final, schedule, served in position order); () if none
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
                   load_prefix: List[Tuple[int, ...]]) -> None:
@@ -145,9 +150,10 @@ class Node:
         self.clear_memo()
 
     def clear_memo(self) -> None:
-        """Drop every slot, and the cycle built from them."""
+        """Drop every slot, the cycle built from them and the twin."""
         self.slots.clear()
         self.cycle = None
+        self.twin = None
 
     def steady(self) -> bool:
         """Whether the node has a slot for each of its rotation starts, the
@@ -279,6 +285,17 @@ def schedule_epoch(node: Node) -> CellSchedule:
     So a miss deals from the same list in the same order as one that
     builds both UE by UE.
 
+    Twin: a drained slot that used RBs, drained every UE, and over whose
+    dealt rows each queued UE's capacity is positive and one value or
+    never below its backlog.  Then no UE declines a dealt RB and its takes
+    are `cap, cap, ..., rest` or its whole backlog, from any start, so
+    every start deals the same takes on the same RBs, and round 0 serves
+    the queued UEs in rotation order.  A drained miss copies the twin: its
+    amounts in this start's order, their sum in that order, and its used
+    count, load row, activity and final list.  It is verified once per
+    memo generation (`_twin`), at a drained miss whose previous start
+    holds a drained slot; the answer is the same at every start.
+
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
     once every queued UE has declined an RB, that RB goes unused and the
@@ -303,7 +320,25 @@ def schedule_epoch(node: Node) -> CellSchedule:
     if table is None:           # the UEs and increments are final by the first epoch
         table = node.table = list(enumerate(ue_order))
         node.drained = generate_arrivals([0.0] * n, node.increments)
-    backlog = generate_arrivals(key, node.increments) if any(key) else list(node.drained)
+    if any(key):
+        backlog = generate_arrivals(key, node.increments)
+    else:
+        twin = node.twin
+        if twin is None:            # verified once per memo generation
+            previous = node.slots.get((start - 1) % rotation)
+            if previous is not None and not any(previous[0]):
+                twin = node.twin = _twin(node, previous[1], previous[2])
+        if twin:
+            final, sched, pairs = twin
+            cut = bisect_left(pairs, (start,))
+            amounts = tuple(pairs[cut:] + pairs[:cut])
+            sched = CellSchedule(granted, amounts, fold_sum([a for _, a in amounts], 0.0),
+                                 sched.used_rb, sched.load, sched.activity)
+            node.backlog = final
+            node.slots[start] = (key, final, sched)
+            node.cycle = None
+            return sched
+        backlog = list(node.drained)
     order = table[start:] + table[:start]
     if not all(backlog):
         order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
@@ -364,6 +399,24 @@ def schedule_epoch(node: Node) -> CellSchedule:
     node.slots[start] = (key, backlog, sched)
     node.cycle = None
     return sched
+
+
+def _twin(node: Node, final: List[float], sched: CellSchedule) -> tuple:
+    """The twin of a node's slot dealt from a drained key (see
+    `schedule_epoch`), or () if it is none; each distinct row of the dealt
+    RBs is read once, not each RB."""
+    if not sched.used_rb or any(final):
+        return ()
+    rows = node.granted_rows[:sched.used_rb]
+    rows = dict(zip(map(id, rows), rows)).values()
+    for p, uid in node.table:
+        b = node.drained[p]
+        if b > 0.0:
+            caps = {row[uid] for row in rows}
+            low = min(caps)
+            if low < b and (len(caps) > 1 or low <= 0.0):
+                return ()
+    return final, sched, sorted(sched.served_bytes)
 
 
 def period_load(period: Sequence[Union[CellSchedule, Run]]) -> List[int]:

@@ -44,7 +44,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("src/cdss_sim/traffic.py", "else list(node.drained)", "else node.drained",
+    Mutant("src/cdss_sim/traffic.py", "backlog = list(node.drained)", "backlog = node.drained",
            "a miss from a drained key deals on a fresh list: the node's `drained` "
            "arrivals are read again by its next such miss",
            (MEMO_ORACLE, "tests/test_golden.py::test_single_runs_match_golden")),
@@ -64,6 +64,28 @@ MUTANTS = (
            "a boundary move changes them",
            ("tests/test_engine.py::test_cdss_run_converges_monotonically",
             "tests/test_golden.py::test_single_runs_match_golden")),
+    Mutant("src/cdss_sim/traffic.py", "if low < b and (len(caps) > 1 or low <= 0.0):",
+           "if False:",
+           "a deal is a twin only if each queued UE's capacity over the dealt rows "
+           "is one positive value or never below its backlog; otherwise another "
+           "start deals other takes",
+           (MEMO_ORACLE,)),
+    Mutant("src/cdss_sim/traffic.py", "fold_sum([a for _, a in amounts], 0.0),",
+           "sched.node_bytes,",
+           "a copy's node total adds its amounts in its own order of first service, "
+           "which can round otherwise than the twin's",
+           (MEMO_ORACLE,)),
+    Mutant("src/cdss_sim/traffic.py", "        self.twin = None\n", "",
+           "a twin reads the grant and the byte rows as the slots do, so it goes "
+           "stale with them",
+           (MEMO_ORACLE,)),
+    Mutant("src/cdss_sim/engine.py", "for i in range(last, last + n):",
+           "for i in range(last, last + 1):",
+           "the node that blocked last is only polled first; every node must be "
+           "steady or at a fixed point before a completion walk, or the walks "
+           "deal slots that a later rewrite may clear",
+           ("tests/test_engine.py::test_fixed_points_complete_their_cycles_without_more_dealing",
+            "tests/test_engine.py::test_grant_and_row_changes_keep_unchanged_memos")),
 )
 
 

@@ -84,6 +84,22 @@ def miss_from(node):
     return "queued" if any(node.backlog) else "drained"
 
 
+def drained_twin(node, start):
+    """Whether the slot of the rotation start before `start` was dealt from
+    a drained key, used RBs and drained every UE: all of the twin rule but
+    the capacity test."""
+    slot = node.slots.get((start - 1) % (len(node.ue_ids) or 1))
+    return slot is not None and not any(slot[0]) and not any(slot[1]) and slot[2].used_rb > 0
+
+
+def copied_twin(node):
+    """The schedule of the twin that the node's last epoch copied, or None
+    if it did not copy one: a copy shares the twin's final backlog list,
+    and a deal or a hit leaves another list."""
+    twin = node.twin
+    return twin[1] if twin and node.backlog is twin[0] else None
+
+
 def cbr_increment(demand_bps, epoch_s):
     """Bytes one epoch of CBR demand adds, as the engine computes them."""
     return demand_bps * epoch_s / 8.0
@@ -272,14 +288,23 @@ def test_schedule_memo_replay_matches_per_rb_reference():
     # only if it changed an entry of one of the node's UEs, and otherwise
     # the memo keeps its slots; every epoch must still equal the per-RB
     # reference exactly.
+    # A miss from a drained key copies a verified twin instead of dealing
+    # (see `traffic._twin`); every field of a copy must equal the
+    # reference's deal from its own start, its node total summed in the
+    # reference's order of first service.  The nodes after the first 60
+    # decline no RB and saturate no UE, as in the default scenario, so
+    # their drained epochs can copy twins.
     rng = random.Random(47)
-    n_ids, n_rbs, epoch_s, n_nodes, n_epochs = 12, 90, 0.01, 60, 50
+    n_ids, n_rbs, epoch_s, n_nodes, n_epochs = 12, 90, 0.01, 120, 50
     hits = rewrites = kept = rebuilds = 0
     misses = {"drained": 0, "queued": 0, "drained with an idle UE": 0, "drained twice": 0}
-    for _ in range(n_nodes):
+    copies = {"multi-round": 0, "single-take": 0, "other node total": 0, "capacity fails": 0}
+    for node_index in range(n_nodes):
+        plain = node_index >= 60
         n_groups = rng.randint(1, 3)
         group_of_rb = sorted(rng.randrange(n_groups) for _ in range(n_rbs))
-        levels = [0.0, 37.5, 225.0, rng.uniform(1.0, 500.0)]
+        levels = [rng.uniform(1.0, 500.0) if plain else 0.0, 37.5, 225.0,
+                  rng.uniform(1.0, 500.0)]
 
         def new_row():
             return [rng.choice(levels) for _ in range(n_ids)]
@@ -292,9 +317,11 @@ def test_schedule_memo_replay_matches_per_rb_reference():
 
         rows = [new_row() for _ in range(n_groups)]
         ue_order = rng.sample(range(n_ids), rng.randint(1, 10))
-        # bytes per epoch: idle, whole RBs, arbitrary, saturating
+        # bytes per epoch: idle, whole RBs, arbitrary, saturating (in a
+        # plain node, under one RB)
         demand = {uid: 800.0 * rng.choice([0.0, 225.0 * rng.randint(1, 4),
-                                           rng.uniform(1.0, 2000.0), 1e5])
+                                           rng.uniform(1.0, 2000.0),
+                                           rng.uniform(1.0, 40.0) if plain else 1e5])
                   for uid in ue_order}
         increments = [cbr_increment(demand[uid], epoch_s) for uid in ue_order]
         ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
@@ -327,12 +354,22 @@ def test_schedule_memo_replay_matches_per_rb_reference():
                 misses["drained with an idle UE"] += 0.0 in increments
                 misses["drained twice"] += previous == "drained"
             previous = kind
+            near_twin = kind == "drained" and drained_twin(node, node.offset % len(ue_order))
             got = schedule_epoch(node)
             want = reference_scheduler.schedule_epoch(
                 "tn-0", epoch, ue_order, ref_backlog, node.granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
+            twin = copied_twin(node) if kind else None
+            if twin is not None:
+                copies["multi-round" if twin.used_rb > len(twin.served_bytes)
+                       else "single-take"] += 1
+                copies["other node total"] += got.node_bytes != twin.node_bytes
+            else:
+                copies["capacity fails"] += near_twin
+            assert tuple(got.granted) == want.granted
             assert by_uid(node, got) == list(want.served_bytes.items())
+            assert got.node_bytes == fold_sum(want.served_bytes.values(), 0.0)
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert got.activity == want.used_rb / len(node.granted)   # a hit's too
@@ -340,15 +377,23 @@ def test_schedule_memo_replay_matches_per_rb_reference():
                 want, node.granted, group_of_rb, n_groups)
             assert node.offset == ref_rotation.offset
             hits += replayed(got, returned)
-    # the memo outlives 43 of the 321 rewrites with slots held
-    assert rewrites > 0 and kept >= 20 and rebuilds > 0, (rewrites, kept, rebuilds)
+    # the memo outlives 107 of the 650 rewrites with slots held (43 of the
+    # first 60 nodes' 321)
+    assert rewrites > 0 and kept >= 50 and rebuilds > 0, (rewrites, kept, rebuilds)
     assert 0 < hits < n_nodes * n_epochs
     # misses from both kinds of key; drained keys whose arrivals hold a
     # 0.0, so the zero-backlog filter runs; and a drained miss right after
-    # another on one node, which deals from `drained` again: 203, 2,690,
-    # 178 and 117
-    assert misses["drained"] >= 100 and misses["queued"] >= 1000, misses
-    assert misses["drained with an idle UE"] >= 80 and misses["drained twice"] >= 50, misses
+    # another on one node, which deals from `drained` again: 1,359, 3,710,
+    # 1,188 and 1,023 (203, 2,690, 178 and 117 in the first 60 nodes)
+    assert misses["drained"] >= 600 and misses["queued"] >= 1800, misses
+    assert misses["drained with an idle UE"] >= 500 and misses["drained twice"] >= 450, misses
+    # copies of twins in which some UE takes several RBs of one capacity
+    # and of twins in which each UE takes one RB; copies whose node total
+    # has other bits than the twin's, from another order of first service;
+    # and deals from a drained key that only the capacity test kept from
+    # copying: 271, 26, 89 and 520
+    assert copies["multi-round"] >= 120 and copies["single-take"] >= 12, copies
+    assert copies["other node total"] >= 40 and copies["capacity fails"] >= 250, copies
 
 
 def test_schedule_memo_replays_fresh_copies():
