@@ -347,7 +347,7 @@ def _complete_cycle(node) -> bool:
     close its cycle (`traffic.Cycle.closed`).  Returns whether it is.  A
     drained fixed point that is a twin (`traffic.schedule_epoch`) is copied."""
     offset, backlog = node.offset, node.backlog
-    for _ in range((len(node.ue_ids) or 1) - 1):
+    for _ in range(node.rotation - 1):
         schedule_epoch(node)
     node.offset, node.backlog = offset, backlog
     return node.steady()
@@ -363,7 +363,7 @@ def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
     where a whole period would pass `limit`; then each node advances once."""
     first, length = epoch, clock.period_epochs
     tn_nodes = [node for node in nodes if node.group_index is None]
-    cells = [(node.replay_cycle(), node.offset, len(node.ue_ids) or 1) for node in tn_nodes]
+    cells = [(node.replay_cycle(), node.offset, node.rotation) for node in tn_nodes]
     periods = [node.period for node in tn_nodes]
     begin, epoch = first, min(epoch - epoch % length + length, limit)
     while epoch % length == 0:
@@ -381,10 +381,20 @@ def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
     return state, epoch
 
 
+def _node(seed: int, increment: Sequence[float], node_id: str, entity_id: int,
+          ue_ids: List[int], group_index: Optional[int]) -> Node:
+    """The scheduling node of one transmitter and its attached UEs, all
+    drained, with a rotation offset drawn from the run's seed;
+    `increment[uid]` is UE uid's CBR bytes per epoch."""
+    return Node(node_id, entity_id, ue_ids, derive_seed(seed, f"rotation:{node_id}"),
+                [0.0] * len(ue_ids), [increment[uid] for uid in ue_ids], group_index)
+
+
 def run_simulation(spec: RunSpec) -> MetricsStore:
     """Execute one deterministic run and return its metrics store.
 
-    Stages: link budget and attachment once; then per epoch the guard
+    Stages: link budget and attachment once, and each transmitter's node
+    built from its attached UEs (`_node`); then per epoch the guard
     check and grant rebuild (only on a new allocation state or a guard
     expiry), the byte-factor refresh, and each node's arrivals and
     scheduling; at each period end the load reports, utilization samples
@@ -426,31 +436,27 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     rx_dbm = _link_budget(cells, beams, ues, radio_p, spec.seed)
     serving = select_serving(rx_dbm, radio_p.min_rsrp_dbm)
 
-    tn_nodes = [Node(f"tn-{c.cell_id}", c.cell_id) for c in cells]
-    ntn_nodes = [Node(f"ntn-{b.beam_id}", b.beam_id, group_index=b.group_index) for b in beams]
-    nodes = tn_nodes + ntn_nodes            # position == transmitter row
     store = MetricsStore(
         case_id=spec.case_id,
         seed=spec.seed,
         total_s=scenario.sim.total_s,
         warmup_s=scenario.sim.warmup_s,
     )
+    attached: List[List[int]] = [[] for _ in range(len(cells) + len(beams))]
     for ue, tx in zip(ues, serving):
         if tx is None:
             store.unserved_ues.append(ue.ue_id)
             store.ue_system[ue.ue_id] = "none"
         else:
-            nodes[tx].ue_ids.append(ue.ue_id)
-            store.ue_system[ue.ue_id] = "TN" if nodes[tx].group_index is None else "NTN"
-    for node in nodes:
-        node.offset = (
-            derive_seed(spec.seed, f"rotation:{node.node_id}") % max(1, len(node.ue_ids))
-        )
-        node.backlog = [0.0] * len(node.ue_ids)
-        node.books = [0.0] * (len(node.ue_ids) + 1)
-        # build_topology numbers UEs 0..n-1, so ues[uid] is UE uid
-        node.increments = [demand_bps(scenario, case, ues[uid]) * clock.epoch_s / 8.0
-                           for uid in node.ue_ids]
+            attached[tx].append(ue.ue_id)
+            store.ue_system[ue.ue_id] = "TN" if tx < len(cells) else "NTN"
+    # build_topology numbers UEs 0..n-1, so increment[uid] is UE uid's
+    increment = [demand_bps(scenario, case, ue) * clock.epoch_s / 8.0 for ue in ues]
+    tn_nodes = [_node(spec.seed, increment, f"tn-{c.cell_id}", c.cell_id, ue_ids, None)
+                for c, ue_ids in zip(cells, attached)]
+    ntn_nodes = [_node(spec.seed, increment, f"ntn-{b.beam_id}", b.beam_id, ue_ids,
+                       b.group_index) for b, ue_ids in zip(beams, attached[len(cells):])]
+    nodes = tn_nodes + ntn_nodes            # position == transmitter row
 
     byte_factors = ByteFactors(plan, rx_dbm, serving, beams, radio_p, clock.epoch_s)
     coordinated = plan.coordinated_indices()
@@ -496,7 +502,6 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     # from the books, by UE position, to the store, by ue_id in ue_id order
     store.ue_bytes = dict.fromkeys(range(len(ues)), 0.0)
     for node in nodes:
-        node.settle()
         store.ue_bytes.update(zip(node.ue_ids, node.books))
         store.node_bytes[node.node_id] = node.books[-1]
     # the last period end's rows hold the final state; no step or epoch is read

@@ -26,7 +26,7 @@ class Cycle:
     is the next start's key, the last slot's the first's, and every epoch
     has the same activity.  The prefix sums of their load rows (for
     `period_load`) and the matrix of their credited bytes (for
-    `Node.settle`) are built on first use, once per cycle.
+    `Node.fast_forward`) are built on first use, once per cycle.
     """
 
     __slots__ = ("schedules", "closed", "_prefix", "_amounts")
@@ -80,24 +80,27 @@ class Node:
     """One scheduling entity: a TN cell or an enabled NTN beam, the only
     owner of its per-run state.
 
-    Holds the node's UEs in rotation order with their backlogs and
-    per-epoch CBR increments (both in `ue_ids` order), its persistent
-    rotation offset, its grant (`granted` with the `grant_tables` over it),
-    the epochs of the current controller period, its replay memo for
-    `schedule_epoch`, its post-warmup byte books (each UE's total in
-    `ue_ids` order, then the node total) and, for a beam, its group.
+    Built whole from its ids, its UEs in rotation order with their
+    starting backlogs and per-epoch CBR increments (both in `ue_ids`
+    order), its rotation offset (kept modulo the rotation length) and, for
+    a beam, its group.  It derives the rest of its setup once: the
+    `rotation` length (a node with no UE has one start), the post-warmup
+    byte `books` (each UE's total, then the node total), the rotation
+    `table` of `(position, ue_id)` pairs and the `drained` arrivals onto
+    all-zero backlogs (see `schedule_epoch`), lists never mutated.  The
+    other fields are run state: the grant with its `grant_tables`, the
+    current period's epochs and the replay memo.
 
     `backlog` is rebound, never mutated in place, because the memo keeps
-    backlog lists by reference.  It has one slot per rotation start (a node
-    with no UE has one start, and its key is the empty list): the backlogs
-    before the epoch's arrivals (the key), the backlogs the dealing loop
-    left and the `CellSchedule` it returned.  A slot reads only the grant
-    and the byte-row entries of the node's own UEs, so it is valid while
-    both hold: `set_grant` clears the slots, and whoever changes one of
-    those entries must call `clear_memo` too; a grant rebuild that leaves
-    the grant equal, or a rewrite of other UEs' entries, keeps them.  At
-    most one slot per rotation start, so the memory is bounded by the UE
-    count.
+    backlog lists by reference.  It has one slot per rotation start (the
+    key of a node with no UE is the empty list): the backlogs before the
+    epoch's arrivals (the key), the backlogs the dealing loop left and the
+    `CellSchedule` it returned.  A slot reads only the grant and the
+    byte-row entries of the node's own UEs, so it is valid while both
+    hold: `set_grant` clears the slots, and whoever changes one of those
+    entries must call `clear_memo` too; a grant rebuild that leaves the
+    grant equal, or a rewrite of other UEs' entries, keeps them.  At most
+    one slot per rotation start, so the memory is bounded by the UE count.
 
     The node is `steady` when every rotation start has a slot, the backlog
     equals the current start's key and the slots' cycle is `closed`: each
@@ -109,16 +112,9 @@ class Node:
     change drops it.
     A scheduled epoch adds its `CellSchedule` to `period`, a fast-forward
     one `Run` record (the cycle, the start position and the epoch count),
-    so its cost does not grow with the epochs it covers.  The bytes of its
-    post-warmup epochs are owed, as the `Run` in `credit`, until `settle`
-    folds them into the books in blocks of columns (`sums.fold_cycle`).
-    `record` and `fast_forward` settle first, so every total adds its
-    epochs in order.
-
-    The first miss builds, from the UEs and increments fixed for the run,
-    the rotation `table` of `(position, ue_id)` pairs and the `drained`
-    arrivals onto all-zero backlogs (see `schedule_epoch`): lists, for the
-    reason `replay_cycle` gives, never mutated.
+    so its cost does not grow with the epochs it covers.  Both credit
+    their post-warmup epochs to the books as they run, so every total
+    adds its epochs in order.
     `twin` is the drained key's slot that a miss from that key copies (see
     `schedule_epoch`), () if its deal depends on the start, None until
     verified; it reads what the slots read, so `clear_memo` drops it.
@@ -127,21 +123,29 @@ class Node:
     node_id: str
     entity_id: int                  # cell_id or beam_id
     ue_ids: List[int] = field(default_factory=list)
-    offset: int = 0                 # rotation start, advanced once per epoch
+    offset: int = 0                 # rotation start, advanced once per granted epoch
     backlog: List[float] = field(default_factory=list)
     increments: List[float] = field(default_factory=list)
-    granted: List[int] = field(default_factory=list)
-    granted_rows: List[List[float]] = field(default_factory=list)
-    load_prefix: List[Tuple[int, ...]] = field(default_factory=list)
-    period: List[Union[CellSchedule, Run]] = field(default_factory=list)
-    slots: Dict[int, tuple] = field(default_factory=dict)
-    cycle: Optional[Cycle] = None   # the slots' cycle, while they hold
-    credit: Optional[Run] = None    # the owed epochs `settle` must credit
-    books: List[float] = field(default_factory=list)   # set with the UEs
     group_index: Optional[int] = None   # a beam's group; None for a TN cell
-    table: Optional[List[Tuple[int, int]]] = None    # (position, ue_id), set on a miss
-    drained: List[float] = field(default_factory=list)  # arrivals onto zero backlogs, with `table`
-    twin: Optional[tuple] = None    # (final, schedule, served in position order); () if none
+    rotation: int = field(init=False)
+    books: List[float] = field(init=False)
+    table: List[Tuple[int, int]] = field(init=False)    # (position, ue_id)
+    drained: List[float] = field(init=False)    # arrivals onto zero backlogs
+    granted: List[int] = field(init=False, default_factory=list)
+    granted_rows: List[List[float]] = field(init=False, default_factory=list)
+    load_prefix: List[Tuple[int, ...]] = field(init=False, default_factory=list)
+    period: List[Union[CellSchedule, Run]] = field(init=False, default_factory=list)
+    slots: Dict[int, tuple] = field(init=False, default_factory=dict)
+    cycle: Optional[Cycle] = field(init=False, default=None)   # the slots', while they hold
+    twin: Optional[tuple] = field(init=False, default=None)    # (final, schedule, pairs)
+
+    def __post_init__(self) -> None:
+        n = len(self.ue_ids)
+        self.rotation = n or 1
+        self.offset %= self.rotation
+        self.books = [0.0] * (n + 1)
+        self.table = list(enumerate(self.ue_ids))
+        self.drained = generate_arrivals([0.0] * n, self.increments)
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
                   load_prefix: List[Tuple[int, ...]]) -> None:
@@ -161,14 +165,14 @@ class Node:
         Then it repeats its slots while the grant and its UEs' entries
         hold, and its activity, the one the last epoch gave, stays the
         same, so nodes that are all steady keep the rows as they are."""
-        n = len(self.ue_ids) or 1
+        n = self.rotation
         return (len(self.slots) == n and self.backlog == self.slots[self.offset % n][0]
                 and self.replay_cycle().closed)
 
     def at_fixed_point(self) -> bool:
         """Whether the node's last epoch, its slot of the previous rotation
         start, left its backlogs as it found them: key == final == backlog."""
-        slot = self.slots.get((self.offset - 1) % (len(self.ue_ids) or 1))
+        slot = self.slots.get((self.offset - 1) % self.rotation)
         return slot is not None and slot[0] == self.backlog == slot[1]
 
     def replay_cycle(self) -> Cycle:
@@ -177,45 +181,35 @@ class Node:
             # A list: CPython keeps freed tuples on one free list per length,
             # and tuples of every rotation length filled them, which raised
             # the peak memory of a process that runs many simulations.
-            self.cycle = Cycle([self.slots[j] for j in range(len(self.ue_ids) or 1)])
+            self.cycle = Cycle([self.slots[j] for j in range(self.rotation)])
         return self.cycle
 
     def fast_forward(self, epochs: int, credited: int) -> None:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would,
         as one run record in `period`; the engine has run from the cycle any
-        period end they pass.  Any credit still owed is settled first; the
-        last `credited` epochs are then owed, and the next `record` or
-        `settle` pays them."""
-        n = len(self.ue_ids) or 1
+        period end they pass.  The last `credited` epochs are credited at
+        once: `sums.fold_cycle` adds them to the books from the cycle
+        position of the first, in the order and with the rounding of
+        `record`'s epoch-by-epoch credits; an unserved UE adds 0.0, a no-op
+        as no total is -0.0."""
+        n = self.rotation
         cycle = self.replay_cycle()
         start = self.offset % n
         self.period.append(Run(cycle, start, epochs))
         self.offset = (start + epochs) % n
         self.backlog = self.slots[(start + epochs - 1) % n][1]
-        self.settle()
         if credited:
-            self.credit = Run(cycle, (start + epochs - credited) % n, credited)
+            self.books[:] = fold_cycle(np.array(self.books), cycle.amounts(len(self.ue_ids)),
+                                       (start + epochs - credited) % n, credited).tolist()
 
     def record(self, sched: CellSchedule, credit: bool) -> None:
         """Add a scheduled epoch to the period; with `credit`, add its bytes
-        to the books, after the owed epochs that came before it."""
+        to the books."""
         self.period.append(sched)
-        self.settle()
         if credit and sched.served_bytes:
             for p, amount in sched.served_bytes:
                 self.books[p] += amount
             self.books[-1] += sched.node_bytes
-
-    def settle(self) -> None:
-        """Fold the owed epochs' bytes into the books, epoch by epoch as
-        `record` credits them; an unserved UE adds 0.0, a no-op as no total
-        is -0.0."""
-        if self.credit is None:
-            return
-        cycle, first, owed = self.credit
-        self.books[:] = fold_cycle(np.array(self.books), cycle.amounts(len(self.ue_ids)),
-                                   first, owed).tolist()
-        self.credit = None
 
 
 class CellSchedule(NamedTuple):
@@ -303,9 +297,7 @@ def schedule_epoch(node: Node) -> CellSchedule:
     `grant_tables`) turns the dealt prefix of `granted` into the epoch's
     load row.
     """
-    ue_order, granted = node.ue_ids, node.granted
-    n = len(ue_order)
-    rotation = n or 1                   # a node with no UE has one start
+    granted, rotation = node.granted, node.rotation
     start = node.offset % rotation
     if granted:
         node.offset = (start + 1) % rotation
@@ -316,10 +308,6 @@ def schedule_epoch(node: Node) -> CellSchedule:
         return slot[2]
     granted_rows, load_prefix = node.granted_rows, node.load_prefix
     n_rb = len(granted)
-    table = node.table
-    if table is None:           # the UEs and increments are final by the first epoch
-        table = node.table = list(enumerate(ue_order))
-        node.drained = generate_arrivals([0.0] * n, node.increments)
     if any(key):
         backlog = generate_arrivals(key, node.increments)
     else:
@@ -339,10 +327,11 @@ def schedule_epoch(node: Node) -> CellSchedule:
             node.cycle = None
             return sched
         backlog = list(node.drained)
+    table = node.table
     order = table[start:] + table[:start]
     if not all(backlog):
         order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
-    served = [0.0] * n           # by UE position; every take is positive
+    served = [0.0] * len(backlog)    # by UE position; every take is positive
     first: List[int] = []        # served positions, in order of first service
     unused: List[int] = []       # granted positions every queued UE declined
     live = len(order)            # UEs still queued

@@ -33,6 +33,7 @@ COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "_w
 
 MEMO_ORACLE = "tests/test_traffic.py::test_schedule_memo_replay_matches_per_rb_reference"
 ORACLE = "tests/test_traffic.py::test_schedule_matches_per_rb_reference"
+GUARD_KEY = "tests/test_engine.py::test_grant_rebuilds_exactly_when_the_guard_key_changes"
 
 
 class Mutant(NamedTuple):
@@ -86,6 +87,41 @@ MUTANTS = (
            "deal slots that a later rewrite may clear",
            ("tests/test_engine.py::test_fixed_points_complete_their_cycles_without_more_dealing",
             "tests/test_engine.py::test_grant_and_row_changes_keep_unchanged_memos")),
+    Mutant("src/cdss_sim/traffic.py", "        self.clear_memo()\n", "",
+           "a new grant deals other RBs, so the slots dealt over the old one go stale",
+           ("tests/test_engine.py::test_settled_runs_advance_each_node_once_per_stretch",)),
+    Mutant("src/cdss_sim/traffic.py", "    if granted:\n", "    if True:\n",
+           "the rotation advances only on a granted epoch",
+           (ORACLE,)),
+    Mutant("src/cdss_sim/engine.py", "if state is not held or epoch + length > limit:",
+           "if epoch + length > limit:",
+           "a plan stops after a controller move: the new state changes the grants",
+           (GUARD_KEY,)),
+    Mutant("src/cdss_sim/engine.py", "guard_due if guard_due > epoch else clock.total_epochs",
+           "clock.total_epochs",
+           "a plan stops at the next guard expiry, which changes the grants",
+           (GUARD_KEY,)),
+    Mutant("src/cdss_sim/engine.py", "column = {gi: 1 + j for j, gi in enumerate(coordinated)}",
+           "column = {gi: j for j, gi in enumerate(coordinated)}",
+           "load column 0 holds the groups no report reads; coordinated group j is "
+           "column 1 + j",
+           ("tests/test_acceptance.py::test_criterion_1_low_demand_convergence",)),
+    Mutant("src/cdss_sim/engine.py", "if not g.coordinated or any(other != btx",
+           "if any(other != btx",
+           "the TN UEs hear every beam of an uncoordinated group, so its activity "
+           "is audible also where no other beam of the group serves a UE",
+           ("tests/test_engine.py::"
+            "test_byte_factors_refresh_reports_exactly_the_changed_entries",)),
+    Mutant("src/cdss_sim/traffic.py", "(start + epochs - credited) % n", "start",
+           "a fast-forward credits its last epochs from the cycle position of the "
+           "first of them, not of the first epoch of the stretch",
+           ("tests/test_traffic.py::test_fast_forward_credits_its_epochs_from_their_cycle_position",
+            "tests/test_traffic.py::test_fast_forward_matches_epoch_by_epoch_scheduling")),
+    Mutant("src/cdss_sim/traffic.py", "drained = generate_arrivals([0.0] * n, self.increments)",
+           "drained = list(self.increments)",
+           "the drained arrivals are `0.0 + increment`, +0.0 for a -0.0 increment, "
+           "so no backlog the memo keys on is -0.0",
+           ("tests/test_traffic.py::test_drained_arrivals_hold_no_negative_zero",)),
 )
 
 

@@ -66,6 +66,20 @@ def test_same_spec_byte_identical_files(fast_cfg, tmp_path):
         assert files1[name].read_bytes() == files2[name].read_bytes()
 
 
+def test_negative_zero_rates_write_the_files_of_zero_rates(default_cfg, tmp_path):
+    # `[traffic] ld_tn_kbps = -0.0` lies on the closed lower edge of its
+    # domain, and gives every TN-area UE -0.0 bytes per epoch, also where a
+    # beam serves it next to UEs with demand.  The backlogs they are added
+    # to are never -0.0, so the run writes the files of a 0.0 rate.
+    short = replace(default_cfg, sim=replace(default_cfg.sim, total_s=1.0, warmup_s=0.5))
+    written = []
+    for rate in (0.0, -0.0):
+        cfg = replace(short, traffic=replace(short.traffic, ld_tn_kbps=rate))
+        _, files = run_and_write(RunSpec(cfg, 2, 1), tmp_path / repr(rate))
+        written.append({name: path.read_bytes() for name, path in files.items()})
+    assert written[0] == written[1]
+
+
 def test_tn_only_constant_timeline_and_no_beam_traffic(fast_cfg):
     store = run_simulation(RunSpec(fast_cfg, 1, 1))
     assert store.sms_steps == 12
@@ -656,7 +670,7 @@ def planning_cells():
     cells = []
     for cell_id, ue_ids in enumerate(([0, 1], [2, 3, 4])):
         cell = Node(f"tn-{cell_id}", cell_id, ue_ids, 1, [0.0] * len(ue_ids),
-                    [100.0] * len(ue_ids), books=[0.0] * (len(ue_ids) + 1))
+                    [100.0] * len(ue_ids))
         granted = list(range(2 * len(ue_ids)))
         cell.set_grant(granted, *grant_tables(granted, row_of_rb, column_of_rb))
         cells.append(cell)
@@ -709,7 +723,6 @@ def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
                 starts = [twin.offset for twin in twins]
         assert planned == walked, limit
         for cell, twin in zip(cells, twins):
-            cell.settle()
             assert (cell.offset, cell.backlog, cell.books) == (twin.offset, twin.backlog,
                                                                twin.books)
     # the two columns' split differs between the planned periods
@@ -726,7 +739,7 @@ def test_grant_and_row_changes_keep_unchanged_memos(default_cfg, monkeypatch):
     schedule = engine_mod.schedule_epoch
 
     def counting(node):
-        slot = node.slots.get(node.offset % (len(node.ue_ids) or 1))
+        slot = node.slots.get(node.offset % node.rotation)
         if node.ue_ids and node.granted and (slot is None or slot[0] != node.backlog):
             misses.append(node.node_id)
         return schedule(node)
@@ -758,7 +771,7 @@ def test_fixed_points_complete_their_cycles_without_more_dealing(default_cfg, mo
     generate_arrivals = traffic_mod.generate_arrivals
 
     def counting(node):
-        slot = node.slots.get(node.offset % (len(node.ue_ids) or 1))
+        slot = node.slots.get(node.offset % node.rotation)
         miss = node.ue_ids and node.granted and (slot is None or slot[0] != node.backlog)
         sched = schedule(node)
         if miss:
@@ -790,7 +803,7 @@ def two_column_node(increments):
     carries 50 and 100."""
     column_of_rb = [1, 2, 1, 2]
     row_of_rb = [[100.0, 50.0] if column == 1 else [0.0, 100.0] for column in column_of_rb]
-    node = Node("tn-0", 0, [0, 1], 0, [0.0, 0.0], increments, books=[0.0] * 3)
+    node = Node("tn-0", 0, [0, 1], 0, [0.0, 0.0], increments)
     node.set_grant([0, 1, 2, 3], *grant_tables([0, 1, 2, 3], row_of_rb, column_of_rb))
     return node
 
@@ -847,7 +860,7 @@ def test_cycle_completion_matches_a_twin_that_schedules_the_cycle():
         granted = list(range(n_rb))
         node = Node("tn-0", 0, list(range(n)), int(rng.integers(n)),
                     rng.choice([0.0, 0.0, 80.0, 300.0], size=n).tolist(),
-                    rng.choice([25.0, 50.0, 100.0, 150.0], size=n).tolist(), books=[0.0] * (n + 1))
+                    rng.choice([25.0, 50.0, 100.0, 150.0], size=n).tolist())
         node.set_grant(granted, *grant_tables(granted, [rows[c] for c in column_of_rb],
                                               column_of_rb))
         for _ in range(8):
@@ -884,12 +897,12 @@ def test_cycle_completion_matches_a_twin_that_schedules_the_cycle():
 
 
 def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, monkeypatch):
-    # Bytes are added to each total in epoch order, so the credit a
-    # fast-forward leaves a node owing must be folded into its books before
-    # the node's next scheduled epoch is credited, and before the store is
-    # filled.  Each node's books are its own, so the order is checked node
-    # by node, on the writes to the books themselves: a fold writes them
-    # whole, a credited epoch one entry at a time.
+    # Bytes are added to each total in epoch order, so the epochs a
+    # fast-forward credits must be folded into its books before the node's
+    # next scheduled epoch is credited, and before the store is filled.
+    # Each node's books are its own, so the order is checked node by node,
+    # on the writes to the books themselves: a fold writes them whole, a
+    # credited epoch one entry at a time.
     events = defaultdict(list)                  # node_id -> "owe", "fold" or "credit"
 
     class Books(list):
@@ -963,14 +976,14 @@ def test_benchmark_tracer_counts_dealt_and_offered_rbs():
     tracer = layers.Tracer()
     traced = tracer.wrap("traffic.schedule", schedule_epoch, layers.OBSERVERS["schedule_epoch"])
     granted = list(range(10))
-    node = Node("tn-0", 0, [0, 1], 0, [], [0.0, 0.0], books=[0.0] * 3)
+    node = Node("tn-0", 0, [0, 1], 0, [], [0.0, 0.0])
     node.set_grant(granted, *grant_tables(granted, [[225.0, 225.0]] * 10, [0] * 10))
     returned = []
     for _ in range(3):                  # rotation starts 0, 1, then 0 again
         node.backlog = [450.0, 450.0]
         returned.append(traced(node))
     assert returned[2] is returned[0]   # the hit
-    idle = Node("tn-1", 1, [2], 0, [0.0], [1.0], books=[0.0] * 2)
+    idle = Node("tn-1", 1, [2], 0, [0.0], [1.0])
     idle.set_grant([], [], [(0, 0)])
     traced(idle)
     assert tracer.calls["traffic.schedule"] == 4

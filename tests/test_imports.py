@@ -2,7 +2,8 @@
 every top-level function, class and method is read somewhere in the
 package: no source code exists only for its own tests.  The engine's
 stages are named module-level functions, not closures, and they leave a
-node's replay slots to `traffic`, the one module that knows their layout."""
+node's replay slots to `traffic`, the one module that knows their layout,
+and its setup to `traffic.Node`, which builds it whole."""
 
 import ast
 from pathlib import Path
@@ -162,3 +163,40 @@ def test_slot_check_sees_a_leftover():
                      "    del node.slots[0]\n    node.slots[1] = held[0]\n"
                      "    return node.steady(), slots\n")
     assert slot_accesses(tree) == [2, 3, 4]
+
+
+# What `traffic.Node` derives or takes once, at construction.
+NODE_SETUP = {"ue_ids", "books", "table", "drained", "increments", "rotation"}
+
+
+def setup_writes(tree):
+    """(attribute, line) of each write to a `NODE_SETUP` attribute of any
+    object: an assignment to it, to an item of it or a slice, its
+    deletion, or a method called on it, such as `append`."""
+    found = []
+    for node in ast.walk(tree):
+        target = None
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            target = node
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value
+        if isinstance(target, ast.Attribute) and target.attr in NODE_SETUP:
+            found.append((target.attr, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_engine_leaves_node_setup_to_the_node():
+    tree = ast.parse((PACKAGE / "engine.py").read_text(), filename="engine.py")
+    assert setup_writes(tree) == []
+
+
+def test_setup_check_sees_a_leftover():
+    tree = ast.parse("node.ue_ids = []\nnodes[0].ue_ids.append(3)\n"
+                     "node.books[1] += 2.0\ndel node.table\nnode.rotation += 1\n"
+                     "node.drained[:] = []\nnode.offset, node.increments = 0, []\n"
+                     "x = node.drained + node.books[0:1]\n"
+                     "ok = changed.isdisjoint(node.ue_ids), len(node.table)\n")
+    assert setup_writes(tree) == [("ue_ids", 1), ("ue_ids", 2), ("books", 3), ("table", 4),
+                                  ("rotation", 5), ("drained", 6), ("increments", 7)]

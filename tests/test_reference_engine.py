@@ -270,7 +270,7 @@ def test_engine_matches_reference_engine_in_steady_states(tmp_path, monkeypatch)
         # the chain `Node.steady` trusts: the backlog is the current start's
         # key, and each slot's final backlog the next start's key
         for node in nodes:
-            n, slots = len(node.ue_ids) or 1, node.slots
+            n, slots = node.rotation, node.slots
             assert node.backlog == slots[node.offset % n][0], node.node_id
             assert all(slots[j][1] == slots[(j + 1) % n][0] for j in range(n)), node.node_id
         moved, end = plan(store, manager, clock, nodes, state, epoch, limit)

@@ -1,3 +1,4 @@
+import math
 import random
 import pytest
 
@@ -33,7 +34,7 @@ def node_for(ue_order, offset=0, backlog=0.0, increments=None):
     if not isinstance(backlog, list):
         backlog = [backlog] * n
     return Node("tn-0", 0, list(ue_order), offset, backlog,
-                [0.0] * n if increments is None else increments, books=[0.0] * (n + 1))
+                [0.0] * n if increments is None else increments)
 
 
 def deal(node, granted, row):
@@ -78,7 +79,7 @@ def miss_from(node):
     """What the node's next `schedule_epoch` deals from: None for a replay
     hit, else "drained" for a key of all-zero backlogs, which copies the
     node's `drained` arrivals, or "queued" for any other key."""
-    slot = node.slots.get(node.offset % (len(node.ue_ids) or 1))
+    slot = node.slots.get(node.offset % node.rotation)
     if slot is not None and slot[0] == node.backlog:
         return None
     return "queued" if any(node.backlog) else "drained"
@@ -88,7 +89,7 @@ def drained_twin(node, start):
     """Whether the slot of the rotation start before `start` was dealt from
     a drained key, used RBs and drained every UE: all of the twin rule but
     the capacity test."""
-    slot = node.slots.get((start - 1) % (len(node.ue_ids) or 1))
+    slot = node.slots.get((start - 1) % node.rotation)
     return slot is not None and not any(slot[0]) and not any(slot[1]) and slot[2].used_rb > 0
 
 
@@ -266,8 +267,7 @@ def test_schedule_matches_per_rb_reference():
             assert got.activity == (want.used_rb / len(granted) if granted else 0.0)
             assert list(got.load) == reference_scheduler.load_row(
                 want, granted, group_of_rb, n_groups)
-            rotation = max(1, len(ue_order))
-            assert node.offset % rotation == ref_rotation.offset % rotation
+            assert node.offset == ref_rotation.offset % node.rotation
             dealt = [rb for rbs in want.assignments.values() for rb in rbs]
             last = max((granted.index(rb) for rb in dealt), default=-1)
             unused_seen += last + 1 - len(dealt)
@@ -543,20 +543,20 @@ def test_period_load_of_runs_equals_expanded_epochs():
 def test_fast_forward_matches_epoch_by_epoch_scheduling():
     # A node fast-forwarded K epochs must end where its twin that schedules
     # those K epochs one at a time ends: the same rotation, backlogs and
-    # period load and, once settled, the same byte totals bit for bit.
-    # Grant rebuilds and row rewrites come between the fast-forwards; as in
-    # the engine, the epochs from `warmup` on are credited, and the node
-    # records each scheduled epoch (`Node.record`), which must pay the owed
-    # credit before it credits the epoch.  The twin's books are added up
-    # here, one epoch at a time, and compared after each recorded epoch.
-    # A change is likelier right after a fast-forward (in the engine one
-    # ends at a period end, where the grant may change), so the recorded
-    # epoch often serves other amounts than the owed ones.  In a total far
-    # above its amounts every addition rounds to one grid, in any order; so
-    # after each check the books are redrawn across 24 binades around the
-    # amounts (1 to 2,000 bytes), where the order of additions changes the
-    # bits.  One grant in ten is empty and one node in seven has no UE:
-    # both take the same path as any other node.
+    # period load and the same byte totals bit for bit.  Grant rebuilds and
+    # row rewrites come between the fast-forwards; as in the engine, the
+    # epochs from `warmup` on are credited, and the node records each
+    # scheduled epoch (`Node.record`), which credits the epoch after the
+    # fast-forwarded ones.  The twin's books are added up here, one epoch
+    # at a time, and compared after each fast-forward and each recorded
+    # epoch.  A change is likelier right after a fast-forward (in the
+    # engine one ends at a period end, where the grant may change), so the
+    # recorded epoch often serves other amounts than the credited ones.
+    # In a total far above its amounts every addition rounds to one grid,
+    # in any order; so after each check the books are redrawn across 24
+    # binades around the amounts (1 to 2,000 bytes), where the order of
+    # additions changes the bits.  One grant in ten is empty and one node
+    # in seven has no UE: both take the same path as any other node.
     rng = random.Random(53)
     n_ids, n_rbs, epoch_s = 12, 60, 0.01
     forwards = grantless_epochs = ueless_forwards = 0
@@ -616,13 +616,13 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
                     twin.period.append(sched)
                     if j >= epochs - credited:
                         credit(sched)
+                assert fwd.books == twin_bytes
                 forwards += 1
                 ueless_forwards += not ue_order
                 epoch += epochs
                 changes = 0.5
             else:
                 fwd.record(schedule_epoch(fwd), epoch >= warmup)
-                assert fwd.credit is None
                 grantless_epochs += not granted
                 sched = schedule_epoch(twin)
                 twin.period.append(sched)
@@ -633,28 +633,25 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
                 epoch += 1
                 changes = 0.06
             # the same rotation position: a node with no UE has one
-            rotation = max(1, len(ue_order))
-            assert fwd.offset % rotation == twin.offset % rotation
+            assert fwd.offset % fwd.rotation == twin.offset % twin.rotation
             assert fwd.backlog == twin.backlog
-        fwd.settle()
         assert fwd.books == twin_bytes
         assert period_load(fwd.period) == period_load(twin.period)
     assert forwards > 200, forwards
     assert grantless_epochs > 0 and ueless_forwards > 0, (grantless_epochs, ueless_forwards)
 
 
-def test_settle_pays_owed_epochs_from_their_cycle_position():
-    # Each position of this cycle serves other amounts, so the owed credit
-    # must start at the cycle position of the first owed epoch.  One or two
-    # fast-forwards (the second wholly owed, as after the warmup) from every
-    # rotation start, then a settle, must give the epoch-by-epoch credits
-    # bit for bit.  The second replays another cycle, as after a change
-    # between them, so it must pay the first's credit before it owes its
-    # own.  So must a scheduled epoch recorded after them (`Node.record`),
-    # which pays them whether or not it is credited itself, and adds its
-    # own bytes after theirs: the amounts mix 1e16 with 0.5 and 1.0, so the
-    # other order rounds differently (a start of 0.5 is lost in 1e16, but
-    # 0.5 + 1.0 first is not).
+def test_fast_forward_credits_its_epochs_from_their_cycle_position():
+    # Each position of this cycle serves other amounts, so the credit must
+    # start at the cycle position of the first credited epoch.  One or two
+    # fast-forwards (the second wholly credited, as after the warmup) from
+    # every rotation start must give the epoch-by-epoch credits bit for
+    # bit, each as soon as it runs.  The second replays another cycle, as
+    # after a change between them, so its epochs add after the first's.
+    # So do those of a scheduled epoch recorded after them (`Node.record`),
+    # whether or not it is credited itself: the amounts mix 1e16 with 0.5
+    # and 1.0, so the other order rounds differently (a start of 0.5 is
+    # lost in 1e16, but 0.5 + 1.0 first is not).
     n = 3
     keys = [[float(j)] * n for j in range(n)]
     # UEs 4, 5 and 6 at positions 0, 1 and 2
@@ -669,37 +666,49 @@ def test_settle_pays_owed_epochs_from_their_cycle_position():
         node.clear_memo()
         node.slots.update({j: (keys[j], keys[(j + 1) % n], schedules[j]) for j in range(n)})
 
+    def assert_books(node, credits):
+        assert node.books[-1] == fold_sum((s.node_bytes for s in credits), 0.5)
+        for p in range(n):
+            assert node.books[p] == fold_sum(
+                (dict(s.served_bytes).get(p, 0.0) for s in credits), 0.5)
+
     checked = 0
     for offset in range(n):
         for epochs in range(1, 2 * n + 2):
             for credited in range(epochs + 1):
                 for more in (0, n + 1):
-                    for pay in ("settle", "record", "record and credit"):
+                    for after in ("nothing", "record", "record and credit"):
                         node = node_for([4, 5, 6], offset)
                         node.granted = [0]
                         node.books = [0.5] * (n + 1)
                         replaying(node, cycle)
                         node.backlog = keys[offset]
                         node.fast_forward(epochs, credited)
-                        owed = [cycle[(offset + j) % n]
-                                for j in range(epochs - credited, epochs)]
+                        credits = [cycle[(offset + j) % n]
+                                   for j in range(epochs - credited, epochs)]
+                        assert_books(node, credits)
                         if more:
                             replaying(node, other)
                             node.fast_forward(more, more)
-                            owed += [other[(offset + epochs + j) % n] for j in range(more)]
-                        if pay == "settle":
-                            node.settle()
-                        else:
-                            node.record(last, pay == "record and credit")
+                            credits += [other[(offset + epochs + j) % n] for j in range(more)]
+                            assert_books(node, credits)
+                        if after != "nothing":
+                            node.record(last, after == "record and credit")
                             assert node.period[-1] is last
-                            owed += [last] if pay == "record and credit" else []
-                        assert node.books[-1] == fold_sum((s.node_bytes for s in owed), 0.5)
-                        for p in range(n):
-                            assert node.books[p] == fold_sum(
-                                (dict(s.served_bytes).get(p, 0.0) for s in owed), 0.5)
-                        assert node.credit is None
+                            credits += [last] if after == "record and credit" else []
+                        assert_books(node, credits)
                         checked += 1
     assert checked > 300
+
+
+def test_drained_arrivals_hold_no_negative_zero():
+    # `[traffic] ld_tn_kbps = -0.0` lies on the closed lower edge of its
+    # domain and gives -0.0 increments.  A node's arrivals onto drained
+    # backlogs are `0.0 + increment`, so +0.0 for those: no backlog the
+    # memo keys on is ever -0.0 (see `schedule_epoch`).
+    node = node_for([3, 4], increments=[-0.0, 5.0])
+    assert node.drained == [0.0, 5.0]
+    assert math.copysign(1.0, node.drained[0]) == 1.0
 
 
 def test_steady_needs_one_activity_in_every_slot():
@@ -759,8 +768,8 @@ def test_steady_checks_that_the_slots_close_a_chain():
             for each in nodes:
                 each.record(schedule_epoch(each), True)
             epoch += 1
-        assert (node.offset, node.backlog) == (twin.offset, twin.backlog)
-    node.settle()
+        assert (node.offset, node.backlog, node.books) == (twin.offset, twin.backlog,
+                                                           twin.books)
     epochs = 3 + epoch
     assert forwards > 0
     assert node.books == twin.books == [100.0 * epochs + 500.0, 100.0 * epochs,
