@@ -345,7 +345,7 @@ def _complete_cycle(node) -> bool:
     epochs would, then put its offset and backlog back.  Every slot dealt is
     exact for its key, so all are kept, and the node is steady only if they
     close its cycle (`traffic.Cycle.closed`).  Returns whether it is.  A
-    drained fixed point that is a twin (`traffic.schedule_epoch`) is copied."""
+    drained node with a verified twin is steady already, never walked."""
     offset, backlog = node.offset, node.backlog
     for _ in range(node.rotation - 1):
         schedule_epoch(node)
@@ -401,11 +401,12 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     and the controller step (`_period_end`).  A grant rebuild clears the
     replay memo of a node whose grant changed, and a refresh that of a node
     whose UEs' entries changed.  When every node is steady
-    (`traffic.Node.steady`) or at a fixed point (`Node.at_fixed_point`)
-    after the refresh, the others' cycles are completed
-    (`_complete_cycle`); when all are then steady, each repeats the one
-    activity of its slots, so the activity, the rows and the grants stay
-    fixed up to the next controller move or guard expiry, and
+    (`traffic.Node.steady`; a drained node with a verified twin is, from
+    one slot) or at a fixed point (`Node.at_fixed_point`) after the
+    refresh, the others' cycles are completed (`_complete_cycle`); when
+    all are then steady, each repeats the one activity of its cycle, so
+    the activity, the rows and the grants stay fixed up to the next
+    controller move or guard expiry, and
     `_fast_forward` plans the period ends up to there from the cycles and
     advances every node once.
     """

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,23 +19,26 @@ def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> 
 
 
 class Cycle:
-    """The epochs a node's slots hold: the `CellSchedule` of each rotation
-    start, in start order, built once while the slots hold.
+    """The epochs a node repeats, one per rotation start, in start order:
+    the keys, finals and `CellSchedule`s of its slots, or its twin's at
+    every start (see `Node.replay_cycle`).
 
-    `closed` says whether the node repeats them: each slot's final backlog
-    is the next start's key, the last slot's the first's, and every epoch
-    has the same activity.  The prefix sums of their load rows (for
-    `period_load`) and the matrix of their credited bytes (for
-    `Node.fast_forward`) are built on first use, once per cycle.
+    `closed` says whether they chain: each final backlog is the next
+    start's key, the last one the first's, and every epoch has the same
+    activity.  The prefix sums of their load rows (for `period_load`) and
+    the matrix of their credited bytes (for `Node.fast_forward`, with the
+    node totals `totals` returns) are built on first use, once per cycle.
     """
 
-    __slots__ = ("schedules", "closed", "_prefix", "_amounts")
+    __slots__ = ("keys", "finals", "schedules", "closed", "_totals", "_prefix", "_amounts")
 
-    def __init__(self, slots: List[tuple]) -> None:
-        keys = [key for key, _, _ in slots]
+    def __init__(self, slots: List[tuple], totals: Callable[[], List[float]]) -> None:
+        self.keys = [key for key, _, _ in slots]
+        self.finals = [final for _, final, _ in slots]
         self.schedules = [sched for _, _, sched in slots]
-        self.closed = ([final for _, final, _ in slots] == keys[1:] + keys[:1]
+        self.closed = (self.finals == self.keys[1:] + self.keys[:1]
                        and len({s.activity for s in self.schedules}) == 1)
+        self._totals = totals
         self._prefix: Optional[List[Tuple[int, ...]]] = None
         self._amounts: Optional[np.ndarray] = None
 
@@ -58,11 +61,11 @@ class Cycle:
         one row per UE position (0.0 where it was not served), then the
         node total, one column per epoch."""
         if self._amounts is None:
-            amounts = [[0.0] * len(self.schedules) for _ in range(n_ues + 1)]
+            amounts = [[0.0] * len(self.schedules) for _ in range(n_ues)]
             for j, s in enumerate(self.schedules):
                 for p, amount in s.served_bytes:
                     amounts[p][j] = amount
-                amounts[-1][j] = s.node_bytes
+            amounts.append(self._totals())
             self._amounts = np.array(amounts)
         return self._amounts
 
@@ -102,14 +105,16 @@ class Node:
     grant equal, or a rewrite of other UEs' entries, keeps them.  At most
     one slot per rotation start, so the memory is bounded by the UE count.
 
-    The node is `steady` when every rotation start has a slot, the backlog
-    equals the current start's key and the slots' cycle is `closed`: each
-    slot's final backlog is the next start's key, round to the first, and
-    all carry one activity.  Then `fast_forward` replays the cycle for many
-    epochs at once.  The chain is checked, not trusted, so any writer may
-    fill a slot from any key: a slot is exact for its own key.  The cycle
-    is built once while the slots hold (`replay_cycle`), and every slot
-    change drops it.
+    The node is `steady` when its cycle (`replay_cycle`) is `closed` and
+    its current start's key is the backlog: each epoch's final backlog is
+    the next start's key, round to the first, and all carry one activity.
+    Then `fast_forward` replays the cycle for many epochs at once.  A
+    drained node with a verified `twin` takes the twin's epoch at every
+    start, slot for slot what a walk of its starts would deal, so it needs
+    no other slot.  Any other cycle is the slots', one per rotation start;
+    their chain is checked, not trusted, so any writer may fill a slot
+    from any key: a slot is exact for its own key.  The cycle is built
+    once and kept until a slot changes.
     A scheduled epoch adds its `CellSchedule` to `period`, a fast-forward
     one `Run` record (the cycle, the start position and the epoch count),
     so its cost does not grow with the epochs it covers.  Both credit
@@ -117,7 +122,8 @@ class Node:
     adds its epochs in order.
     `twin` is the drained key's slot that a miss from that key copies (see
     `schedule_epoch`), () if its deal depends on the start, None until
-    verified; it reads what the slots read, so `clear_memo` drops it.
+    verified at a drained miss or a steadiness poll (`_twin_at`); it reads
+    what the slots read, so `clear_memo` drops it.
     """
 
     node_id: str
@@ -160,14 +166,14 @@ class Node:
         self.twin = None
 
     def steady(self) -> bool:
-        """Whether the node has a slot for each of its rotation starts, the
-        backlogs the current start's slot began from, and a closed cycle.
-        Then it repeats its slots while the grant and its UEs' entries
-        hold, and its activity, the one the last epoch gave, stays the
-        same, so nodes that are all steady keep the rows as they are."""
-        n = self.rotation
-        return (len(self.slots) == n and self.backlog == self.slots[self.offset % n][0]
-                and self.replay_cycle().closed)
+        """Whether the node has a closed cycle (`replay_cycle`) whose
+        current start's key is its backlog.  Then it repeats that cycle
+        while the grant and its UEs' entries hold, and its activity, the
+        one the last epoch gave, stays the same, so nodes that are all
+        steady keep the rows as they are."""
+        cycle = self.replay_cycle()
+        return (cycle is not None and self.backlog == cycle.keys[self.offset % self.rotation]
+                and cycle.closed)
 
     def at_fixed_point(self) -> bool:
         """Whether the node's last epoch, its slot of the previous rotation
@@ -175,29 +181,43 @@ class Node:
         slot = self.slots.get((self.offset - 1) % self.rotation)
         return slot is not None and slot[0] == self.backlog == slot[1]
 
-    def replay_cycle(self) -> Cycle:
-        """The cycle of a node with a slot for each rotation start."""
+    def replay_cycle(self) -> Optional[Cycle]:
+        """The cycle the node repeats from its backlog, built once and kept
+        until a slot changes: its twin's at every start if the backlog is
+        drained and its twin verified (`_twin_at`), else its slots' if it
+        has one for each rotation start and the backlog is the current
+        start's key, else None.  A twin's per-start node totals are summed
+        only when `Cycle.amounts` asks for them."""
         if self.cycle is None:
-            # A list: CPython keeps freed tuples on one free list per length,
-            # and tuples of every rotation length filled them, which raised
-            # the peak memory of a process that runs many simulations.
-            self.cycle = Cycle([self.slots[j] for j in range(self.rotation)])
+            n = self.rotation
+            start = self.offset % n
+            twin = not any(self.backlog) and _twin_at(self, start)
+            if twin:
+                final, sched, pairs = twin
+                self.cycle = Cycle([(final, final, sched)] * n,
+                                   lambda: [_served_from(pairs, j)[1] for j in range(n)])
+            elif len(self.slots) == n and self.slots[start][0] == self.backlog:
+                # A list: CPython keeps freed tuples on one free list per length,
+                # and tuples of every rotation length filled them, which raised
+                # the peak memory of a process that runs many simulations.
+                slots = [self.slots[j] for j in range(n)]
+                self.cycle = Cycle(slots, lambda: [sched.node_bytes for _, _, sched in slots])
         return self.cycle
 
     def fast_forward(self, epochs: int, credited: int) -> None:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would,
-        as one run record in `period`; the engine has run from the cycle any
-        period end they pass.  The last `credited` epochs are credited at
-        once: `sums.fold_cycle` adds them to the books from the cycle
-        position of the first, in the order and with the rounding of
-        `record`'s epoch-by-epoch credits; an unserved UE adds 0.0, a no-op
-        as no total is -0.0."""
+        as one run record in `period`, to the final backlog its cycle
+        gives; the engine has run from the cycle any period end they pass.
+        The last `credited` epochs are credited at once: `sums.fold_cycle`
+        adds them to the books from the cycle position of the first, in
+        the order and with the rounding of `record`'s epoch-by-epoch
+        credits; an unserved UE adds 0.0, a no-op as no total is -0.0."""
         n = self.rotation
         cycle = self.replay_cycle()
         start = self.offset % n
         self.period.append(Run(cycle, start, epochs))
         self.offset = (start + epochs) % n
-        self.backlog = self.slots[(start + epochs - 1) % n][1]
+        self.backlog = cycle.finals[(start + epochs - 1) % n]
         if credited:
             self.books[:] = fold_cycle(np.array(self.books), cycle.amounts(len(self.ue_ids)),
                                        (start + epochs - credited) % n, credited).tolist()
@@ -285,10 +305,11 @@ def schedule_epoch(node: Node) -> CellSchedule:
     are `cap, cap, ..., rest` or its whole backlog, from any start, so
     every start deals the same takes on the same RBs, and round 0 serves
     the queued UEs in rotation order.  A drained miss copies the twin: its
-    amounts in this start's order, their sum in that order, and its used
-    count, load row, activity and final list.  It is verified once per
-    memo generation (`_twin`), at a drained miss whose previous start
-    holds a drained slot; the answer is the same at every start.
+    amounts in this start's order, their sum in that order (`_served_from`),
+    and its used count, load row, activity and final list.  It is
+    verified once per memo generation (`_twin_at`), at a drained miss or
+    a steadiness poll whose previous start holds a drained slot; the
+    answer is the same at every start.
 
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
@@ -311,16 +332,10 @@ def schedule_epoch(node: Node) -> CellSchedule:
     if any(key):
         backlog = generate_arrivals(key, node.increments)
     else:
-        twin = node.twin
-        if twin is None:            # verified once per memo generation
-            previous = node.slots.get((start - 1) % rotation)
-            if previous is not None and not any(previous[0]):
-                twin = node.twin = _twin(node, previous[1], previous[2])
+        twin = _twin_at(node, start)
         if twin:
             final, sched, pairs = twin
-            cut = bisect_left(pairs, (start,))
-            amounts = tuple(pairs[cut:] + pairs[:cut])
-            sched = CellSchedule(granted, amounts, fold_sum([a for _, a in amounts], 0.0),
+            sched = CellSchedule(granted, *_served_from(pairs, start),
                                  sched.used_rb, sched.load, sched.activity)
             node.backlog = final
             node.slots[start] = (key, final, sched)
@@ -388,6 +403,28 @@ def schedule_epoch(node: Node) -> CellSchedule:
     node.slots[start] = (key, backlog, sched)
     node.cycle = None
     return sched
+
+
+def _twin_at(node: Node, start: int) -> Optional[tuple]:
+    """The node's twin, verified once per memo generation by `_twin` from
+    the slot of the rotation start before `start` when that slot was dealt
+    from a drained key; None while no such slot was seen.  Both a drained
+    miss and a steadiness poll ask here."""
+    twin = node.twin
+    if twin is None:
+        previous = node.slots.get((start - 1) % node.rotation)
+        if previous is not None and not any(previous[0]):
+            twin = node.twin = _twin(node, previous[1], previous[2])
+    return twin
+
+
+def _served_from(pairs: List[Tuple[int, float]], start: int) -> Tuple[tuple, float]:
+    """A twin's `(position, amount)` pairs, kept in position order, in the
+    order a deal from rotation `start` serves them, and their node total
+    summed in that order."""
+    cut = bisect_left(pairs, (start,))
+    amounts = tuple(pairs[cut:] + pairs[:cut])
+    return amounts, fold_sum([a for _, a in amounts], 0.0)
 
 
 def _twin(node: Node, final: List[float], sched: CellSchedule) -> tuple:

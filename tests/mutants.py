@@ -34,6 +34,8 @@ COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "_w
 MEMO_ORACLE = "tests/test_traffic.py::test_schedule_memo_replay_matches_per_rb_reference"
 ORACLE = "tests/test_traffic.py::test_schedule_matches_per_rb_reference"
 GUARD_KEY = "tests/test_engine.py::test_grant_rebuilds_exactly_when_the_guard_key_changes"
+TWIN_CYCLE = "tests/test_traffic.py::test_twin_cycle_matches_the_cycle_a_walk_deals"
+TWIN_STEADY = "tests/test_traffic.py::test_steady_takes_a_drained_twin_as_its_cycle"
 
 
 class Mutant(NamedTuple):
@@ -71,11 +73,11 @@ MUTANTS = (
            "is one positive value or never below its backlog; otherwise another "
            "start deals other takes",
            (MEMO_ORACLE,)),
-    Mutant("src/cdss_sim/traffic.py", "fold_sum([a for _, a in amounts], 0.0),",
-           "sched.node_bytes,",
-           "a copy's node total adds its amounts in its own order of first service, "
-           "which can round otherwise than the twin's",
-           (MEMO_ORACLE,)),
+    Mutant("src/cdss_sim/traffic.py", "return amounts, fold_sum([a for _, a in amounts], 0.0)",
+           "return amounts, fold_sum([a for _, a in pairs], 0.0)",
+           "a copy's node total adds its amounts in its own start's order of first "
+           "service, which can round otherwise than the twin's position order",
+           (MEMO_ORACLE, TWIN_CYCLE)),
     Mutant("src/cdss_sim/traffic.py", "        self.twin = None\n", "",
            "a twin reads the grant and the byte rows as the slots do, so it goes "
            "stale with them",
@@ -122,6 +124,28 @@ MUTANTS = (
            "the drained arrivals are `0.0 + increment`, +0.0 for a -0.0 increment, "
            "so no backlog the memo keys on is -0.0",
            ("tests/test_traffic.py::test_drained_arrivals_hold_no_negative_zero",)),
+    Mutant("src/cdss_sim/traffic.py",
+           "twin = not any(self.backlog) and _twin_at(self, start)",
+           "twin = _twin_at(self, start)",
+           "a twin's cycle starts from the drained backlogs; a node with a queued "
+           "backlog repeats its slots' cycle, if any",
+           (TWIN_STEADY,)),
+    Mutant("src/cdss_sim/traffic.py", "lambda: [_served_from(pairs, j)[1] for j in range(n)])",
+           "lambda: [sched.node_bytes] * n)",
+           "a twin's cycle credits each start the node total of the copy from that "
+           "start, summed in its order of first service",
+           (TWIN_CYCLE, TWIN_STEADY)),
+    Mutant("src/cdss_sim/traffic.py",
+           "\n                       and len({s.activity for s in self.schedules}) == 1)",
+           ")",
+           "a cycle repeats its epochs only if they all carry one activity; else the "
+           "activity list, and the rows, would change in a fast-forward",
+           ("tests/test_traffic.py::test_steady_needs_one_activity_in_every_slot",)),
+    Mutant("src/cdss_sim/engine.py", "Run(cycle, (offset + begin - first) % n, epoch - begin)",
+           "Run(cycle, offset % n, epoch - begin)",
+           "each planned period end reads a cell's cycle from the start its rotation "
+           "reaches there, not from where the stretch began",
+           ("tests/test_engine.py::test_planned_periods_read_each_cell_at_the_start_it_reaches",)),
 )
 
 

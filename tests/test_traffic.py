@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import pytest
@@ -523,7 +524,7 @@ def test_period_load_of_runs_equals_expanded_epochs():
             granted = [rng.randint(0, 12) for _ in range(n_columns)]
             used = [rng.randint(0, g) for g in granted]
             schedules.append(make_sched(range(sum(granted)), used, granted))
-        cycle = Cycle([([], [], sched) for sched in schedules])
+        cycle = Cycle([([], [], sched) for sched in schedules], lambda: [])
         extra = make_sched(range(5), [1] * n_columns, [2] * n_columns)
         for start in range(n):
             for count in {1, max(1, n - 1), n, n + 1, 3 * n - 1, 3 * n, 3 * n + 1}:
@@ -556,22 +557,27 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
     # in any order; so after each check the books are redrawn across 24
     # binades around the amounts (1 to 2,000 bytes), where the order of
     # additions changes the bits.  One grant in ten is empty and one node
-    # in seven has no UE: both take the same path as any other node.
+    # in seven has no UE: both take the same path as any other node.  The
+    # last 20 nodes decline no RB and want less than any RB carries, so
+    # each UE drains on one RB from any start: their drained epochs are
+    # twins, steady from a slot for one start (`Node.replay_cycle`).
     rng = random.Random(53)
     n_ids, n_rbs, epoch_s = 12, 60, 0.01
-    forwards = grantless_epochs = ueless_forwards = 0
+    forwards = grantless_epochs = ueless_forwards = twin_forwards = slotless_forwards = 0
 
     def new_grant():
         return rng.sample(range(n_rbs), 0 if rng.random() < 0.1 else rng.randint(1, 40))
 
-    for _ in range(40):
+    for node_index in range(60):
+        plain = node_index >= 40
         n_groups = rng.randint(1, 3)
         group_of_rb = sorted(rng.randrange(n_groups) for _ in range(n_rbs))
-        levels = [0.0, 37.5, 225.0, rng.uniform(1.0, 500.0)]
+        levels = [rng.uniform(1.0, 500.0) if plain else 0.0, 37.5, 225.0,
+                  rng.uniform(1.0, 500.0)]
         rows = [[rng.choice(levels) for _ in range(n_ids)] for _ in range(n_groups)]
         ue_order = rng.sample(range(n_ids), rng.randint(0, 6))
-        increments = [cbr_increment(800.0 * rng.choice([225.0 * rng.randint(1, 4),
-                                                        rng.uniform(1.0, 2000.0)]), epoch_s)
+        increments = [cbr_increment(800.0 * (rng.uniform(1.0, 30.0) if plain else rng.choice(
+            [225.0 * rng.randint(1, 4), rng.uniform(1.0, 2000.0)])), epoch_s)
                       for _ in ue_order]
         offset = rng.randrange(20)
         fwd, twin = (node_for(ue_order, offset, increments=list(increments)) for _ in range(2))
@@ -618,6 +624,8 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
                         credit(sched)
                 assert fwd.books == twin_bytes
                 forwards += 1
+                twin_forwards += bool(fwd.twin) and not any(fwd.backlog)
+                slotless_forwards += len(fwd.slots) < fwd.rotation
                 ueless_forwards += not ue_order
                 epoch += epochs
                 changes = 0.5
@@ -637,7 +645,10 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
             assert fwd.backlog == twin.backlog
         assert fwd.books == twin_bytes
         assert period_load(fwd.period) == period_load(twin.period)
+    # 929 fast-forwards, 270 of a drained node with a verified twin, 122 of
+    # them with a slot missing
     assert forwards > 200, forwards
+    assert twin_forwards >= 200 and slotless_forwards >= 80, (twin_forwards, slotless_forwards)
     assert grantless_epochs > 0 and ueless_forwards > 0, (grantless_epochs, ueless_forwards)
 
 
@@ -733,26 +744,30 @@ def test_steady_needs_one_activity_in_every_slot():
 
 
 def test_steady_checks_that_the_slots_close_a_chain():
-    # Each UE wants 100 bytes per epoch and an RB carries 1,000, so two
-    # epochs fill both slots from the drained backlogs, a closed chain.  A
-    # backlog rebound from outside (500 more bytes for UE 0) makes the next
-    # epoch miss, serve 600 + 100 bytes on the same two RBs and drain again;
-    # its slot's final is the other start's key, but the other slot's final
-    # is not its key.  So the node repeats no cycle: were it steady, a
-    # fast-forward would replay the 700-byte epoch once per cycle.  A node
-    # fast-forwarded wherever it is steady must credit the bytes of its
-    # twin that schedules every epoch.
+    # Each UE wants 100 bytes per epoch.  The first RB carries 50 bytes and
+    # the next ones 1,000, so an epoch from the drained backlogs serves the
+    # first UE in the rotation 50 + 50 bytes on RBs 0 and 2 and the other
+    # 100 on RB 1; two epochs fill both slots, a closed chain.  The node is
+    # not a twin: its first UE takes 50 bytes of its 100 on a dealt RB and
+    # 1,000 on another.  A backlog rebound from outside (500 more bytes
+    # for UE 0) makes the next epoch miss, serve 600 + 100 bytes on the
+    # same three RBs and drain again; its slot's final is the other
+    # start's key, but the other slot's final is not its key.  So the node
+    # repeats no cycle: were it steady, a fast-forward would replay the
+    # 700-byte epoch once per cycle.  A node fast-forwarded wherever it is
+    # steady must credit the bytes of its twin that schedules every epoch.
     granted = [0, 1, 2, 3]
+    rows = [flat_rate(50.0)] + [flat_rate(1000.0)] * 3
     nodes = [node_for([0, 1], increments=[100.0, 100.0]) for _ in range(2)]
     for node in nodes:
-        node.set_grant(granted, *grant_tables(granted, [flat_rate(1000.0)] * 4, [0] * 4))
+        node.set_grant(granted, *grant_tables(granted, rows, [0] * 4))
         for _ in range(2):
             node.record(schedule_epoch(node), True)
-        assert node.steady()
+        assert node.steady() and node.twin == ()
         node.backlog = [500.0, 0.0]
         sched = schedule_epoch(node)
         node.record(sched, True)
-        assert (sched.node_bytes, sched.used_rb, node.backlog) == (700.0, 2, [0.0, 0.0])
+        assert (sched.node_bytes, sched.used_rb, node.backlog) == (700.0, 3, [0.0, 0.0])
         assert node.slots[0][1] == node.slots[1][0] and node.slots[1][1] != node.slots[0][0]
         assert not node.steady()
     node, twin = nodes
@@ -776,29 +791,140 @@ def test_steady_checks_that_the_slots_close_a_chain():
                                         200.0 * epochs + 500.0]
 
 
+def test_steady_takes_a_drained_twin_as_its_cycle():
+    # A node whose twin is verified (its deal from the drained backlogs is
+    # the same from every start) is steady while it is drained, with a slot
+    # for one start only; its twin is verified when steadiness is polled.
+    # Here every UE takes one RB: 0.1, 0.2 and 0.1 + 0.2 bytes, whose node
+    # total rounds otherwise from some start.  With a queued backlog
+    # it is not steady by its twin, `clear_memo` drops the twin, and a
+    # fast-forward from the drained backlogs credits bit for bit what a
+    # copy that schedules every epoch credits.
+    granted = list(range(6))
+    increments = [0.1, 0.2, 0.1 + 0.2]
+    node = node_for([0, 1, 2], increments=increments)
+    node.set_grant(granted, *grant_tables(granted, [flat_rate(1000.0)] * 6, [0] * 6))
+    node.record(schedule_epoch(node), True)
+    assert len(node.slots) == 1 and node.twin is None
+    assert node.steady() and node.twin
+    drained = node.backlog
+    node.backlog = [0.5, 0.0, 0.0]
+    assert not node.steady()
+    node.backlog = drained
+    assert node.steady()
+    totals = {fold_sum(increments[j:] + increments[:j], 0.0) for j in range(3)}
+    assert len(totals) > 1
+    for epochs in range(1, 8):
+        for credited in range(epochs + 1):
+            fwd, each = copy.deepcopy(node), copy.deepcopy(node)
+            fwd.fast_forward(epochs, credited)
+            for j in range(epochs):
+                each.record(schedule_epoch(each), j >= epochs - credited)
+            assert (fwd.offset, fwd.backlog, fwd.books) == (each.offset, each.backlog,
+                                                           each.books)
+            assert period_load(fwd.period) == period_load(each.period)
+    node.clear_memo()
+    assert node.twin is None and not node.steady()
+    # Two RBs of 100 bytes, then two that both UEs decline: a twin, as each
+    # UE drains on one RB.  From 500 more bytes for UE 0 each epoch serves
+    # 100 to both and leaves the 500 queued, a fixed point from either
+    # start with the twin's activity; once both slots hold it, the node is
+    # steady by its slots, though its twin is verified.
+    granted = [0, 1, 2, 3]
+    node = node_for([0, 1], increments=[100.0, 100.0])
+    node.set_grant(granted, *grant_tables(
+        granted, [flat_rate(100.0)] * 2 + [flat_rate(0.0)] * 2, [0] * 4))
+    schedule_epoch(node)
+    assert node.steady() and node.twin
+    node.backlog = [500.0, 0.0]
+    assert not node.steady()
+    schedule_epoch(node)
+    assert not node.steady()
+    sched = schedule_epoch(node)
+    assert (sched.activity, node.backlog) == (node.twin[1].activity, [500.0, 0.0])
+    assert node.steady() and node.twin
+
+
+def test_twin_cycle_matches_the_cycle_a_walk_deals():
+    # Naive oracle: a drained node whose twin is verified is steady with
+    # its twin's cycle (`Node.replay_cycle`), and that cycle must be the
+    # one its slots would hold: a deep copy, told that it has no twin,
+    # deals every rotation start with the dealing loop.  The load rows
+    # summed over every window of up to three cycles from every start, the
+    # keys and finals, and the credited amounts (`Cycle.amounts`) must be
+    # the walk's, the amounts bit for bit.  Random nodes of 1-6 UEs over
+    # RBs of 1-3 groups; each UE's demand is under one RB or up to a few.
+    rng = random.Random(71)
+    n_ids, n_rbs = 8, 40
+    twins = multi_round = other_totals = 0
+    for _ in range(400):
+        n_groups = rng.randint(1, 3)
+        group_of_rb = sorted(rng.randrange(n_groups) for _ in range(n_rbs))
+        levels = [37.5, 225.0, rng.uniform(1.0, 500.0)]
+        rows = [[rng.choice(levels) for _ in range(n_ids)] for _ in range(n_groups)]
+        ue_order = rng.sample(range(n_ids), rng.randint(1, 6))
+        increments = [rng.uniform(1.0, rng.choice([30.0, 1000.0])) for _ in ue_order]
+        granted = rng.sample(range(n_rbs), rng.randint(1, n_rbs))
+        node = node_for(ue_order, rng.randrange(10), increments=increments)
+        node.set_grant(granted, *grant_tables(granted, [rows[g] for g in group_of_rb],
+                                              group_of_rb))
+        schedule_epoch(node)
+        walk = copy.deepcopy(node)
+        if not (node.steady() and node.twin):
+            continue
+        twins += 1
+        n = node.rotation
+        walk.twin = ()                  # deal every start with the loop
+        for _ in range(n - 1):
+            schedule_epoch(walk)
+        assert len(walk.slots) == n and walk.steady()
+        cycle, dealt = node.replay_cycle(), walk.replay_cycle()
+        assert (cycle.keys, cycle.finals) == (dealt.keys, dealt.finals)
+        for start in range(n):
+            for count in range(1, 3 * n + 1):
+                assert cycle.load(start, count) == dealt.load(start, count), (start, count)
+        assert cycle.amounts(n).tobytes() == dealt.amounts(n).tobytes()
+        twin = node.twin[1]
+        multi_round += twin.used_rb > len(twin.served_bytes)
+        other_totals += len(set(dealt.amounts(n)[-1].tolist())) > 1
+    # 153 twins; in 88 some UE takes several RBs, and in 44 the node
+    # totals of two starts differ in their bits
+    assert twins >= 120 and multi_round >= 60 and other_totals >= 30, \
+        (twins, multi_round, other_totals)
+
+
 def test_replay_cycle_follows_every_slot_change():
     # The cycle is built once and kept while the slots hold.  A slot fill
     # on a miss (here forced by a backlog the memo has not seen), a memo
     # clear and a new grant each drop it, so it always lists the slots'
-    # current schedules.
+    # current schedules.  The slots' cycle is built only while the backlog
+    # is the current start's key, as it is when a steadiness poll can use
+    # it; here the backlog is rebound there to build it.
     granted = list(range(7))
     node = node_for([1, 2, 3], increments=[300.0, 500.0, 700.0])
     node.set_grant(granted, *grant_tables(granted, [flat_rate(225.0)] * 7, [0] * 7))
+
+    def at_current_key():
+        node.backlog = node.slots[node.offset % node.rotation][0]
+        return node.replay_cycle()
+
     for _ in range(3):
         schedule_epoch(node)
-    cycle = node.replay_cycle()
+    assert node.backlog != node.slots[node.offset % 3][0] and node.replay_cycle() is None
+    cycle = at_current_key()
     assert node.replay_cycle() is cycle
     assert cycle.schedules == [node.slots[j][2] for j in range(3)]
     node.backlog = [b + 1000.0 for b in node.backlog]
     schedule_epoch(node)                # a miss that refills one slot
-    refilled = node.replay_cycle()
+    assert node.cycle is None
+    refilled = at_current_key()
     assert refilled.schedules == [node.slots[j][2] for j in range(3)]
     assert refilled.schedules != cycle.schedules
     node.clear_memo()
     assert node.cycle is None
     for _ in range(3):
         schedule_epoch(node)
-    node.replay_cycle()
+    assert at_current_key() is not None
     node.set_grant(granted, *grant_tables(granted, [flat_rate(225.0)] * 7, [0] * 7))
     assert node.cycle is None
 
