@@ -6,10 +6,10 @@ seeds derived by labelled hashing of the master seed, so adding a stream
 never perturbs the others.  The controller is invoked in-process once per
 optimization period; the epoch pipeline is fixed as the byte-factor
 refresh, arrivals and scheduling per node, metrics, then the controller
-step at each period end.  Once every replay memo has closed into a cycle,
-dealt ahead from a fixed point where it can, the engine runs the period
-ends ahead from the cycles, up to a controller move, a guard expiry or the
-run end, and advances every node once (`traffic.Node.fast_forward`).
+step at each period end.  Once every node's replay memo has closed into a
+cycle from its backlog, the engine runs the period ends ahead from the
+cycles, up to a controller move, a guard expiry or the run end, and
+advances every node once (`traffic.Node.fast_forward`).
 
 Interference coupling: a transmitter's activity fraction for SINR purposes
 is its RB utilization in the previous epoch (1.0 at epoch 0), which keeps
@@ -329,28 +329,14 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
 
 
 def _blocker(nodes, last: int) -> int:
-    """The position of a node neither steady nor at a fixed point, or -1.
+    """The position of a node that is not steady, or -1 when all are.
     The polls start at the one found last time, which most often still
-    blocks, and go round; both tests are pure, so the order is free."""
+    blocks, and go round; `steady` is pure, so the order is free."""
     n = len(nodes)
     for i in range(last, last + n):
-        node = nodes[i % n]
-        if not (node.steady() or node.at_fixed_point()):
+        if not nodes[i % n].steady():
             return i % n
     return -1
-
-
-def _complete_cycle(node) -> bool:
-    """Deal a fixed-point node's other rotation starts ahead as the next
-    epochs would, then put its offset and backlog back.  Every slot dealt is
-    exact for its key, so all are kept, and the node is steady only if they
-    close its cycle (`traffic.Cycle.closed`).  Returns whether it is.  A
-    drained node with a verified twin is steady already, never walked."""
-    offset, backlog = node.offset, node.backlog
-    for _ in range(node.rotation - 1):
-        schedule_epoch(node)
-    node.offset, node.backlog = offset, backlog
-    return node.steady()
 
 
 def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
@@ -400,15 +386,14 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     scheduling; at each period end the load reports, utilization samples
     and the controller step (`_period_end`).  A grant rebuild clears the
     replay memo of a node whose grant changed, and a refresh that of a node
-    whose UEs' entries changed.  When every node is steady
-    (`traffic.Node.steady`; a drained node with a verified twin is, from
-    one slot) or at a fixed point (`Node.at_fixed_point`) after the
-    refresh, the others' cycles are completed (`_complete_cycle`); when
-    all are then steady, each repeats the one activity of its cycle, so
-    the activity, the rows and the grants stay fixed up to the next
-    controller move or guard expiry, and
-    `_fast_forward` plans the period ends up to there from the cycles and
-    advances every node once.
+    whose UEs' entries changed.  Scheduled epochs alone fill the memos.
+    When every node is steady after the refresh (`_blocker`, through
+    `traffic.Node.steady`; a drained node with a verified twin is, from
+    one slot, and any other once the epochs of its rotation starts have
+    closed a cycle), each repeats the one activity of its cycle, so the
+    activity, the rows and the grants stay fixed up to the next controller
+    move or guard expiry, and `_fast_forward` plans the period ends up to
+    there from the cycles and advances every node once.
     """
     case = CASES[spec.case_id]
     scenario = spec.scenario
@@ -487,7 +472,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
                 if not changed.isdisjoint(node.ue_ids):
                     node.clear_memo()
         blocker = _blocker(nodes, blocker)
-        if blocker < 0 and all([node.steady() or _complete_cycle(node) for node in nodes]):
+        if blocker < 0:
             state, epoch = _fast_forward(store, manager, clock, nodes, state, epoch, min(
                 guard_due if guard_due > epoch else clock.total_epochs, clock.total_epochs))
         else:

@@ -111,10 +111,11 @@ class Node:
     Then `fast_forward` replays the cycle for many epochs at once.  A
     drained node with a verified `twin` takes the twin's epoch at every
     start, slot for slot what a walk of its starts would deal, so it needs
-    no other slot.  Any other cycle is the slots', one per rotation start;
-    their chain is checked, not trusted, so any writer may fill a slot
-    from any key: a slot is exact for its own key.  The cycle is built
-    once and kept until a slot changes.
+    no other slot.  Any other cycle is the slots', one per rotation start,
+    each filled by the epoch `schedule_epoch` last dealt there, from
+    whatever key the node held then; their chain is checked, not trusted,
+    as a slot is exact only for its own key.  The cycle is built once and
+    kept until a slot changes.
     A scheduled epoch adds its `CellSchedule` to `period`, a fast-forward
     one `Run` record (the cycle, the start position and the epoch count),
     so its cost does not grow with the epochs it covers.  Both credit
@@ -174,12 +175,6 @@ class Node:
         cycle = self.replay_cycle()
         return (cycle is not None and self.backlog == cycle.keys[self.offset % self.rotation]
                 and cycle.closed)
-
-    def at_fixed_point(self) -> bool:
-        """Whether the node's last epoch, its slot of the previous rotation
-        start, left its backlogs as it found them: key == final == backlog."""
-        slot = self.slots.get((self.offset - 1) % self.rotation)
-        return slot is not None and slot[0] == self.backlog == slot[1]
 
     def replay_cycle(self) -> Optional[Cycle]:
         """The cycle the node repeats from its backlog, built once and kept

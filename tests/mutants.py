@@ -36,6 +36,7 @@ ORACLE = "tests/test_traffic.py::test_schedule_matches_per_rb_reference"
 GUARD_KEY = "tests/test_engine.py::test_grant_rebuilds_exactly_when_the_guard_key_changes"
 TWIN_CYCLE = "tests/test_traffic.py::test_twin_cycle_matches_the_cycle_a_walk_deals"
 TWIN_STEADY = "tests/test_traffic.py::test_steady_takes_a_drained_twin_as_its_cycle"
+MEMOS_KEPT = "tests/test_engine.py::test_grant_and_row_changes_keep_unchanged_memos"
 
 
 class Mutant(NamedTuple):
@@ -85,10 +86,10 @@ MUTANTS = (
     Mutant("src/cdss_sim/engine.py", "for i in range(last, last + n):",
            "for i in range(last, last + 1):",
            "the node that blocked last is only polled first; every node must be "
-           "steady or at a fixed point before a completion walk, or the walks "
-           "deal slots that a later rewrite may clear",
-           ("tests/test_engine.py::test_fixed_points_complete_their_cycles_without_more_dealing",
-            "tests/test_engine.py::test_grant_and_row_changes_keep_unchanged_memos")),
+           "steady before `_fast_forward` plans from the cycles, as a node that is "
+           "not has no cycle to replay",
+           ("tests/test_golden.py::test_single_runs_match_golden",
+            "tests/test_reference_engine.py::test_engine_matches_reference_engine")),
     Mutant("src/cdss_sim/traffic.py", "        self.clear_memo()\n", "",
            "a new grant deals other RBs, so the slots dealt over the old one go stale",
            ("tests/test_engine.py::test_settled_runs_advance_each_node_once_per_stretch",)),
@@ -146,6 +147,16 @@ MUTANTS = (
            "each planned period end reads a cell's cycle from the start its rotation "
            "reaches there, not from where the stretch began",
            ("tests/test_engine.py::test_planned_periods_read_each_cell_at_the_start_it_reaches",)),
+    Mutant("src/cdss_sim/engine.py", "if node.load_prefix and granted == node.granted:",
+           "if False:",
+           "a grant rebuild keeps the memo of a node whose usable RBs are those it "
+           "holds, so it need not deal its starts again before the run settles",
+           (MEMOS_KEPT,)),
+    Mutant("src/cdss_sim/engine.py", "if not changed.isdisjoint(node.ue_ids):",
+           "if True:",
+           "a row rewrite clears only the memos of the nodes whose UEs' entries "
+           "changed; the others' slots still hold",
+           (MEMOS_KEPT,)),
 )
 
 
