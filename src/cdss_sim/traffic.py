@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .sums import fold_cycle, fold_sum
+from .sums import fold_cycle
 
 
 def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> List[float]:
@@ -20,25 +19,24 @@ def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> 
 
 class Cycle:
     """The epochs a node repeats, one per rotation start, in start order:
-    the keys, finals and `CellSchedule`s of its slots, or its twin's at
-    every start (see `Node.replay_cycle`).
+    the keys, finals and `CellSchedule`s of its slots, or of its twin slot
+    at every start (see `Node.replay_cycle`).
 
     `closed` says whether they chain: each final backlog is the next
     start's key, the last one the first's, and every epoch has the same
     activity.  The prefix sums of their load rows (for `period_load`) and
-    the matrix of their credited bytes (for `Node.fast_forward`, with the
-    node totals `totals` returns) are built on first use, once per cycle.
+    the matrix of their credited bytes (for `Node.fast_forward`) are built
+    on first use, once per cycle.
     """
 
-    __slots__ = ("keys", "finals", "schedules", "closed", "_totals", "_prefix", "_amounts")
+    __slots__ = ("keys", "finals", "schedules", "closed", "_prefix", "_amounts")
 
-    def __init__(self, slots: List[tuple], totals: Callable[[], List[float]]) -> None:
+    def __init__(self, slots: List[tuple]) -> None:
         self.keys = [key for key, _, _ in slots]
         self.finals = [final for _, final, _ in slots]
         self.schedules = [sched for _, _, sched in slots]
         self.closed = (self.finals == self.keys[1:] + self.keys[:1]
                        and len({s.activity for s in self.schedules}) == 1)
-        self._totals = totals
         self._prefix: Optional[List[Tuple[int, ...]]] = None
         self._amounts: Optional[np.ndarray] = None
 
@@ -65,7 +63,7 @@ class Cycle:
             for j, s in enumerate(self.schedules):
                 for p, amount in s.served_bytes:
                     amounts[p][j] = amount
-            amounts.append(self._totals())
+            amounts.append([s.node_bytes for s in self.schedules])
             self._amounts = np.array(amounts)
         return self._amounts
 
@@ -109,9 +107,9 @@ class Node:
     its current start's key is the backlog: each epoch's final backlog is
     the next start's key, round to the first, and all carry one activity.
     Then `fast_forward` replays the cycle for many epochs at once.  A
-    drained node with a verified `twin` takes the twin's epoch at every
-    start, slot for slot what a walk of its starts would deal, so it needs
-    no other slot.  Any other cycle is the slots', one per rotation start,
+    drained node with a verified `twin` repeats the twin slot at every
+    start, the very epoch a walk of its starts would deal, so it needs no
+    other slot.  Any other cycle is the slots', one per rotation start,
     each filled by the epoch `schedule_epoch` last dealt there, from
     whatever key the node held then; their chain is checked, not trusted,
     as a slot is exact only for its own key.  The cycle is built once and
@@ -121,10 +119,10 @@ class Node:
     so its cost does not grow with the epochs it covers.  Both credit
     their post-warmup epochs to the books as they run, so every total
     adds its epochs in order.
-    `twin` is the drained key's slot that a miss from that key copies (see
-    `schedule_epoch`), () if its deal depends on the start, None until
-    verified at a drained miss or a steadiness poll (`_twin_at`); it reads
-    what the slots read, so `clear_memo` drops it.
+    `twin` is a drained key's slot whose epoch is the same from every
+    start (see `schedule_epoch`), () if its deal depends on the start,
+    None until verified at a drained miss or a steadiness poll
+    (`_twin_at`); it reads what the slots read, so `clear_memo` drops it.
     """
 
     node_id: str
@@ -144,7 +142,7 @@ class Node:
     period: List[Union[CellSchedule, Run]] = field(init=False, default_factory=list)
     slots: Dict[int, tuple] = field(init=False, default_factory=dict)
     cycle: Optional[Cycle] = field(init=False, default=None)   # the slots', while they hold
-    twin: Optional[tuple] = field(init=False, default=None)    # (final, schedule, pairs)
+    twin: Optional[tuple] = field(init=False, default=None)    # a slot, () or None
 
     def __post_init__(self) -> None:
         n = len(self.ue_ids)
@@ -178,25 +176,21 @@ class Node:
 
     def replay_cycle(self) -> Optional[Cycle]:
         """The cycle the node repeats from its backlog, built once and kept
-        until a slot changes: its twin's at every start if the backlog is
-        drained and its twin verified (`_twin_at`), else its slots' if it
-        has one for each rotation start and the backlog is the current
-        start's key, else None.  A twin's per-start node totals are summed
-        only when `Cycle.amounts` asks for them."""
+        until a slot changes: its twin slot at every start if the backlog
+        is drained and its twin verified (`_twin_at`), else its slots' if
+        it has one for each rotation start and the backlog is the current
+        start's key, else None."""
         if self.cycle is None:
             n = self.rotation
             start = self.offset % n
             twin = not any(self.backlog) and _twin_at(self, start)
             if twin:
-                final, sched, pairs = twin
-                self.cycle = Cycle([(final, final, sched)] * n,
-                                   lambda: [_served_from(pairs, j)[1] for j in range(n)])
+                self.cycle = Cycle([twin] * n)
             elif len(self.slots) == n and self.slots[start][0] == self.backlog:
                 # A list: CPython keeps freed tuples on one free list per length,
                 # and tuples of every rotation length filled them, which raised
                 # the peak memory of a process that runs many simulations.
-                slots = [self.slots[j] for j in range(n)]
-                self.cycle = Cycle(slots, lambda: [sched.node_bytes for _, _, sched in slots])
+                self.cycle = Cycle([self.slots[j] for j in range(n)])
         return self.cycle
 
     def fast_forward(self, epochs: int, credited: int) -> None:
@@ -232,7 +226,7 @@ class CellSchedule(NamedTuple):
     as a replay hit returns the stored instance itself."""
 
     granted: Sequence[int]
-    served_bytes: Tuple[Tuple[int, float], ...]   # (UE position, bytes), in order of first service
+    served_bytes: Tuple[Tuple[int, float], ...]   # (UE position, bytes), by position
     node_bytes: float                   # 0.0 + the served bytes, in that order
     used_rb: int
     load: Tuple[int, ...]               # used RBs per load column, then the grant's size per column
@@ -298,13 +292,13 @@ def schedule_epoch(node: Node) -> CellSchedule:
     dealt rows each queued UE's capacity is positive and one value or
     never below its backlog.  Then no UE declines a dealt RB and its takes
     are `cap, cap, ..., rest` or its whole backlog, from any start, so
-    every start deals the same takes on the same RBs, and round 0 serves
-    the queued UEs in rotation order.  A drained miss copies the twin: its
-    amounts in this start's order, their sum in that order (`_served_from`),
-    and its used count, load row, activity and final list.  It is
-    verified once per memo generation (`_twin_at`), at a drained miss or
-    a steadiness poll whose previous start holds a drained slot; the
-    answer is the same at every start.
+    every start deals each UE the same amount on the same RBs.  A schedule
+    lists its amounts by UE position and sums them in that order, so
+    every start's deal is the twin's own `CellSchedule`: a drained key
+    with no slot of its own is a hit on the twin slot and writes none.
+    The twin is verified once per memo generation (`_twin_at`), at a
+    drained miss or a steadiness poll whose previous start holds a
+    drained slot; the answer is the same at every start.
 
     Skip rule: the walk is a cyclic cursor over the UEs still queued.  A
     UE whose capacity on the offered RB is zero only moves the cursor on;
@@ -329,20 +323,14 @@ def schedule_epoch(node: Node) -> CellSchedule:
     else:
         twin = _twin_at(node, start)
         if twin:
-            final, sched, pairs = twin
-            sched = CellSchedule(granted, *_served_from(pairs, start),
-                                 sched.used_rb, sched.load, sched.activity)
-            node.backlog = final
-            node.slots[start] = (key, final, sched)
-            node.cycle = None
-            return sched
+            node.backlog = twin[1]
+            return twin[2]
         backlog = list(node.drained)
     table = node.table
     order = table[start:] + table[:start]
     if not all(backlog):
         order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
     served = [0.0] * len(backlog)    # by UE position; every take is positive
-    first: List[int] = []        # served positions, in order of first service
     unused: List[int] = []       # granted positions every queued UE declined
     live = len(order)            # UEs still queued
     declined = 0                 # consecutive declines of RB `k`
@@ -369,10 +357,7 @@ def schedule_epoch(node: Node) -> CellSchedule:
             else:
                 take = cap
             backlog[p] = b - take
-            had = served[p]
-            if not had:
-                first.append(p)
-            served[p] = had + take
+            served[p] += take
             k += 1
             if k == n_rb:
                 break
@@ -385,11 +370,9 @@ def schedule_epoch(node: Node) -> CellSchedule:
             for c, (hi, lo) in enumerate(zip(load_prefix[i + 1], load_prefix[i])):
                 counts[c] -= hi - lo
         load = tuple(counts)
-    served_bytes = []
+    served_bytes = [(p, amount) for p, amount in enumerate(served) if amount]
     node_bytes = 0.0
-    for p in first:
-        amount = served[p]
-        served_bytes.append((p, amount))
+    for _, amount in served_bytes:
         node_bytes += amount
     used_rb = k - len(unused)
     sched = CellSchedule(granted, tuple(served_bytes), node_bytes, used_rb, load,
@@ -409,23 +392,15 @@ def _twin_at(node: Node, start: int) -> Optional[tuple]:
     if twin is None:
         previous = node.slots.get((start - 1) % node.rotation)
         if previous is not None and not any(previous[0]):
-            twin = node.twin = _twin(node, previous[1], previous[2])
+            twin = node.twin = _twin(node, previous)
     return twin
 
 
-def _served_from(pairs: List[Tuple[int, float]], start: int) -> Tuple[tuple, float]:
-    """A twin's `(position, amount)` pairs, kept in position order, in the
-    order a deal from rotation `start` serves them, and their node total
-    summed in that order."""
-    cut = bisect_left(pairs, (start,))
-    amounts = tuple(pairs[cut:] + pairs[:cut])
-    return amounts, fold_sum([a for _, a in amounts], 0.0)
-
-
-def _twin(node: Node, final: List[float], sched: CellSchedule) -> tuple:
-    """The twin of a node's slot dealt from a drained key (see
-    `schedule_epoch`), or () if it is none; each distinct row of the dealt
-    RBs is read once, not each RB."""
+def _twin(node: Node, slot: tuple) -> tuple:
+    """A node's slot dealt from a drained key if it is a twin (see
+    `schedule_epoch`), else (); each distinct row of the dealt RBs is read
+    once, not each RB."""
+    _, final, sched = slot
     if not sched.used_rb or any(final):
         return ()
     rows = node.granted_rows[:sched.used_rb]
@@ -437,7 +412,7 @@ def _twin(node: Node, final: List[float], sched: CellSchedule) -> tuple:
             low = min(caps)
             if low < b and (len(caps) > 1 or low <= 0.0):
                 return ()
-    return final, sched, sorted(sched.served_bytes)
+    return slot
 
 
 def period_load(period: Sequence[Union[CellSchedule, Run]]) -> List[int]:

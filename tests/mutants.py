@@ -74,11 +74,6 @@ MUTANTS = (
            "is one positive value or never below its backlog; otherwise another "
            "start deals other takes",
            (MEMO_ORACLE,)),
-    Mutant("src/cdss_sim/traffic.py", "return amounts, fold_sum([a for _, a in amounts], 0.0)",
-           "return amounts, fold_sum([a for _, a in pairs], 0.0)",
-           "a copy's node total adds its amounts in its own start's order of first "
-           "service, which can round otherwise than the twin's position order",
-           (MEMO_ORACLE, TWIN_CYCLE)),
     Mutant("src/cdss_sim/traffic.py", "        self.twin = None\n", "",
            "a twin reads the grant and the byte rows as the slots do, so it goes "
            "stale with them",
@@ -131,11 +126,6 @@ MUTANTS = (
            "a twin's cycle starts from the drained backlogs; a node with a queued "
            "backlog repeats its slots' cycle, if any",
            (TWIN_STEADY,)),
-    Mutant("src/cdss_sim/traffic.py", "lambda: [_served_from(pairs, j)[1] for j in range(n)])",
-           "lambda: [sched.node_bytes] * n)",
-           "a twin's cycle credits each start the node total of the copy from that "
-           "start, summed in its order of first service",
-           (TWIN_CYCLE, TWIN_STEADY)),
     Mutant("src/cdss_sim/traffic.py",
            "\n                       and len({s.activity for s in self.schedules}) == 1)",
            ")",
@@ -157,6 +147,37 @@ MUTANTS = (
            "a row rewrite clears only the memos of the nodes whose UEs' entries "
            "changed; the others' slots still hold",
            (MEMOS_KEPT,)),
+    Mutant("src/cdss_sim/traffic.py", "self.finals == self.keys[1:] + self.keys[:1]",
+           "self.finals[:-1] == self.keys[1:]",
+           "a cycle closes only if the last start's final is the first start's key; "
+           "else a fast-forward past the cycle's end replays epochs from other keys",
+           ("tests/test_traffic.py::test_steady_checks_that_the_slots_close_a_chain",)),
+    Mutant("src/cdss_sim/engine.py",
+           "if not g.coordinated or any(other != btx for other, _ in self._beam_ues[g.index]))]",
+           "if not g.coordinated)]",
+           "the UEs of a serving beam hear the other beams of its coordinated group, so "
+           "their activity is audible and a change in it must refresh the rows",
+           ("tests/test_engine.py::"
+            "test_byte_factors_refresh_reports_exactly_the_changed_entries",
+            "tests/test_reference_engine.py::test_engine_matches_reference_engine")),
+    Mutant("src/cdss_sim/engine.py", "changed.update(np.flatnonzero(diff).tolist())",
+           "changed.update(np.flatnonzero(diff).tolist() if g.index == 0 else ())",
+           "a refresh reports the UEs whose entry changed in any group, so every node "
+           "that reads a rewritten entry drops its slots",
+           ("tests/test_engine.py::"
+            "test_byte_factors_refresh_reports_exactly_the_changed_entries",
+            "tests/test_golden.py::test_single_runs_match_golden")),
+    Mutant("src/cdss_sim/traffic.py", "if previous is not None and not any(previous[0]):",
+           "if previous is not None:",
+           "a twin is verified only from a slot dealt from a drained key; a slot "
+           "that drained queued backlogs served other amounts than every drained "
+           "epoch does",
+           (MEMO_ORACLE,)),
+    Mutant("src/cdss_sim/traffic.py", "    for _, amount in served_bytes:\n",
+           "    for _, amount in reversed(served_bytes):\n",
+           "a node total adds the served amounts by UE position, so one deal gives "
+           "the same bits from every rotation start, as its twin slot replays",
+           (ORACLE, MEMO_ORACLE)),
 )
 
 

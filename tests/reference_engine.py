@@ -19,7 +19,7 @@ Everything after that is naive:
 Bytes are credited from the per-RB scheduler's own per-epoch sums: each
 UE's amount is the sum of its RBs in the order they were dealt, added once
 per epoch to its total, and a node's total adds 0.0 plus those amounts in
-first-service order.  Adding every RB to the run total separately would
+the order of its UEs.  Adding every RB to the run total separately would
 regroup the float additions and change the last digits of the reports,
 which are compared byte for byte.
 """
@@ -163,9 +163,11 @@ def run_reference(spec: RunSpec) -> MetricsStore:
                         used[row][group_of[rb]] += 1
             if epoch >= clock.warmup_epochs:
                 node_sum = 0.0
-                for ue_id, amount in sched.served_bytes.items():
-                    store.ue_bytes[ue_id] += amount
-                    node_sum += amount
+                for ue_id in members[row]:
+                    if ue_id in sched.served_bytes:
+                        amount = sched.served_bytes[ue_id]
+                        store.ue_bytes[ue_id] += amount
+                        node_sum += amount
                 store.node_bytes[node_id] += node_sum
 
         if (epoch + 1) % clock.period_epochs == 0:

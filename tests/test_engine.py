@@ -728,21 +728,20 @@ def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
     assert len({tuple(loads[0]) for _, loads in planned[1:]}) == 2
 
 
-def counting_schedule(misses, loops):
-    """`schedule_epoch` that appends to `misses` the id of each node with
-    UEs and a grant that misses its memo, and to `loops` that of each miss
-    that runs the dealing loop, not a copy of the node's twin (a copy
-    shares the twin's final list)."""
+def counting_schedule(twin_hits, loops):
+    """`schedule_epoch` that, for a node with UEs and a grant whose slot
+    for its start does not hold its backlog, appends the node's id to
+    `loops` if the call deals, which writes that slot, and to `twin_hits`
+    if it replays the node's twin slot, which writes none."""
     schedule = engine_mod.schedule_epoch
 
     def counting(node):
-        slot = node.slots.get(node.offset % node.rotation)
+        start = node.offset % node.rotation
+        slot = node.slots.get(start)
         miss = node.ue_ids and node.granted and (slot is None or slot[0] != node.backlog)
         sched = schedule(node)
         if miss:
-            misses.append(node.node_id)
-            if not (node.twin and node.backlog is node.twin[0]):
-                loops.append(node.node_id)
+            (loops if node.slots.get(start) is not slot else twin_hits).append(node.node_id)
         return sched
 
     return counting
@@ -752,21 +751,21 @@ def test_grant_and_row_changes_keep_unchanged_memos(default_cfg, monkeypatch):
     # A grant rebuild keeps the memo of a node whose grant is equal, and a
     # row rewrite that of a node whose UEs' entries are, so the nodes that
     # keep theirs need not deal again before the run can fast-forward.  In
-    # case 2, seeds 1 and 2, `schedule_epoch` misses 227 and 219 times on
-    # a node with UEs and a grant, and runs the dealing loop 192 times in
-    # each.  Clearing every memo at each rebuild and rewrite makes it 228
-    # misses and 228 loops in both; a rebuild that clears every memo alone
-    # deals 224 times, a rewrite that clears every memo alone 204 times
-    # (1,161 misses in seed 1 before a drained node with a twin was steady
-    # from one slot).
-    misses, loops = [], []
-    monkeypatch.setattr(engine_mod, "schedule_epoch", counting_schedule(misses, loops))
-    for seed, most in ((1, 227), (2, 219)):
-        misses.clear()
+    # case 2, seeds 1 and 2, `schedule_epoch` runs the dealing loop 192
+    # times in each on a node with UEs and a grant, and replays a twin slot
+    # from a start with no slot of its key 36 and 33 times.  Clearing every
+    # memo at each rebuild and rewrite makes it 228 loops in both; a
+    # rebuild that clears every memo alone deals 224 times, a rewrite that
+    # clears every memo alone 204 times (1,161 misses in seed 1 before a
+    # drained node with a twin was steady from one slot).
+    twin_hits, loops = [], []
+    monkeypatch.setattr(engine_mod, "schedule_epoch", counting_schedule(twin_hits, loops))
+    for seed, hits in ((1, 36), (2, 33)):
+        twin_hits.clear()
         loops.clear()
         run_simulation(RunSpec(default_cfg, 2, seed))
-        assert 0 < len(misses) <= most, (seed, len(misses))
-        assert 0 < len(loops) <= 192, (seed, len(loops))
+        assert len(twin_hits) == hits, (seed, len(twin_hits))
+        assert len(loops) == 192, (seed, len(loops))
 
 
 def test_nodes_settle_from_scheduled_epochs_without_more_dealing(default_cfg, monkeypatch):
@@ -780,17 +779,16 @@ def test_nodes_settle_from_scheduled_epochs_without_more_dealing(default_cfg, mo
     # cell tn-3, 7 UEs, reaches a fixed point that is no twin three times)
     # schedule 19, 10 and 38 epochs (132 in case 2, seed 1, when each epoch
     # filled one slot per node; 21 in seed 12 when a fixed point's other
-    # starts were dealt ahead), and `schedule_epoch` misses 227, 90 and 434
-    # times (268 in seed 12 with those walks; its extra misses are twin
-    # copies).  A miss from a drained key copies its node's `drained`
-    # arrivals, so `generate_arrivals` runs once per node for them and once
-    # per miss from any other key: in case 2, where every UE drains every
-    # epoch, 12 times for 12 nodes, and in case 3, seed 2, 16 times.  A
-    # drained miss whose node holds a twin copies it without dealing, so
-    # the dealing loop runs 192, 82 and 229 times (937 and 173 in the first
-    # two when every miss dealt).
-    misses, loops, epochs, arrivals, calls = [], [], [], [], []
-    counting, schedule_nodes = counting_schedule(misses, loops), engine_mod._schedule_nodes
+    # starts were dealt ahead).  A miss from a drained key copies its
+    # node's `drained` arrivals, so `generate_arrivals` runs once per node
+    # for them and once per miss from any other key: in case 2, where every
+    # UE drains every epoch, 12 times for 12 nodes, and in case 3, seed 2,
+    # 16 times.  A drained key whose node holds a twin replays the twin
+    # slot without dealing, 36, 8 and 220 times, so the dealing loop runs
+    # 192, 82 and 229 times (937 and 173 in the first two when every miss
+    # dealt).
+    twin_hits, loops, epochs, arrivals, calls = [], [], [], [], []
+    counting, schedule_nodes = counting_schedule(twin_hits, loops), engine_mod._schedule_nodes
     generate_arrivals = traffic_mod.generate_arrivals
 
     def scheduling(nodes, credit):
@@ -802,12 +800,13 @@ def test_nodes_settle_from_scheduled_epochs_without_more_dealing(default_cfg, mo
     monkeypatch.setattr(engine_mod, "_schedule_nodes", scheduling)
     monkeypatch.setattr(traffic_mod, "generate_arrivals",
                         lambda *args: arrivals.append(1) or generate_arrivals(*args))
-    for case_id, seed, dealt, most, added, looped in (
-            (2, 1, 227, 25, 12, 192), (3, 2, 90, 30, 16, 82), (2, 12, 434, 40, 12, 229)):
-        for counts in (misses, loops, epochs, arrivals, calls):
+    for case_id, seed, hits, most, added, looped in (
+            (2, 1, 36, 25, 12, 192), (3, 2, 8, 30, 16, 82), (2, 12, 220, 40, 12, 229)):
+        for counts in (twin_hits, loops, epochs, arrivals, calls):
             counts.clear()
         run_simulation(RunSpec(default_cfg, case_id, seed))
-        assert len(misses) == dealt and len(epochs) <= most, (case_id, len(misses), len(epochs))
+        assert len(twin_hits) == hits and len(epochs) <= most, \
+            (case_id, len(twin_hits), len(epochs))
         assert len(arrivals) == added, (case_id, len(arrivals))
         assert len(loops) == looped, (case_id, len(loops))
         assert len(calls) == sum(epochs), (case_id, len(calls), sum(epochs))

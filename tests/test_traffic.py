@@ -54,12 +54,25 @@ def backlogs(node):
 
 def by_uid(node, sched):
     """The schedule's served bytes, kept by UE position, as (ue_id, bytes)
-    pairs in first-service order."""
+    pairs in position order."""
     return [(node.ue_ids[p], amount) for p, amount in sched.served_bytes]
 
 
+def by_position(node, want):
+    """The per-RB reference's served bytes as (ue_id, bytes) pairs in the
+    order of the node's UEs, that is by UE position."""
+    return [(uid, want.served_bytes[uid]) for uid in node.ue_ids if uid in want.served_bytes]
+
+
+def positions_ascend(sched):
+    """Whether the schedule lists each served UE position once, in
+    ascending order."""
+    positions = [p for p, _ in sched.served_bytes]
+    return all(a < b for a, b in zip(positions, positions[1:]))
+
+
 def served(node, sched):
-    """The schedule's served bytes as {ue_id: bytes}, in first-service order."""
+    """The schedule's served bytes as {ue_id: bytes}, in position order."""
     return dict(by_uid(node, sched))
 
 
@@ -94,12 +107,12 @@ def drained_twin(node, start):
     return slot is not None and not any(slot[0]) and not any(slot[1]) and slot[2].used_rb > 0
 
 
-def copied_twin(node):
-    """The schedule of the twin that the node's last epoch copied, or None
-    if it did not copy one: a copy shares the twin's final backlog list,
-    and a deal or a hit leaves another list."""
+def twin_hit(node, sched):
+    """The node's twin schedule if its last epoch, which returned `sched`,
+    replayed the twin slot, else None: a twin hit returns the twin's own
+    schedule and its final backlog list."""
     twin = node.twin
-    return twin[1] if twin and node.backlog is twin[0] else None
+    return twin[2] if twin and sched is twin[2] and node.backlog is twin[1] else None
 
 
 def cbr_increment(demand_bps, epoch_s):
@@ -224,8 +237,9 @@ def test_schedule_fairness_equal_se_saturated():
 
 def test_schedule_matches_per_rb_reference():
     # Round dealing must reproduce the per-RB deque exactly: the same
-    # bytes in the same order, the same skips of zero-capacity UEs and
-    # unused RBs, and the same rotation pointer.
+    # bytes to each UE, listed by UE position and summed in that order,
+    # the same skips of zero-capacity UEs and unused RBs, and the same
+    # rotation pointer.
     rng = random.Random(31)
     n_ids = 16
     unused_seen = drained_seen = 0
@@ -261,8 +275,9 @@ def test_schedule_matches_per_rb_reference():
                 "tn-0", epoch, ue_order, ref_backlog, granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
-            assert by_uid(node, got) == list(want.served_bytes.items())
-            assert got.node_bytes == fold_sum(want.served_bytes.values())
+            assert positions_ascend(got)
+            assert by_uid(node, got) == by_position(node, want)
+            assert got.node_bytes == fold_sum(amount for _, amount in by_position(node, want))
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert got.activity == (want.used_rb / len(granted) if granted else 0.0)
@@ -289,17 +304,16 @@ def test_schedule_memo_replay_matches_per_rb_reference():
     # only if it changed an entry of one of the node's UEs, and otherwise
     # the memo keeps its slots; every epoch must still equal the per-RB
     # reference exactly.
-    # A miss from a drained key copies a verified twin instead of dealing
-    # (see `traffic._twin`); every field of a copy must equal the
-    # reference's deal from its own start, its node total summed in the
-    # reference's order of first service.  The nodes after the first 60
-    # decline no RB and saturate no UE, as in the default scenario, so
-    # their drained epochs can copy twins.
+    # A drained key with no slot of its own replays a verified twin slot
+    # instead of dealing (see `traffic._twin`); every field of that twin
+    # hit must equal the reference's deal from its own start.  The nodes
+    # after the first 60 decline no RB and saturate no UE, as in the
+    # default scenario, so their drained epochs can hit twins.
     rng = random.Random(47)
     n_ids, n_rbs, epoch_s, n_nodes, n_epochs = 12, 90, 0.01, 120, 50
     hits = rewrites = kept = rebuilds = 0
     misses = {"drained": 0, "queued": 0, "drained with an idle UE": 0, "drained twice": 0}
-    copies = {"multi-round": 0, "single-take": 0, "other node total": 0, "capacity fails": 0}
+    twin_hits = {"multi-round": 0, "single-take": 0, "capacity fails": 0}
     for node_index in range(n_nodes):
         plain = node_index >= 60
         n_groups = rng.randint(1, 3)
@@ -361,16 +375,16 @@ def test_schedule_memo_replay_matches_per_rb_reference():
                 "tn-0", epoch, ue_order, ref_backlog, node.granted,
                 lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
             )
-            twin = copied_twin(node) if kind else None
+            twin = twin_hit(node, got) if kind else None
             if twin is not None:
-                copies["multi-round" if twin.used_rb > len(twin.served_bytes)
-                       else "single-take"] += 1
-                copies["other node total"] += got.node_bytes != twin.node_bytes
+                twin_hits["multi-round" if twin.used_rb > len(twin.served_bytes)
+                          else "single-take"] += 1
             else:
-                copies["capacity fails"] += near_twin
+                twin_hits["capacity fails"] += near_twin
             assert tuple(got.granted) == want.granted
-            assert by_uid(node, got) == list(want.served_bytes.items())
-            assert got.node_bytes == fold_sum(want.served_bytes.values(), 0.0)
+            assert positions_ascend(got)
+            assert by_uid(node, got) == by_position(node, want)
+            assert got.node_bytes == fold_sum((a for _, a in by_position(node, want)), 0.0)
             assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
             assert got.used_rb == want.used_rb
             assert got.activity == want.used_rb / len(node.granted)   # a hit's too
@@ -384,17 +398,15 @@ def test_schedule_memo_replay_matches_per_rb_reference():
     assert 0 < hits < n_nodes * n_epochs
     # misses from both kinds of key; drained keys whose arrivals hold a
     # 0.0, so the zero-backlog filter runs; and a drained miss right after
-    # another on one node, which deals from `drained` again: 1,359, 3,710,
-    # 1,188 and 1,023 (203, 2,690, 178 and 117 in the first 60 nodes)
+    # another on one node, which deals from `drained` again: 1,542, 3,710,
+    # 1,311 and 1,112 (203, 2,690, 178 and 117 in the first 60 nodes)
     assert misses["drained"] >= 600 and misses["queued"] >= 1800, misses
     assert misses["drained with an idle UE"] >= 500 and misses["drained twice"] >= 450, misses
-    # copies of twins in which some UE takes several RBs of one capacity
-    # and of twins in which each UE takes one RB; copies whose node total
-    # has other bits than the twin's, from another order of first service;
-    # and deals from a drained key that only the capacity test kept from
-    # copying: 271, 26, 89 and 520
-    assert copies["multi-round"] >= 120 and copies["single-take"] >= 12, copies
-    assert copies["other node total"] >= 40 and copies["capacity fails"] >= 250, copies
+    # twin hits in which some UE takes several RBs of one capacity and in
+    # which each UE takes one RB, and deals from a drained key that only
+    # the capacity test kept from a twin hit: 420, 60 and 520
+    assert twin_hits["multi-round"] >= 120 and twin_hits["single-take"] >= 12, twin_hits
+    assert twin_hits["capacity fails"] >= 250, twin_hits
 
 
 def test_schedule_memo_replays_fresh_copies():
@@ -409,14 +421,14 @@ def test_schedule_memo_replays_fresh_copies():
         node.backlog = [450.0, 450.0]
         sched = schedule_epoch(node)
         hits += replayed(sched, returned)
-        first, second = (1, 2) if epoch % 2 == 0 else (2, 1)
-        assert by_uid(node, sched) == [(first, 450.0), (second, 450.0)]
-        assert [p for p, _ in sched.served_bytes] == [first - 1, second - 1]   # by position
+        # both starts list the amounts by position
+        assert by_uid(node, sched) == [(1, 450.0), (2, 450.0)]
+        assert [p for p, _ in sched.served_bytes] == [0, 1]
         assert sched.node_bytes == 900.0
         assert sched.used_rb == 4 and sched.load == (4, 10)
         assert node.backlog == [0.0, 0.0]
         with pytest.raises(TypeError):
-            sched.served_bytes[0] = (first, -1.0)
+            sched.served_bytes[0] = (0, -1.0)
         with pytest.raises(TypeError):
             sched.load[0] = -1
         with pytest.raises(AttributeError):
@@ -453,7 +465,9 @@ def test_node_without_grant_adds_arrivals_then_resumes():
             "tn-0", epoch, ue_order, ref_backlog, granted, lambda uid, rb: row[uid],
             ref_rotation,
         )
-        assert by_uid(node, got) == list(want.served_bytes.items())
+        assert positions_ascend(got)
+        assert by_uid(node, got) == by_position(node, want)
+        assert got.node_bytes == fold_sum((a for _, a in by_position(node, want)), 0.0)
         assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
         assert got.used_rb == want.used_rb
         assert node.offset == ref_rotation.offset
@@ -524,7 +538,7 @@ def test_period_load_of_runs_equals_expanded_epochs():
             granted = [rng.randint(0, 12) for _ in range(n_columns)]
             used = [rng.randint(0, g) for g in granted]
             schedules.append(make_sched(range(sum(granted)), used, granted))
-        cycle = Cycle([([], [], sched) for sched in schedules], lambda: [])
+        cycle = Cycle([([], [], sched) for sched in schedules])
         extra = make_sched(range(5), [1] * n_columns, [2] * n_columns)
         for start in range(n):
             for count in {1, max(1, n - 1), n, n + 1, 3 * n - 1, 3 * n, 3 * n + 1}:
@@ -645,7 +659,7 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
             assert fwd.backlog == twin.backlog
         assert fwd.books == twin_bytes
         assert period_load(fwd.period) == period_load(twin.period)
-    # 929 fast-forwards, 270 of a drained node with a verified twin, 122 of
+    # 929 fast-forwards, 270 of a drained node with a verified twin, 185 of
     # them with a slot missing
     assert forwards > 200, forwards
     assert twin_forwards >= 200 and slotless_forwards >= 80, (twin_forwards, slotless_forwards)
@@ -795,11 +809,14 @@ def test_steady_takes_a_drained_twin_as_its_cycle():
     # A node whose twin is verified (its deal from the drained backlogs is
     # the same from every start) is steady while it is drained, with a slot
     # for one start only; its twin is verified when steadiness is polled.
-    # Here every UE takes one RB: 0.1, 0.2 and 0.1 + 0.2 bytes, whose node
-    # total rounds otherwise from some start.  With a queued backlog
-    # it is not steady by its twin, `clear_memo` drops the twin, and a
-    # fast-forward from the drained backlogs credits bit for bit what a
-    # copy that schedules every epoch credits.
+    # Here every UE takes one RB: 0.1, 0.2 and 0.1 + 0.2 bytes, whose sum
+    # rounds otherwise in the rotation order of some start, but a schedule
+    # sums them by UE position.  With a queued backlog it is not steady by
+    # its twin, `clear_memo` drops the twin, and a fast-forward from the
+    # drained backlogs credits bit for bit what a copy that schedules every
+    # epoch credits.  A drained epoch at a start with no slot replays the
+    # twin slot: it returns the twin's own schedule and final list and
+    # writes no slot, so the cycle built from the twin stays.
     granted = list(range(6))
     increments = [0.1, 0.2, 0.1 + 0.2]
     node = node_for([0, 1, 2], increments=increments)
@@ -823,6 +840,11 @@ def test_steady_takes_a_drained_twin_as_its_cycle():
             assert (fwd.offset, fwd.backlog, fwd.books) == (each.offset, each.backlog,
                                                            each.books)
             assert period_load(fwd.period) == period_load(each.period)
+    assert node.offset % node.rotation not in node.slots
+    slots, cycle = dict(node.slots), node.cycle
+    assert cycle is not None and schedule_epoch(node) is node.twin[2]
+    assert node.backlog is node.twin[1] and node.cycle is cycle
+    assert node.slots.keys() == slots.keys() and all(node.slots[j] is slots[j] for j in slots)
     node.clear_memo()
     assert node.twin is None and not node.steady()
     # Two RBs of 100 bytes, then two that both UEs decline: a twin, as each
@@ -841,7 +863,7 @@ def test_steady_takes_a_drained_twin_as_its_cycle():
     schedule_epoch(node)
     assert not node.steady()
     sched = schedule_epoch(node)
-    assert (sched.activity, node.backlog) == (node.twin[1].activity, [500.0, 0.0])
+    assert (sched.activity, node.backlog) == (node.twin[2].activity, [500.0, 0.0])
     assert node.steady() and node.twin
 
 
@@ -852,8 +874,9 @@ def test_twin_cycle_matches_the_cycle_a_walk_deals():
     # deals every rotation start with the dealing loop.  The load rows
     # summed over every window of up to three cycles from every start, the
     # keys and finals, and the credited amounts (`Cycle.amounts`) must be
-    # the walk's, the amounts bit for bit.  Random nodes of 1-6 UEs over
-    # RBs of 1-3 groups; each UE's demand is under one RB or up to a few.
+    # the walk's, the amounts bit for bit, and every start's deal must be
+    # the twin's schedule.  Random nodes of 1-6 UEs over RBs of 1-3 groups;
+    # each UE's demand is under one RB or up to a few.
     rng = random.Random(71)
     n_ids, n_rbs = 8, 40
     twins = multi_round = other_totals = 0
@@ -884,11 +907,16 @@ def test_twin_cycle_matches_the_cycle_a_walk_deals():
             for count in range(1, 3 * n + 1):
                 assert cycle.load(start, count) == dealt.load(start, count), (start, count)
         assert cycle.amounts(n).tobytes() == dealt.amounts(n).tobytes()
-        twin = node.twin[1]
+        twin = node.twin[2]
+        assert all(walk.slots[j][2] == twin for j in range(n))
         multi_round += twin.used_rb > len(twin.served_bytes)
-        other_totals += len(set(dealt.amounts(n)[-1].tolist())) > 1
-    # 153 twins; in 88 some UE takes several RBs, and in 44 the node
-    # totals of two starts differ in their bits
+        # the node total summed in each start's rotation order, the order
+        # in which round 0 serves the UEs
+        other_totals += len({fold_sum([a for p, a in twin.served_bytes if p >= j]
+                                      + [a for p, a in twin.served_bytes if p < j], 0.0)
+                             for j in range(n)}) > 1
+    # 153 twins; in 88 some UE takes several RBs, and in 44 a node total
+    # summed in rotation order would differ in its bits between two starts
     assert twins >= 120 and multi_round >= 60 and other_totals >= 30, \
         (twins, multi_round, other_totals)
 
