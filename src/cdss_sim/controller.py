@@ -10,7 +10,7 @@ decision, and whatever TN does not need is handed to the NTN side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .band import (
     AllocationState,
@@ -75,8 +75,9 @@ class LoadReport(_LoadReportFields):
                                    available_rb_epochs, period_end_epoch))
 
 
-def aggregate_load(reports: Sequence[LoadReport], group_index: int) -> float:
-    """Arithmetic mean of used/available over the group's cell reports.
+def aggregate_load(reports: Iterable[LoadReport], group_index: int) -> float:
+    """Arithmetic mean of used/available over the group's cell reports,
+    read once.
 
     Reports with zero available RB-epochs are excluded; if nothing usable
     remains the caller gets a MissingDataError and should skip the update.
@@ -157,9 +158,10 @@ def apply_adjustment(
 class SpectrumManager:
     """Round-robin controller: one coordinated group considered per step.
 
-    The manager owns only the round-robin cursor; allocation state flows
-    through `sms_step` by value.  A missing or degenerate load report for
-    the selected group skips that group's update but still advances the
+    The manager owns the round-robin cursor and, for each group, the state
+    and load rows it last held on; allocation state flows through
+    `sms_step` by value.  A missing or degenerate load report for the
+    selected group skips that group's update but still advances the
     cursor.
     """
 
@@ -167,24 +169,37 @@ class SpectrumManager:
         self.plan = plan
         self.cfg = cfg
         self._cursor = 0
+        self._held: Dict[int, tuple] = {}
 
     def sms_step(
-        self, state: AllocationState, reports: Sequence[LoadReport], now: int
+        self, state: AllocationState, reports: Iterable[LoadReport], now: int,
+        rows: Optional[Sequence[Sequence[int]]] = None,
     ) -> Tuple[AllocationState, int]:
         """Run one optimization period: aggregate, decide, apply.
 
         Returns the new state and the TN delta applied to the selected
         group, 0 when the step was skipped or held.  The RBs each system
         may use follow from the state through `band.rb_ranges`.
+
+        The reports are read at most once.  `rows`, if given, are the load
+        rows they are built from, equal rows giving reports that differ at
+        most in their epoch.  A step reads only the state, the selected
+        group's reports and the cursor (`now` only when it moves), so a
+        group that held on a state and rows equal to these holds again: it
+        is not run, and the reports are not read.
         """
         coordinated = self.plan.coordinated_indices()
         if not coordinated:
             return state, 0
         gi = coordinated[self._cursor % len(coordinated)]
         self._cursor += 1
+        if rows is not None and self._held.get(gi) == (state, rows):
+            return state, 0
         try:
             avg = aggregate_load(reports, gi)
         except MissingDataError:
             return state, 0
         delta = decide_adjustment(avg, state.allocations[gi], self.cfg)
+        if delta == 0:
+            self._held[gi] = (state, rows)
         return apply_adjustment(state, self.plan, gi, delta, now, self.cfg), delta

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -281,12 +281,14 @@ def _schedule_nodes(nodes, credit: bool) -> List[float]:
     return activity
 
 
-def _load_reports(tn_nodes, loads, coordinated: Sequence[int], epoch: int) -> List[LoadReport]:
+def _load_reports(tn_nodes, loads, coordinated: Sequence[int], epoch: int) -> Iterator[LoadReport]:
     """Each TN cell's report for each coordinated group j, from its period
-    load's column 1 + j.  A report with no granted RB is kept, and
+    load's column 1 + j, built as it is read: a step that holds at once
+    reads none.  A report with no granted RB is kept, and
     `controller.aggregate_load` skips it."""
-    return [LoadReport(node.entity_id, gi, load[1 + j], load[len(load) // 2 + 1 + j], epoch)
-            for node, load in zip(tn_nodes, loads) for j, gi in enumerate(coordinated)]
+    for node, load in zip(tn_nodes, loads):
+        for j, gi in enumerate(coordinated):
+            yield LoadReport(node.entity_id, gi, load[1 + j], load[len(load) // 2 + 1 + j], epoch)
 
 
 def _record_final(store, final_rows, total_rbs: int, nodes) -> None:
@@ -308,7 +310,9 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
     """The period end at `epoch`, from each TN cell's records of the period
     (`periods`): the utilization samples after the warmup, the load
     reports, the controller step and the timeline rows.  Returns the state
-    the step returns, the same object when it moved no boundary."""
+    the step returns, the same object when it moved no boundary.  The step
+    is given the load rows too, so a group that held on this state and
+    these rows holds at once (`SpectrumManager.sms_step`)."""
     plan, coordinated = manager.plan, manager.plan.coordinated_indices()
     step = epoch // clock.period_epochs
     sampled = epoch - clock.period_epochs >= clock.warmup_epochs
@@ -321,7 +325,8 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
                               sum(load[:len(load) // 2]), sum(load[len(load) // 2:]))
             for node, load in zip(tn_nodes, loads)
         )
-    state = manager.sms_step(state, _load_reports(tn_nodes, loads, coordinated, epoch), epoch)[0]
+    state = manager.sms_step(state, _load_reports(tn_nodes, loads, coordinated, epoch), epoch,
+                             loads)[0]
     store.sms_steps += 1
     store.timeline.extend(_timeline_rows(plan, state, CASES[store.case_id], clock, step, epoch,
                                          store.timeline[-len(plan.groups):]))
@@ -345,18 +350,19 @@ def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
     end) only a controller move changes a grant, so the period ends run in
     turn from the cycles: the first over each cell's records and one run
     record up to it, each later one over one run record of a whole period
-    from the start the cell reaches then.  The plan stops after a move or
-    where a whole period would pass `limit`; then each node advances once."""
+    from the position the cell's rotation reaches then, modulo its
+    cycle's length.  The plan stops after a move or where a whole period
+    would pass `limit`; then each node advances once."""
     first, length = epoch, clock.period_epochs
     tn_nodes = [node for node in nodes if node.group_index is None]
-    cells = [(node.replay_cycle(), node.offset, node.rotation) for node in tn_nodes]
+    cells = [(node.replay_cycle(), node.offset) for node in tn_nodes]
     periods = [node.period for node in tn_nodes]
     begin, epoch = first, min(epoch - epoch % length + length, limit)
     while epoch % length == 0:
         held = state
         state = _period_end(store, manager, clock, tn_nodes, state, epoch, [
-            [*records, Run(cycle, (offset + begin - first) % n, epoch - begin)]
-            for records, (cycle, offset, n) in zip(periods, cells)])
+            [*records, Run(cycle, (offset + begin - first) % len(cycle.keys), epoch - begin)]
+            for records, (cycle, offset) in zip(periods, cells)])
         if state is not held or epoch + length > limit:
             break
         periods = [[] for _ in cells]

@@ -18,18 +18,19 @@ def generate_arrivals(backlog: Sequence[float], increments: Sequence[float]) -> 
 
 
 class Cycle:
-    """The epochs a node repeats, one per rotation start, in start order:
-    the keys, finals and `CellSchedule`s of its slots, or of its twin slot
-    at every start (see `Node.replay_cycle`).
+    """The distinct epochs a node repeats, in start order: the keys, finals
+    and `CellSchedule`s of its slots, one per rotation start, or its twin
+    slot alone (see `Node.replay_cycle`).  Every position into a cycle is
+    taken modulo its own length.
 
     `closed` says whether they chain: each final backlog is the next
     start's key, the last one the first's, and every epoch has the same
     activity.  The prefix sums of their load rows (for `period_load`) and
     the matrix of their credited bytes (for `Node.fast_forward`) are built
-    on first use, once per cycle.
+    on first use, once per cycle, and each whole-period `window` once.
     """
 
-    __slots__ = ("keys", "finals", "schedules", "closed", "_prefix", "_amounts")
+    __slots__ = ("keys", "finals", "schedules", "closed", "_prefix", "_amounts", "_windows")
 
     def __init__(self, slots: List[tuple]) -> None:
         self.keys = [key for key, _, _ in slots]
@@ -39,6 +40,17 @@ class Cycle:
                        and len({s.activity for s in self.schedules}) == 1)
         self._prefix: Optional[List[Tuple[int, ...]]] = None
         self._amounts: Optional[np.ndarray] = None
+        self._windows: Dict[tuple, List[int]] = {}
+
+    def window(self, start: int, count: int) -> List[int]:
+        """`load(start, count)`, summed once: a repeated window returns the
+        same list, which no caller mutates.  `period_load` reads a whole
+        period fast-forwarded here, as a settled stretch repeats it."""
+        key = start, count
+        row = self._windows.get(key)
+        if row is None:
+            row = self._windows[key] = self.load(start, count)
+        return row
 
     def load(self, start: int, count: int) -> List[int]:
         """The load row summed over `count` epochs from position `start`:
@@ -57,7 +69,7 @@ class Cycle:
     def amounts(self, n_ues: int) -> np.ndarray:
         """The bytes each epoch credits, in the row layout of `Node.books`:
         one row per UE position (0.0 where it was not served), then the
-        node total, one column per epoch."""
+        node total, one column per epoch of the cycle."""
         if self._amounts is None:
             amounts = [[0.0] * len(self.schedules) for _ in range(n_ues)]
             for j, s in enumerate(self.schedules):
@@ -108,8 +120,8 @@ class Node:
     the next start's key, round to the first, and all carry one activity.
     Then `fast_forward` replays the cycle for many epochs at once.  A
     drained node with a verified `twin` repeats the twin slot at every
-    start, the very epoch a walk of its starts would deal, so it needs no
-    other slot.  Any other cycle is the slots', one per rotation start,
+    start, the very epoch a walk of its starts would deal, so its cycle is
+    that one slot.  Any other cycle is the slots', one per rotation start,
     each filled by the epoch `schedule_epoch` last dealt there, from
     whatever key the node held then; their chain is checked, not trusted,
     as a slot is exact only for its own key.  The cycle is built once and
@@ -171,21 +183,21 @@ class Node:
         one the last epoch gave, stays the same, so nodes that are all
         steady keep the rows as they are."""
         cycle = self.replay_cycle()
-        return (cycle is not None and self.backlog == cycle.keys[self.offset % self.rotation]
+        return (cycle is not None and self.backlog == cycle.keys[self.offset % len(cycle.keys)]
                 and cycle.closed)
 
     def replay_cycle(self) -> Optional[Cycle]:
         """The cycle the node repeats from its backlog, built once and kept
-        until a slot changes: its twin slot at every start if the backlog
-        is drained and its twin verified (`_twin_at`), else its slots' if
-        it has one for each rotation start and the backlog is the current
-        start's key, else None."""
+        until a slot changes: its twin slot alone, the epoch of every start,
+        if the backlog is drained and its twin verified (`_twin_at`), else
+        its slots' if it has one for each rotation start and the backlog is
+        the current start's key, else None."""
         if self.cycle is None:
             n = self.rotation
             start = self.offset % n
             twin = not any(self.backlog) and _twin_at(self, start)
             if twin:
-                self.cycle = Cycle([twin] * n)
+                self.cycle = Cycle([twin])
             elif len(self.slots) == n and self.slots[start][0] == self.backlog:
                 # A list: CPython keeps freed tuples on one free list per length,
                 # and tuples of every rotation length filled them, which raised
@@ -197,15 +209,16 @@ class Node:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would,
         as one run record in `period`, to the final backlog its cycle
         gives; the engine has run from the cycle any period end they pass.
-        The last `credited` epochs are credited at once: `sums.fold_cycle`
-        adds them to the books from the cycle position of the first, in
-        the order and with the rounding of `record`'s epoch-by-epoch
-        credits; an unserved UE adds 0.0, a no-op as no total is -0.0."""
-        n = self.rotation
+        The `offset` advances modulo the rotation.  The last `credited`
+        epochs are credited at once: `sums.fold_cycle` adds them to the
+        books from the cycle position of the first, in the order and with
+        the rounding of `record`'s epoch-by-epoch credits; an unserved UE
+        adds 0.0, a no-op as no total is -0.0."""
         cycle = self.replay_cycle()
+        n = len(cycle.keys)
         start = self.offset % n
         self.period.append(Run(cycle, start, epochs))
-        self.offset = (start + epochs) % n
+        self.offset = (self.offset + epochs) % self.rotation
         self.backlog = cycle.finals[(start + epochs - 1) % n]
         if credited:
             self.books[:] = fold_cycle(np.array(self.books), cycle.amounts(len(self.ue_ids)),
@@ -422,6 +435,6 @@ def period_load(period: Sequence[Union[CellSchedule, Run]]) -> List[int]:
     cost that does not grow with its epoch count."""
     if len(period) == 1 and period[0].__class__ is Run:     # a whole period fast-forwarded
         cycle, start, count = period[0]
-        return cycle.load(start, count)
+        return cycle.window(start, count)
     rows = [s.cycle.load(s.start, s.count) if s.__class__ is Run else s.load for s in period]
     return [sum(column) for column in zip(*rows)]

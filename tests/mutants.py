@@ -37,6 +37,10 @@ GUARD_KEY = "tests/test_engine.py::test_grant_rebuilds_exactly_when_the_guard_ke
 TWIN_CYCLE = "tests/test_traffic.py::test_twin_cycle_matches_the_cycle_a_walk_deals"
 TWIN_STEADY = "tests/test_traffic.py::test_steady_takes_a_drained_twin_as_its_cycle"
 MEMOS_KEPT = "tests/test_engine.py::test_grant_and_row_changes_keep_unchanged_memos"
+HELD_ONCE = "tests/test_engine.py::test_a_held_step_runs_once_per_group"
+HELD_MEMO = ("tests/test_controller.py::"
+             "test_sms_step_does_not_run_a_group_again_on_the_state_and_rows_it_held_on")
+CONTRACT = "tests/test_golden.py::test_every_reference_run_writes_its_recorded_files"
 
 
 class Mutant(NamedTuple):
@@ -51,7 +55,7 @@ MUTANTS = (
     Mutant("src/cdss_sim/traffic.py", "backlog = list(node.drained)", "backlog = node.drained",
            "a miss from a drained key deals on a fresh list: the node's `drained` "
            "arrivals are read again by its next such miss",
-           (MEMO_ORACLE, "tests/test_golden.py::test_single_runs_match_golden")),
+           (MEMO_ORACLE, "tests/test_golden.py::test_single_runs_match_golden", CONTRACT)),
     Mutant("src/cdss_sim/traffic.py", "    if not all(backlog):",
            "    if any(key) and not all(backlog):",
            "a drained key's arrivals hold a 0.0 for a UE with no demand, and that "
@@ -61,40 +65,41 @@ MUTANTS = (
            "order = table",
            "the rotation table lists the UEs from position 0; each epoch deals from "
            "its own rotation start",
-           (MEMO_ORACLE, ORACLE)),
+           (MEMO_ORACLE, ORACLE, CONTRACT)),
     Mutant("src/cdss_sim/engine.py", "if last and last[0].version == state.version:",
            "if last:",
            "timeline widths are borrowed only from rows of the same state version; "
            "a boundary move changes them",
            ("tests/test_engine.py::test_cdss_run_converges_monotonically",
-            "tests/test_golden.py::test_single_runs_match_golden")),
+            "tests/test_golden.py::test_single_runs_match_golden", CONTRACT)),
     Mutant("src/cdss_sim/traffic.py", "if low < b and (len(caps) > 1 or low <= 0.0):",
            "if False:",
            "a deal is a twin only if each queued UE's capacity over the dealt rows "
            "is one positive value or never below its backlog; otherwise another "
            "start deals other takes",
-           (MEMO_ORACLE,)),
+           (MEMO_ORACLE, CONTRACT)),
     Mutant("src/cdss_sim/traffic.py", "        self.twin = None\n", "",
            "a twin reads the grant and the byte rows as the slots do, so it goes "
            "stale with them",
-           (MEMO_ORACLE,)),
+           (MEMO_ORACLE, CONTRACT)),
     Mutant("src/cdss_sim/engine.py", "for i in range(last, last + n):",
            "for i in range(last, last + 1):",
            "the node that blocked last is only polled first; every node must be "
            "steady before `_fast_forward` plans from the cycles, as a node that is "
            "not has no cycle to replay",
            ("tests/test_golden.py::test_single_runs_match_golden",
-            "tests/test_reference_engine.py::test_engine_matches_reference_engine")),
+            "tests/test_reference_engine.py::test_engine_matches_reference_engine", CONTRACT)),
     Mutant("src/cdss_sim/traffic.py", "        self.clear_memo()\n", "",
            "a new grant deals other RBs, so the slots dealt over the old one go stale",
-           ("tests/test_engine.py::test_settled_runs_advance_each_node_once_per_stretch",)),
+           ("tests/test_engine.py::test_settled_runs_advance_each_node_once_per_stretch",
+            CONTRACT)),
     Mutant("src/cdss_sim/traffic.py", "    if granted:\n", "    if True:\n",
            "the rotation advances only on a granted epoch",
            (ORACLE,)),
     Mutant("src/cdss_sim/engine.py", "if state is not held or epoch + length > limit:",
            "if epoch + length > limit:",
            "a plan stops after a controller move: the new state changes the grants",
-           (GUARD_KEY,)),
+           (GUARD_KEY, CONTRACT)),
     Mutant("src/cdss_sim/engine.py", "guard_due if guard_due > epoch else clock.total_epochs",
            "clock.total_epochs",
            "a plan stops at the next guard expiry, which changes the grants",
@@ -103,7 +108,7 @@ MUTANTS = (
            "column = {gi: j for j, gi in enumerate(coordinated)}",
            "load column 0 holds the groups no report reads; coordinated group j is "
            "column 1 + j",
-           ("tests/test_acceptance.py::test_criterion_1_low_demand_convergence",)),
+           ("tests/test_acceptance.py::test_criterion_1_low_demand_convergence", CONTRACT)),
     Mutant("src/cdss_sim/engine.py", "if not g.coordinated or any(other != btx",
            "if any(other != btx",
            "the TN UEs hear every beam of an uncoordinated group, so its activity "
@@ -132,8 +137,9 @@ MUTANTS = (
            "a cycle repeats its epochs only if they all carry one activity; else the "
            "activity list, and the rows, would change in a fast-forward",
            ("tests/test_traffic.py::test_steady_needs_one_activity_in_every_slot",)),
-    Mutant("src/cdss_sim/engine.py", "Run(cycle, (offset + begin - first) % n, epoch - begin)",
-           "Run(cycle, offset % n, epoch - begin)",
+    Mutant("src/cdss_sim/engine.py",
+           "Run(cycle, (offset + begin - first) % len(cycle.keys), epoch - begin)",
+           "Run(cycle, offset % len(cycle.keys), epoch - begin)",
            "each planned period end reads a cell's cycle from the start its rotation "
            "reaches there, not from where the stretch began",
            ("tests/test_engine.py::test_planned_periods_read_each_cell_at_the_start_it_reaches",)),
@@ -166,7 +172,7 @@ MUTANTS = (
            "that reads a rewritten entry drops its slots",
            ("tests/test_engine.py::"
             "test_byte_factors_refresh_reports_exactly_the_changed_entries",
-            "tests/test_golden.py::test_single_runs_match_golden")),
+            "tests/test_golden.py::test_single_runs_match_golden", CONTRACT)),
     Mutant("src/cdss_sim/traffic.py", "if previous is not None and not any(previous[0]):",
            "if previous is not None:",
            "a twin is verified only from a slot dealt from a drained key; a slot "
@@ -178,6 +184,29 @@ MUTANTS = (
            "a node total adds the served amounts by UE position, so one deal gives "
            "the same bits from every rotation start, as its twin slot replays",
            (ORACLE, MEMO_ORACLE)),
+    Mutant("src/cdss_sim/traffic.py", "self.offset = (self.offset + epochs) % self.rotation",
+           "self.offset = (self.offset + epochs) % n",
+           "a fast-forward advances the rotation start modulo the rotation; a twin's "
+           "cycle has one slot, and the start it leaves decides the next deal",
+           ("tests/test_traffic.py::test_fast_forward_matches_epoch_by_epoch_scheduling",)),
+    Mutant("src/cdss_sim/traffic.py", "key = start, count", "key = start",
+           "a cycle's load window is its start and its epoch count; windows of other "
+           "lengths from one start sum other epochs",
+           ("tests/test_traffic.py::test_period_load_of_runs_equals_expanded_epochs",)),
+    Mutant("src/cdss_sim/controller.py", "self._held.get(gi) == (state, rows)",
+           "self._held.get(gi, (None,))[0] == state",
+           "a group that held runs again on other load rows, which may move its boundary",
+           (HELD_MEMO, "tests/test_engine.py::test_a_held_step_runs_again_on_other_rows")),
+    Mutant("src/cdss_sim/controller.py", "self._held.get(gi) == (state, rows)",
+           "self._held.get(gi, (None, None))[1] == rows",
+           "a group that held runs again on another state, whose allocation may let "
+           "it move",
+           (HELD_MEMO,)),
+    Mutant("src/cdss_sim/controller.py", "self._held.get(gi)",
+           "next(iter(self._held.values()), None)",
+           "a step is kept for the group that held on it; another group may move on "
+           "the same state and rows",
+           (HELD_MEMO, HELD_ONCE)),
 )
 
 

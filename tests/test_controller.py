@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import cdss_sim.controller as controller_mod
 from cdss_sim.band import GroupAllocation, build_band_plan, initial_allocation, rb_ranges
 from cdss_sim.controller import (
     CdssConfig,
@@ -265,6 +266,34 @@ def test_sms_step_no_coordinated_groups_is_a_noop():
     state = initial_allocation(plan, cfg)
     new, delta = manager.sms_step(state, [], 25)
     assert new is state and delta == 0
+
+
+def test_sms_step_does_not_run_a_group_again_on_the_state_and_rows_it_held_on(monkeypatch):
+    # A step reads only the state, the selected group's reports and the
+    # cursor, so a group that held on a state and load rows equal to this
+    # step's holds at once, its reports unread (None here).  Another group,
+    # another state (after group 1 moves) or other rows run the step; a
+    # step given no rows always runs.
+    cfg = CdssConfig()
+    plan = build_band_plan(160, 3, [True, True, False])
+    manager = SpectrumManager(plan, cfg)
+    state = initial_allocation(plan, cfg)
+    held, high, runs = saturating_reports(plan, 0.7), saturating_reports(plan, 1.0), []
+    aggregate = controller_mod.aggregate_load
+    monkeypatch.setattr(controller_mod, "aggregate_load",
+                        lambda reports, gi: runs.append(gi) or aggregate(reports, gi))
+    rows = [[0, 7, 7]]
+    assert manager.sms_step(state, held, 25, rows) == (state, 0)            # group 0 runs
+    assert manager.sms_step(state, held, 50, rows) == (state, 0)            # group 1 runs
+    assert manager.sms_step(state, None, 75, [[0, 7, 7]]) == (state, 0)     # group 0 held
+    moved, delta = manager.sms_step(state, high, 100, [[0, 10, 10]])        # group 1 runs
+    assert delta == cfg.step_rbs and runs == [0, 1, 1]
+    for now in (125, 150):                       # groups 0 and 1 run on the new state
+        assert manager.sms_step(moved, held, now, rows) == (moved, 0)
+    for now in (175, 200):
+        assert manager.sms_step(moved, None, now, rows) == (moved, 0)
+    assert manager.sms_step(moved, held, 225) == (moved, 0)
+    assert runs == [0, 1, 1, 0, 1, 0]
 
 
 def test_cdss_config_validation():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdss_sim.controller as controller_mod
 import cdss_sim.engine as engine_mod
 import cdss_sim.traffic as traffic_mod
 from cdss_sim.band import active_guard_rbs, build_band_plan, initial_allocation, rb_ranges
@@ -23,6 +24,7 @@ from cdss_sim.engine import (
     tn_granted_rbs,
 )
 from cdss_sim.errors import ConfigurationError, InvariantError
+from cdss_sim.metrics import MetricsStore
 from cdss_sim.radio import RadioParams, select_serving, thermal_noise_dbm
 from cdss_sim.scenario import (
     CASES,
@@ -594,8 +596,8 @@ def test_grant_rebuilds_exactly_when_the_guard_key_changes(fast_cfg, monkeypatch
     monkeypatch.setattr(engine_mod, "tn_granted_rbs",
                         lambda *args: rebuilds.append(1) or granted(*args))
 
-    def recording_step(self, state, reports, now):
-        result = step(self, state, reports, now)
+    def recording_step(self, state, reports, now, rows=None):
+        result = step(self, state, reports, now, rows)
         steps.append((now, result[0]))
         return result
 
@@ -726,6 +728,122 @@ def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
                                                                twin.books)
     # the two columns' split differs between the planned periods
     assert len({tuple(loads[0]) for _, loads in planned[1:]}) == 2
+
+
+class RowlessManager(SpectrumManager):
+    """The controller without the rows of its steps: every step runs."""
+
+    def sms_step(self, state, reports, now, rows=None):
+        return super().sms_step(state, reports, now)
+
+
+def twin_cells():
+    """Two cells, drained and steady with a verified twin after one epoch.
+    The grant is one RB of load column 2, then three of column 1, and each
+    of a cell's three UEs wants one RB per epoch, so every epoch deals the
+    first three: coordinated group 1 reads a load of 1.0 and group 0 one
+    of 2/3 in every period."""
+    column_of_rb = [2, 1, 1, 1]
+    row_of_rb = [[100.0] * 6 for _ in column_of_rb]
+    cells = []
+    for cell_id in range(2):
+        ue_ids = [3 * cell_id, 3 * cell_id + 1, 3 * cell_id + 2]
+        cell = Node(f"tn-{cell_id}", cell_id, ue_ids, cell_id, [0.0] * 3, [100.0] * 3)
+        cell.set_grant([0, 1, 2, 3], *grant_tables([0, 1, 2, 3], row_of_rb, column_of_rb))
+        cells.append(cell)
+    return cells
+
+
+def plan_and_walk(monkeypatch, cells, coordinated, cfg, cursor: int):
+    """Schedule `cells` over epochs 5-7 (periods of 5 epochs, no warmup) and
+    plan from epoch 8 to at most 58 with `_fast_forward`, under a
+    controller of the `coordinated` flags whose cursor starts at `cursor`;
+    then walk deep copies epoch by epoch to where the plan stopped, each
+    period end as a scheduled one, under a `RowlessManager`.  Returns the
+    plan's and the walk's manager, store, state and the steps that ran
+    (the group and its cells' used RB-epochs), and the epoch reached."""
+    clock = SimClock(0.001, 0, 60, 5)
+    plan = build_band_plan(60, len(coordinated), coordinated)
+    managers = SpectrumManager(plan, cfg), RowlessManager(plan, cfg)
+    stores = MetricsStore(2, 1, 0.06, 0.0), MetricsStore(2, 1, 0.06, 0.0)
+    for manager in managers:
+        manager._cursor = cursor
+    for epoch in range(5, 8):
+        for cell in cells:
+            cell.record(schedule_epoch(cell), True)
+    assert all(cell.steady() for cell in cells)
+    twins, runs, aggregate = copy.deepcopy(cells), [], controller_mod.aggregate_load
+
+    def recording_aggregate(reports, gi):
+        reports = list(reports)
+        runs.append((gi, [r.used_rb_epochs for r in reports if r.group_index == gi]))
+        return aggregate(reports, gi)
+
+    monkeypatch.setattr(controller_mod, "aggregate_load", recording_aggregate)
+    state = initial_allocation(plan, cfg)
+    planned, end = engine_mod._fast_forward(stores[0], managers[0], clock, cells, state, 8, 58)
+    planned_runs = runs[:]
+    runs.clear()
+    walked = state
+    for epoch in range(8, end):
+        for twin in twins:
+            twin.record(schedule_epoch(twin), True)
+        if (epoch + 1) % clock.period_epochs == 0:
+            walked = engine_mod._period_end(stores[1], managers[1], clock, twins, walked,
+                                            epoch + 1, [twin.period for twin in twins])
+            for twin in twins:
+                twin.period = []
+    monkeypatch.undo()
+    return ((managers[0], stores[0], planned, planned_runs),
+            (managers[1], stores[1], walked, runs), end)
+
+
+def assert_same_period_ends(planned, walked):
+    """The plan's samples, timeline rows, step count, cursor and state are
+    the walk's."""
+    (manager, store, state, _), (walk_manager, walk_store, walk_state, _) = planned, walked
+    assert (store.utilization, store.timeline, store.sms_steps, manager._cursor) == (
+        walk_store.utilization, walk_store.timeline, walk_store.sms_steps, walk_manager._cursor)
+    assert (state.version, state.allocations) == (walk_state.version, walk_state.allocations)
+
+
+def test_a_held_step_runs_once_per_group(monkeypatch):
+    # Over steady twin cells every period of a plan reads equal load rows
+    # (each whole period the same lists).  Each group's step runs once on
+    # them; a group that held does not run again, but the other group runs
+    # on the same rows, so group 1 (load 1.0) moves its boundary at its
+    # first step when 1.0 is above the upper threshold, although group 0
+    # (load 2/3) held on those rows, and the move stops the plan.  Samples,
+    # timeline rows, the step count, the cursor and the state must be those
+    # of an epoch-by-epoch walk whose steps all run.
+    for upper, cursor, end, groups in ((1.0, 0, 55, [0, 1]), (1.0, 1, 55, [1, 0]),
+                                       (0.8, 0, 15, [0, 1]), (0.8, 1, 10, [1])):
+        cfg = CdssConfig(upper_threshold=upper)
+        planned, walked, reached = plan_and_walk(monkeypatch, twin_cells(), (True, True),
+                                                 cfg, cursor)
+        assert reached == end, (upper, cursor)
+        assert [gi for gi, _ in planned[3]] == groups, (upper, cursor)
+        assert len(walked[3]) == walked[1].sms_steps == end // 5 - 1
+        assert (planned[2].version > 0) == (upper < 1.0)
+        assert_same_period_ends(planned, walked)
+
+
+def test_a_held_step_runs_again_on_other_rows(monkeypatch):
+    # A cell whose rotation does not divide the period reads its cycle from
+    # the other start in the next whole period, so one group's load rows
+    # alternate (cell 0 of `planning_cells`: 8 then 7 of 10 column-1
+    # RB-epochs, period 5, rotation 2).  A group that held on one row runs
+    # again on the other: every period end runs the step while all hold,
+    # and with a lower threshold of 0.75 the step at the second period end
+    # moves the boundary down, as in the walk.
+    for lower, end, used in ((0.0, 55, [[8], [7]] * 5), (0.75, 15, [[8], [7]])):
+        cfg = CdssConfig(lower_threshold=lower, upper_threshold=1.0)
+        planned, walked, reached = plan_and_walk(monkeypatch, planning_cells()[:1],
+                                                 (True, False), cfg, 0)
+        assert reached == end, lower
+        assert planned[3] == walked[3] and [u for _, u in planned[3]] == used, lower
+        assert (planned[2].version > 0) == (lower > 0.0)
+        assert_same_period_ends(planned, walked)
 
 
 def counting_schedule(twin_hits, loops):

@@ -7,10 +7,14 @@ the default scenario in the regimes where replay misses deal several
 rounds to UEs that do not drain: case 3 seeds 5 and 6 (one saturated
 cell each) and case 4 seeds 1, 7 and 9 (saturated beams; 7 and 9 also
 oscillate).  The SHA-256 of each file is committed in
-`golden/digests.json`.  A refactor must keep them;
+`golden/digests.json`.  The output contract, every run the benchmark's
+`perfbench/reference.json` records (cases 1-4 x seeds 1-20 of the
+default scenario), is checked against the digests recorded there.  A
+refactor must keep them all;
 a change meant to alter outputs regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
+    python3 perfbench/reference.py --regenerate
 
 and explains the changed bytes in CHANGES.md.
 """
@@ -23,7 +27,7 @@ import sys
 from pathlib import Path
 
 from cdss_sim.engine import RunSpec, run_and_write, run_campaign
-from cdss_sim.scenario import serialize_scenario
+from cdss_sim.scenario import load_scenario, serialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -86,6 +90,24 @@ def test_full_scale_golden_agrees_with_benchmark_reference():
         for stem, digest in runs[f"{case_id}/{seed}"]["files"].items()
     }
     assert golden == reference
+
+
+def test_every_reference_run_writes_its_recorded_files(tmp_path):
+    # The output contract: every (case, seed) the benchmark's reference
+    # records, run with `run_and_write` on the scenario it names, writes
+    # files whose SHA-256 is the recorded one, float files included.  The
+    # reference holds cases 1-4 x seeds 1-20, six files each, so a shrunken
+    # reference cannot pass.
+    reference = json.loads(BENCH_REFERENCE.read_text())
+    scenario = load_scenario(BENCH_REFERENCE.parents[1] / reference["scenario"])
+    checked = 0
+    for key, run in reference["runs"].items():
+        case_id, seed = map(int, key.split("/"))
+        _, files = run_and_write(RunSpec(scenario, case_id, seed), tmp_path / key)
+        assert {stem: hashlib.sha256(path.read_bytes()).hexdigest()
+                for stem, path in files.items()} == run["files"], key
+        checked += len(run["files"])
+    assert (len(reference["runs"]), checked) == (80, 480)
 
 
 FRESH_RUN = """

@@ -869,14 +869,15 @@ def test_steady_takes_a_drained_twin_as_its_cycle():
 
 def test_twin_cycle_matches_the_cycle_a_walk_deals():
     # Naive oracle: a drained node whose twin is verified is steady with
-    # its twin's cycle (`Node.replay_cycle`), and that cycle must be the
-    # one its slots would hold: a deep copy, told that it has no twin,
-    # deals every rotation start with the dealing loop.  The load rows
-    # summed over every window of up to three cycles from every start, the
-    # keys and finals, and the credited amounts (`Cycle.amounts`) must be
-    # the walk's, the amounts bit for bit, and every start's deal must be
-    # the twin's schedule.  Random nodes of 1-6 UEs over RBs of 1-3 groups;
-    # each UE's demand is under one RB or up to a few.
+    # its twin's cycle (`Node.replay_cycle`), one slot, and that cycle must
+    # stand for the one its slots would hold, position by position modulo
+    # its length: a deep copy, told that it has no twin, deals every
+    # rotation start with the dealing loop.  The keys and finals, the load
+    # rows summed over every window of up to three rotations from every
+    # start, and each start's column of the credited amounts
+    # (`Cycle.amounts`, bit for bit) must be the walk's, and every start's
+    # deal must be the twin's schedule.  Random nodes of 1-6 UEs over RBs of
+    # 1-3 groups; each UE's demand is under one RB or up to a few.
     rng = random.Random(71)
     n_ids, n_rbs = 8, 40
     twins = multi_round = other_totals = 0
@@ -902,11 +903,15 @@ def test_twin_cycle_matches_the_cycle_a_walk_deals():
             schedule_epoch(walk)
         assert len(walk.slots) == n and walk.steady()
         cycle, dealt = node.replay_cycle(), walk.replay_cycle()
-        assert (cycle.keys, cycle.finals) == (dealt.keys, dealt.finals)
+        assert len(cycle.keys) == 1 and len(dealt.keys) == n
+        amounts, dealt_amounts = cycle.amounts(n), dealt.amounts(n)
+        assert amounts.shape == (n + 1, 1)
         for start in range(n):
+            at = start % len(cycle.keys)
+            assert (cycle.keys[at], cycle.finals[at]) == (dealt.keys[start], dealt.finals[start])
+            assert amounts[:, at].tobytes() == dealt_amounts[:, start].tobytes()
             for count in range(1, 3 * n + 1):
-                assert cycle.load(start, count) == dealt.load(start, count), (start, count)
-        assert cycle.amounts(n).tobytes() == dealt.amounts(n).tobytes()
+                assert cycle.load(at, count) == dealt.load(start, count), (start, count)
         twin = node.twin[2]
         assert all(walk.slots[j][2] == twin for j in range(n))
         multi_round += twin.used_rb > len(twin.served_bytes)
@@ -959,7 +964,7 @@ def test_replay_cycle_follows_every_slot_change():
 
 def reports(load, coordinated, now):
     """The engine's reports of one TN cell (cell 0) from its period load."""
-    return _load_reports([node_for([])], [load], coordinated, now)
+    return list(_load_reports([node_for([])], [load], coordinated, now))
 
 
 def test_cell_load_ratio():
