@@ -23,7 +23,8 @@ import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -58,6 +59,7 @@ from .scenario import (
 )
 from .sums import fold_sum
 from .traffic import (
+    Cycle,
     Node,
     Run,
     generate_arrivals,  # noqa: F401 - unused here; lets a tracer's getattr find it
@@ -306,31 +308,37 @@ def _record_final(store, final_rows, total_rbs: int, nodes) -> None:
                                               else final_rows[node.group_index].ntn_rbs)
 
 
-def _period_end(store, manager, clock, tn_nodes, state, epoch: int, periods):
-    """The period end at `epoch`, from each TN cell's records of the period
-    (`periods`): the utilization samples after the warmup, the load
-    reports, the controller step and the timeline rows.  Returns the state
-    the step returns, the same object when it moved no boundary.  The step
-    is given the load rows too, so a group that held on this state and
-    these rows holds at once (`SpectrumManager.sms_step`)."""
+def _period_end(store, manager, clock, tn_nodes, state, epoch: int, loads, last=()):
+    """The period end at `epoch`, from each TN cell's load row, which
+    `loads` yields: the samples after the warmup, the load reports, the
+    controller step and the timeline rows.  Returns the state the step
+    returns (the same object if it moved no boundary) and the rows read.
+    Rows each the very list of `last`, the previous period end's, are
+    read as `last`, and its samples' sums, if it took any, are reused.
+    The step holds at once where it held on this state and these rows
+    (`SpectrumManager.sms_step`)."""
     plan, coordinated = manager.plan, manager.plan.coordinated_indices()
     step = epoch // clock.period_epochs
     sampled = epoch - clock.period_epochs >= clock.warmup_epochs
     # Only TN loads are read: by the reports, if a group is coordinated,
     # and by the samples after the warmup.
-    loads = [period_load(period) for period in periods] if coordinated or sampled else []
+    rows = list(loads) if coordinated or sampled else []
+    if last and all(map(is_, rows, last)):
+        rows = last
     if sampled:
-        store.utilization.extend(
-            UtilizationSample(node.entity_id, step, epoch * clock.epoch_s,
-                              sum(load[:len(load) // 2]), sum(load[len(load) // 2:]))
-            for node, load in zip(tn_nodes, loads)
-        )
-    state = manager.sms_step(state, _load_reports(tn_nodes, loads, coordinated, epoch), epoch,
-                             loads)[0]
+        if rows is last and epoch - 2 * clock.period_epochs >= clock.warmup_epochs:
+            sums = [sample[3:] for sample in store.utilization[-len(rows):]]
+        else:
+            sums = [(sum(load[:len(load) // 2]), sum(load[len(load) // 2:])) for load in rows]
+        time_s = epoch * clock.epoch_s
+        store.utilization.extend(UtilizationSample(node.entity_id, step, time_s, *pair)
+                                 for node, pair in zip(tn_nodes, sums))
+    state = manager.sms_step(state, _load_reports(tn_nodes, rows, coordinated, epoch), epoch,
+                             rows)[0]
     store.sms_steps += 1
     store.timeline.extend(_timeline_rows(plan, state, CASES[store.case_id], clock, step, epoch,
                                          store.timeline[-len(plan.groups):]))
-    return state
+    return state, rows
 
 
 def _blocker(nodes, last: int) -> int:
@@ -349,24 +357,28 @@ def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
     the epoch reached.  Before `limit` (the next guard expiry or the run
     end) only a controller move changes a grant, so the period ends run in
     turn from the cycles: the first over each cell's records and one run
-    record up to it, each later one over one run record of a whole period
-    from the position the cell's rotation reaches then, modulo its
-    cycle's length.  The plan stops after a move or where a whole period
+    record up to it, each later one over the `Cycle.window` of a whole
+    period from the position the cell's rotation reaches then, modulo its
+    cycle's length: the previous period's very list where that position
+    repeats.  The plan stops after a move or where a whole period
     would pass `limit`; then each node advances once."""
     first, length = epoch, clock.period_epochs
     tn_nodes = [node for node in nodes if node.group_index is None]
-    cells = [(node.replay_cycle(), node.offset) for node in tn_nodes]
-    periods = [node.period for node in tn_nodes]
+    cycles = [node.replay_cycle() for node in tn_nodes]
     begin, epoch = first, min(epoch - epoch % length + length, limit)
+    loads = map(period_load, [
+        [*node.period, Run(cycle, node.offset % len(cycle.keys), epoch - first)]
+        for node, cycle in zip(tn_nodes, cycles)])
+    rows = ()
     while epoch % length == 0:
         held = state
-        state = _period_end(store, manager, clock, tn_nodes, state, epoch, [
-            [*records, Run(cycle, (offset + begin - first) % len(cycle.keys), epoch - begin)]
-            for records, (cycle, offset) in zip(periods, cells)])
+        state, rows = _period_end(store, manager, clock, tn_nodes, state, epoch, loads, rows)
         if state is not held or epoch + length > limit:
             break
-        periods = [[] for _ in cells]
         begin, epoch = epoch, epoch + length
+        loads = map(Cycle.window, cycles, [(node.offset + begin - first) % len(cycle.keys)
+                                           for node, cycle in zip(tn_nodes, cycles)],
+                    repeat(length))
     credited = max(0, epoch - max(first, clock.warmup_epochs))
     for node in nodes:
         node.fast_forward(epoch - first, credited)
@@ -486,7 +498,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             epoch += 1
             if epoch % clock.period_epochs == 0:
                 state = _period_end(store, manager, clock, tn_nodes, state, epoch,
-                                    [node.period for node in tn_nodes])
+                                    map(period_load, map(attrgetter("period"), tn_nodes)))[0]
         if epoch % clock.period_epochs == 0:
             for node in nodes:
                 node.period = []

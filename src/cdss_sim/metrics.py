@@ -127,19 +127,33 @@ def output_dir(out_dir) -> Path:
 
 
 def write_table(path: Path, header: str, rows: Sequence[str]) -> Path:
-    """Write one delimited table: the header line, then one line per row.
-    An existing report is unlinked first: ext4 closes a new file far faster
-    than a truncated, rewritten one (its `auto_da_alloc` flush), and a
-    symlinked report is replaced by a plain file, its target left as is."""
+    """Write one delimited table, in one write: the header line, then one
+    line per row.  An existing report is unlinked first: ext4 closes a new
+    file far faster than a truncated, rewritten one (its `auto_da_alloc`
+    flush), and a symlinked report is replaced by a plain file, its target
+    left as is."""
     try:
         path.unlink(missing_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            fh.write("\n".join([header, *rows, ""]))
     except OSError as exc:
         raise InvariantError(f"failed to write report {path}: {exc}") from exc
     return path
+
+
+def _lines(rows: Sequence[tuple], suffix: str) -> List[str]:
+    """The lines of a table whose rows lead with two ints and a time:
+    those three, then `suffix.format(row)`, a function of the fields after
+    the time, formatted once for each distinct tuple of them."""
+    suffixes: Dict[tuple, str] = {}
+    lines = []
+    for row in rows:
+        key = row[3:]
+        text = suffixes.get(key)
+        if text is None:
+            text = suffixes[key] = suffix.format(row)
+        lines.append(f"{row[0]},{row[1]},{row[2]!r},{text}")
+    return lines
 
 
 def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
@@ -152,11 +166,8 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
     files["allocation_timeline"] = write_table(
         out_dir / f"{prefix}_allocation_timeline.csv",
         "step,epoch,time_s,group,group_size,coordinated,tn_rbs,guard_rbs,ntn_rbs,version",
-        [
-            f"{r.step},{r.epoch},{r.time_s!r},{r.group_index},{r.group_size},"
-            f"{int(r.coordinated)},{r.tn_rbs},{r.guard_rbs},{r.ntn_rbs},{r.version}"
-            for r in store.timeline
-        ],
+        _lines(store.timeline, "{0.group_index},{0.group_size},{0.coordinated:d},"
+                               "{0.tn_rbs},{0.guard_rbs},{0.ntn_rbs},{0.version}"),
     )
 
     files["final_allocation"] = write_table(
@@ -189,11 +200,8 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
     files["utilization"] = write_table(
         out_dir / f"{prefix}_utilization.csv",
         "cell_id,period,time_s,used_rb_epochs,available_rb_epochs,utilization",
-        [
-            f"{s.cell_id},{s.period_index},{s.time_s!r},"
-            f"{s.used_rb_epochs},{s.available_rb_epochs},{s.utilization!r}"
-            for s in store.utilization
-        ],
+        _lines(store.utilization,
+               "{0.used_rb_epochs},{0.available_rb_epochs},{0.utilization!r}"),
     )
 
     zero_tput = sum(1 for t in throughputs.values() if t == 0.0)

@@ -336,13 +336,6 @@ _HEX_NORMALS = tuple((math.cos(math.radians(a)), math.sin(math.radians(a)))
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
 
-def _in_hexagon(dx: float, dy: float, apothem: float) -> bool:
-    for cos_a, sin_a in _HEX_NORMALS:
-        if abs(dx * cos_a + dy * sin_a) > apothem:
-            return False
-    return True
-
-
 def _wrap_deg(a: float) -> float:
     return (a + 180.0) % 360.0 - 180.0
 
@@ -359,13 +352,17 @@ def _doubles(rng: np.random.Generator) -> Iterator[float]:
         yield from rng.random(256).tolist()
 
 
-def _uniform(doubles: Iterator[float], lo: float, hi: float) -> float:
-    """`rng.uniform(lo, hi)` on the next double: numpy's formula and its
-    range check, which stops a placement loop that could never accept."""
-    span = hi - lo
-    if not math.isfinite(span):
+def _span(lo: float, hi: float) -> float:
+    """`hi - lo` under numpy's range check of `rng.uniform(lo, hi)`, which
+    stops a placement loop that could never accept."""
+    if not math.isfinite(hi - lo):
         raise OverflowError("high - low range exceeds valid bounds")
-    return lo + span * next(doubles)
+    return hi - lo
+
+
+def _uniform(doubles: Iterator[float], lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)` on the next double: numpy's formula."""
+    return lo + _span(lo, hi) * next(doubles)
 
 
 def _sample_in_sector(
@@ -375,11 +372,19 @@ def _sample_in_sector(
     hex_radius_m: float,
     wedge_deg: float,
 ) -> Tuple[float, float]:
+    """(dx, dy) pairs, each coordinate `_uniform(doubles, -R, R)`, until one
+    lies in the site's hexagon, 1 m or more from the mast and inside the
+    wedge; the range is checked once, and the hexagon test is inlined."""
+    lo = -hex_radius_m
+    span = _span(lo, hex_radius_m)
     apothem = _HALF_SQRT3 * hex_radius_m
+    (c0, s0), (c1, s1), (c2, s2) = _HEX_NORMALS
+    draw = doubles.__next__
     while True:
-        dx = _uniform(doubles, -hex_radius_m, hex_radius_m)
-        dy = _uniform(doubles, -hex_radius_m, hex_radius_m)
-        if not _in_hexagon(dx, dy, apothem):
+        dx = lo + span * draw()
+        dy = lo + span * draw()
+        if (abs(dx * c0 + dy * s0) > apothem or abs(dx * c1 + dy * s1) > apothem
+                or abs(dx * c2 + dy * s2) > apothem):
             continue
         if math.hypot(dx, dy) < 1.0:  # avoid the singular point at the mast
             continue

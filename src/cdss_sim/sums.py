@@ -30,14 +30,17 @@ def fold_cycle(start: np.ndarray, cycle: np.ndarray, first: int, count: int) -> 
     start[i])`, the row's columns from `first` on, repeated.
 
     `np.add.accumulate` rounds each step left to right, as `fold_sum` does
-    (a pairwise `np.sum` does not).  The tiled columns are folded a block
-    of whole cycles, at most about FOLD_BLOCK columns, at a time, each
-    block starting from the running value the last one left.
+    (a pairwise `np.sum` does not).  The cycle rolled to `first` is tiled
+    into a block of whole cycles, at most about FOLD_BLOCK columns, folded
+    as often as needed, each time from the running value the last left.
     """
     rows, n = cycle.shape
-    width = n * max(1, min(-(-count // n), FOLD_BLOCK // n))
+    reps = max(1, min(-(-count // n), FOLD_BLOCK // n))
+    width = n * reps
     block = np.empty((rows, width + 1))
-    block[:, 1:] = cycle[:, (first + np.arange(width)) % n]
+    # a (rows, reps, n) view of the block's columns after the first
+    block[:, 1:].reshape(rows, reps, n)[:] = np.concatenate(
+        (cycle[:, first % n:], cycle[:, :first % n]), axis=1)[:, None]
     total = np.asarray(start, dtype=float)
     while count > 0:
         take = min(width, count)

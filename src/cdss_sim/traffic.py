@@ -44,8 +44,8 @@ class Cycle:
 
     def window(self, start: int, count: int) -> List[int]:
         """`load(start, count)`, summed once: a repeated window returns the
-        same list, which no caller mutates.  `period_load` reads a whole
-        period fast-forwarded here, as a settled stretch repeats it."""
+        same list, which no caller mutates.  The engine's planned whole
+        periods read here, as a settled stretch repeats them."""
         key = start, count
         row = self._windows.get(key)
         if row is None:
@@ -433,8 +433,5 @@ def period_load(period: Sequence[Union[CellSchedule, Run]]) -> List[int]:
     epoch).  A scheduled epoch adds its `CellSchedule.load`; a
     fast-forward's `Run` adds the row its cycle's prefix sums give, at a
     cost that does not grow with its epoch count."""
-    if len(period) == 1 and period[0].__class__ is Run:     # a whole period fast-forwarded
-        cycle, start, count = period[0]
-        return cycle.window(start, count)
     rows = [s.cycle.load(s.start, s.count) if s.__class__ is Run else s.load for s in period]
     return [sum(column) for column in zip(*rows)]

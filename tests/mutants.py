@@ -41,6 +41,7 @@ HELD_ONCE = "tests/test_engine.py::test_a_held_step_runs_once_per_group"
 HELD_MEMO = ("tests/test_controller.py::"
              "test_sms_step_does_not_run_a_group_again_on_the_state_and_rows_it_held_on")
 CONTRACT = "tests/test_golden.py::test_every_reference_run_writes_its_recorded_files"
+OTHER_ROWS = "tests/test_engine.py::test_a_held_step_runs_again_on_other_rows"
 
 
 class Mutant(NamedTuple):
@@ -137,11 +138,10 @@ MUTANTS = (
            "a cycle repeats its epochs only if they all carry one activity; else the "
            "activity list, and the rows, would change in a fast-forward",
            ("tests/test_traffic.py::test_steady_needs_one_activity_in_every_slot",)),
-    Mutant("src/cdss_sim/engine.py",
-           "Run(cycle, (offset + begin - first) % len(cycle.keys), epoch - begin)",
-           "Run(cycle, offset % len(cycle.keys), epoch - begin)",
-           "each planned period end reads a cell's cycle from the start its rotation "
-           "reaches there, not from where the stretch began",
+    Mutant("src/cdss_sim/engine.py", "(node.offset + begin - first) % len(cycle.keys)",
+           "node.offset % len(cycle.keys)",
+           "each planned whole period reads a cell's cycle window from the start its "
+           "rotation reaches there, not from where the stretch began",
            ("tests/test_engine.py::test_planned_periods_read_each_cell_at_the_start_it_reaches",)),
     Mutant("src/cdss_sim/engine.py", "if node.load_prefix and granted == node.granted:",
            "if False:",
@@ -196,7 +196,7 @@ MUTANTS = (
     Mutant("src/cdss_sim/controller.py", "self._held.get(gi) == (state, rows)",
            "self._held.get(gi, (None,))[0] == state",
            "a group that held runs again on other load rows, which may move its boundary",
-           (HELD_MEMO, "tests/test_engine.py::test_a_held_step_runs_again_on_other_rows")),
+           (HELD_MEMO, OTHER_ROWS)),
     Mutant("src/cdss_sim/controller.py", "self._held.get(gi) == (state, rows)",
            "self._held.get(gi, (None, None))[1] == rows",
            "a group that held runs again on another state, whose allocation may let "
@@ -207,6 +207,34 @@ MUTANTS = (
            "a step is kept for the group that held on it; another group may move on "
            "the same state and rows",
            (HELD_MEMO, HELD_ONCE)),
+    Mutant("src/cdss_sim/engine.py", "if last and all(map(is_, rows, last)):",
+           "if last and rows[0] is last[0]:",
+           "a period end reuses the previous rows only if every cell's row is the very "
+           "list read there; a later cell's window may move on while the first repeats",
+           (OTHER_ROWS,)),
+    Mutant("src/cdss_sim/engine.py",
+           "if rows is last and epoch - 2 * clock.period_epochs >= clock.warmup_epochs:",
+           "if rows is last:",
+           "repeated rows lend the sums of the previous period end's samples only if "
+           "that period end took samples; the first after the warmup sums its own",
+           ("tests/test_golden.py::test_single_runs_match_golden", CONTRACT)),
+    Mutant("src/cdss_sim/metrics.py", "key = row[3:]", "key = row[3]",
+           "a report line's suffix is a function of every field after the time; samples "
+           "of one used count and another available one have other utilizations",
+           ("tests/test_metrics.py::test_report_lines_match_plain_per_row_formatting",
+            CONTRACT)),
+    Mutant("src/cdss_sim/scenario.py",
+           "\n                or abs(dx * c2 + dy * s2) > apothem)", ")",
+           "a point lies in the hexagon only inside all three pairs of its edges; "
+           "without the 150-degree pair, the loop accepts points past two of its edges",
+           ("tests/test_block_draws.py::test_block_draws_match_scalar_draws",)),
+    Mutant("src/cdss_sim/sums.py",
+           "np.concatenate(\n        (cycle[:, first % n:], cycle[:, :first % n]), axis=1)",
+           "cycle",
+           "a fold tiles the cycle from position `first`; a cycle tiled from position "
+           "0 credits the columns in another order and with other ones at the end",
+           ("tests/test_sums.py::test_fold_cycle_equals_fold_sum",
+            "tests/test_traffic.py::test_fast_forward_credits_its_epochs_from_their_cycle_position")),
 )
 
 

@@ -24,12 +24,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def shapes():
     """The default layout and its edge shapes: no UEs per cell or per beam,
-    one site, one sector, the smallest ISD, and a four-sector site."""
+    one site, one sector, the smallest ISD, and a four-sector site; and
+    two- and six-sector sites, whose wedges reject half and five sixths of
+    the pairs inside the hexagon."""
     cfg = default_scenario()
     topo = cfg.topology
     for change in ({}, {"ues_per_tn_cell": 0}, {"ues_per_beam": 0},
                    {"ues_per_tn_cell": 0, "ues_per_beam": 0}, {"num_sites": 1},
                    {"sectors_per_site": 1}, {"isd_m": DOMAINS[("topology", "isd_m")][0]},
+                   {"sectors_per_site": 2}, {"sectors_per_site": 6},
                    {"num_sites": 1, "sectors_per_site": 4, "ues_per_tn_cell": 25}):
         yield replace(cfg, topology=replace(topo, **change))
 

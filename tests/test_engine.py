@@ -680,9 +680,9 @@ def planning_cells():
 
 def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
     # `_fast_forward` runs each period end ahead from the cells' cycles.  Its
-    # loads must be those an epoch-by-epoch walk of a twin gives, and each
-    # whole period's must be `period_load` of one run record from the start
-    # the twin reaches there.  The plan stops after the period end whose
+    # load rows must be those an epoch-by-epoch walk of a twin gives, and
+    # each whole period's must be `period_load` of one run record from the
+    # start the twin reaches there.  The plan stops after the period end whose
     # step moves a boundary, and where the next whole period would pass the
     # limit (a guard expiry inside a period, one on a period end, the run
     # end); then each cell is advanced once, to where its twin is.
@@ -696,9 +696,9 @@ def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
         twins = copy.deepcopy(cells)
         held, moved, planned = object(), object(), []
 
-        def period_end(store, manager, clock, tn_nodes, state, epoch, periods):
-            planned.append((epoch, [period_load(period) for period in periods]))
-            return moved if epoch == move_at else state
+        def period_end(store, manager, clock, tn_nodes, state, epoch, loads, last):
+            planned.append((epoch, list(loads)))
+            return (moved if epoch == move_at else state), planned[-1][1]
 
         advanced = []
         fast_forward = Node.fast_forward
@@ -790,7 +790,8 @@ def plan_and_walk(monkeypatch, cells, coordinated, cfg, cursor: int):
             twin.record(schedule_epoch(twin), True)
         if (epoch + 1) % clock.period_epochs == 0:
             walked = engine_mod._period_end(stores[1], managers[1], clock, twins, walked,
-                                            epoch + 1, [twin.period for twin in twins])
+                                            epoch + 1, [period_load(twin.period)
+                                                        for twin in twins])[0]
             for twin in twins:
                 twin.period = []
     monkeypatch.undo()
@@ -835,11 +836,15 @@ def test_a_held_step_runs_again_on_other_rows(monkeypatch):
     # RB-epochs, period 5, rotation 2).  A group that held on one row runs
     # again on the other: every period end runs the step while all hold,
     # and with a lower threshold of 0.75 the step at the second period end
-    # moves the boundary down, as in the walk.
-    for lower, end, used in ((0.0, 55, [[8], [7]] * 5), (0.75, 15, [[8], [7]])):
+    # moves the boundary down, as in the walk.  Ahead of that cell, a twin
+    # cell reads the same window list in every whole period, which must
+    # not stand for the other cell's.
+    for cells, lower, end, used in ((planning_cells()[:1], 0.0, 55, [[8], [7]] * 5),
+                                    (planning_cells()[:1], 0.75, 15, [[8], [7]]),
+                                    ([twin_cells()[1], planning_cells()[0]], 0.0, 55,
+                                     [[10, 8], [10, 7]] * 5)):
         cfg = CdssConfig(lower_threshold=lower, upper_threshold=1.0)
-        planned, walked, reached = plan_and_walk(monkeypatch, planning_cells()[:1],
-                                                 (True, False), cfg, 0)
+        planned, walked, reached = plan_and_walk(monkeypatch, cells, (True, False), cfg, 0)
         assert reached == end, lower
         assert planned[3] == walked[3] and [u for _, u in planned[3]] == used, lower
         assert (planned[2].version > 0) == (lower > 0.0)

@@ -93,6 +93,55 @@ def test_finalize_writes_all_artifacts(tmp_path):
     assert tput_lines[1] == "0,TN,1000.0,1600.0"
 
 
+def plain_report_files(store):
+    """The allocation timeline and utilization files of `store`, one plain
+    f-string per row."""
+    timeline = "".join(
+        f"{r.step},{r.epoch},{r.time_s!r},{r.group_index},{r.group_size},"
+        f"{int(r.coordinated)},{r.tn_rbs},{r.guard_rbs},{r.ntn_rbs},{r.version}\n"
+        for r in store.timeline)
+    utilization = "".join(
+        f"{s.cell_id},{s.period_index},{s.time_s!r},"
+        f"{s.used_rb_epochs},{s.available_rb_epochs},{s.utilization!r}\n"
+        for s in store.utilization)
+    return (("step,epoch,time_s,group,group_size,coordinated,tn_rbs,guard_rbs,ntn_rbs,version\n"
+             + timeline).encode(),
+            ("cell_id,period,time_s,used_rb_epochs,available_rb_epochs,utilization\n"
+             + utilization).encode())
+
+
+def test_report_lines_match_plain_per_row_formatting(tmp_path):
+    # `finalize` formats the fields after the time once for each distinct
+    # tuple of them.  Its files must be byte for byte those a plain
+    # f-string per row writes: with a suffix that recurs on other cells and
+    # periods, samples that share their used count but not their available
+    # one and the reverse, an empty period, and a state's widths (25, 3,
+    # 25) that come back under a later, non-adjacent version.  Empty
+    # tables still write their header line.
+    rng = random.Random(73)
+    store = make_store()
+    widths = [(25, 3, 25, 0), (21, 3, 29, 1), (21, 3, 29, 1), (17, 3, 33, 2), (25, 3, 25, 3),
+              (25, 3, 25, 3), (29, 3, 21, 4)]
+    store.timeline = [
+        TimelineRow(step, 25 * step, 0.25 * step, g, 53 + (g == 2), g < 2,
+                    *((tn, guard, ntn) if g < 2 else (54, 0, 0)), version)
+        for step, (tn, guard, ntn, version) in enumerate(widths) for g in range(3)]
+    pairs = [(50, 100), (50, 80), (40, 100), (0, 0), (100, 100), (33, 97)]
+    store.utilization = [UtilizationSample(cell, period, 0.25 * period, *rng.choice(pairs))
+                         for period in range(20, 40) for cell in range(9)]
+    store.utilization[:4] = [UtilizationSample(cell, 20, 5.0, *pair)
+                             for cell, pair in enumerate(pairs[:4])]
+    files = finalize(store, tmp_path)
+    assert (files["allocation_timeline"].read_bytes(),
+            files["utilization"].read_bytes()) == plain_report_files(store)
+    assert len({s[3:] for s in store.utilization}) == len(pairs)
+    store.timeline, store.utilization = [], []
+    files = finalize(store, tmp_path)
+    assert (files["allocation_timeline"].read_bytes(),
+            files["utilization"].read_bytes()) == plain_report_files(store)
+    assert files["utilization"].read_text().count("\n") == 1
+
+
 def test_finalize_rejects_unbalanced_accounting(tmp_path):
     store = make_store()
     store.node_bytes["tn-0"] = 900.0

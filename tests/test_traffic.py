@@ -528,7 +528,8 @@ def test_period_load_of_runs_equals_expanded_epochs():
     # cycle's end; it must read as the epochs it stands for, added one by
     # one, for every start position and for epoch counts below, at and
     # above a multiple of the cycle, alone (a whole period fast-forwarded)
-    # and between scheduled epochs.
+    # and between scheduled epochs.  `Cycle.window` is that row, summed
+    # once: the same list each time it is asked for.
     rng = random.Random(61)
     checked = 0
     for n in (1, 2, 3, 7):
@@ -552,6 +553,9 @@ def test_period_load_of_runs_equals_expanded_epochs():
                             want[c] += value
                     assert period_load(period) == want, (n, start, count)
                     checked += 1
+                window = cycle.window(start, count)
+                assert window == period_load([Run(cycle, start, count)])
+                assert cycle.window(start, count) is window
     assert checked > 100
 
 
