@@ -270,13 +270,15 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int,
 def _schedule_nodes(nodes, credit: bool) -> List[float]:
     """Schedule every node for one epoch and record it on the node
     (`traffic.Node.record`), which keeps it for the period's load and,
-    with `credit`, adds its bytes to the node's books.
+    with `credit`, adds its bytes to the books (the first sets `opening`).
 
     Returns each transmitter's activity fraction (used over granted RBs),
     which sets the interference of the next epoch.
     """
     activity = []
     for node in nodes:
+        if credit and node.opening is None:
+            node.opening = node.backlog
         sched = schedule_epoch(node)
         node.record(sched, credit)
         activity.append(sched.activity)
@@ -503,11 +505,19 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             for node in nodes:
                 node.period = []
 
-    # from the books, by UE position, to the store, by ue_id in ue_id order
+    # From the books, by UE position, to the store, by ue_id in ue_id order.
+    # A UE's credits plus its final backlog are its opening backlog plus
+    # its arrivals since, compared at the scale of the bytes that arrived.
+    credited = clock.total_epochs - clock.warmup_epochs
     store.ue_bytes = dict.fromkeys(range(len(ues)), 0.0)
     for node in nodes:
-        store.ue_bytes.update(zip(node.ue_ids, node.books))
-        store.node_bytes[node.node_id] = node.books[-1]
+        for uid, got, opening, inc, final in zip(node.ue_ids, node.books, node.opening,
+                                                 node.increments, node.backlog):
+            arrived = opening + inc * credited
+            if not math.isclose(got + final, arrived, rel_tol=1e-9, abs_tol=1e-6):
+                raise InvariantError(f"byte accounting mismatch: UE {uid} was credited "
+                                     f"{got} bytes, its backlogs give {arrived - final}")
+            store.ue_bytes[uid] = got
     # the last period end's rows hold the final state; no step or epoch is read
     _record_final(store, store.timeline[-len(plan.groups):], band.total_rbs, nodes)
     return store

@@ -1,4 +1,4 @@
-"""Run metrics: allocation timelines, byte accounting, CDFs, report files.
+"""Run metrics: allocation timelines, byte totals, CDFs, report files.
 
 One MetricsStore accumulates a single run and is finalized into a set of
 delimited text tables plus one structured JSON summary.  File names follow
@@ -9,7 +9,6 @@ output directories stay flat and greppable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -79,7 +78,6 @@ class MetricsStore:
     warmup_s: float
     timeline: List[TimelineRow] = field(default_factory=list)
     ue_bytes: Dict[int, float] = field(default_factory=dict)
-    node_bytes: Dict[str, float] = field(default_factory=dict)
     utilization: List[UtilizationSample] = field(default_factory=list)
     unserved_ues: List[int] = field(default_factory=list)
     ue_system: Dict[int, str] = field(default_factory=dict)   # TN / NTN / none
@@ -99,12 +97,6 @@ class MetricsStore:
 
 
 def _check_store(store: MetricsStore) -> None:
-    ue_total = fold_sum(store.ue_bytes.values())
-    node_total = fold_sum(store.node_bytes.values())
-    if not math.isclose(ue_total, node_total, rel_tol=1e-9, abs_tol=1e-6):
-        raise InvariantError(
-            f"byte accounting mismatch: UEs {ue_total} vs nodes {node_total}"
-        )
     for row in store.timeline:
         if row.coordinated and row.tn_rbs + row.guard_rbs + row.ntn_rbs != row.group_size:
             raise InvariantError(

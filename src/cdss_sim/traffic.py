@@ -68,15 +68,13 @@ class Cycle:
 
     def amounts(self, n_ues: int) -> np.ndarray:
         """The bytes each epoch credits, in the row layout of `Node.books`:
-        one row per UE position (0.0 where it was not served), then the
-        node total, one column per epoch of the cycle."""
+        one row per UE position (0.0 where it was not served), one column
+        per epoch of the cycle."""
         if self._amounts is None:
-            amounts = [[0.0] * len(self.schedules) for _ in range(n_ues)]
+            self._amounts = np.zeros((n_ues, len(self.schedules)))
             for j, s in enumerate(self.schedules):
                 for p, amount in s.served_bytes:
-                    amounts[p][j] = amount
-            amounts.append([s.node_bytes for s in self.schedules])
-            self._amounts = np.array(amounts)
+                    self._amounts[p, j] = amount
         return self._amounts
 
 
@@ -98,11 +96,11 @@ class Node:
     order), its rotation offset (kept modulo the rotation length) and, for
     a beam, its group.  It derives the rest of its setup once: the
     `rotation` length (a node with no UE has one start), the post-warmup
-    byte `books` (each UE's total, then the node total), the rotation
-    `table` of `(position, ue_id)` pairs and the `drained` arrivals onto
-    all-zero backlogs (see `schedule_epoch`), lists never mutated.  The
-    other fields are run state: the grant with its `grant_tables`, the
-    current period's epochs and the replay memo.
+    byte `books` (one total per UE), the rotation `table` of `(position,
+    ue_id)` pairs and the `drained` arrivals onto all-zero backlogs (see
+    `schedule_epoch`), lists never mutated.  The other fields are run
+    state: the grant with its `grant_tables`, the current period's epochs,
+    the replay memo and the backlogs before the first credit (`opening`).
 
     `backlog` is rebound, never mutated in place, because the memo keeps
     backlog lists by reference.  It has one slot per rotation start (the
@@ -155,12 +153,13 @@ class Node:
     slots: Dict[int, tuple] = field(init=False, default_factory=dict)
     cycle: Optional[Cycle] = field(init=False, default=None)   # the slots', while they hold
     twin: Optional[tuple] = field(init=False, default=None)    # a slot, () or None
+    opening: Optional[List[float]] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         n = len(self.ue_ids)
         self.rotation = n or 1
         self.offset %= self.rotation
-        self.books = [0.0] * (n + 1)
+        self.books = [0.0] * n
         self.table = list(enumerate(self.ue_ids))
         self.drained = generate_arrivals([0.0] * n, self.increments)
 
@@ -213,7 +212,8 @@ class Node:
         epochs are credited at once: `sums.fold_cycle` adds them to the
         books from the cycle position of the first, in the order and with
         the rounding of `record`'s epoch-by-epoch credits; an unserved UE
-        adds 0.0, a no-op as no total is -0.0."""
+        adds 0.0, a no-op as no total is -0.0.  The run's first credit sets
+        `opening` to that position's key."""
         cycle = self.replay_cycle()
         n = len(cycle.keys)
         start = self.offset % n
@@ -221,17 +221,19 @@ class Node:
         self.offset = (self.offset + epochs) % self.rotation
         self.backlog = cycle.finals[(start + epochs - 1) % n]
         if credited:
+            first = (start + epochs - credited) % n
+            if self.opening is None:
+                self.opening = cycle.keys[first]
             self.books[:] = fold_cycle(np.array(self.books), cycle.amounts(len(self.ue_ids)),
-                                       (start + epochs - credited) % n, credited).tolist()
+                                       first, credited).tolist()
 
     def record(self, sched: CellSchedule, credit: bool) -> None:
         """Add a scheduled epoch to the period; with `credit`, add its bytes
         to the books."""
         self.period.append(sched)
-        if credit and sched.served_bytes:
+        if credit:
             for p, amount in sched.served_bytes:
                 self.books[p] += amount
-            self.books[-1] += sched.node_bytes
 
 
 class CellSchedule(NamedTuple):
@@ -240,7 +242,6 @@ class CellSchedule(NamedTuple):
 
     granted: Sequence[int]
     served_bytes: Tuple[Tuple[int, float], ...]   # (UE position, bytes), by position
-    node_bytes: float                   # 0.0 + the served bytes, in that order
     used_rb: int
     load: Tuple[int, ...]               # used RBs per load column, then the grant's size per column
     activity: float                     # used_rb over the granted RBs, 0.0 with none
@@ -306,9 +307,9 @@ def schedule_epoch(node: Node) -> CellSchedule:
     never below its backlog.  Then no UE declines a dealt RB and its takes
     are `cap, cap, ..., rest` or its whole backlog, from any start, so
     every start deals each UE the same amount on the same RBs.  A schedule
-    lists its amounts by UE position and sums them in that order, so
-    every start's deal is the twin's own `CellSchedule`: a drained key
-    with no slot of its own is a hit on the twin slot and writes none.
+    lists its amounts by UE position, so every start's deal is the twin's
+    own `CellSchedule`: a drained key with no slot of its own is a hit on
+    the twin slot and writes none.
     The twin is verified once per memo generation (`_twin_at`), at a
     drained miss or a steadiness poll whose previous start holds a
     drained slot; the answer is the same at every start.
@@ -383,13 +384,9 @@ def schedule_epoch(node: Node) -> CellSchedule:
             for c, (hi, lo) in enumerate(zip(load_prefix[i + 1], load_prefix[i])):
                 counts[c] -= hi - lo
         load = tuple(counts)
-    served_bytes = [(p, amount) for p, amount in enumerate(served) if amount]
-    node_bytes = 0.0
-    for _, amount in served_bytes:
-        node_bytes += amount
+    served_bytes = tuple([(p, amount) for p, amount in enumerate(served) if amount])
     used_rb = k - len(unused)
-    sched = CellSchedule(granted, tuple(served_bytes), node_bytes, used_rb, load,
-                         used_rb / n_rb if used_rb else 0.0)
+    sched = CellSchedule(granted, served_bytes, used_rb, load, used_rb / n_rb if used_rb else 0.0)
     node.backlog = backlog
     node.slots[start] = (key, backlog, sched)
     node.cycle = None

@@ -42,6 +42,11 @@ HELD_MEMO = ("tests/test_controller.py::"
              "test_sms_step_does_not_run_a_group_again_on_the_state_and_rows_it_held_on")
 CONTRACT = "tests/test_golden.py::test_every_reference_run_writes_its_recorded_files"
 OTHER_ROWS = "tests/test_engine.py::test_a_held_step_runs_again_on_other_rows"
+CREDIT_POSITION = ("tests/test_traffic.py::"
+                   "test_fast_forward_credits_its_epochs_from_their_cycle_position")
+FORWARD = "tests/test_traffic.py::test_fast_forward_matches_epoch_by_epoch_scheduling"
+STEADY_REFERENCE = ("tests/test_reference_engine.py::"
+                    "test_engine_matches_reference_engine_in_steady_states")
 
 
 class Mutant(NamedTuple):
@@ -119,8 +124,7 @@ MUTANTS = (
     Mutant("src/cdss_sim/traffic.py", "(start + epochs - credited) % n", "start",
            "a fast-forward credits its last epochs from the cycle position of the "
            "first of them, not of the first epoch of the stretch",
-           ("tests/test_traffic.py::test_fast_forward_credits_its_epochs_from_their_cycle_position",
-            "tests/test_traffic.py::test_fast_forward_matches_epoch_by_epoch_scheduling")),
+           (CREDIT_POSITION, FORWARD)),
     Mutant("src/cdss_sim/traffic.py", "drained = generate_arrivals([0.0] * n, self.increments)",
            "drained = list(self.increments)",
            "the drained arrivals are `0.0 + increment`, +0.0 for a -0.0 increment, "
@@ -179,11 +183,6 @@ MUTANTS = (
            "that drained queued backlogs served other amounts than every drained "
            "epoch does",
            (MEMO_ORACLE,)),
-    Mutant("src/cdss_sim/traffic.py", "    for _, amount in served_bytes:\n",
-           "    for _, amount in reversed(served_bytes):\n",
-           "a node total adds the served amounts by UE position, so one deal gives "
-           "the same bits from every rotation start, as its twin slot replays",
-           (ORACLE, MEMO_ORACLE)),
     Mutant("src/cdss_sim/traffic.py", "self.offset = (self.offset + epochs) % self.rotation",
            "self.offset = (self.offset + epochs) % n",
            "a fast-forward advances the rotation start modulo the rotation; a twin's "
@@ -233,8 +232,22 @@ MUTANTS = (
            "cycle",
            "a fold tiles the cycle from position `first`; a cycle tiled from position "
            "0 credits the columns in another order and with other ones at the end",
-           ("tests/test_sums.py::test_fold_cycle_equals_fold_sum",
-            "tests/test_traffic.py::test_fast_forward_credits_its_epochs_from_their_cycle_position")),
+           ("tests/test_sums.py::test_fold_cycle_equals_fold_sum", CREDIT_POSITION)),
+    Mutant("src/cdss_sim/traffic.py", "first, credited).tolist()",
+           "first, credited + 1).tolist()",
+           "a fast-forward credits exactly its `credited` epochs; one more adds an "
+           "epoch's bytes that no epoch served",
+           (CREDIT_POSITION, FORWARD, CONTRACT)),
+    Mutant("src/cdss_sim/traffic.py", "first, credited).tolist()",
+           "(first + 1) % n, credited).tolist()",
+           "the fold starts at the first credited epoch's cycle position, "
+           "(start + epochs - credited) % n, not the one after it",
+           (CREDIT_POSITION, FORWARD)),
+    Mutant("src/cdss_sim/traffic.py", "self.opening = cycle.keys[first]",
+           "self.opening = cycle.keys[start]",
+           "where the warmup ends inside a stretch, a UE's accounting starts from the "
+           "key of the first credited epoch, not of the stretch's first",
+           (STEADY_REFERENCE,)),
 )
 
 

@@ -18,8 +18,7 @@ Everything after that is naive:
 
 Bytes are credited from the per-RB scheduler's own per-epoch sums: each
 UE's amount is the sum of its RBs in the order they were dealt, added once
-per epoch to its total, and a node's total adds 0.0 plus those amounts in
-the order of its UEs.  Adding every RB to the run total separately would
+per epoch to its total.  Adding every RB to the total separately would
 regroup the float additions and change the last digits of the reports,
 which are compared byte for byte.
 """
@@ -125,7 +124,6 @@ def run_reference(spec: RunSpec) -> MetricsStore:
 
     store = MetricsStore(spec.case_id, spec.seed, scenario.sim.total_s, scenario.sim.warmup_s)
     store.ue_bytes = {ue.ue_id: 0.0 for ue in ues}
-    store.node_bytes = {node_id: 0.0 for node_id in node_ids}
     for ue, tx in zip(ues, serving):
         if tx is None:
             store.unserved_ues.append(ue.ue_id)
@@ -162,13 +160,8 @@ def run_reference(spec: RunSpec) -> MetricsStore:
                     for rb in rbs:
                         used[row][group_of[rb]] += 1
             if epoch >= clock.warmup_epochs:
-                node_sum = 0.0
-                for ue_id in members[row]:
-                    if ue_id in sched.served_bytes:
-                        amount = sched.served_bytes[ue_id]
-                        store.ue_bytes[ue_id] += amount
-                        node_sum += amount
-                store.node_bytes[node_id] += node_sum
+                for ue_id, amount in sched.served_bytes.items():
+                    store.ue_bytes[ue_id] += amount
 
         if (epoch + 1) % clock.period_epochs == 0:
             now = epoch + 1

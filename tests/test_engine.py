@@ -53,7 +53,7 @@ def test_same_spec_same_store(fast_cfg):
     a = run_simulation(RunSpec(fast_cfg, 2, 7))
     b = run_simulation(RunSpec(fast_cfg, 2, 7))
     assert a.ue_bytes == b.ue_bytes
-    assert a.node_bytes == b.node_bytes
+    assert a.node_rb_counts == b.node_rb_counts
     assert a.timeline == b.timeline
     assert a.utilization == b.utilization
 
@@ -91,7 +91,7 @@ def test_tn_only_constant_timeline_and_no_beam_traffic(fast_cfg):
         )
     for rows in by_group.values():
         assert len(set(rows)) == 1
-    assert all(node.startswith("tn-") for node in store.node_bytes)
+    assert all(node.startswith("tn-") for node in store.node_rb_counts)
     assert store.tn_share == 1.0 and store.ntn_share == 0.0
     assert all(count == 160 for count in store.node_rb_counts.values())
 
@@ -635,7 +635,7 @@ def test_settled_run_fast_forwards_most_node_epochs(fast_cfg, monkeypatch):
     monkeypatch.setattr(engine_mod, "schedule_epoch",
                         lambda node: calls.append(1) or schedule(node))
     store = run_simulation(RunSpec(fast_cfg, 3, 1))
-    node_epochs = len(store.node_bytes) * SimClock.from_config(fast_cfg).total_epochs
+    node_epochs = len(store.node_rb_counts) * SimClock.from_config(fast_cfg).total_epochs
     assert node_epochs == 2700
     assert 0 < len(calls) < node_epochs / 10, len(calls)
 
@@ -965,8 +965,7 @@ def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, m
     scheduled = run_simulation(RunSpec(fast_cfg, 2, 1))
     checked = [e for run_name, e in books if run_name == "forwarded"]
     assert [e for e in checked if books["forwarded", e] != books["scheduled", e]] == []
-    assert (forwarded.ue_bytes, forwarded.node_bytes) == (scheduled.ue_bytes,
-                                                          scheduled.node_bytes)
+    assert forwarded.ue_bytes == scheduled.ue_bytes
     warmup = SimClock.from_config(fast_cfg).warmup_epochs
     # node-epochs scheduled right after a credited stretch: 48 for this
     # seed, 4 epochs of 9 cells and 3 beams

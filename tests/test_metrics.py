@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cdss_sim.engine import RunSpec, run_and_write
 from cdss_sim.errors import InvariantError
 from cdss_sim.metrics import (
     MetricsStore,
@@ -13,6 +14,7 @@ from cdss_sim.metrics import (
     write_table,
 )
 from cdss_sim.sums import fold_sum
+from cdss_sim.traffic import Node
 
 
 def test_compute_cdf_simple():
@@ -54,7 +56,6 @@ def test_compute_cdf_probability_monotone_property():
 def make_store():
     store = MetricsStore(case_id=2, seed=1, total_s=10.0, warmup_s=5.0)
     store.ue_bytes = {0: 1000.0, 1: 0.0}
-    store.node_bytes = {"tn-0": 1000.0}
     store.ue_system = {0: "TN", 1: "none"}
     store.unserved_ues = [1]
     store.node_rb_counts = {"tn-0": 77}
@@ -142,11 +143,26 @@ def test_report_lines_match_plain_per_row_formatting(tmp_path):
     assert files["utilization"].read_text().count("\n") == 1
 
 
-def test_finalize_rejects_unbalanced_accounting(tmp_path):
-    store = make_store()
-    store.node_bytes["tn-0"] = 900.0
+def test_finalize_rejects_unbalanced_accounting(fast_cfg, tmp_path, monkeypatch):
+    # A run checks each UE's credited bytes against its backlogs: those
+    # before the first credited epoch, plus the arrivals since, minus the
+    # final ones.  One amount credited twice, once in the whole run, fails
+    # the run before any report is written; the same run is clean without.
+    record, doubled = Node.record, []
+
+    def doubling(node, sched, credit):
+        record(node, sched, credit)
+        if credit and sched.served_bytes and not doubled:
+            p, amount = sched.served_bytes[0]
+            node.books[p] += amount
+            doubled.append(node.ue_ids[p])
+
+    spec = RunSpec(fast_cfg, 2, 1)
+    run_and_write(spec, tmp_path / "clean")
+    monkeypatch.setattr(Node, "record", doubling)
     with pytest.raises(InvariantError, match="accounting"):
-        finalize(store, tmp_path)
+        run_and_write(spec, tmp_path / "doubled")
+    assert doubled and not list((tmp_path / "doubled").iterdir())
 
 
 def test_finalize_rejects_timeline_conservation_break(tmp_path):
