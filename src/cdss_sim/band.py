@@ -11,7 +11,7 @@ split.  All objects here have value semantics; updates go through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
 
@@ -37,8 +37,7 @@ class FrequencyGroup:
         return range(self.rb_start, self.rb_stop)
 
 
-@dataclass(frozen=True)
-class BandPlan:
+class BandPlan(NamedTuple):
     """The full RB grid and its group partition."""
 
     total_rbs: int
@@ -53,8 +52,7 @@ class BandPlan:
         return tuple(g.index for g in self.groups if g.coordinated)
 
 
-@dataclass(frozen=True)
-class GroupAllocation:
+class GroupAllocation(NamedTuple):
     """TN low end, guard band in the middle, NTN high end of one group."""
 
     tn_rbs: int
@@ -84,8 +82,7 @@ def rb_ranges(
             range(guard_stop, group.rb_stop))
 
 
-@dataclass(frozen=True)
-class AllocationState:
+class AllocationState(NamedTuple):
     """Per-group splits plus the guard-timed RB set and an update counter.
 
     `allocations` holds one GroupAllocation per coordinated group index.

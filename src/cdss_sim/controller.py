@@ -168,6 +168,7 @@ class SpectrumManager:
     def __init__(self, plan: BandPlan, cfg: CdssConfig):
         self.plan = plan
         self.cfg = cfg
+        self.coordinated = plan.coordinated_indices()   # the plan is fixed for a run
         self._cursor = 0
         self._held: Dict[int, tuple] = {}
 
@@ -188,7 +189,7 @@ class SpectrumManager:
         group that held on a state and rows equal to these holds again: it
         is not run, and the reports are not read.
         """
-        coordinated = self.plan.coordinated_indices()
+        coordinated = self.coordinated
         if not coordinated:
             return state, 0
         gi = coordinated[self._cursor % len(coordinated)]

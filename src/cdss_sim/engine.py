@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import math
 import os
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, is_
 from pathlib import Path
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -69,18 +67,24 @@ from .traffic import (
 )
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything that determines one run; equal specs give equal outputs."""
-
+class _RunSpecFields(NamedTuple):
     scenario: ScenarioConfig
     case_id: int
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.case_id not in CASES:
+
+class RunSpec(_RunSpecFields):
+    """Everything that determines one run; equal specs give equal outputs.
+    Immutable, and checked when it is built, also where a campaign's
+    worker process unpickles it."""
+
+    __slots__ = ()
+
+    def __new__(cls, scenario: ScenarioConfig, case_id: int, seed: int) -> RunSpec:
+        if case_id not in CASES:
             raise ConfigurationError(
-                f"case {self.case_id} unknown, valid cases are {sorted(CASES)}")
+                f"case {case_id} unknown, valid cases are {sorted(CASES)}")
+        return tuple.__new__(cls, (scenario, case_id, seed))
 
 
 def tn_granted_rbs(plan, state, blocked: AbstractSet[int]) -> List[int]:
@@ -256,12 +260,13 @@ def _timeline_rows(plan, state, case, clock, step: int, epoch: int,
     The widths are a function of the state, and a new state has a new
     version, so rows of the state's version (`last`, the previous rows, if
     any) lend theirs."""
+    time_s = epoch * clock.epoch_s
     if last and last[0].version == state.version:
-        return [TimelineRow(step, epoch, epoch * clock.epoch_s, *row[3:]) for row in last]
+        return [TimelineRow(step, epoch, time_s, *row[3:]) for row in last]
     rows = []
     for g in plan.groups:
         tn, guard, ntn = map(len, rb_ranges(g, state.allocations.get(g.index)))
-        rows.append(TimelineRow(step, epoch, epoch * clock.epoch_s, g.index, g.size,
+        rows.append(TimelineRow(step, epoch, time_s, g.index, g.size,
                                 g.coordinated, tn, guard, ntn if case.ntn_enabled else 0,
                                 state.version))
     return rows
@@ -319,7 +324,7 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, loads, last=
     read as `last`, and its samples' sums, if it took any, are reused.
     The step holds at once where it held on this state and these rows
     (`SpectrumManager.sms_step`)."""
-    plan, coordinated = manager.plan, manager.plan.coordinated_indices()
+    plan, coordinated = manager.plan, manager.coordinated
     step = epoch // clock.period_epochs
     sampled = epoch - clock.period_epochs >= clock.warmup_epochs
     # Only TN loads are read: by the reports, if a group is coordinated,
@@ -465,7 +470,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     nodes = tn_nodes + ntn_nodes            # position == transmitter row
 
     byte_factors = ByteFactors(plan, rx_dbm, serving, beams, radio_p, clock.epoch_s)
-    coordinated = plan.coordinated_indices()
+    coordinated = manager.coordinated
     # Per RB: its group's byte row, and its load column, 1 + j in coordinated
     # group j and 0 in any other group, whose load no report reads.
     column = {gi: 1 + j for j, gi in enumerate(coordinated)}
@@ -543,8 +548,7 @@ class RunRecord:
     files: Dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     records: List[RunRecord]
     aggregates: Dict[int, Dict[str, float]]
     files: Dict[str, Path]
@@ -563,6 +567,7 @@ def _campaign_worker(args: Tuple[RunSpec, str]) -> RunRecord:
     try:
         store, files = run_and_write(spec, Path(out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the campaign
+        import traceback
         return RunRecord(spec.case_id, spec.seed, ok=False,
                          error=f"{type(exc).__name__}: {exc}",
                          traceback=traceback.format_exc())
@@ -581,6 +586,16 @@ def _campaign_worker(args: Tuple[RunSpec, str]) -> RunRecord:
     )
 
 
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
+    """A `concurrent.futures.ProcessPoolExecutor` of `max_workers`,
+    imported on first use: the pool's 30-odd modules (`multiprocessing`,
+    `socket`, `subprocess` and more) would lengthen every cold start, and a
+    single run never uses them.  `run_campaign` looks the pool up by this name,
+    so a tracer or a test may swap it on the module."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+    return pool_class(max_workers=max_workers)
+
+
 def run_campaign(
     scenario: ScenarioConfig,
     case_ids: Sequence[int],
@@ -594,7 +609,8 @@ def run_campaign(
     and the aggregation below is order-fixed, so results are identical for
     any parallelism degree.  Individual run failures are recorded, not
     fatal.  `jobs` must be at least 1 and is clamped to the number of runs
-    and of CPUs.
+    and of CPUs.  The process pool is imported only when the clamped
+    `jobs` exceeds 1 (`ProcessPoolExecutor`).
     """
     if not case_ids:
         raise ConfigurationError("campaign needs at least one case")

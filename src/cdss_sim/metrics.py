@@ -17,8 +17,7 @@ from .errors import InvariantError
 from .sums import fold_sum
 
 
-@dataclass(frozen=True)
-class CdfSeries:
+class CdfSeries(NamedTuple):
     """Empirical CDF: sorted sample values with cumulative probabilities."""
 
     values: Tuple[float, ...]
@@ -136,15 +135,21 @@ def write_table(path: Path, header: str, rows: Sequence[str]) -> Path:
 def _lines(rows: Sequence[tuple], suffix: str) -> List[str]:
     """The lines of a table whose rows lead with two ints and a time:
     those three, then `suffix.format(row)`, a function of the fields after
-    the time, formatted once for each distinct tuple of them."""
+    the time, formatted once for each distinct tuple of them.  The rows of
+    one period end follow each other and share one time object, whose
+    repr is formatted once."""
     suffixes: Dict[tuple, str] = {}
     lines = []
+    time_s = shown = None
     for row in rows:
         key = row[3:]
         text = suffixes.get(key)
         if text is None:
             text = suffixes[key] = suffix.format(row)
-        lines.append(f"{row[0]},{row[1]},{row[2]!r},{text}")
+        if row[2] is not time_s:
+            time_s = row[2]
+            shown = repr(time_s)
+        lines.append(f"{row[0]},{row[1]},{shown},{text}")
     return lines
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,23 +45,20 @@ class RadioParams:
     beam_3db_radius_km: float = 25.0
 
 
-@dataclass(frozen=True)
-class TnCell:
+class TnCell(NamedTuple):
     cell_id: int
     site_xy: Tuple[float, float]         # metres, planar
     azimuth_deg: float
 
 
-@dataclass(frozen=True)
-class NtnBeam:
+class NtnBeam(NamedTuple):
     beam_id: int
     center_xy: Tuple[float, float]       # metres, planar
     group_index: int
     nominal_rbs: float                   # RBs spanned by the EIRP reference
 
 
-@dataclass
-class Ue:
+class Ue(NamedTuple):
     ue_id: int
     xy: Tuple[float, float]
     kind: str                            # "tn" or "ntn" placement area

@@ -14,7 +14,7 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ class ScenarioConfig:
     sim: SimParams = SimParams()
 
 
-@dataclass(frozen=True)
-class SimCase:
+class SimCase(NamedTuple):
     """One row of the four-case study matrix."""
 
     case_id: int
@@ -267,8 +266,7 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             f"= {MAX_RUN_WORK}; shorten the run or shrink the band or the topology")
 
 
-@dataclass(frozen=True)
-class SimClock:
+class SimClock(NamedTuple):
     """Epoch bookkeeping: integer epoch counts avoid float-drift boundaries."""
 
     epoch_s: float
@@ -308,8 +306,7 @@ def _whole_epochs(path: str, seconds: float, epoch_ms: float, minimum: int) -> i
 # ---------------------------------------------------------------------------
 # topology construction
 
-@dataclass
-class Topology:
+class Topology(NamedTuple):
     """Concrete transmitters and UEs for one run."""
 
     cells: List[TnCell]

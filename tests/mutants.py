@@ -248,6 +248,16 @@ MUTANTS = (
            "where the warmup ends inside a stretch, a UE's accounting starts from the "
            "key of the first credited epoch, not of the stretch's first",
            (STEADY_REFERENCE,)),
+    Mutant("src/cdss_sim/engine.py", "import os\nfrom dataclasses",
+           "import os\nfrom concurrent.futures import ProcessPoolExecutor as pool_class\n"
+           "from dataclasses",
+           "a single run never uses the process pool, so it must not pay a cold start "
+           "for the pool's modules; only a campaign with jobs > 1 imports them",
+           ("tests/test_imports.py::test_a_single_run_loads_no_process_pool",)),
+    Mutant("src/cdss_sim/metrics.py", "if row[2] is not time_s:", "if row[2] != time_s:",
+           "a report line reuses the previous time's repr only for the very same float; "
+           "an equal one may print otherwise, as -0.0 and 0.0 do",
+           ("tests/test_metrics.py::test_report_lines_match_plain_per_row_formatting",)),
 )
 
 

@@ -6,11 +6,15 @@ node's replay slots to `traffic`, the one module that knows their layout,
 and its setup to `traffic.Node`, which builds it whole."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cdss_sim
 
 PACKAGE = Path(cdss_sim.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # Imported only so that the benchmark's tracer finds them on the engine
 # module; they go once the tracer wraps them where they are called.
@@ -200,3 +204,32 @@ def test_setup_check_sees_a_leftover():
                      "ok = changed.isdisjoint(node.ue_ids), len(node.table)\n")
     assert setup_writes(tree) == [("ue_ids", 1), ("ue_ids", 2), ("books", 3), ("table", 4),
                                   ("rotation", 5), ("drained", 6), ("increments", 7)]
+
+
+# One short case-1 run from the default scenario, as `cdss-sim run` makes
+# it, in a fresh interpreter; prints the process-pool modules it loaded.
+SINGLE_RUN = """
+import sys
+from dataclasses import replace
+from pathlib import Path
+import cdss_sim
+from cdss_sim.engine import RunSpec, run_and_write
+from cdss_sim.scenario import load_scenario, validate_scenario
+cfg = load_scenario(sys.argv[1])
+validate_scenario(cfg)
+cfg = replace(cfg, sim=replace(cfg.sim, total_s=0.2, warmup_s=0.1))
+_, files = run_and_write(RunSpec(cfg, 1, 1), Path(sys.argv[2]))
+assert len(files) == 6, files
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_a_single_run_loads_no_process_pool(tmp_path):
+    # Only a campaign with jobs > 1 uses the pool; its 30-odd modules
+    # would lengthen every cold start, so a single run must not import them.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", SINGLE_RUN, str(ROOT / "scenarios" / "default.ini"),
+         str(tmp_path / "out")], env=env, check=True, stdout=subprocess.PIPE, text=True)
+    assert done.stdout.strip() == "[]"

@@ -116,9 +116,10 @@ def test_report_lines_match_plain_per_row_formatting(tmp_path):
     # tuple of them.  Its files must be byte for byte those a plain
     # f-string per row writes: with a suffix that recurs on other cells and
     # periods, samples that share their used count but not their available
-    # one and the reverse, an empty period, and a state's widths (25, 3,
-    # 25) that come back under a later, non-adjacent version.  Empty
-    # tables still write their header line.
+    # one and the reverse, an empty period, a state's widths (25, 3, 25)
+    # that come back under a later, non-adjacent version, rows that share
+    # one time object, and adjacent times that are equal but print
+    # otherwise (0.0 and -0.0).  Empty tables still write their header line.
     rng = random.Random(73)
     store = make_store()
     widths = [(25, 3, 25, 0), (21, 3, 29, 1), (21, 3, 29, 1), (17, 3, 33, 2), (25, 3, 25, 3),
@@ -132,6 +133,8 @@ def test_report_lines_match_plain_per_row_formatting(tmp_path):
                          for period in range(20, 40) for cell in range(9)]
     store.utilization[:4] = [UtilizationSample(cell, 20, 5.0, *pair)
                              for cell, pair in enumerate(pairs[:4])]
+    store.utilization[4:6] = [UtilizationSample(4, 20, 0.0, *pairs[0]),
+                              UtilizationSample(5, 20, -0.0, *pairs[0])]
     files = finalize(store, tmp_path)
     assert (files["allocation_timeline"].read_bytes(),
             files["utilization"].read_bytes()) == plain_report_files(store)
