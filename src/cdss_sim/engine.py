@@ -1,15 +1,8 @@
 """Deterministic fixed-step simulation engine and campaign orchestration.
 
-One run is single-threaded and fully determined by its RunSpec: topology
-placement, LOS draws, and scheduler rotation offsets all come from child
-seeds derived by labelled hashing of the master seed, so adding a stream
-never perturbs the others.  The controller is invoked in-process once per
-optimization period; the epoch pipeline is fixed as the byte-factor
-refresh, arrivals and scheduling per node, metrics, then the controller
-step at each period end.  Once every node's replay memo has closed into a
-cycle from its backlog, the engine runs the period ends ahead from the
-cycles, up to a controller move, a guard expiry or the run end, and
-advances every node once (`traffic.Node.fast_forward`).
+One run (`run_simulation`, which lists its stages) is single-threaded
+and fully determined by its RunSpec: placement, LOS draws and rotation
+offsets come from child seeds of the master seed (`derive_seed`).
 
 Interference coupling: a transmitter's activity fraction for SINR purposes
 is its RB utilization in the previous epoch (1.0 at epoch 0), which keeps
@@ -631,10 +624,12 @@ def run_campaign(
 
     aggregates: Dict[int, Dict[str, float]] = {}
     files: Dict[str, Path] = {}
+    total_rows = []
     for cid in sorted(set(case_ids)):
         good = [r for r in records if r.case_id == cid and r.ok]
         if not good:
             aggregates[cid] = {"runs": 0.0}
+            total_rows.append(f"{cid},0,,,,,,,,")
             continue
         totals = [r.total_rx_bytes for r in good]
         n = len(totals)
@@ -643,7 +638,7 @@ def run_campaign(
         std = math.sqrt(var)
         stderr = std / math.sqrt(n)
         pooled = sorted(t for r in good for t in r.throughputs_bps)
-        aggregates[cid] = {
+        aggregates[cid] = a = {
             "runs": float(n),
             "mean_total_rx_bytes": mean,
             "std_total_rx_bytes": std,
@@ -656,6 +651,8 @@ def run_campaign(
                 sum(1 for t in pooled if t == 0.0) / len(pooled) if pooled else 0.0
             ),
         }
+        # the columns after `runs` are the aggregates, in their order
+        total_rows.append(f"{cid},{n}," + ",".join(map(repr, [*a.values()][1:])))
         cdf_rows: List[str] = []       # runs with no UE pool nothing: the header alone
         if pooled:
             cdf = compute_cdf(pooled)
@@ -664,19 +661,6 @@ def run_campaign(
             out_dir / f"{cid}_pooled_throughput_cdf.csv", "throughput_bps,probability", cdf_rows
         )
 
-    total_rows = []
-    for cid in sorted(aggregates):
-        a = aggregates[cid]
-        if a.get("runs", 0) == 0:
-            total_rows.append(f"{cid},0,,,,,,,,")
-            continue
-        total_rows.append(
-            f"{cid},{int(a['runs'])},{a['mean_total_rx_bytes']!r},"
-            f"{a['std_total_rx_bytes']!r},{a['stderr_total_rx_bytes']!r},"
-            f"{a['ci95_lo_total_rx_bytes']!r},{a['ci95_hi_total_rx_bytes']!r},"
-            f"{a['mean_tn_share']!r},{a['mean_ntn_share']!r},"
-            f"{a['zero_throughput_fraction']!r}"
-        )
     files["campaign_totals"] = write_table(
         out_dir / "campaign_totals.csv",
         "case,runs,mean_total_rx_bytes,std_total_rx_bytes,stderr_total_rx_bytes,"

@@ -105,14 +105,7 @@ def default_scenario() -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
-_SECTION_TYPES = {
-    "band": BandParams,
-    "cdss": CdssConfig,
-    "radio": RadioParams,
-    "topology": TopologyParams,
-    "traffic": TrafficParams,
-    "sim": SimParams,
-}
+_SECTION_TYPES = {f.name: type(f.default) for f in dataclass_fields(ScenarioConfig)}
 
 
 def _parse_bool(text: str, path: str) -> bool:
@@ -126,6 +119,8 @@ def _parse_bool(text: str, path: str) -> bool:
 
 def _parse_value(field_type: str, text: str, path: str):
     try:
+        if not text.strip() and field_type.startswith("Tuple["):
+            return ()
         if field_type == "int":
             return int(text.strip())
         if field_type == "float":

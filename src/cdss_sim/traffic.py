@@ -25,9 +25,11 @@ class Cycle:
 
     `closed` says whether they chain: each final backlog is the next
     start's key, the last one the first's, and every epoch has the same
-    activity.  The prefix sums of their load rows (for `period_load`) and
-    the matrix of their credited bytes (for `Node.fast_forward`) are built
-    on first use, once per cycle, and each whole-period `window` once.
+    activity, which slots kept through rewrites of other UEs' entries
+    need not have (a cell whose RB count cycles with its rotation).  The
+    prefix sums of their load rows (for `period_load`) and the matrix of
+    their credited bytes (for `Node.fast_forward`) are built on first
+    use, once per cycle, and each whole-period `window` once.
     """
 
     __slots__ = ("keys", "finals", "schedules", "closed", "_prefix", "_amounts", "_windows")
@@ -113,26 +115,15 @@ class Node:
     grant equal, or a rewrite of other UEs' entries, keeps them.  At most
     one slot per rotation start, so the memory is bounded by the UE count.
 
-    The node is `steady` when its cycle (`replay_cycle`) is `closed` and
-    its current start's key is the backlog: each epoch's final backlog is
-    the next start's key, round to the first, and all carry one activity.
-    Then `fast_forward` replays the cycle for many epochs at once.  A
-    drained node with a verified `twin` repeats the twin slot at every
-    start, the very epoch a walk of its starts would deal, so its cycle is
-    that one slot.  Any other cycle is the slots', one per rotation start,
-    each filled by the epoch `schedule_epoch` last dealt there, from
-    whatever key the node held then; their chain is checked, not trusted,
-    as a slot is exact only for its own key.  The cycle is built once and
-    kept until a slot changes.
-    A scheduled epoch adds its `CellSchedule` to `period`, a fast-forward
-    one `Run` record (the cycle, the start position and the epoch count),
+    When the node is `steady`, `fast_forward` replays its cycle for many
+    epochs at once.  Each slot holds the epoch `schedule_epoch` last dealt
+    at its start, from whatever key the node held then, so the chain of a
+    cycle is checked (`Cycle.closed`), not trusted.  A scheduled epoch
+    adds its `CellSchedule` to `period`, a fast-forward one `Run` record,
     so its cost does not grow with the epochs it covers.  Both credit
     their post-warmup epochs to the books as they run, so every total
-    adds its epochs in order.
-    `twin` is a drained key's slot whose epoch is the same from every
-    start (see `schedule_epoch`), () if its deal depends on the start,
-    None until verified at a drained miss or a steadiness poll
-    (`_twin_at`); it reads what the slots read, so `clear_memo` drops it.
+    adds its epochs in order.  `twin` is the verified twin slot (see
+    `schedule_epoch`), () if there is none, None until `_twin_at` asks.
     """
 
     node_id: str

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The mutant register: one-edit faults in the program that Tier-1 must catch.
+"""The mutant register: one-edit faults in the code and README that Tier-1 must catch.
 
     python3 tests/mutants.py           # each mutant against the tests it names
     python3 tests/mutants.py --full    # each mutant against all of Tier-1
@@ -258,6 +258,16 @@ MUTANTS = (
            "a report line reuses the previous time's repr only for the very same float; "
            "an equal one may print otherwise, as -0.0 and 0.0 do",
            ("tests/test_metrics.py::test_report_lines_match_plain_per_row_formatting",)),
+    Mutant("src/cdss_sim/scenario.py",
+           '        if not text.strip() and field_type.startswith("Tuple["):\n'
+           "            return ()\n", "",
+           "an empty list value, such as the beams of a scenario with none, parses as "
+           "(), so every config the serializer writes loads again",
+           ("tests/test_scenario.py::test_round_trip_identity_with_overrides",)),
+    Mutant("README.md", "`Cycle.window`", "`Cycle.windows`",
+           "every name of the package that README cites exists, so a rename or a "
+           "deletion cannot leave the map stale",
+           ("tests/test_imports.py::test_every_name_the_readme_cites_resolves",)),
 )
 
 

@@ -3,10 +3,15 @@ every top-level function, class and method is read somewhere in the
 package: no source code exists only for its own tests.  The engine's
 stages are named module-level functions, not closures, and they leave a
 node's replay slots to `traffic`, the one module that knows their layout,
-and its setup to `traffic.Node`, which builds it whole."""
+and its setup to `traffic.Node`, which builds it whole.  Every name of
+the package that README cites exists."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -233,3 +238,44 @@ def test_a_single_run_loads_no_process_pool(tmp_path):
         [sys.executable, "-c", SINGLE_RUN, str(ROOT / "scenarios" / "default.ini"),
          str(tmp_path / "out")], env=env, check=True, stdout=subprocess.PIPE, text=True)
     assert done.stdout.strip() == "[]"
+
+
+# A backticked dotted name, such as `engine.run_simulation` or `Node.books`.
+CITED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+
+
+def self_attributes(cls):
+    """The names the body of a module-level class assigns as `self.<name>`."""
+    tree = ast.parse(inspect.getsource(cls))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def resolves(owner, names):
+    """Whether `owner.<names...>` exists: a module or class attribute (a
+    method, property or NamedTuple field), or, as the last name, a
+    dataclass field or an attribute the class body assigns on `self`."""
+    for i, name in enumerate(names):
+        if not hasattr(owner, name):
+            if not isinstance(owner, type) or i < len(names) - 1:
+                return False
+            fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+            return name in {f.name for f in fields} | self_attributes(owner)
+        owner = getattr(owner, name)
+    return True
+
+
+def test_every_name_the_readme_cites_resolves():
+    # Names that begin with a package module or a class defined in one;
+    # any other (`np.where`, `summary.json`) is not the package's.
+    modules = {path.stem: importlib.import_module(f"cdss_sim.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    roots = {name: value for module in modules.values() for name, value in vars(module).items()
+             if isinstance(value, type) and value.__module__ == module.__name__}
+    roots.update(modules)
+    cited = sorted({tuple(name.split(".")) for name in CITED.findall(
+        (ROOT / "README.md").read_text())})
+    checked = [parts for parts in cited if parts[0] in roots]
+    assert len(checked) >= 60
+    assert [".".join(parts) for parts in checked if not resolves(roots[parts[0]], parts[1:])] == []

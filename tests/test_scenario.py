@@ -74,14 +74,18 @@ def test_round_trip_identity():
 
 
 def test_round_trip_identity_with_overrides():
-    text = (
+    overrides = (
         "[band]\ntotal_rbs = 120\nnum_groups = 2\ncoordinated = true, false\n"
         "[radio]\nntn_eirp_dbm = 70.5\n"
         "[topology]\nbeam_centers_m = 0, 0; 50000, 2000\nbeam_groups = 0, 1\n"
-        "[sim]\ntotal_s = 4.0\nwarmup_s = 2.0\n"
+        "[sim]\ntotal_s = 4.0\nwarmup_s = 2.0\n",
+        # no beams: the empty lists serialize as empty values
+        "[topology]\nbeam_centers_m =\nbeam_groups =\n",
     )
-    cfg = parse_scenario(text)
-    assert parse_scenario(serialize_scenario(cfg)) == cfg
+    for text in overrides:
+        cfg = parse_scenario(text)
+        assert parse_scenario(serialize_scenario(cfg)) == cfg
+    assert cfg.topology.beam_centers_m == cfg.topology.beam_groups == ()
 
 
 def test_infeasible_minimums_rejected_at_parse():
