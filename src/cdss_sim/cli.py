@@ -95,7 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     if not args.quiet:
         tputs = store.throughputs_bps()
-        zero = sum(1 for t in tputs.values() if t == 0.0)
+        zero = store.zero_throughput_ues()
         print(f"case {store.case_id} ({CASES[store.case_id].name}) seed {store.seed}")
         print(f"  runtime          {elapsed:8.2f} s")
         print(f"  total RX bytes   {store.total_rx_bytes():14.0f}")

@@ -50,9 +50,7 @@ from .scenario import (
 )
 from .sums import fold_sum
 from .traffic import (
-    Cycle,
     Node,
-    Run,
     generate_arrivals,  # noqa: F401 - unused here; lets a tracer's getattr find it
     grant_tables,
     period_load,
@@ -356,29 +354,23 @@ def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
     """Advance every node, all steady, from `epoch`; return the state and
     the epoch reached.  Before `limit` (the next guard expiry or the run
     end) only a controller move changes a grant, so the period ends run in
-    turn from the cycles: the first over each cell's records and one run
-    record up to it, each later one over the `Cycle.window` of a whole
-    period from the position the cell's rotation reaches then, modulo its
-    cycle's length: the previous period's very list where that position
-    repeats.  The plan stops after a move or where a whole period
-    would pass `limit`; then each node advances once."""
+    turn from each cell's planned loads (`Node.ahead`): the first over its
+    period and its load up to there, each later one over a whole period
+    from the epoch it begins at, the previous period's very list where the
+    cell's cycle repeats.  The plan stops after a move or where a whole
+    period would pass `limit`; then each node advances once."""
     first, length = epoch, clock.period_epochs
     tn_nodes = [node for node in nodes if node.group_index is None]
-    cycles = [node.replay_cycle() for node in tn_nodes]
-    begin, epoch = first, min(epoch - epoch % length + length, limit)
-    loads = map(period_load, [
-        [*node.period, Run(cycle, node.offset % len(cycle.keys), epoch - first)]
-        for node, cycle in zip(tn_nodes, cycles)])
+    epoch = min(epoch - epoch % length + length, limit)
+    loads = map(period_load, [[*node.period, node.ahead(0, epoch - first)] for node in tn_nodes])
     rows = ()
     while epoch % length == 0:
         held = state
         state, rows = _period_end(store, manager, clock, tn_nodes, state, epoch, loads, rows)
         if state is not held or epoch + length > limit:
             break
-        begin, epoch = epoch, epoch + length
-        loads = map(Cycle.window, cycles, [(node.offset + begin - first) % len(cycle.keys)
-                                           for node, cycle in zip(tn_nodes, cycles)],
-                    repeat(length))
+        loads = map(Node.ahead, tn_nodes, repeat(epoch - first), repeat(length))
+        epoch += length
     credited = max(0, epoch - max(first, clock.warmup_epochs))
     for node in nodes:
         node.fast_forward(epoch - first, credited)
@@ -431,10 +423,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     state = initial_allocation(plan, scenario.cdss)
     manager = SpectrumManager(plan, scenario.cdss)
 
-    topo = build_topology(scenario, case, spec.seed)
-    cells = sorted(topo.cells, key=attrgetter("cell_id"))
-    beams = sorted(topo.beams, key=attrgetter("beam_id"))
-    ues = sorted(topo.ues, key=attrgetter("ue_id"))
+    cells, beams, ues = build_topology(scenario, case, spec.seed)     # each in id order
 
     # Link budget and attachment, once (stationary UEs, quasi-Earth-fixed beams).
     rx_dbm = _link_budget(cells, beams, ues, radio_p, spec.seed)
@@ -454,7 +443,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
         else:
             attached[tx].append(ue.ue_id)
             store.ue_system[ue.ue_id] = "TN" if tx < len(cells) else "NTN"
-    # build_topology numbers UEs 0..n-1, so increment[uid] is UE uid's
+    # build_topology lists UEs 0..n-1 in order, so increment[uid] is UE uid's
     increment = [demand_bps(scenario, case, ue) * clock.epoch_s / 8.0 for ue in ues]
     tn_nodes = [_node(spec.seed, increment, f"tn-{c.cell_id}", c.cell_id, ue_ids, None)
                 for c, ue_ids in zip(cells, attached)]
@@ -565,7 +554,6 @@ def _campaign_worker(args: Tuple[RunSpec, str]) -> RunRecord:
                          error=f"{type(exc).__name__}: {exc}",
                          traceback=traceback.format_exc())
     tputs = list(store.throughputs_bps().values())
-    zero = sum(1 for t in tputs if t == 0.0)
     return RunRecord(
         spec.case_id,
         spec.seed,
@@ -573,7 +561,7 @@ def _campaign_worker(args: Tuple[RunSpec, str]) -> RunRecord:
         total_rx_bytes=store.total_rx_bytes(),
         tn_share=store.tn_share,
         ntn_share=store.ntn_share,
-        zero_throughput_fraction=zero / max(1, len(tputs)),
+        zero_throughput_fraction=store.zero_throughput_ues() / max(1, len(tputs)),
         throughputs_bps=tputs,
         files={k: str(p) for k, p in files.items()},
     )

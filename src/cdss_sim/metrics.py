@@ -91,6 +91,10 @@ class MetricsStore:
         horizon = self.total_s - self.warmup_s
         return {uid: b * 8.0 / horizon for uid, b in sorted(self.ue_bytes.items())}
 
+    def zero_throughput_ues(self) -> int:
+        """How many UEs have a throughput of 0.0, the unserved among them."""
+        return sum(t == 0.0 for t in self.throughputs_bps().values())
+
     def total_rx_bytes(self) -> float:
         return fold_sum(self.ue_bytes.values())
 
@@ -201,7 +205,7 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
                "{0.used_rb_epochs},{0.available_rb_epochs},{0.utilization!r}"),
     )
 
-    zero_tput = sum(1 for t in throughputs.values() if t == 0.0)
+    zero_tput = store.zero_throughput_ues()
     summary = {
         "case": store.case_id,
         "seed": store.seed,

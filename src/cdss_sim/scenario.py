@@ -108,54 +108,39 @@ def default_scenario() -> ScenarioConfig:
 _SECTION_TYPES = {f.name: type(f.default) for f in dataclass_fields(ScenarioConfig)}
 
 
-def _parse_bool(text: str, path: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ConfigurationError(f"{path}: expected a boolean, got {text!r}")
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
 
-def _parse_value(field_type: str, text: str, path: str):
-    try:
-        if not text.strip() and field_type.startswith("Tuple["):
+def _parse_like(default, text: str, path: str):
+    """`text` as a value of `default`'s type: a `_BOOLS` word, an int, a
+    float, or a tuple of values like `default[0]`, `,`-separated, or pairs
+    of exactly its length, `;`-separated, if it is a tuple; "" is ()."""
+    if isinstance(default, tuple):
+        if not text.strip():
             return ()
-        if field_type == "int":
-            return int(text.strip())
-        if field_type == "float":
-            return float(text.strip())
-        if field_type == "bool":
-            return _parse_bool(text, path)
-        if field_type == "Tuple[bool, ...]":
-            return tuple(_parse_bool(tok, path) for tok in text.split(","))
-        if field_type == "Tuple[int, ...]":
-            return tuple(int(tok.strip()) for tok in text.split(","))
-        if field_type == "Tuple[Tuple[float, float], ...]":
-            pairs = []
-            for chunk in text.split(";"):
-                x, y = chunk.split(",")
-                pairs.append((float(x.strip()), float(y.strip())))
-            return tuple(pairs)
-    except ConfigurationError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"{path}: cannot parse {text!r} ({exc})") from exc
-    raise ConfigurationError(f"{path}: unsupported field type {field_type}")
+        item = default[0]
+        if not isinstance(item, tuple):
+            return tuple(_parse_like(item, token, path) for token in text.split(","))
+        rows = [chunk.split(",") for chunk in text.split(";")]
+        if any(len(row) != len(item) for row in rows):
+            raise ValueError(f"each item needs {len(item)} values")
+        return tuple(tuple(map(_parse_like, item, row, [path] * len(item))) for row in rows)
+    if isinstance(default, bool):
+        word = _BOOLS.get(text.strip().lower())
+        if word is None:
+            raise ConfigurationError(f"{path}: expected a boolean, got {text!r}")
+        return word
+    return type(default)(text.strip())
 
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return "; ".join(f"{x!r}, {y!r}" for x, y in value)
-        if value and isinstance(value[0], bool):
-            return ", ".join("true" if v else "false" for v in value)
-        return ", ".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        sep = "; " if value and isinstance(value[0], tuple) else ", "
+        return sep.join(map(_format_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -177,14 +162,17 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if section not in _SECTION_TYPES:
             raise ConfigurationError(f"[{section}]: unknown section")
         cls = _SECTION_TYPES[section]
-        known = {f.name: f for f in dataclass_fields(cls)}
+        defaults, known = cls(), {f.name for f in dataclass_fields(cls)}
         overrides = {}
         for key, raw in parser.items(section):
+            path = f"[{section}] {key}"
             if key not in known:
-                raise ConfigurationError(f"[{section}] {key}: unknown key")
-            ftype = known[key].type
-            overrides[key] = _parse_value(ftype, raw, f"[{section}] {key}")
-        sections[section] = replace(cls(), **overrides)
+                raise ConfigurationError(f"{path}: unknown key")
+            try:
+                overrides[key] = _parse_like(getattr(defaults, key), raw, path)
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: cannot parse {raw!r} ({exc})") from exc
+        sections[section] = replace(defaults, **overrides)
 
     cfg = ScenarioConfig(**sections)
     validate_scenario(cfg)
@@ -394,12 +382,12 @@ def _sample_in_disc(
 
 
 def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
-    """Instantiate cells, beams, and seeded UE placement for one run.
+    """Instantiate cells, beams, and seeded UE placement for one run, each
+    list in id order; UEs are numbered 0..n-1.
 
     UE placement is identical across cases for a given seed: beam areas
     are populated even in TN-only cases, where those UEs must try their
-    luck with the terrestrial sites.  UEs are numbered 0..n-1.
-    """
+    luck with the terrestrial sites."""
     topo = cfg.topology
     cells: List[TnCell] = []
     sector_step = 360.0 / topo.sectors_per_site

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +27,9 @@ class Cycle:
     start's key, the last one the first's, and every epoch has the same
     activity, which slots kept through rewrites of other UEs' entries
     need not have (a cell whose RB count cycles with its rotation).  The
-    prefix sums of their load rows (for `period_load`) and the matrix of
-    their credited bytes (for `Node.fast_forward`) are built on first
-    use, once per cycle, and each whole-period `window` once.
+    prefix sums of their load rows (for `window`) and the matrix of their
+    credited bytes (for `Node.fast_forward`) are built on first use, once
+    per cycle, and each `window` once.
     """
 
     __slots__ = ("keys", "finals", "schedules", "closed", "_prefix", "_amounts", "_windows")
@@ -45,28 +45,23 @@ class Cycle:
         self._windows: Dict[tuple, List[int]] = {}
 
     def window(self, start: int, count: int) -> List[int]:
-        """`load(start, count)`, summed once: a repeated window returns the
-        same list, which no caller mutates.  The engine's planned whole
-        periods read here, as a settled stretch repeats them."""
+        """The load row summed over `count` epochs from position `start`:
+        whole cycles, then a window that may wrap past the cycle's end,
+        summed once: a repeated window is the same list, which none mutates."""
         key = start, count
         row = self._windows.get(key)
         if row is None:
-            row = self._windows[key] = self.load(start, count)
+            if self._prefix is None:
+                rows = [s.load for s in self.schedules]
+                self._prefix = list(zip(*[accumulate(column, initial=0) for column in zip(*rows)]))
+            n = len(self.schedules)
+            reps, rest = divmod(count, n)
+            end = start + rest
+            if end > n:
+                reps, end = reps + 1, end - n
+            row = self._windows[key] = [reps * whole + hi - lo for whole, hi, lo in zip(
+                self._prefix[n], self._prefix[end], self._prefix[start])]
         return row
-
-    def load(self, start: int, count: int) -> List[int]:
-        """The load row summed over `count` epochs from position `start`:
-        whole cycles, then a window that may wrap past the cycle's end."""
-        if self._prefix is None:
-            rows = [s.load for s in self.schedules]
-            self._prefix = list(zip(*[accumulate(column, initial=0) for column in zip(*rows)]))
-        n = len(self.schedules)
-        reps, rest = divmod(count, n)
-        end = start + rest
-        if end > n:
-            reps, end = reps + 1, end - n
-        return [reps * whole + hi - lo for whole, hi, lo
-                in zip(self._prefix[n], self._prefix[end], self._prefix[start])]
 
     def amounts(self, n_ues: int) -> np.ndarray:
         """The bytes each epoch credits, in the row layout of `Node.books`:
@@ -78,14 +73,6 @@ class Cycle:
                 for p, amount in s.served_bytes:
                     self._amounts[p, j] = amount
         return self._amounts
-
-
-class Run(NamedTuple):
-    """`count` epochs of a node replaying `cycle` from position `start`."""
-
-    cycle: Cycle
-    start: int
-    count: int
 
 
 @dataclass
@@ -119,8 +106,8 @@ class Node:
     epochs at once.  Each slot holds the epoch `schedule_epoch` last dealt
     at its start, from whatever key the node held then, so the chain of a
     cycle is checked (`Cycle.closed`), not trusted.  A scheduled epoch
-    adds its `CellSchedule` to `period`, a fast-forward one `Run` record,
-    so its cost does not grow with the epochs it covers.  Both credit
+    adds its load row to `period`, a fast-forward one row for its whole
+    stretch (`Cycle.window`), and `ahead` plans rows to come.  Both credit
     their post-warmup epochs to the books as they run, so every total
     adds its epochs in order.  `twin` is the verified twin slot (see
     `schedule_epoch`), () if there is none, None until `_twin_at` asks.
@@ -140,7 +127,7 @@ class Node:
     granted: List[int] = field(init=False, default_factory=list)
     granted_rows: List[List[float]] = field(init=False, default_factory=list)
     load_prefix: List[Tuple[int, ...]] = field(init=False, default_factory=list)
-    period: List[Union[CellSchedule, Run]] = field(init=False, default_factory=list)
+    period: List[Sequence[int]] = field(init=False, default_factory=list)    # load rows
     slots: Dict[int, tuple] = field(init=False, default_factory=dict)
     cycle: Optional[Cycle] = field(init=False, default=None)   # the slots', while they hold
     twin: Optional[tuple] = field(init=False, default=None)    # a slot, () or None
@@ -195,10 +182,16 @@ class Node:
                 self.cycle = Cycle([self.slots[j] for j in range(n)])
         return self.cycle
 
+    def ahead(self, skip: int, count: int) -> List[int]:
+        """The `Cycle.window` of `count` epochs of the steady node's cycle
+        from `skip` epochs past its position; a repeated one is the very list."""
+        cycle = self.replay_cycle()
+        return cycle.window((self.offset + skip) % len(cycle.keys), count)
+
     def fast_forward(self, epochs: int, credited: int) -> None:
         """Advance a steady node `epochs` epochs as `schedule_epoch` would,
-        as one run record in `period`, to the final backlog its cycle
-        gives; the engine has run from the cycle any period end they pass.
+        as one load row in `period`, to the final backlog its cycle gives;
+        the engine has run from `ahead` any period end they pass.
         The `offset` advances modulo the rotation.  The last `credited`
         epochs are credited at once: `sums.fold_cycle` adds them to the
         books from the cycle position of the first, in the order and with
@@ -208,7 +201,7 @@ class Node:
         cycle = self.replay_cycle()
         n = len(cycle.keys)
         start = self.offset % n
-        self.period.append(Run(cycle, start, epochs))
+        self.period.append(cycle.window(start, epochs))
         self.offset = (self.offset + epochs) % self.rotation
         self.backlog = cycle.finals[(start + epochs - 1) % n]
         if credited:
@@ -219,9 +212,9 @@ class Node:
                                        first, credited).tolist()
 
     def record(self, sched: CellSchedule, credit: bool) -> None:
-        """Add a scheduled epoch to the period; with `credit`, add its bytes
-        to the books."""
-        self.period.append(sched)
+        """Add a scheduled epoch's load row to the period; with `credit`,
+        add its bytes to the books."""
+        self.period.append(sched.load)
         if credit:
             for p, amount in sched.served_bytes:
                 self.books[p] += amount
@@ -416,10 +409,7 @@ def _twin(node: Node, slot: tuple) -> tuple:
     return slot
 
 
-def period_load(period: Sequence[Union[CellSchedule, Run]]) -> List[int]:
+def period_load(period: Sequence[Sequence[int]]) -> List[int]:
     """One node's load row summed over one controller period (at least one
-    epoch).  A scheduled epoch adds its `CellSchedule.load`; a
-    fast-forward's `Run` adds the row its cycle's prefix sums give, at a
-    cost that does not grow with its epoch count."""
-    rows = [s.cycle.load(s.start, s.count) if s.__class__ is Run else s.load for s in period]
-    return [sum(column) for column in zip(*rows)]
+    epoch): the column sums of its rows (see `Node`)."""
+    return [sum(column) for column in zip(*period)]

@@ -142,8 +142,8 @@ MUTANTS = (
            "a cycle repeats its epochs only if they all carry one activity; else the "
            "activity list, and the rows, would change in a fast-forward",
            ("tests/test_traffic.py::test_steady_needs_one_activity_in_every_slot",)),
-    Mutant("src/cdss_sim/engine.py", "(node.offset + begin - first) % len(cycle.keys)",
-           "node.offset % len(cycle.keys)",
+    Mutant("src/cdss_sim/traffic.py", "(self.offset + skip) % len(cycle.keys)",
+           "self.offset % len(cycle.keys)",
            "each planned whole period reads a cell's cycle window from the start its "
            "rotation reaches there, not from where the stretch began",
            ("tests/test_engine.py::test_planned_periods_read_each_cell_at_the_start_it_reaches",)),
@@ -259,15 +259,25 @@ MUTANTS = (
            "an equal one may print otherwise, as -0.0 and 0.0 do",
            ("tests/test_metrics.py::test_report_lines_match_plain_per_row_formatting",)),
     Mutant("src/cdss_sim/scenario.py",
-           '        if not text.strip() and field_type.startswith("Tuple["):\n'
-           "            return ()\n", "",
+           "        if not text.strip():\n            return ()\n", "",
            "an empty list value, such as the beams of a scenario with none, parses as "
            "(), so every config the serializer writes loads again",
            ("tests/test_scenario.py::test_round_trip_identity_with_overrides",)),
+    Mutant("src/cdss_sim/scenario.py",
+           "        if any(len(row) != len(item) for row in rows):\n"
+           '            raise ValueError(f"each item needs {len(item)} values")\n', "",
+           "a beam centre is exactly two numbers; without the check a third one would "
+           "be dropped without a word",
+           ("tests/test_scenario.py::test_unknown_key_rejected_with_path",)),
     Mutant("README.md", "`Cycle.window`", "`Cycle.windows`",
            "every name of the package that README cites exists, so a rename or a "
            "deletion cannot leave the map stale",
            ("tests/test_imports.py::test_every_name_the_readme_cites_resolves",)),
+    Mutant("README.md", "`test_engine.py::test_a_held_step_runs_once_per_group`",
+           "`test_engine.py::test_a_held_step_runs_twice_per_group`",
+           "every test README cites exists, so a renamed test cannot leave the map "
+           "pointing at nothing",
+           ("tests/test_imports.py::test_every_test_the_readme_cites_exists",)),
 )
 
 

@@ -34,7 +34,7 @@ from cdss_sim.scenario import (
     serialize_scenario,
     validate_scenario,
 )
-from cdss_sim.traffic import Node, Run, grant_tables, period_load, schedule_epoch
+from cdss_sim.traffic import Node, grant_tables, period_load, schedule_epoch
 
 
 def test_sim_clock_epoch_counts(fast_cfg):
@@ -117,23 +117,6 @@ def test_warmup_exclusion_exact(fast_cfg):
     for uid in served:
         assert store.ue_bytes[uid] == pytest.approx(500.0 * post_epochs)
     assert all(s.period_index > 4 for s in store.utilization)
-
-
-def test_order_independence_of_topology_listing(fast_cfg, monkeypatch):
-    baseline = run_simulation(RunSpec(fast_cfg, 2, 3))
-    original = build_topology
-
-    def shuffled(cfg, case, seed):
-        topo = original(cfg, case, seed)
-        topo.cells.reverse()
-        topo.beams.reverse()
-        topo.ues.reverse()
-        return topo
-
-    monkeypatch.setattr(engine_mod, "build_topology", shuffled)
-    permuted = run_simulation(RunSpec(fast_cfg, 2, 3))
-    assert permuted.ue_bytes == baseline.ue_bytes
-    assert permuted.timeline == baseline.timeline
 
 
 def test_tn_granted_interleaves_groups_proportionally():
@@ -681,8 +664,8 @@ def planning_cells():
 def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
     # `_fast_forward` runs each period end ahead from the cells' cycles.  Its
     # load rows must be those an epoch-by-epoch walk of a twin gives, and
-    # each whole period's must be `period_load` of one run record from the
-    # start the twin reaches there.  The plan stops after the period end whose
+    # each whole period's must be the cycle's window from the start the twin
+    # reaches there.  The plan stops after the period end whose
     # step moves a boundary, and where the next whole period would pass the
     # limit (a guard expiry inside a period, one on a period end, the run
     # end); then each cell is advanced once, to where its twin is.
@@ -716,9 +699,8 @@ def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
             if (epoch + 1) % clock.period_epochs == 0:
                 walked.append((epoch + 1, [period_load(twin.period) for twin in twins]))
                 if epoch + 1 > 10:      # a whole period, from `starts`
-                    assert walked[-1][1] == [
-                        period_load([Run(cell.cycle, start, clock.period_epochs)])
-                        for cell, start in zip(cells, starts)]
+                    assert walked[-1][1] == [cell.cycle.window(start, clock.period_epochs)
+                                             for cell, start in zip(cells, starts)]
                 for twin in twins:
                     twin.period = []
                 starts = [twin.offset for twin in twins]

@@ -2,9 +2,10 @@
 every top-level function, class and method is read somewhere in the
 package: no source code exists only for its own tests.  The engine's
 stages are named module-level functions, not closures, and they leave a
-node's replay slots to `traffic`, the one module that knows their layout,
-and its setup to `traffic.Node`, which builds it whole.  Every name of
-the package that README cites exists."""
+node's replay slots, its cycle and its rotation offset to `traffic`, the
+one module that maps an offset onto a cycle position, and its setup to
+`traffic.Node`, which builds it whole.  Every name of the package and
+every test that README cites exists."""
 
 import ast
 import dataclasses
@@ -155,11 +156,16 @@ def test_closure_check_sees_a_nested_function_and_a_lambda():
     assert closures(tree) == [("inner", 2), ("lambda", 3), ("method", 8)]
 
 
+# What `traffic.Node` alone maps onto a cycle position.
+REPLAY_STATE = {"slots", "cycle", "offset", "replay_cycle"}
+
+
 def slot_accesses(tree):
-    """Line of each access to a `slots` attribute, read, written or
-    deleted through."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "slots")
+    """(attribute, line) of each access to a `REPLAY_STATE` attribute of
+    any object, read, written, called or deleted through."""
+    return sorted(((node.attr, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in REPLAY_STATE),
+                  key=lambda item: item[1])
 
 
 def test_engine_reads_no_replay_slot():
@@ -170,8 +176,12 @@ def test_engine_reads_no_replay_slot():
 def test_slot_check_sees_a_leftover():
     tree = ast.parse("def complete(node):\n    held = [node.slots.get(0)]\n"
                      "    del node.slots[0]\n    node.slots[1] = held[0]\n"
-                     "    return node.steady(), slots\n")
-    assert slot_accesses(tree) == [2, 3, 4]
+                     "    cycle = nodes[0].replay_cycle()\n"
+                     "    at = node.offset % len(cycle.keys)\n"
+                     "    node.cycle = None\n"
+                     "    return node.steady(), slots, offset, node.ahead(at, 1)\n")
+    assert slot_accesses(tree) == [("slots", 2), ("slots", 3), ("slots", 4),
+                                   ("replay_cycle", 5), ("offset", 6), ("cycle", 7)]
 
 
 # What `traffic.Node` derives or takes once, at construction.
@@ -279,3 +289,17 @@ def test_every_name_the_readme_cites_resolves():
     checked = [parts for parts in cited if parts[0] in roots]
     assert len(checked) >= 60
     assert [".".join(parts) for parts in checked if not resolves(roots[parts[0]], parts[1:])] == []
+
+
+# A backticked test, `test_engine.py::test_name` (also under `tests/`) or a
+# bare `test_name`, which any test file may define.
+CITED_TEST = re.compile(r"`(?:(?:tests/)?(test_\w+\.py)::)?(test_\w+)`")
+
+
+def test_every_test_the_readme_cites_exists():
+    sources = {path.name: path.read_text() for path in sorted((ROOT / "tests").glob("test_*.py"))}
+    cited = CITED_TEST.findall((ROOT / "README.md").read_text())
+    assert sum(bool(file) for file, _ in cited) >= 15 and len(cited) >= 20
+    assert [f"{file}::{name}" for file, name in cited
+            if not any(f"\ndef {name}(" in text for path, text in sources.items()
+                       if path == file or not file)] == []

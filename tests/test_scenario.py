@@ -35,8 +35,15 @@ def test_threshold_ordering_rejected():
 
 
 def test_unknown_key_rejected_with_path():
-    with pytest.raises(ConfigurationError, match=r"\[band\] bogus"):
-        parse_scenario("[band]\nbogus = 1\n")
+    # and each value that does not parse as its field's type
+    for text, message in (
+            ("[band]\nbogus = 1\n", r"^\[band\] bogus: unknown key"),
+            ("[topology]\nbeam_centers_m = 2000, 1500, 0; 6000, 4000; 70000, 0\n",
+             r"^\[topology\] beam_centers_m: cannot parse"),
+            ("[band]\ncoordinated = maybe\n", r"^\[band\] coordinated: expected a boolean"),
+            ("[band]\ntotal_rbs = 1.5\n", r"^\[band\] total_rbs: cannot parse")):
+        with pytest.raises(ConfigurationError, match=message):
+            parse_scenario(text)
 
 
 def test_unknown_section_rejected():
@@ -166,6 +173,9 @@ def test_topology_counts_and_case_dependence():
     assert len(topo_cdss.beams) == 3
     assert len(topo_cdss.ues) == 105
     assert topo_tn.beams == []
+    # in id order, which the engine reads them in
+    assert ([c.cell_id for c in topo_cdss.cells], [b.beam_id for b in topo_cdss.beams],
+            [u.ue_id for u in topo_cdss.ues]) == (list(range(9)), list(range(3)), list(range(105)))
     # same seed -> identical placement regardless of case
     assert [u.xy for u in topo_tn.ues] == [u.xy for u in topo_cdss.ues]
 
@@ -212,4 +222,6 @@ def test_shipped_scenario_matches_builtin_defaults():
     from pathlib import Path
 
     shipped = Path(__file__).resolve().parent.parent / "scenarios" / "default.ini"
+    # each float there has a point, and a value parses as its default's
+    # type, so this also fails for a float field whose default is an int
     assert parse_scenario(shipped.read_text()) == default_scenario()

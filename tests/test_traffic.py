@@ -12,7 +12,6 @@ from cdss_sim.traffic import (
     CellSchedule,
     Cycle,
     Node,
-    Run,
     generate_arrivals,
     grant_tables,
     period_load,
@@ -501,7 +500,7 @@ def test_period_load_fold_matches_per_epoch_oracle():
             lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation,
         )
         for node in (busy, empty):
-            node.period.append(schedule_epoch(node))
+            node.period.append(schedule_epoch(node).load)
         for rb in granted:
             avail[group_of_rb[rb]] += 1
         for rbs in want.assignments.values():
@@ -520,12 +519,12 @@ def make_sched(granted, used_per_column, granted_per_column):
 
 
 def test_period_load_of_runs_equals_expanded_epochs():
-    # A run record adds whole cycles and a window that may wrap past the
-    # cycle's end; it must read as the epochs it stands for, added one by
-    # one, for every start position and for epoch counts below, at and
+    # A cycle's window adds whole cycles and a window that may wrap past
+    # the cycle's end; it must read as the epochs it stands for, added one
+    # by one, for every start position and for epoch counts below, at and
     # above a multiple of the cycle, alone (a whole period fast-forwarded)
-    # and between scheduled epochs.  `Cycle.window` is that row, summed
-    # once: the same list each time it is asked for.
+    # and between scheduled epochs.  `Cycle.window` sums that row once:
+    # the same list each time it is asked for.
     rng = random.Random(61)
     checked = 0
     for n in (1, 2, 3, 7):
@@ -540,8 +539,9 @@ def test_period_load_of_runs_equals_expanded_epochs():
         for start in range(n):
             for count in {1, max(1, n - 1), n, n + 1, 3 * n - 1, 3 * n, 3 * n + 1}:
                 epochs = [schedules[(start + j) % n] for j in range(count)]
-                for period, expanded in (([Run(cycle, start, count)], epochs),
-                                         ([extra, Run(cycle, start, count), extra],
+                window = cycle.window(start, count)
+                for period, expanded in (([window], epochs),
+                                         ([extra.load, window, extra.load],
                                           [extra, *epochs, extra])):
                     want = [0] * (2 * n_columns)
                     for sched in expanded:
@@ -549,8 +549,6 @@ def test_period_load_of_runs_equals_expanded_epochs():
                             want[c] += value
                     assert period_load(period) == want, (n, start, count)
                     checked += 1
-                window = cycle.window(start, count)
-                assert window == period_load([Run(cycle, start, count)])
                 assert cycle.window(start, count) is window
     assert checked > 100
 
@@ -632,7 +630,7 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
                 fwd.fast_forward(epochs, credited)
                 for j in range(epochs):
                     sched = schedule_epoch(twin)
-                    twin.period.append(sched)
+                    twin.period.append(sched.load)
                     if j >= epochs - credited:
                         credit(sched)
                 assert fwd.books == twin_bytes
@@ -646,7 +644,7 @@ def test_fast_forward_matches_epoch_by_epoch_scheduling():
                 fwd.record(schedule_epoch(fwd), epoch >= warmup)
                 grantless_epochs += not granted
                 sched = schedule_epoch(twin)
-                twin.period.append(sched)
+                twin.period.append(sched.load)
                 if epoch >= warmup:
                     credit(sched)
                 assert fwd.books == twin_bytes
@@ -716,7 +714,7 @@ def test_fast_forward_credits_its_epochs_from_their_cycle_position():
                             assert_books(node, credits)
                         if after != "nothing":
                             node.record(last, after == "record and credit")
-                            assert node.period[-1] is last
+                            assert node.period[-1] is last.load
                             credits += [last] if after == "record and credit" else []
                         assert_books(node, credits)
                         checked += 1
@@ -905,7 +903,7 @@ def test_twin_cycle_matches_the_cycle_a_walk_deals():
             assert (cycle.keys[at], cycle.finals[at]) == (dealt.keys[start], dealt.finals[start])
             assert amounts[:, at].tobytes() == dealt_amounts[:, start].tobytes()
             for count in range(1, 3 * n + 1):
-                assert cycle.load(at, count) == dealt.load(start, count), (start, count)
+                assert cycle.window(at, count) == dealt.window(start, count), (start, count)
         twin = node.twin[2]
         assert all(walk.slots[j][2] == twin for j in range(n))
         multi_round += twin.used_rb > len(twin.served_bytes)
@@ -956,7 +954,7 @@ def reports(load, coordinated, now):
 
 def test_cell_load_ratio():
     # column 0 holds the uncoordinated RBs, column 1 coordinated group 0
-    load = period_load([make_sched(range(25), [3, 15], [5, 20])] * 5)
+    load = period_load([make_sched(range(25), [3, 15], [5, 20]).load] * 5)
     assert load == [15, 75, 25, 100]
     (rep,) = reports(load, [0], 25)
     assert rep == (0, 0, 75, 100, 25)
@@ -964,17 +962,17 @@ def test_cell_load_ratio():
 
 
 def test_cell_load_idle_period():
-    load = period_load([make_sched(range(20), [0, 0], [0, 20])] * 5)
+    load = period_load([make_sched(range(20), [0, 0], [0, 20]).load] * 5)
     (rep,) = reports(load, [0], 25)
     assert rep.used_rb_epochs == 0 and rep.available_rb_epochs == 100
-    (rep,) = reports(period_load([make_sched([], [0, 0], [0, 0])] * 5), [0], 50)
+    (rep,) = reports(period_load([make_sched([], [0, 0], [0, 0]).load] * 5), [0], 50)
     assert (rep.used_rb_epochs, rep.available_rb_epochs) == (0, 0)
 
 
 def test_cell_load_counts_only_group_span():
     # groups 0, 2 and 3 are coordinated, in columns 1, 2 and 3; group 1's
     # RBs are in column 0, whose load no report reads
-    load = period_load([make_sched(range(40), [4, 7, 8, 9], [10, 10, 10, 10])])
+    load = period_load([make_sched(range(40), [4, 7, 8, 9], [10, 10, 10, 10]).load])
     got = reports(load, [0, 2, 3], 25)
     assert [(r.group_index, r.used_rb_epochs, r.available_rb_epochs) for r in got] == \
         [(0, 7, 10), (2, 8, 10), (3, 9, 10)]
@@ -983,7 +981,7 @@ def test_cell_load_counts_only_group_span():
 def test_cell_load_errors():
     # A group with no granted RBs yields a report with none available,
     # which the controller cannot use, so it skips the group.
-    load = period_load([make_sched([], [0, 0], [0, 0])])
+    load = period_load([make_sched([], [0, 0], [0, 0]).load])
     got = reports(load, [0], 25)
     assert [(r.used_rb_epochs, r.available_rb_epochs) for r in got] == [(0, 0)]
     with pytest.raises(MissingDataError):
