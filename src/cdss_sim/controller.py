@@ -172,6 +172,11 @@ class SpectrumManager:
         self._cursor = 0
         self._held: Dict[int, tuple] = {}
 
+    @property
+    def selected(self) -> Optional[int]:
+        """The coordinated group the next step selects, None without one."""
+        return self.coordinated[self._cursor % len(self.coordinated)] if self.coordinated else None
+
     def sms_step(
         self, state: AllocationState, reports: Iterable[LoadReport], now: int,
         rows: Optional[Sequence[Sequence[int]]] = None,
@@ -189,10 +194,9 @@ class SpectrumManager:
         group that held on a state and rows equal to these holds again: it
         is not run, and the reports are not read.
         """
-        coordinated = self.coordinated
-        if not coordinated:
+        gi = self.selected
+        if gi is None:
             return state, 0
-        gi = coordinated[self._cursor % len(coordinated)]
         self._cursor += 1
         if rows is not None and self._held.get(gi) == (state, rows):
             return state, 0

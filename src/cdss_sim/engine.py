@@ -127,14 +127,17 @@ def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
     """Per-RB received power in dBm: rows are cells then beams, one column
     per UE.  LOS is drawn once per (UE, cell) pair, UE-major, from the
     run's "los" stream, as one block of those draws.  Each radio call is
-    one whole-array pass over the run's pairs, and the (cell, UE)
-    distances are computed once for LOS and path loss."""
+    one whole-array pass, and what the sectors of a site share is computed
+    once per (site, UE) pair: cell i stands at site `site_of[i]`."""
     draws = np.random.default_rng(derive_seed(seed, "los")).uniform(
         0.0, 1.0, size=(len(ues), len(cells)))
     ue_xy = np.array([ue.xy for ue in ues], dtype=float).reshape(-1, 2)
-    d_m = distance_m(ue_xy, [cell.site_xy for cell in cells])
-    los = los_state(d_m, draws.T, radio_p.los_d0_m, radio_p.los_scale_m)
-    return np.vstack((tn_rx_power(ue_xy, cells, d_m, los, radio_p),
+    index: Dict[Tuple[float, float], int] = {}      # site -> row, in order of first use
+    site_of = np.array([index.setdefault(cell.site_xy, len(index)) for cell in cells], dtype=int)
+    sites = list(index)
+    d_m = distance_m(ue_xy, sites)
+    los = los_state(d_m, site_of, draws.T, radio_p.los_d0_m, radio_p.los_scale_m)
+    return np.vstack((tn_rx_power(ue_xy, cells, sites, site_of, d_m, los, radio_p),
                       ntn_rx_power(ue_xy, beams, radio_p)))
 
 
@@ -142,19 +145,19 @@ class ByteFactors:
     """Bytes one RB carries this epoch, as `rows[group][ue_id]`.
 
     A TN-attached UE has a value in every group; an NTN-attached UE only in
-    its beam's group, the only group its beam is granted.  `refresh`
-    rewrites the rows in place, so the per-grant row references that
+    its beam's group, the only group its beam is granted.  The groups with
+    no beam (all, in a TN-only case) hear the cells alone whatever their
+    flag, so they share one row, computed once.  `refresh` rewrites the
+    rows in place, so the per-grant row references that
     `traffic.grant_tables` hands the scheduler stay current, and keeps each
-    group's last values as an array to tell which entries changed.
+    row's last values as an array to tell which entries changed.
     """
 
     def __init__(self, plan, rx_dbm, serving, beams, radio_p, epoch_s: float):
         n_cells = rx_dbm.shape[0] - len(beams)
         serving_tx = np.array([-1 if tx is None else tx for tx in serving], dtype=int)
-        self.rows = [[0.0] * len(serving) for _ in plan.groups]
         self._values = [np.zeros(len(serving)) for _ in plan.groups]
         self._last_activity: Optional[List[float]] = None
-        self._groups = plan.groups
         self._rx_lin = np.power(10.0, rx_dbm / 10.0)
         # Unserved UEs read row 0; their factors are never looked up.
         self._serving = np.clip(serving_tx, 0, None)
@@ -170,6 +173,12 @@ class ByteFactors:
             self._beam_tx[beam.group_index].append(btx)
             if (serving_tx == btx).any():
                 self._beam_ues[beam.group_index].append((btx, serving_tx == btx))
+        shared = [0.0] * len(serving)
+        self.rows = [[0.0] * len(serving) if self._beam_tx[g.index] else shared
+                     for g in plan.groups]
+        # `refresh` computes the row of each group with a beam and of the first without
+        beamless = [g for g in plan.groups if not self._beam_tx[g.index]]
+        self._groups = [g for g in plan.groups if self._beam_tx[g.index]] + beamless[:1]
         # The transmitters some entry hears: the cells, the beams of an uncoordinated
         # group, and a beam that shares a coordinated group with a serving beam.
         self._audible = [*range(n_cells), *(
@@ -281,14 +290,15 @@ def _schedule_nodes(nodes, credit: bool) -> List[float]:
     return activity
 
 
-def _load_reports(tn_nodes, loads, coordinated: Sequence[int], epoch: int) -> Iterator[LoadReport]:
-    """Each TN cell's report for each coordinated group j, from its period
-    load's column 1 + j, built as it is read: a step that holds at once
-    reads none.  A report with no granted RB is kept, and
+def _load_reports(tn_nodes, loads, coordinated: Sequence[int], gi, epoch) -> Iterator[LoadReport]:
+    """Each TN cell's report for gi, the j-th coordinated group and the one
+    the step selects and reads (`SpectrumManager.selected`), from its period
+    load's column 1 + j, built as it is read: a step that holds at once, or
+    has no group, reads none.  A report with no granted RB is kept, and
     `controller.aggregate_load` skips it."""
+    column = 1 + coordinated.index(gi)
     for node, load in zip(tn_nodes, loads):
-        for j, gi in enumerate(coordinated):
-            yield LoadReport(node.entity_id, gi, load[1 + j], load[len(load) // 2 + 1 + j], epoch)
+        yield LoadReport(node.entity_id, gi, load[column], load[len(load) // 2 + column], epoch)
 
 
 def _record_final(store, final_rows, total_rbs: int, nodes) -> None:
@@ -331,8 +341,8 @@ def _period_end(store, manager, clock, tn_nodes, state, epoch: int, loads, last=
         time_s = epoch * clock.epoch_s
         store.utilization.extend(UtilizationSample(node.entity_id, step, time_s, *pair)
                                  for node, pair in zip(tn_nodes, sums))
-    state = manager.sms_step(state, _load_reports(tn_nodes, rows, coordinated, epoch), epoch,
-                             rows)[0]
+    reports = _load_reports(tn_nodes, rows, coordinated, manager.selected, epoch)
+    state = manager.sms_step(state, reports, epoch, rows)[0]
     store.sms_steps += 1
     store.timeline.extend(_timeline_rows(plan, state, CASES[store.case_id], clock, step, epoch,
                                          store.timeline[-len(plan.groups):]))

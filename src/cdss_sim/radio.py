@@ -9,6 +9,8 @@ are per resource block.
 The link budget is columnar (a row per transmitter, a column per UE) with
 the bits of the scalar per-pair oracle in `tests/reference_placement.py`:
 transcendentals and squares go through `math`, numpy does the arithmetic.
+The sectors of a site share its distance, bearing, P(LOS) and free-space
+loss to a UE: those run per (site, UE) pair, and each cell gathers its site's.
 """
 
 from __future__ import annotations
@@ -99,36 +101,39 @@ def fspl_db(distance_km, freq_ghz: float) -> np.ndarray:
     return 32.45 + 20.0 * math.log10(freq_ghz * 1e3) + 20.0 * _each(math.log10, distance_km)
 
 
-def tn_pathloss(distance_m_: np.ndarray, los: np.ndarray, freq_ghz: float,
+def tn_pathloss(d_m: np.ndarray, site_of, los: np.ndarray, freq_ghz: float,
                 nlos_offset_db: float) -> np.ndarray:
-    """Terrestrial path loss: free space when LOS, plus a flat NLOS penalty."""
-    loss = fspl_db(distance_m_ / 1e3, freq_ghz)
+    """Terrestrial path loss of each (cell, UE) pair of `los`: free space at
+    its site's distances (row `site_of[cell]` of `d_m`), plus a flat NLOS penalty."""
+    loss = fspl_db(d_m / 1e3, freq_ghz)[site_of]
     return np.where(los, loss, loss + nlos_offset_db)
 
 
-def los_state(d_m: np.ndarray, draws: np.ndarray, d0_m: float, scale_m: float) -> np.ndarray:
-    """One-shot LOS decisions for the stationary (cell, UE) pairs at
-    distances `d_m`, rows cells and columns UEs as in `draws`: a pair is LOS
-    when its draw is below P(LOS) = 1 inside d0, exp(-(d - d0)/scale) beyond it."""
+def los_state(d_m: np.ndarray, site_of, draws, d0_m: float, scale_m: float) -> np.ndarray:
+    """One-shot LOS decisions for the stationary (cell, UE) pairs, rows
+    cells and columns UEs as in `draws`, at the distances `d_m` of each
+    cell's site (row `site_of[cell]`): a pair is LOS when its draw is below
+    P(LOS) = 1 inside d0, exp(-(d - d0)/scale) beyond it."""
     p = np.ones_like(d_m)
     beyond = d_m > d0_m         # exp only here: inside d0 it can overflow
     with np.errstate(over="ignore"):        # as silent as float division
         p[beyond] = np.minimum(1.0, _each(math.exp, -(d_m[beyond] - d0_m) / scale_m))
-    return draws < p
+    return draws < p[site_of]
 
 
-def tn_rx_power(ue_xy, cells, d_m, los: np.ndarray, params: RadioParams) -> np.ndarray:
+def tn_rx_power(ue_xy, cells, sites, site_of, d_m, los, params: RadioParams) -> np.ndarray:
     """Per-RB received power from each TN sector (rows) at each UE
-    (columns) at distances `d_m`, dBm.  The sector pattern is parabolic in
-    azimuth, capped at the front-to-back ratio."""
-    dx, dy = _offsets(ue_xy, [cell.site_xy for cell in cells])
-    bearing = _each(math.degrees, _each(math.atan2, dy, dx))
+    (columns), dBm, from the distances `d_m` of the `sites` (cell i at row
+    `site_of[i]`).  The sector pattern is parabolic in azimuth, capped at
+    the front-to-back ratio."""
+    dx, dy = _offsets(ue_xy, sites)
+    bearing = _each(math.atan2, dy, dx) * (180.0 / math.pi)    # as math.degrees computes it
     azimuth = np.array([cell.azimuth_deg for cell in cells], dtype=float)[:, None]
-    a = (bearing - azimuth + 180.0) % 360.0 - 180.0
+    a = (bearing[site_of] - azimuth + 180.0) % 360.0 - 180.0
     pattern = 12.0 * _squared(a / params.tn_sector_width_deg)
     cap = params.tn_front_to_back_db
     pattern = np.where(cap < pattern, cap, pattern)
-    loss = tn_pathloss(d_m, los, params.freq_ghz, params.nlos_offset_db)
+    loss = tn_pathloss(d_m, site_of, los, params.freq_ghz, params.nlos_offset_db)
     return params.tn_tx_power_dbm + params.tn_antenna_gain_dbi - pattern - loss
 
 

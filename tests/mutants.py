@@ -269,6 +269,22 @@ MUTANTS = (
            "a beam centre is exactly two numbers; without the check a third one would "
            "be dropped without a word",
            ("tests/test_scenario.py::test_unknown_key_rejected_with_path",)),
+    Mutant("src/cdss_sim/radio.py", "a = (bearing[site_of] - azimuth",
+           "a = (bearing[site_of[::-1]] - azimuth",
+           "each cell gathers the bearings of its own site's row; the sectors of "
+           "another site see their UEs at other bearings",
+           ("tests/test_block_draws.py::test_block_draws_match_scalar_draws",)),
+    Mutant("src/cdss_sim/engine.py", "[[0.0] * len(serving) if self._beam_tx[g.index] else shared",
+           "[[0.0] * len(serving) if g.index else shared",
+           "only the groups that have no beam share one byte row; a group with a beam "
+           "has values of its own for its beams' UEs and, uncoordinated, for the TN's",
+           ("tests/test_engine.py::test_byte_factors_match_naive_oracle",)),
+    Mutant("src/cdss_sim/engine.py", "column = 1 + coordinated.index(gi)",
+           "column = 1 + (coordinated.index(gi) + 1) % len(coordinated)",
+           "a step reads the reports of the group it selects, built from that group's "
+           "load column; the next group's loads would drive its boundary",
+           ("tests/test_engine.py::test_a_step_is_given_the_reports_of_the_group_it_selects",
+            CONTRACT)),
     Mutant("README.md", "`Cycle.window`", "`Cycle.windows`",
            "every name of the package that README cites exists, so a rename or a "
            "deletion cannot leave the map stale",

@@ -323,13 +323,13 @@ def naive_byte_factors(plan, rx_dbm, serving, beams, activity, radio, epoch_s):
     return out
 
 
-def byte_factor_inputs(cfg):
-    """The band plan, beams, link budget and attachment of a case-2 run of
-    `cfg`, seed 1, as `ByteFactors` takes them."""
+def byte_factor_inputs(cfg, case_id=2):
+    """The band plan, beams, link budget and attachment of a run of `cfg`,
+    seed 1, in case 2 or in TN-only case 3, as `ByteFactors` takes them."""
     band = cfg.band
-    plan = build_band_plan(band.total_rbs, band.num_groups, band.coordinated,
-                           band.rb_bandwidth_hz)
-    topo = build_topology(cfg, CASES[2], 1)
+    flags = band.coordinated if case_id == 2 else (False,) * band.num_groups
+    plan = build_band_plan(band.total_rbs, band.num_groups, flags, band.rb_bandwidth_hz)
+    topo = build_topology(cfg, CASES[case_id], 1)
     beams = sorted(topo.beams, key=lambda b: b.beam_id)
     rx_dbm = engine_mod._link_budget(
         sorted(topo.cells, key=lambda c: c.cell_id), beams,
@@ -338,20 +338,36 @@ def byte_factor_inputs(cfg):
     return plan, beams, rx_dbm, select_serving(rx_dbm, cfg.radio.min_rsrp_dbm)
 
 
+def with_beam_groups(cfg, beam_groups):
+    return replace(cfg, topology=replace(cfg.topology, beam_groups=beam_groups))
+
+
+def assert_beamless_groups_share_one_row(factors, plan, beams):
+    """Two groups' rows are one object exactly when neither has a beam."""
+    beamless = {g.index for g in plan.groups} - {beam.group_index for beam in beams}
+    for i in range(len(plan.groups)):
+        for j in range(i):
+            assert (factors.rows[i] is factors.rows[j]) == ({i, j} <= beamless), (i, j)
+
+
 def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
     # beams 1 and 2 share coordinated group 0, so same-group beam
-    # interference is exercised too
-    shared = replace(fast_cfg, topology=replace(fast_cfg.topology, beam_groups=(0, 0, 2)))
+    # interference is exercised too; with every beam in group 0, the
+    # coordinated group 1 and the uncoordinated group 2 have no beam and
+    # share one row, as do all three groups of the TN-only case 3
     rng = np.random.default_rng(11)
     se_calls = []
     se = engine_mod.spectral_efficiency_array
     monkeypatch.setattr(engine_mod, "spectral_efficiency_array",
                         lambda *args: se_calls.append(1) or se(*args))
-    for cfg in (fast_cfg, shared):
+    for cfg, case_id in ((fast_cfg, 2), (with_beam_groups(fast_cfg, (0, 0, 2)), 2),
+                         (with_beam_groups(fast_cfg, (0, 0, 0)), 2), (fast_cfg, 3)):
         radio, epoch_s = cfg.radio, SimClock.from_config(cfg).epoch_s
-        plan, beams, rx_dbm, serving = byte_factor_inputs(cfg)
+        plan, beams, rx_dbm, serving = byte_factor_inputs(cfg, case_id)
         group_of_rb = [g.index for g in plan.groups for _ in g.rb_range]
         factors = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
+        assert_beamless_groups_share_one_row(factors, plan, beams)
+        assert (len({id(row) for row in factors.rows}) == 1) == (case_id == 3)
         # first and last RB of every group, read through the scheduler's
         # per-grant row references
         edges = [rb for g in plan.groups for rb in (g.rb_start, g.rb_stop - 1)]
@@ -415,9 +431,10 @@ def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monk
     # and may name no other.  Random activity sequences on the default
     # layout, and on one where two beams share a coordinated group, change
     # every transmitter, a few of them or only the beams, or repeat the
-    # last activity in a new list.  On the default layout they also change
-    # only the beams alone in a coordinated group, whose activity enters no
-    # entry.  A repeat and such an inaudible change must make no SE call
+    # last activity in a new list; a third layout puts every beam in group
+    # 0, so groups 1 and 2 share one row.  On the default layout they also
+    # change only the beams alone in a coordinated group, whose activity
+    # enters no entry.  A repeat and such an inaudible change must make no SE call
     # and report nothing.  A naive oracle compares the rows before and
     # after, and a fresh instance's rows check that no skip kept stale ones.
     rng = np.random.default_rng(19)
@@ -425,12 +442,13 @@ def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monk
     se = engine_mod.spectral_efficiency_array
     monkeypatch.setattr(engine_mod, "spectral_efficiency_array",
                         lambda *args: se_calls.append(1) or se(*args))
-    shared = replace(fast_cfg, topology=replace(fast_cfg.topology, beam_groups=(0, 0, 2)))
     kinds = {"some": 0, "inaudible": 0, "repeat": 0}
-    for cfg in (fast_cfg, shared):
+    for beam_groups in ((0, 1, 2), (0, 0, 2), (0, 0, 0)):
+        cfg = with_beam_groups(fast_cfg, beam_groups)
         plan, beams, rx_dbm, serving = byte_factor_inputs(cfg)
         epoch_s = SimClock.from_config(cfg).epoch_s
         factors = ByteFactors(plan, rx_dbm, serving, beams, cfg.radio, epoch_s)
+        assert_beamless_groups_share_one_row(factors, plan, beams)
         n_tx, n_cells = rx_dbm.shape[0], rx_dbm.shape[0] - len(beams)
         groups = [beam.group_index for beam in beams]
         alone = [n_cells + i for i, gi in enumerate(groups)
@@ -466,7 +484,7 @@ def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monk
             fresh.refresh(activity)
             assert factors.rows == fresh.rows, move
     # rewrites that change some entries, repeats and inaudible changes
-    # (65, 27 and 17 with this seed)
+    # (106, 43 and 17 with this seed)
     assert min(kinds.values()) >= 5, kinds
 
 
@@ -606,6 +624,30 @@ def test_grant_rebuilds_exactly_when_the_guard_key_changes(fast_cfg, monkeypatch
         assert len(rebuilds) == changes, (case_id, guard_time)
         expiry_rebuilds += changes - 1 - moves
     assert expiry_rebuilds > 0          # guard expiries alone rebuilt some grants
+
+
+def test_a_step_is_given_the_reports_of_the_group_it_selects(fast_cfg, monkeypatch):
+    # The engine builds each TN cell's report for the one group the step
+    # selects, from that group's column of the cell's load row, and for no
+    # other group: the step reads no other.
+    step = SpectrumManager.sms_step
+    selected = []
+
+    def reading_step(self, state, reports, now, rows=None):
+        gi = self.selected
+        reports = list(reports)
+        column = 1 + self.coordinated.index(gi)
+        assert [(r.group_index, r.used_rb_epochs, r.available_rb_epochs) for r in reports] == \
+            [(gi, row[column], row[len(row) // 2 + column]) for row in rows]
+        assert len(reports) == 9
+        selected.append(gi)
+        return step(self, state, reports, now, rows)
+
+    monkeypatch.setattr(SpectrumManager, "sms_step", reading_step)
+    for case_id in (2, 4):
+        selected.clear()
+        run_simulation(RunSpec(fast_cfg, case_id, 2))
+        assert selected == [0, 1] * 6, case_id
 
 
 def test_settled_run_fast_forwards_most_node_epochs(fast_cfg, monkeypatch):

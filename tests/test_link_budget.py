@@ -133,17 +133,20 @@ def test_los_state_pins_the_oracles_los_probability():
     # A draw equal to P(LOS) is NLOS and the next float below it is LOS, so
     # both sets of decisions come out right only where P(LOS) has the
     # oracle's bits.  A last-bit change in P(LOS) rarely flips one of the
-    # seeded draws, so the powers alone cannot show it.
+    # seeded draws, so the powers alone cannot show it.  The six cells
+    # stand two to a site, in turn, so each gathers its own site's row.
     rng = np.random.default_rng(7)
-    cells = [TnCell(i, tuple(rng.uniform(-5e3, 5e3, 2).tolist()), 0.0) for i in range(6)]
+    at = [tuple(rng.uniform(-5e3, 5e3, 2).tolist()) for _ in range(3)]
+    cells = [TnCell(i, at[i % 3], 0.0) for i in range(6)]
     ue_xy = rng.uniform(-20e3, 20e3, (300, 2)).tolist()
-    d_m = distance_m(ue_xy, [cell.site_xy for cell in cells])
+    site_of = [0, 1, 2, 0, 1, 2]
+    d_m = distance_m(ue_xy, at)
     for d0_m, scale_m in ((700.0, 2500.0), (3000.0, 50.0), (-1e308, 5e-324), (1e6, 1.0)):
         p = np.array([[reference_placement.los_probability(
             reference_placement.distance_m(xy, cell.site_xy), d0_m, scale_m) for xy in ue_xy]
             for cell in cells])
-        assert not los_state(d_m, p, d0_m, scale_m).any()
-        assert los_state(d_m, np.nextafter(p, -1.0), d0_m, scale_m).all()
+        assert not los_state(d_m, site_of, p, d0_m, scale_m).any()
+        assert los_state(d_m, site_of, np.nextafter(p, -1.0), d0_m, scale_m).all()
 
 
 # The [radio] fields `engine._link_budget` reads; the rest (noise figure,

@@ -37,33 +37,42 @@ def make_beam(center=(0.0, 0.0), nominal_rbs=1.0):
 
 def tn_rx(ue_xy, cells, los=True, params=PARAMS):
     """Rows of per-RB rx powers, one per cell, every pair LOS or every NLOS."""
-    d_m = distance_m(ue_xy, [cell.site_xy for cell in cells])
-    return tn_rx_power(ue_xy, cells, d_m, np.full(d_m.shape, los), params)
+    index = {}          # site -> row
+    site_of = [index.setdefault(cell.site_xy, len(index)) for cell in cells]
+    sites = list(index)
+    d_m = distance_m(ue_xy, sites)
+    los = np.full((len(cells), d_m.shape[1]), los)
+    return tn_rx_power(ue_xy, cells, sites, site_of, d_m, los, params)
+
+
+def pathloss(d, los):
+    """`tn_pathloss` at 2 GHz of distances `d`, each a site of its own."""
+    return tn_pathloss(d, range(len(d)), los, 2.0, NLOS_DB)
 
 
 def test_tn_pathloss_free_space_reference():
-    assert tn_pathloss(np.array([1000.0]), True, 2.0, NLOS_DB)[0] == pytest.approx(98.47, abs=0.01)
+    assert pathloss(np.array([1000.0]), True)[0] == pytest.approx(98.47, abs=0.01)
 
 
 def test_tn_pathloss_doubling_distance_adds_6db():
-    d1, d2 = tn_pathloss(np.array([1000.0, 2000.0]), True, 2.0, NLOS_DB)
+    d1, d2 = pathloss(np.array([1000.0, 2000.0]), True)
     assert d2 - d1 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
 
 def test_tn_pathloss_nlos_offset():
-    los, nlos = tn_pathloss(np.array([1000.0, 1000.0]), np.array([True, False]), 2.0, NLOS_DB)
+    los, nlos = pathloss(np.array([1000.0, 1000.0]), np.array([True, False]))
     assert nlos == pytest.approx(118.47, abs=0.01)
     assert nlos == los + NLOS_DB
 
 
 def test_tn_pathloss_rejects_zero_distance():
     with pytest.raises(ValueError):
-        tn_pathloss(np.array([500.0, 0.0]), True, 2.0, NLOS_DB)
+        pathloss(np.array([500.0, 0.0]), True)
 
 
 def test_tn_pathloss_strictly_increasing_in_distance():
     d = np.random.default_rng(3).uniform(1.0, 50_000.0, size=50)
-    assert (tn_pathloss(d * 1.01, False, 2.0, NLOS_DB) > tn_pathloss(d, False, 2.0, NLOS_DB)).all()
+    assert (pathloss(d * 1.01, False) > pathloss(d, False)).all()
 
 
 def test_los_probability_thresholds():
@@ -73,15 +82,15 @@ def test_los_probability_thresholds():
     ue_xy = [(500.0, 0.0), (700.0, 0.0), (3200.0, 0.0)]
     d_m = distance_m(ue_xy, [ORIGIN.site_xy])
     below = np.array([[math.nextafter(x, 0.0) for x in p]])
-    assert los_state(d_m, below, *LOS_MODEL).tolist() == [[True] * 3]
-    assert los_state(d_m, np.array([p]), *LOS_MODEL).tolist() == [[False] * 3]
+    assert los_state(d_m, [0], below, *LOS_MODEL).tolist() == [[True] * 3]
+    assert los_state(d_m, [0], np.array([p]), *LOS_MODEL).tolist() == [[False] * 3]
 
 
 def test_los_state_uses_draw_against_probability():
     ue_xy = [(300.0, 0.0), (3200.0, 0.0), (3200.0, 0.0)]
     draws = np.array([[0.999999, 0.3, 0.5]])           # 0.3 < exp(-1) < 0.5
     d_m = distance_m(ue_xy, [ORIGIN.site_xy])
-    assert los_state(d_m, draws, *LOS_MODEL).tolist() == [[True, True, False]]
+    assert los_state(d_m, [0], draws, *LOS_MODEL).tolist() == [[True, True, False]]
 
 
 def test_ntn_fspl_reference_at_zenith():
@@ -227,6 +236,6 @@ def test_select_serving_no_ues():
 
 def test_tn_rx_power_composition():
     rx = tn_rx([(1000.0, 0.0)], [ORIGIN])
-    loss = tn_pathloss(np.array([1000.0]), True, 2.0, NLOS_DB)
+    loss = pathloss(np.array([1000.0]), True)
     assert rx.shape == (1, 1)
     assert rx[0, 0] == pytest.approx(18.0 + 14.0 - loss[0])

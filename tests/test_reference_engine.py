@@ -234,7 +234,7 @@ def assert_same_run(spec, store, tmp_path, draw):
 def test_engine_matches_reference_engine(tmp_path, monkeypatch):
     kept = KeptMemos(monkeypatch)
     rng = random.Random(6)
-    moved = shared_beam_groups = below = kept_rewrite = kept_rebuild = 0
+    moved = shared_beam_groups = beamless = below = kept_rewrite = kept_rebuild = 0
     for draw in range(DRAWS):
         scenario = draw_scenario(rng)
         spec = RunSpec(scenario, 1 + draw % 4, rng.randint(1, 10**6))
@@ -246,12 +246,15 @@ def test_engine_matches_reference_engine(tmp_path, monkeypatch):
         moved += store.timeline[-1].version > 0
         groups = scenario.topology.beam_groups
         shared_beam_groups += spec.case_id in (2, 4) and len(set(groups)) < len(groups)
+        beamless += spec.case_id in (2, 4) and scenario.band.num_groups - len(set(groups)) >= 2
         below += uncoordinated_below_coordinated(spec)
-    # the draws move boundaries, put two beams in one group and, in 12
-    # draws, an uncoordinated group below a coordinated one; in 32 a node
-    # keeps its memo through a row rewrite, in 14 through a grant rebuild
-    assert moved >= 10 and shared_beam_groups >= 3 and below >= 10, \
-        (moved, shared_beam_groups, below)
+    # the draws move boundaries and put two beams in one group; in 12 C-DSS
+    # draws two or more groups have no beam, so their byte rows are one
+    # shared row, and in 12 an uncoordinated group lies below a coordinated
+    # one; in 32 a node keeps its memo through a row rewrite, in 14 through
+    # a grant rebuild
+    assert moved >= 10 and shared_beam_groups >= 3 and beamless >= 10 and below >= 10, \
+        (moved, shared_beam_groups, beamless, below)
     assert kept_rewrite >= 25 and kept_rebuild >= 10, (kept_rewrite, kept_rebuild)
 
 

@@ -948,8 +948,10 @@ def test_replay_cycle_follows_every_slot_change():
 
 
 def reports(load, coordinated, now):
-    """The engine's reports of one TN cell (cell 0) from its period load."""
-    return list(_load_reports([node_for([])], [load], coordinated, now))
+    """The engine's reports of one TN cell (cell 0) from its period load,
+    for each coordinated group in turn, as the steps select them."""
+    return [report for gi in coordinated
+            for report in _load_reports([node_for([])], [load], coordinated, gi, now)]
 
 
 def test_cell_load_ratio():
