@@ -95,6 +95,7 @@ CASES: Dict[int, SimCase] = {
 # The largest run `validate_scenario` accepts.  Dealing RBs, grant tables
 # and the byte-factor refresh cost about epochs x (transmitters x RBs x
 # groups + UEs x (transmitters + groups)) work units; 7.3e6 for the defaults.
+# Only grants over several byte rows pay per declined (UE, RB); one row, per UE.
 MAX_RUN_WORK = 10**9
 
 

@@ -75,7 +75,9 @@ class Cycle:
         return self._amounts
 
 
-@dataclass
+# Slots, not a dict: CPython 3.11 shrinks a class's shared key table with each
+# instance made, so a field first set once a dozen nodes exist gives each a dict.
+@dataclass(slots=True)
 class Node:
     """One scheduling entity: a TN cell or an enabled NTN beam, the only
     owner of its per-run state.
@@ -126,6 +128,7 @@ class Node:
     drained: List[float] = field(init=False)    # arrivals onto zero backlogs
     granted: List[int] = field(init=False, default_factory=list)
     granted_rows: List[List[float]] = field(init=False, default_factory=list)
+    row: Optional[List[float]] = field(init=False, default=None)    # the grant's one row or None
     load_prefix: List[Tuple[int, ...]] = field(init=False, default_factory=list)
     period: List[Sequence[int]] = field(init=False, default_factory=list)    # load rows
     slots: Dict[int, tuple] = field(init=False, default_factory=dict)
@@ -142,9 +145,10 @@ class Node:
         self.drained = generate_arrivals([0.0] * n, self.increments)
 
     def set_grant(self, granted: List[int], granted_rows: List[List[float]],
-                  load_prefix: List[Tuple[int, ...]]) -> None:
+                  load_prefix: List[Tuple[int, ...]], row: Optional[List[float]]) -> None:
         """Install a new grant and its tables; the memo's slots go stale."""
         self.granted, self.granted_rows, self.load_prefix = granted, granted_rows, load_prefix
+        self.row = row
         self.clear_memo()
 
     def clear_memo(self) -> None:
@@ -233,7 +237,7 @@ class CellSchedule(NamedTuple):
 
 def grant_tables(
     granted: Sequence[int], row_of_rb: Sequence[List[float]], column_of_rb: Sequence[int]
-) -> Tuple[List[List[float]], List[Tuple[int, ...]]]:
+) -> Tuple[List[List[float]], List[Tuple[int, ...]], Optional[List[float]]]:
     """Per-grant lookups for `schedule_epoch`, built once per grant from
     two per-run maps: each RB's byte row (`row_of_rb[rb][ue_id]`) and its
     load column.
@@ -242,14 +246,17 @@ def grant_tables(
     rewrites the rows in place keeps them current) and the load row of
     every prefix of `granted`: `prefix[i]` counts the RBs of each column
     among `granted[:i]`, then among all of `granted`, so it is the load of
-    an epoch that deals `granted[:i]`.
+    an epoch that deals `granted[:i]`.  Last, the grant's one byte row when
+    every granted RB has that very list, else None (see `schedule_epoch`).
     """
     counts = [0] * (max(column_of_rb, default=-1) + 1)
     used = [tuple(counts)]
     for rb in granted:
         counts[column_of_rb[rb]] += 1
         used.append(tuple(counts))
-    return [row_of_rb[rb] for rb in granted], [u + used[-1] for u in used]
+    rows = [row_of_rb[rb] for rb in granted]
+    row = rows[0] if rows else None
+    return rows, [u + used[-1] for u in used], None if [r for r in rows if r is not row] else row
 
 
 def schedule_epoch(node: Node) -> CellSchedule:
@@ -304,6 +311,15 @@ def schedule_epoch(node: Node) -> CellSchedule:
     next RB is offered from the same cursor.  `load_prefix` (see
     `grant_tables`) turns the dealt prefix of `granted` into the epoch's
     load row.
+
+    One row: when every granted RB carries one byte row (`node.row`, see
+    `grant_tables`), a queued UE with a capacity above 0.0 never declines,
+    so each pass is a round in which every such (live) UE takes one RB.
+    So `(RBs left) // len(live)` whole rounds are dealt UE by UE, then the
+    drained UEs leave; with no whole round left, the first live UEs in
+    rotation order take one RB each.  Takes and served sums fold in the
+    per-RB order, so each float keeps its bits; RBs go unused only once no
+    UE is live, so the load is `load_prefix[k]`.  A declining UE stays queued.
     """
     granted, rotation = node.granted, node.rotation
     start = node.offset % rotation
@@ -314,7 +330,7 @@ def schedule_epoch(node: Node) -> CellSchedule:
     if slot is not None and slot[0] == key:
         node.backlog = slot[1]
         return slot[2]
-    granted_rows, load_prefix = node.granted_rows, node.load_prefix
+    granted_rows, load_prefix, row = node.granted_rows, node.load_prefix, node.row
     n_rb = len(granted)
     if any(key):
         backlog = generate_arrivals(key, node.increments)
@@ -330,37 +346,60 @@ def schedule_epoch(node: Node) -> CellSchedule:
         order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
     served = [0.0] * len(backlog)    # by UE position; every take is positive
     unused: List[int] = []       # granted positions every queued UE declined
-    live = len(order)            # UEs still queued
-    declined = 0                 # consecutive declines of RB `k`
     k = 0                        # next granted position to deal
-    while live and k < n_rb:
-        left = False
-        for p, uid in order:
-            cap = granted_rows[k][uid]
-            if cap <= 0.0:
-                declined += 1
-                if declined == live:
-                    unused.append(k)
-                    declined = 0
-                    k += 1
-                    if k == n_rb:
-                        break
-                continue
-            declined = 0
-            b = backlog[p]
-            if b <= cap:            # drains to exactly 0.0 (b - b)
-                take = b
-                left = True
-                live -= 1
-            else:
-                take = cap
-            backlog[p] = b - take
-            served[p] += take
-            k += 1
-            if k == n_rb:
-                break
-        if left and live:
-            order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
+    if row is not None:
+        live = [(p, cap) for p, uid in order if (cap := row[uid]) > 0.0]
+        while live and k < n_rb:
+            rounds = (n_rb - k) // len(live)
+            if not rounds:          # the last round: one RB each for the first UEs
+                live, rounds = live[:n_rb - k], 1
+            k += rounds * len(live)
+            left = 0                # UEs drained this round
+            for p, cap in live:
+                b, s, n = backlog[p], served[p], rounds
+                while n and b > cap:
+                    s += cap
+                    b -= cap
+                    n -= 1
+                if n:               # drains to exactly 0.0 (b - b), with n - 1 takes to spare
+                    s += b
+                    b -= b
+                    left += 1
+                    k -= n - 1
+                backlog[p], served[p] = b, s
+            if left:
+                live = [ue for ue in live if backlog[ue[0]]] if left < len(live) else []
+    else:
+        queued = len(order)      # UEs still queued
+        declined = 0             # consecutive declines of RB `k`
+        while queued and k < n_rb:
+            left = False
+            for p, uid in order:
+                cap = granted_rows[k][uid]
+                if cap <= 0.0:
+                    declined += 1
+                    if declined == queued:
+                        unused.append(k)
+                        declined = 0
+                        k += 1
+                        if k == n_rb:
+                            break
+                    continue
+                declined = 0
+                b = backlog[p]
+                if b <= cap:        # drains to exactly 0.0 (b - b)
+                    take = b
+                    left = True
+                    queued -= 1
+                else:
+                    take = cap
+                backlog[p] = b - take
+                served[p] += take
+                k += 1
+                if k == n_rb:
+                    break
+            if left and queued:
+                order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
     load = load_prefix[k]
     if unused:
         counts = list(load)

@@ -47,6 +47,8 @@ CREDIT_POSITION = ("tests/test_traffic.py::"
 FORWARD = "tests/test_traffic.py::test_fast_forward_matches_epoch_by_epoch_scheduling"
 STEADY_REFERENCE = ("tests/test_reference_engine.py::"
                     "test_engine_matches_reference_engine_in_steady_states")
+ONE_ROW = "tests/test_traffic.py::test_one_row_schedule_matches_per_rb_reference"
+ONE_ROW_GRANTS = "tests/test_engine.py::test_tn_only_cells_and_beams_hold_one_row_grants"
 
 
 class Mutant(NamedTuple):
@@ -285,6 +287,21 @@ MUTANTS = (
            "load column; the next group's loads would drive its boundary",
            ("tests/test_engine.py::test_a_step_is_given_the_reports_of_the_group_it_selects",
             CONTRACT)),
+    Mutant("src/cdss_sim/traffic.py", "live, rounds = live[:n_rb - k], 1",
+           "live, rounds = live[k - n_rb:], 1",
+           "a one-row deal that runs out within a round gives its last RBs to the first "
+           "live UEs in rotation order, as the per-RB loop does, not to the last",
+           (ONE_ROW, CONTRACT)),
+    Mutant("src/cdss_sim/traffic.py", "                    s += cap\n",
+           "                    s = served[p] + (rounds - n + 1) * cap\n",
+           "a UE's served bytes fold its takes one by one, in the per-RB loop's order; "
+           "a product of the take count and the capacity rounds otherwise",
+           (ONE_ROW, CONTRACT)),
+    Mutant("src/cdss_sim/traffic.py", "None if [r for r in rows if r is not row] else row",
+           "row if rows and row is rows[-1] else None",
+           "a grant is dealt per UE only if every granted RB carries the one byte row; "
+           "a TN grant that interleaves three groups' rows may begin and end in one",
+           (ORACLE, ONE_ROW_GRANTS, CONTRACT)),
     Mutant("README.md", "`Cycle.window`", "`Cycle.windows`",
            "every name of the package that README cites exists, so a rename or a "
            "deletion cannot leave the map stale",

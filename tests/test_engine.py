@@ -371,8 +371,8 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
         # first and last RB of every group, read through the scheduler's
         # per-grant row references
         edges = [rb for g in plan.groups for rb in (g.rb_start, g.rb_stop - 1)]
-        edge_rows, _ = grant_tables(edges, [factors.rows[g] for g in group_of_rb],
-                                    group_of_rb)
+        edge_rows, _, _ = grant_tables(edges, [factors.rows[g] for g in group_of_rb],
+                                       group_of_rb)
         n_tx = rx_dbm.shape[0]
         a, b = rng.uniform(size=n_tx).tolist(), rng.uniform(size=n_tx).tolist()
         # a repeated activity must not serve stale rows from the refresh
@@ -624,6 +624,31 @@ def test_grant_rebuilds_exactly_when_the_guard_key_changes(fast_cfg, monkeypatch
         assert len(rebuilds) == changes, (case_id, guard_time)
         expiry_rebuilds += changes - 1 - moves
     assert expiry_rebuilds > 0          # guard expiries alone rebuilt some grants
+
+
+def test_tn_only_cells_and_beams_hold_one_row_grants(fast_cfg, monkeypatch):
+    # `grant_tables` gives a node its grant's one byte row when every
+    # granted RB carries that very list, and the scheduler then deals it
+    # per UE in whole rounds.  After every grant rebuild, each cell of cases
+    # 1 and 3 (one row shared by every group, as no group has a beam) and
+    # each beam (its group's row) holds one; no cell of cases 2 and 4 does,
+    # as their TN grant interleaves the rows of three groups.
+    rebuilds = {}
+    grant_rbs = engine_mod._grant_rbs
+
+    def granting(plan, state, blocked, nodes, *maps):
+        grant_rbs(plan, state, blocked, nodes, *maps)
+        for node in nodes:
+            one_row = node.group_index is not None or case_id in (1, 3)
+            assert node.granted
+            assert node.row is (node.granted_rows[0] if one_row else None), (case_id, node)
+            assert all(row is node.granted_rows[0] for row in node.granted_rows) == one_row
+        rebuilds[case_id] = rebuilds.get(case_id, 0) + 1
+
+    monkeypatch.setattr(engine_mod, "_grant_rbs", granting)
+    for case_id in (1, 2, 3, 4):
+        run_simulation(RunSpec(fast_cfg, case_id, 1))
+    assert sorted(rebuilds) == [1, 2, 3, 4]
 
 
 def test_a_step_is_given_the_reports_of_the_group_it_selects(fast_cfg, monkeypatch):
@@ -1036,7 +1061,7 @@ def test_benchmark_tracer_counts_dealt_and_offered_rbs():
         returned.append(traced(node))
     assert returned[2] is returned[0]   # the hit
     idle = Node("tn-1", 1, [2], 0, [0.0], [1.0])
-    idle.set_grant([], [], [(0, 0)])
+    idle.set_grant([], [], [(0, 0)], None)
     traced(idle)
     assert tracer.calls["traffic.schedule"] == 4
     assert tracer.counts == {"rbs_dealt": 12, "rbs_offered": 30}

@@ -16,7 +16,9 @@ a change meant to alter outputs regenerates them with
     PYTHONPATH=src python tests/test_golden.py
     python3 perfbench/reference.py --regenerate
 
-and explains the changed bytes in CHANGES.md.
+then certifies the new record with the naive engine (`python3
+tests/certify.py`, which must report every run identical) and explains
+the changed bytes in CHANGES.md.
 """
 
 import hashlib

@@ -394,3 +394,15 @@ def test_engine_matches_reference_engine_when_activity_oscillates(tmp_path, monk
         spread += nodes >= 2
     # 10 of the 12 draws oscillate, 7 of them in two or more nodes
     assert oscillating >= 8 and spread >= 5, (oscillating, spread)
+
+
+def test_reference_engine_writes_the_files_of_the_hardest_default_runs(default_cfg, tmp_path):
+    # The naive engine certifies the output contract: on two of the default
+    # study's hardest runs it writes the engine's files byte for byte.  Case
+    # 3, seed 5 saturates a cell dealt in whole rounds over one byte row (9
+    # of its 1,064 deals end in a partial round); case 4, seed 9 saturates
+    # beams (2,338 one-row deals), and its cells' activity oscillates.
+    # `tests/certify.py` compares every recorded run the same way.
+    for draw, (case_id, seed) in enumerate(((3, 5), (4, 9))):
+        spec = RunSpec(default_cfg, case_id, seed)
+        assert_same_run(spec, run_simulation(spec), tmp_path, draw)

@@ -2,6 +2,7 @@ import copy
 import math
 import random
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdss_sim.controller import LoadReport, aggregate_load
 from cdss_sim.engine import _load_reports
@@ -243,6 +244,7 @@ def test_schedule_matches_per_rb_reference():
     n_ids = 16
     unused_seen = drained_seen = 0
     misses = {"drained": 0, "queued": 0}
+    forms = [0, 0]      # nodes dealt per RB, and over one byte row
     for _ in range(400):
         n_groups = rng.randint(1, 3)
         group_of_rb = sorted(rng.randrange(n_groups) for _ in range(200))
@@ -251,12 +253,12 @@ def test_schedule_matches_per_rb_reference():
         ue_order = rng.sample(range(n_ids), rng.randint(0, 12))
         granted = rng.sample(range(200), rng.randint(0, 200))
         # each group its own load column
-        granted_rows, prefix = grant_tables(granted, [rows[g] for g in group_of_rb],
-                                            group_of_rb)
+        tables = grant_tables(granted, [rows[g] for g in group_of_rb], group_of_rb)
+        forms[tables[2] is not None] += bool(granted and ue_order)
         ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
         start = rng.randrange(20)
         node = node_for(ue_order, start)
-        node.set_grant(granted, granted_rows, prefix)
+        node.set_grant(granted, *tables)
         ref_rotation = reference_scheduler.Rotation(start)
         for epoch in range(3):
             # varying arrivals: rebind the backlogs (never mutate them in
@@ -292,6 +294,136 @@ def test_schedule_matches_per_rb_reference():
     assert unused_seen > 0 and drained_seen > 0
     # 12 and 1,096 in these draws
     assert misses["drained"] >= 6 and misses["queued"] >= 500, misses
+    # both forms of the dealing loop: several rows, and one row (248 and
+    # 119 nodes with UEs and RBs in these draws)
+    assert min(forms) >= 100, forms
+
+
+def takes_needed(backlog, cap):
+    """The RBs of capacity `cap` that a UE with `backlog` bytes takes to
+    drain, counted by the scheduler's own fold: 0 when it declines or has
+    no backlog."""
+    if cap <= 0.0 or backlog <= 0.0:
+        return 0
+    n = 1
+    while backlog > cap:
+        backlog -= cap
+        n += 1
+    return n
+
+
+def ends_in_a_partial_round(needs, n_rb):
+    """Whether a round-robin deal of `n_rb` RBs to UEs that each need
+    `needs` RBs runs out of RBs with fewer left than UEs still taking."""
+    live = [n for n in needs if n]
+    while live and n_rb:
+        if n_rb < len(live):
+            return True
+        n_rb -= len(live)
+        live = [n - 1 for n in live if n > 1]
+    return False
+
+
+# A UE of a one-row deal: its capacity (0.0 among them, and sevenths, whose
+# sums round), where its backlog lies (0.0, the capacity, one ulp either
+# side of it, or in a range of up to eight capacities) and the fraction of
+# that range.
+ONE_ROW_UES = st.lists(st.tuples(st.sampled_from([0.0, 37.5, 225.0]) | st.floats(1.0, 500.0)
+                                 | st.integers(7, 3500).map(lambda i: i / 7.0),
+                                 st.sampled_from(["zero", "cap", "below", "above", "range"]),
+                                 st.floats(0.0, 1.0)), max_size=12)
+
+
+def one_row_backlog(cap, edge, fraction):
+    """A UE's backlog of the kind `edge` names, for capacity `cap`."""
+    if edge == "range":
+        return 1.0 + fraction * 8.0 * max(cap, 1.0)
+    return {"zero": 0.0, "cap": cap, "below": max(math.nextafter(cap, -math.inf), 0.0),
+            "above": math.nextafter(cap, math.inf)}[edge]
+
+
+def test_one_row_schedule_matches_per_rb_reference():
+    # A grant whose RBs all carry one byte row is dealt per UE in whole
+    # rounds (see `schedule_epoch`).  From every rotation start it must
+    # equal the per-RB reference: the same bytes to each UE, backlogs,
+    # used RBs, activity and load row.  The grant's size is drawn at, one
+    # below and one above the RBs the UEs need in total, so that deals end
+    # in a partial round, in which only the first UEs take an RB, or leave
+    # RBs unused; in some draws every UE declines.
+    reached = {"partial round": 0, "every UE declines": 0, "unused RBs": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(ONE_ROW_UES, st.sampled_from([-1, 0, 1]), st.sampled_from([False] * 4 + [True]),
+           st.randoms(use_true_random=False))
+    def deal_from_every_start(ues, off_by, declining, rng):
+        caps = [0.0 if declining else cap for cap, _, _ in ues]
+        backlog = [one_row_backlog(*ue) for ue in ues]
+        ue_ids = rng.sample(range(len(ues)), len(ues))
+        row = [0.0] * len(ues)
+        for uid, cap in zip(ue_ids, caps):
+            row[uid] = cap
+        needs = [takes_needed(b, cap) for cap, b in zip(caps, backlog)]
+        n_rb = sum(needs) + off_by
+        if not 0 <= n_rb <= 40:
+            n_rb = rng.randint(0, 40)
+        granted = rng.sample(range(n_rb), n_rb)
+        # two load columns; the last RB of the map is never granted
+        column_of_rb = [rng.randrange(2) for _ in range(n_rb)] + [1]
+        tables = grant_tables(granted, [row] * (n_rb + 1), column_of_rb)
+        assert tables[2] is (row if granted else None)
+        reached["partial round"] += ends_in_a_partial_round(needs, n_rb)
+        reached["every UE declines"] += bool(ues and n_rb and not any(row))
+        reached["unused RBs"] += 0 < sum(needs) < n_rb
+        for start in range(max(len(ues), 1)):
+            node = node_for(ue_ids, start, backlog)
+            node.set_grant(granted, *tables)
+            ref_backlog = {uid: reference_scheduler.Backlog(b) for uid, b in zip(ue_ids, backlog)}
+            ref_rotation = reference_scheduler.Rotation(start)
+            got = schedule_epoch(node)
+            want = reference_scheduler.schedule_epoch(
+                "tn-0", 0, ue_ids, ref_backlog, granted, lambda uid, rb: row[uid], ref_rotation)
+            assert by_uid(node, got) == by_position(node, want)
+            assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
+            assert got.used_rb == want.used_rb
+            assert got.activity == (want.used_rb / n_rb if n_rb else 0.0)
+            assert list(got.load) == reference_scheduler.load_row(want, granted, column_of_rb, 2)
+            assert node.offset == ref_rotation.offset % node.rotation
+
+    deal_from_every_start()
+    # 21, 25 and 31 of the 200 examples
+    assert reached["partial round"] >= 15 and reached["every UE declines"] >= 20, reached
+    assert reached["unused RBs"] >= 25, reached
+
+
+class CountedRow(list):
+    """A byte row that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, uid):
+        self.reads += 1
+        return super().__getitem__(uid)
+
+
+def test_one_row_deal_in_which_every_ue_declines_checks_each_ue_once():
+    # A one-row grant that every UE declines costs one check per UE, not
+    # one per (UE, RB): at 2,000 UEs and 2,000 RBs such an epoch took
+    # 0.235 s when each RB was offered to every queued UE.  It reads the
+    # row once per UE, deals nothing, leaves every backlog as it was and
+    # reports activity 0.0, as the per-RB reference does at a small size.
+    for n in (2000, 5):
+        backlog = [float(1 + p) for p in range(n)]
+        node = node_for(range(n), 3, list(backlog))
+        row = CountedRow([0.0] * n)
+        sched = deal(node, range(n), row)
+        assert node.row is row and row.reads == n
+        assert (sched.served_bytes, sched.used_rb, sched.activity) == ((), 0, 0.0)
+        assert sched.load == (0, n) and node.backlog == backlog
+    ref_backlog = {uid: reference_scheduler.Backlog(b) for uid, b in enumerate(backlog)}
+    want = reference_scheduler.schedule_epoch("tn-0", 0, range(n), ref_backlog, range(n),
+                                              lambda uid, rb: 0.0, reference_scheduler.Rotation(3))
+    assert (want.served_bytes, want.used_rb) == ({}, 0)
+    assert [f.backlog_bytes for f in ref_backlog.values()] == backlog
 
 
 def test_schedule_memo_replay_matches_per_rb_reference():
