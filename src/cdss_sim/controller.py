@@ -195,10 +195,10 @@ class SpectrumManager:
         is not run, and the reports are not read.
         """
         gi = self.selected
+        self._cursor += 1
         if gi is None:
             return state, 0
-        self._cursor += 1
-        if rows is not None and self._held.get(gi) == (state, rows):
+        if rows is not None and self._holds(gi, state, rows):
             return state, 0
         try:
             avg = aggregate_load(reports, gi)
@@ -208,3 +208,15 @@ class SpectrumManager:
         if delta == 0:
             self._held[gi] = (state, rows)
         return apply_adjustment(state, self.plan, gi, delta, now, self.cfg), delta
+
+    def _holds(self, gi: int, state: AllocationState, rows) -> bool:
+        return self._held.get(gi) == (state, rows)
+
+    def skip(self, state: AllocationState, rows: Sequence[Sequence[int]], steps: int) -> bool:
+        """Take `steps` steps at once if each would hold at once: every
+        coordinated group held on this state and these rows, or there is
+        none.  Only the cursor moves; returns whether they were taken."""
+        if not all(self._holds(gi, state, rows) for gi in self.coordinated):
+            return False
+        self._cursor += steps
+        return True

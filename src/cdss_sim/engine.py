@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, is_
@@ -25,7 +26,7 @@ from .band import active_guard_rbs, build_band_plan, initial_allocation, rb_rang
 from .controller import LoadReport, SpectrumManager
 from .errors import ConfigurationError, InvariantError
 from .metrics import (
-    MetricsStore, TimelineRow, UtilizationSample, compute_cdf, finalize, output_dir,
+    Block, MetricsStore, TimelineRow, UtilizationSample, compute_cdf, finalize, output_dir,
     write_table,
 )
 from .radio import (
@@ -253,16 +254,10 @@ class ByteFactors:
         return changed
 
 
-def _timeline_rows(plan, state, case, clock, step: int, epoch: int,
-                   last: Sequence[TimelineRow]) -> List[TimelineRow]:
+def _timeline_rows(plan, state, case, clock, step: int, epoch: int) -> List[TimelineRow]:
     """The allocation of every group at `epoch`, one row per group, with
-    the widths of `band.rb_ranges`; a case without the NTN has no NTN RBs.
-    The widths are a function of the state, and a new state has a new
-    version, so rows of the state's version (`last`, the previous rows, if
-    any) lend theirs."""
+    the widths of `band.rb_ranges`; a case without the NTN has no NTN RBs."""
     time_s = epoch * clock.epoch_s
-    if last and last[0].version == state.version:
-        return [TimelineRow(step, epoch, time_s, *row[3:]) for row in last]
     rows = []
     for g in plan.groups:
         tn, guard, ntn = map(len, rb_ranges(g, state.allocations.get(g.index)))
@@ -316,37 +311,42 @@ def _record_final(store, final_rows, total_rbs: int, nodes) -> None:
                                               else final_rows[node.group_index].ntn_rbs)
 
 
-def _period_end(store, manager, clock, tn_nodes, state, epoch: int, loads, last=()):
+def _record(entries, rows, epochs: range, epoch_s: float) -> None:
+    """Store the rows of the period ends at `epochs`: as they are for one,
+    as one `metrics.Block` for several."""
+    if len(epochs) == 1:
+        entries.extend(rows)
+    else:
+        entries.append(Block(tuple(rows), epochs, epoch_s))
+
+
+def _period_end(store, manager, clock, tn_nodes, state, epoch: int, loads, count: int = 1):
     """The period end at `epoch`, from each TN cell's load row, which
     `loads` yields: the samples after the warmup, the load reports, the
     controller step and the timeline rows.  Returns the state the step
-    returns (the same object if it moved no boundary) and the rows read.
-    Rows each the very list of `last`, the previous period end's, are
-    read as `last`, and its samples' sums, if it took any, are reused.
-    The step holds at once where it held on this state and these rows
-    (`SpectrumManager.sms_step`)."""
-    plan, coordinated = manager.plan, manager.coordinated
-    step = epoch // clock.period_epochs
-    sampled = epoch - clock.period_epochs >= clock.warmup_epochs
+    returns, the same object if it moved no boundary.  The step holds at
+    once where it held on this state and these rows
+    (`SpectrumManager.sms_step`).  A `count` above 1 is the block of period
+    ends from `epoch` on over these rows, whose steps were all taken as
+    held (`SpectrumManager.skip`): they are stored as one (`_record`)."""
+    plan, coordinated, length = manager.plan, manager.coordinated, clock.period_epochs
+    epochs = range(epoch, epoch + count * length, length)
+    sampled = epochs[bisect_left(epochs, clock.warmup_epochs + length):]
     # Only TN loads are read: by the reports, if a group is coordinated,
     # and by the samples after the warmup.
     rows = list(loads) if coordinated or sampled else []
-    if last and all(map(is_, rows, last)):
-        rows = last
     if sampled:
-        if rows is last and epoch - 2 * clock.period_epochs >= clock.warmup_epochs:
-            sums = [sample[3:] for sample in store.utilization[-len(rows):]]
-        else:
-            sums = [(sum(load[:len(load) // 2]), sum(load[len(load) // 2:])) for load in rows]
-        time_s = epoch * clock.epoch_s
-        store.utilization.extend(UtilizationSample(node.entity_id, step, time_s, *pair)
-                                 for node, pair in zip(tn_nodes, sums))
-    reports = _load_reports(tn_nodes, rows, coordinated, manager.selected, epoch)
-    state = manager.sms_step(state, reports, epoch, rows)[0]
-    store.sms_steps += 1
-    store.timeline.extend(_timeline_rows(plan, state, CASES[store.case_id], clock, step, epoch,
-                                         store.timeline[-len(plan.groups):]))
-    return state, rows
+        _record(store.utilization_entries, [UtilizationSample(
+            node.entity_id, sampled[0] // length, sampled[0] * clock.epoch_s,
+            sum(load[:len(load) // 2]), sum(load[len(load) // 2:]))
+            for node, load in zip(tn_nodes, rows)], sampled, clock.epoch_s)
+    if count == 1:
+        reports = _load_reports(tn_nodes, rows, coordinated, manager.selected, epoch)
+        state = manager.sms_step(state, reports, epoch, rows)[0]
+    store.sms_steps += count
+    _record(store.timeline_entries, _timeline_rows(
+        plan, state, CASES[store.case_id], clock, epoch // length, epoch), epochs, clock.epoch_s)
+    return state
 
 
 def _blocker(nodes, last: int) -> int:
@@ -366,21 +366,29 @@ def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
     end) only a controller move changes a grant, so the period ends run in
     turn from each cell's planned loads (`Node.ahead`): the first over its
     period and its load up to there, each later one over a whole period
-    from the epoch it begins at, the previous period's very list where the
-    cell's cycle repeats.  The plan stops after a move or where a whole
-    period would pass `limit`; then each node advances once."""
+    from the epoch it begins at.  Once every cell's window is the very
+    list of the next one's, each repeats every period, and where every
+    step would then hold (`SpectrumManager.skip`) the period ends left up
+    to `limit` are one block.  The plan stops after a move, a block, or
+    where a whole period would pass `limit`; then each node advances once."""
     first, length = epoch, clock.period_epochs
     tn_nodes = [node for node in nodes if node.group_index is None]
     epoch = min(epoch - epoch % length + length, limit)
     loads = map(period_load, [[*node.period, node.ahead(0, epoch - first)] for node in tn_nodes])
-    rows = ()
     while epoch % length == 0:
         held = state
-        state, rows = _period_end(store, manager, clock, tn_nodes, state, epoch, loads, rows)
+        state = _period_end(store, manager, clock, tn_nodes, state, epoch, loads)
         if state is not held or epoch + length > limit:
             break
-        loads = map(Node.ahead, tn_nodes, repeat(epoch - first), repeat(length))
+        loads = [node.ahead(epoch - first, length) for node in tn_nodes]
         epoch += length
+        count = (limit - epoch) // length + 1       # the period ends left up to `limit`
+        repeats = all(map(is_, loads, map(Node.ahead, tn_nodes, repeat(epoch - first),
+                                          repeat(length))))
+        if count > 1 and repeats and manager.skip(state, loads, count):
+            _period_end(store, manager, clock, tn_nodes, state, epoch, loads, count)
+            epoch += (count - 1) * length
+            break
     credited = max(0, epoch - max(first, clock.warmup_epochs))
     for node in nodes:
         node.fast_forward(epoch - first, credited)
@@ -469,7 +477,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
     row_of_rb = [byte_factors.rows[g.index] for g in plan.groups for _ in g.rb_range]
     column_of_rb = [column.get(g.index, 0) for g in plan.groups for _ in g.rb_range]
 
-    store.timeline.extend(_timeline_rows(plan, state, case, clock, 0, 0, ()))
+    store.timeline_entries.extend(_timeline_rows(plan, state, case, clock, 0, 0))
     activity = [1.0] * len(nodes)
     guard_state, guard_due = None, 0        # the guard set holds until either changes
     blocker = 0             # the node polled first for steadiness
@@ -497,7 +505,7 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             epoch += 1
             if epoch % clock.period_epochs == 0:
                 state = _period_end(store, manager, clock, tn_nodes, state, epoch,
-                                    map(period_load, map(attrgetter("period"), tn_nodes)))[0]
+                                    map(period_load, map(attrgetter("period"), tn_nodes)))
         if epoch % clock.period_epochs == 0:
             for node in nodes:
                 node.period = []
@@ -515,8 +523,9 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
                 raise InvariantError(f"byte accounting mismatch: UE {uid} was credited "
                                      f"{got} bytes, its backlogs give {arrived - final}")
             store.ue_bytes[uid] = got
-    # the last period end's rows hold the final state; no step or epoch is read
-    _record_final(store, store.timeline[-len(plan.groups):], band.total_rbs, nodes)
+    _record_final(store, _timeline_rows(plan, state, case, clock, clock.total_epochs
+                                        // clock.period_epochs, clock.total_epochs),
+                  band.total_rbs, nodes)
     return store
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import InvariantError
 from .sums import fold_sum
@@ -67,6 +68,16 @@ class UtilizationSample(NamedTuple):
         return self.used_rb_epochs / self.available_rb_epochs
 
 
+class Block(NamedTuple):
+    """Period ends that repeat `rows`, the first one's, but for their step,
+    epoch and time: one at each epoch of `epochs`, a range that steps by
+    the period, at step `epoch // epochs.step` and time `epoch * epoch_s`."""
+
+    rows: Tuple[Union[TimelineRow, UtilizationSample], ...]
+    epochs: range
+    epoch_s: float
+
+
 @dataclass
 class MetricsStore:
     """Everything one run reports; filled by the engine, written here."""
@@ -75,9 +86,10 @@ class MetricsStore:
     seed: int
     total_s: float
     warmup_s: float
-    timeline: List[TimelineRow] = field(default_factory=list)
+    # Each table's rows and `Block`s, in order: a settled stretch is one entry.
+    timeline_entries: List[Union[TimelineRow, Block]] = field(default_factory=list)
     ue_bytes: Dict[int, float] = field(default_factory=dict)
-    utilization: List[UtilizationSample] = field(default_factory=list)
+    utilization_entries: List[Union[UtilizationSample, Block]] = field(default_factory=list)
     unserved_ues: List[int] = field(default_factory=list)
     ue_system: Dict[int, str] = field(default_factory=dict)   # TN / NTN / none
     node_rb_counts: Dict[str, int] = field(default_factory=dict)
@@ -99,14 +111,24 @@ class MetricsStore:
         return fold_sum(self.ue_bytes.values())
 
 
+def _rows(entries: Iterable, repeated: bool) -> Iterator:
+    """A table's stored rows in order, each `Block`'s once or, `repeated`,
+    at each of its period ends, all but their step, epoch and time right."""
+    for entry in entries:
+        if type(entry) is Block:
+            yield from chain.from_iterable(repeat(entry.rows, len(entry.epochs) if repeated else 1))
+        else:
+            yield entry
+
+
 def _check_store(store: MetricsStore) -> None:
-    for row in store.timeline:
+    for row in _rows(store.timeline_entries, False):
         if row.coordinated and row.tn_rbs + row.guard_rbs + row.ntn_rbs != row.group_size:
             raise InvariantError(
                 f"timeline step {row.step} group {row.group_index}: "
                 f"allocation does not conserve the group size"
             )
-    for sample in store.utilization:
+    for sample in _rows(store.utilization_entries, False):
         if not (0.0 <= sample.utilization <= 1.0):
             raise InvariantError(f"utilization out of range: {sample}")
 
@@ -121,31 +143,43 @@ def output_dir(out_dir) -> Path:
     return out_dir
 
 
-def write_table(path: Path, header: str, rows: Sequence[str]) -> Path:
-    """Write one delimited table, in one write: the header line, then one
-    line per row.  An existing report is unlinked first: ext4 closes a new
-    file far faster than a truncated, rewritten one (its `auto_da_alloc`
+def write_table(path: Path, header: str, rows: Iterable[str]) -> Path:
+    """Write one delimited table: the header line, then one line per row,
+    4096 rows per write, so that a long run's lines never all exist at
+    once.  An existing report is unlinked first: ext4 closes a new file
+    far faster than a truncated, rewritten one (its `auto_da_alloc`
     flush), and a symlinked report is replaced by a plain file, its target
     left as is."""
+    rows = iter(rows)
     try:
         path.unlink(missing_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join([header, *rows, ""]))
+            fh.write(header + "\n")
+            while chunk := list(islice(rows, 4096)):
+                fh.write("\n".join([*chunk, ""]))
     except OSError as exc:
         raise InvariantError(f"failed to write report {path}: {exc}") from exc
     return path
 
 
-def _lines(rows: Sequence[tuple], suffix: str) -> List[str]:
+def _lines(entries: Iterable, suffix: str) -> Iterator[str]:
     """The lines of a table whose rows lead with two ints and a time:
     those three, then `suffix.format(row)`, a function of the fields after
     the time, formatted once for each distinct tuple of them.  The rows of
     one period end follow each other and share one time object, whose
-    repr is formatted once."""
+    repr is formatted once.  A `Block` gives one string per period end,
+    its rows' lines there, each a format of the step, epoch and time of
+    one text (the suffixes are numbers, with no brace in them)."""
     suffixes: Dict[tuple, str] = {}
-    lines = []
     time_s = shown = None
-    for row in rows:
+    for row in entries:
+        if type(row) is Block:
+            # a timeline row leads with the step and epoch, a sample with its cell and the step
+            text = "\n".join(("{0},{1}" if type(r) is TimelineRow else f"{r[0]},{{0}}")
+                             + ",{2}," + suffix.format(r) for r in row.rows)
+            yield from (text.format(epoch // row.epochs.step, epoch, repr(epoch * row.epoch_s))
+                        for epoch in row.epochs if text)
+            continue
         key = row[3:]
         text = suffixes.get(key)
         if text is None:
@@ -153,8 +187,7 @@ def _lines(rows: Sequence[tuple], suffix: str) -> List[str]:
         if row[2] is not time_s:
             time_s = row[2]
             shown = repr(time_s)
-        lines.append(f"{row[0]},{row[1]},{shown},{text}")
-    return lines
+        yield f"{row[0]},{row[1]},{shown},{text}"
 
 
 def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
@@ -167,8 +200,8 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
     files["allocation_timeline"] = write_table(
         out_dir / f"{prefix}_allocation_timeline.csv",
         "step,epoch,time_s,group,group_size,coordinated,tn_rbs,guard_rbs,ntn_rbs,version",
-        _lines(store.timeline, "{0.group_index},{0.group_size},{0.coordinated:d},"
-                               "{0.tn_rbs},{0.guard_rbs},{0.ntn_rbs},{0.version}"),
+        _lines(store.timeline_entries, "{0.group_index},{0.group_size},{0.coordinated:d},"
+                                       "{0.tn_rbs},{0.guard_rbs},{0.ntn_rbs},{0.version}"),
     )
 
     files["final_allocation"] = write_table(
@@ -201,11 +234,13 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
     files["utilization"] = write_table(
         out_dir / f"{prefix}_utilization.csv",
         "cell_id,period,time_s,used_rb_epochs,available_rb_epochs,utilization",
-        _lines(store.utilization,
+        _lines(store.utilization_entries,
                "{0.used_rb_epochs},{0.available_rb_epochs},{0.utilization!r}"),
     )
 
     zero_tput = store.zero_throughput_ues()
+    samples = sum(len(e.rows) * len(e.epochs) if type(e) is Block else 1
+                  for e in store.utilization_entries)
     summary = {
         "case": store.case_id,
         "seed": store.seed,
@@ -220,8 +255,8 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
         "zero_throughput_ues": zero_tput,
         "zero_throughput_fraction": zero_tput / max(1, len(throughputs)),
         "mean_tn_utilization": (
-            fold_sum(s.utilization for s in store.utilization) / len(store.utilization)
-            if store.utilization
+            fold_sum(s.utilization for s in _rows(store.utilization_entries, True)) / samples
+            if samples
             else 0.0
         ),
         "final_allocation": {

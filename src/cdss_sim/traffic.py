@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -134,6 +135,7 @@ class Node:
     slots: Dict[int, tuple] = field(init=False, default_factory=dict)
     cycle: Optional[Cycle] = field(init=False, default=None)   # the slots', while they hold
     twin: Optional[tuple] = field(init=False, default=None)    # a slot, () or None
+    live: Optional[List[Tuple[int, float]]] = field(init=False, default=None)  # see schedule_epoch
     opening: Optional[List[float]] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
@@ -156,6 +158,7 @@ class Node:
         self.slots.clear()
         self.cycle = None
         self.twin = None
+        self.live = None
 
     def steady(self) -> bool:
         """Whether the node has a closed cycle (`replay_cycle`) whose
@@ -320,6 +323,9 @@ def schedule_epoch(node: Node) -> CellSchedule:
     rotation order take one RB each.  Takes and served sums fold in the
     per-RB order, so each float keeps its bits; RBs go unused only once no
     UE is live, so the load is `load_prefix[k]`.  A declining UE stays queued.
+    The row's entries for the node's UEs hold while the memo does, so the
+    UEs with a capacity above 0.0 are listed once per memo generation
+    (`Node.live`, by position) and each miss rotates that list to its start.
     """
     granted, rotation = node.granted, node.rotation
     start = node.offset % rotation
@@ -341,14 +347,16 @@ def schedule_epoch(node: Node) -> CellSchedule:
             return twin[2]
         backlog = list(node.drained)
     table = node.table
-    order = table[start:] + table[:start]
-    if not all(backlog):
-        order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
     served = [0.0] * len(backlog)    # by UE position; every take is positive
     unused: List[int] = []       # granted positions every queued UE declined
     k = 0                        # next granted position to deal
     if row is not None:
-        live = [(p, cap) for p, uid in order if (cap := row[uid]) > 0.0]
+        if node.live is None:       # the row's entries hold for the memo's generation
+            node.live = [(p, cap) for p, uid in table if (cap := row[uid]) > 0.0]
+        i = bisect_left(node.live, (start,))
+        live = node.live[i:] + node.live[:i]
+        if not all(backlog):
+            live = [ue for ue in live if backlog[ue[0]] > 0.0]
         while live and k < n_rb:
             rounds = (n_rb - k) // len(live)
             if not rounds:          # the last round: one RB each for the first UEs
@@ -370,6 +378,9 @@ def schedule_epoch(node: Node) -> CellSchedule:
             if left:
                 live = [ue for ue in live if backlog[ue[0]]] if left < len(live) else []
     else:
+        order = table[start:] + table[:start]
+        if not all(backlog):
+            order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
         queued = len(order)      # UEs still queued
         declined = 0             # consecutive declines of RB `k`
         while queued and k < n_rb:

@@ -49,6 +49,9 @@ STEADY_REFERENCE = ("tests/test_reference_engine.py::"
                     "test_engine_matches_reference_engine_in_steady_states")
 ONE_ROW = "tests/test_traffic.py::test_one_row_schedule_matches_per_rb_reference"
 ONE_ROW_GRANTS = "tests/test_engine.py::test_tn_only_cells_and_beams_hold_one_row_grants"
+LONG_REFERENCE = ("tests/test_reference_engine.py::"
+                  "test_engine_matches_reference_engine_over_long_settled_stretches")
+BLOCK_FILES = "tests/test_metrics.py::test_blocks_write_the_files_of_their_expanded_rows"
 
 
 class Mutant(NamedTuple):
@@ -64,8 +67,8 @@ MUTANTS = (
            "a miss from a drained key deals on a fresh list: the node's `drained` "
            "arrivals are read again by its next such miss",
            (MEMO_ORACLE, "tests/test_golden.py::test_single_runs_match_golden", CONTRACT)),
-    Mutant("src/cdss_sim/traffic.py", "    if not all(backlog):",
-           "    if any(key) and not all(backlog):",
+    Mutant("src/cdss_sim/traffic.py", "if not all(backlog):\n            order",
+           "if any(key) and not all(backlog):\n            order",
            "a drained key's arrivals hold a 0.0 for a UE with no demand, and that "
            "UE must leave the order before the loop offers it an RB",
            (MEMO_ORACLE, ORACLE)),
@@ -74,12 +77,6 @@ MUTANTS = (
            "the rotation table lists the UEs from position 0; each epoch deals from "
            "its own rotation start",
            (MEMO_ORACLE, ORACLE, CONTRACT)),
-    Mutant("src/cdss_sim/engine.py", "if last and last[0].version == state.version:",
-           "if last:",
-           "timeline widths are borrowed only from rows of the same state version; "
-           "a boundary move changes them",
-           ("tests/test_engine.py::test_cdss_run_converges_monotonically",
-            "tests/test_golden.py::test_single_runs_match_golden", CONTRACT)),
     Mutant("src/cdss_sim/traffic.py", "if low < b and (len(caps) > 1 or low <= 0.0):",
            "if False:",
            "a deal is a twin only if each queued UE's capacity over the dealt rows "
@@ -208,17 +205,6 @@ MUTANTS = (
            "a step is kept for the group that held on it; another group may move on "
            "the same state and rows",
            (HELD_MEMO, HELD_ONCE)),
-    Mutant("src/cdss_sim/engine.py", "if last and all(map(is_, rows, last)):",
-           "if last and rows[0] is last[0]:",
-           "a period end reuses the previous rows only if every cell's row is the very "
-           "list read there; a later cell's window may move on while the first repeats",
-           (OTHER_ROWS,)),
-    Mutant("src/cdss_sim/engine.py",
-           "if rows is last and epoch - 2 * clock.period_epochs >= clock.warmup_epochs:",
-           "if rows is last:",
-           "repeated rows lend the sums of the previous period end's samples only if "
-           "that period end took samples; the first after the warmup sums its own",
-           ("tests/test_golden.py::test_single_runs_match_golden", CONTRACT)),
     Mutant("src/cdss_sim/metrics.py", "key = row[3:]", "key = row[3]",
            "a report line's suffix is a function of every field after the time; samples "
            "of one used count and another available one have other utilizations",
@@ -250,9 +236,9 @@ MUTANTS = (
            "where the warmup ends inside a stretch, a UE's accounting starts from the "
            "key of the first credited epoch, not of the stretch's first",
            (STEADY_REFERENCE,)),
-    Mutant("src/cdss_sim/engine.py", "import os\nfrom dataclasses",
+    Mutant("src/cdss_sim/engine.py", "import os\nfrom bisect",
            "import os\nfrom concurrent.futures import ProcessPoolExecutor as pool_class\n"
-           "from dataclasses",
+           "from bisect",
            "a single run never uses the process pool, so it must not pay a cold start "
            "for the pool's modules; only a campaign with jobs > 1 imports them",
            ("tests/test_imports.py::test_a_single_run_loads_no_process_pool",)),
@@ -302,6 +288,46 @@ MUTANTS = (
            "a grant is dealt per UE only if every granted RB carries the one byte row; "
            "a TN grant that interleaves three groups' rows may begin and end in one",
            (ORACLE, ONE_ROW_GRANTS, CONTRACT)),
+    Mutant("src/cdss_sim/controller.py",
+           "if not all(self._holds(gi, state, rows) for gi in self.coordinated):",
+           "if not any(self._holds(gi, state, rows) for gi in self.coordinated):",
+           "a block starts only once every coordinated group held on the current state and "
+           "rows; a group that has not may still move its boundary",
+           (HELD_ONCE, LONG_REFERENCE, CONTRACT)),
+    Mutant("src/cdss_sim/engine.py",
+           "sampled = epochs[bisect_left(epochs, clock.warmup_epochs + length):]",
+           "sampled = epochs[bisect_left(epochs, clock.warmup_epochs):]",
+           "a period end is sampled only if its whole period follows the warmup; where the "
+           "warmup ends inside a block, the block's samples start a period later",
+           (LONG_REFERENCE, CONTRACT)),
+    Mutant("src/cdss_sim/metrics.py",
+           "fold_sum(s.utilization for s in _rows(store.utilization_entries, True))",
+           "fold_sum(s.utilization * (len(e.epochs) if type(e) is Block else 1)\n"
+           "                     for e in store.utilization_entries\n"
+           "                     for s in (e.rows if type(e) is Block else (e,)))",
+           "the mean utilization folds every sample of a block in order; a block's count "
+           "times a sample's value rounds otherwise",
+           (BLOCK_FILES,)),
+    Mutant("src/cdss_sim/metrics.py", "repr(epoch * row.epoch_s)",
+           "repr(row.epochs[0] * row.epoch_s + (epoch - row.epochs[0]) * row.epoch_s)",
+           "each period end's time is `epoch * epoch_s`, as the engine computes it; the "
+           "first time plus an offset may differ in the last bit",
+           (BLOCK_FILES, CONTRACT)),
+    Mutant("src/cdss_sim/engine.py", "repeats = all(map(is_, loads, map(",
+           "repeats = all(map(is_, loads[:1], map(",
+           "a block repeats every cell's window, so each must be the very list of the next "
+           "one's; a later cell's cycle may not divide the period while the first's does",
+           ("tests/test_engine.py::test_a_block_starts_only_where_every_cell_repeats",
+            LONG_REFERENCE)),
+    Mutant("src/cdss_sim/traffic.py", "if not all(backlog):\n            live",
+           "if any(key) and not all(backlog):\n            live",
+           "a one-row deal offers RBs only to queued UEs; from a drained key, a UE with no "
+           "demand has a backlog of 0.0 and must not take an RB",
+           (MEMO_ORACLE, ONE_ROW)),
+    Mutant("src/cdss_sim/traffic.py", "        self.live = None\n", "",
+           "a node's live one-row capacities read its UEs' row entries, so they go stale "
+           "with the memo's slots",
+           (MEMO_ORACLE, ONE_ROW, CONTRACT)),
     Mutant("README.md", "`Cycle.window`", "`Cycle.windows`",
            "every name of the package that README cites exists, so a rename or a "
            "deletion cannot leave the map stale",

@@ -129,7 +129,7 @@ def run_reference(spec: RunSpec) -> MetricsStore:
             store.unserved_ues.append(ue.ue_id)
         store.ue_system[ue.ue_id] = (
             "none" if tx is None else "TN" if tx < len(cells) else "NTN")
-    store.timeline.extend(_timeline(plan, ctrl, case, clock, 0, 0))
+    store.timeline_entries.extend(_timeline(plan, ctrl, case, clock, 0, 0))
 
     def empty_counts():
         return [[0] * band.num_groups for _ in cells]
@@ -176,14 +176,14 @@ def run_reference(spec: RunSpec) -> MetricsStore:
                     total += ratio
                 load = total / len(ratios) if ratios else None
             if now - clock.period_epochs >= clock.warmup_epochs:
-                store.utilization.extend(
+                store.utilization_entries.extend(
                     UtilizationSample(cell.cell_id, period, now * clock.epoch_s,
                                       sum(used[c]), sum(avail[c]))
                     for c, cell in enumerate(cells)
                 )
             ctrl.step_once(load, now)
             store.sms_steps += 1
-            store.timeline.extend(_timeline(plan, ctrl, case, clock, period, now))
+            store.timeline_entries.extend(_timeline(plan, ctrl, case, clock, period, now))
             used, avail = empty_counts(), empty_counts()
 
     final = _timeline(plan, ctrl, case, clock, period, clock.total_epochs)

@@ -18,6 +18,7 @@ from cdss_sim.engine import RunSpec, run_and_write, run_campaign, run_simulation
 from cdss_sim.scenario import default_scenario
 
 from reference_controller import ReferenceController
+from store_rows import timeline
 
 SEEDS = list(range(1, 11))
 CASES_ALL = [1, 2, 3, 4]
@@ -46,7 +47,7 @@ def test_criterion_1_low_demand_convergence():
     runtime = time.perf_counter() - started
 
     per_group = {}
-    for row in store.timeline:
+    for row in timeline(store):
         if row.coordinated:
             per_group.setdefault(row.group_index, []).append(row)
     assert sorted(per_group) == [0, 1]

@@ -24,17 +24,21 @@ from cdss_sim.engine import (
     tn_granted_rbs,
 )
 from cdss_sim.errors import ConfigurationError, InvariantError
-from cdss_sim.metrics import MetricsStore
+from cdss_sim.metrics import Block, MetricsStore
 from cdss_sim.radio import RadioParams, select_serving, thermal_noise_dbm
 from cdss_sim.scenario import (
     CASES,
+    BandParams,
     SimParams,
+    TrafficParams,
     build_topology,
     default_scenario,
     serialize_scenario,
     validate_scenario,
 )
 from cdss_sim.traffic import Node, grant_tables, period_load, schedule_epoch
+
+from store_rows import timeline, utilization
 
 
 def test_sim_clock_epoch_counts(fast_cfg):
@@ -54,8 +58,8 @@ def test_same_spec_same_store(fast_cfg):
     b = run_simulation(RunSpec(fast_cfg, 2, 7))
     assert a.ue_bytes == b.ue_bytes
     assert a.node_rb_counts == b.node_rb_counts
-    assert a.timeline == b.timeline
-    assert a.utilization == b.utilization
+    assert timeline(a) == timeline(b)
+    assert utilization(a) == utilization(b)
 
 
 def test_same_spec_byte_identical_files(fast_cfg, tmp_path):
@@ -85,7 +89,7 @@ def test_tn_only_constant_timeline_and_no_beam_traffic(fast_cfg):
     store = run_simulation(RunSpec(fast_cfg, 1, 1))
     assert store.sms_steps == 12
     by_group = {}
-    for row in store.timeline:
+    for row in timeline(store):
         by_group.setdefault(row.group_index, []).append(
             (row.tn_rbs, row.guard_rbs, row.ntn_rbs, row.version)
         )
@@ -99,7 +103,7 @@ def test_tn_only_constant_timeline_and_no_beam_traffic(fast_cfg):
 def test_cdss_run_converges_monotonically(run_cache):
     store = run_cache(2, 1)
     coord = {}
-    for row in store.timeline:
+    for row in timeline(store):
         if row.coordinated:
             coord.setdefault(row.group_index, []).append(row)
     assert sorted(coord) == [0, 1]
@@ -116,7 +120,7 @@ def test_warmup_exclusion_exact(fast_cfg):
     post_epochs = 200
     for uid in served:
         assert store.ue_bytes[uid] == pytest.approx(500.0 * post_epochs)
-    assert all(s.period_index > 4 for s in store.utilization)
+    assert all(s.period_index > 4 for s in utilization(store))
 
 
 def test_tn_granted_interleaves_groups_proportionally():
@@ -654,7 +658,8 @@ def test_tn_only_cells_and_beams_hold_one_row_grants(fast_cfg, monkeypatch):
 def test_a_step_is_given_the_reports_of_the_group_it_selects(fast_cfg, monkeypatch):
     # The engine builds each TN cell's report for the one group the step
     # selects, from that group's column of the cell's load row, and for no
-    # other group: the step reads no other.
+    # other group: the step reads no other.  The steps of a block of held
+    # period ends read no report (case 2 takes its last two that way).
     step = SpectrumManager.sms_step
     selected = []
 
@@ -669,10 +674,10 @@ def test_a_step_is_given_the_reports_of_the_group_it_selects(fast_cfg, monkeypat
         return step(self, state, reports, now, rows)
 
     monkeypatch.setattr(SpectrumManager, "sms_step", reading_step)
-    for case_id in (2, 4):
+    for case_id, taken in ((2, 10), (4, 12)):
         selected.clear()
-        run_simulation(RunSpec(fast_cfg, case_id, 2))
-        assert selected == [0, 1] * 6, case_id
+        store = run_simulation(RunSpec(fast_cfg, case_id, 2))
+        assert selected == [0, 1] * (taken // 2) and store.sms_steps == 12, case_id
 
 
 def test_settled_run_fast_forwards_most_node_epochs(fast_cfg, monkeypatch):
@@ -704,6 +709,44 @@ def test_settled_runs_advance_each_node_once_per_stretch(default_cfg, monkeypatc
         calls.clear()
         run_simulation(RunSpec(default_cfg, case_id, 1))
         assert 0 < len(calls) <= most, (case_id, len(calls))
+
+
+def draining_tiny_scenario(periods: int):
+    """One cell of one RB whose one UE drains in every epoch, for
+    `periods` periods of 25 epochs after a warmup of 12: it settles in its
+    first epochs and holds to the end."""
+    cfg = default_scenario()
+    return replace(
+        cfg, band=BandParams(total_rbs=1, num_groups=1, coordinated=(False,)),
+        cdss=CdssConfig(tn_min=0, ntn_min=0, guard_rbs=0, step_rbs=1),
+        topology=replace(cfg.topology, num_sites=1, sectors_per_site=1, ues_per_tn_cell=1,
+                         ues_per_beam=0, beam_centers_m=((2000.0, 1500.0),), beam_groups=(0,)),
+        traffic=TrafficParams(40.0, 40.0, 40.0, 40.0),
+        sim=SimParams(total_s=periods * 0.25, warmup_s=0.12))
+
+
+def test_a_settled_stretch_costs_one_period_end_and_one_entry(default_cfg, monkeypatch):
+    # Once every cell's window repeats and every coordinated group has held
+    # on those rows, `_fast_forward` records the period ends left up to the
+    # limit as one block, in one `_period_end` call.  Case 3, seed 1 makes 2
+    # calls (40 when each period end was one), case 2, seed 1 makes 11 (40):
+    # its two groups step on their own until both have held.  A run that
+    # settles stores as many entries however long it runs.
+    calls = []
+    period_end = engine_mod._period_end
+    monkeypatch.setattr(engine_mod, "_period_end",
+                        lambda *args: calls.append(1) or period_end(*args))
+    for case_id, most in ((3, 2), (2, 11)):
+        calls.clear()
+        store = run_simulation(RunSpec(default_cfg, case_id, 1))
+        assert store.sms_steps == 40 and 0 < len(calls) <= most, (case_id, len(calls))
+    sizes = []
+    for periods in (10**3, 10**5):
+        calls.clear()
+        store = run_simulation(RunSpec(draining_tiny_scenario(periods), 1, 1))
+        assert store.sms_steps == periods and len(calls) == 2, periods
+        sizes.append((len(store.timeline_entries), len(store.utilization_entries)))
+    assert sizes == [(3, 1)] * 2
 
 
 def planning_cells():
@@ -746,9 +789,9 @@ def test_planned_periods_read_each_cell_at_the_start_it_reaches(monkeypatch):
         twins = copy.deepcopy(cells)
         held, moved, planned = object(), object(), []
 
-        def period_end(store, manager, clock, tn_nodes, state, epoch, loads, last):
+        def period_end(store, manager, clock, tn_nodes, state, epoch, loads):
             planned.append((epoch, list(loads)))
-            return (moved if epoch == move_at else state), planned[-1][1]
+            return moved if epoch == move_at else state
 
         advanced = []
         fast_forward = Node.fast_forward
@@ -840,7 +883,7 @@ def plan_and_walk(monkeypatch, cells, coordinated, cfg, cursor: int):
         if (epoch + 1) % clock.period_epochs == 0:
             walked = engine_mod._period_end(stores[1], managers[1], clock, twins, walked,
                                             epoch + 1, [period_load(twin.period)
-                                                        for twin in twins])[0]
+                                                        for twin in twins])
             for twin in twins:
                 twin.period = []
     monkeypatch.undo()
@@ -852,8 +895,8 @@ def assert_same_period_ends(planned, walked):
     """The plan's samples, timeline rows, step count, cursor and state are
     the walk's."""
     (manager, store, state, _), (walk_manager, walk_store, walk_state, _) = planned, walked
-    assert (store.utilization, store.timeline, store.sms_steps, manager._cursor) == (
-        walk_store.utilization, walk_store.timeline, walk_store.sms_steps, walk_manager._cursor)
+    assert (utilization(store), timeline(store), store.sms_steps, manager._cursor) == (
+        utilization(walk_store), timeline(walk_store), walk_store.sms_steps, walk_manager._cursor)
     assert (state.version, state.allocations) == (walk_state.version, walk_state.allocations)
 
 
@@ -875,6 +918,20 @@ def test_a_held_step_runs_once_per_group(monkeypatch):
         assert [gi for gi, _ in planned[3]] == groups, (upper, cursor)
         assert len(walked[3]) == walked[1].sms_steps == end // 5 - 1
         assert (planned[2].version > 0) == (upper < 1.0)
+        assert_same_period_ends(planned, walked)
+
+
+def test_a_block_starts_only_where_every_cell_repeats(monkeypatch):
+    # With no coordinated group every step holds, so the cells' windows
+    # alone decide where the plan may store a block.  Twin cells repeat one
+    # window each period, and the period ends after the first are one
+    # block; a cell whose rotation does not divide the period alternates
+    # two windows, so next to a twin cell every period end is its own.
+    for cells, blocks in (([twin_cells()[1], planning_cells()[0]], 0), (twin_cells(), 1)):
+        planned, walked, reached = plan_and_walk(monkeypatch, cells, (False, False),
+                                                 CdssConfig(), 0)
+        assert reached == 55 and planned[3] == []
+        assert sum(type(e) is Block for e in planned[1].timeline_entries) == blocks
         assert_same_period_ends(planned, walked)
 
 

@@ -6,6 +6,7 @@ import pytest
 from cdss_sim.engine import RunSpec, run_and_write
 from cdss_sim.errors import InvariantError
 from cdss_sim.metrics import (
+    Block,
     MetricsStore,
     TimelineRow,
     UtilizationSample,
@@ -15,6 +16,8 @@ from cdss_sim.metrics import (
 )
 from cdss_sim.sums import fold_sum
 from cdss_sim.traffic import Node
+
+from store_rows import timeline, utilization
 
 
 def test_compute_cdf_simple():
@@ -59,12 +62,12 @@ def make_store():
     store.ue_system = {0: "TN", 1: "none"}
     store.unserved_ues = [1]
     store.node_rb_counts = {"tn-0": 77}
-    store.timeline = [
+    store.timeline_entries = [
         TimelineRow(0, 0, 0.0, 0, 53, True, 25, 3, 25, 0),
         TimelineRow(1, 25, 0.25, 0, 53, True, 21, 3, 29, 1),
     ]
     store.final_allocation = [TimelineRow(1, 25, 0.25, 0, 53, True, 21, 3, 29, 1)]
-    store.utilization = [UtilizationSample(0, 21, 5.25, 50, 100)]
+    store.utilization_entries = [UtilizationSample(0, 21, 5.25, 50, 100)]
     store.tn_share = 0.48
     store.ntn_share = 0.72
     store.sms_steps = 1
@@ -97,18 +100,18 @@ def test_finalize_writes_all_artifacts(tmp_path):
 def plain_report_files(store):
     """The allocation timeline and utilization files of `store`, one plain
     f-string per row."""
-    timeline = "".join(
+    groups = "".join(
         f"{r.step},{r.epoch},{r.time_s!r},{r.group_index},{r.group_size},"
         f"{int(r.coordinated)},{r.tn_rbs},{r.guard_rbs},{r.ntn_rbs},{r.version}\n"
-        for r in store.timeline)
-    utilization = "".join(
+        for r in timeline(store))
+    samples = "".join(
         f"{s.cell_id},{s.period_index},{s.time_s!r},"
         f"{s.used_rb_epochs},{s.available_rb_epochs},{s.utilization!r}\n"
-        for s in store.utilization)
+        for s in utilization(store))
     return (("step,epoch,time_s,group,group_size,coordinated,tn_rbs,guard_rbs,ntn_rbs,version\n"
-             + timeline).encode(),
+             + groups).encode(),
             ("cell_id,period,time_s,used_rb_epochs,available_rb_epochs,utilization\n"
-             + utilization).encode())
+             + samples).encode())
 
 
 def test_report_lines_match_plain_per_row_formatting(tmp_path):
@@ -124,26 +127,59 @@ def test_report_lines_match_plain_per_row_formatting(tmp_path):
     store = make_store()
     widths = [(25, 3, 25, 0), (21, 3, 29, 1), (21, 3, 29, 1), (17, 3, 33, 2), (25, 3, 25, 3),
               (25, 3, 25, 3), (29, 3, 21, 4)]
-    store.timeline = [
+    store.timeline_entries = [
         TimelineRow(step, 25 * step, 0.25 * step, g, 53 + (g == 2), g < 2,
                     *((tn, guard, ntn) if g < 2 else (54, 0, 0)), version)
         for step, (tn, guard, ntn, version) in enumerate(widths) for g in range(3)]
     pairs = [(50, 100), (50, 80), (40, 100), (0, 0), (100, 100), (33, 97)]
-    store.utilization = [UtilizationSample(cell, period, 0.25 * period, *rng.choice(pairs))
-                         for period in range(20, 40) for cell in range(9)]
-    store.utilization[:4] = [UtilizationSample(cell, 20, 5.0, *pair)
-                             for cell, pair in enumerate(pairs[:4])]
-    store.utilization[4:6] = [UtilizationSample(4, 20, 0.0, *pairs[0]),
-                              UtilizationSample(5, 20, -0.0, *pairs[0])]
+    store.utilization_entries = [
+        UtilizationSample(cell, period, 0.25 * period, *rng.choice(pairs))
+        for period in range(20, 40) for cell in range(9)]
+    store.utilization_entries[:4] = [UtilizationSample(cell, 20, 5.0, *pair)
+                                     for cell, pair in enumerate(pairs[:4])]
+    store.utilization_entries[4:6] = [UtilizationSample(4, 20, 0.0, *pairs[0]),
+                                      UtilizationSample(5, 20, -0.0, *pairs[0])]
     files = finalize(store, tmp_path)
     assert (files["allocation_timeline"].read_bytes(),
             files["utilization"].read_bytes()) == plain_report_files(store)
-    assert len({s[3:] for s in store.utilization}) == len(pairs)
-    store.timeline, store.utilization = [], []
+    assert len({s[3:] for s in utilization(store)}) == len(pairs)
+    store.timeline_entries, store.utilization_entries = [], []
     files = finalize(store, tmp_path)
     assert (files["allocation_timeline"].read_bytes(),
             files["utilization"].read_bytes()) == plain_report_files(store)
     assert files["utilization"].read_text().count("\n") == 1
+
+
+def test_blocks_write_the_files_of_their_expanded_rows(tmp_path):
+    # A `Block` stands for period ends that repeat its rows but for their
+    # step, epoch and time.  Its lines, and the mean utilization over its
+    # samples, must be those of its rows put in at each of its epochs: the
+    # time `epoch * epoch_s` (35 * 0.01 prints otherwise than 0.35), the
+    # samples folded one by one in order, not as count x value (seven of
+    # 2/7 fold to another float than 7 * (2/7), and this block's 1/7 and
+    # 2/7 to another mean), blocks next to plain rows, one period long or
+    # with no epoch.
+    assert fold_sum([2 / 7] * 7) != 7 * (2 / 7) and repr(35 * 0.01) != "0.35"
+    store = make_store()
+    rows = tuple(TimelineRow(3, 21, 21 * 0.01, g, 53, g < 2, 21, 3 * (g < 2), 29, 1)
+                 for g in range(3))
+    store.timeline_entries += [Block(rows, range(21, 70, 7), 0.01),
+                               TimelineRow(10, 70, 0.7, 0, 53, True, 25, 3, 25, 2),
+                               Block(rows[:1], range(77, 78, 7), 0.01),
+                               Block(rows, range(84, 84, 7), 0.01)]
+    samples = (UtilizationSample(0, 3, 21 * 0.01, 1, 7), UtilizationSample(4, 3, 21 * 0.01, 2, 7))
+    store.utilization_entries = [UtilizationSample(2, 2, 0.14, 5, 8),
+                                 Block(samples, range(21, 70, 7), 0.01),
+                                 UtilizationSample(2, 10, 0.7, 3, 9)]
+    files = finalize(store, tmp_path)
+    assert (files["allocation_timeline"].read_bytes(),
+            files["utilization"].read_bytes()) == plain_report_files(store)
+    expanded = utilization(store)
+    assert len(expanded) == 16 and len(timeline(store)) == 2 + 21 + 1 + 1
+    assert [s.time_s for s in expanded[1:7:2]] == [0.21, 0.28, 35 * 0.01]
+    mean = json.loads(files["summary"].read_text())["mean_tn_utilization"]
+    assert mean == fold_sum(s.utilization for s in expanded) / 16
+    assert mean != fold_sum([5 / 8, 7 * (1 / 7), 7 * (2 / 7), 3 / 9]) / 16
 
 
 def test_finalize_rejects_unbalanced_accounting(fast_cfg, tmp_path, monkeypatch):
@@ -170,7 +206,7 @@ def test_finalize_rejects_unbalanced_accounting(fast_cfg, tmp_path, monkeypatch)
 
 def test_finalize_rejects_timeline_conservation_break(tmp_path):
     store = make_store()
-    store.timeline.append(TimelineRow(2, 50, 0.5, 0, 53, True, 30, 3, 25, 2))
+    store.timeline_entries.append(TimelineRow(2, 50, 0.5, 0, 53, True, 30, 3, 25, 2))
     with pytest.raises(InvariantError, match="conserve"):
         finalize(store, tmp_path)
 

@@ -28,6 +28,12 @@ cycle to the other cells.  Each new activity vector rewrites the byte
 rows and clears the memo of every node whose UEs' entries it changes, so
 the cycling cells' memos replay no epoch of a cycle.
 
+A fifth set runs long: 100-130 periods of 3-7 epochs, so that a settled
+stretch is stored as one `metrics.Block`, with two coordinated groups in
+cases 2 and 4, warmups that end inside such a stretch, guard expiries that
+end one early, and cells whose cycle of several slots does not divide the
+period, which a block must not stand for.
+
 In cases 2 and 4, the first two sets also place an uncoordinated group
 below a coordinated one, so the load column of each coordinated group
 differs from its group index.  In both, a node keeps its memo through a
@@ -41,18 +47,20 @@ from dataclasses import replace
 from cdss_sim import engine
 from cdss_sim.controller import CdssConfig
 from cdss_sim.engine import RunSpec, run_simulation
-from cdss_sim.metrics import finalize
+from cdss_sim.metrics import Block, finalize
 from cdss_sim.scenario import (
     BandParams, ScenarioConfig, SimClock, SimParams, TopologyParams, TrafficParams,
 )
 from cdss_sim.traffic import Node
 
 from reference_engine import run_reference
+from store_rows import timeline
 
 DRAWS = 60
 STEADY_DRAWS = 80
 SATURATING_DRAWS = 16
 OSCILLATING_DRAWS = 12
+LONG_DRAWS = 20
 RATES_KBPS = (0.0, 40.0, 400.0, 4000.0, 40000.0)   # idle to saturating
 # The default high-demand rates, then per-UE rates near and above the
 # about 140 Mbit/s a node carries at most (some 100 RBs of 180 kHz at the
@@ -157,6 +165,32 @@ def draw_oscillating_scenario(rng: random.Random) -> ScenarioConfig:
     return replace(scenario, band=band, topology=topology, traffic=traffic, sim=sim)
 
 
+def draw_long_scenario(rng: random.Random) -> ScenarioConfig:
+    scenario = draw_steady_scenario(rng)
+    num_groups = rng.randint(2, 4)
+    cdss = scenario.cdss
+    per_group = cdss.tn_min + cdss.ntn_min + cdss.guard_rbs + rng.randint(1, 10)
+    band = BandParams(total_rbs=num_groups * per_group, num_groups=num_groups,
+                      coordinated=(True, True, *(rng.random() < 0.5 for _ in range(2, num_groups))))
+    # thresholds that move the boundaries, then hold at a minimum, with guard
+    # times of 2-20 periods
+    lower, upper = rng.choice([(0.9, 1.0), (0.9, 1.0), (0.0, 0.1), (0.0, 0.4)])
+    period = rng.choice([3, 4, 5, 7])
+    cdss = replace(cdss, lower_threshold=lower, upper_threshold=upper, period_s=period / 100,
+                   guard_time_epochs=rng.randint(10, 60))
+    beams = scenario.topology.beam_groups
+    topology = replace(scenario.topology, ues_per_tn_cell=rng.randint(1, 4),
+                       beam_groups=tuple(rng.randrange(num_groups) for _ in beams),
+                       beam_centers_m=tuple((rng.uniform(0.0, 7000.0), rng.uniform(0.0, 6000.0))
+                                            for _ in beams))
+    # 12.5 to 1,250 bytes per epoch, up to a few RBs
+    traffic = TrafficParams(*(10 ** rng.uniform(1.0, 3.0) for _ in range(4)))
+    warmup = rng.randint(0, 40 * period)
+    sim = SimParams(total_s=(warmup + rng.randint(100, 130) * period) / 100,
+                    warmup_s=warmup / 100)
+    return replace(scenario, band=band, cdss=cdss, topology=topology, traffic=traffic, sim=sim)
+
+
 def oscillating_nodes(activity) -> int:
     """The most nodes whose activity differs among the recurring vectors
     of one stretch of `activity` between grant rebuilds (marked None).  A
@@ -243,7 +277,7 @@ def test_engine_matches_reference_engine(tmp_path, monkeypatch):
         kept_rewrite += kept.rewrite
         kept_rebuild += kept.rebuild
         assert_same_run(spec, store, tmp_path, draw)
-        moved += store.timeline[-1].version > 0
+        moved += timeline(store)[-1].version > 0
         groups = scenario.topology.beam_groups
         shared_beam_groups += spec.case_id in (2, 4) and len(set(groups)) < len(groups)
         beamless += spec.case_id in (2, 4) and scenario.band.num_groups - len(set(groups)) >= 2
@@ -406,3 +440,38 @@ def test_reference_engine_writes_the_files_of_the_hardest_default_runs(default_c
     for draw, (case_id, seed) in enumerate(((3, 5), (4, 9))):
         spec = RunSpec(default_cfg, case_id, seed)
         assert_same_run(spec, run_simulation(spec), tmp_path, draw)
+
+
+def test_engine_matches_reference_engine_over_long_settled_stretches(tmp_path, monkeypatch):
+    cycles = []     # the slot count of each fast-forwarded cycle
+    fast_forward = Node.fast_forward
+
+    def counting(node, epochs, credited):
+        cycles.append(len(node.replay_cycle().keys))
+        return fast_forward(node, epochs, credited)
+
+    monkeypatch.setattr(Node, "fast_forward", counting)
+    rng = random.Random(2)
+    blocked = coordinated = crossed = at_guard = not_dividing = 0
+    for draw in range(LONG_DRAWS):
+        scenario = draw_long_scenario(rng)
+        spec = RunSpec(scenario, rng.choice([1, 2, 2, 3, 4, 4]), rng.randint(1, 10**6))
+        cycles.clear()
+        store = run_simulation(spec)
+        assert_same_run(spec, store, tmp_path, draw)
+        clock = SimClock.from_config(scenario)
+        length, first_sampled = clock.period_epochs, clock.warmup_epochs + clock.period_epochs
+        blocks = [entry.epochs for entry in store.timeline_entries if type(entry) is Block]
+        blocked += bool(blocks)
+        coordinated += bool(blocks) and spec.case_id in (2, 4)
+        crossed += any(epochs[0] < first_sampled <= epochs[-1] for epochs in blocks)
+        # a block that ends before the run's last period end stops at a guard expiry
+        at_guard += any(epochs[-1] + length <= clock.total_epochs for epochs in blocks)
+        not_dividing += any(n > 1 and length % n for n in cycles)
+    # 16 of the 20 draws store a block, 10 of them in cases 2 and 4, whose
+    # two coordinated groups both held first; in 14 the warmup ends inside
+    # one; in 2 a guard expiry ends one before the run's end; in 4 a
+    # fast-forward replays a cycle of several slots that does not divide
+    # the period
+    assert blocked >= 14 and coordinated >= 8 and crossed >= 12, (blocked, coordinated, crossed)
+    assert at_guard >= 2 and not_dividing >= 3, (at_guard, not_dividing)
