@@ -15,7 +15,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter, is_
 from pathlib import Path
 from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -33,6 +33,7 @@ from .radio import (
     distance_m,
     los_state,
     ntn_rx_power,
+    offsets,
     select_serving,
     spectral_efficiency_array,
     thermal_noise_dbm,
@@ -132,14 +133,15 @@ def _link_budget(cells, beams, ues, radio_p, seed: int) -> np.ndarray:
     once per (site, UE) pair: cell i stands at site `site_of[i]`."""
     draws = np.random.default_rng(derive_seed(seed, "los")).uniform(
         0.0, 1.0, size=(len(ues), len(cells)))
-    ue_xy = np.array([ue.xy for ue in ues], dtype=float).reshape(-1, 2)
+    ue_xy = np.fromiter(chain.from_iterable(map(attrgetter("xy"), ues)), float,
+                        2 * len(ues)).reshape(-1, 2)
     index: Dict[Tuple[float, float], int] = {}      # site -> row, in order of first use
     site_of = np.array([index.setdefault(cell.site_xy, len(index)) for cell in cells], dtype=int)
-    sites = list(index)
-    d_m = distance_m(ue_xy, sites)
+    dx, dy = offsets(ue_xy, list(index))
+    d_m = distance_m(dx, dy)
     los = los_state(d_m, site_of, draws.T, radio_p.los_d0_m, radio_p.los_scale_m)
-    return np.vstack((tn_rx_power(ue_xy, cells, sites, site_of, d_m, los, radio_p),
-                      ntn_rx_power(ue_xy, beams, radio_p)))
+    rx_dbm = tn_rx_power(cells, site_of, dx, dy, d_m, los, radio_p)
+    return np.vstack((rx_dbm, ntn_rx_power(ue_xy, beams, radio_p))) if beams else rx_dbm
 
 
 class ByteFactors:

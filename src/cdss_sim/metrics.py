@@ -9,8 +9,10 @@ output directories stay flat and greppable.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
@@ -111,24 +113,20 @@ class MetricsStore:
         return fold_sum(self.ue_bytes.values())
 
 
-def _rows(entries: Iterable, repeated: bool) -> Iterator:
-    """A table's stored rows in order, each `Block`'s once or, `repeated`,
-    at each of its period ends, all but their step, epoch and time right."""
+def _rows(entries: Iterable) -> Iterator:
+    """A table's stored rows in order, each `Block`'s once."""
     for entry in entries:
-        if type(entry) is Block:
-            yield from chain.from_iterable(repeat(entry.rows, len(entry.epochs) if repeated else 1))
-        else:
-            yield entry
+        yield from entry.rows if type(entry) is Block else (entry,)
 
 
 def _check_store(store: MetricsStore) -> None:
-    for row in _rows(store.timeline_entries, False):
+    for row in _rows(store.timeline_entries):
         if row.coordinated and row.tn_rbs + row.guard_rbs + row.ntn_rbs != row.group_size:
             raise InvariantError(
                 f"timeline step {row.step} group {row.group_index}: "
                 f"allocation does not conserve the group size"
             )
-    for sample in _rows(store.utilization_entries, False):
+    for sample in _rows(store.utilization_entries):
         if not (0.0 <= sample.utilization <= 1.0):
             raise InvariantError(f"utilization out of range: {sample}")
 
@@ -136,6 +134,8 @@ def _check_store(store: MetricsStore) -> None:
 def output_dir(out_dir) -> Path:
     """Create the report directory (and parents) if it is missing."""
     out_dir = Path(out_dir)
+    if os.path.isdir(out_dir):      # `mkdir` raises and catches an error when it exists
+        return out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -149,14 +149,19 @@ def write_table(path: Path, header: str, rows: Iterable[str]) -> Path:
     once.  An existing report is unlinked first: ext4 closes a new file
     far faster than a truncated, rewritten one (its `auto_da_alloc`
     flush), and a symlinked report is replaced by a plain file, its target
-    left as is."""
+    left as is.  The lines go out as UTF-8 bytes through one unbuffered
+    descriptor: a buffered file object costs more than the writes."""
     rows = iter(rows)
     try:
-        path.unlink(missing_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            while chunk := list(islice(rows, 4096)):
-                fh.write("\n".join([*chunk, ""]))
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+        with open(path, "wb", buffering=0) as fh:
+            chunk = [header, *islice(rows, 4096)]
+            while chunk:
+                data = memoryview("\n".join([*chunk, ""]).encode())
+                while data:         # a raw write may take only part of its bytes
+                    data = data[fh.write(data):]
+                chunk = list(islice(rows, 4096))
     except OSError as exc:
         raise InvariantError(f"failed to write report {path}: {exc}") from exc
     return path
@@ -168,17 +173,22 @@ def _lines(entries: Iterable, suffix: str) -> Iterator[str]:
     the time, formatted once for each distinct tuple of them.  The rows of
     one period end follow each other and share one time object, whose
     repr is formatted once.  A `Block` gives one string per period end,
-    its rows' lines there, each a format of the step, epoch and time of
-    one text (the suffixes are numbers, with no brace in them)."""
+    its rows' lines there: the rows' fixed pieces joined by that period
+    end's values (the suffixes are numbers, with no NUL in them)."""
     suffixes: Dict[tuple, str] = {}
     time_s = shown = None
     for row in entries:
         if type(row) is Block:
-            # a timeline row leads with the step and epoch, a sample with its cell and the step
-            text = "\n".join(("{0},{1}" if type(r) is TimelineRow else f"{r[0]},{{0}}")
-                             + ",{2}," + suffix.format(r) for r in row.rows)
-            yield from (text.format(epoch // row.epochs.step, epoch, repr(epoch * row.epoch_s))
-                        for epoch in row.epochs if text)
+            if not row.rows:
+                continue
+            # a timeline line leads with step, epoch, time; a sample's with cell, step, time
+            parts = "\n".join(("" if type(r) is TimelineRow else f"{r[0]}") + "\0"
+                              + suffix.format(r) for r in row.rows).split("\0")
+            step, epoch_s = row.epochs.step, row.epoch_s
+            if type(row.rows[0]) is TimelineRow:
+                yield from (f"{e // step},{e},{e * epoch_s!r},".join(parts) for e in row.epochs)
+            else:
+                yield from (f",{e // step},{e * epoch_s!r},".join(parts) for e in row.epochs)
             continue
         key = row[3:]
         text = suffixes.get(key)
@@ -238,7 +248,7 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
                "{0.used_rb_epochs},{0.available_rb_epochs},{0.utilization!r}"),
     )
 
-    zero_tput = store.zero_throughput_ues()
+    zero_tput = sum(t == 0.0 for t in throughputs.values())
     samples = sum(len(e.rows) * len(e.epochs) if type(e) is Block else 1
                   for e in store.utilization_entries)
     summary = {
@@ -255,7 +265,9 @@ def finalize(store: MetricsStore, out_dir: Path) -> Dict[str, Path]:
         "zero_throughput_ues": zero_tput,
         "zero_throughput_fraction": zero_tput / max(1, len(throughputs)),
         "mean_tn_utilization": (
-            fold_sum(s.utilization for s in _rows(store.utilization_entries, True)) / samples
+            fold_sum(chain.from_iterable(
+                [r.utilization for r in e.rows] * len(e.epochs) if type(e) is Block
+                else (e.utilization,) for e in store.utilization_entries)) / samples
             if samples
             else 0.0
         ),

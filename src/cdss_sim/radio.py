@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -75,21 +76,27 @@ def _each(f, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
 
 
-def _squared(x: np.ndarray) -> np.ndarray:
-    """x ** 2 element by element; numpy's x * x differs in the last bit."""
-    return _each(math.pow, x, np.full_like(x, 2.0))
+def _capped_square(scale: float, x: np.ndarray, cap: float) -> np.ndarray:
+    """min(scale * x ** 2, cap) element by element, squared by `math.pow` (numpy's
+    x * x differs in the last bit) only where `scale * x * x` is not clearly above `cap`."""
+    flat = x.ravel()
+    below = np.flatnonzero(scale * (flat * flat) * (1.0 - 1e-9) <= cap)
+    square = scale * np.fromiter(map(math.pow, flat[below].tolist(), repeat(2.0)), float)
+    out = np.full(x.shape, cap, dtype=float)
+    out.flat[below] = np.where(cap < square, cap, square)
+    return out
 
 
-def _offsets(ue_xy, origins) -> Tuple[np.ndarray, np.ndarray]:
+def offsets(ue_xy, origins) -> Tuple[np.ndarray, np.ndarray]:
     """x and y offsets from each origin (rows) to each UE (columns), metres."""
     ue = np.asarray(ue_xy, dtype=float).reshape(-1, 2)
     at = np.asarray(origins, dtype=float).reshape(-1, 2)
     return ue[:, 0] - at[:, :1], ue[:, 1] - at[:, 1:]
 
 
-def distance_m(ue_xy, origins) -> np.ndarray:
-    """Planar distance from each origin (rows) to each UE (columns), metres."""
-    return _each(math.hypot, *_offsets(ue_xy, origins))
+def distance_m(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Planar length of each (dx, dy) offset, metres."""
+    return _each(math.hypot, dx, dy)
 
 
 def fspl_db(distance_km, freq_ghz: float) -> np.ndarray:
@@ -121,18 +128,15 @@ def los_state(d_m: np.ndarray, site_of, draws, d0_m: float, scale_m: float) -> n
     return draws < p[site_of]
 
 
-def tn_rx_power(ue_xy, cells, sites, site_of, d_m, los, params: RadioParams) -> np.ndarray:
+def tn_rx_power(cells, site_of, dx, dy, d_m, los, params: RadioParams) -> np.ndarray:
     """Per-RB received power from each TN sector (rows) at each UE
-    (columns), dBm, from the distances `d_m` of the `sites` (cell i at row
-    `site_of[i]`).  The sector pattern is parabolic in azimuth, capped at
-    the front-to-back ratio."""
-    dx, dy = _offsets(ue_xy, sites)
+    (columns), dBm, from the offsets `dx`, `dy` and distances `d_m` of
+    their sites (cell i at row `site_of[i]`).  The sector pattern is
+    parabolic in azimuth, capped at the front-to-back ratio."""
     bearing = _each(math.atan2, dy, dx) * (180.0 / math.pi)    # as math.degrees computes it
     azimuth = np.array([cell.azimuth_deg for cell in cells], dtype=float)[:, None]
     a = (bearing[site_of] - azimuth + 180.0) % 360.0 - 180.0
-    pattern = 12.0 * _squared(a / params.tn_sector_width_deg)
-    cap = params.tn_front_to_back_db
-    pattern = np.where(cap < pattern, cap, pattern)
+    pattern = _capped_square(12.0, a / params.tn_sector_width_deg, params.tn_front_to_back_db)
     loss = tn_pathloss(d_m, site_of, los, params.freq_ghz, params.nlos_offset_db)
     return params.tn_tx_power_dbm + params.tn_antenna_gain_dbi - pattern - loss
 
@@ -147,12 +151,11 @@ def ntn_rx_power(ue_xy, beams, params: RadioParams) -> np.ndarray:
     """Per-RB received power from each satellite beam (rows) at each UE
     (columns), dBm.  The beam rolls off quadratically off boresight:
     exactly 3 dB at the 3 dB radius, with a 30 dB floor."""
-    r_km = distance_m(ue_xy, [beam.center_xy for beam in beams]) / 1e3
+    r_km = distance_m(*offsets(ue_xy, [beam.center_xy for beam in beams])) / 1e3
     slant = slant_range_km(params.sat_altitude_km, params.elevation_deg)
     eirp_per_rb = np.array([params.ntn_eirp_dbm - 10.0 * math.log10(beam.nominal_rbs)
                             for beam in beams], dtype=float)[:, None]
-    offbore = 3.0 * _squared(r_km / params.beam_3db_radius_km)
-    offbore = np.where(30.0 < offbore, 30.0, offbore)
+    offbore = _capped_square(3.0, r_km / params.beam_3db_radius_km, 30.0)
     return eirp_per_rb - fspl_db(slant, params.freq_ghz) - offbore
 
 

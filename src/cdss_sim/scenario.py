@@ -13,8 +13,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from itertools import chain, count, islice, repeat
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -310,10 +312,10 @@ def site_positions(topo: TopologyParams) -> List[Tuple[float, float]]:
     return candidates[: topo.num_sites]
 
 
-# Flat-top hexagon with a vertex on the +x axis: its edge normals lie at
-# 30/90/150 degrees, and its apothem is sqrt(3)/2 times the circumradius.
-_HEX_NORMALS = tuple((math.cos(math.radians(a)), math.sin(math.radians(a)))
-                     for a in (30.0, 90.0, 150.0))
+# Flat-top hexagon with a vertex on the +x axis: its edge normals (columns of cosines
+# and sines) lie at 30/90/150 degrees, and its apothem is sqrt(3)/2 times the circumradius.
+_HEX_COS, _HEX_SIN = (np.array([[f(math.radians(a))] for a in (30.0, 90.0, 150.0)])
+                      for f in (math.cos, math.sin))
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
 
@@ -321,65 +323,75 @@ def _wrap_deg(a: float) -> float:
     return (a + 180.0) % 360.0 - 180.0
 
 
-def _doubles(rng: np.random.Generator) -> Iterator[float]:
-    """The generator's uniform doubles in [0, 1), drawn 256 at a time.
-
-    Scalar `rng.uniform` calls take one double each from this same stream,
-    so the n-th value here is the one the n-th scalar call would use.
-    Every draw of the generator must come from one such iterator: a direct
-    call after a block would skip the block's unused values.
-    """
-    while True:
-        yield from rng.random(256).tolist()
+# A pair this near an edge of the mast or wedge test, relative to 1 m or in
+# radians, may fall on either side in numpy's arithmetic: `math` decides it.
+_MARGIN = 1e-9
+_BLOCK = 4 * 256       # the first placement draw: 512 pairs, about what the defaults take
 
 
 def _span(lo: float, hi: float) -> float:
     """`hi - lo` under numpy's range check of `rng.uniform(lo, hi)`, which
-    stops a placement loop that could never accept."""
+    stops a placement that could never accept."""
     if not math.isfinite(hi - lo):
         raise OverflowError("high - low range exceeds valid bounds")
     return hi - lo
 
 
-def _uniform(doubles: Iterator[float], lo: float, hi: float) -> float:
-    """`rng.uniform(lo, hi)` on the next double: numpy's formula."""
-    return lo + _span(lo, hi) * next(doubles)
+def _in_sectors(dx: np.ndarray, dy: np.ndarray, hex_radius_m: float,
+                azimuths: List[float], wedge_deg: float) -> List[List[int]]:
+    """For each azimuth, the indexes of the (dx, dy) pairs in the site's
+    hexagon, 1 m or more from the mast and inside its wedge, as the scalar
+    tests in `tests/reference_placement.py` decide.  The hexagon test is
+    IEEE `*`, `+`, `abs` and `>`, so numpy gives it.  Its projections on the
+    unit edge normals are at most hypot(dx, dy) (to rounding): only pairs
+    within `_MARGIN` of the mast or a wedge edge take `math.hypot` and `math.atan2`."""
+    proj = np.abs(_HEX_COS * dx + _HEX_SIN * dy).max(axis=0)
+    keep = proj <= _HALF_SQRT3 * hex_radius_m
+    if proj.min() < 1.0 + _MARGIN:      # the mast is singular
+        for i in np.flatnonzero(proj < 1.0 + _MARGIN).tolist():
+            keep[i] &= math.hypot(dx[i], dy[i]) >= 1.0
+    # |bearing - azimuth|, both in [-pi, pi]: within `half` either way round
+    turn = np.abs(np.arctan2(dy, dx) - np.array([[math.radians(_wrap_deg(a))] for a in azimuths]))
+    half = math.radians(wedge_deg / 2.0)
+    off = np.minimum(turn, 2.0 * math.pi - turn) - half
+    inside = (off <= 0.0) & keep
+    if np.abs(off).min() <= _MARGIN:
+        for flat in np.flatnonzero(np.abs(off) <= _MARGIN).tolist():
+            k, i = divmod(flat, dx.size)
+            bearing = math.degrees(math.atan2(dy[i], dx[i]))
+            inside[k, i] = keep[i] and abs(_wrap_deg(bearing - azimuths[k])) <= wedge_deg / 2.0
+    return [row.nonzero()[0].tolist() for row in inside]
 
 
-def _sample_in_sector(
-    doubles: Iterator[float],
-    site: Tuple[float, float],
-    azimuth_deg: float,
-    hex_radius_m: float,
-    wedge_deg: float,
-) -> Tuple[float, float]:
-    """(dx, dy) pairs, each coordinate `_uniform(doubles, -R, R)`, until one
-    lies in the site's hexagon, 1 m or more from the mast and inside the
-    wedge; the range is checked once, and the hexagon test is inlined."""
+def _sector_points(rng: np.random.Generator, cells: List[TnCell], per_cell: int,
+                   hex_radius_m: float, wedge_deg: float) -> Tuple[list, np.ndarray, int]:
+    """`per_cell` UE positions per cell in cell order, the doubles drawn from
+    `rng`, and how many the positions took.  Pairs of consecutive doubles are
+    (dx, dy), each `rng.uniform(-R, R)` by numpy's formula; each cell takes the
+    next pairs its azimuth accepts after the previous cell's last one, and the
+    draw doubles when it runs short."""
+    if not (cells and per_cell):
+        return [], np.empty(0), 0
     lo = -hex_radius_m
     span = _span(lo, hex_radius_m)
-    apothem = _HALF_SQRT3 * hex_radius_m
-    (c0, s0), (c1, s1), (c2, s2) = _HEX_NORMALS
-    draw = doubles.__next__
+    azimuths = list(dict.fromkeys(cell.azimuth_deg for cell in cells))
+    doubles = rng.random(_BLOCK)
     while True:
-        dx = lo + span * draw()
-        dy = lo + span * draw()
-        if (abs(dx * c0 + dy * s0) > apothem or abs(dx * c1 + dy * s1) > apothem
-                or abs(dx * c2 + dy * s2) > apothem):
-            continue
-        if math.hypot(dx, dy) < 1.0:  # avoid the singular point at the mast
-            continue
-        bearing = math.degrees(math.atan2(dy, dx))
-        if abs(_wrap_deg(bearing - azimuth_deg)) <= wedge_deg / 2.0:
-            return (site[0] + dx, site[1] + dy)
-
-
-def _sample_in_disc(
-    doubles: Iterator[float], center: Tuple[float, float], radius_m: float
-) -> Tuple[float, float]:
-    r = radius_m * math.sqrt(_uniform(doubles, 0.0, 1.0))
-    theta = _uniform(doubles, 0.0, 2.0 * math.pi)
-    return (center[0] + r * math.cos(theta), center[1] + r * math.sin(theta))
+        xy = lo + span * doubles
+        hits = _in_sectors(xy[0::2], xy[1::2], hex_radius_m, azimuths, wedge_deg)
+        taken: List[int] = []
+        for cell in cells:
+            row = hits[azimuths.index(cell.azimuth_deg)]
+            first = bisect_left(row, taken[-1] + 1) if taken else 0
+            if first + per_cell > len(row):
+                break
+            taken += row[first:first + per_cell]
+        else:
+            break
+        doubles = np.concatenate((doubles, rng.random(doubles.size)))
+    sites = np.array([cell.site_xy for cell in cells]).repeat(per_cell, axis=0)
+    x, y = (xy.reshape(-1, 2)[taken] + sites).T.tolist()
+    return list(zip(x, y)), doubles, 2 * (taken[-1] + 1)
 
 
 def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
@@ -415,21 +427,22 @@ def build_topology(cfg: ScenarioConfig, case: SimCase, seed: int) -> Topology:
                 )
             )
 
-    doubles = _doubles(np.random.default_rng(derive_seed(seed, "ue-placement")))
-    hex_radius = topo.isd_m / math.sqrt(3.0)
-    wedge = 360.0 / topo.sectors_per_site
-    ues: List[Ue] = []
-    ue_id = 0
-    for cell in cells:
-        for _ in range(topo.ues_per_tn_cell):
-            xy = _sample_in_sector(doubles, cell.site_xy, cell.azimuth_deg, hex_radius, wedge)
-            ues.append(Ue(ue_id, xy, "tn"))
-            ue_id += 1
-    for bi, center in enumerate(topo.beam_centers_m):
-        for _ in range(topo.ues_per_beam):
-            xy = _sample_in_disc(doubles, center, cfg.radio.beam_3db_radius_km * 1e3)
-            ues.append(Ue(ue_id, xy, "ntn"))
-            ue_id += 1
+    rng = np.random.default_rng(derive_seed(seed, "ue-placement"))
+    points, doubles, used = _sector_points(rng, cells, topo.ues_per_tn_cell,
+                                           topo.isd_m / math.sqrt(3.0), sector_step)
+    kinds = chain(repeat("tn", len(points)), repeat("ntn"))
+    # A beam UE's radius and angle take the next two doubles, each
+    # `rng.uniform(0, 1)` and `rng.uniform(0, 2 pi)` by numpy's formula.
+    need = used + 2 * len(topo.beam_centers_m) * topo.ues_per_beam
+    if need > doubles.size:
+        doubles = np.concatenate((doubles, rng.random(need - doubles.size)))
+    disc = iter(doubles[used:need].tolist())
+    radius = cfg.radio.beam_3db_radius_km * 1e3
+    for cx, cy in topo.beam_centers_m:
+        for u, v in islice(zip(disc, disc), topo.ues_per_beam):
+            r, theta = radius * math.sqrt(u), 2.0 * math.pi * v
+            points.append((cx + r * math.cos(theta), cy + r * math.sin(theta)))
+    ues = list(map(tuple.__new__, repeat(Ue), zip(count(), points, kinds)))   # `Ue._make`
     return Topology(cells, beams, ues)
 
 

@@ -443,12 +443,12 @@ def _twin_at(node: Node, start: int) -> Optional[tuple]:
 def _twin(node: Node, slot: tuple) -> tuple:
     """A node's slot dealt from a drained key if it is a twin (see
     `schedule_epoch`), else (); each distinct row of the dealt RBs is read
-    once, not each RB."""
+    once, not each RB: the grant's one row (`node.row`) if it has one."""
     _, final, sched = slot
     if not sched.used_rb or any(final):
         return ()
     rows = node.granted_rows[:sched.used_rb]
-    rows = dict(zip(map(id, rows), rows)).values()
+    rows = [node.row] if node.row is not None else dict(zip(map(id, rows), rows)).values()
     for p, uid in node.table:
         b = node.drained[p]
         if b > 0.0:

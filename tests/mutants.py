@@ -52,6 +52,9 @@ ONE_ROW_GRANTS = "tests/test_engine.py::test_tn_only_cells_and_beams_hold_one_ro
 LONG_REFERENCE = ("tests/test_reference_engine.py::"
                   "test_engine_matches_reference_engine_over_long_settled_stretches")
 BLOCK_FILES = "tests/test_metrics.py::test_blocks_write_the_files_of_their_expanded_rows"
+EDGE_PAIRS = ("tests/test_block_draws.py::"
+              "test_array_decisions_match_scalar_tests_on_each_side_of_every_edge")
+BLOCK_DRAWS = "tests/test_block_draws.py::test_block_draws_match_scalar_draws"
 
 
 class Mutant(NamedTuple):
@@ -211,10 +214,11 @@ MUTANTS = (
            ("tests/test_metrics.py::test_report_lines_match_plain_per_row_formatting",
             CONTRACT)),
     Mutant("src/cdss_sim/scenario.py",
-           "\n                or abs(dx * c2 + dy * s2) > apothem)", ")",
+           "np.abs(_HEX_COS * dx + _HEX_SIN * dy)",
+           "np.abs(_HEX_COS[:2] * dx + _HEX_SIN[:2] * dy)",
            "a point lies in the hexagon only inside all three pairs of its edges; "
-           "without the 150-degree pair, the loop accepts points past two of its edges",
-           ("tests/test_block_draws.py::test_block_draws_match_scalar_draws",)),
+           "without the 150-degree pair, the test accepts points past two of its edges",
+           (BLOCK_DRAWS, EDGE_PAIRS)),
     Mutant("src/cdss_sim/sums.py",
            "np.concatenate(\n        (cycle[:, first % n:], cycle[:, :first % n]), axis=1)",
            "cycle",
@@ -301,15 +305,13 @@ MUTANTS = (
            "warmup ends inside a block, the block's samples start a period later",
            (LONG_REFERENCE, CONTRACT)),
     Mutant("src/cdss_sim/metrics.py",
-           "fold_sum(s.utilization for s in _rows(store.utilization_entries, True))",
-           "fold_sum(s.utilization * (len(e.epochs) if type(e) is Block else 1)\n"
-           "                     for e in store.utilization_entries\n"
-           "                     for s in (e.rows if type(e) is Block else (e,)))",
+           "[r.utilization for r in e.rows] * len(e.epochs) if type(e) is Block",
+           "[r.utilization * len(e.epochs) for r in e.rows] if type(e) is Block",
            "the mean utilization folds every sample of a block in order; a block's count "
            "times a sample's value rounds otherwise",
            (BLOCK_FILES,)),
-    Mutant("src/cdss_sim/metrics.py", "repr(epoch * row.epoch_s)",
-           "repr(row.epochs[0] * row.epoch_s + (epoch - row.epochs[0]) * row.epoch_s)",
+    Mutant("src/cdss_sim/metrics.py", 'f"{e // step},{e},{e * epoch_s!r},"',
+           'f"{e // step},{e},{row.epochs[0] * epoch_s + (e - row.epochs[0]) * epoch_s!r},"',
            "each period end's time is `epoch * epoch_s`, as the engine computes it; the "
            "first time plus an offset may differ in the last bit",
            (BLOCK_FILES, CONTRACT)),
@@ -337,6 +339,18 @@ MUTANTS = (
            "every test README cites exists, so a renamed test cannot leave the map "
            "pointing at nothing",
            ("tests/test_imports.py::test_every_test_the_readme_cites_exists",)),
+    Mutant("src/cdss_sim/scenario.py", "_MARGIN = 1e-9", "_MARGIN = 0.0",
+           "numpy's arctan2 rounds apart from `math.atan2` on some inputs, so a pair "
+           "within a few floats of a wedge edge needs the scalar test",
+           (EDGE_PAIRS,)),
+    Mutant("src/cdss_sim/scenario.py", "bisect_left(row, taken[-1] + 1)",
+           "bisect_left(row, taken[-1] + 2)",
+           "each cell takes its pairs from the pair after the previous cell's last one",
+           (BLOCK_DRAWS,)),
+    Mutant("src/cdss_sim/radio.py", "(flat * flat) * (1.0 - 1e-9) <= cap", "(flat * flat) <= cap",
+           "x * x rounds apart from x ** 2, so only a square clearly above the cap may "
+           "skip `math.pow`",
+           ("tests/test_link_budget.py::test_sector_pattern_at_its_cap_matches_oracle",)),
 )
 
 

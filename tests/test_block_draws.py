@@ -13,9 +13,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from cdss_sim.domains import DOMAINS
 from cdss_sim.engine import _link_budget
-from cdss_sim.scenario import CASES, build_topology, default_scenario
+from cdss_sim.scenario import CASES, _in_sectors, build_topology, default_scenario
 
 import reference_placement
 
@@ -24,16 +26,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def shapes():
     """The default layout and its edge shapes: no UEs per cell or per beam,
-    one site, one sector, the smallest ISD, and a four-sector site; and
-    two- and six-sector sites, whose wedges reject half and five sixths of
-    the pairs inside the hexagon."""
+    one site, one sector, the smallest ISD, and a four-sector site; two-
+    and six-sector sites, whose wedges reject half and five sixths of the
+    pairs inside the hexagon; and one six-sector site of 200 UEs per cell,
+    which extends the first draw block more than once."""
     cfg = default_scenario()
     topo = cfg.topology
     for change in ({}, {"ues_per_tn_cell": 0}, {"ues_per_beam": 0},
                    {"ues_per_tn_cell": 0, "ues_per_beam": 0}, {"num_sites": 1},
                    {"sectors_per_site": 1}, {"isd_m": DOMAINS[("topology", "isd_m")][0]},
                    {"sectors_per_site": 2}, {"sectors_per_site": 6},
-                   {"num_sites": 1, "sectors_per_site": 4, "ues_per_tn_cell": 25}):
+                   {"num_sites": 1, "sectors_per_site": 4, "ues_per_tn_cell": 25},
+                   {"num_sites": 1, "sectors_per_site": 6, "ues_per_tn_cell": 200}):
         yield replace(cfg, topology=replace(topo, **change))
 
 
@@ -53,6 +57,58 @@ def test_block_draws_match_scalar_draws():
                 assert rx_dbm.tolist() == ref.tolist(), (cfg.topology, seed, case_id)
                 compared += len(topo.ues)
     assert compared > 10_000
+
+
+def in_sector(dx, dy, radius, azimuth, wedge) -> bool:
+    """The scalar model's accept test of one (dx, dy) pair."""
+    if not reference_placement._in_hexagon(dx, dy, radius) or math.hypot(dx, dy) < 1.0:
+        return False
+    bearing = math.degrees(math.atan2(dy, dx))
+    return abs(reference_placement._wrap_deg(bearing - azimuth)) <= wedge / 2.0
+
+
+def walk(x, steps):
+    """`x` and the `steps` floats on each side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_array_decisions_match_scalar_tests_on_each_side_of_every_edge():
+    # Pairs a few floats either side of a wedge edge, a hexagon edge and
+    # the mast's 1 m circle, where numpy's arctan2 and the products can
+    # round apart from `math`: `_in_sectors` must still give the scalar
+    # test's answer for every pair and azimuth.
+    radius = default_scenario().topology.isd_m / math.sqrt(3.0)
+    apothem = math.sqrt(3.0) / 2.0 * radius
+    for sectors in (1, 2, 3, 4, 6):
+        wedge = 360.0 / sectors
+        azimuths = [k * wedge for k in range(sectors)]
+        pairs = []
+        for az in azimuths:
+            for edge in (az - wedge / 2.0, az + wedge / 2.0):
+                theta = math.radians(edge)
+                for r in np.geomspace(1.5, 0.95 * apothem, 40).tolist():
+                    x = r * math.cos(theta)
+                    pairs += [(x, y) for y in walk(r * math.sin(theta), 24)]
+        for phi in range(30, 360, 60):              # the hexagon's six edges
+            c, s = math.cos(math.radians(phi)), math.sin(math.radians(phi))
+            for t in (-0.5, -0.1, 0.0, 0.3):
+                x = apothem * c - t * radius * s
+                pairs += [(x, y) for y in walk(apothem * s + t * radius * c, 8)]
+                pairs += [(u, apothem * s + t * radius * c) for u in walk(x, 8)]
+        for theta in np.linspace(-math.pi, math.pi, 97).tolist():   # the mast's circle
+            pairs += [(x, math.sin(theta)) for x in walk(math.cos(theta), 8)]
+        dx, dy = np.array(pairs).T
+        got = _in_sectors(dx, dy, radius, azimuths, wedge)
+        want = [[i for i, (x, y) in enumerate(pairs) if in_sector(x, y, radius, az, wedge)]
+                for az in azimuths]
+        assert got == want, sectors
+        assert 0 < sum(map(len, got)) < len(pairs) * sectors
 
 
 def test_placement_range_overflow_ends(tmp_path):

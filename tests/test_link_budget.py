@@ -21,7 +21,8 @@ from cdss_sim.band import build_band_plan
 from cdss_sim.domains import DOMAINS
 from cdss_sim.engine import ByteFactors, _link_budget
 from cdss_sim.radio import (
-    NtnBeam, RadioParams, TnCell, Ue, distance_m, los_state, select_serving,
+    NtnBeam, RadioParams, TnCell, Ue, _capped_square, distance_m, los_state, offsets,
+    select_serving,
 )
 from cdss_sim.scenario import CASES, SimClock, build_topology, default_scenario, validate_scenario
 
@@ -129,6 +130,30 @@ def test_columnar_link_budget_matches_scalar_oracle_at_corners():
     assert (twins[0] == twins[1]).all() and (twins[2] == twins[3]).all()
 
 
+def test_sector_pattern_at_its_cap_matches_oracle():
+    # `radio._capped_square` skips `math.pow` where 12 (a / width) ** 2,
+    # taken from x * x, is above the front-to-back cap by a margin.  Here
+    # x * x rounds two floats above x ** 2 and the cap lies between them:
+    # the pattern is x ** 2, below the cap, which x * x alone would miss.
+    xy = (1000.0, 600.0)
+    bearing = math.degrees(math.atan2(xy[1], xy[0]))
+    a = (bearing + 180.0) % 360.0 - 180.0
+    for width in np.random.default_rng(84).uniform(1.0, 360.0, 10**6).tolist():
+        square = 12.0 * math.pow(a / width, 2.0)
+        if 12.0 * ((a / width) * (a / width)) > math.nextafter(square, math.inf):
+            break
+    else:
+        raise AssertionError("no width puts 12 x * x two floats above 12 x ** 2")
+    cap = math.nextafter(square, math.inf)
+    # the pattern itself, whose last bit the sum below can round away
+    assert _capped_square(12.0, np.array([a / width]), cap).tolist() == [square] == [
+        reference_placement.sector_loss_db(bearing, width, cap)]
+    radio_p = replace(PARAMS, tn_sector_width_deg=width, tn_front_to_back_db=cap)
+    rx = assert_bit_exact([ORIGIN], [], ues_at([xy]), radio_p)
+    assert rx[0, 0] == radio_p.tn_tx_power_dbm + radio_p.tn_antenna_gain_dbi - square - (
+        reference_placement.tn_pathloss(math.hypot(*xy), True, PARAMS.freq_ghz, 0.0))
+
+
 def test_los_state_pins_the_oracles_los_probability():
     # A draw equal to P(LOS) is NLOS and the next float below it is LOS, so
     # both sets of decisions come out right only where P(LOS) has the
@@ -140,7 +165,7 @@ def test_los_state_pins_the_oracles_los_probability():
     cells = [TnCell(i, at[i % 3], 0.0) for i in range(6)]
     ue_xy = rng.uniform(-20e3, 20e3, (300, 2)).tolist()
     site_of = [0, 1, 2, 0, 1, 2]
-    d_m = distance_m(ue_xy, at)
+    d_m = distance_m(*offsets(ue_xy, at))
     for d0_m, scale_m in ((700.0, 2500.0), (3000.0, 50.0), (-1e308, 5e-324), (1e6, 1.0)):
         p = np.array([[reference_placement.los_probability(
             reference_placement.distance_m(xy, cell.site_xy), d0_m, scale_m) for xy in ue_xy]

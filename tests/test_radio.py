@@ -15,6 +15,7 @@ from cdss_sim.radio import (
     fspl_db,
     los_state,
     ntn_rx_power,
+    offsets,
     select_serving,
     slant_range_km,
     spectral_efficiency_array,
@@ -39,10 +40,10 @@ def tn_rx(ue_xy, cells, los=True, params=PARAMS):
     """Rows of per-RB rx powers, one per cell, every pair LOS or every NLOS."""
     index = {}          # site -> row
     site_of = [index.setdefault(cell.site_xy, len(index)) for cell in cells]
-    sites = list(index)
-    d_m = distance_m(ue_xy, sites)
+    dx, dy = offsets(ue_xy, list(index))
+    d_m = distance_m(dx, dy)
     los = np.full((len(cells), d_m.shape[1]), los)
-    return tn_rx_power(ue_xy, cells, sites, site_of, d_m, los, params)
+    return tn_rx_power(cells, site_of, dx, dy, d_m, los, params)
 
 
 def pathloss(d, los):
@@ -80,7 +81,7 @@ def test_los_probability_thresholds():
     # beyond: a pair is LOS for the float just below P(LOS), NLOS at it
     p = [1.0, 1.0, math.exp(-1.0)]
     ue_xy = [(500.0, 0.0), (700.0, 0.0), (3200.0, 0.0)]
-    d_m = distance_m(ue_xy, [ORIGIN.site_xy])
+    d_m = distance_m(*offsets(ue_xy, [ORIGIN.site_xy]))
     below = np.array([[math.nextafter(x, 0.0) for x in p]])
     assert los_state(d_m, [0], below, *LOS_MODEL).tolist() == [[True] * 3]
     assert los_state(d_m, [0], np.array([p]), *LOS_MODEL).tolist() == [[False] * 3]
@@ -89,7 +90,7 @@ def test_los_probability_thresholds():
 def test_los_state_uses_draw_against_probability():
     ue_xy = [(300.0, 0.0), (3200.0, 0.0), (3200.0, 0.0)]
     draws = np.array([[0.999999, 0.3, 0.5]])           # 0.3 < exp(-1) < 0.5
-    d_m = distance_m(ue_xy, [ORIGIN.site_xy])
+    d_m = distance_m(*offsets(ue_xy, [ORIGIN.site_xy]))
     assert los_state(d_m, [0], draws, *LOS_MODEL).tolist() == [[True, True, False]]
 
 
