@@ -153,7 +153,10 @@ class ByteFactors:
     flag, so they share one row, computed once.  `refresh` rewrites the
     rows in place, so the per-grant row references that
     `traffic.grant_tables` hands the scheduler stay current, and keeps each
-    row's last values as an array to tell which entries changed.
+    row's last values as an array to tell which entries changed.  While the
+    groups have several distinct rows, `low[ue_id]` is the fewest bytes any
+    of them gives the UE (for `traffic.schedule_epoch`), rewritten in place
+    with them; else `low` is None.
     """
 
     def __init__(self, plan, rx_dbm, serving, beams, radio_p, epoch_s: float):
@@ -182,6 +185,7 @@ class ByteFactors:
         # `refresh` computes the row of each group with a beam and of the first without
         beamless = [g for g in plan.groups if not self._beam_tx[g.index]]
         self._groups = [g for g in plan.groups if self._beam_tx[g.index]] + beamless[:1]
+        self.low = [0.0] * len(serving) if len(self._groups) > 1 else None
         # The transmitters some entry hears: the cells, the beams of an uncoordinated
         # group, and a beam that shares a coordinated group with a serving beam.
         self._audible = [*range(n_cells), *(
@@ -253,6 +257,8 @@ class ByteFactors:
                 changed.update(np.flatnonzero(diff).tolist())
                 self.rows[g.index][:] = vals.tolist()
                 self._values[g.index] = vals
+        if changed and self.low is not None:
+            self.low[:] = np.min([self._values[g.index] for g in self._groups], axis=0).tolist()
         return changed
 
 
@@ -398,12 +404,12 @@ def _fast_forward(store, manager, clock, nodes, state, epoch: int, limit: int):
 
 
 def _node(seed: int, increment: Sequence[float], node_id: str, entity_id: int,
-          ue_ids: List[int], group_index: Optional[int]) -> Node:
+          ue_ids: List[int], group_index: Optional[int], low: Optional[List[float]]) -> Node:
     """The scheduling node of one transmitter and its attached UEs, all
     drained, with a rotation offset drawn from the run's seed;
     `increment[uid]` is UE uid's CBR bytes per epoch."""
     return Node(node_id, entity_id, ue_ids, derive_seed(seed, f"rotation:{node_id}"),
-                [0.0] * len(ue_ids), [increment[uid] for uid in ue_ids], group_index)
+                [0.0] * len(ue_ids), [increment[uid] for uid in ue_ids], group_index, low)
 
 
 def run_simulation(spec: RunSpec) -> MetricsStore:
@@ -465,13 +471,14 @@ def run_simulation(spec: RunSpec) -> MetricsStore:
             store.ue_system[ue.ue_id] = "TN" if tx < len(cells) else "NTN"
     # build_topology lists UEs 0..n-1 in order, so increment[uid] is UE uid's
     increment = [demand_bps(scenario, case, ue) * clock.epoch_s / 8.0 for ue in ues]
-    tn_nodes = [_node(spec.seed, increment, f"tn-{c.cell_id}", c.cell_id, ue_ids, None)
+    byte_factors = ByteFactors(plan, rx_dbm, serving, beams, radio_p, clock.epoch_s)
+    low = byte_factors.low
+    tn_nodes = [_node(spec.seed, increment, f"tn-{c.cell_id}", c.cell_id, ue_ids, None, low)
                 for c, ue_ids in zip(cells, attached)]
     ntn_nodes = [_node(spec.seed, increment, f"ntn-{b.beam_id}", b.beam_id, ue_ids,
-                       b.group_index) for b, ue_ids in zip(beams, attached[len(cells):])]
+                       b.group_index, low) for b, ue_ids in zip(beams, attached[len(cells):])]
     nodes = tn_nodes + ntn_nodes            # position == transmitter row
 
-    byte_factors = ByteFactors(plan, rx_dbm, serving, beams, radio_p, clock.epoch_s)
     coordinated = manager.coordinated
     # Per RB: its group's byte row, and its load column, 1 + j in coordinated
     # group j and 0 in any other group, whose load no report reads.

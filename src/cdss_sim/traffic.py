@@ -28,9 +28,9 @@ class Cycle:
     start's key, the last one the first's, and every epoch has the same
     activity, which slots kept through rewrites of other UEs' entries
     need not have (a cell whose RB count cycles with its rotation).  The
-    prefix sums of their load rows (for `window`) and the matrix of their
-    credited bytes (for `Node.fast_forward`) are built on first use, once
-    per cycle, and each `window` once.
+    prefix sums of their load rows (for `window` over several slots) and
+    the matrix of their credited bytes (for `Node.fast_forward`) are built
+    on first use, once per cycle, and each `window` once.
     """
 
     __slots__ = ("keys", "finals", "schedules", "closed", "_prefix", "_amounts", "_windows")
@@ -39,19 +39,23 @@ class Cycle:
         self.keys = [key for key, _, _ in slots]
         self.finals = [final for _, final, _ in slots]
         self.schedules = [sched for _, _, sched in slots]
-        self.closed = (self.finals == self.keys[1:] + self.keys[:1]
-                       and len({s.activity for s in self.schedules}) == 1)
+        self.closed = self.finals == self.keys if len(slots) == 1 else (
+            self.finals == self.keys[1:] + self.keys[:1]
+            and len({s.activity for s in self.schedules}) == 1)
         self._prefix: Optional[List[Tuple[int, ...]]] = None
         self._amounts: Optional[np.ndarray] = None
         self._windows: Dict[tuple, List[int]] = {}
 
     def window(self, start: int, count: int) -> List[int]:
         """The load row summed over `count` epochs from position `start`:
-        whole cycles, then a window that may wrap past the cycle's end,
-        summed once: a repeated window is the same list, which none mutates."""
+        whole cycles, then a window that may wrap past the cycle's end (one
+        slot's row times `count`), summed once: a repeated window is the same
+        list, which none mutates."""
         key = start, count
         row = self._windows.get(key)
-        if row is None:
+        if row is None and len(self.schedules) == 1:
+            row = self._windows[key] = [count * x for x in self.schedules[0].load]
+        elif row is None:
             if self._prefix is None:
                 rows = [s.load for s in self.schedules]
                 self._prefix = list(zip(*[accumulate(column, initial=0) for column in zip(*rows)]))
@@ -85,12 +89,13 @@ class Node:
 
     Built whole from its ids, its UEs in rotation order with their
     starting backlogs and per-epoch CBR increments (both in `ue_ids`
-    order), its rotation offset (kept modulo the rotation length) and, for
-    a beam, its group.  It derives the rest of its setup once: the
-    `rotation` length (a node with no UE has one start), the post-warmup
-    byte `books` (one total per UE), the rotation `table` of `(position,
-    ue_id)` pairs and the `drained` arrivals onto all-zero backlogs (see
-    `schedule_epoch`), lists never mutated.  The other fields are run
+    order), its rotation offset (kept modulo the rotation length), for a
+    beam its group, and the run's `ByteFactors.low` (see `schedule_epoch`).
+    It derives the rest of its setup once: the `rotation` length (a node
+    with no UE has one start), the post-warmup byte `books` (one total per
+    UE), the rotation `table` of `(position, ue_id)` pairs and the
+    `drained` arrivals onto all-zero backlogs (see `schedule_epoch`),
+    lists never mutated.  The other fields are run
     state: the grant with its `grant_tables`, the current period's epochs,
     the replay memo and the backlogs before the first credit (`opening`).
 
@@ -123,6 +128,7 @@ class Node:
     backlog: List[float] = field(default_factory=list)
     increments: List[float] = field(default_factory=list)
     group_index: Optional[int] = None   # a beam's group; None for a TN cell
+    low: Optional[List[float]] = None   # by ue_id: the fewest bytes any group's row gives
     rotation: int = field(init=False)
     books: List[float] = field(init=False)
     table: List[Tuple[int, int]] = field(init=False)    # (position, ue_id)
@@ -315,6 +321,13 @@ def schedule_epoch(node: Node) -> CellSchedule:
     `grant_tables`) turns the dealt prefix of `granted` into the epoch's
     load row.
 
+    One take: over several rows, when every UE's backlog after arrivals is
+    at most its `node.low` (see `ByteFactors.low`), every offered capacity
+    is at least that backlog, which is above 0.0, so no queued UE declines
+    and each drains on its first take: the queued UEs in rotation order
+    take one RB each, `b` bytes to `b - b`, until the RBs run out, as the
+    loop would, at a cost per UE.
+
     One row: when every granted RB carries one byte row (`node.row`, see
     `grant_tables`), a queued UE with a capacity above 0.0 never declines,
     so each pass is a round in which every such (live) UE takes one RB.
@@ -382,6 +395,16 @@ def schedule_epoch(node: Node) -> CellSchedule:
         if not all(backlog):
             order = [(p, uid) for p, uid in order if backlog[p] > 0.0]
         queued = len(order)      # UEs still queued
+        low = node.low
+        if low is not None:
+            for p, uid in order:
+                if backlog[p] > low[uid]:
+                    break
+            else:                   # every backlog fits: one take each (see above)
+                for p, _ in order[:n_rb]:
+                    b = backlog[p]
+                    served[p], backlog[p] = b, b - b
+                k, queued = min(queued, n_rb), 0
         declined = 0             # consecutive declines of RB `k`
         while queued and k < n_rb:
             left = False
@@ -442,13 +465,21 @@ def _twin_at(node: Node, start: int) -> Optional[tuple]:
 
 def _twin(node: Node, slot: tuple) -> tuple:
     """A node's slot dealt from a drained key if it is a twin (see
-    `schedule_epoch`), else (); each distinct row of the dealt RBs is read
-    once, not each RB: the grant's one row (`node.row`) if it has one."""
+    `schedule_epoch`), else ().  Over one row (`node.row`) a slot that
+    drained every UE is one: a UE with a capacity of at most 0.0 is never
+    live, so it would keep its backlog, and any other's is one positive
+    value.  Over several rows, so is one whose UEs' drained backlogs are
+    each at most their `node.low`, which no capacity is below.  Otherwise
+    each distinct row of the dealt RBs is read once, not each RB."""
     _, final, sched = slot
     if not sched.used_rb or any(final):
         return ()
-    rows = node.granted_rows[:sched.used_rb]
-    rows = [node.row] if node.row is not None else dict(zip(map(id, rows), rows)).values()
+    if node.row is not None:
+        return slot
+    if node.low is not None and all(
+            b <= node.low[uid] for (_, uid), b in zip(node.table, node.drained)):
+        return slot
+    rows = {id(row): row for row in node.granted_rows[:sched.used_rb]}.values()
     for p, uid in node.table:
         b = node.drained[p]
         if b > 0.0:

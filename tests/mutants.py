@@ -55,6 +55,8 @@ BLOCK_FILES = "tests/test_metrics.py::test_blocks_write_the_files_of_their_expan
 EDGE_PAIRS = ("tests/test_block_draws.py::"
               "test_array_decisions_match_scalar_tests_on_each_side_of_every_edge")
 BLOCK_DRAWS = "tests/test_block_draws.py::test_block_draws_match_scalar_draws"
+ONE_TAKE = "tests/test_traffic.py::test_one_take_deal_matches_per_rb_reference"
+LOW_ORACLE = "tests/test_engine.py::test_byte_factors_match_naive_oracle"
 
 
 class Mutant(NamedTuple):
@@ -139,7 +141,7 @@ MUTANTS = (
            "backlog repeats its slots' cycle, if any",
            (TWIN_STEADY,)),
     Mutant("src/cdss_sim/traffic.py",
-           "\n                       and len({s.activity for s in self.schedules}) == 1)",
+           "\n            and len({s.activity for s in self.schedules}) == 1)",
            ")",
            "a cycle repeats its epochs only if they all carry one activity; else the "
            "activity list, and the rows, would change in a fast-forward",
@@ -351,6 +353,32 @@ MUTANTS = (
            "x * x rounds apart from x ** 2, so only a square clearly above the cap may "
            "skip `math.pow`",
            ("tests/test_link_budget.py::test_sector_pattern_at_its_cap_matches_oracle",)),
+    Mutant("src/cdss_sim/traffic.py", "for p, _ in order[:n_rb]:", "for p, _ in order:",
+           "a one-take deal gives one RB each to the first queued UEs only while RBs "
+           "are left; the UEs after them keep their backlogs",
+           (ONE_TAKE,)),
+    Mutant("src/cdss_sim/traffic.py", "if backlog[p] > low[uid]:",
+           "if backlog[p] > 2.0 * low[uid]:",
+           "a deal over several rows takes one RB per UE only if every backlog is at most "
+           "its `low`; one above it may meet a row whose capacity is below it",
+           (ONE_TAKE,)),
+    Mutant("src/cdss_sim/engine.py",
+           "np.min([self._values[g.index] for g in self._groups], axis=0)",
+           "self._values[self._groups[0].index]",
+           "`low` is the fewest bytes that any group's row gives a UE; one group's row "
+           "may give more than another's, so a deal of one take each would overserve",
+           (LOW_ORACLE,
+            "tests/test_engine.py::test_byte_factors_refresh_reports_exactly_the_changed_entries")),
+    Mutant("src/cdss_sim/traffic.py",
+           "all(\n            b <= node.low[uid] for (_, uid), b in zip(node.table, node.drained))",
+           "True",
+           "a slot over several rows is a twin without a row scan only if every UE's "
+           "drained backlog is at most its `low`; else another start may deal other takes",
+           (MEMO_ORACLE, TWIN_CYCLE)),
+    Mutant("src/cdss_sim/traffic.py", "[count * x for x in self.schedules[0].load]",
+           "[(count - 1) * x for x in self.schedules[0].load]",
+           "a one-slot cycle's window of `count` epochs is its load row `count` times",
+           (TWIN_CYCLE, TWIN_STEADY, CONTRACT)),
 )
 
 

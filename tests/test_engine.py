@@ -1,6 +1,8 @@
 import copy
 import importlib.util
+import inspect
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -354,11 +356,20 @@ def assert_beamless_groups_share_one_row(factors, plan, beams):
             assert (factors.rows[i] is factors.rows[j]) == ({i, j} <= beamless), (i, j)
 
 
+def assert_low_is_the_least_entry(factors, low):
+    """`low` (the instance's first) is None exactly when every group shares
+    one row, and else the least entry of the rows per UE, the same list."""
+    assert (low is None) == (len({id(row) for row in factors.rows}) == 1)
+    assert factors.low is low
+    assert low is None or low == [min(column) for column in zip(*factors.rows)]
+
+
 def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
     # beams 1 and 2 share coordinated group 0, so same-group beam
     # interference is exercised too; with every beam in group 0, the
     # coordinated group 1 and the uncoordinated group 2 have no beam and
-    # share one row, as do all three groups of the TN-only case 3
+    # share one row, as do all three groups of the TN-only case 3, which
+    # has no `low`
     rng = np.random.default_rng(11)
     se_calls = []
     se = engine_mod.spectral_efficiency_array
@@ -372,6 +383,7 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
         factors = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
         assert_beamless_groups_share_one_row(factors, plan, beams)
         assert (len({id(row) for row in factors.rows}) == 1) == (case_id == 3)
+        low = factors.low
         # first and last RB of every group, read through the scheduler's
         # per-grant row references
         edges = [rb for g in plan.groups for rb in (g.rb_start, g.rb_stop - 1)]
@@ -392,6 +404,7 @@ def test_byte_factors_match_naive_oracle(fast_cfg, monkeypatch):
             changed = factors.refresh(activity)
             assert (len(se_calls) == before) == skipped
             assert bool(changed) is not skipped
+            assert_low_is_the_least_entry(factors, low)
             fresh = ByteFactors(plan, rx_dbm, serving, beams, radio, epoch_s)
             fresh.refresh(activity)
             assert factors.rows == fresh.rows
@@ -441,6 +454,7 @@ def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monk
     # enters no entry.  A repeat and such an inaudible change must make no SE call
     # and report nothing.  A naive oracle compares the rows before and
     # after, and a fresh instance's rows check that no skip kept stale ones.
+    # `low` must follow the rows, in place.
     rng = np.random.default_rng(19)
     se_calls = []
     se = engine_mod.spectral_efficiency_array
@@ -453,6 +467,7 @@ def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monk
         epoch_s = SimClock.from_config(cfg).epoch_s
         factors = ByteFactors(plan, rx_dbm, serving, beams, cfg.radio, epoch_s)
         assert_beamless_groups_share_one_row(factors, plan, beams)
+        low = factors.low
         n_tx, n_cells = rx_dbm.shape[0], rx_dbm.shape[0] - len(beams)
         groups = [beam.group_index for beam in beams]
         alone = [n_cells + i for i, gi in enumerate(groups)
@@ -479,6 +494,7 @@ def test_byte_factors_refresh_reports_exactly_the_changed_entries(fast_cfg, monk
             want = {ue for row, old_row in zip(factors.rows, old)
                     for ue, (new, was) in enumerate(zip(row, old_row)) if new != was}
             assert changed == want, move
+            assert_low_is_the_least_entry(factors, low)
             if move in ("repeat", "inaudible"):
                 assert len(se_calls) == before and changed == set(), move
                 kinds[move] += 1
@@ -1039,6 +1055,53 @@ def test_nodes_settle_from_scheduled_epochs_without_more_dealing(default_cfg, mo
         assert len(arrivals) == added, (case_id, len(arrivals))
         assert len(loops) == looped, (case_id, len(loops))
         assert len(calls) == sum(epochs), (case_id, len(calls), sum(epochs))
+
+
+def lines_run(call, marks):
+    """Call `call()` and count how often each of the source lines `marks`
+    names ran: {name: (function, the line's text, stripped)}, each text
+    once in its function's source."""
+    where = {}
+    for name, (func, text) in marks.items():
+        lines, first = inspect.getsourcelines(func)
+        found = [first + i for i, line in enumerate(lines) if line.strip() == text]
+        assert len(found) == 1, (name, found)
+        where[func.__code__, found[0]] = name
+    counts = dict.fromkeys(marks, 0)
+    codes = {code for code, _ in where}
+
+    def local(frame, event, arg):
+        if event == "line" and (frame.f_code, frame.f_lineno) in where:
+            counts[where[frame.f_code, frame.f_lineno]] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+def test_low_demand_deals_and_twin_verdicts_cost_per_ue(default_cfg):
+    # In case 2 a UE's demand per epoch mostly fits in one RB on every row
+    # (its `low`), so most deals over several rows (the TN cells') give each
+    # queued UE one RB (`schedule_epoch`'s one-take pass, a cost per UE), and every
+    # twin verdict takes one of `_twin`'s exits before its row scan: over
+    # one row, or with every UE within its `low`.  Seeds 1 and 2 each deal
+    # 171 times over several rows, 162 of them in one take and 9 in the
+    # per-RB loop, and never scan the rows for a twin.  (Case 4, seed 1,
+    # deals 156 times over several rows, none in one take, and scans 9 times.)
+    marks = {"several rows": (traffic_mod.schedule_epoch,
+                              "queued = len(order)      # UEs still queued"),
+             "one take": (traffic_mod.schedule_epoch, "k, queued = min(queued, n_rb), 0"),
+             "row scan": (traffic_mod._twin, "rows = {id(row): row for row in "
+                                             "node.granted_rows[:sched.used_rb]}.values()")}
+    for seed in (1, 2):
+        counts = lines_run(lambda: run_simulation(RunSpec(default_cfg, 2, seed)), marks)
+        loops = counts["several rows"] - counts["one take"]
+        assert (counts["one take"], loops, counts["row scan"]) == (162, 9, 0), (seed, counts)
 
 
 def test_fast_forwarded_credit_is_paid_before_the_next_epoch_credits(fast_cfg, monkeypatch):

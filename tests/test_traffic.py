@@ -2,7 +2,7 @@ import copy
 import math
 import random
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdss_sim.controller import LoadReport, aggregate_load
 from cdss_sim.engine import _load_reports
@@ -113,6 +113,11 @@ def twin_hit(node, sched):
     schedule and its final backlog list."""
     twin = node.twin
     return twin[2] if twin and sched is twin[2] and node.backlog is twin[1] else None
+
+
+def least(rows):
+    """The least entry of the byte rows per ue_id, as `ByteFactors.low`."""
+    return [min(column) for column in zip(*rows)]
 
 
 def cbr_increment(demand_bps, epoch_s):
@@ -312,6 +317,19 @@ def takes_needed(backlog, cap):
     return n
 
 
+def partial_round_size(needs, rng):
+    """A grant size at which a round-robin deal to UEs that each need
+    `needs` RBs runs out within a round in which at least two UEs take
+    (one of them, drawn with `rng`), else one RB short of `sum(needs)`."""
+    live, dealt, sizes = [n for n in needs if n], 0, []
+    while live:
+        if len(live) > 1:
+            sizes.append(dealt + rng.randrange(1, len(live)))
+        dealt += len(live)
+        live = [n - 1 for n in live if n > 1]
+    return rng.choice(sizes) if sizes else sum(needs) - 1
+
+
 def ends_in_a_partial_round(needs, n_rb):
     """Whether a round-robin deal of `n_rb` RBs to UEs that each need
     `needs` RBs runs out of RBs with fewer left than UEs still taking."""
@@ -346,24 +364,34 @@ def test_one_row_schedule_matches_per_rb_reference():
     # A grant whose RBs all carry one byte row is dealt per UE in whole
     # rounds (see `schedule_epoch`).  From every rotation start it must
     # equal the per-RB reference: the same bytes to each UE, backlogs,
-    # used RBs, activity and load row.  The grant's size is drawn at, one
-    # below and one above the RBs the UEs need in total, so that deals end
-    # in a partial round, in which only the first UEs take an RB, or leave
-    # RBs unused; in some draws every UE declines.
+    # used RBs, activity and load row.  The draw names the regime the grant's
+    # size aims at: the RBs the UEs need in total, a size at which the deal
+    # ends in a partial round (only the first UEs take an RB), one that
+    # leaves RBs unused, or any size with every UE declining.  Hypothesis
+    # mixes the literals of the package's modules into its draws, so an
+    # edit there moves them; each counted regime has an explicit example.
     reached = {"partial round": 0, "every UE declines": 0, "unused RBs": 0}
+    # 5, 5 and 1 takes of 11 in all
+    ues = [(225.0, "range", 0.5), (225.0, "range", 0.5), (37.5, "cap", 0.0)]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(ONE_ROW_UES, st.sampled_from([-1, 0, 1]), st.sampled_from([False] * 4 + [True]),
+    @given(ONE_ROW_UES, st.sampled_from(["exact", "partial round", "unused RBs",
+                                         "every UE declines"]),
            st.randoms(use_true_random=False))
-    def deal_from_every_start(ues, off_by, declining, rng):
-        caps = [0.0 if declining else cap for cap, _, _ in ues]
+    @example(ues, "partial round", random.Random(1))
+    @example(ues, "every UE declines", random.Random(2))
+    @example(ues, "unused RBs", random.Random(3))
+    def deal_from_every_start(ues, regime, rng):
+        caps = [0.0 if regime == "every UE declines" else cap for cap, _, _ in ues]
         backlog = [one_row_backlog(*ue) for ue in ues]
         ue_ids = rng.sample(range(len(ues)), len(ues))
         row = [0.0] * len(ues)
         for uid, cap in zip(ue_ids, caps):
             row[uid] = cap
         needs = [takes_needed(b, cap) for cap, b in zip(caps, backlog)]
-        n_rb = sum(needs) + off_by
+        n_rb = {"exact": sum(needs), "partial round": partial_round_size(needs, rng),
+                "unused RBs": sum(needs) + 1 + rng.randrange(3),
+                "every UE declines": 1 + rng.randrange(40)}[regime]
         if not 0 <= n_rb <= 40:
             n_rb = rng.randint(0, 40)
         granted = rng.sample(range(n_rb), n_rb)
@@ -390,9 +418,96 @@ def test_one_row_schedule_matches_per_rb_reference():
             assert node.offset == ref_rotation.offset % node.rotation
 
     deal_from_every_start()
-    # 21, 25 and 31 of the 200 examples
+    # 20, 49 and 30 of the 200 examples and the three explicit ones
     assert reached["partial round"] >= 15 and reached["every UE declines"] >= 20, reached
     assert reached["unused RBs"] >= 25, reached
+
+
+# A UE of a deal over three rows: its capacity on each row (0.0 among them,
+# and sevenths), where its backlog lies against the least of them, its `low`
+# (0.0, at it, one ulp either side of it, or up to two capacities above it),
+# and the fraction of that range.
+CAPACITY = (st.sampled_from([0.0, 37.5, 225.0]) | st.floats(1.0, 500.0)
+            | st.integers(7, 3500).map(lambda i: i / 7.0))
+ONE_TAKE_UES = st.lists(st.tuples(st.lists(CAPACITY, min_size=3, max_size=3),
+                                  st.sampled_from(["zero", "low", "below", "above", "range"]),
+                                  st.floats(0.0, 1.0)), max_size=12)
+
+
+def test_one_take_deal_matches_per_rb_reference():
+    # Over several rows, a deal in which every UE's backlog is at most its
+    # `low` gives each queued UE one RB in rotation order until the RBs run
+    # out (see `schedule_epoch`); any other runs the per-RB loop.  From
+    # every rotation start both must equal the per-RB reference.  The node
+    # holds `low` as the engine's do: the least entry of the rows, by
+    # ue_id.  The rows are equal (three lists of the same values) or not;
+    # when the UEs fit, their backlogs are at `low`, one ulp below it or
+    # 0.0, and otherwise one ulp above it or more.  The grant holds RBs of
+    # rows 0 and 1, at least 2 and up to 6 fewer or 2 more than the UEs
+    # queued.
+    reached = {"one take": 0, "fewer RBs than UEs": 0, "equal rows": 0, "per-RB loop": 0}
+    ues = [([225.0, 37.5, 500.0], "low", 0.0), ([37.5, 37.5, 37.5], "below", 0.0),
+           ([3.0, 0.0, 3.0], "zero", 0.0), ([1.0 / 7.0, 2.0, 9.0], "low", 0.0)]
+    above = [([225.0, 37.5, 500.0], "above", 0.0), ([37.5, 37.5, 37.5], "low", 0.0)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(ONE_TAKE_UES, st.booleans(), st.booleans(), st.integers(-6, 2),
+           st.randoms(use_true_random=False))
+    @example(ues, True, False, -1, random.Random(1))    # 2 RBs for 3 queued UEs
+    @example(ues, True, True, 0, random.Random(2))
+    @example(above, False, False, 0, random.Random(3))  # one ulp over: the loop
+    def deal_from_every_start(ues, fit, equal, spare, rng):
+        caps = [c[:1] * 3 if equal else c for c, _, _ in ues]
+        lows = [min(c) for c in caps]      # each UE's `low`, by position
+        edges = [{"above": "low", "range": "below"}.get(edge, edge) if fit else edge
+                 for _, edge, _ in ues]
+        backlog = []
+        for low, edge, (_, _, fraction) in zip(lows, edges, ues):
+            backlog.append({"zero": 0.0, "low": low,
+                            "below": max(math.nextafter(low, -math.inf), 0.0),
+                            "above": math.nextafter(low, math.inf),
+                            "range": math.nextafter(low, math.inf)
+                            + fraction * 2.0 * max(low, 1.0)}[edge])
+        ue_ids = rng.sample(range(len(ues)), len(ues))
+        rows = [[0.0] * len(ues) for _ in range(3)]
+        for uid, c in zip(ue_ids, caps):
+            for row, cap in zip(rows, c):
+                row[uid] = cap
+        low = least(rows)
+        queued = sum(b > 0.0 for b in backlog)
+        n_rb = max(queued + spare, 2)
+        group_of_rb = [0, 1] + [rng.randrange(3) for _ in range(n_rb - 2)]
+        rng.shuffle(group_of_rb)
+        group_of_rb.append(2)       # each row its own load column; this RB is never granted
+        granted = rng.sample(range(n_rb), n_rb)
+        tables = grant_tables(granted, [rows[g] for g in group_of_rb], group_of_rb)
+        assert tables[2] is None
+        one_take = queued and all(b <= lo for b, lo in zip(backlog, lows))
+        reached["one take"] += bool(one_take)
+        reached["fewer RBs than UEs"] += bool(one_take and n_rb < queued)
+        reached["equal rows"] += bool(one_take and equal)
+        reached["per-RB loop"] += bool(queued and not one_take)
+        for start in range(max(len(ues), 1)):
+            node = node_for(ue_ids, start, backlog)
+            node.low = low
+            node.set_grant(granted, *tables)
+            ref_backlog = {uid: reference_scheduler.Backlog(b) for uid, b in zip(ue_ids, backlog)}
+            ref_rotation = reference_scheduler.Rotation(start)
+            got = schedule_epoch(node)
+            want = reference_scheduler.schedule_epoch(
+                "tn-0", 0, ue_ids, ref_backlog, granted,
+                lambda uid, rb: rows[group_of_rb[rb]][uid], ref_rotation)
+            assert by_uid(node, got) == by_position(node, want)
+            assert backlogs(node) == {u: f.backlog_bytes for u, f in ref_backlog.items()}
+            assert got.used_rb == want.used_rb
+            assert got.activity == want.used_rb / n_rb
+            assert list(got.load) == reference_scheduler.load_row(want, granted, group_of_rb, 3)
+            assert node.offset == ref_rotation.offset % node.rotation
+
+    deal_from_every_start()
+    # 116, 46, 65 and 54 of the 200 examples and the three explicit ones
+    assert reached["one take"] >= 60 and reached["fewer RBs than UEs"] >= 20, reached
+    assert reached["equal rows"] >= 30 and reached["per-RB loop"] >= 25, reached
 
 
 class CountedRow(list):
@@ -438,7 +553,9 @@ def test_schedule_memo_replay_matches_per_rb_reference():
     # instead of dealing (see `traffic._twin`); every field of that twin
     # hit must equal the reference's deal from its own start.  The nodes
     # after the first 60 decline no RB and saturate no UE, as in the
-    # default scenario, so their drained epochs can hit twins.
+    # default scenario, so their drained epochs can hit twins.  A node over
+    # several rows holds their `low`, rewritten with them, as the engine's
+    # do, so its deals and twin verdicts may take their exits.
     rng = random.Random(47)
     n_ids, n_rbs, epoch_s, n_nodes, n_epochs = 12, 90, 0.01, 120, 50
     hits = rewrites = kept = rebuilds = 0
@@ -472,6 +589,7 @@ def test_schedule_memo_replay_matches_per_rb_reference():
         ref_backlog = {uid: reference_scheduler.Backlog() for uid in ue_order}
         start = rng.randrange(20)
         node = node_for(ue_order, start, increments=increments)
+        node.low = least(rows) if n_groups > 1 else None
         ref_rotation = reference_scheduler.Rotation(start)
         returned = []
         previous = None
@@ -482,6 +600,8 @@ def test_schedule_memo_replay_matches_per_rb_reference():
                 old = list(row)
                 for uid in rng.sample(range(n_ids), rng.randint(1, n_ids)):
                     row[uid] = rng.choice(levels)
+                if node.low is not None:
+                    node.low[:] = least(rows)
                 if any(row[uid] != old[uid] for uid in ue_order):
                     node.clear_memo()
                 else:
@@ -1001,7 +1121,8 @@ def test_twin_cycle_matches_the_cycle_a_walk_deals():
     # start, and each start's column of the credited amounts
     # (`Cycle.amounts`, bit for bit) must be the walk's, and every start's
     # deal must be the twin's schedule.  Random nodes of 1-6 UEs over RBs of
-    # 1-3 groups; each UE's demand is under one RB or up to a few.
+    # 1-3 groups, holding the rows' `low` as the engine's do; each UE's
+    # demand is under one RB or up to a few.
     rng = random.Random(71)
     n_ids, n_rbs = 8, 40
     twins = multi_round = 0
@@ -1014,6 +1135,7 @@ def test_twin_cycle_matches_the_cycle_a_walk_deals():
         increments = [rng.uniform(1.0, rng.choice([30.0, 1000.0])) for _ in ue_order]
         granted = rng.sample(range(n_rbs), rng.randint(1, n_rbs))
         node = node_for(ue_order, rng.randrange(10), increments=increments)
+        node.low = least(rows) if n_groups > 1 else None
         node.set_grant(granted, *grant_tables(granted, [rows[g] for g in group_of_rb],
                                               group_of_rb))
         schedule_epoch(node)
